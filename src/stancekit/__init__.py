@@ -9,7 +9,7 @@ from .evaluation import ScoreReport, cross_validate, fnc_score, score_prediction
 from .mlp import MlpModel, TrainingConfig, load_model, save_model, train
 from .pipeline import FittedPipeline, PipelineSpec, fit_pipeline
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Corpus",

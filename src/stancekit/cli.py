@@ -17,16 +17,16 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import click
-import numpy as np
 
 from .config import EnsembleConfig, ExperimentConfig, load_config, override_seeds
-from .corpus import Corpus, STANCES, Stance, load_corpus, plan_folds, validation_split
+from .corpus import Corpus, Stance, load_corpus, plan_folds, validation_split
 from .embeddings import EmbeddingTable, load_embeddings
 from .ensemble import (
     CONCATENATION,
     EnsembleMember,
     EnsembleSpec,
     LinearCombiner,
+    decisions,
     fit_concat_combiner,
     load_combiner,
     save_combiner,
@@ -53,16 +53,17 @@ from .mlp import train as train_mlp
 from .pipeline import (
     FittedPipeline,
     SIMILARITY,
+    body_vocabulary,
     ensemble_predictions,
     fit_keyword_set,
     fit_pipeline,
     load_pipeline,
     member_probabilities,
+    member_stack,
     save_pipeline,
     stance_labels,
 )
-from .stopwords import ENGLISH_STOPWORDS
-from .text import build_vocabulary, tokenize
+from .text import tokenize
 
 
 def _handled(func):
@@ -240,31 +241,18 @@ def _train_models(
     return fitted, models
 
 
-def _decisions(probs: np.ndarray) -> list[Stance]:
-    return [STANCES[int(i)] for i in np.argmax(probs, axis=1)]
+def _members(cfg: ExperimentConfig, ens: EnsembleConfig) -> tuple[EnsembleMember, ...]:
+    return tuple(
+        EnsembleMember(model=m, pipeline=cfg.models[m].pipeline) for m in ens.members
+    )
 
 
 def _ensemble_spec(
     cfg: ExperimentConfig, ens: EnsembleConfig, combiner: LinearCombiner | None
 ) -> EnsembleSpec:
-    members = tuple(
-        EnsembleMember(model=m, pipeline=cfg.models[m].pipeline) for m in ens.members
+    return EnsembleSpec(
+        name=ens.name, members=_members(cfg, ens), rule=ens.rule, combiner=combiner
     )
-    return EnsembleSpec(name=ens.name, members=members, rule=ens.rule, combiner=combiner)
-
-
-def _member_prob_stack(
-    cfg: ExperimentConfig,
-    ens: EnsembleConfig,
-    models: Mapping[str, MlpModel],
-    fitted: Mapping[str, FittedPipeline],
-    corpus: Corpus,
-) -> np.ndarray:
-    rows = [
-        member_probabilities(models[m], fitted[cfg.models[m].pipeline], corpus)
-        for m in ens.members
-    ]
-    return np.stack(rows, axis=1)  # (n, N, 4)
 
 
 def _write_score_files(out: Path, target: str, report: ScoreReport) -> None:
@@ -326,7 +314,7 @@ def train(config_path, out_dir, jobs, seed, models_csv):
         lines = epoch_logs.get(name, [])
         if val_part is not None:
             probs = member_probabilities(model, fitted[cfg.models[name].pipeline], val_part)
-            pairs = list(zip((i.stance for i in val_part.instances), _decisions(probs)))
+            pairs = list(zip((i.stance for i in val_part.instances), decisions(probs)))
             grade = score_predictions(pairs).relative_grade
             lines.append(f"model={name} validation_relative_grade={grade!r}")
         save_model(model, out / f"{name}.model.bin")
@@ -336,7 +324,7 @@ def train(config_path, out_dir, jobs, seed, models_csv):
     for ens in cfg.ensembles.values():
         if ens.rule != CONCATENATION or not all(m in models for m in ens.members):
             continue
-        stack = _member_prob_stack(cfg, ens, models, fitted, val_part)
+        stack = member_stack(_members(cfg, ens), models, fitted, val_part)
         labels = [i.stance for i in val_part.instances]
         combiner = fit_concat_combiner(stack, labels, seed=ens.combiner_seed)
         save_combiner(combiner, out / f"{ens.name}.combiner.json")
@@ -380,7 +368,7 @@ def _predict_target(
         probs = member_probabilities(
             models[target], fitted[cfg.models[target].pipeline], corpus
         )
-        return _decisions(probs)
+        return decisions(probs)
     ens = cfg.ensembles[target]
     combiner = None
     if ens.rule == CONCATENATION:
@@ -445,21 +433,13 @@ def keywords(config_path, out_dir, jobs, seed, models_csv):
     names = _select(cfg, models_csv, list(cfg.keyword_specs), "keyword set")
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies)
     out = _out_dir(cfg)
-    candidate_vocab = None
+    documents = corpus_documents(corpus)
+    candidates = body_vocabulary(documents.values(), cfg.features.vocab_capacity).terms
     for name in names:
         spec = cfg.keyword_specs[name]
-        if spec.selector != "manual" and candidate_vocab is None:
-            candidate_vocab = build_vocabulary(
-                (tokenize(text) for text in corpus.bodies.values()),
-                cfg.features.vocab_capacity,
-                ENGLISH_STOPWORDS,
-                source="body",
-            )
-        candidates = candidate_vocab.terms if candidate_vocab else ()
         if spec.selector == "micc":
             groups = select_keywords_micc(
-                corpus_documents(corpus), spec.themes, candidates, spec.k,
-                name_prefix=spec.name,
+                documents, spec.themes, candidates, spec.k, name_prefix=spec.name
             )
             for theme, group in groups.items():
                 fname = f"{name}.{theme}.keywords.txt"
@@ -469,7 +449,7 @@ def keywords(config_path, out_dir, jobs, seed, models_csv):
                     f"terms={len(group.terms)}"
                 )
         else:
-            ks = fit_keyword_set(spec, corpus, candidates)
+            ks = fit_keyword_set(spec, corpus, candidates, documents)
             fname = f"{name}.keywords.txt"
             write_keyword_set(ks, out / fname)
             click.echo(f"command=keywords set={name} file={fname} terms={len(ks.terms)}")
@@ -483,7 +463,7 @@ def _fold_runner(cfg: ExperimentConfig, target: str, embeddings):
         probs = member_probabilities(
             models[target], fitted[cfg.models[target].pipeline], test_part
         )
-        decided = _decisions(probs)
+        decided = decisions(probs)
         return [(i.stance, d) for i, d in zip(test_part.instances, decided)]
 
     def run_ensemble(train_part: Corpus, test_part: Corpus, fold: int):
@@ -497,7 +477,7 @@ def _fold_runner(cfg: ExperimentConfig, target: str, embeddings):
         fitted, models = _train_models(cfg, list(ens.members), inner_train, embeddings)
         combiner = None
         if inner_val is not None:
-            stack = _member_prob_stack(cfg, ens, models, fitted, inner_val)
+            stack = member_stack(_members(cfg, ens), models, fitted, inner_val)
             labels = [i.stance for i in inner_val.instances]
             combiner = fit_concat_combiner(stack, labels, seed=ens.combiner_seed)
         spec = _ensemble_spec(cfg, ens, combiner)

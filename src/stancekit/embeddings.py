@@ -20,9 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Instance
 from .errors import DataFormatError, EmptyDistributionError
-from .text import BlockSlice, FeatureVector, tokenize
 
 #: Integer mass assigned to each distribution before transport. Weights are
 #: apportioned to parts of 1e9 so the rounding error per term stays below
@@ -330,34 +328,25 @@ def wmd_relaxed(
 
 
 def similarity_block(
-    instance: Instance, corpus: Corpus, table: EmbeddingTable, mode: str
-) -> FeatureVector:
-    """One-dimensional headline/body similarity block.
+    head_tokens: Sequence[str], body_tokens: Sequence[str], table: EmbeddingTable, mode: str
+) -> float:
+    """Headline/body similarity value of one similarity feature block.
 
-    centroid mode emits the centroid cosine. WMD modes emit 1/(1 + d) so
+    centroid mode gives the centroid cosine. WMD modes give 1/(1 + d) so
     larger values always mean more similar. Degenerate inputs (no embedded
-    token on either side) emit 0.0.
+    token on either side) give 0.0.
     """
     if mode not in SIMILARITY_MODES:
         raise ValueError(f"unknown similarity mode {mode!r}")
-    head_tokens = tokenize(instance.headline)
-    body_tokens = tokenize(corpus.body_text(instance.body_id))
     if mode == CENTROID:
-        value = centroid_cosine(head_tokens, body_tokens, table)
+        return centroid_cosine(head_tokens, body_tokens, table)
+    try:
+        da = nbow(head_tokens, table, max_terms=WMD_TERM_CAP)
+        db = nbow(body_tokens, table, max_terms=WMD_TERM_CAP)
+    except EmptyDistributionError:
+        return 0.0
+    if mode == WMD_EXACT:
+        distance, _ = wmd_exact(da, db, table)
     else:
-        try:
-            da = nbow(head_tokens, table, max_terms=WMD_TERM_CAP)
-            db = nbow(body_tokens, table, max_terms=WMD_TERM_CAP)
-        except EmptyDistributionError:
-            value = 0.0
-        else:
-            if mode == WMD_EXACT:
-                distance, _ = wmd_exact(da, db, table)
-            else:
-                distance = wmd_relaxed(da, db, table)
-            value = 1.0 / (1.0 + distance)
-    name = "emb_" + mode.replace("-", "_")
-    return FeatureVector(
-        values=np.array([value], dtype=np.float64),
-        layout=(BlockSlice(name, 0, 1),),
-    )
+        distance = wmd_relaxed(da, db, table)
+    return 1.0 / (1.0 + distance)

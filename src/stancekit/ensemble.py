@@ -3,7 +3,8 @@
 Two rules: summation (mean of member probabilities) and concatenation
 (a learned linear map from the stacked 4N vector back to 4 classes).
 Member outputs fused here are post-softmax probabilities, which keeps
-summation scale-free across members.
+summation scale-free across members. Fusion works on a whole (n, N, 4)
+stack of member probabilities at once.
 """
 
 from __future__ import annotations
@@ -11,22 +12,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import STANCES, Stance
-from .errors import ConfigError, DataFormatError
+from .errors import DataFormatError
 from .mlp import softmax
 
 SUMMATION = "summation"
 CONCATENATION = "concatenation"
 RULES = (SUMMATION, CONCATENATION)
-
-#: Canonical member roles of the best-performing three-model ensemble,
-#: in fixed order: plain bag-of-words model, manual refutation keywords,
-#: customized-class MI keywords.
-HEADLINE_MEMBERS = ("baseline", "manual_keywords", "micc_keywords")
 
 
 @dataclass(frozen=True)
@@ -77,43 +73,37 @@ class EnsembleSpec:
                 )
 
 
-@dataclass(frozen=True)
-class FusedOutput:
-    member_probs: tuple[np.ndarray, ...]
-    fused: np.ndarray
-    decided: Stance
+def decisions(fused: np.ndarray) -> list[Stance]:
+    """Argmax stance of each (n, 4) probability row.
+
+    np.argmax returns the first maximum: lowest canonical index on ties.
+    """
+    return [STANCES[int(i)] for i in np.argmax(fused, axis=1)]
 
 
-def _decide(prob: np.ndarray) -> Stance:
-    # np.argmax returns the first maximum: lowest canonical index on ties.
-    return STANCES[int(np.argmax(prob))]
+def fuse(
+    member_probs: np.ndarray, rule: str = SUMMATION, combiner: LinearCombiner | None = None
+) -> np.ndarray:
+    """Fuse an (n, N, 4) stack of member probabilities into (n, 4) rows.
 
-
-def fuse_summation(member_probs: Sequence[np.ndarray]) -> FusedOutput:
-    """Mean of member probability vectors; argmax with canonical tie-break."""
-    if not len(member_probs):
+    summation takes the member mean; concatenation applies the combiner to
+    each row's flattened 4N vector and a softmax.
+    """
+    stack = np.asarray(member_probs, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[2] != 4:
+        raise ValueError("member probabilities must have shape (n, N, 4)")
+    if stack.shape[1] == 0:
         raise ValueError("no member probabilities to fuse")
-    stacked = np.stack([np.asarray(p, dtype=np.float64) for p in member_probs])
-    if stacked.shape[1:] != (4,):
-        raise ValueError("each member probability vector must have 4 entries")
-    fused = stacked.mean(axis=0)
-    return FusedOutput(tuple(stacked), fused, _decide(fused))
-
-
-def fuse_concatenation(
-    member_probs: Sequence[np.ndarray], combiner: LinearCombiner
-) -> FusedOutput:
-    """Softmax of the combiner applied to the stacked member vector."""
-    if not len(member_probs):
-        raise ValueError("no member probabilities to fuse")
-    stacked = np.stack([np.asarray(p, dtype=np.float64) for p in member_probs])
-    flat = stacked.reshape(-1)
-    if len(flat) != combiner.n_inputs:
+    if rule == SUMMATION:
+        return stack.mean(axis=1)
+    if combiner is None:
+        raise ValueError("concatenation rule requires a fitted combiner")
+    flat = stack.reshape(stack.shape[0], -1)
+    if flat.shape[1] != combiner.n_inputs:
         raise ValueError(
-            f"combiner expects {combiner.n_inputs} inputs, got {len(flat)}"
+            f"combiner expects {combiner.n_inputs} inputs, got {flat.shape[1]}"
         )
-    fused = softmax(combiner.logits(flat))
-    return FusedOutput(tuple(stacked), fused, _decide(fused))
+    return softmax(combiner.logits(flat))
 
 
 def fit_concat_combiner(
@@ -156,26 +146,6 @@ def fit_concat_combiner(
         weights -= learning_rate * (g.T @ x)
         bias -= learning_rate * g.sum(axis=0)
     return LinearCombiner(weights=weights, bias=bias, fit_warnings=warnings)
-
-
-def headline_ensemble(
-    model_pipelines: Mapping[str, str],
-    rule: str = SUMMATION,
-    combiner: LinearCombiner | None = None,
-    name: str = "headline",
-) -> EnsembleSpec:
-    """The three-model configuration that produced the best test score.
-
-    model_pipelines maps each required role in HEADLINE_MEMBERS to the id of
-    the feature pipeline its model was trained on.
-    """
-    missing = [role for role in HEADLINE_MEMBERS if role not in model_pipelines]
-    if missing:
-        raise ConfigError(f"headline ensemble missing member model(s): {missing}")
-    if rule == CONCATENATION and combiner is None:
-        raise ConfigError("concatenation rule requires a fitted combiner")
-    members = tuple(EnsembleMember(role, model_pipelines[role]) for role in HEADLINE_MEMBERS)
-    return EnsembleSpec(name=name, members=members, rule=rule, combiner=combiner)
 
 
 def save_combiner(combiner: LinearCombiner, path: str | Path) -> None:

@@ -1,9 +1,10 @@
 """Keyword selection: manual refutation list, mutual information, and the
-customized-class (theme partition) MI selector, plus indicator features.
+customized-class (theme partition) MI selector.
 
 Documents here are bags of tokens keyed by a document id; the corpus adapter
 decides what a "document" is (this package uses one document per article
-body, headlines excluded).
+body, headlines excluded). The keyword indicator features themselves are
+built by the pipeline module, one presence bit per keyword and side.
 """
 
 from __future__ import annotations
@@ -13,11 +14,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
-import numpy as np
-
-from .corpus import Corpus, Instance
+from .corpus import Corpus
 from .errors import DataFormatError
-from .text import BlockSlice, FeatureVector, tokenize
+from .text import TokenList, tokenize
 
 #: Refutation cue words that signal the disagree stance. A starting point,
 #: not gospel: every selector that takes keywords accepts any list via config.
@@ -209,37 +208,9 @@ def select_keywords_micc(
     return groups
 
 
-def indicator_bits(
-    headline_tokens: Collection[str],
-    body_tokens: Collection[str],
-    terms: Sequence[str],
-) -> np.ndarray:
-    """Two bits per keyword: [present in headline, present in body]."""
-    headline_set = set(headline_tokens)
-    body_set = set(body_tokens)
-    bits = np.zeros(2 * len(terms), dtype=np.float64)
-    for i, term in enumerate(terms):
-        if term in headline_set:
-            bits[2 * i] = 1.0
-        if term in body_set:
-            bits[2 * i + 1] = 1.0
-    return bits
-
-
-def indicator_block(instance: Instance, corpus: Corpus, keywords: KeywordSet) -> FeatureVector:
-    """Keyword presence indicators for one instance, as a single-block vector."""
-    bits = indicator_bits(
-        tokenize(instance.headline),
-        tokenize(corpus.body_text(instance.body_id)),
-        keywords.terms,
-    )
-    layout = (BlockSlice(f"kw_{keywords.name}", 0, len(bits)),)
-    return FeatureVector(values=bits, layout=layout)
-
-
-def corpus_documents(corpus: Corpus) -> dict[int, frozenset[str]]:
-    """One document per article body (headlines excluded), as token sets."""
-    return {b: frozenset(tokenize(text)) for b, text in corpus.bodies.items()}
+def corpus_documents(corpus: Corpus) -> dict[int, TokenList]:
+    """One document per article body (headlines excluded), as token lists."""
+    return {b: tokenize(text) for b, text in corpus.bodies.items()}
 
 
 def stance_positive_bodies(corpus: Corpus, positive_stances: Collection) -> set[int]:

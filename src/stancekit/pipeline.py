@@ -6,25 +6,26 @@ every data-dependent part (vocabularies, IDF weights, keyword selections)
 from the training corpus alone, so cross-validation folds rebuilt through
 fit_pipeline stay leakage-free by construction.
 
-The per-instance features() path goes through the block modules directly;
-the matrix() path assembles the same values into a CSR matrix for
-training-scale work. Tests pin the two paths to each other.
+Featurization is document-level: matrix() tokenizes and counts each
+distinct headline and body once, builds one CSR row per document with
+that side's TF and keyword-presence columns, and assembles instance rows
+as headline row + body row + the pairwise columns (TF-IDF cosine and
+embedding similarity, computed once per distinct headline/body pair).
 """
 
 from __future__ import annotations
 
 import json
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Instance, Stance
+from .corpus import Corpus, Stance
 from .embeddings import EmbeddingTable, SIMILARITY_MODES, similarity_block
-from .ensemble import CONCATENATION, EnsembleSpec, fuse_concatenation, fuse_summation
+from .ensemble import EnsembleMember, EnsembleSpec, decisions, fuse
 from .errors import ConfigError, DataFormatError
 from .keywords import (
     KeywordSet,
@@ -39,8 +40,8 @@ from .mlp import MlpModel, predict_batch
 from .stopwords import ENGLISH_STOPWORDS
 from .text import (
     BlockSlice,
-    FeatureVector,
     IdfTable,
+    TokenList,
     Vocabulary,
     build_idf,
     build_vocabulary,
@@ -48,6 +49,7 @@ from .text import (
     load_vocabulary,
     tf_counts,
     tfidf_cosine,
+    tfidf_doc,
     tokenize,
 )
 
@@ -137,14 +139,23 @@ def _micc_flat(groups: Mapping[str, KeywordSet], spec: KeywordSpec) -> KeywordSe
     )
 
 
+def body_vocabulary(body_tokens: Iterable[TokenList], capacity: int) -> Vocabulary:
+    """TF vocabulary of the body side, also the keyword candidate terms."""
+    return build_vocabulary(body_tokens, capacity, ENGLISH_STOPWORDS, source="body")
+
+
 def fit_keyword_set(
-    spec: KeywordSpec, corpus: Corpus, candidates: Sequence[str]
+    spec: KeywordSpec,
+    corpus: Corpus,
+    candidates: Sequence[str],
+    documents: Mapping[int, TokenList],
 ) -> KeywordSet:
+    """Select one keyword set; documents are the corpus_documents(corpus)
+    body token lists."""
     if spec.selector == "manual":
         return KeywordSet(
             name=spec.name, terms=spec.terms, provenance="manual", params=()
         )
-    documents = corpus_documents(corpus)
     if spec.selector == "mi":
         positive = stance_positive_bodies(corpus, spec.positive)
         classes = "+".join(s.value for s in spec.positive)
@@ -163,12 +174,7 @@ def fit_keyword_set(
 
 @dataclass
 class FittedPipeline:
-    """A pipeline after fitting; read-only once constructed.
-
-    Tokenization caches make repeated featurization of the same bodies
-    cheap; they hold only train-independent token lists, never fitted
-    state, so sharing an instance across evaluations is safe.
-    """
+    """A pipeline after fitting; read-only once constructed."""
 
     spec: PipelineSpec
     headline_vocab: Vocabulary | None
@@ -178,11 +184,10 @@ class FittedPipeline:
     keyword_sets: dict[str, KeywordSet]
     embeddings: EmbeddingTable | None
     tf_log1p: bool = False
-    _head_tok: dict[str, list[str]] = field(default_factory=dict, repr=False)
-    _body_tok: dict[int, list[str]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         layout: list[BlockSlice] = []
+        starts: list[int] = []
         offset = 0
 
         def add(name: str, length: int):
@@ -191,6 +196,7 @@ class FittedPipeline:
             offset += length
 
         for block in self.spec.blocks:
+            starts.append(offset)
             if block.kind == BASELINE:
                 add("tf_headline", len(self.headline_vocab))
                 add("tf_body", len(self.body_vocab))
@@ -205,83 +211,96 @@ class FittedPipeline:
             raise ConfigError(f"pipeline {self.spec.name!r} has duplicate block names")
         self.layout = tuple(layout)
         self.input_dim = offset
+        self._starts = tuple(starts)
 
-    def _headline_tokens(self, headline: str) -> list[str]:
-        toks = self._head_tok.get(headline)
-        if toks is None:
-            toks = self._head_tok[headline] = tokenize(headline)
-        return toks
+    def _side_matrix(self, docs: Sequence[TokenList], side: int) -> sp.csr_matrix:
+        """One row per headline (side 0) or body (side 1) document.
 
-    def _body_tokens(self, corpus: Corpus, body_id: int) -> list[str]:
-        toks = self._body_tok.get(body_id)
-        if toks is None:
-            toks = self._body_tok[body_id] = tokenize(corpus.body_text(body_id))
-        return toks
-
-    def _tf(self, count: int) -> float:
-        return float(np.log1p(count)) if self.tf_log1p else float(count)
-
-    def _entries(self, instance: Instance, corpus: Corpus) -> list[tuple[int, float]]:
-        """Sparse (column, value) pairs; identical values to features()."""
-        head = self._headline_tokens(instance.headline)
-        body = self._body_tokens(corpus, instance.body_id)
-        out: list[tuple[int, float]] = []
-        pos = 0
-        for block in self.spec.blocks:
-            if block.kind == BASELINE:
-                tf_head, tf_body, cos_slice = self.layout[pos : pos + 3]
-                pos += 3
-                for i, c in tf_counts(head, self.headline_vocab).items():
-                    out.append((tf_head.offset + i, self._tf(c)))
-                for i, c in tf_counts(body, self.body_vocab).items():
-                    out.append((tf_body.offset + i, self._tf(c)))
-                cos = tfidf_cosine(head, body, self.shared_vocab, self.idf)
-                if cos != 0.0:
-                    out.append((cos_slice.offset, cos))
-            elif block.kind == INDICATOR:
-                slc = self.layout[pos]
-                pos += 1
-                head_set, body_set = set(head), set(body)
-                for i, term in enumerate(self.keyword_sets[block.keywords].terms):
-                    if term in head_set:
-                        out.append((slc.offset + 2 * i, 1.0))
-                    if term in body_set:
-                        out.append((slc.offset + 2 * i + 1, 1.0))
-            else:
-                slc = self.layout[pos]
-                pos += 1
-                value = similarity_block(
-                    instance, corpus, self.embeddings, block.mode
-                ).values[0]
-                if value != 0.0:
-                    out.append((slc.offset, float(value)))
-        return out
-
-    def features(self, instance: Instance, corpus: Corpus) -> FeatureVector:
-        """Dense feature vector for one instance."""
-        values = np.zeros(self.input_dim, dtype=np.float64)
-        for col, val in self._entries(instance, corpus):
-            values[col] = val
-        return FeatureVector(values=values, layout=self.layout)
-
-    def matrix(self, corpus: Corpus) -> FeatureMatrix:
-        """CSR feature matrix over all corpus instances, in corpus order."""
-        data = array("d")
-        indices = array("q")
-        indptr = array("q", [0])
-        for instance in corpus.instances:
-            entries = sorted(self._entries(instance, corpus))
-            indices.extend(col for col, _ in entries)
-            data.extend(val for _, val in entries)
+        A row holds that side's TF counts and keyword-presence bits at their
+        final columns: headline bit i of an indicator block at 2i, body bit
+        at 2i + 1. tf_log1p transforms the TF values only.
+        """
+        indptr, indices, data = [0], [], []
+        for tokens in docs:
+            present = set(tokens)
+            for block, start in zip(self.spec.blocks, self._starts):
+                if block.kind == BASELINE:
+                    if side:
+                        start += len(self.headline_vocab)
+                    counts = tf_counts(tokens, self.body_vocab if side else self.headline_vocab)
+                    indices.extend(start + i for i in counts)
+                    values = list(counts.values())
+                    data.extend(np.log1p(values) if self.tf_log1p else values)
+                elif block.kind == INDICATOR:
+                    terms = self.keyword_sets[block.keywords].terms
+                    hits = [start + side + 2 * i for i, t in enumerate(terms) if t in present]
+                    indices.extend(hits)
+                    data.extend([1.0] * len(hits))
             indptr.append(len(indices))
-        # copies: frombuffer views are read-only, scipy wants writable arrays
         mat = sp.csr_matrix(
             (
-                np.frombuffer(data, dtype=np.float64).copy(),
-                np.frombuffer(indices, dtype=np.int64).copy(),
-                np.frombuffer(indptr, dtype=np.int64).copy(),
+                np.array(data, dtype=np.float64),
+                np.array(indices, dtype=np.int64),
+                np.array(indptr, dtype=np.int64),
             ),
-            shape=(len(corpus.instances), self.input_dim),
+            shape=(len(docs), self.input_dim),
+        )
+        mat.sort_indices()
+        return mat
+
+    def _pair_matrix(
+        self,
+        head_tokens: Sequence[TokenList],
+        body_tokens: Sequence[TokenList],
+        head_row: list[int],
+        body_row: list[int],
+    ) -> sp.csr_matrix:
+        """TF-IDF cosine and similarity columns, computed once per distinct
+        (headline, body) pair and gathered to instance rows."""
+        pair_blocks: list[tuple[BlockSpec, int]] = []  # (block, its column)
+        for block, start in zip(self.spec.blocks, self._starts):
+            if block.kind == BASELINE:
+                cos_col = start + len(self.headline_vocab) + len(self.body_vocab)
+                pair_blocks.append((block, cos_col))
+                head_tfidf = [tfidf_doc(t, self.shared_vocab, self.idf) for t in head_tokens]
+                body_tfidf = [tfidf_doc(t, self.shared_vocab, self.idf) for t in body_tokens]
+            elif block.kind == SIMILARITY:
+                pair_blocks.append((block, start))
+
+        def value(block: BlockSpec, h: int, b: int) -> float:
+            if block.kind == BASELINE:
+                return tfidf_cosine(head_tfidf[h], body_tfidf[b])
+            return similarity_block(head_tokens[h], body_tokens[b], self.embeddings, block.mode)
+
+        pairs: dict[tuple[int, int], int] = {}
+        pair_row = [pairs.setdefault(p, len(pairs)) for p in zip(head_row, body_row)]
+        values = np.array(
+            [[value(block, h, b) for block, _ in pair_blocks] for h, b in pairs],
+            dtype=np.float64,
+        ).reshape(len(pairs), len(pair_blocks))[pair_row]
+        rows, ks = np.nonzero(values)
+        columns = np.array([col for _, col in pair_blocks], dtype=np.int64)
+        return sp.csr_matrix(
+            (values[rows, ks], (rows, columns[ks])), shape=(len(head_row), self.input_dim)
+        )
+
+    def matrix(self, corpus: Corpus) -> FeatureMatrix:
+        """CSR feature matrix over all corpus instances, in corpus order.
+
+        Each distinct headline and body is tokenized and counted once; an
+        instance row is its headline row plus its body row plus the
+        pairwise columns.
+        """
+        heads: dict[str, int] = {}
+        bodies: dict[int, int] = {}
+        head_row = [heads.setdefault(i.headline, len(heads)) for i in corpus.instances]
+        body_row = [bodies.setdefault(i.body_id, len(bodies)) for i in corpus.instances]
+        head_tokens = [tokenize(h) for h in heads]
+        body_tokens = [tokenize(corpus.body_text(b)) for b in bodies]
+        mat = (
+            self._side_matrix(head_tokens, 0)[head_row]
+            + self._side_matrix(body_tokens, 1)[body_row]
+            + self._pair_matrix(head_tokens, body_tokens, head_row, body_row)
         )
         return FeatureMatrix(matrix=mat, layout=self.layout)
 
@@ -297,7 +316,7 @@ def fit_pipeline(
     """Fit all data-dependent state of a pipeline from the training corpus."""
     keyword_specs = keyword_specs or {}
     head_tokens = [tokenize(i.headline) for i in corpus.instances]
-    body_tokens = {bid: tokenize(text) for bid, text in corpus.bodies.items()}
+    body_tokens = corpus_documents(corpus)
 
     headline_vocab = body_vocab = shared_vocab = None
     idf = None
@@ -305,16 +324,14 @@ def fit_pipeline(
         headline_vocab = build_vocabulary(
             head_tokens, vocab_capacity, ENGLISH_STOPWORDS, source="headline"
         )
-        body_vocab = build_vocabulary(
-            body_tokens.values(), vocab_capacity, ENGLISH_STOPWORDS, source="body"
-        )
+        body_vocab = body_vocabulary(body_tokens.values(), vocab_capacity)
         all_docs = head_tokens + list(body_tokens.values())
         shared_vocab = build_vocabulary(
             all_docs, vocab_capacity, ENGLISH_STOPWORDS, source="shared"
         )
         idf = build_idf(all_docs, shared_vocab)
 
-    candidate_vocab: Vocabulary | None = None
+    candidates: tuple[str, ...] | None = None
     keyword_sets: dict[str, KeywordSet] = {}
     for block in spec.blocks:
         if block.kind == INDICATOR:
@@ -324,12 +341,12 @@ def fit_pipeline(
                     f"{block.keywords!r}"
                 )
             kw_spec = keyword_specs[block.keywords]
-            if kw_spec.selector != "manual" and candidate_vocab is None:
-                candidate_vocab = body_vocab or build_vocabulary(
-                    body_tokens.values(), vocab_capacity, ENGLISH_STOPWORDS, source="body"
-                )
-            candidates = candidate_vocab.terms if candidate_vocab else ()
-            keyword_sets[block.keywords] = fit_keyword_set(kw_spec, corpus, candidates)
+            if kw_spec.selector != "manual" and candidates is None:
+                vocab = body_vocab or body_vocabulary(body_tokens.values(), vocab_capacity)
+                candidates = vocab.terms
+            keyword_sets[block.keywords] = fit_keyword_set(
+                kw_spec, corpus, candidates or (), body_tokens
+            )
         elif block.kind == SIMILARITY and embeddings is None:
             raise ConfigError(
                 f"pipeline {spec.name!r} has a similarity block but no "
@@ -372,6 +389,25 @@ def member_probabilities(
     return predict_batch(model, fm.matrix)[1]
 
 
+def member_stack(
+    members: Sequence[EnsembleMember],
+    models: Mapping[str, MlpModel],
+    pipelines: Mapping[str, FittedPipeline],
+    corpus: Corpus,
+) -> np.ndarray:
+    """(n, N, 4) member probabilities, members in the given order."""
+    for member in members:
+        if member.model not in models:
+            raise ConfigError(f"ensemble member: no model {member.model!r}")
+        if member.pipeline not in pipelines:
+            raise ConfigError(f"ensemble member: no pipeline {member.pipeline!r}")
+    rows = [
+        member_probabilities(models[m.model], pipelines[m.pipeline], corpus)
+        for m in members
+    ]
+    return np.stack(rows, axis=1)
+
+
 def ensemble_predictions(
     spec: EnsembleSpec,
     models: Mapping[str, MlpModel],
@@ -379,26 +415,9 @@ def ensemble_predictions(
     corpus: Corpus,
 ) -> tuple[list[Stance], np.ndarray]:
     """Fused decisions and probabilities for every corpus instance."""
-    member_rows = []
-    for member in spec.members:
-        if member.model not in models:
-            raise ConfigError(f"ensemble {spec.name!r}: no model {member.model!r}")
-        if member.pipeline not in pipelines:
-            raise ConfigError(f"ensemble {spec.name!r}: no pipeline {member.pipeline!r}")
-        member_rows.append(
-            member_probabilities(models[member.model], pipelines[member.pipeline], corpus)
-        )
-    decided: list[Stance] = []
-    fused_rows = np.empty((len(corpus.instances), 4))
-    for i in range(len(corpus.instances)):
-        probs = [rows[i] for rows in member_rows]
-        if spec.rule == CONCATENATION:
-            out = fuse_concatenation(probs, spec.combiner)
-        else:
-            out = fuse_summation(probs)
-        decided.append(out.decided)
-        fused_rows[i] = out.fused
-    return decided, fused_rows
+    stack = member_stack(spec.members, models, pipelines, corpus)
+    fused = fuse(stack, spec.rule, spec.combiner)
+    return decisions(fused), fused
 
 
 def save_pipeline(fitted: FittedPipeline, out_dir: str | Path, name: str) -> None:

@@ -1,5 +1,8 @@
-"""Tokenization, frequency-ranked vocabularies, TF blocks, TF-IDF cosine.
+"""Tokenization, frequency-ranked vocabularies, TF counts, TF-IDF cosine.
 
+Everything here works on one document at a time: a token list is counted
+or IDF-weighted once, and the cosine combines two weighted documents. The
+pipeline module places these per-document values into feature matrices.
 All functions are pure and deterministic; vocabularies and IDF tables are
 immutable after construction and safe to share between workers.
 """
@@ -11,11 +14,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
-
-from .corpus import Corpus, Instance
 
 #: Lowercase word tokens, in text order.
 TokenList = list[str]
@@ -89,14 +90,6 @@ def tf_counts(tokens: TokenList, vocab: Vocabulary) -> dict[int, int]:
     return out
 
 
-def tf_vector(tokens: TokenList, vocab: Vocabulary) -> np.ndarray:
-    """Dense raw-count TF vector over the vocabulary."""
-    vec = np.zeros(len(vocab), dtype=np.float64)
-    for i, c in tf_counts(tokens, vocab).items():
-        vec[i] = c
-    return vec
-
-
 @dataclass(frozen=True)
 class IdfTable:
     """Smoothed inverse document frequencies aligned with a vocabulary.
@@ -129,31 +122,33 @@ def build_idf(documents: Iterable[TokenList], vocab: Vocabulary) -> IdfTable:
     return IdfTable(vocab=vocab, values=values, document_count=n_docs)
 
 
-def _weighted(tokens: TokenList, vocab: Vocabulary, idf: IdfTable) -> dict[int, float]:
-    return {i: c * idf.values[i] for i, c in tf_counts(tokens, vocab).items()}
+class TfidfDoc(NamedTuple):
+    """IDF-weighted term counts of one document, keyed by vocabulary
+    position in first-occurrence order, and their L2 norm."""
+
+    weights: dict[int, float]
+    norm: float
 
 
-def tfidf_cosine(
-    headline_tokens: TokenList,
-    body_tokens: TokenList,
-    vocab: Vocabulary,
-    idf: IdfTable,
-) -> float:
-    """Cosine of the two TF-IDF vectors over the shared vocabulary.
+def tfidf_doc(tokens: TokenList, vocab: Vocabulary, idf: IdfTable) -> TfidfDoc:
+    weights = {i: c * idf.values[i] for i, c in tf_counts(tokens, vocab).items()}
+    return TfidfDoc(weights, math.sqrt(sum(v * v for v in weights.values())))
+
+
+def tfidf_cosine(headline: TfidfDoc, body: TfidfDoc) -> float:
+    """Cosine of two TF-IDF documents over the shared vocabulary.
 
     Returns 0.0 when either side has zero norm (no weighted overlap with the
     vocabulary); otherwise lies in [0, 1] since all weights are non-negative.
+    The dot product runs over the smaller side in its key order.
     """
-    a = _weighted(headline_tokens, vocab, idf)
-    b = _weighted(body_tokens, vocab, idf)
-    norm_a = math.sqrt(sum(v * v for v in a.values()))
-    norm_b = math.sqrt(sum(v * v for v in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
+    if headline.norm == 0.0 or body.norm == 0.0:
         return 0.0
+    a, b = headline.weights, body.weights
     if len(b) < len(a):
         a, b = b, a
     dot = sum(v * b[i] for i, v in a.items() if i in b)
-    return dot / (norm_a * norm_b)
+    return dot / (headline.norm * body.norm)
 
 
 class BlockSlice(NamedTuple):
@@ -187,38 +182,3 @@ class FeatureVector:
             if b.name == name:
                 return self.values[b.offset : b.offset + b.length]
         raise KeyError(name)
-
-
-def concat_blocks(parts: Sequence[tuple[str, np.ndarray]]) -> FeatureVector:
-    """Assemble named value arrays into a FeatureVector with layout."""
-    names = [name for name, _ in parts]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate block names in {names}")
-    layout = []
-    offset = 0
-    for name, values in parts:
-        layout.append(BlockSlice(name, offset, len(values)))
-        offset += len(values)
-    values = np.concatenate([v for _, v in parts]) if parts else np.zeros(0)
-    return FeatureVector(values=values.astype(np.float64), layout=tuple(layout))
-
-
-def baseline_features(
-    instance: Instance,
-    corpus: Corpus,
-    headline_vocab: Vocabulary,
-    body_vocab: Vocabulary,
-    shared_vocab: Vocabulary,
-    idf: IdfTable,
-) -> FeatureVector:
-    """TF(headline) + TF(body) + TF-IDF cosine, in that fixed block order."""
-    headline_tokens = tokenize(instance.headline)
-    body_tokens = tokenize(corpus.body_text(instance.body_id))
-    cos = tfidf_cosine(headline_tokens, body_tokens, shared_vocab, idf)
-    return concat_blocks(
-        [
-            ("tf_headline", tf_vector(headline_tokens, headline_vocab)),
-            ("tf_body", tf_vector(body_tokens, body_vocab)),
-            ("tfidf_cos", np.array([cos])),
-        ]
-    )

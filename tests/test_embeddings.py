@@ -31,6 +31,7 @@ from stancekit.embeddings import (
     wmd_relaxed,
 )
 from stancekit.errors import DataFormatError, EmptyDistributionError
+from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 
 
 def table_from(mapping: dict[str, list[float]]) -> EmbeddingTable:
@@ -301,40 +302,41 @@ class TestWmdRelaxed:
 
 
 class TestSimilarityBlock:
-    def _corpus(self, headline: str, body: str):
-        return make_corpus([Instance(headline, 1, None)], {1: body})
-
     TABLE = table_from({"near": [0.0, 0.0], "far": [1.0, 0.0], "other": [0.0, 3.0]})
 
     def test_centroid_identical(self):
-        corpus = self._corpus("near far", "near far")
-        fv = similarity_block(corpus.instances[0], corpus, self.TABLE, CENTROID)
-        assert fv.layout[0].name == "emb_centroid"
-        assert fv.values[0] == pytest.approx(1.0, abs=1e-12)
+        value = similarity_block(["near", "far"], ["near", "far"], self.TABLE, CENTROID)
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_wmd_zero_distance_is_one(self):
-        corpus = self._corpus("near", "near")
-        fv = similarity_block(corpus.instances[0], corpus, self.TABLE, WMD_EXACT)
-        assert fv.values[0] == pytest.approx(1.0, abs=1e-12)
+        value = similarity_block(["near"], ["near"], self.TABLE, WMD_EXACT)
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_wmd_unit_distance_is_half(self):
-        corpus = self._corpus("near", "far")
         for mode in (WMD_EXACT, WMD_RELAXED):
-            fv = similarity_block(corpus.instances[0], corpus, self.TABLE, mode)
-            assert fv.values[0] == pytest.approx(0.5, abs=1e-9)
+            value = similarity_block(["near"], ["far"], self.TABLE, mode)
+            assert value == pytest.approx(0.5, abs=1e-9)
 
     def test_unembedded_side_zero(self):
-        corpus = self._corpus("zz qq", "near")
         for mode in SIMILARITY_MODES:
-            fv = similarity_block(corpus.instances[0], corpus, self.TABLE, mode)
-            assert fv.values[0] == 0.0
+            assert similarity_block(["zz", "qq"], ["near"], self.TABLE, mode) == 0.0
 
     def test_block_names_follow_mode(self):
-        corpus = self._corpus("near", "far")
-        fv = similarity_block(corpus.instances[0], corpus, self.TABLE, WMD_RELAXED)
-        assert fv.layout[0].name == "emb_wmd_relaxed"
+        corpus = make_corpus([Instance("near", 1, None)], {1: "far"})
+        fitted = FittedPipeline(
+            spec=PipelineSpec(
+                name="emb",
+                blocks=tuple(BlockSpec(kind="similarity", mode=m) for m in SIMILARITY_MODES),
+            ),
+            headline_vocab=None, body_vocab=None, shared_vocab=None, idf=None,
+            keyword_sets={}, embeddings=self.TABLE,
+        )
+        assert [b.name for b in fitted.layout] == [
+            "emb_centroid", "emb_wmd_exact", "emb_wmd_relaxed"
+        ]
+        row = fitted.matrix(corpus).matrix.toarray()[0]
+        assert row[1:] == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_unknown_mode(self):
-        corpus = self._corpus("near", "far")
         with pytest.raises(ValueError, match="unknown similarity mode"):
-            similarity_block(corpus.instances[0], corpus, self.TABLE, "manhattan")
+            similarity_block(["near"], ["far"], self.TABLE, "manhattan")

@@ -1,6 +1,7 @@
 """Probability fusion rules and the learned concatenation combiner."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,19 +9,19 @@ import pytest
 from stancekit.corpus import STANCES, Stance
 from stancekit.ensemble import (
     CONCATENATION,
-    HEADLINE_MEMBERS,
     SUMMATION,
     EnsembleMember,
     EnsembleSpec,
     LinearCombiner,
+    decisions,
     fit_concat_combiner,
-    fuse_concatenation,
-    fuse_summation,
-    headline_ensemble,
+    fuse,
     load_combiner,
     save_combiner,
 )
-from stancekit.errors import ConfigError, DataFormatError
+from stancekit.errors import DataFormatError
+
+from oracles import fuse_concatenation_row, fuse_summation_row
 
 
 def one_hot(index: int, sharp: float = 1.0) -> np.ndarray:
@@ -29,43 +30,51 @@ def one_hot(index: int, sharp: float = 1.0) -> np.ndarray:
     return probs
 
 
+def fuse_one(members, combiner=None):
+    """Fuse a single row of member vectors; returns (fused, decision)."""
+    rule = SUMMATION if combiner is None else CONCATENATION
+    fused = fuse(np.array([members]), rule, combiner)
+    assert fused.shape == (1, 4)
+    return fused[0], decisions(fused)[0]
+
+
 class TestSummation:
     def test_single_member_identity(self):
         member = np.array([0.1, 0.2, 0.3, 0.4])
-        out = fuse_summation([member])
-        assert np.allclose(out.fused, member, atol=1e-15)
-        assert out.decided is Stance.UNRELATED
+        fused, decided = fuse_one([member])
+        assert np.allclose(fused, member, atol=1e-15)
+        assert decided is Stance.UNRELATED
 
     def test_two_member_tie_goes_to_lowest_index(self):
-        out = fuse_summation([one_hot(0), one_hot(1)])
-        assert np.allclose(out.fused, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
-        assert out.decided is Stance.AGREE
+        fused, decided = fuse_one([one_hot(0), one_hot(1)])
+        assert np.allclose(fused, [0.5, 0.5, 0.0, 0.0], atol=1e-15)
+        assert decided is Stance.AGREE
 
     def test_three_member_hand_mean(self):
         a = np.array([0.7, 0.1, 0.1, 0.1])
         b = np.array([0.1, 0.7, 0.1, 0.1])
         c = np.array([0.1, 0.1, 0.1, 0.7])
-        out = fuse_summation([a, b, c])
-        assert np.allclose(out.fused, (a + b + c) / 3.0, atol=1e-15)
-        assert out.decided is Stance.AGREE  # three-way tie 0.3 at indexes 0,1,3
+        fused, decided = fuse_one([a, b, c])
+        assert np.allclose(fused, (a + b + c) / 3.0, atol=1e-15)
+        assert decided is Stance.AGREE  # three-way tie 0.3 at indexes 0,1,3
 
     def test_member_order_irrelevant(self):
         rng = np.random.default_rng(0)
         members = [rng.dirichlet(np.ones(4)) for _ in range(4)]
-        forward = fuse_summation(members)
-        backward = fuse_summation(list(reversed(members)))
-        assert np.allclose(forward.fused, backward.fused, atol=1e-15)
-        assert forward.decided is backward.decided
+        forward = fuse_one(members)
+        backward = fuse_one(list(reversed(members)))
+        assert np.allclose(forward[0], backward[0], atol=1e-15)
+        assert forward[1] is backward[1]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fuse_summation([])
+            fuse(np.zeros((2, 0, 4)))
 
     def test_fused_is_distribution(self):
         rng = np.random.default_rng(1)
         members = [rng.dirichlet(np.ones(4)) for _ in range(3)]
-        out = fuse_summation(members)
-        assert float(out.fused.sum()) == pytest.approx(1.0, abs=1e-12)
+        fused, _ = fuse_one(members)
+        assert float(fused.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
 def identity_combiner(scale: float = 10.0) -> LinearCombiner:
@@ -75,12 +84,12 @@ def identity_combiner(scale: float = 10.0) -> LinearCombiner:
 class TestConcatenation:
     def test_identity_combiner_preserves_argmax(self):
         member = np.array([0.1, 0.5, 0.15, 0.25])
-        out = fuse_concatenation([member], identity_combiner())
-        assert out.decided is Stance.DISAGREE
+        _, decided = fuse_one([member], identity_combiner())
+        assert decided is Stance.DISAGREE
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="expects 4 inputs"):
-            fuse_concatenation([one_hot(0), one_hot(1)], identity_combiner())
+            fuse_one([one_hot(0), one_hot(1)], identity_combiner())
 
     def test_hand_map_softmax(self):
         weights = np.array(
@@ -101,8 +110,8 @@ class TestConcatenation:
         ]
         exps = [math.exp(z - max(logits)) for z in logits]
         want = [e / sum(exps) for e in exps]
-        out = fuse_concatenation([member], LinearCombiner(weights=weights, bias=bias))
-        assert np.allclose(out.fused, want, atol=1e-12)
+        fused, _ = fuse_one([member], LinearCombiner(weights=weights, bias=bias))
+        assert np.allclose(fused, want, atol=1e-12)
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(3)
@@ -113,10 +122,10 @@ class TestConcatenation:
             bias=combiner.bias,
         )
         p1, p2 = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
-        out = fuse_concatenation([p1, p2], combiner)
-        out_swapped = fuse_concatenation([p2, p1], swapped)
-        assert np.allclose(out.fused, out_swapped.fused, atol=1e-12)
-        assert out.decided is out_swapped.decided
+        out = fuse_one([p1, p2], combiner)
+        out_swapped = fuse_one([p2, p1], swapped)
+        assert np.allclose(out[0], out_swapped[0], atol=1e-12)
+        assert out[1] is out_swapped[1]
 
 
 def member_prob_stack(labels, accuracy_mask):
@@ -137,12 +146,11 @@ class TestCombinerFit:
     def test_combiner_at_least_as_accurate_as_member(self):
         labels, stack = self._toy()
         combiner = fit_concat_combiner(stack, labels, seed=0)
+        fused = decisions(fuse(stack, CONCATENATION, combiner))
         member_correct = combiner_correct = 0
         for row, label in enumerate(labels):
-            member = stack[row, 0]
-            member_correct += int(np.argmax(member)) == label.index
-            fused = fuse_concatenation([member], combiner)
-            combiner_correct += fused.decided is label
+            member_correct += int(np.argmax(stack[row, 0])) == label.index
+            combiner_correct += fused[row] is label
         assert combiner_correct >= member_correct
 
     def test_identical_members_match_single(self):
@@ -150,15 +158,9 @@ class TestCombinerFit:
         tripled = np.repeat(stack, 3, axis=1)  # (n, 3, 4), all members equal
         single = fit_concat_combiner(stack, labels, seed=1)
         triple = fit_concat_combiner(tripled, labels, seed=1)
-        singles = sum(
-            fuse_concatenation([stack[row, 0]], single).decided is labels[row]
-            for row in range(len(labels))
-        )
-        triples = sum(
-            fuse_concatenation(list(tripled[row]), triple).decided is labels[row]
-            for row in range(len(labels))
-        )
-        assert triples == singles
+        singles = decisions(fuse(stack, CONCATENATION, single))
+        triples = decisions(fuse(tripled, CONCATENATION, triple))
+        assert sum(map(operator.is_, singles, labels)) == sum(map(operator.is_, triples, labels))
 
     def test_flat_input_accepted(self):
         labels, stack = self._toy(n=16)
@@ -224,32 +226,47 @@ class TestEnsembleSpec:
         assert spec.combiner.n_inputs == 8
 
 
-class TestHeadlineEnsemble:
-    PIPELINES = {
-        "baseline": "plain",
-        "manual_keywords": "with_manual",
-        "micc_keywords": "with_micc",
-    }
+class TestBatchedFusion:
+    """Whole-stack fusion against the one-row-at-a-time oracle."""
 
-    def test_three_members_in_order(self):
-        spec = headline_ensemble(self.PIPELINES, rule=SUMMATION)
-        assert tuple(m.model for m in spec.members) == HEADLINE_MEMBERS
-        assert len(spec.members) == 3
-        assert spec.rule == SUMMATION
+    def _stack(self, n=400, members=3, seed=6):
+        rng = np.random.default_rng(seed)
+        stack = rng.dirichlet(np.ones(4), size=(n, members))
+        stack[::7] = one_hot(2, sharp=0.4)  # tied rows exercise the tie-break
+        return stack
 
-    def test_missing_baseline_rejected(self):
-        partial = {k: v for k, v in self.PIPELINES.items() if k != "baseline"}
-        with pytest.raises(ConfigError, match="baseline"):
-            headline_ensemble(partial, rule=SUMMATION)
+    def test_summation_bit_identical_to_rows(self):
+        stack = self._stack()
+        fused = fuse(stack, SUMMATION)
+        decided = decisions(fused)
+        for row in range(len(stack)):
+            want, want_decided = fuse_summation_row(list(stack[row]))
+            assert np.array_equal(fused[row], want)
+            assert decided[row] is want_decided
 
-    def test_concatenation_needs_fitted_combiner(self):
-        with pytest.raises(ConfigError, match="combiner"):
-            headline_ensemble(self.PIPELINES, rule=CONCATENATION)
+    def test_concatenation_within_1e15_of_rows(self):
+        """One gemm over all rows instead of one gemv per row may round
+        differently in the last place; the drift stays below 1e-15 and no
+        decision changes."""
+        stack = self._stack()
+        rng = np.random.default_rng(8)
+        combiner = LinearCombiner(
+            weights=rng.normal(0, 3, size=(4, 12)), bias=rng.normal(0, 1, size=4)
+        )
+        fused = fuse(stack, CONCATENATION, combiner)
+        decided = decisions(fused)
+        for row in range(len(stack)):
+            want, want_decided = fuse_concatenation_row(list(stack[row]), combiner)
+            assert np.max(np.abs(fused[row] - want)) <= 1e-15
+            assert decided[row] is want_decided
 
-    def test_concatenation_with_combiner(self):
-        combiner = LinearCombiner(weights=np.zeros((4, 12)), bias=np.zeros(4))
-        spec = headline_ensemble(self.PIPELINES, rule=CONCATENATION, combiner=combiner)
-        assert spec.rule == CONCATENATION
+    def test_concatenation_needs_combiner(self):
+        with pytest.raises(ValueError, match="combiner"):
+            fuse(self._stack(n=2), CONCATENATION)
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            fuse(np.zeros((3, 4)))
 
 
 class TestCombinerIo:

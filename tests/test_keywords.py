@@ -12,13 +12,12 @@ from hypothesis import given, strategies as st
 
 from stancekit.corpus import Instance, Stance, make_corpus
 from stancekit.errors import DataFormatError
+from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 from stancekit.keywords import (
     DEFAULT_REFUTATION_TERMS,
     ContingencyTable,
     KeywordSet,
     corpus_documents,
-    indicator_bits,
-    indicator_block,
     mutual_information,
     partition_by_theme,
     read_keyword_set,
@@ -224,25 +223,34 @@ class TestMicc:
         assert dict(ks.params) == {"theme": "storm", "k": "1"}
 
 
+def indicator_row(headline: str, body: str, terms) -> list[float]:
+    """Matrix row of one pair under a single manual-keyword indicator block."""
+    corpus = make_corpus([Instance(headline, 1, None)], {1: body})
+    fitted = FittedPipeline(
+        spec=PipelineSpec(name="kw", blocks=(BlockSpec(kind="indicator", keywords="m"),)),
+        headline_vocab=None, body_vocab=None, shared_vocab=None, idf=None,
+        keyword_sets={"m": KeywordSet(name="manual", terms=tuple(terms))},
+        embeddings=None,
+    )
+    assert fitted.layout[0].name == "kw_manual"
+    return list(fitted.matrix(corpus).matrix.toarray()[0])
+
+
 class TestIndicators:
     def test_headline_hit(self):
-        assert list(indicator_bits({"hoax"}, {"none"}, ["hoax"])) == [1.0, 0.0]
+        assert indicator_row("hoax", "none", ["hoax"]) == [1.0, 0.0]
 
     def test_absent_everywhere(self):
-        assert not indicator_bits({"a"}, {"b"}, ["fake", "deny"]).any()
+        assert indicator_row("a", "b", ["fake", "deny"]) == [0.0] * 4
 
     def test_body_hits_interleaved(self):
-        bits = indicator_bits({"other"}, {"fake", "deny"}, ["fake", "deny"])
-        assert list(bits) == [0.0, 1.0, 0.0, 1.0]
+        assert indicator_row("other", "fake deny", ["fake", "deny"]) == [0.0, 1.0, 0.0, 1.0]
 
     def test_block_from_instance(self):
-        corpus = make_corpus(
-            [Instance("Hoax!", 1, None)], {1: "nothing to see"}
-        )
-        ks = KeywordSet(name="manual", terms=("hoax", "see"), provenance="manual")
-        fv = indicator_block(corpus.instances[0], corpus, ks)
-        assert fv.layout[0].name == "kw_manual"
-        assert list(fv.values) == [1.0, 0.0, 0.0, 1.0]
+        assert indicator_row("Hoax!", "nothing to see", ("hoax", "see")) == [1.0, 0.0, 0.0, 1.0]
+
+    def test_count_does_not_matter(self):
+        assert indicator_row("fake fake", "fake fake fake", ["fake"]) == [1.0, 1.0]
 
 
 class TestCorpusViews:
@@ -251,8 +259,8 @@ class TestCorpusViews:
             [Instance("h", 1, Stance.AGREE)], {1: "The cat, the CAT!", 2: "dog"}
         )
         docs = corpus_documents(corpus)
-        assert docs[1] == frozenset({"the", "cat"})
-        assert docs[2] == frozenset({"dog"})
+        assert docs[1] == ["the", "cat", "the", "cat"]
+        assert docs[2] == ["dog"]
 
     def test_stance_positive_bodies(self):
         corpus = make_corpus(

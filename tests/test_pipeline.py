@@ -1,12 +1,13 @@
-"""Feature pipelines: fitting, dense/sparse parity, persistence, ensembles."""
+"""Feature pipelines: fitting, oracle parity of matrix rows, persistence, ensembles."""
 
 import numpy as np
 import pytest
 
-from stancekit.corpus import Instance, Stance, make_corpus
+from stancekit.corpus import Corpus, Instance, Stance, make_corpus
 from stancekit.embeddings import CENTROID, WMD_RELAXED, load_embeddings
-from stancekit.ensemble import SUMMATION, EnsembleMember, EnsembleSpec, fuse_summation
-from stancekit.errors import ConfigError
+from stancekit.ensemble import SUMMATION, EnsembleMember, EnsembleSpec
+from stancekit.errors import ConfigError, IntegrityError
+from stancekit.keywords import corpus_documents
 from stancekit.mlp import TrainingConfig, predict_batch, train
 from stancekit.pipeline import (
     BlockSpec,
@@ -22,6 +23,7 @@ from stancekit.pipeline import (
 )
 
 from conftest import synthetic_corpus, write_vectors
+from oracles import feature_row, fuse_summation_row
 
 BASELINE_SPEC = PipelineSpec(name="plain", blocks=(BlockSpec(kind="baseline"),))
 
@@ -90,8 +92,7 @@ class TestBaselineFit:
         dense = fm.matrix.toarray()
         assert fm.shape == (len(corpus), fitted.input_dim)
         for row, instance in enumerate(corpus.instances):
-            fv = fitted.features(instance, corpus)
-            assert np.array_equal(dense[row], fv.values)
+            assert np.array_equal(dense[row], feature_row(fitted, instance, corpus))
 
     def test_vocabulary_sees_only_fit_corpus(self):
         corpus = small_corpus()
@@ -103,16 +104,21 @@ class TestBaselineFit:
         assert "zyzzyva" not in fitted.headline_vocab
         assert "zyzzyva" not in fitted.shared_vocab
         # featurizing unseen text still works, oov terms simply drop out
-        fv = fitted.features(unseen.instances[0], unseen)
-        assert len(fv.values) == fitted.input_dim
+        fm = fitted.matrix(unseen)
+        assert fm.shape == (1, fitted.input_dim)
+        assert np.array_equal(
+            fm.matrix.toarray()[0], feature_row(fitted, unseen.instances[0], unseen)
+        )
 
     def test_tf_log1p_compresses_counts(self):
         corpus = small_corpus()
         raw = fit_pipeline(BASELINE_SPEC, corpus, vocab_capacity=25)
         logged = fit_pipeline(BASELINE_SPEC, corpus, vocab_capacity=25, tf_log1p=True)
-        inst = corpus.instances[0]
-        raw_tf = raw.features(inst, corpus).block("tf_body")
-        log_tf = logged.features(inst, corpus).block("tf_body")
+        tf_body = next(b for b in raw.layout if b.name == "tf_body")
+        cols = slice(tf_body.offset, tf_body.offset + tf_body.length)
+        raw_tf = raw.matrix(corpus).matrix.toarray()[:, cols]
+        log_tf = logged.matrix(corpus).matrix.toarray()[:, cols]
+        assert raw_tf.max() > 1.0
         assert np.allclose(log_tf, np.log1p(raw_tf), atol=1e-12)
 
 
@@ -140,7 +146,7 @@ class TestKeywordBlocks:
         corpus = small_corpus()
         spec = KeywordSpec(name="auto", selector="mi", k=3, positive=(Stance.DISAGREE,))
         candidates = ["fake", "the", "news", "hoax"]
-        ks = fit_keyword_set(spec, corpus, candidates)
+        ks = fit_keyword_set(spec, corpus, candidates, corpus_documents(corpus))
         assert ks.provenance == "mi"
         assert len(ks.terms) == 3
         # every disagree headline carries "fake"; bodies with disagree instances
@@ -156,7 +162,7 @@ class TestKeywordBlocks:
         candidates = sorted(
             {t for tokens in corpus.bodies.values() for t in tokens.split()}
         )
-        ks = fit_keyword_set(spec, corpus, candidates)
+        ks = fit_keyword_set(spec, corpus, candidates, corpus_documents(corpus))
         assert ks.provenance == "micc"
         assert len(set(ks.terms)) == len(ks.terms)
         assert dict(ks.params)["themes"] == "hoax+vaccine"
@@ -171,7 +177,7 @@ class TestKeywordBlocks:
         fitted = fit_pipeline(spec, corpus, keyword_specs=kw, vocab_capacity=20)
         dense = fitted.matrix(corpus).matrix.toarray()
         for row, instance in enumerate(corpus.instances):
-            assert np.array_equal(dense[row], fitted.features(instance, corpus).values)
+            assert np.array_equal(dense[row], feature_row(fitted, instance, corpus))
 
 
 class TestSimilarityBlocks:
@@ -207,7 +213,66 @@ class TestSimilarityBlocks:
         assert "emb_centroid" in names and "emb_wmd_relaxed" in names
         dense = fitted.matrix(corpus).matrix.toarray()
         for row, instance in enumerate(corpus.instances):
-            assert np.array_equal(dense[row], fitted.features(instance, corpus).values)
+            assert np.array_equal(dense[row], feature_row(fitted, instance, corpus))
+
+
+def shared_headline_corpus():
+    """Synthetic corpus in which every headline is also paired with a
+    second body, as FNC-1 pairs one claim with many bodies."""
+    base = synthetic_corpus(n_instances=48, n_bodies=12, seed=4)
+    extra = [
+        Instance(i.headline, i.body_id % 12 + 1, Stance.UNRELATED)
+        for i in base.instances
+    ]
+    return make_corpus(base.instances + tuple(extra), base.bodies)
+
+
+ORACLE_KEYWORDS = {
+    "manual": KeywordSpec(name="manual", selector="manual", terms=("fake", "hoax", "study")),
+    "mi": KeywordSpec(name="mi", selector="mi", k=5),
+    "micc": KeywordSpec(name="micc", selector="micc", themes=("hoax", "vaccine"), k=4),
+}
+
+ORACLE_PIPELINES = {
+    "baseline": (BlockSpec(kind="baseline"),),
+    "manual": (BlockSpec(kind="baseline"), BlockSpec(kind="indicator", keywords="manual")),
+    "mi": (BlockSpec(kind="baseline"), BlockSpec(kind="indicator", keywords="mi")),
+    "micc": (BlockSpec(kind="indicator", keywords="micc"), BlockSpec(kind="baseline")),
+    "centroid": (BlockSpec(kind="baseline"), BlockSpec(kind="similarity", mode=CENTROID)),
+    "wmd_relaxed": (
+        BlockSpec(kind="similarity", mode=WMD_RELAXED),
+        BlockSpec(kind="indicator", keywords="manual"),
+        BlockSpec(kind="baseline"),
+    ),
+}
+
+
+class TestOracleParity:
+    """matrix() rows equal the per-instance oracle rows exactly."""
+
+    @pytest.mark.parametrize("tf_log1p", [False, True])
+    @pytest.mark.parametrize("name", sorted(ORACLE_PIPELINES))
+    def test_matrix_rows_equal_oracle(self, name, tf_log1p, vectors_file):
+        corpus = shared_headline_corpus()
+        spec = PipelineSpec(name=name, blocks=ORACLE_PIPELINES[name])
+        fitted = fit_pipeline(
+            spec, corpus, keyword_specs=ORACLE_KEYWORDS,
+            embeddings=load_embeddings(vectors_file), vocab_capacity=40,
+            tf_log1p=tf_log1p,
+        )
+        unseen = synthetic_corpus(n_instances=20, n_bodies=5, seed=9)
+        for part in (corpus, unseen):
+            dense = fitted.matrix(part).matrix.toarray()
+            assert dense.shape == (len(part), fitted.input_dim)
+            for row, instance in enumerate(part.instances):
+                assert np.array_equal(dense[row], feature_row(fitted, instance, part))
+
+    def test_missing_body_raises_integrity_error(self):
+        corpus = small_corpus()
+        fitted = fit_pipeline(BASELINE_SPEC, corpus, vocab_capacity=20)
+        broken = Corpus(instances=(Instance("a fake story", 99, None),), bodies=corpus.bodies)
+        with pytest.raises(IntegrityError, match="99"):
+            fitted.matrix(broken)
 
 
 class TestLabels:
@@ -266,9 +331,9 @@ class TestModelGlue:
         probs_a = member_probabilities(model_a, fitted, corpus)
         probs_b = member_probabilities(model_b, fitted, corpus)
         for row in range(len(corpus)):
-            out = fuse_summation([probs_a[row], probs_b[row]])
-            assert np.allclose(fused[row], out.fused, atol=1e-12)
-            assert stances[row] is out.decided
+            want, decided = fuse_summation_row([probs_a[row], probs_b[row]])
+            assert np.array_equal(fused[row], want)
+            assert stances[row] is decided
 
     def test_ensemble_missing_model_name(self):
         corpus = small_corpus()
@@ -294,10 +359,9 @@ class TestPersistence:
         save_pipeline(fitted, tmp_path, "kw")
         back = load_pipeline(tmp_path, "kw")
         assert [b.name for b in back.layout] == [b.name for b in fitted.layout]
-        for instance in corpus.instances:
-            a = fitted.features(instance, corpus).values
-            b = back.features(instance, corpus).values
-            assert np.array_equal(a, b)
+        a = fitted.matrix(corpus).matrix.toarray()
+        b = back.matrix(corpus).matrix.toarray()
+        assert np.array_equal(a, b)
 
     def test_table_attached_at_fit_does_not_poison_manifest(self, tmp_path, vectors_file):
         """A run-wide embedding table may be handed to every pipeline; one
@@ -308,11 +372,9 @@ class TestPersistence:
         fitted = fit_pipeline(spec, corpus, embeddings=table, vocab_capacity=20)
         save_pipeline(fitted, tmp_path, "plain")
         back = load_pipeline(tmp_path, "plain")
-        for instance in corpus.instances:
-            assert np.array_equal(
-                fitted.features(instance, corpus).values,
-                back.features(instance, corpus).values,
-            )
+        assert np.array_equal(
+            fitted.matrix(corpus).matrix.toarray(), back.matrix(corpus).matrix.toarray()
+        )
 
     def test_missing_pipeline_name(self, tmp_path):
         with pytest.raises(ConfigError, match="ghost"):
@@ -334,9 +396,8 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="embedding"):
             load_pipeline(tmp_path, "emb")
         back = load_pipeline(tmp_path, "emb", embeddings=table)
-        inst = corpus.instances[0]
         assert np.array_equal(
-            back.features(inst, corpus).values, fitted.features(inst, corpus).values
+            back.matrix(corpus).matrix.toarray(), fitted.matrix(corpus).matrix.toarray()
         )
 
     def test_trained_model_usable_after_reload(self, tmp_path):

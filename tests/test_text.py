@@ -4,24 +4,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stancekit.corpus import Instance, make_corpus
+from stancekit.errors import ConfigError
+from stancekit.keywords import KeywordSet
+from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 from stancekit.text import (
+    BlockSlice,
     FeatureVector,
     IdfTable,
     Vocabulary,
-    baseline_features,
     build_idf,
     build_vocabulary,
-    concat_blocks,
     dump_vocabulary,
     load_vocabulary,
     tf_counts,
-    tf_vector,
     tfidf_cosine,
+    tfidf_doc,
     tokenize,
 )
+
+from oracles import tfidf_cosine as oracle_tfidf_cosine
 
 
 class TestTokenize:
@@ -87,12 +91,12 @@ class TestTf:
     def test_counts(self):
         vocab = Vocabulary(("a", "b", "c"))
         assert tf_counts(["a", "a", "b"], vocab) == {0: 2, 1: 1}
-        assert list(tf_vector(["a", "a", "b"], vocab)) == [2.0, 1.0, 0.0]
+        assert tf_counts(["c", "a"], vocab) == {2: 1, 0: 1}
 
     def test_empty_and_oov(self):
         vocab = Vocabulary(("a", "b"))
-        assert not tf_vector([], vocab).any()
-        assert not tf_vector(["zz", "qq"], vocab).any()
+        assert tf_counts([], vocab) == {}
+        assert tf_counts(["zz", "qq"], vocab) == {}
 
 
 class TestIdf:
@@ -125,28 +129,39 @@ def uniform_idf(vocab: Vocabulary) -> IdfTable:
     return IdfTable(vocab=vocab, values=np.ones(len(vocab)), document_count=1)
 
 
+def cosine(head, body, vocab, idf):
+    return tfidf_cosine(tfidf_doc(head, vocab, idf), tfidf_doc(body, vocab, idf))
+
+
 class TestTfidfCosine:
     def test_self_similarity(self):
         vocab = Vocabulary(("a", "b"))
         idf = uniform_idf(vocab)
-        got = tfidf_cosine(["a", "b", "b"], ["a", "b", "b"], vocab, idf)
+        got = cosine(["a", "b", "b"], ["a", "b", "b"], vocab, idf)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_zero(self):
         vocab = Vocabulary(("a", "b", "c", "d"))
         idf = uniform_idf(vocab)
-        assert tfidf_cosine(["a", "b"], ["c", "d"], vocab, idf) == 0.0
+        assert cosine(["a", "b"], ["c", "d"], vocab, idf) == 0.0
 
     def test_hand_half(self):
         # [1,1,0] . [1,0,1] / (sqrt2 * sqrt2) = 0.5
         vocab = Vocabulary(("a", "b", "c"))
         idf = uniform_idf(vocab)
-        assert tfidf_cosine(["a", "b"], ["a", "c"], vocab, idf) == pytest.approx(0.5, abs=1e-12)
+        assert cosine(["a", "b"], ["a", "c"], vocab, idf) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_norm_side(self):
         vocab = Vocabulary(("a",))
         idf = uniform_idf(vocab)
-        assert tfidf_cosine([], ["a"], vocab, idf) == 0.0
+        assert cosine([], ["a"], vocab, idf) == 0.0
+
+    def test_document_norm(self):
+        vocab = Vocabulary(("a", "b", "c"))
+        idf = IdfTable(vocab=vocab, values=np.array([2.0, 0.5, 1.0]), document_count=4)
+        doc = tfidf_doc(["b", "a", "b", "zz"], vocab, idf)
+        assert list(doc.weights.items()) == [(1, 1.0), (0, 2.0)]
+        assert doc.norm == math.sqrt(5.0)
 
     @given(
         head=st.lists(st.sampled_from("abcd"), max_size=6),
@@ -155,30 +170,76 @@ class TestTfidfCosine:
     def test_range_and_symmetry(self, head, body):
         vocab = Vocabulary(("a", "b", "c", "d"))
         idf = uniform_idf(vocab)
-        value = tfidf_cosine(head, body, vocab, idf)
+        value = cosine(head, body, vocab, idf)
         assert 0.0 <= value <= 1.0 + 1e-12
-        assert value == pytest.approx(tfidf_cosine(body, head, vocab, idf), abs=1e-12)
+        assert value == pytest.approx(cosine(body, head, vocab, idf), abs=1e-12)
+
+    @given(
+        head=st.lists(st.sampled_from("abcdef"), max_size=12),
+        body=st.lists(st.sampled_from("abcdefg"), max_size=40),
+        weights=st.lists(st.floats(0.0, 5.0), min_size=5, max_size=5),
+    )
+    # the body has fewer distinct terms, and summing in headline order
+    # instead would round differently
+    @example(
+        head=list("bedacc"), body=list("bcd"), weights=[1.21, 2.59, 2.87, 2.82, 1.59]
+    )
+    def test_equals_per_pair_oracle(self, head, body, weights):
+        vocab = Vocabulary(("a", "b", "c", "d", "e"))
+        idf = IdfTable(vocab=vocab, values=np.array(weights), document_count=9)
+        want = oracle_tfidf_cosine(head, body, vocab, idf)
+        assert cosine(head, body, vocab, idf) == want
+
+
+def two_blocks() -> FeatureVector:
+    layout = (BlockSlice("one", 0, 2), BlockSlice("two", 2, 1))
+    return FeatureVector(values=np.array([1.0, 2.0, 3.0]), layout=layout)
 
 
 class TestBlocks:
     def test_concat_layout(self):
-        fv = concat_blocks([("one", np.array([1.0, 2.0])), ("two", np.array([3.0]))])
+        fv = two_blocks()
         assert [s.name for s in fv.layout] == ["one", "two"]
         assert list(fv.values) == [1.0, 2.0, 3.0]
         assert list(fv.block("two")) == [3.0]
 
     def test_unknown_block(self):
-        fv = concat_blocks([("only", np.zeros(2))])
         with pytest.raises(KeyError):
-            fv.block("missing")
+            two_blocks().block("missing")
 
     def test_duplicate_block_name_rejected(self):
-        with pytest.raises(ValueError):
-            concat_blocks([("dup", np.zeros(1)), ("dup", np.zeros(1))])
+        # two keyword sets may carry the same name under different references
+        spec = PipelineSpec(
+            name="dup",
+            blocks=(
+                BlockSpec(kind="indicator", keywords="a"),
+                BlockSpec(kind="indicator", keywords="b"),
+            ),
+        )
+        keyword_sets = {ref: KeywordSet(name="dup", terms=("x",)) for ref in ("a", "b")}
+        with pytest.raises(ConfigError, match="duplicate block names"):
+            FittedPipeline(
+                spec=spec, headline_vocab=None, body_vocab=None, shared_vocab=None,
+                idf=None, keyword_sets=keyword_sets, embeddings=None,
+            )
 
     def test_layout_length_must_match(self):
         with pytest.raises(ValueError):
-            FeatureVector(values=np.zeros(3), layout=concat_blocks([("b", np.zeros(2))]).layout)
+            FeatureVector(values=np.zeros(3), layout=(BlockSlice("b", 0, 2),))
+
+
+BASELINE_ONLY = PipelineSpec(name="plain", blocks=(BlockSpec(kind="baseline"),))
+
+
+def baseline_row(instance, corpus, headline_vocab, body_vocab, shared_vocab, idf):
+    """Matrix row of one instance under a hand-built baseline pipeline."""
+    fitted = FittedPipeline(
+        spec=BASELINE_ONLY, headline_vocab=headline_vocab, body_vocab=body_vocab,
+        shared_vocab=shared_vocab, idf=idf, keyword_sets={}, embeddings=None,
+    )
+    single = make_corpus([instance], {instance.body_id: corpus.body_text(instance.body_id)})
+    row = fitted.matrix(single).matrix.toarray()[0]
+    return FeatureVector(values=row, layout=fitted.layout)
 
 
 class TestBaselineFeatures:
@@ -197,7 +258,7 @@ class TestBaselineFeatures:
 
     def test_vector_length(self):
         corpus, hv, bv, sv, idf = self._tiny()
-        fv = baseline_features(corpus.instances[0], corpus, hv, bv, sv, idf)
+        fv = baseline_row(corpus.instances[0], corpus, hv, bv, sv, idf)
         assert len(fv.values) == len(hv) + len(bv) + 1
         assert [s.name for s in fv.layout] == ["tf_headline", "tf_body", "tfidf_cos"]
 
@@ -205,12 +266,12 @@ class TestBaselineFeatures:
         corpus = make_corpus([Instance("cat sat", 1, None)], {1: "cat sat"})
         vocab = Vocabulary(("cat", "sat"))
         idf = uniform_idf(vocab)
-        fv = baseline_features(corpus.instances[0], corpus, vocab, vocab, vocab, idf)
+        fv = baseline_row(corpus.instances[0], corpus, vocab, vocab, vocab, idf)
         assert fv.block("tfidf_cos")[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_computed_vector(self):
         corpus, hv, bv, sv, idf = self._tiny()
-        fv = baseline_features(corpus.instances[0], corpus, hv, bv, sv, idf)
+        fv = baseline_row(corpus.instances[0], corpus, hv, bv, sv, idf)
         # headline "cat sat" over (cat, sat, dog); body "cat sat cat" over (cat, dog, sat)
         assert list(fv.block("tf_headline")) == [1.0, 1.0, 0.0]
         assert list(fv.block("tf_body")) == [2.0, 0.0, 1.0]
