@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import click
+import numpy as np
 
 from .config import EnsembleConfig, ExperimentConfig, load_config, override_seeds
 from .corpus import Corpus, Stance, load_corpus, plan_folds, validation_split
@@ -28,6 +29,7 @@ from .ensemble import (
     LinearCombiner,
     decisions,
     fit_concat_combiner,
+    fuse,
     load_combiner,
     save_combiner,
 )
@@ -309,11 +311,13 @@ def train(config_path, out_dir, jobs, seed, models_csv):
     fitted, models = _train_models(cfg, names, fit_part, embeddings, epoch_logs)
     for pid, pipeline in fitted.items():
         save_pipeline(pipeline, out, pid)
+    val_probs: dict[str, np.ndarray] = {}
     for name in names:
         model = models[name]
         lines = epoch_logs.get(name, [])
         if val_part is not None:
             probs = member_probabilities(model, fitted[cfg.models[name].pipeline], val_part)
+            val_probs[name] = probs
             pairs = list(zip((i.stance for i in val_part.instances), decisions(probs)))
             grade = score_predictions(pairs).relative_grade
             lines.append(f"model={name} validation_relative_grade={grade!r}")
@@ -324,7 +328,7 @@ def train(config_path, out_dir, jobs, seed, models_csv):
     for ens in cfg.ensembles.values():
         if ens.rule != CONCATENATION or not all(m in models for m in ens.members):
             continue
-        stack = member_stack(_members(cfg, ens), models, fitted, val_part)
+        stack = np.stack([val_probs[m] for m in ens.members], axis=1)
         labels = [i.stance for i in val_part.instances]
         combiner = fit_concat_combiner(stack, labels, seed=ens.combiner_seed)
         save_combiner(combiner, out / f"{ens.name}.combiner.json")
@@ -357,18 +361,24 @@ def _load_target_parts(
     return fitted, models
 
 
-def _predict_target(
+def _model_probabilities(
     cfg: ExperimentConfig,
-    target: str,
     fitted: Mapping[str, FittedPipeline],
     models: Mapping[str, MlpModel],
     corpus: Corpus,
+) -> dict[str, np.ndarray]:
+    """(n, 4) probabilities of every loaded model on the corpus, each built once."""
+    return {
+        name: member_probabilities(model, fitted[cfg.models[name].pipeline], corpus)
+        for name, model in models.items()
+    }
+
+
+def _predict_target(
+    cfg: ExperimentConfig, target: str, probs: Mapping[str, np.ndarray]
 ) -> list[Stance]:
     if target in cfg.models:
-        probs = member_probabilities(
-            models[target], fitted[cfg.models[target].pipeline], corpus
-        )
-        return decisions(probs)
+        return decisions(probs[target])
     ens = cfg.ensembles[target]
     combiner = None
     if ens.rule == CONCATENATION:
@@ -376,8 +386,8 @@ def _predict_target(
         if not path.is_file():
             raise ConfigError(f"no fitted combiner for {target!r}; run the train command")
         combiner = load_combiner(path)
-    spec = _ensemble_spec(cfg, ens, combiner)
-    return ensemble_predictions(spec, models, fitted, corpus)[0]
+    stack = np.stack([probs[m] for m in ens.members], axis=1)
+    return decisions(fuse(stack, ens.rule, combiner))
 
 
 @main.command()
@@ -390,9 +400,10 @@ def evaluate(config_path, out_dir, jobs, seed, models_csv):
     corpus = _test_corpus(cfg, require_labels=True)
     fitted, models = _load_target_parts(cfg, targets, [corpus])
     out = _out_dir(cfg)
+    probs = _model_probabilities(cfg, fitted, models, corpus)
     truth = [i.stance for i in corpus.instances]
     for target in targets:
-        decided = _predict_target(cfg, target, fitted, models, corpus)
+        decided = _predict_target(cfg, target, probs)
         report = score_predictions(list(zip(truth, decided)))
         _write_score_files(out, target, report)
         click.echo(
@@ -414,7 +425,7 @@ def predict(config_path, out_dir, jobs, seed, models_csv):
     corpus = _test_corpus(cfg, require_labels=False)
     fitted, models = _load_target_parts(cfg, [target], [corpus])
     out = _out_dir(cfg)
-    decided = _predict_target(cfg, target, fitted, models, corpus)
+    decided = _predict_target(cfg, target, _model_probabilities(cfg, fitted, models, corpus))
     path = out / f"{target}.predictions.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

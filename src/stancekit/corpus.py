@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import DataFormatError, IntegrityError
+from .errors import ConfigError, DataFormatError, IntegrityError
 
 
 class Stance(enum.Enum):
@@ -202,7 +202,7 @@ def plan_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
         raise ValueError(f"fold count must be >= 2, got {k}")
     ids = sorted(corpus.bodies)
     if len(ids) < k:
-        raise ValueError(f"need at least {k} bodies for {k} folds, have {len(ids)}")
+        raise ConfigError(f"need at least {k} bodies for {k} folds, have {len(ids)}")
     random.Random(seed).shuffle(ids)
     return FoldPlan(k=k, assignments={b: i % k for i, b in enumerate(ids)})
 

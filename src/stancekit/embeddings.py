@@ -8,11 +8,14 @@ WMD is the minimum cost of transporting one nBOW distribution into the
 other, with Euclidean ground distance between embeddings. The solver
 works on integer masses (largest-remainder apportionment of the weights)
 so the optimum is exact for the rounded problem and reruns are bit-stable.
+It runs successive shortest paths; each path search is a Bellman-Ford
+label correction done in whole-array numpy steps over the m x n cost
+matrix, so its Python overhead grows with the path length, not with the
+number of edges.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,8 +74,9 @@ def load_embeddings(
     """Parse a text-format embedding file.
 
     restrict_to limits loading to the given terms, which keeps memory
-    proportional to the working vocabulary instead of the full table.
-    Duplicate terms keep the first vector seen.
+    proportional to the working vocabulary instead of the full table; only
+    kept lines have their components parsed, but every line's component
+    count is checked. Duplicate terms keep the first vector seen.
     """
     keep = None if restrict_to is None else frozenset(restrict_to)
     terms: list[str] = []
@@ -95,17 +99,11 @@ def load_embeddings(
             term, values = parts[0], parts[1:]
             if not values:
                 raise DataFormatError(f"{path}:{lineno}: no vector components")
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: non-numeric vector component"
-                ) from None
             if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
+                dim = len(values)
+            elif len(values) != dim:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(vec)}"
+                    f"{path}:{lineno}: expected {dim} components, got {len(values)}"
                 )
             if term in seen:
                 duplicates += 1
@@ -113,6 +111,12 @@ def load_embeddings(
             seen.add(term)
             if keep is not None and term not in keep:
                 continue
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: non-numeric vector component"
+                ) from None
             terms.append(term)
             rows.append(vec)
     if not terms:
@@ -200,28 +204,17 @@ def _cost_matrix(
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Optimal flows in probability-mass units plus the realized cost.
-
-    Row sums match the source weights and column sums the sink weights to
-    within the apportionment resolution (1/MASS_SCALE per cell).
-    """
-
-    source: NBowDistribution
-    sink: NBowDistribution
-    flow: np.ndarray  # (m, n), nonnegative
-    cost: float
-
-
 def _transport_min_cost(
     supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
 ) -> np.ndarray:
     """Exact min-cost transport via successive shortest paths.
 
-    Integer supply and demand must balance. Node potentials keep reduced
-    costs nonnegative so each augmentation is one Dijkstra pass over the
-    bipartite residual graph.
+    Integer supply and demand must balance. Each round labels the residual
+    graph from every source with supply left, alternating whole-array
+    relaxations of sinks (forward edges, cost c) and sources (backward
+    edges along cells carrying flow, cost -c) until no label improves.
+    The cheapest sink with demand left then receives the bottleneck flow
+    along its path.
     """
     m, n = cost.shape
     if int(supply.sum()) != int(demand.sum()):
@@ -229,85 +222,70 @@ def _transport_min_cost(
     flow = np.zeros((m, n), dtype=np.int64)
     left = supply.astype(np.int64).copy()
     need = demand.astype(np.int64).copy()
-    pot = np.zeros(m + n)
-    guard = 0
+    rows, cols = np.arange(m), np.arange(n)
+    # labels improve only by more than this: rounding in a path sum stays
+    # far below it at any cost scale, so a zero-cost tie cannot close a
+    # parent cycle that would keep the path walk below from ending
+    tie = 1e-12 * float(cost.max())
+    rounds = 0
     max_rounds = 64 * (m + n) + 256
     while left.any():
-        guard += 1
-        if guard > max_rounds:
+        rounds += 1
+        if rounds > max_rounds:
             raise RuntimeError("transport solver exceeded its iteration budget")
-        dist = np.full(m + n, np.inf)
-        parent = np.full(m + n, -1, dtype=np.int64)
-        heap: list[tuple[float, int]] = []
-        for i in range(m):
-            if left[i] > 0:
-                dist[i] = 0.0
-                heapq.heappush(heap, (0.0, i))
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node] + 1e-15:
-                continue
-            if node < m:
-                i = node
-                reduced = cost[i] + pot[i] - pot[m:]
-                for j in range(n):
-                    nd = d + max(reduced[j], 0.0)
-                    if nd < dist[m + j] - 1e-15:
-                        dist[m + j] = nd
-                        parent[m + j] = i
-                        heapq.heappush(heap, (nd, m + j))
-            else:
-                j = node - m
-                for i in range(m):
-                    if flow[i, j] > 0:
-                        nd = d + max(-cost[i, j] - pot[i] + pot[m + j], 0.0)
-                        if nd < dist[i] - 1e-15:
-                            dist[i] = nd
-                            parent[i] = m + j
-                            heapq.heappush(heap, (nd, i))
-        sinks = [m + j for j in range(n) if need[j] > 0 and np.isfinite(dist[m + j])]
-        if not sinks:
-            raise RuntimeError("transport solver found no augmenting path")
-        target = min(sinks, key=lambda node: (dist[node], node))
+        src = np.where(left > 0, 0.0, np.inf)
+        src_parent = np.full(m, -1)
+        sink = np.full(n, np.inf)
+        sink_parent = np.full(n, -1)
+        backward = np.where(flow > 0, -cost, np.inf)
+        while True:
+            via = src[:, None] + cost
+            best = via.argmin(axis=0)
+            length = via[best, cols]
+            better = length < sink - tie
+            sink[better] = length[better]
+            sink_parent[better] = best[better]
+            via = sink + backward
+            best = via.argmin(axis=1)
+            length = via[rows, best]
+            better = length < src - tie
+            if not better.any():
+                break
+            src[better] = length[better]
+            src_parent[better] = best[better]
 
-        bottleneck = need[target - m]
-        node = target
-        while parent[node] != -1:
-            prev = int(parent[node])
-            if node >= m:  # forward edge prev -> node
-                pass
-            else:  # backward edge: undoing flow[node, prev - m]
-                bottleneck = min(bottleneck, flow[node, prev - m])
-            node = prev
-        bottleneck = min(bottleneck, left[node])
-
-        node = target
-        while parent[node] != -1:
-            prev = int(parent[node])
-            if node >= m:
-                flow[prev, node - m] += bottleneck
-            else:
-                flow[node, prev - m] -= bottleneck
-            node = prev
-        left[node] -= bottleneck
-        need[target - m] -= bottleneck
-        # unreached nodes take the target distance, keeping reduced costs >= 0
-        pot += np.minimum(dist, dist[target])
+        target = int(np.argmin(np.where(need > 0, sink, np.inf)))
+        push = need[target]
+        forward_i, forward_j, backward_i, backward_j = [], [], [], []
+        j = target
+        while True:
+            i = sink_parent[j]
+            forward_i.append(i)
+            forward_j.append(j)
+            j = src_parent[i]
+            if j < 0:
+                break
+            backward_i.append(i)
+            backward_j.append(j)
+            push = min(push, flow[i, j])
+        push = min(push, left[i])
+        flow[forward_i, forward_j] += push
+        flow[backward_i, backward_j] -= push
+        left[i] -= push
+        need[target] -= push
     return flow
 
 
 def wmd_exact(
     dist_a: NBowDistribution, dist_b: NBowDistribution, table: EmbeddingTable
-) -> tuple[float, TransportPlan]:
-    """Word mover's distance and the optimal transport plan."""
+) -> float:
+    """Word mover's distance between two nBOW distributions."""
     cost = _cost_matrix(dist_a, dist_b, table)
     supply = _apportion(dist_a.weights)
     demand = _apportion(dist_b.weights)
     flow = _transport_min_cost(supply, demand, cost)
     mass_flow = flow / MASS_SCALE
-    distance = float((mass_flow * cost).sum())
-    plan = TransportPlan(source=dist_a, sink=dist_b, flow=mass_flow, cost=distance)
-    return distance, plan
+    return float((mass_flow * cost).sum())
 
 
 def wmd_relaxed(
@@ -346,7 +324,7 @@ def similarity_block(
     except EmptyDistributionError:
         return 0.0
     if mode == WMD_EXACT:
-        distance, _ = wmd_exact(da, db, table)
+        distance = wmd_exact(da, db, table)
     else:
         distance = wmd_relaxed(da, db, table)
     return 1.0 / (1.0 + distance)

@@ -244,7 +244,7 @@ def test_criterion_07_wmd_correctness():
         worst = 0.0
         for seed in range(30):
             da, db, table = random_instance(np.random.default_rng(seed))
-            distance, _ = wmd_exact(da, db, table)
+            distance = wmd_exact(da, db, table)
             cost = np.array(
                 [
                     [np.linalg.norm(table.vector(s) - table.vector(t)) for t in db.terms]
@@ -257,7 +257,7 @@ def test_criterion_07_wmd_correctness():
         rng = np.random.default_rng(7000)
         for _ in range(100):
             da, db, table = random_instance(rng)
-            exact, _ = wmd_exact(da, db, table)
+            exact = wmd_exact(da, db, table)
             assert wmd_relaxed(da, db, table) <= exact + 1e-9
         c.note = f"30 enumerated instances (worst gap {worst:.2e}); relaxed bound held on 100"
 

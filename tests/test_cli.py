@@ -356,6 +356,12 @@ class TestCv:
         result = RUNNER.invoke(main, ["cv", "--config", str(config), "--models", "base"])
         assert result.exit_code == 2
 
+    def test_more_folds_than_bodies_exit_2(self, tmp_path):
+        config = base_config(tmp_path, cv={"folds": 25, "seed": 17})
+        result = RUNNER.invoke(main, ["cv", "--config", str(config), "--models", "base"])
+        assert result.exit_code == 2
+        assert "need at least 25 bodies for 25 folds, have 24" in result.output
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         config = base_config(tmp_path)
         run("cv", "--config", str(config), "--models", "base")

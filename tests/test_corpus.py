@@ -17,7 +17,7 @@ from stancekit.corpus import (
     plan_folds,
     validation_split,
 )
-from stancekit.errors import DataFormatError, IntegrityError
+from stancekit.errors import ConfigError, DataFormatError, IntegrityError
 
 from conftest import (
     TRICKY_BODY,
@@ -151,7 +151,7 @@ class TestFoldPlanning:
 
     def test_too_few_bodies(self):
         corpus = synthetic_corpus(n_instances=4, n_bodies=3)
-        with pytest.raises(ValueError, match="at least 4 bodies"):
+        with pytest.raises(ConfigError, match="at least 4 bodies"):
             plan_folds(corpus, k=4, seed=0)
 
     def test_k_below_two(self, toy_corpus):

@@ -23,6 +23,8 @@ from stancekit.embeddings import (
     EmbeddingTable,
     NBowDistribution,
     _apportion,
+    _cost_matrix,
+    _transport_min_cost,
     centroid_cosine,
     load_embeddings,
     nbow,
@@ -84,6 +86,39 @@ def random_instance(rng: np.random.Generator, max_side: int = 4):
     return dist(names[:m]), dist(names[m:]), table
 
 
+def fnc_shaped_instance(seed: int, m: int = 11, n: int = 200, dim: int = 50, shared: int = 5):
+    """Headline-by-body shaped pair: m vs n terms, `shared` terms in both."""
+    rng = np.random.default_rng(seed)
+    terms = tuple(f"w{k}" for k in range(m + n))
+    table = EmbeddingTable(terms=terms, matrix=rng.normal(0.0, 1.0, size=(m + n, dim)))
+
+    def dist(term_names):
+        counts = rng.integers(1, 12, size=len(term_names)).astype(np.float64)
+        return NBowDistribution(terms=tuple(term_names), weights=counts / counts.sum())
+
+    return dist(terms[:m]), dist(terms[m - shared : m - shared + n]), table
+
+
+def tie_instance(rng: np.random.Generator, max_side: int = 3):
+    """Random pair over integer-grid vectors: repeated vectors and equal costs."""
+    m = int(rng.integers(1, max_side + 1))
+    n = int(rng.integers(1, max_side + 1))
+    names = [f"t{k}" for k in range(m + n)]
+    table = table_from({name: list(rng.integers(-1, 2, size=2).astype(float)) for name in names})
+
+    def dist(term_names):
+        counts = rng.integers(1, 4, size=len(term_names)).astype(np.float64)
+        return NBowDistribution(terms=tuple(term_names), weights=counts / counts.sum())
+
+    return dist(names[:m]), dist(names[m:]), table
+
+
+def cost_of(da: NBowDistribution, db: NBowDistribution, table: EmbeddingTable) -> np.ndarray:
+    return np.array(
+        [[np.linalg.norm(table.vector(s) - table.vector(t)) for t in db.terms] for s in da.terms]
+    )
+
+
 class TestLoader:
     def test_header_form(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -110,6 +145,18 @@ class TestLoader:
         path.write_text("a 1 oops\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=r"vec\.txt:1"):
             load_embeddings(path)
+
+    def test_component_count_checked_outside_restrict_to(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0 0\nb 0 1\nc 0 0 1\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"vec\.txt:2"):
+            load_embeddings(path, restrict_to={"a", "c"})
+
+    def test_non_numeric_component_on_kept_line(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1 0\nb 0 x\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"vec\.txt:2: non-numeric"):
+            load_embeddings(path, restrict_to={"b"})
 
     def test_restrict_to(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -212,18 +259,30 @@ class TestApportion:
 
 
 class TestWmdExact:
+    #: float.hex distances of the earlier heap-and-potentials solver on the
+    #: same integer masses: the path search changed, the optimum must not.
+    RECORDED = (
+        ("random", 0, "0x1.3f70b54f3dfd9p+1"),
+        ("random", 1, "0x1.d4fb6beb90bb7p+1"),
+        ("random", 2, "0x1.45bfbc8236323p+1"),
+        ("random", 3, "0x1.c2fe702c46a1cp+1"),
+        ("random", 4, "0x1.3c56cc8f623b4p+2"),
+        ("random", 5, "0x1.e9a298742173ep+0"),
+        ("random", 6, "0x1.b1c722a12dfe4p+1"),
+        ("random", 7, "0x1.08184d31fa1c2p+2"),
+        ("fnc", 0, "0x1.14e47c9c1ad16p+3"),
+        ("fnc", 1, "0x1.0cb506206d6f2p+3"),
+    )
+
     def test_identity_zero(self):
         table = table_from({"a": [1.0, 2.0], "b": [3.0, 4.0]})
         dist = nbow(["a", "b", "b"], table)
-        distance, plan = wmd_exact(dist, dist, table)
-        assert distance == 0.0
-        assert plan.cost == distance
+        assert wmd_exact(dist, dist, table) == 0.0
 
     def test_single_vs_single_euclidean(self):
         table = table_from({"a": [0.0, 0.0], "b": [1.0, 2.0]})
         da, db = nbow(["a"], table), nbow(["b"], table)
-        distance, _ = wmd_exact(da, db, table)
-        assert distance == pytest.approx(math.sqrt(5.0), abs=1e-9)
+        assert wmd_exact(da, db, table) == pytest.approx(math.sqrt(5.0), abs=1e-9)
 
     def test_three_by_three_toy_matches_enumeration(self):
         table = table_from(
@@ -234,50 +293,90 @@ class TestWmdExact:
         )
         da = NBowDistribution(("p", "q", "r"), np.array([0.5, 0.25, 0.25]))
         db = NBowDistribution(("u", "v", "w"), np.array([0.25, 0.25, 0.5]))
-        distance, _ = wmd_exact(da, db, table)
-        cost = np.array(
-            [
-                [np.linalg.norm(table.vector(s) - table.vector(t)) for t in db.terms]
-                for s in da.terms
-            ]
-        )
-        want = brute_force_transport(da.weights, db.weights, cost)
-        assert distance == pytest.approx(want, abs=1e-6)
+        want = brute_force_transport(da.weights, db.weights, cost_of(da, db, table))
+        assert wmd_exact(da, db, table) == pytest.approx(want, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_instances_match_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(4):
             da, db, table = random_instance(rng)
-            distance, _ = wmd_exact(da, db, table)
-            cost = np.array(
-                [
-                    [np.linalg.norm(table.vector(s) - table.vector(t)) for t in db.terms]
-                    for s in da.terms
-                ]
-            )
-            want = brute_force_transport(da.weights, db.weights, cost)
-            assert distance == pytest.approx(want, abs=1e-6)
+            want = brute_force_transport(da.weights, db.weights, cost_of(da, db, table))
+            assert wmd_exact(da, db, table) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("kind, seed, want", RECORDED)
+    def test_recorded_distances_bit_for_bit(self, kind, seed, want):
+        if kind == "random":
+            instance = random_instance(np.random.default_rng(seed), max_side=6)
+        else:
+            instance = fnc_shaped_instance(seed)
+        assert wmd_exact(*instance).hex() == want
+
+    def test_shared_vectors_and_identical_distributions(self):
+        # a, b, c share one vector and d, e another: every optimal plan is
+        # tied with several others, and the label search must still end
+        table = table_from(
+            {
+                "a": [1.0, 0.0], "b": [1.0, 0.0], "c": [1.0, 0.0],
+                "d": [0.0, 1.0], "e": [0.0, 1.0], "f": [1.0, 1.0],
+            }
+        )
+        weights = np.array([0.25, 0.25, 0.5])
+        same_points = (
+            NBowDistribution(("a", "d", "f"), weights),
+            NBowDistribution(("b", "e", "f"), weights),
+        )
+        assert wmd_exact(*same_points, table) == 0.0
+        assert wmd_exact(same_points[0], same_points[0], table) == 0.0
+        da = NBowDistribution(("a", "b", "d", "f"), np.array([0.125, 0.375, 0.25, 0.25]))
+        db = NBowDistribution(("c", "e", "a"), np.array([0.25, 0.5, 0.25]))
+        want = brute_force_transport(da.weights, db.weights, cost_of(da, db, table))
+        assert wmd_exact(da, db, table) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_grid_vector_ties_match_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            da, db, table = tie_instance(rng)
+            want = brute_force_transport(da.weights, db.weights, cost_of(da, db, table))
+            assert wmd_exact(da, db, table) == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9])
+    def test_any_cost_scale(self, scale):
+        # rounding in path sums grows with the costs; the search must still
+        # end (no parent cycle) and find the scaled optimum
+        rng = np.random.default_rng(3)
+        instances = [random_instance(rng) for _ in range(10)]
+        instances += [tie_instance(rng, max_side=5) for _ in range(10)]
+        instances.append(fnc_shaped_instance(0, n=40))
+        for da, db, table in instances:
+            scaled = EmbeddingTable(terms=table.terms, matrix=table.matrix * scale)
+            want = scale * wmd_exact(da, db, table)
+            assert wmd_exact(da, db, scaled) == pytest.approx(want, rel=1e-9)
 
     def test_symmetry(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
             da, db, table = random_instance(rng)
-            forward, _ = wmd_exact(da, db, table)
-            backward, _ = wmd_exact(db, da, table)
-            assert forward == pytest.approx(backward, abs=1e-9)
+            assert wmd_exact(da, db, table) == pytest.approx(wmd_exact(db, da, table), abs=1e-9)
 
-    def test_plan_marginals(self):
+    def test_flow_marginals_exact(self):
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            da, db, table = random_instance(rng)
-            distance, plan = wmd_exact(da, db, table)
-            assert plan.flow.shape == (len(da.terms), len(db.terms))
-            assert np.all(plan.flow >= 0.0)
-            slack = (plan.flow.size + 1) / MASS_SCALE
-            assert np.allclose(plan.flow.sum(axis=1), da.weights, atol=slack)
-            assert np.allclose(plan.flow.sum(axis=0), db.weights, atol=slack)
-            assert plan.cost == pytest.approx(distance, abs=1e-12)
+        instances = [random_instance(rng) for _ in range(10)]
+        instances += [tie_instance(rng) for _ in range(10)]
+        instances.append(fnc_shaped_instance(2))
+        for da, db, table in instances:
+            supply, demand = _apportion(da.weights), _apportion(db.weights)
+            flow = _transport_min_cost(supply, demand, _cost_matrix(da, db, table))
+            assert flow.shape == (len(da.terms), len(db.terms))
+            assert flow.dtype.kind == "i"
+            assert np.all(flow >= 0)
+            assert np.array_equal(flow.sum(axis=1), supply)
+            assert np.array_equal(flow.sum(axis=0), demand)
+
+    def test_unbalanced_masses_rejected(self):
+        with pytest.raises(ValueError, match="balance"):
+            _transport_min_cost(np.array([2, 1]), np.array([2]), np.zeros((2, 1)))
 
 
 class TestWmdRelaxed:
@@ -289,14 +388,14 @@ class TestWmdRelaxed:
     def test_single_vs_single_equals_exact(self):
         table = table_from({"a": [0.0, 1.0], "b": [1.0, 1.0]})
         da, db = nbow(["a"], table), nbow(["b"], table)
-        exact, _ = wmd_exact(da, db, table)
+        exact = wmd_exact(da, db, table)
         assert wmd_relaxed(da, db, table) == pytest.approx(exact, abs=1e-12)
 
     def test_lower_bound_on_100_seeded(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             da, db, table = random_instance(rng)
-            exact, _ = wmd_exact(da, db, table)
+            exact = wmd_exact(da, db, table)
             relaxed = wmd_relaxed(da, db, table)
             assert relaxed <= exact + 1e-9
 
