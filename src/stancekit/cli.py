@@ -1,9 +1,10 @@
 """Command-line surface: train, evaluate, predict, keywords, cv, report.
 
-One YAML config drives everything; flags only override paths, seeds, and
-worker counts. Every command is deterministic: rerunning with the same
-config and inputs writes byte-identical files (logs carry no timestamps,
-floats are serialized with repr).
+One YAML config drives everything; flags only override paths and seeds,
+and cv's --jobs caps its parallel folds. Every command is deterministic:
+rerunning with the same config and inputs writes byte-identical files
+(logs carry no timestamps, floats are serialized with repr). evaluate,
+predict and every cv fold decide through _predict_target.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .corpus import Corpus, Stance, load_corpus, plan_folds, validation_split
 from .embeddings import EmbeddingTable, load_embeddings
 from .ensemble import (
     CONCATENATION,
-    EnsembleMember,
-    EnsembleSpec,
     LinearCombiner,
     decisions,
     fit_concat_combiner,
@@ -56,12 +55,10 @@ from .pipeline import (
     FittedPipeline,
     SIMILARITY,
     body_vocabulary,
-    ensemble_predictions,
     fit_keyword_set,
     fit_pipeline,
     load_pipeline,
     member_probabilities,
-    member_stack,
     save_pipeline,
     stance_labels,
 )
@@ -98,8 +95,6 @@ def _common(func):
                          type=click.Path(), help="experiment config (YAML)"),
             click.option("--out", "out_dir", type=click.Path(), default=None,
                          help="override the configured output directory"),
-            click.option("--jobs", type=int, default=None,
-                         help="worker cap (default: available cores)"),
             click.option("--seed", type=int, default=None,
                          help="override every seed in the config"),
             click.option("--models", "models_csv", default=None,
@@ -110,21 +105,13 @@ def _common(func):
     return func
 
 
-def _load(config_path, out_dir, seed, jobs) -> ExperimentConfig:
+def _load(config_path, out_dir, seed) -> ExperimentConfig:
     cfg = load_config(config_path)
     if seed is not None:
         cfg = override_seeds(cfg, seed)
     if out_dir is not None:
         cfg = replace(cfg, output_dir=Path(out_dir))
-    if jobs is not None:
-        if jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-        cfg = replace(cfg, jobs=jobs)
     return cfg
-
-
-def _jobs(cfg: ExperimentConfig) -> int:
-    return cfg.jobs or os.cpu_count() or 1
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -145,23 +132,22 @@ def _select(cfg: ExperimentConfig, models_csv: str | None, pool: Sequence[str],
     return names
 
 
-def _read_corpus(stances_path: Path, bodies_path: Path) -> Corpus:
+def _read_corpus(stances_path: Path, bodies_path: Path, require_labels: bool) -> Corpus:
     for p in (stances_path, bodies_path):
         if not Path(p).is_file():
             raise DataFormatError(f"no such data file: {p}")
-    return load_corpus(stances_path, bodies_path)
+    corpus = load_corpus(stances_path, bodies_path)
+    if require_labels and any(i.stance is None for i in corpus.instances):
+        raise DataFormatError(
+            f"{stances_path} has no labels; use the predict command for unlabeled input"
+        )
+    return corpus
 
 
 def _test_corpus(cfg: ExperimentConfig, require_labels: bool) -> Corpus:
     if cfg.data.test_stances is None:
         raise ConfigError("config has no test data (data.test_stances/test_bodies)")
-    corpus = _read_corpus(cfg.data.test_stances, cfg.data.test_bodies)
-    labeled = all(i.stance is not None for i in corpus.instances)
-    if require_labels and not labeled:
-        raise DataFormatError(
-            "test stances file has no labels; use the predict command for unlabeled input"
-        )
-    return corpus
+    return _read_corpus(cfg.data.test_stances, cfg.data.test_bodies, require_labels)
 
 
 def _pipelines_of(cfg: ExperimentConfig, targets: Sequence[str]) -> list[str]:
@@ -243,20 +229,6 @@ def _train_models(
     return fitted, models
 
 
-def _members(cfg: ExperimentConfig, ens: EnsembleConfig) -> tuple[EnsembleMember, ...]:
-    return tuple(
-        EnsembleMember(model=m, pipeline=cfg.models[m].pipeline) for m in ens.members
-    )
-
-
-def _ensemble_spec(
-    cfg: ExperimentConfig, ens: EnsembleConfig, combiner: LinearCombiner | None
-) -> EnsembleSpec:
-    return EnsembleSpec(
-        name=ens.name, members=_members(cfg, ens), rule=ens.rule, combiner=combiner
-    )
-
-
 def _write_score_files(out: Path, target: str, report: ScoreReport) -> None:
     (out / f"{target}.scores.txt").write_text(render_delimited(report), encoding="utf-8")
     (out / f"{target}.report.txt").write_text(render_report(report), encoding="utf-8")
@@ -293,11 +265,11 @@ def main():
 @main.command()
 @_common
 @_handled
-def train(config_path, out_dir, jobs, seed, models_csv):
+def train(config_path, out_dir, seed, models_csv):
     """Fit feature pipelines and train the configured models."""
-    cfg = _load(config_path, out_dir, seed, jobs)
+    cfg = _load(config_path, out_dir, seed)
     names = _select(cfg, models_csv, list(cfg.models), "model")
-    corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies)
+    corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
     if cfg.validation is not None:
         fit_part, val_part = validation_split(
             corpus, cfg.validation.fraction, cfg.validation.seed
@@ -328,9 +300,7 @@ def train(config_path, out_dir, jobs, seed, models_csv):
     for ens in cfg.ensembles.values():
         if ens.rule != CONCATENATION or not all(m in models for m in ens.members):
             continue
-        stack = np.stack([val_probs[m] for m in ens.members], axis=1)
-        labels = [i.stance for i in val_part.instances]
-        combiner = fit_concat_combiner(stack, labels, seed=ens.combiner_seed)
+        combiner = _fit_combiner(ens, val_probs, val_part)
         save_combiner(combiner, out / f"{ens.name}.combiner.json")
         for warning in combiner.fit_warnings:
             click.echo(f"command=train ensemble={ens.name} warning={warning!r}", err=True)
@@ -374,18 +344,36 @@ def _model_probabilities(
     }
 
 
+def _fit_combiner(
+    ens: EnsembleConfig, probs: Mapping[str, np.ndarray], corpus: Corpus
+) -> LinearCombiner:
+    """Concatenation combiner fitted on the members' probabilities of a
+    labeled corpus."""
+    stack = np.stack([probs[m] for m in ens.members], axis=1)
+    labels = [i.stance for i in corpus.instances]
+    return fit_concat_combiner(stack, labels, seed=ens.combiner_seed)
+
+
+def _saved_combiner(cfg: ExperimentConfig, target: str) -> LinearCombiner | None:
+    """The combiner train wrote for a concatenation ensemble, else None."""
+    if target in cfg.models or cfg.ensembles[target].rule != CONCATENATION:
+        return None
+    path = cfg.output_dir / f"{target}.combiner.json"
+    if not path.is_file():
+        raise ConfigError(f"no fitted combiner for {target!r}; run the train command")
+    return load_combiner(path)
+
+
 def _predict_target(
-    cfg: ExperimentConfig, target: str, probs: Mapping[str, np.ndarray]
+    cfg: ExperimentConfig,
+    target: str,
+    probs: Mapping[str, np.ndarray],
+    combiner: LinearCombiner | None,
 ) -> list[Stance]:
+    """Decisions of a model, or of an ensemble fusing its members' probs."""
     if target in cfg.models:
         return decisions(probs[target])
     ens = cfg.ensembles[target]
-    combiner = None
-    if ens.rule == CONCATENATION:
-        path = cfg.output_dir / f"{target}.combiner.json"
-        if not path.is_file():
-            raise ConfigError(f"no fitted combiner for {target!r}; run the train command")
-        combiner = load_combiner(path)
     stack = np.stack([probs[m] for m in ens.members], axis=1)
     return decisions(fuse(stack, ens.rule, combiner))
 
@@ -393,9 +381,9 @@ def _predict_target(
 @main.command()
 @_common
 @_handled
-def evaluate(config_path, out_dir, jobs, seed, models_csv):
+def evaluate(config_path, out_dir, seed, models_csv):
     """Score trained models and ensembles on the labeled test data."""
-    cfg = _load(config_path, out_dir, seed, jobs)
+    cfg = _load(config_path, out_dir, seed)
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     corpus = _test_corpus(cfg, require_labels=True)
     fitted, models = _load_target_parts(cfg, targets, [corpus])
@@ -403,7 +391,7 @@ def evaluate(config_path, out_dir, jobs, seed, models_csv):
     probs = _model_probabilities(cfg, fitted, models, corpus)
     truth = [i.stance for i in corpus.instances]
     for target in targets:
-        decided = _predict_target(cfg, target, probs)
+        decided = _predict_target(cfg, target, probs, _saved_combiner(cfg, target))
         report = score_predictions(list(zip(truth, decided)))
         _write_score_files(out, target, report)
         click.echo(
@@ -415,9 +403,9 @@ def evaluate(config_path, out_dir, jobs, seed, models_csv):
 @main.command()
 @_common
 @_handled
-def predict(config_path, out_dir, jobs, seed, models_csv):
+def predict(config_path, out_dir, seed, models_csv):
     """Predict stances for the (possibly unlabeled) test data."""
-    cfg = _load(config_path, out_dir, seed, jobs)
+    cfg = _load(config_path, out_dir, seed)
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     if len(targets) != 1:
         raise ConfigError("predict needs exactly one target; pass --models NAME")
@@ -425,7 +413,8 @@ def predict(config_path, out_dir, jobs, seed, models_csv):
     corpus = _test_corpus(cfg, require_labels=False)
     fitted, models = _load_target_parts(cfg, [target], [corpus])
     out = _out_dir(cfg)
-    decided = _predict_target(cfg, target, _model_probabilities(cfg, fitted, models, corpus))
+    probs = _model_probabilities(cfg, fitted, models, corpus)
+    decided = _predict_target(cfg, target, probs, _saved_combiner(cfg, target))
     path = out / f"{target}.predictions.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -438,11 +427,11 @@ def predict(config_path, out_dir, jobs, seed, models_csv):
 @main.command()
 @_common
 @_handled
-def keywords(config_path, out_dir, jobs, seed, models_csv):
+def keywords(config_path, out_dir, seed, models_csv):
     """Select and write the configured keyword sets from the training data."""
-    cfg = _load(config_path, out_dir, seed, jobs)
+    cfg = _load(config_path, out_dir, seed)
     names = _select(cfg, models_csv, list(cfg.keyword_specs), "keyword set")
-    corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies)
+    corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=False)
     out = _out_dir(cfg)
     documents = corpus_documents(corpus)
     candidates = body_vocabulary(documents.values(), cfg.features.vocab_capacity).terms
@@ -467,53 +456,48 @@ def keywords(config_path, out_dir, jobs, seed, models_csv):
 
 
 def _fold_runner(cfg: ExperimentConfig, target: str, embeddings):
-    """Per-fold pipeline: refit everything on the fold's train side only."""
+    """Per-fold pipeline: refit everything on the fold's train side only,
+    then decide on the test side as evaluate does."""
+    ens = cfg.ensembles.get(target)
+    names = [target] if ens is None else list(ens.members)
+    concat = ens is not None and ens.rule == CONCATENATION
 
-    def run_model(train_part: Corpus, test_part: Corpus, fold: int):
-        fitted, models = _train_models(cfg, [target], train_part, embeddings)
-        probs = member_probabilities(
-            models[target], fitted[cfg.models[target].pipeline], test_part
-        )
-        decided = decisions(probs)
-        return [(i.stance, d) for i, d in zip(test_part.instances, decided)]
-
-    def run_ensemble(train_part: Corpus, test_part: Corpus, fold: int):
-        ens = cfg.ensembles[target]
-        if ens.rule == CONCATENATION:
-            inner_train, inner_val = validation_split(
+    def run(train_part: Corpus, test_part: Corpus, fold: int):
+        combiner = None
+        if concat:
+            train_part, inner_val = validation_split(
                 train_part, cfg.validation.fraction, cfg.validation.seed
             )
-        else:
-            inner_train, inner_val = train_part, None
-        fitted, models = _train_models(cfg, list(ens.members), inner_train, embeddings)
-        combiner = None
-        if inner_val is not None:
-            stack = member_stack(_members(cfg, ens), models, fitted, inner_val)
-            labels = [i.stance for i in inner_val.instances]
-            combiner = fit_concat_combiner(stack, labels, seed=ens.combiner_seed)
-        spec = _ensemble_spec(cfg, ens, combiner)
-        decided, _ = ensemble_predictions(spec, models, fitted, test_part)
+        fitted, models = _train_models(cfg, names, train_part, embeddings)
+        if concat:
+            combiner = _fit_combiner(
+                ens, _model_probabilities(cfg, fitted, models, inner_val), inner_val
+            )
+        probs = _model_probabilities(cfg, fitted, models, test_part)
+        decided = _predict_target(cfg, target, probs, combiner)
         return [(i.stance, d) for i, d in zip(test_part.instances, decided)]
 
-    return run_model if target in cfg.models else run_ensemble
+    return run
 
 
 @main.command()
 @_common
+@click.option("--jobs", type=click.IntRange(min=1), default=None,
+              help="parallel folds (default: available cores)")
 @_handled
-def cv(config_path, out_dir, jobs, seed, models_csv):
+def cv(config_path, out_dir, seed, models_csv, jobs):
     """K-fold cross-validation with per-fold refits of all fitted state."""
-    cfg = _load(config_path, out_dir, seed, jobs)
+    cfg = _load(config_path, out_dir, seed)
     if cfg.cv is None:
         raise ConfigError("config has no cv section")
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
-    corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies)
+    corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
     plan = plan_folds(corpus, cfg.cv.folds, cfg.cv.seed)
     embeddings = _maybe_embeddings(cfg, _pipelines_of(cfg, targets), [corpus])
     out = _out_dir(cfg)
     for target in targets:
         result = cross_validate(corpus, plan, _fold_runner(cfg, target, embeddings),
-                                jobs=_jobs(cfg))
+                                jobs=jobs or os.cpu_count() or 1)
         for fold, report in enumerate(result.reports):
             (out / f"{target}.cv.fold{fold}.scores.txt").write_text(
                 render_delimited(report), encoding="utf-8"
@@ -535,9 +519,9 @@ def cv(config_path, out_dir, jobs, seed, models_csv):
 @main.command()
 @_common
 @_handled
-def report(config_path, out_dir, jobs, seed, models_csv):
+def report(config_path, out_dir, seed, models_csv):
     """Re-emit human reports and heat-map plot data from saved score files."""
-    cfg = _load(config_path, out_dir, seed, jobs)
+    cfg = _load(config_path, out_dir, seed)
     out = _out_dir(cfg)
     wanted = None
     if models_csv is not None:

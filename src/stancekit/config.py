@@ -86,7 +86,6 @@ class ExperimentConfig:
     embeddings: EmbeddingConfig | None = None
     validation: ValidationConfig | None = None
     cv: CvConfig | None = None
-    jobs: int | None = None
 
     def targets(self) -> tuple[str, ...]:
         """All evaluable names: models first, then ensembles."""
@@ -262,7 +261,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
     _no_extras(
         raw,
         ("data", "embeddings", "features", "keywords", "pipelines", "models",
-         "ensembles", "validation", "cv", "output_dir", "jobs"),
+         "ensembles", "validation", "cv", "output_dir"),
         "config",
     )
 
@@ -391,7 +390,6 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         embeddings=embeddings,
         validation=validation,
         cv=cv,
-        jobs=_as_int(raw, "jobs", "config", required=False, minimum=1),
     )
 
 

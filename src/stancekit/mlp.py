@@ -1,16 +1,17 @@
 """From-scratch multilayer perceptron: one ReLU hidden layer, 4-way softmax,
 cross-entropy plus l2 loss, seeded mini-batch SGD with inverted dropout.
 
-Training accepts either a list of FeatureVectors or any object exposing
-`.matrix` (dense or scipy CSR, one row per example) and `.layout`; sparse
-input keeps the big TF blocks cheap. A trained model is immutable in
-practice and safe for concurrent prediction.
+Training takes any object exposing `.matrix` (dense or scipy CSR, one row
+per example) and `.layout`; sparse input keeps the big TF blocks cheap.
+Prediction is batched only: predict_batch maps a whole example matrix to
+probability rows. A trained model is immutable in practice and safe for
+concurrent prediction.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -19,7 +20,7 @@ from scipy import sparse
 
 from .corpus import STANCES, Stance
 from .errors import DataFormatError, TrainingDivergedError
-from .text import BlockSlice, FeatureVector
+from .text import BlockSlice
 
 _MAGIC = b"SKITMLP0"
 _VERSION = 1
@@ -102,71 +103,17 @@ def init_model(
     )
 
 
-def forward(
-    model: MlpModel,
-    features: FeatureVector,
-    dropout_mask: np.ndarray | None = None,
-    dropout_keep: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, probabilities) for one example.
-
-    A Bernoulli dropout_mask (training only) zeroes hidden units and rescales
-    the survivors by 1/keep, so inference needs no scaling.
-    """
-    x = features.values
-    if len(x) != model.input_dim:
-        raise ValueError(f"feature length {len(x)} != model input {model.input_dim}")
-    hidden = np.maximum(0.0, model.w1 @ x + model.b1)
-    if dropout_mask is not None:
-        if dropout_mask.shape != (model.hidden_dim,):
-            raise ValueError("dropout mask must have one entry per hidden unit")
-        hidden = hidden * dropout_mask / dropout_keep
-    logits = model.w2 @ hidden + model.b2
-    return logits, softmax(logits)
-
-
-def predict(model: MlpModel, features: FeatureVector) -> tuple[Stance, np.ndarray]:
-    """Argmax stance in canonical order (ties go to the lowest index).
-
-    Routed through the batch kernel so single and batched predictions share
-    one arithmetic path bit for bit.
-    """
-    if features.layout != model.feature_layout:
-        raise ValueError(
-            f"feature layout {_layout_str(features.layout)} does not match "
-            f"model layout {_layout_str(model.feature_layout)}"
-        )
-    stances, probs = predict_batch(model, features.values[np.newaxis, :])
-    return stances[0], probs[0]
-
-
 def predict_batch(model: MlpModel, matrix) -> tuple[list[Stance], np.ndarray]:
-    """Vectorized prediction over a dense or CSR example matrix."""
+    """Vectorized prediction over a dense or CSR example matrix: each row's
+    argmax stance in canonical order (ties go to the lowest index) and its
+    probabilities."""
     probs = _batch_forward(model, matrix)[2]
     picks = np.argmax(probs, axis=1)
     return [STANCES[int(i)] for i in picks], probs
 
 
-def _layout_str(layout: tuple[BlockSlice, ...]) -> str:
-    return "[" + ", ".join(f"{b.name}:{b.length}" for b in layout) + "]"
-
-
 def _label_index(label) -> int:
     return label.index if isinstance(label, Stance) else int(label)
-
-
-def _as_matrix(features) -> tuple[object, tuple[BlockSlice, ...]]:
-    """Accept a FeatureMatrix-like object or a sequence of FeatureVectors."""
-    if hasattr(features, "matrix") and hasattr(features, "layout"):
-        return features.matrix, tuple(features.layout)
-    vectors = list(features)
-    if not vectors:
-        raise ValueError("need at least one example")
-    layout = vectors[0].layout
-    for v in vectors[1:]:
-        if v.layout != layout:
-            raise ValueError("mixed feature layouts in training data")
-    return np.stack([v.values for v in vectors]), layout
 
 
 def _batch_forward(model: MlpModel, x, mask: np.ndarray | None = None, keep: float = 1.0):
@@ -191,6 +138,8 @@ def _l2_term(model: MlpModel, l2_lambda: float) -> float:
 
 def _batch_objective(model, x, y, l2_lambda, mask=None, keep=1.0):
     """Mean cross-entropy plus the l2 penalty, computed from logits."""
+    if len(y) == 0:
+        raise ValueError("empty batch")
     _, _, _, logits, lse = _batch_forward(model, x, mask, keep)
     ce = float(np.mean(lse - logits[np.arange(len(y)), y]))
     return ce + _l2_term(model, l2_lambda)
@@ -223,19 +172,6 @@ def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0):
     return objective, grads
 
 
-def loss(
-    model: MlpModel,
-    batch: Sequence[tuple[FeatureVector, Stance | int]],
-    config: TrainingConfig,
-) -> float:
-    """Mean cross-entropy over the batch plus l2 penalty on both weight mats."""
-    if not batch:
-        raise ValueError("empty batch")
-    x = np.stack([fv.values for fv, _ in batch])
-    y = np.array([_label_index(lbl) for _, lbl in batch])
-    return _batch_objective(model, x, y, config.l2_lambda)
-
-
 def train(
     features,
     labels: Sequence[Stance | int],
@@ -243,13 +179,14 @@ def train(
     hidden_dim: int = 100,
     epoch_callback: Callable[[int, float], None] | None = None,
 ) -> MlpModel:
-    """Seeded mini-batch SGD on cross-entropy + l2.
+    """Seeded mini-batch SGD on cross-entropy + l2 over features.matrix, one
+    row per label; the model records features.layout.
 
     Deterministic given (data order, config.seed): weight init, epoch
     shuffles, and dropout masks all come from one RNG stream. Raises
     TrainingDivergedError naming the epoch if the objective goes non-finite.
     """
-    x, layout = _as_matrix(features)
+    x, layout = features.matrix, tuple(features.layout)
     y = np.array([_label_index(lbl) for lbl in labels])
     n = x.shape[0]
     if n < 1:
@@ -287,23 +224,25 @@ def train(
 
 def gradient_check(
     model: MlpModel,
-    batch: Sequence[tuple[FeatureVector, Stance | int]],
+    x: np.ndarray,
+    labels: Sequence[Stance | int],
     config: TrainingConfig,
     sample_size: int = 60,
     seed: int = 0,
     step: float = 1e-5,
 ) -> float:
-    """Max relative error between backprop and central finite differences.
+    """Max relative error between backprop and central finite differences
+    on the batch of dense rows x with their labels.
 
     Dropout must be disabled (keep = 1); the sampled parameter set always
     covers at least min(sample_size, #params) distinct coordinates.
     """
     if config.dropout_keep != 1.0:
         raise ValueError("gradient_check requires dropout_keep == 1")
-    if not batch:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.array([_label_index(lbl) for lbl in labels])
+    if len(y) == 0:
         raise ValueError("empty batch")
-    x = np.stack([fv.values for fv, _ in batch])
-    y = np.array([_label_index(lbl) for _, lbl in batch])
 
     _, grads = _batch_gradients(model, x, y, config.l2_lambda)
     params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),

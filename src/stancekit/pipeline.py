@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .corpus import Corpus, Stance
 from .embeddings import EmbeddingTable, SIMILARITY_MODES, similarity_block
-from .ensemble import EnsembleMember, EnsembleSpec, decisions, fuse
+from .ensemble import EnsembleSpec, decisions, fuse
 from .errors import ConfigError, DataFormatError
 from .keywords import (
     KeywordSet,
@@ -389,25 +389,6 @@ def member_probabilities(
     return predict_batch(model, fm.matrix)[1]
 
 
-def member_stack(
-    members: Sequence[EnsembleMember],
-    models: Mapping[str, MlpModel],
-    pipelines: Mapping[str, FittedPipeline],
-    corpus: Corpus,
-) -> np.ndarray:
-    """(n, N, 4) member probabilities, members in the given order."""
-    for member in members:
-        if member.model not in models:
-            raise ConfigError(f"ensemble member: no model {member.model!r}")
-        if member.pipeline not in pipelines:
-            raise ConfigError(f"ensemble member: no pipeline {member.pipeline!r}")
-    rows = [
-        member_probabilities(models[m.model], pipelines[m.pipeline], corpus)
-        for m in members
-    ]
-    return np.stack(rows, axis=1)
-
-
 def ensemble_predictions(
     spec: EnsembleSpec,
     models: Mapping[str, MlpModel],
@@ -415,8 +396,16 @@ def ensemble_predictions(
     corpus: Corpus,
 ) -> tuple[list[Stance], np.ndarray]:
     """Fused decisions and probabilities for every corpus instance."""
-    stack = member_stack(spec.members, models, pipelines, corpus)
-    fused = fuse(stack, spec.rule, spec.combiner)
+    for member in spec.members:
+        if member.model not in models:
+            raise ConfigError(f"ensemble member: no model {member.model!r}")
+        if member.pipeline not in pipelines:
+            raise ConfigError(f"ensemble member: no pipeline {member.pipeline!r}")
+    rows = [
+        member_probabilities(models[m.model], pipelines[m.pipeline], corpus)
+        for m in spec.members
+    ]
+    fused = fuse(np.stack(rows, axis=1), spec.rule, spec.combiner)
     return decisions(fused), fused
 
 

@@ -1,10 +1,12 @@
-"""Tokenization, frequency-ranked vocabularies, TF counts, TF-IDF cosine.
+"""Tokenization, frequency-ranked vocabularies, TF counts, TF-IDF cosine,
+and the named column blocks of a feature layout.
 
 Everything here works on one document at a time: a token list is counted
 or IDF-weighted once, and the cosine combines two weighted documents. The
-pipeline module places these per-document values into feature matrices.
-All functions are pure and deterministic; vocabularies and IDF tables are
-immutable after construction and safe to share between workers.
+pipeline module places these per-document values into feature matrices,
+whose columns it names with BlockSlice. All functions are pure and
+deterministic; vocabularies and IDF tables are immutable after
+construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -152,33 +154,8 @@ def tfidf_cosine(headline: TfidfDoc, body: TfidfDoc) -> float:
 
 
 class BlockSlice(NamedTuple):
-    """One contiguous named block inside a feature vector."""
+    """One contiguous named block of columns in a feature matrix row."""
 
     name: str
     offset: int
     length: int
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Dense feature vector with a recorded block layout."""
-
-    values: np.ndarray
-    layout: tuple[BlockSlice, ...]
-
-    def __post_init__(self):
-        expected = 0
-        for block in self.layout:
-            if block.offset != expected:
-                raise ValueError(f"block {block.name!r} not contiguous at {expected}")
-            expected += block.length
-        if expected != len(self.values):
-            raise ValueError(f"layout covers {expected} of {len(self.values)} values")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature vector contains non-finite values")
-
-    def block(self, name: str) -> np.ndarray:
-        for b in self.layout:
-            if b.name == name:
-                return self.values[b.offset : b.offset + b.length]
-        raise KeyError(name)

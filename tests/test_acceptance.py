@@ -29,7 +29,7 @@ from stancekit.pipeline import (
     fit_pipeline,
     stance_labels,
 )
-from stancekit.text import BlockSlice, FeatureVector
+from stancekit.text import BlockSlice
 
 from conftest import FNC_SKIP_REASON, fnc_paths, synthetic_corpus
 from test_cli import base_config, hash_tree, run
@@ -209,13 +209,13 @@ def test_criterion_05_gradient_correctness():
             # where central differences legitimately disagree
             model.b1 += rng.normal(0.05, 0.2, size=hidden_dim)
             model.b2 += rng.normal(0.0, 0.2, size=4)
-            batch = [
-                (FeatureVector(rng.normal(0.0, 1.0, size=input_dim), layout),
-                 int(rng.integers(0, 4)))
-                for _ in range(6)
-            ]
+            rows, labels = [], []
+            for _ in range(6):
+                rows.append(rng.normal(0.0, 1.0, size=input_dim))
+                labels.append(int(rng.integers(0, 4)))
             config = TrainingConfig(dropout_keep=1.0, l2_lambda=1e-4, seed=0)
-            worst = max(worst, gradient_check(model, batch, config, sample_size=40, seed=seed))
+            worst = max(worst, gradient_check(model, np.array(rows), labels, config,
+                                              sample_size=40, seed=seed))
         assert worst < 1e-5
         c.note = f"20 seeded models, worst relative error {worst:.2e}"
 

@@ -160,6 +160,30 @@ class TestTrain:
         result = RUNNER.invoke(main, ["train", "--config", str(path)])
         assert result.exit_code == 2
 
+    def test_jobs_flag_is_cv_only_exit_2(self, tmp_path):
+        config = base_config(tmp_path)
+        result = RUNNER.invoke(main, ["train", "--config", str(config), "--jobs", "2"])
+        assert result.exit_code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_jobs_config_key_rejected_exit_2(self, tmp_path):
+        config = base_config(tmp_path, jobs=2)
+        result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "base"])
+        assert result.exit_code == 2
+        assert "jobs" in result.stderr
+
+    def test_unlabeled_training_data_exit_3(self, tmp_path):
+        config = base_config(tmp_path)
+        unlabeled = synthetic_corpus(n_instances=96, n_bodies=24, seed=5)
+        write_stances(
+            tmp_path / "data" / "train_stances.csv",
+            [(i.headline, i.body_id, None) for i in unlabeled.instances],
+            labeled=False,
+        )
+        result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "base"])
+        assert result.exit_code == 3
+        assert "no labels" in result.stderr
+
     def test_divergence_exit_4(self, tmp_path):
         config = base_config(tmp_path)
         raw = yaml.safe_load(config.read_text(encoding="utf-8"))
@@ -364,10 +388,28 @@ class TestCv:
 
     def test_jobs_flag_matches_serial(self, tmp_path):
         config = base_config(tmp_path)
-        run("cv", "--config", str(config), "--models", "base")
+        run("cv", "--config", str(config), "--models", "base", "--jobs", "1")
         serial = (tmp_path / "out" / "base.cv.aggregate.txt").read_bytes()
         run("cv", "--config", str(config), "--models", "base", "--jobs", "3")
         assert (tmp_path / "out" / "base.cv.aggregate.txt").read_bytes() == serial
+
+
+    def test_jobs_must_be_positive_exit_2(self, tmp_path):
+        config = base_config(tmp_path)
+        result = RUNNER.invoke(main, ["cv", "--config", str(config), "--jobs", "0"])
+        assert result.exit_code == 2
+
+    def test_unlabeled_training_data_exit_3(self, tmp_path):
+        config = base_config(tmp_path)
+        unlabeled = synthetic_corpus(n_instances=96, n_bodies=24, seed=5)
+        write_stances(
+            tmp_path / "data" / "train_stances.csv",
+            [(i.headline, i.body_id, None) for i in unlabeled.instances],
+            labeled=False,
+        )
+        result = RUNNER.invoke(main, ["cv", "--config", str(config), "--models", "base"])
+        assert result.exit_code == 3
+        assert "no labels" in result.stderr
 
 
 class TestReport:

@@ -1,7 +1,8 @@
 """Feed-forward network: forward pass, loss, training, gradient checking, io.
 
 The forward and loss oracles are scalar recomputations with math.exp so
-they share no numpy code paths with the implementation.
+they share no numpy code paths with the implementation. Single examples go
+through predict_batch and the batch objective as one-row matrices.
 """
 
 import math
@@ -15,25 +16,30 @@ from stancekit.errors import DataFormatError, TrainingDivergedError
 from stancekit.mlp import (
     MlpModel,
     TrainingConfig,
-    forward,
     gradient_check,
     init_model,
     load_model,
-    loss,
-    predict,
     predict_batch,
     save_model,
     softmax,
     train,
 )
-from stancekit.text import BlockSlice, FeatureVector
+from stancekit.pipeline import FeatureMatrix
+from stancekit.text import BlockSlice
 
 LAYOUT_2 = (BlockSlice("in", 0, 2),)
 
 
-def fv(values) -> FeatureVector:
-    arr = np.asarray(values, dtype=np.float64)
-    return FeatureVector(values=arr, layout=(BlockSlice("in", 0, len(arr)),))
+def row(values) -> np.ndarray:
+    """One example as a one-row matrix."""
+    return np.asarray([values], dtype=np.float64)
+
+
+def objective(model, batch, l2_lambda):
+    """Batch objective of (values, stance) pairs."""
+    x = np.array([values for values, _ in batch], dtype=np.float64)
+    y = np.array([label.index for _, label in batch], dtype=np.int64)
+    return mlp._batch_objective(model, x, y, l2_lambda)
 
 
 def zero_model(input_dim: int = 2, hidden_dim: int = 2) -> MlpModel:
@@ -50,6 +56,21 @@ def scalar_softmax(logits):
     exps = [math.exp(z - max(logits)) for z in logits]
     total = sum(exps)
     return [e / total for e in exps]
+
+
+def scalar_probs(model, x):
+    """Forward pass of one example in Python floats, one unit at a time."""
+    hidden = [
+        max(0.0, sum(float(model.w1[h, i]) * float(v) for i, v in enumerate(x))
+            + float(model.b1[h]))
+        for h in range(model.hidden_dim)
+    ]
+    logits = [
+        sum(float(model.w2[o, h]) * hidden[h] for h in range(model.hidden_dim))
+        + float(model.b2[o])
+        for o in range(4)
+    ]
+    return scalar_softmax(logits)
 
 
 class TestSoftmax:
@@ -109,17 +130,17 @@ def pencil_probs():
 
 class TestForward:
     def test_zero_model_uniform(self):
-        _, probs = forward(zero_model(), fv([3.0, -1.0]))
-        assert list(probs) == [0.25] * 4
+        _, probs = predict_batch(zero_model(), row([3.0, -1.0]))
+        assert list(probs[0]) == [0.25] * 4
 
     def test_pencil_network(self):
-        _, probs = forward(pencil_model(), fv([1.0, 2.0]))
-        assert list(probs) == pytest.approx(pencil_probs(), abs=1e-12)
+        _, probs = predict_batch(pencil_model(), row([1.0, 2.0]))
+        assert list(probs[0]) == pytest.approx(pencil_probs(), abs=1e-12)
 
     def test_probabilities_normalized(self):
         model = init_model(3, 4, (BlockSlice("in", 0, 3),), seed=1)
-        logits, probs = forward(model, fv([0.3, -2.0, 5.0]))
-        assert float(probs.sum()) == pytest.approx(1.0, abs=1e-12)
+        _, probs = predict_batch(model, row([0.3, -2.0, 5.0]))
+        assert float(probs[0].sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(probs >= 0)
 
 
@@ -127,59 +148,50 @@ class TestPredict:
     def test_argmax(self):
         model = zero_model()
         model.b2[:] = np.log([0.1, 0.2, 0.3, 0.4])
-        stance, probs = predict(model, fv([0.0, 0.0]))
-        assert stance is Stance.UNRELATED
-        assert list(probs) == pytest.approx([0.1, 0.2, 0.3, 0.4], abs=1e-12)
+        stances, probs = predict_batch(model, row([0.0, 0.0]))
+        assert stances[0] is Stance.UNRELATED
+        assert list(probs[0]) == pytest.approx([0.1, 0.2, 0.3, 0.4], abs=1e-12)
 
     def test_exact_tie_lowest_index(self):
-        stance, probs = predict(zero_model(), fv([1.0, 1.0]))
-        assert stance is Stance.AGREE
-        assert list(probs) == [0.25] * 4
+        stances, probs = predict_batch(zero_model(), row([1.0, 1.0]))
+        assert stances[0] is Stance.AGREE
+        assert list(probs[0]) == [0.25] * 4
 
     def test_pencil_argmax(self):
-        stance, _ = predict(pencil_model(), fv([1.0, 2.0]))
+        stances, _ = predict_batch(pencil_model(), row([1.0, 2.0]))
         want = max(range(4), key=lambda i: pencil_probs()[i])
-        assert stance.index == want
+        assert stances[0].index == want
 
-    def test_layout_mismatch_rejected(self):
-        model = zero_model()
-        other = FeatureVector(values=np.zeros(2), layout=(BlockSlice("other", 0, 2),))
-        with pytest.raises(ValueError):
-            predict(model, other)
-
-    def test_predict_batch_matches_predict(self):
+    def test_predict_batch_matches_scalar_rows(self):
         model = init_model(3, 5, (BlockSlice("in", 0, 3),), seed=8)
         rng = np.random.default_rng(2)
         matrix = rng.normal(0, 1, size=(20, 3))
         stances, probs = predict_batch(model, matrix)
-        for row in range(20):
-            s_one, p_one = predict(model, fv(matrix[row]))
-            assert stances[row] is s_one
-            # blas picks different kernels by shape; equality holds to ulps
-            assert np.allclose(probs[row], p_one, rtol=0, atol=1e-12)
+        for i in range(20):
+            want = scalar_probs(model, matrix[i])
+            assert stances[i].index == max(range(4), key=lambda k: want[k])
+            # the oracle sums in a different order; equality holds to ulps
+            assert np.allclose(probs[i], want, rtol=0, atol=1e-12)
 
 
 class TestLoss:
     def test_uniform_is_ln4(self):
-        cfg = TrainingConfig(l2_lambda=0.5)
-        batch = [(fv([1.0, -1.0]), Stance.DISCUSS)]
+        batch = [([1.0, -1.0], Stance.DISCUSS)]
         # zero weights: l2 penalty vanishes even with lambda > 0
-        assert loss(zero_model(), batch, cfg) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert objective(zero_model(), batch, 0.5) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_confident_correct_approaches_zero(self):
         model = zero_model()
         model.b2[0] = 30.0
-        cfg = TrainingConfig(l2_lambda=0.0)
-        batch = [(fv([0.0, 0.0]), Stance.AGREE)]
-        assert loss(model, batch, cfg) < 1e-7
+        batch = [([0.0, 0.0], Stance.AGREE)]
+        assert objective(model, batch, 0.0) < 1e-7
 
     def test_scalar_recomputation(self):
         model = pencil_model()
-        cfg = TrainingConfig(l2_lambda=0.01)
         batch = [
-            (fv([1.0, 2.0]), Stance.AGREE),
-            (fv([0.0, -1.0]), Stance.UNRELATED),
-            (fv([2.0, 0.5]), Stance.DISCUSS),
+            ([1.0, 2.0], Stance.AGREE),
+            ([0.0, -1.0], Stance.UNRELATED),
+            ([2.0, 0.5], Stance.DISCUSS),
         ]
 
         def one_ce(x, label):
@@ -194,28 +206,27 @@ class TestLoss:
             ]
             return -math.log(scalar_softmax(logits)[label.index])
 
-        ce = sum(one_ce(f.values, lbl) for f, lbl in batch) / len(batch)
+        ce = sum(one_ce(x, lbl) for x, lbl in batch) / len(batch)
         penalty = 0.01 * (
             sum(v * v for v in model.w1.reshape(-1))
             + sum(v * v for v in model.w2.reshape(-1))
         )
-        assert loss(model, batch, cfg) == pytest.approx(ce + penalty, abs=1e-12)
+        assert objective(model, batch, 0.01) == pytest.approx(ce + penalty, abs=1e-12)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError):
-            loss(zero_model(), [], TrainingConfig())
+            objective(zero_model(), [], TrainingConfig().l2_lambda)
 
 
 def separable_toy(n: int = 20):
     """Two linearly separable classes on the x axis."""
     rng = np.random.default_rng(4)
-    feats, labels = [], []
+    points, labels = [], []
     for i in range(n):
         side = 1.0 if i % 2 else -1.0
-        point = [side * (1.5 + rng.random()), float(rng.normal(0, 0.2))]
-        feats.append(fv(point))
+        points.append([side * (1.5 + rng.random()), float(rng.normal(0, 0.2))])
         labels.append(Stance.AGREE if side > 0 else Stance.DISAGREE)
-    return feats, labels
+    return FeatureMatrix(matrix=np.array(points), layout=LAYOUT_2), labels
 
 
 class TestTrain:
@@ -226,8 +237,9 @@ class TestTrain:
             l2_lambda=0.0, seed=0,
         )
         model = train(feats, labels, cfg, hidden_dim=8)
-        correct = sum(predict(model, f)[0] is lbl for f, lbl in zip(feats, labels))
-        assert correct == len(feats)
+        stances, _ = predict_batch(model, feats.matrix)
+        correct = sum(s is lbl for s, lbl in zip(stances, labels))
+        assert correct == len(labels)
 
     def test_bitwise_deterministic(self):
         feats, labels = separable_toy()
@@ -286,21 +298,21 @@ def random_check_setup(seed: int, input_dim: int = 5, hidden_dim: int = 4, n: in
     rng = np.random.default_rng(seed)
     layout = (BlockSlice("in", 0, input_dim),)
     model = init_model(input_dim, hidden_dim, layout, seed=seed)
-    batch = [
-        (fv(rng.normal(0, 1, size=input_dim)), int(rng.integers(0, 4)))
-        for _ in range(n)
-    ]
-    return model, batch
+    rows, labels = [], []
+    for _ in range(n):
+        rows.append(rng.normal(0, 1, size=input_dim))
+        labels.append(int(rng.integers(0, 4)))
+    return model, np.array(rows), labels
 
 
 class TestGradientCheck:
     def test_correct_gradients_pass(self):
-        model, batch = random_check_setup(seed=0)
+        model, x, labels = random_check_setup(seed=0)
         cfg = TrainingConfig(dropout_keep=1.0, l2_lambda=1e-3)
-        assert gradient_check(model, batch, cfg, sample_size=200) < 1e-5
+        assert gradient_check(model, x, labels, cfg, sample_size=200) < 1e-5
 
     def test_perturbed_gradient_detected(self, monkeypatch):
-        model, batch = random_check_setup(seed=1)
+        model, x, labels = random_check_setup(seed=1)
         cfg = TrainingConfig(dropout_keep=1.0, l2_lambda=0.0)
         real = mlp._batch_gradients
 
@@ -312,31 +324,33 @@ class TestGradientCheck:
             return objective, grads
 
         monkeypatch.setattr(mlp, "_batch_gradients", crooked)
-        assert gradient_check(model, batch, cfg, sample_size=200) > 1e-3
+        assert gradient_check(model, x, labels, cfg, sample_size=200) > 1e-3
 
     def test_zero_input_w1_gradient_exactly_zero(self):
-        model, _ = random_check_setup(seed=2)
+        model, _, _ = random_check_setup(seed=2)
         # keep hidden pre-activations off the relu kink at exactly zero,
         # where central differences legitimately disagree with the subgradient
         model.b1[:] = [0.3, -0.2, 0.4, 0.1]
         cfg = TrainingConfig(dropout_keep=1.0, l2_lambda=0.0)
-        batch = [(fv([0.0] * 5), Stance.AGREE), (fv([0.0] * 5), Stance.DISCUSS)]
-        before = loss(model, batch, cfg)
+        batch = [([0.0] * 5, Stance.AGREE), ([0.0] * 5, Stance.DISCUSS)]
+        before = objective(model, batch, cfg.l2_lambda)
         model.w1 += 17.0  # objective cannot see w1 when every input is zero
-        assert loss(model, batch, cfg) == before
+        assert objective(model, batch, cfg.l2_lambda) == before
         model.w1 -= 17.0
-        assert gradient_check(model, batch, cfg, sample_size=200) < 1e-5
+        x = np.zeros((2, 5))
+        labels = [Stance.AGREE, Stance.DISCUSS]
+        assert gradient_check(model, x, labels, cfg, sample_size=200) < 1e-5
 
     def test_requires_dropout_disabled(self):
-        model, batch = random_check_setup(seed=3)
+        model, x, labels = random_check_setup(seed=3)
         cfg = TrainingConfig(dropout_keep=0.6)
         with pytest.raises(ValueError, match="dropout"):
-            gradient_check(model, batch, cfg)
+            gradient_check(model, x, labels, cfg)
 
     def test_empty_batch(self):
-        model, _ = random_check_setup(seed=4)
+        model, _, _ = random_check_setup(seed=4)
         with pytest.raises(ValueError):
-            gradient_check(model, [], TrainingConfig(dropout_keep=1.0))
+            gradient_check(model, np.zeros((0, 5)), [], TrainingConfig(dropout_keep=1.0))
 
 
 class TestModelIo:

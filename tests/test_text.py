@@ -11,8 +11,6 @@ from stancekit.errors import ConfigError
 from stancekit.keywords import KeywordSet
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 from stancekit.text import (
-    BlockSlice,
-    FeatureVector,
     IdfTable,
     Vocabulary,
     build_idf,
@@ -191,22 +189,7 @@ class TestTfidfCosine:
         assert cosine(head, body, vocab, idf) == want
 
 
-def two_blocks() -> FeatureVector:
-    layout = (BlockSlice("one", 0, 2), BlockSlice("two", 2, 1))
-    return FeatureVector(values=np.array([1.0, 2.0, 3.0]), layout=layout)
-
-
 class TestBlocks:
-    def test_concat_layout(self):
-        fv = two_blocks()
-        assert [s.name for s in fv.layout] == ["one", "two"]
-        assert list(fv.values) == [1.0, 2.0, 3.0]
-        assert list(fv.block("two")) == [3.0]
-
-    def test_unknown_block(self):
-        with pytest.raises(KeyError):
-            two_blocks().block("missing")
-
     def test_duplicate_block_name_rejected(self):
         # two keyword sets may carry the same name under different references
         spec = PipelineSpec(
@@ -223,23 +206,26 @@ class TestBlocks:
                 idf=None, keyword_sets=keyword_sets, embeddings=None,
             )
 
-    def test_layout_length_must_match(self):
-        with pytest.raises(ValueError):
-            FeatureVector(values=np.zeros(3), layout=(BlockSlice("b", 0, 2),))
-
 
 BASELINE_ONLY = PipelineSpec(name="plain", blocks=(BlockSpec(kind="baseline"),))
 
 
 def baseline_row(instance, corpus, headline_vocab, body_vocab, shared_vocab, idf):
-    """Matrix row of one instance under a hand-built baseline pipeline."""
+    """Dense matrix row of one instance under a hand-built baseline
+    pipeline, and the pipeline's layout."""
     fitted = FittedPipeline(
         spec=BASELINE_ONLY, headline_vocab=headline_vocab, body_vocab=body_vocab,
         shared_vocab=shared_vocab, idf=idf, keyword_sets={}, embeddings=None,
     )
     single = make_corpus([instance], {instance.body_id: corpus.body_text(instance.body_id)})
     row = fitted.matrix(single).matrix.toarray()[0]
-    return FeatureVector(values=row, layout=fitted.layout)
+    return row, fitted.layout
+
+
+def block(row, layout, name):
+    """The values of one named block of a feature row."""
+    (piece,) = [b for b in layout if b.name == name]
+    return row[piece.offset : piece.offset + piece.length]
 
 
 class TestBaselineFeatures:
@@ -258,23 +244,23 @@ class TestBaselineFeatures:
 
     def test_vector_length(self):
         corpus, hv, bv, sv, idf = self._tiny()
-        fv = baseline_row(corpus.instances[0], corpus, hv, bv, sv, idf)
-        assert len(fv.values) == len(hv) + len(bv) + 1
-        assert [s.name for s in fv.layout] == ["tf_headline", "tf_body", "tfidf_cos"]
+        row, layout = baseline_row(corpus.instances[0], corpus, hv, bv, sv, idf)
+        assert len(row) == len(hv) + len(bv) + 1
+        assert [s.name for s in layout] == ["tf_headline", "tf_body", "tfidf_cos"]
 
     def test_headline_equals_body_cosine_one(self):
         corpus = make_corpus([Instance("cat sat", 1, None)], {1: "cat sat"})
         vocab = Vocabulary(("cat", "sat"))
         idf = uniform_idf(vocab)
-        fv = baseline_row(corpus.instances[0], corpus, vocab, vocab, vocab, idf)
-        assert fv.block("tfidf_cos")[0] == pytest.approx(1.0, abs=1e-12)
+        row, layout = baseline_row(corpus.instances[0], corpus, vocab, vocab, vocab, idf)
+        assert block(row, layout, "tfidf_cos")[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_computed_vector(self):
         corpus, hv, bv, sv, idf = self._tiny()
-        fv = baseline_row(corpus.instances[0], corpus, hv, bv, sv, idf)
+        row, layout = baseline_row(corpus.instances[0], corpus, hv, bv, sv, idf)
         # headline "cat sat" over (cat, sat, dog); body "cat sat cat" over (cat, dog, sat)
-        assert list(fv.block("tf_headline")) == [1.0, 1.0, 0.0]
-        assert list(fv.block("tf_body")) == [2.0, 0.0, 1.0]
+        assert list(block(row, layout, "tf_headline")) == [1.0, 1.0, 0.0]
+        assert list(block(row, layout, "tf_body")) == [2.0, 0.0, 1.0]
         # shared-vocab tfidf: head [1,1,0,0], body [2,1,0,0] -> 3/(sqrt2*sqrt5)
         expected = 3.0 / (math.sqrt(2.0) * math.sqrt(5.0))
-        assert fv.block("tfidf_cos")[0] == pytest.approx(expected, abs=1e-12)
+        assert block(row, layout, "tfidf_cos")[0] == pytest.approx(expected, abs=1e-12)
