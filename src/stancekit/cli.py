@@ -150,30 +150,26 @@ def _test_corpus(cfg: ExperimentConfig, require_labels: bool) -> Corpus:
     return _read_corpus(cfg.data.test_stances, cfg.data.test_bodies, require_labels)
 
 
-def _pipelines_of(cfg: ExperimentConfig, targets: Sequence[str]) -> list[str]:
-    """Pipeline ids needed by the given model/ensemble targets, in order."""
-    ids: dict[str, None] = {}
-    for name in targets:
-        if name in cfg.models:
-            ids.setdefault(cfg.models[name].pipeline)
-        else:
-            for member in cfg.ensembles[name].members:
-                ids.setdefault(cfg.models[member].pipeline)
-    return list(ids)
+def _members(cfg: ExperimentConfig, targets: Sequence[str]) -> list[str]:
+    """Model names behind the given model/ensemble targets, in first-use order."""
+    names: dict[str, None] = {}
+    for target in targets:
+        ens = cfg.ensembles.get(target)
+        names.update(dict.fromkeys([target] if ens is None else ens.members))
+    return list(names)
 
 
 def _maybe_embeddings(
-    cfg: ExperimentConfig, pipeline_ids: Sequence[str], corpora: Sequence[Corpus]
+    cfg: ExperimentConfig, names: Sequence[str], corpora: Sequence[Corpus]
 ) -> EmbeddingTable | None:
+    """The embedding table, when a pipeline of the named models needs one."""
     needed = any(
         block.kind == SIMILARITY
-        for pid in pipeline_ids
-        for block in cfg.pipelines[pid].blocks
+        for name in names
+        for block in cfg.pipelines[cfg.models[name].pipeline].blocks
     )
     if not needed:
         return None
-    if cfg.embeddings is None:
-        raise ConfigError("a similarity pipeline is selected but no embeddings section is configured")
     if not cfg.embeddings.path.is_file():
         raise DataFormatError(f"no such embedding file: {cfg.embeddings.path}")
     restrict = None
@@ -276,7 +272,7 @@ def train(config_path, out_dir, seed, models_csv):
         )
     else:
         fit_part, val_part = corpus, None
-    embeddings = _maybe_embeddings(cfg, _pipelines_of(cfg, names), [corpus])
+    embeddings = _maybe_embeddings(cfg, names, [corpus])
     out = _out_dir(cfg)
 
     epoch_logs: dict[str, list[str]] = {}
@@ -312,18 +308,14 @@ def _load_target_parts(
 ) -> tuple[dict[str, FittedPipeline], dict[str, MlpModel]]:
     """Load saved pipelines and models for the given targets."""
     out = cfg.output_dir
-    pipeline_ids = _pipelines_of(cfg, targets)
-    embeddings = _maybe_embeddings(cfg, pipeline_ids, corpora)
-    fitted = {pid: load_pipeline(out, pid, embeddings) for pid in pipeline_ids}
-    model_names: dict[str, None] = {}
-    for name in targets:
-        if name in cfg.models:
-            model_names.setdefault(name)
-        else:
-            for member in cfg.ensembles[name].members:
-                model_names.setdefault(member)
+    names = _members(cfg, targets)
+    embeddings = _maybe_embeddings(cfg, names, corpora)
+    fitted = {
+        pid: load_pipeline(out, pid, embeddings)
+        for pid in dict.fromkeys(cfg.models[name].pipeline for name in names)
+    }
     models = {}
-    for name in model_names:
+    for name in names:
         path = out / f"{name}.model.bin"
         if not path.is_file():
             raise ConfigError(f"no trained model file for {name!r}; run the train command")
@@ -431,7 +423,9 @@ def keywords(config_path, out_dir, seed, models_csv):
     """Select and write the configured keyword sets from the training data."""
     cfg = _load(config_path, out_dir, seed)
     names = _select(cfg, models_csv, list(cfg.keyword_specs), "keyword set")
-    corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=False)
+    # mi selection ranks terms against stance classes, so it needs labels
+    needs_labels = any(cfg.keyword_specs[n].selector == "mi" for n in names)
+    corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, needs_labels)
     out = _out_dir(cfg)
     documents = corpus_documents(corpus)
     candidates = body_vocabulary(documents.values(), cfg.features.vocab_capacity).terms
@@ -459,7 +453,7 @@ def _fold_runner(cfg: ExperimentConfig, target: str, embeddings):
     """Per-fold pipeline: refit everything on the fold's train side only,
     then decide on the test side as evaluate does."""
     ens = cfg.ensembles.get(target)
-    names = [target] if ens is None else list(ens.members)
+    names = _members(cfg, [target])
     concat = ens is not None and ens.rule == CONCATENATION
 
     def run(train_part: Corpus, test_part: Corpus, fold: int):
@@ -493,7 +487,7 @@ def cv(config_path, out_dir, seed, models_csv, jobs):
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
     plan = plan_folds(corpus, cfg.cv.folds, cfg.cv.seed)
-    embeddings = _maybe_embeddings(cfg, _pipelines_of(cfg, targets), [corpus])
+    embeddings = _maybe_embeddings(cfg, _members(cfg, targets), [corpus])
     out = _out_dir(cfg)
     for target in targets:
         result = cross_validate(corpus, plan, _fold_runner(cfg, target, embeddings),

@@ -195,6 +195,9 @@ def _parse_keyword_spec(name: str, node: dict, path: str) -> KeywordSpec:
         raise _fail(f"{path}.selector", f"expected one of {list(SELECTORS)}")
     terms = _as_str_list(node, "terms", path) if "terms" in node else ()
     themes = _as_str_list(node, "themes", path) if "themes" in node else ()
+    for key, values in (("terms", terms), ("themes", themes)):
+        if len(set(values)) != len(values):
+            raise _fail(f"{path}.{key}", "entries must be distinct")
     positive: tuple[Stance, ...] = (Stance.DISAGREE,)
     if "positive" in node:
         names = _as_str_list(node, "positive", path)

@@ -1,17 +1,25 @@
 """Word-embedding features: centroid cosine and word mover's distance.
 
 Embeddings load from the whitespace-separated text format (one term plus
-its vector per line, optional "count dim" header). Documents become nBOW
-distributions: normalized counts over the terms that have a vector.
+its vector per line, optional "count dim" header).
+
+Similarity features are document-level. embed_doc turns one document
+into an EmbeddedDoc once: the centroid of its per-occurrence vectors and
+its norm, plus its nBOW side, the vectors of its most frequent embedded
+terms with their normalized counts apportioned to integer masses. Every
+pair kernel (centroid_cosine, wmd_relaxed, wmd_exact) is a function of
+two such states and never touches the table, so a body shared by many
+headlines, or scored in several similarity modes, is embedded once. A
+document without any embedded token has no state (None), and its
+similarity() value is 0.0.
 
 WMD is the minimum cost of transporting one nBOW distribution into the
 other, with Euclidean ground distance between embeddings. The solver
-works on integer masses (largest-remainder apportionment of the weights)
-so the optimum is exact for the rounded problem and reruns are bit-stable.
-It runs successive shortest paths; each path search is a Bellman-Ford
-label correction done in whole-array numpy steps over the m x n cost
-matrix, so its Python overhead grows with the path length, not with the
-number of edges.
+works on the integer masses, so the optimum is exact for the rounded
+problem and reruns are bit-stable. It runs successive shortest paths;
+each path search is a Bellman-Ford label correction done in whole-array
+numpy steps over the m x n cost matrix, so its Python overhead grows with
+the path length, not with the number of edges.
 """
 
 from __future__ import annotations
@@ -19,11 +27,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, EmptyDistributionError
+from .errors import DataFormatError
 
 #: Integer mass assigned to each distribution before transport. Weights are
 #: apportioned to parts of 1e9 so the rounding error per term stays below
@@ -127,59 +135,43 @@ def load_embeddings(
     )
 
 
-@dataclass(frozen=True)
-class NBowDistribution:
-    """Normalized bag of words restricted to embedded terms."""
+class EmbeddedDoc(NamedTuple):
+    """Embedding state of one document, built once and shared by every
+    pair and similarity mode the document takes part in."""
 
-    terms: tuple[str, ...]
-    weights: np.ndarray  # (len(terms),), positive, sums to 1
-
-    def __post_init__(self):
-        if len(self.terms) != len(self.weights):
-            raise ValueError("terms and weights length mismatch")
-        if len(self.terms) == 0:
-            raise EmptyDistributionError("empty nBOW distribution")
-        if not np.all(self.weights > 0):
-            raise ValueError("nBOW weights must be positive")
-        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("nBOW weights must sum to 1")
+    centroid: np.ndarray  # (dim,) mean of the per-occurrence vectors
+    norm: float  # L2 norm of the centroid
+    vectors: np.ndarray  # (m, dim) vectors of the WMD_TERM_CAP most frequent terms
+    masses: np.ndarray  # (m,) int64 nBOW masses of those terms, summing to MASS_SCALE
 
 
-def nbow(
-    tokens: Sequence[str], table: EmbeddingTable, max_terms: int | None = None
-) -> NBowDistribution:
-    """Build the nBOW distribution of tokens that exist in the table.
+def embed_doc(tokens: Sequence[str], table: EmbeddingTable) -> EmbeddedDoc | None:
+    """Embedding state of a token list; None when no token has a vector.
 
-    max_terms keeps only the most frequent terms (ties lexicographic)
-    before normalizing. Raises EmptyDistributionError when no token is
-    embedded.
+    The centroid averages one vector per embedded occurrence. The nBOW
+    side keeps the WMD_TERM_CAP most frequent embedded terms (ties
+    lexicographic) and apportions their normalized counts to integer masses.
     """
-    counts = Counter(t for t in tokens if t in table)
-    if not counts:
-        raise EmptyDistributionError("no tokens with embeddings")
-    items = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if max_terms is not None:
-        items = items[:max_terms]
-    terms = tuple(term for term, _ in items)
-    raw = np.array([count for _, count in items], dtype=np.float64)
-    return NBowDistribution(terms=terms, weights=raw / raw.sum())
+    index = table.index
+    embedded = [t for t in tokens if t in index]
+    if not embedded:
+        return None
+    centroid = np.mean(table.matrix[[index[t] for t in embedded]], axis=0)
+    top = sorted(Counter(embedded).items(), key=lambda kv: (-kv[1], kv[0]))[:WMD_TERM_CAP]
+    counts = np.array([count for _, count in top], dtype=np.float64)
+    return EmbeddedDoc(
+        centroid=centroid,
+        norm=float(np.linalg.norm(centroid)),
+        vectors=table.matrix[[index[t] for t, _ in top]],
+        masses=_apportion(counts / counts.sum()),
+    )
 
 
-def centroid_cosine(
-    tokens_a: Sequence[str], tokens_b: Sequence[str], table: EmbeddingTable
-) -> float:
-    """Cosine between per-occurrence mean vectors; 0.0 when degenerate."""
-    vecs_a = [table.vector(t) for t in tokens_a if t in table]
-    vecs_b = [table.vector(t) for t in tokens_b if t in table]
-    if not vecs_a or not vecs_b:
+def centroid_cosine(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
+    """Cosine between the two centroids; 0.0 when either is the zero vector."""
+    if a.norm == 0.0 or b.norm == 0.0:
         return 0.0
-    ca = np.mean(vecs_a, axis=0)
-    cb = np.mean(vecs_b, axis=0)
-    na = float(np.linalg.norm(ca))
-    nb = float(np.linalg.norm(cb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(ca, cb) / (na * nb))
+    return float(np.dot(a.centroid, b.centroid) / (a.norm * b.norm))
 
 
 def _apportion(weights: np.ndarray, scale: int = MASS_SCALE) -> np.ndarray:
@@ -195,12 +187,9 @@ def _apportion(weights: np.ndarray, scale: int = MASS_SCALE) -> np.ndarray:
     return base
 
 
-def _cost_matrix(
-    dist_a: NBowDistribution, dist_b: NBowDistribution, table: EmbeddingTable
-) -> np.ndarray:
-    va = np.vstack([table.vector(t) for t in dist_a.terms])
-    vb = np.vstack([table.vector(t) for t in dist_b.terms])
-    diff = va[:, None, :] - vb[None, :, :]
+def _cost_matrix(a: EmbeddedDoc, b: EmbeddedDoc) -> np.ndarray:
+    """Euclidean ground distances between the two documents' term vectors."""
+    diff = a.vectors[:, None, :] - b.vectors[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 
 
@@ -276,55 +265,39 @@ def _transport_min_cost(
     return flow
 
 
-def wmd_exact(
-    dist_a: NBowDistribution, dist_b: NBowDistribution, table: EmbeddingTable
-) -> float:
-    """Word mover's distance between two nBOW distributions."""
-    cost = _cost_matrix(dist_a, dist_b, table)
-    supply = _apportion(dist_a.weights)
-    demand = _apportion(dist_b.weights)
-    flow = _transport_min_cost(supply, demand, cost)
+def wmd_exact(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
+    """Word mover's distance between the nBOW sides of two documents."""
+    cost = _cost_matrix(a, b)
+    flow = _transport_min_cost(a.masses, b.masses, cost)
     mass_flow = flow / MASS_SCALE
     return float((mass_flow * cost).sum())
 
 
-def wmd_relaxed(
-    dist_a: NBowDistribution, dist_b: NBowDistribution, table: EmbeddingTable
-) -> float:
+def wmd_relaxed(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
     """Lower bound on wmd_exact: the tighter of the two one-sided relaxations.
 
     Each relaxation drops one marginal constraint, so all mass moves to its
-    nearest counterpart. Both sides use the same apportioned masses as the
+    nearest counterpart. Both sides use the same integer masses as the
     exact solver, which guarantees relaxed <= exact.
     """
-    cost = _cost_matrix(dist_a, dist_b, table)
-    supply = _apportion(dist_a.weights) / MASS_SCALE
-    demand = _apportion(dist_b.weights) / MASS_SCALE
-    forward = float(supply @ cost.min(axis=1))
-    backward = float(demand @ cost.min(axis=0))
+    cost = _cost_matrix(a, b)
+    forward = float(a.masses / MASS_SCALE @ cost.min(axis=1))
+    backward = float(b.masses / MASS_SCALE @ cost.min(axis=0))
     return max(forward, backward)
 
 
-def similarity_block(
-    head_tokens: Sequence[str], body_tokens: Sequence[str], table: EmbeddingTable, mode: str
-) -> float:
-    """Headline/body similarity value of one similarity feature block.
+def similarity(head: EmbeddedDoc | None, body: EmbeddedDoc | None, mode: str) -> float:
+    """Headline/body value of one similarity feature block.
 
     centroid mode gives the centroid cosine. WMD modes give 1/(1 + d) so
-    larger values always mean more similar. Degenerate inputs (no embedded
-    token on either side) give 0.0.
+    larger values always mean more similar. A degenerate side (None: no
+    embedded token) gives 0.0.
     """
     if mode not in SIMILARITY_MODES:
         raise ValueError(f"unknown similarity mode {mode!r}")
-    if mode == CENTROID:
-        return centroid_cosine(head_tokens, body_tokens, table)
-    try:
-        da = nbow(head_tokens, table, max_terms=WMD_TERM_CAP)
-        db = nbow(body_tokens, table, max_terms=WMD_TERM_CAP)
-    except EmptyDistributionError:
+    if head is None or body is None:
         return 0.0
-    if mode == WMD_EXACT:
-        distance = wmd_exact(da, db, table)
-    else:
-        distance = wmd_relaxed(da, db, table)
+    if mode == CENTROID:
+        return centroid_cosine(head, body)
+    distance = wmd_exact(head, body) if mode == WMD_EXACT else wmd_relaxed(head, body)
     return 1.0 / (1.0 + distance)

@@ -21,10 +21,6 @@ class IntegrityError(StancekitError):
     """Cross-file referential integrity is violated (e.g. dangling body id)."""
 
 
-class EmptyDistributionError(StancekitError):
-    """No token of a document has an embedding; no distribution can be built."""
-
-
 class TrainingDivergedError(StancekitError):
     """Training produced a non-finite loss."""
 

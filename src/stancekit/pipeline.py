@@ -9,22 +9,25 @@ fit_pipeline stay leakage-free by construction.
 Featurization is document-level: matrix() tokenizes and counts each
 distinct headline and body once, builds one CSR row per document with
 that side's TF and keyword-presence columns, and assembles instance rows
-as headline row + body row + the pairwise columns (TF-IDF cosine and
-embedding similarity, computed once per distinct headline/body pair).
+as headline row + body row + the pairwise columns. A pairwise column
+(TF-IDF cosine, embedding similarity) is a function of two document
+states built once per distinct headline and body, evaluated once per
+distinct headline/body pair.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, Stance
-from .embeddings import EmbeddingTable, SIMILARITY_MODES, similarity_block
+from .embeddings import EmbeddingTable, SIMILARITY_MODES, embed_doc, similarity
 from .ensemble import EnsembleSpec, decisions, fuse
 from .errors import ConfigError, DataFormatError
 from .keywords import (
@@ -255,33 +258,46 @@ class FittedPipeline:
         head_row: list[int],
         body_row: list[int],
     ) -> sp.csr_matrix:
-        """TF-IDF cosine and similarity columns, computed once per distinct
-        (headline, body) pair and gathered to instance rows."""
-        pair_blocks: list[tuple[BlockSpec, int]] = []  # (block, its column)
+        """TF-IDF cosine and similarity columns of each distinct (headline,
+        body) pair, gathered to instance rows.
+
+        Every pair column is a function of two document states, a TfidfDoc
+        and an EmbeddedDoc, each built once per distinct headline and body
+        and only for the pair blocks the pipeline has. A body's states live
+        only while its pairs are scored.
+        """
+        columns: list[int] = []
+        state_fns: dict[str, Callable] = {}  # document state name -> its constructor
+        kernels: list[tuple[str, Callable]] = []  # (state name, pair kernel)
         for block, start in zip(self.spec.blocks, self._starts):
             if block.kind == BASELINE:
-                cos_col = start + len(self.headline_vocab) + len(self.body_vocab)
-                pair_blocks.append((block, cos_col))
-                head_tfidf = [tfidf_doc(t, self.shared_vocab, self.idf) for t in head_tokens]
-                body_tfidf = [tfidf_doc(t, self.shared_vocab, self.idf) for t in body_tokens]
+                columns.append(start + len(self.headline_vocab) + len(self.body_vocab))
+                state_fns["tfidf"] = partial(tfidf_doc, vocab=self.shared_vocab, idf=self.idf)
+                kernels.append(("tfidf", tfidf_cosine))
             elif block.kind == SIMILARITY:
-                pair_blocks.append((block, start))
+                columns.append(start)
+                state_fns["embedded"] = partial(embed_doc, table=self.embeddings)
+                kernels.append(("embedded", partial(similarity, mode=block.mode)))
 
-        def value(block: BlockSpec, h: int, b: int) -> float:
-            if block.kind == BASELINE:
-                return tfidf_cosine(head_tfidf[h], body_tfidf[b])
-            return similarity_block(head_tokens[h], body_tokens[b], self.embeddings, block.mode)
+        def state(tokens: TokenList) -> dict:
+            return {name: make(tokens) for name, make in state_fns.items()}
 
         pairs: dict[tuple[int, int], int] = {}
         pair_row = [pairs.setdefault(p, len(pairs)) for p in zip(head_row, body_row)]
-        values = np.array(
-            [[value(block, h, b) for block, _ in pair_blocks] for h, b in pairs],
-            dtype=np.float64,
-        ).reshape(len(pairs), len(pair_blocks))[pair_row]
+        by_body: dict[int, list[tuple[int, int]]] = {}
+        for (h, b), k in pairs.items():
+            by_body.setdefault(b, []).append((h, k))
+        heads = [state(tokens) for tokens in head_tokens]
+        pair_values: list = [None] * len(pairs)
+        for b, members in by_body.items():
+            body = state(body_tokens[b])
+            for h, k in members:
+                pair_values[k] = [kernel(heads[h][name], body[name]) for name, kernel in kernels]
+        values = np.array(pair_values, dtype=np.float64).reshape(len(pairs), len(kernels))[pair_row]
         rows, ks = np.nonzero(values)
-        columns = np.array([col for _, col in pair_blocks], dtype=np.int64)
         return sp.csr_matrix(
-            (values[rows, ks], (rows, columns[ks])), shape=(len(head_row), self.input_dim)
+            (values[rows, ks], (rows, np.array(columns, dtype=np.int64)[ks])),
+            shape=(len(head_row), self.input_dim),
         )
 
     def matrix(self, corpus: Corpus) -> FeatureMatrix:

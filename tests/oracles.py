@@ -8,11 +8,20 @@ paths to them exactly.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from stancekit.corpus import STANCES
-from stancekit.embeddings import similarity_block
+from stancekit.embeddings import (
+    CENTROID,
+    MASS_SCALE,
+    SIMILARITY_MODES,
+    WMD_EXACT,
+    WMD_TERM_CAP,
+    _apportion,
+    _transport_min_cost,
+)
 from stancekit.mlp import softmax
 from stancekit.pipeline import BASELINE, INDICATOR
 from stancekit.text import tokenize
@@ -53,6 +62,59 @@ def indicator_bits(head_tokens, body_tokens, terms):
         bits[2 * i] = float(term in head_tokens)
         bits[2 * i + 1] = float(term in body_tokens)
     return bits
+
+
+def nbow(tokens, table, max_terms=None):
+    """(terms, weights) of the embedded tokens: normalized counts, most
+    frequent first (ties lexicographic), cut to max_terms before
+    normalizing. None when no token is embedded."""
+    counts = Counter(t for t in tokens if t in table)
+    if not counts:
+        return None
+    items = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_terms]
+    raw = np.array([count for _, count in items], dtype=np.float64)
+    return tuple(term for term, _ in items), raw / raw.sum()
+
+
+def centroid_cosine(tokens_a, tokens_b, table):
+    """Cosine between per-occurrence mean vectors; 0.0 when degenerate."""
+    vecs_a = [table.vector(t) for t in tokens_a if t in table]
+    vecs_b = [table.vector(t) for t in tokens_b if t in table]
+    if not vecs_a or not vecs_b:
+        return 0.0
+    ca = np.mean(vecs_a, axis=0)
+    cb = np.mean(vecs_b, axis=0)
+    na = float(np.linalg.norm(ca))
+    nb = float(np.linalg.norm(cb))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(ca, cb) / (na * nb))
+
+
+def similarity_block(head_tokens, body_tokens, table, mode):
+    """Similarity block value of one pair, straight from both token lists:
+    the centroid cosine, or 1/(1 + d) for a word mover's distance d over
+    the two capped nBOW distributions; 0.0 when a side has no embedded token."""
+    assert mode in SIMILARITY_MODES
+    if mode == CENTROID:
+        return centroid_cosine(head_tokens, body_tokens, table)
+    dist_a = nbow(head_tokens, table, WMD_TERM_CAP)
+    dist_b = nbow(body_tokens, table, WMD_TERM_CAP)
+    if dist_a is None or dist_b is None:
+        return 0.0
+    va = np.vstack([table.vector(t) for t in dist_a[0]])
+    vb = np.vstack([table.vector(t) for t in dist_b[0]])
+    diff = va[:, None, :] - vb[None, :, :]
+    cost = np.sqrt((diff * diff).sum(axis=2))
+    supply, demand = _apportion(dist_a[1]), _apportion(dist_b[1])
+    if mode == WMD_EXACT:
+        mass_flow = _transport_min_cost(supply, demand, cost) / MASS_SCALE
+        distance = float((mass_flow * cost).sum())
+    else:
+        forward = float(supply / MASS_SCALE @ cost.min(axis=1))
+        backward = float(demand / MASS_SCALE @ cost.min(axis=0))
+        distance = max(forward, backward)
+    return 1.0 / (1.0 + distance)
 
 
 def feature_row(fitted, instance, corpus):

@@ -33,7 +33,7 @@ from stancekit.text import BlockSlice
 
 from conftest import FNC_SKIP_REASON, fnc_paths, synthetic_corpus
 from test_cli import base_config, hash_tree, run
-from test_embeddings import brute_force_transport, random_instance
+from test_embeddings import brute_force_wmd, random_instance
 from test_evaluation import brute_force_grade, cheating_runner, constructed_pairs, honest_runner
 from test_keywords import entropy_identity_mi
 
@@ -243,22 +243,16 @@ def test_criterion_07_wmd_correctness():
     with criterion(7, "wmd-correctness") as c:
         worst = 0.0
         for seed in range(30):
-            da, db, table = random_instance(np.random.default_rng(seed))
-            distance = wmd_exact(da, db, table)
-            cost = np.array(
-                [
-                    [np.linalg.norm(table.vector(s) - table.vector(t)) for t in db.terms]
-                    for s in da.terms
-                ]
-            )
-            want = brute_force_transport(da.weights, db.weights, cost)
+            da, db = random_instance(np.random.default_rng(seed))
+            distance = wmd_exact(da, db)
+            want = brute_force_wmd(da, db)
             worst = max(worst, abs(distance - want))
             assert abs(distance - want) <= 1e-6
         rng = np.random.default_rng(7000)
         for _ in range(100):
-            da, db, table = random_instance(rng)
-            exact = wmd_exact(da, db, table)
-            assert wmd_relaxed(da, db, table) <= exact + 1e-9
+            da, db = random_instance(rng)
+            exact = wmd_exact(da, db)
+            assert wmd_relaxed(da, db) <= exact + 1e-9
         c.note = f"30 enumerated instances (worst gap {worst:.2e}); relaxed bound held on 100"
 
 

@@ -338,6 +338,21 @@ class TestKeywords:
         assert read_keyword_set(out / "auto.keywords.txt").terms == ()
         assert read_keyword_set(out / "themed.hoax.keywords.txt").terms == ()
 
+    def test_mi_on_unlabeled_data_exit_3(self, tmp_path):
+        config = base_config(tmp_path)
+        unlabeled = synthetic_corpus(n_instances=96, n_bodies=24, seed=5)
+        write_stances(
+            tmp_path / "data" / "train_stances.csv",
+            [(i.headline, i.body_id, None) for i in unlabeled.instances],
+            labeled=False,
+        )
+        result = RUNNER.invoke(main, ["keywords", "--config", str(config), "--models", "auto"])
+        assert result.exit_code == 3
+        assert "no labels" in result.stderr
+        # manual and micc selection read no labels
+        run("keywords", "--config", str(config), "--models", "manual,themed")
+        assert (tmp_path / "out" / "themed.hoax.keywords.txt").is_file()
+
 
 class TestCv:
     def test_file_count_and_aggregate(self, tmp_path):

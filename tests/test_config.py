@@ -161,6 +161,18 @@ class TestErrors:
         with pytest.raises(ConfigError, match="embedding"):
             load_raw(tmp_path, raw)
 
+    def test_duplicate_keyword_terms(self, tmp_path):
+        raw = base_raw()
+        raw["keywords"]["manual"]["terms"] = ["fake", "fake"]
+        with pytest.raises(ConfigError, match=r"keywords\.manual\.terms: .*distinct"):
+            load_raw(tmp_path, raw)
+
+    def test_duplicate_micc_themes(self, tmp_path):
+        raw = base_raw()
+        raw["keywords"]["themed"]["themes"] = ["hoax", "hoax"]
+        with pytest.raises(ConfigError, match=r"keywords\.themed\.themes: .*distinct"):
+            load_raw(tmp_path, raw)
+
     def test_ensemble_member_must_be_model(self, tmp_path):
         raw = base_raw()
         raw["ensembles"]["duo"]["members"] = ["base", "ghost"]

@@ -1,4 +1,5 @@
-"""Embedding table loading, nBOW, centroid cosine, and word mover's distance.
+"""Embedding table loading, per-document embedding state, centroid cosine,
+and word mover's distance.
 
 The WMD oracle enumerates basic feasible solutions of the transportation
 polytope directly: every spanning set of m+n-1 cells whose balance system
@@ -14,25 +15,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stancekit.corpus import Instance, make_corpus
+from stancekit import embeddings
 from stancekit.embeddings import (
     CENTROID,
     MASS_SCALE,
     SIMILARITY_MODES,
     WMD_EXACT,
     WMD_RELAXED,
+    EmbeddedDoc,
     EmbeddingTable,
-    NBowDistribution,
     _apportion,
     _cost_matrix,
     _transport_min_cost,
     centroid_cosine,
+    embed_doc,
     load_embeddings,
-    nbow,
-    similarity_block,
+    similarity,
     wmd_exact,
     wmd_relaxed,
 )
-from stancekit.errors import DataFormatError, EmptyDistributionError
+from stancekit.errors import DataFormatError
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 
 
@@ -70,53 +72,53 @@ def brute_force_transport(supply: np.ndarray, demand: np.ndarray, cost: np.ndarr
     return best
 
 
+def doc_state(vectors: np.ndarray, weights: np.ndarray) -> EmbeddedDoc:
+    """Document state over the given term vectors and nBOW weights."""
+    centroid = weights @ vectors
+    return EmbeddedDoc(centroid, float(np.linalg.norm(centroid)), vectors, _apportion(weights))
+
+
+def counts_state(rng: np.random.Generator, vectors: np.ndarray, high: int) -> EmbeddedDoc:
+    """Document state with random term counts in [1, high)."""
+    counts = rng.integers(1, high, size=len(vectors)).astype(np.float64)
+    return doc_state(vectors, counts / counts.sum())
+
+
 def random_instance(rng: np.random.Generator, max_side: int = 4):
-    """Random pair of nBOW distributions sharing one embedding table."""
+    """Random pair of document states over Gaussian vectors."""
     m = int(rng.integers(1, max_side + 1))
     n = int(rng.integers(1, max_side + 1))
     dim = int(rng.integers(2, 5))
-    names = [f"t{k}" for k in range(m + n)]
-    vectors = {name: list(rng.normal(0.0, 2.0, size=dim)) for name in names}
-    table = table_from(vectors)
-
-    def dist(term_names):
-        counts = rng.integers(1, 6, size=len(term_names)).astype(np.float64)
-        return NBowDistribution(terms=tuple(term_names), weights=counts / counts.sum())
-
-    return dist(names[:m]), dist(names[m:]), table
+    vectors = np.array([rng.normal(0.0, 2.0, size=dim) for _ in range(m + n)])
+    return counts_state(rng, vectors[:m], 6), counts_state(rng, vectors[m:], 6)
 
 
 def fnc_shaped_instance(seed: int, m: int = 11, n: int = 200, dim: int = 50, shared: int = 5):
     """Headline-by-body shaped pair: m vs n terms, `shared` terms in both."""
     rng = np.random.default_rng(seed)
-    terms = tuple(f"w{k}" for k in range(m + n))
-    table = EmbeddingTable(terms=terms, matrix=rng.normal(0.0, 1.0, size=(m + n, dim)))
-
-    def dist(term_names):
-        counts = rng.integers(1, 12, size=len(term_names)).astype(np.float64)
-        return NBowDistribution(terms=tuple(term_names), weights=counts / counts.sum())
-
-    return dist(terms[:m]), dist(terms[m - shared : m - shared + n]), table
+    vectors = rng.normal(0.0, 1.0, size=(m + n, dim))
+    return (counts_state(rng, vectors[:m], 12),
+            counts_state(rng, vectors[m - shared : m - shared + n], 12))
 
 
 def tie_instance(rng: np.random.Generator, max_side: int = 3):
     """Random pair over integer-grid vectors: repeated vectors and equal costs."""
     m = int(rng.integers(1, max_side + 1))
     n = int(rng.integers(1, max_side + 1))
-    names = [f"t{k}" for k in range(m + n)]
-    table = table_from({name: list(rng.integers(-1, 2, size=2).astype(float)) for name in names})
-
-    def dist(term_names):
-        counts = rng.integers(1, 4, size=len(term_names)).astype(np.float64)
-        return NBowDistribution(terms=tuple(term_names), weights=counts / counts.sum())
-
-    return dist(names[:m]), dist(names[m:]), table
+    vectors = np.array([rng.integers(-1, 2, size=2).astype(float) for _ in range(m + n)])
+    return counts_state(rng, vectors[:m], 4), counts_state(rng, vectors[m:], 4)
 
 
-def cost_of(da: NBowDistribution, db: NBowDistribution, table: EmbeddingTable) -> np.ndarray:
-    return np.array(
-        [[np.linalg.norm(table.vector(s) - table.vector(t)) for t in db.terms] for s in da.terms]
-    )
+def weights_of(doc: EmbeddedDoc) -> np.ndarray:
+    return doc.masses / MASS_SCALE
+
+
+def cost_of(da: EmbeddedDoc, db: EmbeddedDoc) -> np.ndarray:
+    return np.array([[np.linalg.norm(s - t) for t in db.vectors] for s in da.vectors])
+
+
+def brute_force_wmd(da: EmbeddedDoc, db: EmbeddedDoc) -> float:
+    return brute_force_transport(weights_of(da), weights_of(db), cost_of(da, db))
 
 
 class TestLoader:
@@ -187,53 +189,66 @@ class TestLoader:
 
 
 class TestNbow:
+    """The nBOW side of a document's embedding state."""
+
     TABLE = table_from({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
 
     def test_two_to_one(self):
-        dist = nbow(["a", "a", "b"], self.TABLE)
-        assert dist.terms == ("a", "b")
-        assert list(dist.weights) == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+        doc = embed_doc(["a", "a", "b"], self.TABLE)
+        assert doc.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert list(weights_of(doc)) == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
+        assert np.array_equal(doc.masses, _apportion(np.array([2.0, 1.0]) / 3.0))
 
     def test_single_token(self):
-        dist = nbow(["a"], self.TABLE)
-        assert list(dist.weights) == [1.0]
+        doc = embed_doc(["a"], self.TABLE)
+        assert list(doc.masses) == [MASS_SCALE]
 
     def test_all_out_of_table(self):
-        with pytest.raises(EmptyDistributionError):
-            nbow(["zz", "qq"], self.TABLE)
+        assert embed_doc(["zz", "qq"], self.TABLE) is None
+        assert embed_doc([], self.TABLE) is None
 
-    def test_max_terms_keeps_most_frequent(self):
-        dist = nbow(["c", "b", "b", "a", "a"], self.TABLE, max_terms=2)
+    def test_max_terms_keeps_most_frequent(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "WMD_TERM_CAP", 2)
+        doc = embed_doc(["c", "b", "b", "a", "a"], self.TABLE)
         # counts a:2 b:2 c:1; tie a<b lexicographic
-        assert dist.terms == ("a", "b")
-        assert float(dist.weights.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert doc.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert int(doc.masses.sum()) == MASS_SCALE
+        # the centroid still averages every embedded occurrence, c included
+        assert doc.centroid.tolist() == pytest.approx([0.6, 0.6], abs=1e-12)
 
-    def test_weights_validation(self):
-        with pytest.raises(ValueError):
-            NBowDistribution(terms=("a", "b"), weights=np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            NBowDistribution(terms=("a",), weights=np.array([1.0, 0.0]))
-        with pytest.raises(EmptyDistributionError):
-            NBowDistribution(terms=(), weights=np.zeros(0))
+    @given(st.lists(st.sampled_from(["a", "b", "c", "zz"]), min_size=1, max_size=30))
+    def test_weights_validation(self, tokens):
+        doc = embed_doc(tokens, self.TABLE)
+        if doc is None:
+            assert set(tokens) == {"zz"}
+            return
+        assert doc.masses.dtype == np.int64
+        assert np.all(doc.masses > 0)
+        assert int(doc.masses.sum()) == MASS_SCALE
+        assert len(doc.masses) == len(doc.vectors) == len(set(tokens) - {"zz"})
 
 
 class TestCentroid:
-    TABLE = table_from({"x": [1.0, 0.0], "y": [0.0, 1.0]})
+    TABLE = table_from({"x": [1.0, 0.0], "y": [0.0, 1.0], "o": [0.0, 0.0]})
+
+    def cos(self, tokens_a, tokens_b):
+        return centroid_cosine(embed_doc(tokens_a, self.TABLE), embed_doc(tokens_b, self.TABLE))
 
     def test_same_single_token(self):
-        assert centroid_cosine(["x"], ["x"], self.TABLE) == pytest.approx(1.0, abs=1e-12)
+        assert self.cos(["x"], ["x"]) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert centroid_cosine(["x"], ["y"], self.TABLE) == pytest.approx(0.0, abs=1e-12)
+        assert self.cos(["x"], ["y"]) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_mean(self):
         # side B mean = (0.5, 0.5); cos with (1, 0) = 1/sqrt(2)
-        got = centroid_cosine(["x"], ["x", "y"], self.TABLE)
-        assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+        assert self.cos(["x"], ["x", "y"]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_degenerate_sides(self):
-        assert centroid_cosine([], ["x"], self.TABLE) == 0.0
-        assert centroid_cosine(["unseen"], ["x"], self.TABLE) == 0.0
+        x = embed_doc(["x"], self.TABLE)
+        assert similarity(embed_doc([], self.TABLE), x, CENTROID) == 0.0
+        assert similarity(embed_doc(["unseen"], self.TABLE), x, CENTROID) == 0.0
+        assert self.cos(["o"], ["x"]) == 0.0  # zero-vector centroid
 
 
 class TestApportion:
@@ -276,33 +291,27 @@ class TestWmdExact:
 
     def test_identity_zero(self):
         table = table_from({"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        dist = nbow(["a", "b", "b"], table)
-        assert wmd_exact(dist, dist, table) == 0.0
+        doc = embed_doc(["a", "b", "b"], table)
+        assert wmd_exact(doc, doc) == 0.0
 
     def test_single_vs_single_euclidean(self):
         table = table_from({"a": [0.0, 0.0], "b": [1.0, 2.0]})
-        da, db = nbow(["a"], table), nbow(["b"], table)
-        assert wmd_exact(da, db, table) == pytest.approx(math.sqrt(5.0), abs=1e-9)
+        da, db = embed_doc(["a"], table), embed_doc(["b"], table)
+        assert wmd_exact(da, db) == pytest.approx(math.sqrt(5.0), abs=1e-9)
 
     def test_three_by_three_toy_matches_enumeration(self):
-        table = table_from(
-            {
-                "p": [0.0, 0.0], "q": [2.0, 0.0], "r": [0.0, 2.0],
-                "u": [1.0, 1.0], "v": [3.0, 1.0], "w": [-1.0, 2.0],
-            }
-        )
-        da = NBowDistribution(("p", "q", "r"), np.array([0.5, 0.25, 0.25]))
-        db = NBowDistribution(("u", "v", "w"), np.array([0.25, 0.25, 0.5]))
-        want = brute_force_transport(da.weights, db.weights, cost_of(da, db, table))
-        assert wmd_exact(da, db, table) == pytest.approx(want, abs=1e-6)
+        da = doc_state(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]),
+                       np.array([0.5, 0.25, 0.25]))
+        db = doc_state(np.array([[1.0, 1.0], [3.0, 1.0], [-1.0, 2.0]]),
+                       np.array([0.25, 0.25, 0.5]))
+        assert wmd_exact(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_instances_match_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(4):
-            da, db, table = random_instance(rng)
-            want = brute_force_transport(da.weights, db.weights, cost_of(da, db, table))
-            assert wmd_exact(da, db, table) == pytest.approx(want, abs=1e-6)
+            da, db = random_instance(rng)
+            assert wmd_exact(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
 
     @pytest.mark.parametrize("kind, seed, want", RECORDED)
     def test_recorded_distances_bit_for_bit(self, kind, seed, want):
@@ -321,25 +330,23 @@ class TestWmdExact:
                 "d": [0.0, 1.0], "e": [0.0, 1.0], "f": [1.0, 1.0],
             }
         )
-        weights = np.array([0.25, 0.25, 0.5])
-        same_points = (
-            NBowDistribution(("a", "d", "f"), weights),
-            NBowDistribution(("b", "e", "f"), weights),
-        )
-        assert wmd_exact(*same_points, table) == 0.0
-        assert wmd_exact(same_points[0], same_points[0], table) == 0.0
-        da = NBowDistribution(("a", "b", "d", "f"), np.array([0.125, 0.375, 0.25, 0.25]))
-        db = NBowDistribution(("c", "e", "a"), np.array([0.25, 0.5, 0.25]))
-        want = brute_force_transport(da.weights, db.weights, cost_of(da, db, table))
-        assert wmd_exact(da, db, table) == pytest.approx(want, abs=1e-6)
+
+        def doc(terms, weights):
+            return doc_state(np.vstack([table.vector(t) for t in terms]), np.array(weights))
+
+        same_points = (doc("adf", [0.25, 0.25, 0.5]), doc("bef", [0.25, 0.25, 0.5]))
+        assert wmd_exact(*same_points) == 0.0
+        assert wmd_exact(same_points[0], same_points[0]) == 0.0
+        da = doc("abdf", [0.125, 0.375, 0.25, 0.25])
+        db = doc("cea", [0.25, 0.5, 0.25])
+        assert wmd_exact(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_grid_vector_ties_match_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(4):
-            da, db, table = tie_instance(rng)
-            want = brute_force_transport(da.weights, db.weights, cost_of(da, db, table))
-            assert wmd_exact(da, db, table) == pytest.approx(want, abs=1e-6)
+            da, db = tie_instance(rng)
+            assert wmd_exact(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9])
     def test_any_cost_scale(self, scale):
@@ -349,30 +356,29 @@ class TestWmdExact:
         instances = [random_instance(rng) for _ in range(10)]
         instances += [tie_instance(rng, max_side=5) for _ in range(10)]
         instances.append(fnc_shaped_instance(0, n=40))
-        for da, db, table in instances:
-            scaled = EmbeddingTable(terms=table.terms, matrix=table.matrix * scale)
-            want = scale * wmd_exact(da, db, table)
-            assert wmd_exact(da, db, scaled) == pytest.approx(want, rel=1e-9)
+        for da, db in instances:
+            want = scale * wmd_exact(da, db)
+            scaled = [d._replace(vectors=d.vectors * scale) for d in (da, db)]
+            assert wmd_exact(*scaled) == pytest.approx(want, rel=1e-9)
 
     def test_symmetry(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
-            da, db, table = random_instance(rng)
-            assert wmd_exact(da, db, table) == pytest.approx(wmd_exact(db, da, table), abs=1e-9)
+            da, db = random_instance(rng)
+            assert wmd_exact(da, db) == pytest.approx(wmd_exact(db, da), abs=1e-9)
 
     def test_flow_marginals_exact(self):
         rng = np.random.default_rng(7)
         instances = [random_instance(rng) for _ in range(10)]
         instances += [tie_instance(rng) for _ in range(10)]
         instances.append(fnc_shaped_instance(2))
-        for da, db, table in instances:
-            supply, demand = _apportion(da.weights), _apportion(db.weights)
-            flow = _transport_min_cost(supply, demand, _cost_matrix(da, db, table))
-            assert flow.shape == (len(da.terms), len(db.terms))
+        for da, db in instances:
+            flow = _transport_min_cost(da.masses, db.masses, _cost_matrix(da, db))
+            assert flow.shape == (len(da.masses), len(db.masses))
             assert flow.dtype.kind == "i"
             assert np.all(flow >= 0)
-            assert np.array_equal(flow.sum(axis=1), supply)
-            assert np.array_equal(flow.sum(axis=0), demand)
+            assert np.array_equal(flow.sum(axis=1), da.masses)
+            assert np.array_equal(flow.sum(axis=0), db.masses)
 
     def test_unbalanced_masses_rejected(self):
         with pytest.raises(ValueError, match="balance"):
@@ -382,43 +388,42 @@ class TestWmdExact:
 class TestWmdRelaxed:
     def test_identity_zero(self):
         table = table_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
-        dist = nbow(["a", "b"], table)
-        assert wmd_relaxed(dist, dist, table) == 0.0
+        doc = embed_doc(["a", "b"], table)
+        assert wmd_relaxed(doc, doc) == 0.0
 
     def test_single_vs_single_equals_exact(self):
         table = table_from({"a": [0.0, 1.0], "b": [1.0, 1.0]})
-        da, db = nbow(["a"], table), nbow(["b"], table)
-        exact = wmd_exact(da, db, table)
-        assert wmd_relaxed(da, db, table) == pytest.approx(exact, abs=1e-12)
+        da, db = embed_doc(["a"], table), embed_doc(["b"], table)
+        assert wmd_relaxed(da, db) == pytest.approx(wmd_exact(da, db), abs=1e-12)
 
     def test_lower_bound_on_100_seeded(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            da, db, table = random_instance(rng)
-            exact = wmd_exact(da, db, table)
-            relaxed = wmd_relaxed(da, db, table)
-            assert relaxed <= exact + 1e-9
+            da, db = random_instance(rng)
+            assert wmd_relaxed(da, db) <= wmd_exact(da, db) + 1e-9
 
 
 class TestSimilarityBlock:
     TABLE = table_from({"near": [0.0, 0.0], "far": [1.0, 0.0], "other": [0.0, 3.0]})
 
+    def value(self, head, body, mode):
+        return similarity(embed_doc(head, self.TABLE), embed_doc(body, self.TABLE), mode)
+
     def test_centroid_identical(self):
-        value = similarity_block(["near", "far"], ["near", "far"], self.TABLE, CENTROID)
+        value = self.value(["near", "far"], ["near", "far"], CENTROID)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_wmd_zero_distance_is_one(self):
-        value = similarity_block(["near"], ["near"], self.TABLE, WMD_EXACT)
-        assert value == pytest.approx(1.0, abs=1e-12)
+        assert self.value(["near"], ["near"], WMD_EXACT) == pytest.approx(1.0, abs=1e-12)
 
     def test_wmd_unit_distance_is_half(self):
         for mode in (WMD_EXACT, WMD_RELAXED):
-            value = similarity_block(["near"], ["far"], self.TABLE, mode)
-            assert value == pytest.approx(0.5, abs=1e-9)
+            assert self.value(["near"], ["far"], mode) == pytest.approx(0.5, abs=1e-9)
 
     def test_unembedded_side_zero(self):
         for mode in SIMILARITY_MODES:
-            assert similarity_block(["zz", "qq"], ["near"], self.TABLE, mode) == 0.0
+            assert self.value(["zz", "qq"], ["near"], mode) == 0.0
+            assert self.value(["near"], [], mode) == 0.0
 
     def test_block_names_follow_mode(self):
         corpus = make_corpus([Instance("near", 1, None)], {1: "far"})
@@ -438,4 +443,4 @@ class TestSimilarityBlock:
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown similarity mode"):
-            similarity_block(["near"], ["far"], self.TABLE, "manhattan")
+            self.value(["near"], ["far"], "manhattan")

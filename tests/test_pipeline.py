@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stancekit.corpus import Corpus, Instance, Stance, make_corpus
-from stancekit.embeddings import CENTROID, WMD_RELAXED, load_embeddings
+from stancekit.embeddings import CENTROID, WMD_EXACT, WMD_RELAXED, load_embeddings
 from stancekit.ensemble import SUMMATION, EnsembleMember, EnsembleSpec
 from stancekit.errors import ConfigError, IntegrityError
 from stancekit.keywords import corpus_documents
@@ -218,13 +218,12 @@ class TestSimilarityBlocks:
 
 def shared_headline_corpus():
     """Synthetic corpus in which every headline is also paired with a
-    second body, as FNC-1 pairs one claim with many bodies."""
+    second body, as FNC-1 pairs one claim with many bodies. One headline
+    has no word with an embedding, so its similarity columns degenerate."""
     base = synthetic_corpus(n_instances=48, n_bodies=12, seed=4)
-    extra = [
-        Instance(i.headline, i.body_id % 12 + 1, Stance.UNRELATED)
-        for i in base.instances
-    ]
-    return make_corpus(base.instances + tuple(extra), base.bodies)
+    first = base.instances + (Instance("zyzzyva quux xyzzy", 1, Stance.UNRELATED),)
+    extra = [Instance(i.headline, i.body_id % 12 + 1, Stance.UNRELATED) for i in first]
+    return make_corpus(first + tuple(extra), base.bodies)
 
 
 ORACLE_KEYWORDS = {
@@ -243,6 +242,13 @@ ORACLE_PIPELINES = {
         BlockSpec(kind="similarity", mode=WMD_RELAXED),
         BlockSpec(kind="indicator", keywords="manual"),
         BlockSpec(kind="baseline"),
+    ),
+    "wmd_exact": (BlockSpec(kind="baseline"), BlockSpec(kind="similarity", mode=WMD_EXACT)),
+    # every similarity mode shares one embedded state per document
+    "similarity": (
+        BlockSpec(kind="similarity", mode=WMD_EXACT),
+        BlockSpec(kind="similarity", mode=CENTROID),
+        BlockSpec(kind="similarity", mode=WMD_RELAXED),
     ),
 }
 
