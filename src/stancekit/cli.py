@@ -53,6 +53,7 @@ from .mlp import MlpModel, load_model, save_model
 from .mlp import train as train_mlp
 from .pipeline import (
     FittedPipeline,
+    PipelineSpec,
     SIMILARITY,
     body_vocabulary,
     fit_keyword_set,
@@ -60,6 +61,7 @@ from .pipeline import (
     load_pipeline,
     member_probabilities,
     save_pipeline,
+    selecting,
     stance_labels,
 )
 from .text import tokenize
@@ -190,21 +192,29 @@ def _train_models(
     embeddings: EmbeddingTable | None,
     epoch_logs: dict[str, list[str]] | None = None,
 ) -> tuple[dict[str, FittedPipeline], dict[str, MlpModel]]:
-    """Fit each needed pipeline once, then train the named models on it."""
-    fitted: dict[str, FittedPipeline] = {}
+    """Fit the union of the named models' pipeline blocks once and build
+    each block once, then train every model on its pipeline's blocks. The
+    returned pipelines all derive from that one fit."""
+    pids = list(dict.fromkeys(cfg.models[name].pipeline for name in names))
+    union = tuple(dict.fromkeys(b for pid in pids for b in cfg.pipelines[pid].blocks))
+    shared = fit_pipeline(
+        PipelineSpec(name="+".join(pids), blocks=union),
+        corpus,
+        keyword_specs=cfg.keyword_specs,
+        embeddings=embeddings,
+        vocab_capacity=cfg.features.vocab_capacity,
+        tf_log1p=cfg.features.tf_log1p,
+    )
+    fitted = {pid: replace(shared, spec=cfg.pipelines[pid]) for pid in pids}
+    blocks = shared.block_matrices(corpus)
+    labels = stance_labels(corpus)
     models: dict[str, MlpModel] = {}
-    for name in names:
+    for i, name in enumerate(names):
         mc = cfg.models[name]
-        if mc.pipeline not in fitted:
-            fitted[mc.pipeline] = fit_pipeline(
-                cfg.pipelines[mc.pipeline],
-                corpus,
-                keyword_specs=cfg.keyword_specs,
-                embeddings=embeddings,
-                vocab_capacity=cfg.features.vocab_capacity,
-                tf_log1p=cfg.features.tf_log1p,
-            )
-        matrix = fitted[mc.pipeline].matrix(corpus)
+        matrix = fitted[mc.pipeline].assemble(blocks)
+        # a block no later model reads is not held twice (as itself and in matrix)
+        later = {b for n in names[i + 1 :] for b in cfg.pipelines[cfg.models[n].pipeline].blocks}
+        blocks = {b: m for b, m in blocks.items() if b in later}
         callback = None
         if epoch_logs is not None:
             lines = epoch_logs.setdefault(name, [])
@@ -213,15 +223,11 @@ def _train_models(
                 _lines.append(f"model={_name} epoch={epoch} loss={loss!r}")
 
         try:
-            models[name] = train_mlp(
-                matrix,
-                stance_labels(corpus),
-                mc.training,
-                hidden_dim=mc.hidden_dim,
-                epoch_callback=callback,
-            )
+            models[name] = train_mlp(matrix, labels, mc.training, hidden_dim=mc.hidden_dim,
+                                     epoch_callback=callback)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(exc.epoch, f"model {name!r}: {exc}") from None
+        del matrix  # freed before the next model's is assembled
     return fitted, models
 
 
@@ -432,9 +438,10 @@ def keywords(config_path, out_dir, seed, models_csv):
     for name in names:
         spec = cfg.keyword_specs[name]
         if spec.selector == "micc":
-            groups = select_keywords_micc(
-                documents, spec.themes, candidates, spec.k, name_prefix=spec.name
-            )
+            with selecting(spec):
+                groups = select_keywords_micc(
+                    documents, spec.themes, candidates, spec.k, name_prefix=spec.name
+                )
             for theme, group in groups.items():
                 fname = f"{name}.{theme}.keywords.txt"
                 write_keyword_set(group, out / fname)

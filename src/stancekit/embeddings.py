@@ -5,9 +5,9 @@ its vector per line, optional "count dim" header).
 
 Similarity features are document-level. embed_doc turns one document
 into an EmbeddedDoc once: the centroid of its per-occurrence vectors and
-its norm, plus its nBOW side, the vectors of its most frequent embedded
-terms with their normalized counts apportioned to integer masses. Every
-pair kernel (centroid_cosine, wmd_relaxed, wmd_exact) is a function of
+its norm, plus, for the WMD modes, its nBOW side: the vectors of its most
+frequent embedded terms, their normalized counts apportioned to integer
+masses. Every pair kernel (centroid_cosine, wmd_relaxed, wmd_exact) is a function of
 two such states and never touches the table, so a body shared by many
 headlines, or scored in several similarity modes, is embedded once. A
 document without any embedded token has no state (None), and its
@@ -141,27 +141,31 @@ class EmbeddedDoc(NamedTuple):
 
     centroid: np.ndarray  # (dim,) mean of the per-occurrence vectors
     norm: float  # L2 norm of the centroid
-    vectors: np.ndarray  # (m, dim) vectors of the WMD_TERM_CAP most frequent terms
-    masses: np.ndarray  # (m,) int64 nBOW masses of those terms, summing to MASS_SCALE
+    vectors: np.ndarray | None  # (m, dim) vectors of the WMD_TERM_CAP most frequent terms
+    masses: np.ndarray | None  # (m,) int64 nBOW masses of those terms, summing to MASS_SCALE
 
 
-def embed_doc(tokens: Sequence[str], table: EmbeddingTable) -> EmbeddedDoc | None:
+def embed_doc(
+    tokens: Sequence[str], table: EmbeddingTable, nbow: bool = True
+) -> EmbeddedDoc | None:
     """Embedding state of a token list; None when no token has a vector.
 
     The centroid averages one vector per embedded occurrence. The nBOW
-    side keeps the WMD_TERM_CAP most frequent embedded terms (ties
-    lexicographic) and apportions their normalized counts to integer masses.
+    side (vectors and masses None unless nbow) keeps the WMD_TERM_CAP most
+    frequent embedded terms (ties lexicographic) and apportions their
+    normalized counts to integer masses.
     """
     index = table.index
     embedded = [t for t in tokens if t in index]
     if not embedded:
         return None
     centroid = np.mean(table.matrix[[index[t] for t in embedded]], axis=0)
+    doc = EmbeddedDoc(centroid, float(np.linalg.norm(centroid)), None, None)
+    if not nbow:
+        return doc
     top = sorted(Counter(embedded).items(), key=lambda kv: (-kv[1], kv[0]))[:WMD_TERM_CAP]
     counts = np.array([count for _, count in top], dtype=np.float64)
-    return EmbeddedDoc(
-        centroid=centroid,
-        norm=float(np.linalg.norm(centroid)),
+    return doc._replace(
         vectors=table.matrix[[index[t] for t, _ in top]],
         masses=_apportion(counts / counts.sum()),
     )

@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import STANCES, Stance
 from .errors import DataFormatError, TrainingDivergedError
@@ -58,7 +57,7 @@ class TrainingConfig:
 class MlpModel:
     """Weights, biases, and the feature layout the model was trained on."""
 
-    w1: np.ndarray  # (hidden, input)
+    w1: np.ndarray  # (input, hidden), C-contiguous: the layout x @ w1 reads
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (4, hidden)
     b2: np.ndarray  # (4,)
@@ -66,11 +65,11 @@ class MlpModel:
 
     @property
     def input_dim(self) -> int:
-        return self.w1.shape[1]
+        return self.w1.shape[0]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[1]
 
     @property
     def output_dim(self) -> int:
@@ -90,12 +89,16 @@ def init_model(
     feature_layout: tuple[BlockSlice, ...],
     seed: int,
 ) -> MlpModel:
-    """Glorot-uniform weights, zero biases, from a dedicated RNG stream."""
+    """Glorot-uniform weights, zero biases, from a dedicated RNG stream.
+
+    w1 is drawn hidden-major, the order model files store it in, then kept
+    input-major.
+    """
     rng = np.random.default_rng(seed)
     a1 = np.sqrt(6.0 / (input_dim + hidden_dim))
     a2 = np.sqrt(6.0 / (hidden_dim + OUTPUT_DIM))
     return MlpModel(
-        w1=rng.uniform(-a1, a1, size=(hidden_dim, input_dim)),
+        w1=np.ascontiguousarray(rng.uniform(-a1, a1, size=(hidden_dim, input_dim)).T),
         b1=np.zeros(hidden_dim),
         w2=rng.uniform(-a2, a2, size=(OUTPUT_DIM, hidden_dim)),
         b2=np.zeros(OUTPUT_DIM),
@@ -120,7 +123,7 @@ def _batch_forward(model: MlpModel, x, mask: np.ndarray | None = None, keep: flo
     # overflow here surfaces as a non-finite objective, which train() turns
     # into TrainingDivergedError; the interim warnings are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        hidden_pre = np.asarray(x @ model.w1.T) + model.b1
+        hidden_pre = np.asarray(x @ model.w1) + model.b1
         hidden = np.maximum(0.0, hidden_pre)
         if mask is not None:
             hidden = hidden * mask / keep
@@ -132,22 +135,18 @@ def _batch_forward(model: MlpModel, x, mask: np.ndarray | None = None, keep: flo
 
 
 def _l2_term(model: MlpModel, l2_lambda: float) -> float:
+    # squares summed hidden-major, the order the logged losses are defined in
     with np.errstate(over="ignore", invalid="ignore"):
-        return l2_lambda * (float(np.sum(model.w1**2)) + float(np.sum(model.w2**2)))
-
-
-def _batch_objective(model, x, y, l2_lambda, mask=None, keep=1.0):
-    """Mean cross-entropy plus the l2 penalty, computed from logits."""
-    if len(y) == 0:
-        raise ValueError("empty batch")
-    _, _, _, logits, lse = _batch_forward(model, x, mask, keep)
-    ce = float(np.mean(lse - logits[np.arange(len(y)), y]))
-    return ce + _l2_term(model, l2_lambda)
+        w1_sq = np.square(model.w1.T, order="C")
+        return l2_lambda * (float(np.sum(w1_sq)) + float(np.sum(model.w2**2)))
 
 
 def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0):
-    """(objective, grads) for one mini-batch; grads keyed like the fields."""
+    """(objective, grads) for one mini-batch: mean cross-entropy, computed
+    from logits, plus the l2 penalty; grads keyed like the fields."""
     n = len(y)
+    if n == 0:
+        raise ValueError("empty batch")
     hidden_pre, hidden, probs, logits, lse = _batch_forward(model, x, mask, keep)
     ce = float(np.mean(lse - logits[np.arange(n), y]))
 
@@ -161,10 +160,8 @@ def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0):
     if mask is not None:
         g_hidden = g_hidden * mask / keep
     g_pre = g_hidden * (hidden_pre > 0.0)
-    if sparse.issparse(x):
-        g_w1 = np.asarray((x.T @ g_pre)).T + 2.0 * l2_lambda * model.w1
-    else:
-        g_w1 = g_pre.T @ x + 2.0 * l2_lambda * model.w1
+    g_w1 = np.asarray(x.T @ g_pre)
+    g_w1 += 2.0 * l2_lambda * model.w1
     g_b1 = g_pre.sum(axis=0)
 
     objective = ce + _l2_term(model, l2_lambda)
@@ -211,11 +208,11 @@ def train(
             objective, grads = _batch_gradients(model, xb, yb, config.l2_lambda, mask, keep)
             if not np.isfinite(objective):
                 raise TrainingDivergedError(epoch)
-            lr = config.learning_rate
-            model.w1 -= lr * grads["w1"]
-            model.b1 -= lr * grads["b1"]
-            model.w2 -= lr * grads["w2"]
-            model.b2 -= lr * grads["b2"]
+            for name, grad in grads.items():  # in place: no weight-sized temporaries
+                grad *= config.learning_rate
+                param = getattr(model, name)
+                param -= grad
+            del grads  # frees g_w1 before the next batch allocates its own
             epoch_loss += objective * len(idx)
         if epoch_callback is not None:
             epoch_callback(epoch, epoch_loss / n)
@@ -241,8 +238,6 @@ def gradient_check(
         raise ValueError("gradient_check requires dropout_keep == 1")
     x = np.asarray(x, dtype=np.float64)
     y = np.array([_label_index(lbl) for lbl in labels])
-    if len(y) == 0:
-        raise ValueError("empty batch")
 
     _, grads = _batch_gradients(model, x, y, config.l2_lambda)
     params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),
@@ -261,9 +256,9 @@ def gradient_check(
         view = param.reshape(-1)
         original = view[flat]
         view[flat] = original + step
-        up = _batch_objective(model, x, y, config.l2_lambda)
+        up = _batch_gradients(model, x, y, config.l2_lambda)[0]
         view[flat] = original - step
-        down = _batch_objective(model, x, y, config.l2_lambda)
+        down = _batch_gradients(model, x, y, config.l2_lambda)[0]
         view[flat] = original
         numeric = (up - down) / (2.0 * step)
         analytic = grad.reshape(-1)[flat]
@@ -273,7 +268,8 @@ def gradient_check(
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    """Versioned flat binary; arrays are row-major little-endian float64."""
+    """Versioned flat binary; arrays are row-major little-endian float64,
+    w1 hidden-major as (hidden, input)."""
     blocks = model.feature_layout
     out = bytearray()
     out += _MAGIC
@@ -282,7 +278,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
     for b in blocks:
         name = b.name.encode("utf-8")
         out += struct.pack("<I", len(name)) + name + struct.pack("<II", b.offset, b.length)
-    for arr in (model.w1, model.b1, model.w2, model.b2):
+    for arr in (model.w1.T, model.b1, model.w2, model.b2):
         out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     Path(path).write_bytes(bytes(out))
 
@@ -318,7 +314,7 @@ def load_model(path: str | Path) -> MlpModel:
         return np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
 
     model = MlpModel(
-        w1=array((hidden_dim, input_dim)),
+        w1=np.ascontiguousarray(array((hidden_dim, input_dim)).T),
         b1=array((hidden_dim,)),
         w2=array((output_dim, hidden_dim)),
         b2=array((output_dim,)),

@@ -6,20 +6,24 @@ every data-dependent part (vocabularies, IDF weights, keyword selections)
 from the training corpus alone, so cross-validation folds rebuilt through
 fit_pipeline stay leakage-free by construction.
 
-Featurization is document-level: matrix() tokenizes and counts each
-distinct headline and body once, builds one CSR row per document with
-that side's TF and keyword-presence columns, and assembles instance rows
-as headline row + body row + the pairwise columns. A pairwise column
-(TF-IDF cosine, embedding similarity) is a function of two document
-states built once per distinct headline and body, evaluated once per
-distinct headline/body pair.
+Each block owns its columns: block_matrices() tokenizes each distinct
+headline and body once, builds a block's rows once per document and
+gathers them to instances, and scores each pair column (TF-IDF cosine,
+embedding similarity) once per distinct headline/body pair from document
+states built once per document. assemble() lays a pipeline's blocks side
+by side. Pipelines trained on one corpus can thus share one fit of the
+union of their blocks and one set of block matrices: each is then
+dataclasses.replace(shared, spec=...), and featurizes and saves exactly
+as a fit of its own spec would.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -27,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, Stance
-from .embeddings import EmbeddingTable, SIMILARITY_MODES, embed_doc, similarity
+from .embeddings import CENTROID, EmbeddingTable, SIMILARITY_MODES, embed_doc, similarity
 from .ensemble import EnsembleSpec, decisions, fuse
 from .errors import ConfigError, DataFormatError
 from .keywords import (
@@ -130,21 +134,19 @@ class FeatureMatrix:
         return self.matrix.shape
 
 
-def _micc_flat(groups: Mapping[str, KeywordSet], spec: KeywordSpec) -> KeywordSet:
-    # theme groups flatten to one ordered, deduplicated indicator list
-    seen: dict[str, None] = {}
-    for theme in spec.themes:
-        for term in groups[theme].terms:
-            seen.setdefault(term)
-    params = (("themes", "+".join(spec.themes)), ("k", str(spec.k)))
-    return KeywordSet(
-        name=spec.name, terms=tuple(seen), provenance="micc", params=params
-    )
-
-
 def body_vocabulary(body_tokens: Iterable[TokenList], capacity: int) -> Vocabulary:
     """TF vocabulary of the body side, also the keyword candidate terms."""
     return build_vocabulary(body_tokens, capacity, ENGLISH_STOPWORDS, source="body")
+
+
+@contextmanager
+def selecting(spec: KeywordSpec):
+    """Raise a selector's failure on the training data (say, no document in
+    a class) as a ConfigError naming the keyword set."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"keyword set {spec.name!r} ({spec.selector} selector): {exc}") from None
 
 
 def fit_keyword_set(
@@ -159,25 +161,27 @@ def fit_keyword_set(
         return KeywordSet(
             name=spec.name, terms=spec.terms, provenance="manual", params=()
         )
-    if spec.selector == "mi":
-        positive = stance_positive_bodies(corpus, spec.positive)
-        classes = "+".join(s.value for s in spec.positive)
-        ks = select_keywords_mi(documents, positive, candidates, spec.k, name=spec.name)
-        return KeywordSet(
-            name=spec.name,
-            terms=ks.terms,
-            provenance="mi",
-            params=(("positive", classes), ("k", str(spec.k))),
+    with selecting(spec):
+        if spec.selector == "mi":
+            positive = stance_positive_bodies(corpus, spec.positive)
+            ks = select_keywords_mi(documents, positive, candidates, spec.k, name=spec.name)
+            classes = "+".join(s.value for s in spec.positive)
+            params = (("positive", classes), ("k", str(spec.k)))
+            return KeywordSet(name=spec.name, terms=ks.terms, provenance="mi", params=params)
+        groups = select_keywords_micc(
+            documents, spec.themes, candidates, spec.k, name_prefix=spec.name
         )
-    groups = select_keywords_micc(
-        documents, spec.themes, candidates, spec.k, name_prefix=spec.name
-    )
-    return _micc_flat(groups, spec)
+    # theme groups flatten to one ordered, deduplicated indicator list
+    terms = dict.fromkeys(t for theme in spec.themes for t in groups[theme].terms)
+    params = (("themes", "+".join(spec.themes)), ("k", str(spec.k)))
+    return KeywordSet(name=spec.name, terms=tuple(terms), provenance="micc", params=params)
 
 
 @dataclass
 class FittedPipeline:
-    """A pipeline after fitting; read-only once constructed."""
+    """A pipeline after fitting; read-only once constructed. Its fitted state
+    may cover more blocks than spec (a shared fit); featurizing and saving
+    read only what spec uses."""
 
     spec: PipelineSpec
     headline_vocab: Vocabulary | None
@@ -189,95 +193,41 @@ class FittedPipeline:
     tf_log1p: bool = False
 
     def __post_init__(self):
-        layout: list[BlockSlice] = []
-        starts: list[int] = []
-        offset = 0
-
-        def add(name: str, length: int):
-            nonlocal offset
-            layout.append(BlockSlice(name, offset, length))
-            offset += length
-
+        columns: list[tuple[str, int]] = []  # (name, length) of each column group
         for block in self.spec.blocks:
-            starts.append(offset)
             if block.kind == BASELINE:
-                add("tf_headline", len(self.headline_vocab))
-                add("tf_body", len(self.body_vocab))
-                add("tfidf_cos", 1)
+                columns += [("tf_headline", len(self.headline_vocab)),
+                            ("tf_body", len(self.body_vocab)), ("tfidf_cos", 1)]
             elif block.kind == INDICATOR:
                 ks = self.keyword_sets[block.keywords]
-                add(f"kw_{ks.name}", 2 * len(ks.terms))
+                columns.append((f"kw_{ks.name}", 2 * len(ks.terms)))
             else:
-                add("emb_" + block.mode.replace("-", "_"), 1)
-        names = [b.name for b in layout]
-        if len(set(names)) != len(names):
+                columns.append(("emb_" + block.mode.replace("-", "_"), 1))
+        if len({name for name, _ in columns}) != len(columns):
             raise ConfigError(f"pipeline {self.spec.name!r} has duplicate block names")
-        self.layout = tuple(layout)
-        self.input_dim = offset
-        self._starts = tuple(starts)
+        starts = accumulate((length for _, length in columns), initial=0)
+        self.layout = tuple(BlockSlice(n, s, length) for (n, length), s in zip(columns, starts))
+        self.input_dim = sum(length for _, length in columns)
 
-    def _side_matrix(self, docs: Sequence[TokenList], side: int) -> sp.csr_matrix:
-        """One row per headline (side 0) or body (side 1) document.
-
-        A row holds that side's TF counts and keyword-presence bits at their
-        final columns: headline bit i of an indicator block at 2i, body bit
-        at 2i + 1. tf_log1p transforms the TF values only.
-        """
-        indptr, indices, data = [0], [], []
-        for tokens in docs:
-            present = set(tokens)
-            for block, start in zip(self.spec.blocks, self._starts):
-                if block.kind == BASELINE:
-                    if side:
-                        start += len(self.headline_vocab)
-                    counts = tf_counts(tokens, self.body_vocab if side else self.headline_vocab)
-                    indices.extend(start + i for i in counts)
-                    values = list(counts.values())
-                    data.extend(np.log1p(values) if self.tf_log1p else values)
-                elif block.kind == INDICATOR:
-                    terms = self.keyword_sets[block.keywords].terms
-                    hits = [start + side + 2 * i for i, t in enumerate(terms) if t in present]
-                    indices.extend(hits)
-                    data.extend([1.0] * len(hits))
-            indptr.append(len(indices))
-        mat = sp.csr_matrix(
-            (
-                np.array(data, dtype=np.float64),
-                np.array(indices, dtype=np.int64),
-                np.array(indptr, dtype=np.int64),
-            ),
-            shape=(len(docs), self.input_dim),
-        )
-        mat.sort_indices()
-        return mat
-
-    def _pair_matrix(
-        self,
-        head_tokens: Sequence[TokenList],
-        body_tokens: Sequence[TokenList],
-        head_row: list[int],
-        body_row: list[int],
-    ) -> sp.csr_matrix:
-        """TF-IDF cosine and similarity columns of each distinct (headline,
-        body) pair, gathered to instance rows.
-
-        Every pair column is a function of two document states, a TfidfDoc
-        and an EmbeddedDoc, each built once per distinct headline and body
-        and only for the pair blocks the pipeline has. A body's states live
-        only while its pairs are scored.
-        """
-        columns: list[int] = []
+    def _pair_columns(
+        self, head_tokens: list, body_tokens: list, head_row: list, body_row: list
+    ) -> dict[BlockSpec, sp.csr_matrix]:
+        """The pair column of each baseline (TF-IDF cosine) and similarity
+        block, gathered to instance rows. A body's document states live
+        only while its pairs are scored."""
         state_fns: dict[str, Callable] = {}  # document state name -> its constructor
-        kernels: list[tuple[str, Callable]] = []  # (state name, pair kernel)
-        for block, start in zip(self.spec.blocks, self._starts):
+        kernels: dict[BlockSpec, tuple[str, Callable]] = {}  # block -> (state name, kernel)
+        for block in self.spec.blocks:
             if block.kind == BASELINE:
-                columns.append(start + len(self.headline_vocab) + len(self.body_vocab))
                 state_fns["tfidf"] = partial(tfidf_doc, vocab=self.shared_vocab, idf=self.idf)
-                kernels.append(("tfidf", tfidf_cosine))
+                kernels[block] = ("tfidf", tfidf_cosine)
             elif block.kind == SIMILARITY:
-                columns.append(start)
-                state_fns["embedded"] = partial(embed_doc, table=self.embeddings)
-                kernels.append(("embedded", partial(similarity, mode=block.mode)))
+                kernels[block] = ("embedded", partial(similarity, mode=block.mode))
+        modes = {b.mode for b in kernels if b.kind == SIMILARITY}
+        if modes:  # only the WMD modes read a document's nBOW half
+            state_fns["embedded"] = partial(
+                embed_doc, table=self.embeddings, nbow=modes != {CENTROID}
+            )
 
         def state(tokens: TokenList) -> dict:
             return {name: make(tokens) for name, make in state_fns.items()}
@@ -292,33 +242,73 @@ class FittedPipeline:
         for b, members in by_body.items():
             body = state(body_tokens[b])
             for h, k in members:
-                pair_values[k] = [kernel(heads[h][name], body[name]) for name, kernel in kernels]
+                pair_values[k] = [kernel(heads[h][n], body[n]) for n, kernel in kernels.values()]
         values = np.array(pair_values, dtype=np.float64).reshape(len(pairs), len(kernels))[pair_row]
-        rows, ks = np.nonzero(values)
-        return sp.csr_matrix(
-            (values[rows, ks], (rows, np.array(columns, dtype=np.int64)[ks])),
-            shape=(len(head_row), self.input_dim),
-        )
+        return {block: sp.csr_matrix(values[:, [j]]) for j, block in enumerate(kernels)}
 
-    def matrix(self, corpus: Corpus) -> FeatureMatrix:
-        """CSR feature matrix over all corpus instances, in corpus order.
-
-        Each distinct headline and body is tokenized and counted once; an
-        instance row is its headline row plus its body row plus the
-        pairwise columns.
-        """
+    def block_matrices(self, corpus: Corpus) -> dict[BlockSpec, sp.csr_matrix]:
+        """One CSR column group per spec block, rows in corpus order and
+        columns numbered from 0 inside the block: baseline is headline TF,
+        body TF, then the TF-IDF cosine; indicator has keyword i's headline
+        bit at 2i and its body bit at 2i + 1; similarity is one column."""
         heads: dict[str, int] = {}
         bodies: dict[int, int] = {}
         head_row = [heads.setdefault(i.headline, len(heads)) for i in corpus.instances]
         body_row = [bodies.setdefault(i.body_id, len(bodies)) for i in corpus.instances]
         head_tokens = [tokenize(h) for h in heads]
         body_tokens = [tokenize(corpus.body_text(b)) for b in bodies]
-        mat = (
-            self._side_matrix(head_tokens, 0)[head_row]
-            + self._side_matrix(body_tokens, 1)[body_row]
-            + self._pair_matrix(head_tokens, body_tokens, head_row, body_row)
-        )
+        pair_columns = self._pair_columns(head_tokens, body_tokens, head_row, body_row)
+        blocks: dict[BlockSpec, sp.csr_matrix] = {}
+        for block in self.spec.blocks:
+            if block.kind == BASELINE:
+                parts = []
+                for docs, at, vocab in (
+                    (head_tokens, head_row, self.headline_vocab),
+                    (body_tokens, body_row, self.body_vocab),
+                ):
+                    tf = _csr_rows([tf_counts(tokens, vocab) for tokens in docs], len(vocab))
+                    if self.tf_log1p:
+                        tf.data = np.log1p(tf.data)
+                    parts.append(tf[at])
+                blocks[block] = sp.hstack(parts + [pair_columns[block]], format="csr")
+            elif block.kind == INDICATOR:
+                terms = self.keyword_sets[block.keywords].terms
+                head, body = (
+                    _csr_rows([_keyword_bits(t, terms, side) for t in docs], 2 * len(terms))
+                    for side, docs in enumerate((head_tokens, body_tokens))
+                )
+                blocks[block] = head[head_row] + body[body_row]
+            else:
+                blocks[block] = pair_columns[block]
+        return blocks
+
+    def assemble(self, blocks: Mapping[BlockSpec, sp.csr_matrix]) -> FeatureMatrix:
+        """The spec's blocks side by side in spec order; blocks may hold more."""
+        mat = sp.hstack([blocks[b] for b in self.spec.blocks], format="csr")
         return FeatureMatrix(matrix=mat, layout=self.layout)
+
+    def matrix(self, corpus: Corpus) -> FeatureMatrix:
+        """CSR feature matrix over all corpus instances, in corpus order."""
+        return self.assemble(self.block_matrices(corpus))
+
+
+def _csr_rows(rows: Sequence[Mapping[int, float]], width: int) -> sp.csr_matrix:
+    """One CSR row per {column: value} mapping, indices sorted."""
+    indptr, indices, data = [0], [], []
+    for row in rows:
+        indices.extend(row)
+        data.extend(row.values())
+        indptr.append(len(indices))
+    data = np.array(data, dtype=np.float64)
+    mat = sp.csr_matrix((data, indices, indptr), shape=(len(rows), width))
+    mat.sort_indices()
+    return mat
+
+
+def _keyword_bits(tokens: TokenList, terms: Sequence[str], side: int) -> dict[int, float]:
+    """Presence bits of one headline (side 0) or body (side 1) at 2i + side."""
+    present = set(tokens)
+    return {2 * i + side: 1.0 for i, t in enumerate(terms) if t in present}
 
 
 def fit_pipeline(
@@ -426,29 +416,27 @@ def ensemble_predictions(
 
 
 def save_pipeline(fitted: FittedPipeline, out_dir: str | Path, name: str) -> None:
-    """Write the fitted artifact set plus a JSON manifest."""
+    """Write the fitted state the spec uses plus a JSON manifest: the
+    vocabularies and IDF only for a baseline block, and the keyword sets of
+    the spec's own indicator blocks."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
-    for tag, vocab in (
-        ("headline_vocab", fitted.headline_vocab),
-        ("body_vocab", fitted.body_vocab),
-        ("shared_vocab", fitted.shared_vocab),
-    ):
-        if vocab is not None:
+    if any(b.kind == BASELINE for b in fitted.spec.blocks):
+        for tag in ("headline_vocab", "body_vocab", "shared_vocab"):
             fname = f"{name}.{tag}.txt"
-            dump_vocabulary(vocab, out / fname)
+            dump_vocabulary(getattr(fitted, tag), out / fname)
             files[tag] = fname
-    if fitted.idf is not None:
         fname = f"{name}.idf.txt"
         lines = [f"document_count={fitted.idf.document_count}"]
         lines.extend(repr(float(v)) for v in fitted.idf.values)
         (out / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
         files["idf"] = fname
-    for ref, ks in fitted.keyword_sets.items():
-        fname = f"{name}.kw.{ref}.txt"
-        write_keyword_set(ks, out / fname)
-        files[f"keywords:{ref}"] = fname
+    for block in fitted.spec.blocks:
+        if block.kind == INDICATOR:
+            fname = f"{name}.kw.{block.keywords}.txt"
+            write_keyword_set(fitted.keyword_sets[block.keywords], out / fname)
+            files[f"keywords:{block.keywords}"] = fname
     manifest = {
         "format": "stancekit-pipeline",
         "version": 1,

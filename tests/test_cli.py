@@ -99,6 +99,68 @@ def hash_tree(root: Path) -> dict[str, str]:
     }
 
 
+@pytest.fixture()
+def fit_calls(monkeypatch):
+    """The specs of every fit_pipeline call the CLI makes, and the specs of
+    the pipelines it calls block_matrices on."""
+    import stancekit.cli as cli
+    from stancekit.pipeline import FittedPipeline
+
+    calls = {"fit": [], "blocks": []}
+    real_fit, real_blocks = cli.fit_pipeline, FittedPipeline.block_matrices
+
+    def fit(spec, corpus, **kwargs):
+        calls["fit"].append(spec)
+        return real_fit(spec, corpus, **kwargs)
+
+    def block_matrices(self, corpus):
+        calls["blocks"].append(self.spec)
+        return real_blocks(self, corpus)
+
+    monkeypatch.setattr(cli, "fit_pipeline", fit)
+    monkeypatch.setattr(FittedPipeline, "block_matrices", block_matrices)
+    return calls
+
+
+def selector_config(tmp_path: Path, keyword: str, node: dict) -> Path:
+    """base_config with keyword set `keyword` replaced by node and used by
+    the pipeline of a model named sel_kw."""
+    config = base_config(tmp_path)
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    raw["keywords"][keyword] = node
+    raw["pipelines"]["with_sel"] = {
+        "blocks": ["baseline", {"kind": "indicator", "keywords": keyword}]
+    }
+    raw["models"]["sel_kw"] = dict(raw["models"]["base"], pipeline="with_sel")
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return config
+
+
+SELECTOR_FAILURES = {
+    # every training body has a positive stance, so mi has no negative class
+    "mi": ("auto", {"selector": "mi", "k": 4,
+                    "positive": ["agree", "disagree", "discuss", "unrelated"]},
+           "both document classes must be non-empty"),
+    "micc": ("themed", {"selector": "micc", "themes": ["zebra", "quokka"], "k": 3},
+             "no document matched any theme"),
+}
+
+
+class TestKeywordSelectorFailures:
+    """A keyword selector that cannot run on the training data is a
+    configuration error naming the set, from every command that selects."""
+
+    @pytest.mark.parametrize("selector", sorted(SELECTOR_FAILURES))
+    @pytest.mark.parametrize("command", ["train", "cv", "keywords"])
+    def test_exit_2(self, tmp_path, command, selector):
+        keyword, node, reason = SELECTOR_FAILURES[selector]
+        config = selector_config(tmp_path, keyword, node)
+        target = keyword if command == "keywords" else "sel_kw"
+        result = RUNNER.invoke(main, [command, "--config", str(config), "--models", target])
+        assert result.exit_code == 2
+        assert f"keyword set {keyword!r} ({selector} selector): {reason}" in result.stderr
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One shared trained workspace for the read-only command tests."""
@@ -183,6 +245,21 @@ class TestTrain:
         result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "base"])
         assert result.exit_code == 3
         assert "no labels" in result.stderr
+
+    def test_one_fit_and_same_bytes_as_separate_runs(self, tmp_path, fit_calls):
+        config = base_config(tmp_path)
+        run("train", "--config", str(config))
+        [union] = fit_calls["fit"]
+        assert len(union.blocks) == 3
+        # validation scoring featurizes per pipeline; training builds the union once
+        assert fit_calls["blocks"].count(union) == 1
+        together = hash_tree(tmp_path / "out")
+        for name in ("base", "manual_kw", "themed_kw"):
+            alone = tmp_path / f"alone_{name}"
+            run("train", "--config", str(config), "--models", name, "--out", str(alone))
+            separate = hash_tree(alone)
+            assert any(f.endswith(".pipeline.json") for f in separate)
+            assert {f: together[f] for f in separate} == separate
 
     def test_divergence_exit_4(self, tmp_path):
         config = base_config(tmp_path)
@@ -386,6 +463,13 @@ class TestCv:
         first = (tmp_path / "out" / "base.cv.aggregate.txt").read_bytes()
         run("cv", "--config", str(config), "--models", "base")
         assert (tmp_path / "out" / "base.cv.aggregate.txt").read_bytes() == first
+
+    def test_one_fit_per_fold(self, tmp_path, fit_calls):
+        config = base_config(tmp_path)
+        run("cv", "--config", str(config), "--models", "trio", "--jobs", "1")
+        assert len(fit_calls["fit"]) == 3
+        assert {len(spec.blocks) for spec in fit_calls["fit"]} == {3}
+        assert sum(spec in fit_calls["fit"] for spec in fit_calls["blocks"]) == 3
 
     def test_requires_cv_section(self, tmp_path):
         config = base_config(tmp_path)

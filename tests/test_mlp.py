@@ -39,12 +39,12 @@ def objective(model, batch, l2_lambda):
     """Batch objective of (values, stance) pairs."""
     x = np.array([values for values, _ in batch], dtype=np.float64)
     y = np.array([label.index for _, label in batch], dtype=np.int64)
-    return mlp._batch_objective(model, x, y, l2_lambda)
+    return mlp._batch_gradients(model, x, y, l2_lambda)[0]
 
 
 def zero_model(input_dim: int = 2, hidden_dim: int = 2) -> MlpModel:
     return MlpModel(
-        w1=np.zeros((hidden_dim, input_dim)),
+        w1=np.zeros((input_dim, hidden_dim)),
         b1=np.zeros(hidden_dim),
         w2=np.zeros((4, hidden_dim)),
         b2=np.zeros(4),
@@ -61,7 +61,7 @@ def scalar_softmax(logits):
 def scalar_probs(model, x):
     """Forward pass of one example in Python floats, one unit at a time."""
     hidden = [
-        max(0.0, sum(float(model.w1[h, i]) * float(v) for i, v in enumerate(x))
+        max(0.0, sum(float(model.w1[i, h]) * float(v) for i, v in enumerate(x))
             + float(model.b1[h]))
         for h in range(model.hidden_dim)
     ]
@@ -95,7 +95,8 @@ class TestInit:
     def test_shapes_and_determinism(self):
         a = init_model(7, 5, (BlockSlice("in", 0, 7),), seed=3)
         b = init_model(7, 5, (BlockSlice("in", 0, 7),), seed=3)
-        assert a.w1.shape == (5, 7) and a.w2.shape == (4, 5)
+        assert a.w1.shape == (7, 5) and a.w2.shape == (4, 5)
+        assert a.w1.flags.c_contiguous
         assert np.array_equal(a.w1, b.w1) and np.array_equal(a.w2, b.w2)
         assert not a.b1.any() and not a.b2.any()
 
@@ -196,7 +197,7 @@ class TestLoss:
 
         def one_ce(x, label):
             pre = [
-                model.w1[h, 0] * x[0] + model.w1[h, 1] * x[1] + model.b1[h]
+                model.w1[0, h] * x[0] + model.w1[1, h] * x[1] + model.b1[h]
                 for h in range(2)
             ]
             hidden = [max(0.0, p) for p in pre]
@@ -366,6 +367,20 @@ class TestModelIo:
         stances_b, probs_b = predict_batch(back, matrix)
         assert stances_a == stances_b
         assert np.array_equal(probs_a, probs_b)
+
+    def test_w1_kept_input_major_and_stored_hidden_major(self, tmp_path):
+        model = init_model(3, 2, (BlockSlice("in", 0, 3),), seed=5)
+        limit = math.sqrt(6.0 / (3 + 2))
+        drawn = np.random.default_rng(5).uniform(-limit, limit, size=(2, 3))
+        assert np.array_equal(model.w1, drawn.T)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        # w1 leads the payload: hidden x input values, then b1, w2 and b2
+        payload = path.read_bytes()[-8 * (6 + 2 + 8 + 4):]
+        assert payload[: 8 * 6] == drawn.astype("<f8").tobytes()
+        back = load_model(path)
+        assert back.w1.flags.c_contiguous
+        assert back.w1.tobytes() == model.w1.tobytes()
 
     def test_truncated_file(self, tmp_path):
         model = init_model(4, 3, (BlockSlice("in", 0, 4),), seed=0)

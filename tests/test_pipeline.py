@@ -1,8 +1,12 @@
-"""Feature pipelines: fitting, oracle parity of matrix rows, persistence, ensembles."""
+"""Feature pipelines: fitting, oracle parity of matrix rows, shared fits,
+persistence, ensembles."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import stancekit.embeddings as embeddings
 from stancekit.corpus import Corpus, Instance, Stance, make_corpus
 from stancekit.embeddings import CENTROID, WMD_EXACT, WMD_RELAXED, load_embeddings
 from stancekit.ensemble import SUMMATION, EnsembleMember, EnsembleSpec
@@ -279,6 +283,91 @@ class TestOracleParity:
         broken = Corpus(instances=(Instance("a fake story", 99, None),), bodies=corpus.bodies)
         with pytest.raises(IntegrityError, match="99"):
             fitted.matrix(broken)
+
+
+# one spec per kind of pipeline a shared fit must reproduce on its own
+DERIVED_PIPELINES = {
+    "baseline": (BlockSpec(kind="baseline"),),
+    "baseline_indicator": (BlockSpec(kind="baseline"), BlockSpec(kind="indicator", keywords="mi")),
+    "indicator": (BlockSpec(kind="indicator", keywords="micc"),),
+    "similarity": (BlockSpec(kind="similarity", mode=WMD_RELAXED),),
+}
+
+
+def same_csr(a, b) -> bool:
+    return (
+        np.array_equal(a.data, b.data)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.indptr, b.indptr)
+    )
+
+
+class TestSharedFit:
+    """A pipeline derived from one fit over the union of several pipelines'
+    blocks featurizes and saves exactly as a fit of its own spec."""
+
+    @pytest.mark.parametrize("name", sorted(DERIVED_PIPELINES))
+    def test_derived_equals_standalone(self, name, tmp_path, vectors_file):
+        corpus = shared_headline_corpus()
+        kwargs = dict(
+            keyword_specs=ORACLE_KEYWORDS,
+            embeddings=load_embeddings(vectors_file),
+            vocab_capacity=40,
+        )
+        union = tuple(dict.fromkeys(b for bs in DERIVED_PIPELINES.values() for b in bs))
+        shared = fit_pipeline(PipelineSpec(name="union", blocks=union), corpus, **kwargs)
+        spec = PipelineSpec(name=name, blocks=DERIVED_PIPELINES[name])
+        derived = replace(shared, spec=spec)
+        alone = fit_pipeline(spec, corpus, **kwargs)
+        assert derived.layout == alone.layout
+        unseen = synthetic_corpus(n_instances=20, n_bodies=5, seed=9)
+        for part in (corpus, unseen):
+            want = alone.matrix(part).matrix
+            assert same_csr(derived.assemble(shared.block_matrices(part)).matrix, want)
+            assert same_csr(derived.matrix(part).matrix, want)
+        save_pipeline(derived, tmp_path / "derived", name)
+        save_pipeline(alone, tmp_path / "alone", name)
+        written = sorted(p.name for p in (tmp_path / "alone").iterdir())
+        assert sorted(p.name for p in (tmp_path / "derived").iterdir()) == written
+        for fname in written:
+            assert (tmp_path / "derived" / fname).read_bytes() == (
+                tmp_path / "alone" / fname
+            ).read_bytes()
+
+    def test_blocks_are_the_layout_slices(self, vectors_file):
+        corpus = shared_headline_corpus()
+        spec = PipelineSpec(name="all", blocks=ORACLE_PIPELINES["wmd_relaxed"])
+        fitted = fit_pipeline(
+            spec, corpus, keyword_specs=ORACLE_KEYWORDS,
+            embeddings=load_embeddings(vectors_file), vocab_capacity=40,
+        )
+        full = fitted.matrix(corpus).matrix.toarray()
+        blocks = fitted.block_matrices(corpus)
+        start = 0
+        for block in spec.blocks:
+            width = blocks[block].shape[1]
+            assert np.array_equal(blocks[block].toarray(), full[:, start : start + width])
+            start += width
+        assert start == fitted.input_dim
+
+    def test_centroid_only_builds_no_nbow(self, monkeypatch, vectors_file):
+        corpus = shared_headline_corpus()
+        centroid = BlockSpec(kind="similarity", mode=CENTROID)
+        relaxed = BlockSpec(kind="similarity", mode=WMD_RELAXED)
+        spec = PipelineSpec(name="both", blocks=(centroid, relaxed))
+        both = fit_pipeline(spec, corpus, embeddings=load_embeddings(vectors_file))
+        want = both.block_matrices(corpus)[centroid]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("nBOW masses built for a centroid-only pipeline")
+
+        monkeypatch.setattr(embeddings, "_apportion", refuse)
+        only = replace(both, spec=PipelineSpec(name="only", blocks=(centroid,)))
+        got = only.matrix(corpus).matrix
+        assert same_csr(got, want)
+        dense = got.toarray()
+        for row, instance in enumerate(corpus.instances):
+            assert np.array_equal(dense[row], feature_row(only, instance, corpus))
 
 
 class TestLabels:
