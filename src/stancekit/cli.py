@@ -49,7 +49,7 @@ from .evaluation import (
     score_predictions,
 )
 from .keywords import corpus_documents, select_keywords_micc, write_keyword_set
-from .mlp import MlpModel, load_model, save_model
+from .mlp import MlpModel, load_model, predict_batch, save_model
 from .mlp import train as train_mlp
 from .pipeline import (
     FittedPipeline,
@@ -59,7 +59,6 @@ from .pipeline import (
     fit_keyword_set,
     fit_pipeline,
     load_pipeline,
-    member_probabilities,
     save_pipeline,
     selecting,
     stance_labels,
@@ -143,6 +142,8 @@ def _read_corpus(stances_path: Path, bodies_path: Path, require_labels: bool) ->
         raise DataFormatError(
             f"{stances_path} has no labels; use the predict command for unlabeled input"
         )
+    if require_labels and not corpus.instances:
+        raise DataFormatError(f"{stances_path} has no stance rows")
     return corpus
 
 
@@ -191,13 +192,13 @@ def _train_models(
     corpus: Corpus,
     embeddings: EmbeddingTable | None,
     epoch_logs: dict[str, list[str]] | None = None,
-) -> tuple[dict[str, FittedPipeline], dict[str, MlpModel]]:
+) -> tuple[FittedPipeline, dict[str, MlpModel]]:
     """Fit the union of the named models' pipeline blocks once and build
-    each block once, then train every model on its pipeline's blocks. The
-    returned pipelines all derive from that one fit."""
+    each block once, then train every model on its pipeline's blocks.
+    Returns that one fit and the models."""
     pids = list(dict.fromkeys(cfg.models[name].pipeline for name in names))
     union = tuple(dict.fromkeys(b for pid in pids for b in cfg.pipelines[pid].blocks))
-    shared = fit_pipeline(
+    fit = fit_pipeline(
         PipelineSpec(name="+".join(pids), blocks=union),
         corpus,
         keyword_specs=cfg.keyword_specs,
@@ -205,13 +206,12 @@ def _train_models(
         vocab_capacity=cfg.features.vocab_capacity,
         tf_log1p=cfg.features.tf_log1p,
     )
-    fitted = {pid: replace(shared, spec=cfg.pipelines[pid]) for pid in pids}
-    blocks = shared.block_matrices(corpus)
+    blocks = fit.block_matrices(corpus)
     labels = stance_labels(corpus)
     models: dict[str, MlpModel] = {}
     for i, name in enumerate(names):
         mc = cfg.models[name]
-        matrix = fitted[mc.pipeline].assemble(blocks)
+        matrix = replace(fit, spec=cfg.pipelines[mc.pipeline]).assemble(blocks)
         # a block no later model reads is not held twice (as itself and in matrix)
         later = {b for n in names[i + 1 :] for b in cfg.pipelines[cfg.models[n].pipeline].blocks}
         blocks = {b: m for b, m in blocks.items() if b in later}
@@ -228,7 +228,19 @@ def _train_models(
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(exc.epoch, f"model {name!r}: {exc}") from None
         del matrix  # freed before the next model's is assembled
-    return fitted, models
+    return fit, models
+
+
+def _probabilities(cfg: ExperimentConfig, fit: FittedPipeline, models: Mapping[str, MlpModel],
+                   corpus: Corpus) -> dict[str, np.ndarray]:
+    """(n, 4) probabilities of each model on the corpus, from one build of
+    fit's blocks, as the models were trained."""
+    blocks = fit.block_matrices(corpus)
+    probs = {}
+    for name, model in models.items():
+        pipeline = replace(fit, spec=cfg.pipelines[cfg.models[name].pipeline])
+        probs[name] = predict_batch(model, pipeline.assemble(blocks).matrix)[1]
+    return probs
 
 
 def _write_score_files(out: Path, target: str, report: ScoreReport) -> None:
@@ -282,20 +294,17 @@ def train(config_path, out_dir, seed, models_csv):
     out = _out_dir(cfg)
 
     epoch_logs: dict[str, list[str]] = {}
-    fitted, models = _train_models(cfg, names, fit_part, embeddings, epoch_logs)
-    for pid, pipeline in fitted.items():
-        save_pipeline(pipeline, out, pid)
-    val_probs: dict[str, np.ndarray] = {}
+    fit, models = _train_models(cfg, names, fit_part, embeddings, epoch_logs)
+    for pid in dict.fromkeys(cfg.models[name].pipeline for name in names):
+        save_pipeline(replace(fit, spec=cfg.pipelines[pid]), out, pid)
+    val_probs = {} if val_part is None else _probabilities(cfg, fit, models, val_part)
     for name in names:
-        model = models[name]
         lines = epoch_logs.get(name, [])
         if val_part is not None:
-            probs = member_probabilities(model, fitted[cfg.models[name].pipeline], val_part)
-            val_probs[name] = probs
-            pairs = list(zip((i.stance for i in val_part.instances), decisions(probs)))
+            pairs = list(zip((i.stance for i in val_part.instances), decisions(val_probs[name])))
             grade = score_predictions(pairs).relative_grade
             lines.append(f"model={name} validation_relative_grade={grade!r}")
-        save_model(model, out / f"{name}.model.bin")
+        save_model(models[name], out / f"{name}.model.bin")
         (out / f"{name}.train.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
         click.echo(f"command=train model={name} file={name}.model.bin")
 
@@ -307,39 +316,6 @@ def train(config_path, out_dir, seed, models_csv):
         for warning in combiner.fit_warnings:
             click.echo(f"command=train ensemble={ens.name} warning={warning!r}", err=True)
         click.echo(f"command=train ensemble={ens.name} file={ens.name}.combiner.json")
-
-
-def _load_target_parts(
-    cfg: ExperimentConfig, targets: Sequence[str], corpora: Sequence[Corpus]
-) -> tuple[dict[str, FittedPipeline], dict[str, MlpModel]]:
-    """Load saved pipelines and models for the given targets."""
-    out = cfg.output_dir
-    names = _members(cfg, targets)
-    embeddings = _maybe_embeddings(cfg, names, corpora)
-    fitted = {
-        pid: load_pipeline(out, pid, embeddings)
-        for pid in dict.fromkeys(cfg.models[name].pipeline for name in names)
-    }
-    models = {}
-    for name in names:
-        path = out / f"{name}.model.bin"
-        if not path.is_file():
-            raise ConfigError(f"no trained model file for {name!r}; run the train command")
-        models[name] = load_model(path)
-    return fitted, models
-
-
-def _model_probabilities(
-    cfg: ExperimentConfig,
-    fitted: Mapping[str, FittedPipeline],
-    models: Mapping[str, MlpModel],
-    corpus: Corpus,
-) -> dict[str, np.ndarray]:
-    """(n, 4) probabilities of every loaded model on the corpus, each built once."""
-    return {
-        name: member_probabilities(model, fitted[cfg.models[name].pipeline], corpus)
-        for name, model in models.items()
-    }
 
 
 def _fit_combiner(
@@ -359,7 +335,10 @@ def _saved_combiner(cfg: ExperimentConfig, target: str) -> LinearCombiner | None
     path = cfg.output_dir / f"{target}.combiner.json"
     if not path.is_file():
         raise ConfigError(f"no fitted combiner for {target!r}; run the train command")
-    return load_combiner(path)
+    combiner = load_combiner(path)
+    if combiner.n_inputs != 4 * len(cfg.ensembles[target].members):
+        raise DataFormatError(f"{path}: combiner does not fit the members of {target!r}")
+    return combiner
 
 
 def _predict_target(
@@ -376,6 +355,33 @@ def _predict_target(
     return decisions(fuse(stack, ens.rule, combiner))
 
 
+def _saved_decisions(cfg: ExperimentConfig, targets: Sequence[str],
+                     corpus: Corpus) -> dict[str, list[Stance]]:
+    """Each target's decisions on the corpus from the saved artifacts, all
+    loaded and checked first; each saved pipeline featurizes it once."""
+    out = cfg.output_dir
+    names = _members(cfg, targets)
+    embeddings = _maybe_embeddings(cfg, names, [corpus])
+    fits = {pid: load_pipeline(out, pid, embeddings)
+            for pid in dict.fromkeys(cfg.models[name].pipeline for name in names)}
+    for pid, fit in fits.items():
+        if fit.spec != cfg.pipelines[pid]:
+            raise ConfigError(f"saved pipeline {pid!r} differs from the config's; run train")
+    models: dict[str, dict[str, MlpModel]] = {pid: {} for pid in fits}
+    for name in names:
+        path, pid = out / f"{name}.model.bin", cfg.models[name].pipeline
+        if not path.is_file():
+            raise ConfigError(f"no trained model file for {name!r}; run the train command")
+        models[pid][name] = load_model(path)
+        if models[pid][name].feature_layout != fits[pid].layout:
+            raise DataFormatError(f"{path}: feature layout does not match pipeline {pid!r}")
+    combiners = {target: _saved_combiner(cfg, target) for target in targets}
+    probs = {}
+    for pid, fit in fits.items():
+        probs.update(_probabilities(cfg, fit, models[pid], corpus))
+    return {t: _predict_target(cfg, t, probs, combiners[t]) for t in targets}
+
+
 @main.command()
 @_common
 @_handled
@@ -384,13 +390,11 @@ def evaluate(config_path, out_dir, seed, models_csv):
     cfg = _load(config_path, out_dir, seed)
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     corpus = _test_corpus(cfg, require_labels=True)
-    fitted, models = _load_target_parts(cfg, targets, [corpus])
+    decided = _saved_decisions(cfg, targets, corpus)
     out = _out_dir(cfg)
-    probs = _model_probabilities(cfg, fitted, models, corpus)
     truth = [i.stance for i in corpus.instances]
     for target in targets:
-        decided = _predict_target(cfg, target, probs, _saved_combiner(cfg, target))
-        report = score_predictions(list(zip(truth, decided)))
+        report = score_predictions(list(zip(truth, decided[target])))
         _write_score_files(out, target, report)
         click.echo(
             f"command=evaluate target={target} grade={report.grade!r} "
@@ -409,10 +413,8 @@ def predict(config_path, out_dir, seed, models_csv):
         raise ConfigError("predict needs exactly one target; pass --models NAME")
     target = targets[0]
     corpus = _test_corpus(cfg, require_labels=False)
-    fitted, models = _load_target_parts(cfg, [target], [corpus])
+    decided = _saved_decisions(cfg, [target], corpus)[target]
     out = _out_dir(cfg)
-    probs = _model_probabilities(cfg, fitted, models, corpus)
-    decided = _predict_target(cfg, target, probs, _saved_combiner(cfg, target))
     path = out / f"{target}.predictions.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -469,12 +471,10 @@ def _fold_runner(cfg: ExperimentConfig, target: str, embeddings):
             train_part, inner_val = validation_split(
                 train_part, cfg.validation.fraction, cfg.validation.seed
             )
-        fitted, models = _train_models(cfg, names, train_part, embeddings)
+        fit, models = _train_models(cfg, names, train_part, embeddings)
         if concat:
-            combiner = _fit_combiner(
-                ens, _model_probabilities(cfg, fitted, models, inner_val), inner_val
-            )
-        probs = _model_probabilities(cfg, fitted, models, test_part)
+            combiner = _fit_combiner(ens, _probabilities(cfg, fit, models, inner_val), inner_val)
+        probs = _probabilities(cfg, fit, models, test_part)
         decided = _predict_target(cfg, target, probs, combiner)
         return [(i.stance, d) for i, d in zip(test_part.instances, decided)]
 

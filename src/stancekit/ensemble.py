@@ -98,7 +98,7 @@ def fuse(
         return stack.mean(axis=1)
     if combiner is None:
         raise ValueError("concatenation rule requires a fitted combiner")
-    flat = stack.reshape(stack.shape[0], -1)
+    flat = stack.reshape(stack.shape[0], 4 * stack.shape[1])  # -1 fails on 0 rows
     if flat.shape[1] != combiner.n_inputs:
         raise ValueError(
             f"combiner expects {combiner.n_inputs} inputs, got {flat.shape[1]}"
@@ -164,10 +164,22 @@ def load_combiner(path: str | Path) -> LinearCombiner:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not a combiner file ({exc})") from None
-    if payload.get("format") != "stancekit-combiner" or payload.get("version") != 1:
+    if (not isinstance(payload, dict) or payload.get("format") != "stancekit-combiner"
+            or payload.get("version") != 1):
         raise DataFormatError(f"{path}: unsupported combiner file")
-    return LinearCombiner(
-        weights=np.array(payload["weights"], dtype=np.float64),
-        bias=np.array(payload["bias"], dtype=np.float64),
-        fit_warnings=tuple(payload.get("warnings", ())),
-    )
+    try:
+        combiner = LinearCombiner(
+            weights=np.array(payload["weights"], dtype=np.float64),
+            bias=np.array(payload["bias"], dtype=np.float64),
+            fit_warnings=tuple(payload.get("warnings", ())),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed combiner file ({exc!r})") from None
+    weights, bias = combiner.weights, combiner.bias
+    # a (1,) bias would broadcast silently in logits()
+    if weights.ndim != 2 or weights.shape[0] != 4 or weights.shape[1] % 4 or bias.shape != (4,):
+        raise DataFormatError(
+            f"{path}: combiner weights {weights.shape} and bias {bias.shape} "
+            "are not (4, 4N) and (4,)"
+        )
+    return combiner

@@ -239,4 +239,7 @@ def read_keyword_set(path: str | Path) -> KeywordSet:
     name, provenance = fields[0], fields[1]
     params = tuple(tuple(p.split("=", 1)) for p in fields[2:] if "=" in p)
     terms = tuple(t for t in lines[1:] if t)
-    return KeywordSet(name=name, terms=terms, provenance=provenance, params=params)
+    try:
+        return KeywordSet(name=name, terms=terms, provenance=provenance, params=params)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

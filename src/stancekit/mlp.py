@@ -285,10 +285,10 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> MlpModel:
     """Inverse of save_model; rejects wrong magic, future versions, truncation."""
-    raw = Path(path).read_bytes()
+    raw = memoryview(Path(path).read_bytes())  # slices are views, not copies
     pos = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(raw):
             raise DataFormatError(f"{path}: truncated model file")
@@ -305,19 +305,22 @@ def load_model(path: str | Path) -> MlpModel:
     layout = []
     for _ in range(n_blocks):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        name = bytes(take(name_len)).decode("utf-8")
         offset, length = struct.unpack("<II", take(8))
         layout.append(BlockSlice(name, offset, length))
 
-    def array(shape: tuple[int, ...]) -> np.ndarray:
+    def view(shape: tuple[int, ...]) -> np.ndarray:
+        """Read-only view of the next array in the file bytes."""
         count = int(np.prod(shape))
-        return np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
+        return np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
 
     model = MlpModel(
-        w1=np.ascontiguousarray(array((hidden_dim, input_dim)).T),
-        b1=array((hidden_dim,)),
-        w2=array((output_dim, hidden_dim)),
-        b2=array((output_dim,)),
+        # one copy, input-major; np.ascontiguousarray would return the
+        # read-only view itself when hidden_dim == 1
+        w1=np.array(view((hidden_dim, input_dim)).T, order="C"),
+        b1=view((hidden_dim,)).copy(),
+        w2=view((output_dim, hidden_dim)).copy(),
+        b2=view((output_dim,)).copy(),
         feature_layout=tuple(layout),
     )
     if pos != len(raw):

@@ -459,7 +459,8 @@ def save_pipeline(fitted: FittedPipeline, out_dir: str | Path, name: str) -> Non
 def load_pipeline(
     out_dir: str | Path, name: str, embeddings: EmbeddingTable | None = None
 ) -> FittedPipeline:
-    """Rebuild a FittedPipeline from save_pipeline artifacts."""
+    """Rebuild a FittedPipeline from save_pipeline artifacts; a malformed
+    or incomplete artifact raises DataFormatError naming its file."""
     out = Path(out_dir)
     manifest_path = out / f"{name}.pipeline.json"
     try:
@@ -468,9 +469,27 @@ def load_pipeline(
         raise ConfigError(f"no fitted pipeline {name!r} under {out}") from None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{manifest_path}: {exc}") from None
-    if manifest.get("format") != "stancekit-pipeline" or manifest.get("version") != 1:
+    if (not isinstance(manifest, dict) or manifest.get("format") != "stancekit-pipeline"
+            or manifest.get("version") != 1):
         raise DataFormatError(f"{manifest_path}: unsupported pipeline manifest")
-    files = manifest["files"]
+    try:
+        files = dict(manifest["files"])
+        blocks = tuple(
+            BlockSpec(kind=b["kind"], keywords=b.get("keywords"), mode=b.get("mode"))
+            for b in manifest["blocks"]
+        )
+        spec = PipelineSpec(name=manifest["name"], blocks=blocks)
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        raise DataFormatError(f"{manifest_path}: malformed pipeline manifest ({exc!r})") from None
+    needed = {f"keywords:{b.keywords}" for b in blocks if b.kind == INDICATOR}
+    if any(b.kind == BASELINE for b in blocks):
+        needed |= {"headline_vocab", "body_vocab", "shared_vocab", "idf"}
+    unlisted = sorted(needed - files.keys())
+    if unlisted:
+        raise DataFormatError(f"{manifest_path}: lists no file for {unlisted}")
+    missing = [f for f in files.values() if not isinstance(f, str) or not (out / f).is_file()]
+    if missing:
+        raise DataFormatError(f"{manifest_path}: missing pipeline files {missing}")
 
     def vocab_of(tag: str, source: str) -> Vocabulary | None:
         return load_vocabulary(out / files[tag], source) if tag in files else None
@@ -483,26 +502,29 @@ def load_pipeline(
         lines = (out / files["idf"]).read_text(encoding="utf-8").splitlines()
         if not lines or not lines[0].startswith("document_count="):
             raise DataFormatError(f"{files['idf']}: missing document_count header")
-        idf = IdfTable(
-            vocab=shared_vocab,
-            values=np.array([float(v) for v in lines[1:]], dtype=np.float64),
-            document_count=int(lines[0].partition("=")[2]),
-        )
+        try:
+            idf = IdfTable(
+                vocab=shared_vocab,
+                values=np.array([float(v) for v in lines[1:]], dtype=np.float64),
+                document_count=int(lines[0].partition("=")[2]),
+            )
+        except ValueError as exc:
+            raise DataFormatError(f"{out / files['idf']}: {exc}") from None
+        if len(idf.values) != len(shared_vocab):
+            raise DataFormatError(
+                f"{out / files['idf']}: {len(idf.values)} values for {len(shared_vocab)} terms"
+            )
     keyword_sets = {
         key.partition(":")[2]: read_keyword_set(out / fname)
         for key, fname in files.items()
         if key.startswith("keywords:")
     }
-    blocks = tuple(
-        BlockSpec(kind=b["kind"], keywords=b.get("keywords"), mode=b.get("mode"))
-        for b in manifest["blocks"]
-    )
     if manifest.get("needs_embeddings") and embeddings is None:
         raise ConfigError(
             f"pipeline {name!r} uses embedding features; pass the embedding table"
         )
     return FittedPipeline(
-        spec=PipelineSpec(name=manifest["name"], blocks=blocks),
+        spec=spec,
         headline_vocab=headline_vocab,
         body_vocab=body_vocab,
         shared_vocab=shared_vocab,

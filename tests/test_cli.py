@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -251,8 +253,8 @@ class TestTrain:
         run("train", "--config", str(config))
         [union] = fit_calls["fit"]
         assert len(union.blocks) == 3
-        # validation scoring featurizes per pipeline; training builds the union once
-        assert fit_calls["blocks"].count(union) == 1
+        # the union's blocks are built once for training and once for validation
+        assert fit_calls["blocks"] == [union, union]
         together = hash_tree(tmp_path / "out")
         for name in ("base", "manual_kw", "themed_kw"):
             alone = tmp_path / f"alone_{name}"
@@ -306,6 +308,13 @@ class TestEvaluate:
         for i, j, value in triples:
             assert report.confusion[int(i), int(j)] == int(value)
 
+    def test_one_build_per_saved_pipeline(self, trained, fit_calls):
+        _, config = trained
+        run("evaluate", "--config", str(config))
+        assert fit_calls["fit"] == []
+        names = [spec.name for spec in fit_calls["blocks"]]
+        assert sorted(names) == ["plain", "with_manual", "with_themed"]
+
     def test_unlabeled_test_data_points_at_predict(self, tmp_path):
         config = base_config(tmp_path)
         unlabeled = synthetic_corpus(n_instances=8, n_bodies=24, seed=9)
@@ -318,6 +327,140 @@ class TestEvaluate:
         result = RUNNER.invoke(main, ["evaluate", "--config", str(config), "--models", "base"])
         assert result.exit_code == 3
         assert "predict" in result.stderr
+
+
+def copied_workspace(trained, tmp_path: Path) -> tuple[Path, Path]:
+    """A private copy of the trained workspace, safe to corrupt, without
+    the files evaluate and predict write."""
+    source, config = trained
+    written = ("*.scores.txt", "*.report.txt", "*.heatmap.*", "*.predictions.csv")
+    shutil.copytree(source, tmp_path / "ws", ignore=shutil.ignore_patterns(*written))
+    return tmp_path / "ws" / "out", tmp_path / "ws" / config.name
+
+
+def edit_json(edit):
+    """A corruption that applies edit to a JSON file's payload."""
+
+    def corrupt(path: Path) -> None:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+
+    return corrupt
+
+
+def set_line(index: int, text: str):
+    """A corruption that overwrites one line of a text file."""
+
+    def corrupt(path: Path) -> None:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[index] = text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    return corrupt
+
+
+# case -> (saved file, corruption of that file); the error must name the file
+CORRUPTIONS = {
+    "manifest_without_files": ("plain.pipeline.json", edit_json(lambda m: m.pop("files"))),
+    "manifest_without_blocks": ("plain.pipeline.json", edit_json(lambda m: m.pop("blocks"))),
+    "manifest_without_name": ("plain.pipeline.json", edit_json(lambda m: m.pop("name"))),
+    "manifest_lists_no_vocabulary": (
+        "plain.pipeline.json", edit_json(lambda m: m["files"].pop("body_vocab"))
+    ),
+    "manifest_not_an_object": ("plain.pipeline.json", lambda p: p.write_text("[]")),
+    "manifest_file_not_a_name": (
+        "plain.pipeline.json", edit_json(lambda m: m["files"].update(idf=5))
+    ),
+    "pipeline_file_missing": ("plain.body_vocab.txt", Path.unlink),
+    "idf_count_not_a_number": ("plain.idf.txt", set_line(0, "document_count=many")),
+    "idf_value_not_a_number": ("plain.idf.txt", set_line(1, "many")),
+    "idf_truncated": (
+        "plain.idf.txt",
+        lambda p: p.write_text("".join(p.read_text(encoding="utf-8").splitlines(True)[:-3]),
+                               encoding="utf-8"),
+    ),
+    "keyword_set_duplicate_term": ("with_manual.kw.manual.txt", set_line(2, "fake")),
+    "combiner_without_weights": (
+        "trio_concat.combiner.json", edit_json(lambda c: c.pop("weights"))
+    ),
+    "combiner_without_bias": ("trio_concat.combiner.json", edit_json(lambda c: c.pop("bias"))),
+    "combiner_not_an_object": ("trio_concat.combiner.json", lambda p: p.write_text("[]")),
+    "combiner_bias_too_short": (
+        "trio_concat.combiner.json", edit_json(lambda c: c.update(bias=[0.0]))
+    ),
+    # fitted for two members where the ensemble has three
+    "combiner_for_other_members": (
+        "trio_concat.combiner.json",
+        edit_json(lambda c: c.update(weights=[row[:8] for row in c["weights"]])),
+    ),
+    # a model trained on another pipeline's columns
+    "model_layout_mismatch": (
+        "base.model.bin",
+        lambda p: p.write_bytes((p.parent / "manual_kw.model.bin").read_bytes()),
+    ),
+}
+
+
+class TestSavedArtifacts:
+    """evaluate and predict load and check every saved artifact first."""
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_corrupt_artifact_exit_3(self, trained, tmp_path, command, case):
+        out, config = copied_workspace(trained, tmp_path)
+        named, corrupt = CORRUPTIONS[case]
+        corrupt(out / named)
+        before = hash_tree(out)
+        target = "trio_concat" if "combiner" in case else "trio"
+        result = RUNNER.invoke(main, [command, "--config", str(config), "--models", target])
+        assert result.exit_code == 3, result.output
+        assert named in result.stderr
+        assert hash_tree(out) == before
+
+    def test_missing_combiner_fails_before_any_score_file(self, trained, tmp_path):
+        out, config = copied_workspace(trained, tmp_path)
+        (out / "trio_concat.combiner.json").unlink()
+        before = hash_tree(out)
+        result = RUNNER.invoke(main, ["evaluate", "--config", str(config)])
+        assert result.exit_code == 2
+        assert "trio_concat" in result.stderr
+        assert hash_tree(out) == before
+
+    def test_pipeline_changed_since_training_exit_2(self, trained, tmp_path):
+        _, config = copied_workspace(trained, tmp_path)
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        raw["pipelines"]["plain"]["blocks"].append({"kind": "indicator", "keywords": "manual"})
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        result = RUNNER.invoke(main, ["evaluate", "--config", str(config), "--models", "base"])
+        assert result.exit_code == 2
+        assert "saved pipeline 'plain' differs" in result.stderr
+
+
+class TestEmptyStances:
+    """A header-only stances file is a data error wherever labels are needed."""
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_training_data_exit_3(self, tmp_path, command):
+        config = base_config(tmp_path)
+        write_stances(tmp_path / "data" / "train_stances.csv", [])
+        result = RUNNER.invoke(main, [command, "--config", str(config), "--models", "base"])
+        assert result.exit_code == 3
+        assert "train_stances.csv has no stance rows" in result.stderr
+
+    def test_evaluate_exit_3(self, trained, tmp_path):
+        _, config = copied_workspace(trained, tmp_path)
+        write_stances(config.parent / "data" / "test_stances.csv", [])
+        result = RUNNER.invoke(main, ["evaluate", "--config", str(config), "--models", "base"])
+        assert result.exit_code == 3
+        assert "test_stances.csv has no stance rows" in result.stderr
+
+    def test_predict_writes_header_only(self, trained, tmp_path):
+        out, config = copied_workspace(trained, tmp_path)
+        write_stances(config.parent / "data" / "test_stances.csv", [], labeled=False)
+        run("predict", "--config", str(config), "--models", "trio_concat")
+        text = (out / "trio_concat.predictions.csv").read_text(encoding="utf-8")
+        assert text == "Headline,Body ID,Stance\n"
 
 
 class TestPredict:
@@ -464,12 +607,20 @@ class TestCv:
         run("cv", "--config", str(config), "--models", "base")
         assert (tmp_path / "out" / "base.cv.aggregate.txt").read_bytes() == first
 
-    def test_one_fit_per_fold(self, tmp_path, fit_calls):
+    @staticmethod
+    def assert_fold_builds(tmp_path, fit_calls, target: str, builds: int):
         config = base_config(tmp_path)
-        run("cv", "--config", str(config), "--models", "trio", "--jobs", "1")
+        run("cv", "--config", str(config), "--models", target, "--jobs", "1")
         assert len(fit_calls["fit"]) == 3
         assert {len(spec.blocks) for spec in fit_calls["fit"]} == {3}
-        assert sum(spec in fit_calls["fit"] for spec in fit_calls["blocks"]) == 3
+        # each fold builds its union's blocks on every corpus it trains or scores on
+        assert fit_calls["blocks"] == [s for s in fit_calls["fit"] for _ in range(builds)]
+
+    def test_one_fit_per_fold(self, tmp_path, fit_calls):
+        self.assert_fold_builds(tmp_path, fit_calls, "trio", 2)  # train and test sides
+
+    def test_concat_fold_scores_inner_validation_once(self, tmp_path, fit_calls):
+        self.assert_fold_builds(tmp_path, fit_calls, "trio_concat", 3)
 
     def test_requires_cv_section(self, tmp_path):
         config = base_config(tmp_path)

@@ -1,5 +1,6 @@
 """Probability fusion rules and the learned concatenation combiner."""
 
+import json
 import math
 import operator
 
@@ -264,6 +265,11 @@ class TestBatchedFusion:
         with pytest.raises(ValueError, match="combiner"):
             fuse(self._stack(n=2), CONCATENATION)
 
+    @pytest.mark.parametrize("rule", [SUMMATION, CONCATENATION])
+    def test_no_rows(self, rule):
+        combiner = LinearCombiner(weights=np.ones((4, 12)), bias=np.zeros(4))
+        assert fuse(np.zeros((0, 3, 4)), rule, combiner).shape == (0, 4)
+
     def test_stack_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
             fuse(np.zeros((3, 4)))
@@ -295,6 +301,32 @@ class TestCombinerIo:
         path = tmp_path / "c.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(DataFormatError):
+            load_combiner(path)
+
+    @staticmethod
+    def saved_payload(path):
+        save_combiner(LinearCombiner(weights=np.ones((4, 4)), bias=np.zeros(4)), path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("key", ["weights", "bias"])
+    def test_missing_array_names_file(self, tmp_path, key):
+        path = tmp_path / "c.json"
+        payload = self.saved_payload(path)
+        del payload[key]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="c.json"):
+            load_combiner(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("weights", [[1.0] * 4] * 3), ("weights", [1.0] * 4), ("weights", [[1.0] * 6] * 4),
+        ("bias", [0.0]), ("bias", [[0.0] * 4]),
+    ])
+    def test_misshapen_array_names_file(self, tmp_path, key, value):
+        path = tmp_path / "c.json"
+        payload = self.saved_payload(path)
+        payload[key] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="c.json"):
             load_combiner(path)
 
     def test_wrong_format_marker(self, tmp_path):

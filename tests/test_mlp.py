@@ -382,6 +382,20 @@ class TestModelIo:
         assert back.w1.flags.c_contiguous
         assert back.w1.tobytes() == model.w1.tobytes()
 
+    @pytest.mark.parametrize("hidden_dim", [1, 3])
+    def test_loaded_arrays_own_writeable_memory(self, tmp_path, hidden_dim):
+        # with one hidden unit the transposed file view is already
+        # C-contiguous, so only an explicit copy detaches w1 from the bytes
+        model = init_model(5, hidden_dim, (BlockSlice("in", 0, 5),), seed=2)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        back = load_model(path)
+        for arr in (back.w1, back.b1, back.w2, back.b2):
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+        again = tmp_path / "again.bin"
+        save_model(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_truncated_file(self, tmp_path):
         model = init_model(4, 3, (BlockSlice("in", 0, 4),), seed=0)
         path = tmp_path / "m.bin"

@@ -8,6 +8,8 @@ import pytest
 import stancekit
 from stancekit.config import load_config
 
+from conftest import synthetic_corpus, write_corpus_files
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
 
@@ -30,3 +32,21 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match
     assert stancekit.__version__ == match.group(1)
+
+
+def test_readme_library_snippet_runs(tmp_path):
+    """The README's library example runs as written against the package."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match
+    code = match.group(1)
+    stances, bodies = tmp_path / "stances.csv", tmp_path / "bodies.csv"
+    write_corpus_files(synthetic_corpus(n_instances=40, n_bodies=8, seed=3), stances, bodies)
+    for name, path in (("train_stances.csv", stances), ("train_bodies.csv", bodies)):
+        assert f'"{name}"' in code
+        code = code.replace(f'"{name}"', repr(str(path)))
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert len(namespace["stances"]) == 40
+    assert namespace["probabilities"].shape == (40, 4)
