@@ -112,6 +112,8 @@ def _load(config_path, out_dir, seed) -> ExperimentConfig:
         cfg = override_seeds(cfg, seed)
     if out_dir is not None:
         cfg = replace(cfg, output_dir=Path(out_dir))
+    if cfg.output_dir.exists() and not cfg.output_dir.is_dir():
+        raise ConfigError(f"output path {cfg.output_dir} is not a directory")
     return cfg
 
 

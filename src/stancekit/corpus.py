@@ -88,22 +88,19 @@ class Corpus:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Assignment of every body id to one of k folds."""
+    """Assignment of every referenced body id to one of k folds."""
 
     k: int
     assignments: Mapping[int, int]
-
-    def fold_of(self, body_id: int) -> int:
-        return self.assignments[body_id]
 
     def bodies_in(self, fold: int) -> frozenset[int]:
         return frozenset(b for b, f in self.assignments.items() if f == fold)
 
     def split(self, corpus: Corpus, fold: int) -> tuple[Corpus, Corpus]:
-        """(train, heldout) sub-corpora for one fold."""
+        """(train, heldout) sub-corpora for one fold; bodies outside the
+        plan (no stance row references them) stay on the training side."""
         held = self.bodies_in(fold)
-        rest = set(self.assignments) - held
-        return corpus.restrict(rest), corpus.restrict(held)
+        return corpus.restrict(set(corpus.bodies) - held), corpus.restrict(held)
 
 
 def _reader(path: Path):
@@ -193,14 +190,17 @@ def load_corpus(stances_path: str | Path, bodies_path: str | Path) -> Corpus:
 
 
 def plan_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
-    """Deal body ids into k folds, shuffled deterministically by seed.
+    """Deal the ids of bodies that have stance rows into k folds, shuffled
+    deterministically by seed.
 
     Bodies (not instances) are dealt round-robin, so all instances sharing a
     body land in the same fold and fold sizes differ by at most one body.
+    Bodies that no stance row references are not dealt, so every fold
+    holds instances; FoldPlan.split keeps them on the training side.
     """
     if k < 2:
         raise ValueError(f"fold count must be >= 2, got {k}")
-    ids = sorted(corpus.bodies)
+    ids = sorted({i.body_id for i in corpus.instances})
     if len(ids) < k:
         raise ConfigError(f"need at least {k} bodies for {k} folds, have {len(ids)}")
     random.Random(seed).shuffle(ids)

@@ -1,10 +1,16 @@
-"""Keyword selection: manual refutation list, mutual information, and the
-customized-class (theme partition) MI selector.
+"""Keyword selection: manual refutation list, mutual information (MI), and
+the customized-class (MICC) selector that ranks keywords per theme.
 
 Documents here are bags of tokens keyed by a document id; the corpus adapter
 decides what a "document" is (this package uses one document per article
-body, headlines excluded). The keyword indicator features themselves are
-built by the pipeline module, one presence bit per keyword and side.
+body, headlines excluded). Both selectors read one document-by-term
+presence matrix (text.presence). A term's 2x2 table against a document
+class comes from column counts over the class's rows and the other rows,
+and MI is computed once per distinct table. MICC puts each document in the
+class of the first theme word it contains, then ranks the same candidate
+matrix against each theme's class. The keyword indicator features
+themselves are built by the pipeline module from the same presence matrix,
+one bit per keyword and side.
 """
 
 from __future__ import annotations
@@ -14,9 +20,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
+import numpy as np
+import scipy.sparse as sp
+
 from .corpus import Corpus
 from .errors import DataFormatError
-from .text import TokenList, tokenize
+from .text import TokenList, presence, tokenize
 
 #: Refutation cue words that signal the disagree stance. A starting point,
 #: not gospel: every selector that takes keywords accepts any list via config.
@@ -42,37 +51,22 @@ class KeywordSet:
             raise ValueError(f"keyword set {self.name!r} has an empty term")
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """2x2 document counts: term present/absent x class positive/negative."""
+def mutual_information(n11: int, n10: int, n01: int, n00: int) -> float:
+    """MI of a 2x2 table of document counts, in bits; 0*log0 counts as 0.
 
-    term: str
-    n11: int  # present, positive
-    n10: int  # present, negative
-    n01: int  # absent, positive
-    n00: int  # absent, negative
-
-    def __post_init__(self):
-        if min(self.n11, self.n10, self.n01, self.n00) < 0:
-            raise ValueError("contingency counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.n11 + self.n10 + self.n01 + self.n00
-
-
-def mutual_information(table: ContingencyTable) -> float:
-    """Pointwise MI over the 2x2 table, in bits; 0*log0 counts as 0.
-
+    The counts are: term present in a positive (n11) or negative (n10)
+    document, and absent from a positive (n01) or negative (n00) one.
     I = sum over cells of (n/N) * log2(N*n / (row_marginal * col_marginal)).
     Always non-negative up to rounding.
     """
-    n = table.total
+    if min(n11, n10, n01, n00) < 0:
+        raise ValueError("contingency counts must be non-negative")
+    n = n11 + n10 + n01 + n00
     if n < 1:
         raise ValueError("all-zero contingency table")
-    rows = (table.n11 + table.n10, table.n01 + table.n00)
-    cols = (table.n11 + table.n01, table.n10 + table.n00)
-    cells = ((table.n11, 0, 0), (table.n10, 0, 1), (table.n01, 1, 0), (table.n00, 1, 1))
+    rows = (n11 + n10, n01 + n00)
+    cols = (n11 + n01, n10 + n00)
+    cells = ((n11, 0, 0), (n10, 0, 1), (n01, 1, 0), (n00, 1, 1))
     info = 0.0
     for count, r, c in cells:
         if count:
@@ -80,47 +74,23 @@ def mutual_information(table: ContingencyTable) -> float:
     return max(info, 0.0)
 
 
-def _presence_counts(
-    documents: Mapping[object, Collection[str]],
-    positive_ids: Collection[object],
-    candidates: Collection[str],
-) -> tuple[dict[str, int], dict[str, int], int, int]:
-    """Per-candidate document frequencies split by class membership."""
-    cand = set(candidates)
-    pos_df: dict[str, int] = {}
-    neg_df: dict[str, int] = {}
-    n_pos = n_neg = 0
-    positive = set(positive_ids)
-    for doc_id, tokens in documents.items():
-        hit = cand.intersection(tokens)
-        if doc_id in positive:
-            n_pos += 1
-            for t in hit:
-                pos_df[t] = pos_df.get(t, 0) + 1
-        else:
-            n_neg += 1
-            for t in hit:
-                neg_df[t] = neg_df.get(t, 0) + 1
-    return pos_df, neg_df, n_pos, n_neg
-
-
-def score_candidates(
-    documents: Mapping[object, Collection[str]],
-    positive_ids: Collection[object],
-    candidates: Collection[str],
-) -> dict[str, float]:
-    """MI of every candidate term against the binary document class."""
-    pos_df, neg_df, n_pos, n_neg = _presence_counts(documents, positive_ids, candidates)
+def _top_k(present: sp.csr_matrix, positive: np.ndarray, terms: Sequence[str], k: int,
+           skip: str | None = None) -> tuple[str, ...]:
+    """The k terms (columns of the document-by-term presence matrix) of
+    highest MI against the boolean row class `positive`, ties lexicographic;
+    `skip` is never ranked. MI runs once per distinct table."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    n_pos = int(positive.sum())
+    n_neg = len(positive) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both document classes must be non-empty")
-    scores = {}
-    for term in candidates:
-        n11 = pos_df.get(term, 0)
-        n10 = neg_df.get(term, 0)
-        scores[term] = mutual_information(
-            ContingencyTable(term, n11=n11, n10=n10, n01=n_pos - n11, n00=n_neg - n10)
-        )
-    return scores
+    n11 = np.bincount(present[positive].indices, minlength=len(terms))
+    n10 = np.bincount(present.indices, minlength=len(terms)) - n11
+    tables = list(zip(n11.tolist(), n10.tolist()))
+    info = {t: mutual_information(t[0], t[1], n_pos - t[0], n_neg - t[1]) for t in set(tables)}
+    scores = {term: info[t] for term, t in zip(terms, tables) if term != skip}
+    return tuple(sorted(scores, key=lambda t: (-scores[t], t))[:k])
 
 
 def select_keywords_mi(
@@ -132,46 +102,11 @@ def select_keywords_mi(
     params: tuple[tuple[str, str], ...] = (),
 ) -> KeywordSet:
     """Top-k candidates by mutual information, ties lexicographic."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    scores = score_candidates(documents, positive_ids, candidates)
-    ranked = sorted(scores, key=lambda t: (-scores[t], t))
-    return KeywordSet(name=name, terms=tuple(ranked[:k]), provenance="mi", params=params)
-
-
-@dataclass(frozen=True)
-class ThemePartition:
-    """First-match assignment of documents to ordered theme words."""
-
-    theme_terms: tuple[str, ...]
-    classes: Mapping[str, frozenset]
-    residual: frozenset
-
-
-def partition_by_theme(
-    documents: Mapping[object, Collection[str]],
-    theme_terms: Sequence[str],
-) -> ThemePartition:
-    """Assign each document to the first theme whose word it contains."""
-    if not theme_terms:
-        raise ValueError("theme_terms must be non-empty")
-    if len(set(theme_terms)) != len(theme_terms):
-        raise ValueError("theme_terms must be distinct")
-    classes: dict[str, set] = {t: set() for t in theme_terms}
-    residual: set = set()
-    for doc_id, tokens in documents.items():
-        token_set = set(tokens)
-        for theme in theme_terms:
-            if theme in token_set:
-                classes[theme].add(doc_id)
-                break
-        else:
-            residual.add(doc_id)
-    return ThemePartition(
-        theme_terms=tuple(theme_terms),
-        classes={t: frozenset(ids) for t, ids in classes.items()},
-        residual=frozenset(residual),
-    )
+    terms = tuple(dict.fromkeys(candidates))
+    positive = set(positive_ids)
+    rows = np.array([doc_id in positive for doc_id in documents], dtype=bool)
+    top = _top_k(presence(documents.values(), terms), rows, terms, k)
+    return KeywordSet(name=name, terms=top, provenance="mi", params=params)
 
 
 def select_keywords_micc(
@@ -183,27 +118,33 @@ def select_keywords_micc(
 ) -> dict[str, KeywordSet]:
     """Per-theme top-k keywords by MI against "in this theme class vs not".
 
-    The theme word itself is excluded from its own group. Themes whose class
-    is empty (or covers every document) carry no discrimination signal and
-    get an empty group.
+    A document's class is the first theme whose word it contains. The theme
+    word itself is excluded from its own group. Themes whose class is empty
+    (or covers every document) carry no discrimination signal and get an
+    empty group.
     """
-    partition = partition_by_theme(documents, theme_terms)
-    if all(not ids for ids in partition.classes.values()):
+    if not theme_terms:
+        raise ValueError("theme_terms must be non-empty")
+    if len(set(theme_terms)) != len(theme_terms):
+        raise ValueError("theme_terms must be distinct")
+    themed = presence(documents.values(), theme_terms)
+    if not themed.nnz:
         raise ValueError("no document matched any theme")
+    # indices are sorted, so a row's first stored column is its first theme
+    theme_of = np.full(themed.shape[0], -1)
+    hit = np.diff(themed.indptr) > 0
+    theme_of[hit] = themed.indices[themed.indptr[:-1][hit]]
+    terms = tuple(dict.fromkeys(candidates))
+    present = presence(documents.values(), terms)
     groups: dict[str, KeywordSet] = {}
-    n_docs = len(documents)
-    for theme in partition.theme_terms:
-        members = partition.classes[theme]
-        params = (("theme", theme), ("k", str(k)))
-        if not members or len(members) == n_docs:
-            groups[theme] = KeywordSet(
-                name=f"{name_prefix}_{theme}", terms=(), provenance="micc", params=params
-            )
-            continue
-        cand = [t for t in candidates if t != theme]
-        ks = select_keywords_mi(documents, members, cand, k, name=f"{name_prefix}_{theme}")
+    for j, theme in enumerate(theme_terms):
+        members = theme_of == j
+        top = ()
+        if members.any() and not members.all():
+            top = _top_k(present, members, terms, k, skip=theme)
         groups[theme] = KeywordSet(
-            name=ks.name, terms=ks.terms, provenance="micc", params=params
+            name=f"{name_prefix}_{theme}", terms=top, provenance="micc",
+            params=(("theme", theme), ("k", str(k))),
         )
     return groups
 

@@ -219,54 +219,6 @@ def train(
     return model
 
 
-def gradient_check(
-    model: MlpModel,
-    x: np.ndarray,
-    labels: Sequence[Stance | int],
-    config: TrainingConfig,
-    sample_size: int = 60,
-    seed: int = 0,
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between backprop and central finite differences
-    on the batch of dense rows x with their labels.
-
-    Dropout must be disabled (keep = 1); the sampled parameter set always
-    covers at least min(sample_size, #params) distinct coordinates.
-    """
-    if config.dropout_keep != 1.0:
-        raise ValueError("gradient_check requires dropout_keep == 1")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.array([_label_index(lbl) for lbl in labels])
-
-    _, grads = _batch_gradients(model, x, y, config.l2_lambda)
-    params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),
-              (model.w2, grads["w2"]), (model.b2, grads["b2"])]
-    sizes = [p.size for p, _ in params]
-    total = sum(sizes)
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(total, size=min(sample_size, total), replace=False)
-
-    worst = 0.0
-    for flat in sorted(int(c) for c in chosen):
-        for (param, grad), size in zip(params, sizes):
-            if flat < size:
-                break
-            flat -= size
-        view = param.reshape(-1)
-        original = view[flat]
-        view[flat] = original + step
-        up = _batch_gradients(model, x, y, config.l2_lambda)[0]
-        view[flat] = original - step
-        down = _batch_gradients(model, x, y, config.l2_lambda)[0]
-        view[flat] = original
-        numeric = (up - down) / (2.0 * step)
-        analytic = grad.reshape(-1)[flat]
-        denom = max(abs(analytic), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
-
-
 def save_model(model: MlpModel, path: str | Path) -> None:
     """Versioned flat binary; arrays are row-major little-endian float64,
     w1 hidden-major as (hidden, input)."""

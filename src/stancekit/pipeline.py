@@ -52,9 +52,10 @@ from .text import (
     Vocabulary,
     build_idf,
     build_vocabulary,
+    count_matrix,
     dump_vocabulary,
     load_vocabulary,
-    tf_counts,
+    presence,
     tfidf_cosine,
     tfidf_doc,
     tokenize,
@@ -207,7 +208,6 @@ class FittedPipeline:
             raise ConfigError(f"pipeline {self.spec.name!r} has duplicate block names")
         starts = accumulate((length for _, length in columns), initial=0)
         self.layout = tuple(BlockSlice(n, s, length) for (n, length), s in zip(columns, starts))
-        self.input_dim = sum(length for _, length in columns)
 
     def _pair_columns(
         self, head_tokens: list, body_tokens: list, head_row: list, body_row: list
@@ -266,18 +266,19 @@ class FittedPipeline:
                     (head_tokens, head_row, self.headline_vocab),
                     (body_tokens, body_row, self.body_vocab),
                 ):
-                    tf = _csr_rows([tf_counts(tokens, vocab) for tokens in docs], len(vocab))
+                    tf = count_matrix(docs, vocab)
                     if self.tf_log1p:
                         tf.data = np.log1p(tf.data)
                     parts.append(tf[at])
                 blocks[block] = sp.hstack(parts + [pair_columns[block]], format="csr")
             elif block.kind == INDICATOR:
                 terms = self.keyword_sets[block.keywords].terms
-                head, body = (
-                    _csr_rows([_keyword_bits(t, terms, side) for t in docs], 2 * len(terms))
-                    for side, docs in enumerate((head_tokens, body_tokens))
-                )
-                blocks[block] = head[head_row] + body[body_row]
+                parts = []
+                for side, docs, at in ((0, head_tokens, head_row), (1, body_tokens, body_row)):
+                    bits = presence(docs, terms)  # keyword i of this side at column 2i + side
+                    parts.append(sp.csr_matrix((bits.data, 2 * bits.indices + side, bits.indptr),
+                                               shape=(len(docs), 2 * len(terms)))[at])
+                blocks[block] = parts[0] + parts[1]
             else:
                 blocks[block] = pair_columns[block]
         return blocks
@@ -290,25 +291,6 @@ class FittedPipeline:
     def matrix(self, corpus: Corpus) -> FeatureMatrix:
         """CSR feature matrix over all corpus instances, in corpus order."""
         return self.assemble(self.block_matrices(corpus))
-
-
-def _csr_rows(rows: Sequence[Mapping[int, float]], width: int) -> sp.csr_matrix:
-    """One CSR row per {column: value} mapping, indices sorted."""
-    indptr, indices, data = [0], [], []
-    for row in rows:
-        indices.extend(row)
-        data.extend(row.values())
-        indptr.append(len(indices))
-    data = np.array(data, dtype=np.float64)
-    mat = sp.csr_matrix((data, indices, indptr), shape=(len(rows), width))
-    mat.sort_indices()
-    return mat
-
-
-def _keyword_bits(tokens: TokenList, terms: Sequence[str], side: int) -> dict[int, float]:
-    """Presence bits of one headline (side 0) or body (side 1) at 2i + side."""
-    present = set(tokens)
-    return {2 * i + side: 1.0 for i, t in enumerate(terms) if t in present}
 
 
 def fit_pipeline(

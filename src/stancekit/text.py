@@ -1,12 +1,14 @@
-"""Tokenization, frequency-ranked vocabularies, TF counts, TF-IDF cosine,
-and the named column blocks of a feature layout.
+"""Tokenization, frequency-ranked vocabularies, TF counts, term presence,
+TF-IDF cosine, and the named column blocks of a feature layout.
 
-Everything here works on one document at a time: a token list is counted
-or IDF-weighted once, and the cosine combines two weighted documents. The
-pipeline module places these per-document values into feature matrices,
-whose columns it names with BlockSlice. All functions are pure and
-deterministic; vocabularies and IDF tables are immutable after
-construction and safe to share between workers.
+A token list is counted or IDF-weighted once, and the cosine combines two
+weighted documents. count_matrix stacks the counts of many documents into
+one CSR row each, and presence reduces that matrix to "document contains
+term": the one place document frequencies (IDF, keyword selection) and
+keyword indicator bits come from. The pipeline module places these
+per-document rows into feature matrices, whose columns it names with
+BlockSlice. All functions are pure and deterministic; vocabularies and IDF
+tables are immutable after construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 #: Lowercase word tokens, in text order.
 TokenList = list[str]
@@ -92,6 +95,38 @@ def tf_counts(tokens: TokenList, vocab: Vocabulary) -> dict[int, int]:
     return out
 
 
+def count_matrix(token_lists: Iterable[TokenList], vocab: Vocabulary) -> sp.csr_matrix:
+    """One CSR row of tf_counts per document, indices sorted.
+
+    >>> count_matrix([["b", "x", "b", "a"], []], Vocabulary(("a", "b"))).toarray()
+    array([[1., 2.],
+           [0., 0.]])
+    """
+    indptr, indices, data = [0], [], []
+    for tokens in token_lists:
+        row = tf_counts(tokens, vocab)
+        indices.extend(row)
+        data.extend(row.values())
+        indptr.append(len(indices))
+    data = np.array(data, dtype=np.float64)
+    mat = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(vocab)))
+    mat.sort_indices()
+    return mat
+
+
+def presence(token_lists: Iterable[TokenList], terms: Sequence[str]) -> sp.csr_matrix:
+    """count_matrix over the distinct terms with every stored value 1.0:
+    which document contains which term.
+
+    >>> presence([["b", "x", "b"], ["a", "b"]], ("a", "b", "c")).toarray()
+    array([[0., 1., 0.],
+           [1., 1., 0.]])
+    """
+    mat = count_matrix(token_lists, Vocabulary(tuple(terms)))
+    mat.data[:] = 1.0
+    return mat
+
+
 @dataclass(frozen=True)
 class IdfTable:
     """Smoothed inverse document frequencies aligned with a vocabulary.
@@ -110,14 +145,10 @@ class IdfTable:
 
 
 def build_idf(documents: Iterable[TokenList], vocab: Vocabulary) -> IdfTable:
-    """Document frequencies over `documents`, one set-membership per doc."""
-    df = np.zeros(len(vocab), dtype=np.int64)
-    n_docs = 0
-    index = vocab.index
-    for tokens in documents:
-        n_docs += 1
-        for i in {index[t] for t in set(tokens) if t in index}:
-            df[i] += 1
+    """IDF from the document frequencies (presence column counts) of `documents`."""
+    present = presence(documents, vocab.terms)
+    n_docs = present.shape[0]
+    df = np.bincount(present.indices, minlength=len(vocab))
     if n_docs < 1:
         raise ValueError("idf requires at least one document")
     values = np.maximum(0.0, np.log(n_docs / (1.0 + df)))

@@ -1,10 +1,12 @@
 """Per-instance reference formulas that the batched code is compared with.
 
 The package featurizes whole corpora at once (one row per distinct
-headline and body, then a gather) and fuses whole probability stacks at
-once. The functions here compute the same values one instance or one row
-at a time, straight from their definitions, so tests can pin the batched
-paths to them exactly.
+headline and body, then a gather), fuses whole probability stacks at once,
+and selects keywords from one document-by-term presence matrix. The
+functions here compute the same values one instance, row, document or
+candidate at a time, straight from their definitions, so tests can pin the
+batched paths to them exactly. gradient_check compares backprop with
+central finite differences.
 """
 
 import math
@@ -12,6 +14,7 @@ from collections import Counter
 
 import numpy as np
 
+import stancekit.mlp as mlp
 from stancekit.corpus import STANCES
 from stancekit.embeddings import (
     CENTROID,
@@ -22,6 +25,7 @@ from stancekit.embeddings import (
     _apportion,
     _transport_min_cost,
 )
+from stancekit.keywords import mutual_information
 from stancekit.mlp import softmax
 from stancekit.pipeline import BASELINE, INDICATOR
 from stancekit.text import tokenize
@@ -153,3 +157,103 @@ def fuse_concatenation_row(member_probs, combiner):
     flat = np.stack(member_probs).reshape(-1)
     fused = softmax(flat @ combiner.weights.T + combiner.bias)
     return fused, STANCES[int(np.argmax(fused))]
+
+
+def presence_counts(documents, positive_ids, candidates):
+    """Per-candidate document frequencies split by class membership, one
+    set intersection per document."""
+    cand = set(candidates)
+    pos_df, neg_df = Counter(), Counter()
+    n_pos = n_neg = 0
+    positive = set(positive_ids)
+    for doc_id, tokens in documents.items():
+        hit = cand.intersection(tokens)
+        if doc_id in positive:
+            n_pos += 1
+            pos_df.update(hit)
+        else:
+            n_neg += 1
+            neg_df.update(hit)
+    return pos_df, neg_df, n_pos, n_neg
+
+
+def select_mi(documents, positive_ids, candidates, k):
+    """Top-k candidate terms by MI, one 2x2 table per candidate, ties
+    lexicographic."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    pos_df, neg_df, n_pos, n_neg = presence_counts(documents, positive_ids, candidates)
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("both document classes must be non-empty")
+    scores = {}
+    for term in candidates:
+        n11, n10 = pos_df[term], neg_df[term]
+        scores[term] = mutual_information(n11, n10, n_pos - n11, n_neg - n10)
+    return tuple(sorted(scores, key=lambda t: (-scores[t], t))[:k])
+
+
+def partition_by_theme(documents, theme_terms):
+    """{theme: ids} of the documents whose first contained theme word it is."""
+    classes = {t: set() for t in theme_terms}
+    for doc_id, tokens in documents.items():
+        token_set = set(tokens)
+        for theme in theme_terms:
+            if theme in token_set:
+                classes[theme].add(doc_id)
+                break
+    return classes
+
+
+def select_micc(documents, theme_terms, candidates, k):
+    """{theme: top-k terms} against "in this theme class vs not", the
+    theme word excluded; empty for an empty or all-document class."""
+    classes = partition_by_theme(documents, theme_terms)
+    if all(not ids for ids in classes.values()):
+        raise ValueError("no document matched any theme")
+    groups = {}
+    for theme, members in classes.items():
+        groups[theme] = ()
+        if members and len(members) != len(documents):
+            cand = [t for t in candidates if t != theme]
+            groups[theme] = select_mi(documents, members, cand, k)
+    return groups
+
+
+def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
+    """Max relative error between backprop and central finite differences
+    on the batch of dense rows x with their labels.
+
+    Dropout must be disabled (keep = 1); the sampled parameter set always
+    covers at least min(sample_size, #params) distinct coordinates.
+    """
+    if config.dropout_keep != 1.0:
+        raise ValueError("gradient_check requires dropout_keep == 1")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.array([mlp._label_index(lbl) for lbl in labels])
+
+    _, grads = mlp._batch_gradients(model, x, y, config.l2_lambda)
+    params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),
+              (model.w2, grads["w2"]), (model.b2, grads["b2"])]
+    sizes = [p.size for p, _ in params]
+    total = sum(sizes)
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(total, size=min(sample_size, total), replace=False)
+
+    worst = 0.0
+    for flat in sorted(int(c) for c in chosen):
+        for (param, grad), size in zip(params, sizes):
+            if flat < size:
+                break
+            flat -= size
+        view = param.reshape(-1)
+        original = view[flat]
+        view[flat] = original + step
+        up = mlp._batch_gradients(model, x, y, config.l2_lambda)[0]
+        view[flat] = original - step
+        down = mlp._batch_gradients(model, x, y, config.l2_lambda)[0]
+        view[flat] = original
+        numeric = (up - down) / (2.0 * step)
+        analytic = grad.reshape(-1)[flat]
+        denom = max(abs(analytic), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic - numeric) / denom)
+    return worst

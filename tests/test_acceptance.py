@@ -18,8 +18,8 @@ import pytest
 from stancekit.corpus import Stance, load_corpus, plan_folds
 from stancekit.ensemble import EnsembleMember, EnsembleSpec
 from stancekit.evaluation import cross_validate, fnc_score, score_predictions
-from stancekit.keywords import DEFAULT_REFUTATION_TERMS, ContingencyTable, mutual_information
-from stancekit.mlp import TrainingConfig, gradient_check, init_model, predict_batch
+from stancekit.keywords import DEFAULT_REFUTATION_TERMS, mutual_information
+from stancekit.mlp import TrainingConfig, init_model, predict_batch
 from stancekit.mlp import train as train_model
 from stancekit.pipeline import (
     BlockSpec,
@@ -32,6 +32,7 @@ from stancekit.pipeline import (
 from stancekit.text import BlockSlice
 
 from conftest import FNC_SKIP_REASON, fnc_paths, synthetic_corpus
+from oracles import gradient_check
 from test_cli import base_config, hash_tree, run
 from test_embeddings import brute_force_wmd, random_instance
 from test_evaluation import brute_force_grade, cheating_runner, constructed_pairs, honest_runner
@@ -231,7 +232,7 @@ def test_criterion_06_mi_correctness():
             for n00 in range(rest + 1):
                 if n11 + n10 + n01 + n00 == 0:
                     continue
-                got = mutual_information(ContingencyTable("t", n11, n10, n01, n00))
+                got = mutual_information(n11, n10, n01, n00)
                 want = entropy_identity_mi(n11, n10, n01, n00)
                 worst = max(worst, abs(got - want))
                 tables += 1

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,13 +14,21 @@ import yaml
 from click.testing import CliRunner
 
 from stancekit.cli import main
-from stancekit.corpus import Stance
+from stancekit.corpus import Stance, load_bodies
 from stancekit.evaluation import fnc_score, parse_delimited
 from stancekit.keywords import read_keyword_set
 
-from conftest import synthetic_corpus, write_corpus_files, write_stances, write_vectors
+from conftest import (
+    FILLER,
+    synthetic_corpus,
+    write_bodies,
+    write_corpus_files,
+    write_stances,
+    write_vectors,
+)
 
 RUNNER = CliRunner()
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def base_config(tmp_path: Path, **overrides) -> Path:
@@ -99,6 +108,15 @@ def hash_tree(root: Path) -> dict[str, str]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def add_unreferenced_bodies(tmp_path: Path, n: int) -> None:
+    """Append n bodies that no stance row references to the training bodies."""
+    path = tmp_path / "data" / "train_bodies.csv"
+    bodies = load_bodies(path)
+    first = max(bodies) + 1
+    bodies.update({first + b: " ".join(FILLER[b % 8 : b % 8 + 8]) for b in range(n)})
+    write_bodies(path, bodies)
 
 
 @pytest.fixture()
@@ -262,6 +280,14 @@ class TestTrain:
             separate = hash_tree(alone)
             assert any(f.endswith(".pipeline.json") for f in separate)
             assert {f: together[f] for f in separate} == separate
+
+    def test_unreferenced_bodies_stay_in_training(self, tmp_path):
+        # with seed 230, dealing every body would leave validation no stance rows
+        config = base_config(tmp_path)
+        add_unreferenced_bodies(tmp_path, 400)
+        run("train", "--config", str(config), "--models", "base", "--seed", "230")
+        log = (tmp_path / "out" / "base.train.log").read_text(encoding="utf-8")
+        assert "validation_relative_grade=" in log
 
     def test_divergence_exit_4(self, tmp_path):
         config = base_config(tmp_path)
@@ -643,6 +669,12 @@ class TestCv:
         run("cv", "--config", str(config), "--models", "base", "--jobs", "3")
         assert (tmp_path / "out" / "base.cv.aggregate.txt").read_bytes() == serial
 
+    def test_unreferenced_bodies_stay_in_training(self, tmp_path):
+        # with seed 3, dealing every body would leave fold 8 no stance rows
+        config = base_config(tmp_path, cv={"folds": 10, "seed": 17})
+        add_unreferenced_bodies(tmp_path, 40)
+        run("cv", "--config", str(config), "--models", "base", "--seed", "3")
+        assert len(list((tmp_path / "out").glob("base.cv.fold*.scores.txt"))) == 10
 
     def test_jobs_must_be_positive_exit_2(self, tmp_path):
         config = base_config(tmp_path)
@@ -680,7 +712,43 @@ class TestReport:
         assert "files=0" in result.output
 
 
+@pytest.mark.parametrize(
+    "command", ["train", "evaluate", "predict", "keywords", "cv", "report"]
+)
+def test_output_path_not_a_directory_exit_2(tmp_path, command):
+    config = base_config(tmp_path)
+    (tmp_path / "out").write_text("a file, not a directory\n", encoding="utf-8")
+    result = RUNNER.invoke(main, [command, "--config", str(config), "--models", "base"])
+    assert result.exit_code == 2
+    assert f"output path {tmp_path / 'out'} is not a directory" in result.stderr
+
+
 class TestDeterminismUmbrella:
+    def test_across_hash_seeds(self, tmp_path):
+        """Every command writes the same bytes under two string-hash seeds,
+        so no output depends on set or dict-of-str iteration order."""
+        config = base_config(tmp_path)
+        commands = [
+            ["train"], ["evaluate"], ["predict", "--models", "base"], ["keywords"],
+            ["cv", "--models", "trio_concat", "--jobs", "1"],
+        ]
+        for hash_seed in ("1", "2"):
+            out = str(tmp_path / f"out{hash_seed}")
+            script = (
+                "from stancekit.cli import main\n"
+                f"for args in {commands!r}:\n"
+                f"    main(args + ['--config', {str(config)!r}, '--out', {out!r}],"
+                " standalone_mode=False)\n"
+            )
+            path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        first = hash_tree(tmp_path / "out1")
+        assert any(f.endswith(".cv.aggregate.txt") for f in first)
+        assert hash_tree(tmp_path / "out2") == first
+
     def test_full_surface_rerun_is_byte_identical(self, tmp_path):
         config = base_config(tmp_path)
 

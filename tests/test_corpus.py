@@ -172,6 +172,33 @@ class TestFoldPlanning:
         assert sizes[-1] - sizes[0] <= 1
 
 
+def with_unreferenced_bodies(corpus: Corpus, n: int) -> Corpus:
+    """corpus plus n bodies that no stance row references."""
+    bodies = dict(corpus.bodies)
+    bodies.update({1000 + b: f"unreferenced body {b}" for b in range(n)})
+    return make_corpus(corpus.instances, bodies)
+
+
+class TestUnreferencedBodies:
+    @given(extra=st.integers(1, 400), k=st.integers(2, 10), seed=st.integers(0, 10_000))
+    def test_every_fold_holds_instances_and_training_keeps_unreferenced(self, extra, k, seed):
+        base = synthetic_corpus(n_instances=48, n_bodies=24, seed=5)
+        corpus = with_unreferenced_bodies(base, extra)
+        unreferenced = set(corpus.bodies) - set(base.bodies)
+        plan = plan_folds(corpus, k=k, seed=seed)
+        assert plan.assignments == plan_folds(base, k=k, seed=seed).assignments
+        for fold in range(k):
+            train, test = plan.split(corpus, fold)
+            assert test.instances and train.instances
+            assert unreferenced <= set(train.bodies)
+            assert set(train.bodies) | set(test.bodies) == set(corpus.bodies)
+
+    def test_too_few_referenced_bodies(self):
+        corpus = with_unreferenced_bodies(synthetic_corpus(n_instances=4, n_bodies=3), 10)
+        with pytest.raises(ConfigError, match="at least 4 bodies for 4 folds, have 3"):
+            plan_folds(corpus, k=4, seed=0)
+
+
 class TestValidationSplit:
     def test_disjoint_and_total(self, toy_corpus):
         train, val = validation_split(toy_corpus, fraction=0.25, seed=2)
@@ -221,6 +248,6 @@ class TestFullDataset:
         corpus = load_corpus(paths["train_stances"], paths["train_bodies"])
         plan = plan_folds(corpus, k=10, seed=0)
         for instance in corpus.instances:
-            assert plan.fold_of(instance.body_id) == plan.assignments[instance.body_id]
+            assert plan.assignments[instance.body_id] in range(10)
         sizes = sorted(len(plan.bodies_in(f)) for f in range(10))
         assert sizes[-1] - sizes[0] <= 1

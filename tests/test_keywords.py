@@ -1,32 +1,33 @@
 """Keyword selection: MI over 2x2 tables, MICC theme partitions, indicators.
 
 The MI oracle here is the entropy identity I(T;C) = H(T) + H(C) - H(T,C),
-computed independently of the implementation's cell-sum formula.
+computed independently of the implementation's cell-sum formula. Both
+selectors are also pinned to the per-document, per-candidate reference
+selection in oracles.py.
 """
 
 import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from stancekit.corpus import Instance, Stance, make_corpus
 from stancekit.errors import DataFormatError
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 from stancekit.keywords import (
     DEFAULT_REFUTATION_TERMS,
-    ContingencyTable,
     KeywordSet,
     corpus_documents,
     mutual_information,
-    partition_by_theme,
     read_keyword_set,
-    score_candidates,
     select_keywords_mi,
     select_keywords_micc,
     stance_positive_bodies,
     write_keyword_set,
 )
+
+from oracles import select_mi, select_micc
 
 
 def entropy_identity_mi(n11: int, n10: int, n01: int, n00: int) -> float:
@@ -49,26 +50,23 @@ def entropy_identity_mi(n11: int, n10: int, n01: int, n00: int) -> float:
 
 class TestMutualInformation:
     def test_perfect_association_one_bit(self):
-        table = ContingencyTable("t", n11=5, n10=0, n01=0, n00=5)
-        assert mutual_information(table) == pytest.approx(1.0, abs=1e-12)
+        assert mutual_information(n11=5, n10=0, n01=0, n00=5) == pytest.approx(1.0, abs=1e-12)
 
     def test_independence_zero(self):
-        table = ContingencyTable("t", n11=2, n10=2, n01=2, n00=2)
-        assert mutual_information(table) == 0.0
+        assert mutual_information(n11=2, n10=2, n01=2, n00=2) == 0.0
 
     def test_matches_entropy_identity_example(self):
-        table = ContingencyTable("t", n11=3, n10=1, n01=1, n00=3)
-        assert mutual_information(table) == pytest.approx(
+        assert mutual_information(n11=3, n10=1, n01=1, n00=3) == pytest.approx(
             entropy_identity_mi(3, 1, 1, 3), abs=1e-12
         )
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
-            mutual_information(ContingencyTable("t", 0, 0, 0, 0))
+            mutual_information(0, 0, 0, 0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            ContingencyTable("t", -1, 0, 0, 2)
+            mutual_information(-1, 0, 0, 2)
 
     def test_exhaustive_sweep_small_tables(self):
         """Every 2x2 table with N <= 50 against the entropy identity."""
@@ -80,7 +78,7 @@ class TestMutualInformation:
             for n00 in range(rest + 1):
                 if n11 + n10 + n01 + n00 == 0:
                     continue
-                got = mutual_information(ContingencyTable("t", n11, n10, n01, n00))
+                got = mutual_information(n11, n10, n01, n00)
                 want = entropy_identity_mi(n11, n10, n01, n00)
                 worst = max(worst, abs(got - want))
         assert worst <= 1e-10
@@ -92,7 +90,7 @@ class TestMutualInformation:
         n00=st.integers(1, 200),
     )
     def test_nonnegative_and_bounded(self, n11, n10, n01, n00):
-        value = mutual_information(ContingencyTable("t", n11, n10, n01, n00))
+        value = mutual_information(n11, n10, n01, n00)
         assert 0.0 <= value <= 1.0 + 1e-12
 
 
@@ -137,37 +135,82 @@ class TestSelection:
         ks = select_keywords_mi(DOCS_6, POSITIVE_6, candidates, k=2)
         assert list(ks.terms) == expected
 
-    def test_score_candidates_values(self):
-        scores = score_candidates(DOCS_6, POSITIVE_6, ["confirm", "deny"])
-        assert scores["confirm"] == pytest.approx(1.0, abs=1e-12)
-        assert scores["deny"] == pytest.approx(1.0, abs=1e-12)
+    def test_perfect_predictors_tie_at_one_bit(self):
+        assert mutual_information(3, 0, 0, 3) == pytest.approx(1.0, abs=1e-12)
+        ks = select_keywords_mi(DOCS_6, POSITIVE_6, ["noise", "deny", "alpha", "confirm"], k=2)
+        assert ks.terms == ("confirm", "deny")
 
 
 class TestThemePartition:
+    """A document's class is the first theme word it contains."""
+
     def test_single_theme(self):
-        docs = {1: {"a", "hoax", "story"}, 2: {"plain"}}
-        part = partition_by_theme(docs, ["hoax"])
-        assert part.classes["hoax"] == frozenset({1})
-        assert part.residual == frozenset({2})
+        docs = {1: {"a", "hoax"}, 2: {"plain"}, 3: {"plain", "a"}}
+        groups = select_keywords_micc(docs, ["hoax"], ["a", "plain"], k=1)
+        # class {1} against residual {2, 3}: "plain" separates them exactly
+        assert groups["hoax"].terms == ("plain",)
 
     def test_first_match_wins(self):
-        docs = {1: {"a", "b"}}
-        part = partition_by_theme(docs, ["a", "b"])
-        assert part.classes["a"] == frozenset({1})
-        assert part.classes["b"] == frozenset()
+        docs = {1: {"a", "b"}, 2: {"c"}}
+        groups = select_keywords_micc(docs, ["a", "b"], ["c"], k=1)
+        assert groups["a"].terms == ("c",)
+        assert groups["b"].terms == ()  # doc 1 went to "a", so class "b" is empty
 
     def test_all_residual(self):
-        docs = {1: {"x"}, 2: {"y"}}
-        part = partition_by_theme(docs, ["theme"])
-        assert part.residual == frozenset({1, 2})
+        with pytest.raises(ValueError, match="no document matched any theme"):
+            select_keywords_micc({1: {"x"}, 2: {"y"}}, ["theme"], ["x"], k=1)
 
     def test_duplicate_themes_rejected(self):
         with pytest.raises(ValueError):
-            partition_by_theme({1: {"a"}}, ["a", "a"])
+            select_keywords_micc({1: {"a"}}, ["a", "a"], ["a"], k=1)
 
     def test_empty_themes_rejected(self):
         with pytest.raises(ValueError):
-            partition_by_theme({1: {"a"}}, [])
+            select_keywords_micc({1: {"a"}}, [], ["a"], k=1)
+
+
+WORDS = ("a", "b", "c", "d", "e")
+# few words and few documents, so many candidates share a table and MI ties
+small_docs = st.dictionaries(
+    st.integers(0, 9), st.lists(st.sampled_from(WORDS), max_size=6), max_size=7
+)
+
+
+def outcome(select):
+    """The selection, or the message of the ValueError it raises."""
+    try:
+        return select()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestAgainstOracle:
+    @given(
+        docs=small_docs,
+        positive=st.sets(st.integers(0, 9)),
+        candidates=st.lists(st.sampled_from(WORDS + ("zz",)), unique=True),
+        k=st.integers(0, 6),
+    )
+    @example(docs={1: ["a"], 2: ["b"]}, positive={1}, candidates=[], k=2)
+    @example(docs={1: ["a"], 2: ["b"]}, positive={1}, candidates=["a", "b"], k=0)
+    def test_mi_equals_oracle(self, docs, positive, candidates, k):
+        got = outcome(lambda: select_keywords_mi(docs, positive, candidates, k).terms)
+        assert got == outcome(lambda: select_mi(docs, positive, candidates, k))
+
+    @given(
+        docs=small_docs,
+        themes=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3, unique=True),
+        candidates=st.lists(st.sampled_from(WORDS + ("zz",)), unique=True),
+        k=st.integers(0, 6),
+    )
+    @example(docs={1: ["a"], 2: ["b"]}, themes=["a"], candidates=[], k=2)
+    @example(docs={1: ["a", "c"], 2: ["b"]}, themes=["a"], candidates=["a", "c"], k=0)
+    def test_micc_equals_oracle(self, docs, themes, candidates, k):
+        def selected():
+            groups = select_keywords_micc(docs, themes, candidates, k)
+            return {theme: ks.terms for theme, ks in groups.items()}
+
+        assert outcome(selected) == outcome(lambda: select_micc(docs, themes, candidates, k))
 
 
 class TestMicc:

@@ -16,7 +16,6 @@ from stancekit.errors import DataFormatError, TrainingDivergedError
 from stancekit.mlp import (
     MlpModel,
     TrainingConfig,
-    gradient_check,
     init_model,
     load_model,
     predict_batch,
@@ -26,6 +25,8 @@ from stancekit.mlp import (
 )
 from stancekit.pipeline import FeatureMatrix
 from stancekit.text import BlockSlice
+
+from oracles import gradient_check
 
 LAYOUT_2 = (BlockSlice("in", 0, 2),)
 

@@ -36,6 +36,11 @@ def small_corpus():
     return synthetic_corpus(n_instances=32, n_bodies=8, seed=3)
 
 
+def input_width(fitted):
+    """Feature columns of a pipeline: the widths of its layout blocks."""
+    return sum(b.length for b in fitted.layout)
+
+
 class TestSpecValidation:
     def test_manual_needs_terms(self):
         with pytest.raises(ConfigError, match="manual"):
@@ -83,7 +88,7 @@ class TestBaselineFit:
         fitted = fit_pipeline(BASELINE_SPEC, corpus, vocab_capacity=30)
         names = [b.name for b in fitted.layout]
         assert names == ["tf_headline", "tf_body", "tfidf_cos"]
-        assert fitted.input_dim == (
+        assert input_width(fitted) == (
             len(fitted.headline_vocab) + len(fitted.body_vocab) + 1
         )
         assert len(fitted.headline_vocab) <= 30
@@ -94,7 +99,7 @@ class TestBaselineFit:
         fitted = fit_pipeline(BASELINE_SPEC, corpus, vocab_capacity=25)
         fm = fitted.matrix(corpus)
         dense = fm.matrix.toarray()
-        assert fm.shape == (len(corpus), fitted.input_dim)
+        assert fm.shape == (len(corpus), input_width(fitted))
         for row, instance in enumerate(corpus.instances):
             assert np.array_equal(dense[row], feature_row(fitted, instance, corpus))
 
@@ -109,7 +114,7 @@ class TestBaselineFit:
         assert "zyzzyva" not in fitted.shared_vocab
         # featurizing unseen text still works, oov terms simply drop out
         fm = fitted.matrix(unseen)
-        assert fm.shape == (1, fitted.input_dim)
+        assert fm.shape == (1, input_width(fitted))
         assert np.array_equal(
             fm.matrix.toarray()[0], feature_row(fitted, unseen.instances[0], unseen)
         )
@@ -136,7 +141,7 @@ class TestKeywordBlocks:
         kw = {"refute": KeywordSpec(name="refute", selector="manual", terms=("fake", "hoax"))}
         fitted = fit_pipeline(spec, corpus, keyword_specs=kw, vocab_capacity=20)
         assert [b.name for b in fitted.layout][-1] == "kw_refute"
-        assert fitted.input_dim == len(fitted.headline_vocab) + len(fitted.body_vocab) + 1 + 4
+        assert input_width(fitted) == len(fitted.headline_vocab) + len(fitted.body_vocab) + 1 + 4
 
     def test_undefined_keyword_reference(self):
         corpus = small_corpus()
@@ -273,7 +278,7 @@ class TestOracleParity:
         unseen = synthetic_corpus(n_instances=20, n_bodies=5, seed=9)
         for part in (corpus, unseen):
             dense = fitted.matrix(part).matrix.toarray()
-            assert dense.shape == (len(part), fitted.input_dim)
+            assert dense.shape == (len(part), input_width(fitted))
             for row, instance in enumerate(part.instances):
                 assert np.array_equal(dense[row], feature_row(fitted, instance, part))
 
@@ -348,7 +353,7 @@ class TestSharedFit:
             width = blocks[block].shape[1]
             assert np.array_equal(blocks[block].toarray(), full[:, start : start + width])
             start += width
-        assert start == fitted.input_dim
+        assert start == input_width(fitted)
 
     def test_centroid_only_builds_no_nbow(self, monkeypatch, vectors_file):
         corpus = shared_headline_corpus()
