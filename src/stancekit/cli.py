@@ -48,7 +48,7 @@ from .evaluation import (
     render_report,
     score_predictions,
 )
-from .keywords import corpus_documents, select_keywords_micc, write_keyword_set
+from .keywords import select_keywords_micc, write_keyword_set
 from .mlp import MlpModel, load_model, predict_batch, save_model
 from .mlp import train as train_mlp
 from .pipeline import (
@@ -63,7 +63,6 @@ from .pipeline import (
     selecting,
     stance_labels,
 )
-from .text import tokenize
 
 
 def _handled(func):
@@ -165,7 +164,7 @@ def _members(cfg: ExperimentConfig, targets: Sequence[str]) -> list[str]:
 
 
 def _maybe_embeddings(
-    cfg: ExperimentConfig, names: Sequence[str], corpora: Sequence[Corpus]
+    cfg: ExperimentConfig, names: Sequence[str], corpus: Corpus
 ) -> EmbeddingTable | None:
     """The embedding table, when a pipeline of the named models needs one."""
     needed = any(
@@ -179,12 +178,7 @@ def _maybe_embeddings(
         raise DataFormatError(f"no such embedding file: {cfg.embeddings.path}")
     restrict = None
     if cfg.embeddings.restrict_to_corpus:
-        restrict = set()
-        for corpus in corpora:
-            for instance in corpus.instances:
-                restrict.update(tokenize(instance.headline))
-            for text in corpus.bodies.values():
-                restrict.update(tokenize(text))
+        restrict = set().union(*corpus.headline_tokens.values(), *corpus.body_tokens.values())
     return load_embeddings(cfg.embeddings.path, restrict_to=restrict)
 
 
@@ -292,7 +286,7 @@ def train(config_path, out_dir, seed, models_csv):
         )
     else:
         fit_part, val_part = corpus, None
-    embeddings = _maybe_embeddings(cfg, names, [corpus])
+    embeddings = _maybe_embeddings(cfg, names, corpus)
     out = _out_dir(cfg)
 
     epoch_logs: dict[str, list[str]] = {}
@@ -363,7 +357,7 @@ def _saved_decisions(cfg: ExperimentConfig, targets: Sequence[str],
     loaded and checked first; each saved pipeline featurizes it once."""
     out = cfg.output_dir
     names = _members(cfg, targets)
-    embeddings = _maybe_embeddings(cfg, names, [corpus])
+    embeddings = _maybe_embeddings(cfg, names, corpus)
     fits = {pid: load_pipeline(out, pid, embeddings)
             for pid in dict.fromkeys(cfg.models[name].pipeline for name in names)}
     for pid, fit in fits.items():
@@ -437,14 +431,13 @@ def keywords(config_path, out_dir, seed, models_csv):
     needs_labels = any(cfg.keyword_specs[n].selector == "mi" for n in names)
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, needs_labels)
     out = _out_dir(cfg)
-    documents = corpus_documents(corpus)
-    candidates = body_vocabulary(documents.values(), cfg.features.vocab_capacity).terms
+    candidates = body_vocabulary(corpus.body_tokens.values(), cfg.features.vocab_capacity).terms
     for name in names:
         spec = cfg.keyword_specs[name]
         if spec.selector == "micc":
             with selecting(spec):
                 groups = select_keywords_micc(
-                    documents, spec.themes, candidates, spec.k, name_prefix=spec.name
+                    corpus.body_tokens, spec.themes, candidates, spec.k, name_prefix=spec.name
                 )
             for theme, group in groups.items():
                 fname = f"{name}.{theme}.keywords.txt"
@@ -454,7 +447,7 @@ def keywords(config_path, out_dir, seed, models_csv):
                     f"terms={len(group.terms)}"
                 )
         else:
-            ks = fit_keyword_set(spec, corpus, candidates, documents)
+            ks = fit_keyword_set(spec, corpus, candidates)
             fname = f"{name}.keywords.txt"
             write_keyword_set(ks, out / fname)
             click.echo(f"command=keywords set={name} file={fname} terms={len(ks.terms)}")
@@ -496,7 +489,7 @@ def cv(config_path, out_dir, seed, models_csv, jobs):
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
     plan = plan_folds(corpus, cfg.cv.folds, cfg.cv.seed)
-    embeddings = _maybe_embeddings(cfg, _members(cfg, targets), [corpus])
+    embeddings = _maybe_embeddings(cfg, _members(cfg, targets), corpus)
     out = _out_dir(cfg)
     for target in targets:
         result = cross_validate(corpus, plan, _fold_runner(cfg, target, embeddings),

@@ -1,8 +1,11 @@
-"""FNC-1 format corpus ingestion, validation, and leakage-safe fold planning.
+"""FNC-1 format corpus ingestion, validation, tokenization, and
+leakage-safe fold planning.
 
 Input files are UTF-8 CSV per RFC 4180 (quoted fields may embed commas and
-newlines, which the bodies file uses). Fold planning splits by body id so
-that no article body ever lands on both sides of a train/test boundary.
+newlines, which the bodies file uses). A Corpus tokenizes each distinct
+headline and body once, when it is built; every later step reads those
+lists, as do its folds and validation splits. Fold planning splits by body
+id so that no article body ever lands on both sides of a train/test boundary.
 """
 
 from __future__ import annotations
@@ -10,11 +13,13 @@ from __future__ import annotations
 import csv
 import enum
 import random
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ConfigError, DataFormatError, IntegrityError
+from .text import TokenList, tokenize
 
 
 class Stance(enum.Enum):
@@ -55,34 +60,52 @@ class Instance:
     stance: Stance | None = None
 
 
+def _token_lists(texts: Mapping) -> dict:
+    """The token list of each text, keyed as texts is, sharing one interned string per term."""
+    return {key: [sys.intern(t) for t in tokenize(text)] for key, text in texts.items()}
+
+
 @dataclass(frozen=True)
 class Corpus:
-    """Instances plus the body store they reference."""
+    """Instances plus the body store they reference, and the token lists of
+    each distinct headline (keyed by its text, in first-occurrence order)
+    and of each body (keyed by body id), made from the texts unless given."""
 
     instances: tuple[Instance, ...]
     bodies: Mapping[int, str]
-    origin: tuple[str, ...] = ()
+    headline_tokens: Mapping[str, TokenList] = field(default=None, repr=False, compare=False)
+    body_tokens: Mapping[int, TokenList] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.headline_tokens is None:
+            heads = {i.headline: i.headline for i in self.instances}
+            object.__setattr__(self, "headline_tokens", _token_lists(heads))
+        if self.body_tokens is None:
+            object.__setattr__(self, "body_tokens", _token_lists(self.bodies))
 
     def __len__(self) -> int:
         return len(self.instances)
 
-    @property
-    def body_ids(self) -> tuple[int, ...]:
-        return tuple(self.bodies)
+    def tokens_of_body(self, body_id: int) -> TokenList:
+        """The token list of one body, made when the corpus was built.
 
-    def body_text(self, body_id: int) -> str:
+        >>> Corpus((Instance("Fake?", 7),), {7: "It's a-b FAKE."}).tokens_of_body(7)
+        ['it', 's', 'a', 'b', 'fake']
+        """
         try:
-            return self.bodies[body_id]
+            return self.body_tokens[body_id]
         except KeyError:
             raise IntegrityError(f"body id {body_id} not in corpus") from None
 
     def restrict(self, body_ids: Iterable[int]) -> "Corpus":
-        """Sub-corpus containing only the given bodies and their instances."""
+        """Sub-corpus of the given bodies and their instances, with the parent's token lists."""
         keep = set(body_ids)
+        instances = tuple(i for i in self.instances if i.body_id in keep)
         return Corpus(
-            instances=tuple(i for i in self.instances if i.body_id in keep),
+            instances=instances,
             bodies={b: t for b, t in self.bodies.items() if b in keep},
-            origin=self.origin,
+            headline_tokens={i.headline: self.headline_tokens[i.headline] for i in instances},
+            body_tokens={b: t for b, t in self.body_tokens.items() if b in keep},
         )
 
 
@@ -167,26 +190,18 @@ def load_bodies(path: str | Path) -> dict[int, str]:
     return bodies
 
 
-def make_corpus(
-    instances: Iterable[Instance],
-    bodies: Mapping[int, str],
-    origin: tuple[str, ...] = (),
-) -> Corpus:
+def make_corpus(instances: Iterable[Instance], bodies: Mapping[int, str]) -> Corpus:
     """Assemble and validate a Corpus; every instance body id must resolve."""
     instances = tuple(instances)
     missing = sorted({i.body_id for i in instances} - set(bodies))
     if missing:
         raise IntegrityError(f"instances reference absent body ids: {missing}")
-    return Corpus(instances=instances, bodies=dict(bodies), origin=origin)
+    return Corpus(instances=instances, bodies=dict(bodies))
 
 
 def load_corpus(stances_path: str | Path, bodies_path: str | Path) -> Corpus:
     """Load and cross-validate a stances/bodies file pair."""
-    return make_corpus(
-        load_stances(stances_path),
-        load_bodies(bodies_path),
-        origin=(str(stances_path), str(bodies_path)),
-    )
+    return make_corpus(load_stances(stances_path), load_bodies(bodies_path))
 
 
 def plan_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
@@ -208,10 +223,12 @@ def plan_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
 
 
 def validation_split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus, Corpus]:
-    """Hold out roughly `fraction` of bodies as a validation sub-corpus."""
+    """Hold out one of round(1/fraction) body folds as a validation sub-corpus."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"validation fraction must be in (0,1), got {fraction}")
     k = max(2, round(1.0 / fraction))
-    plan = plan_folds(corpus, k=k, seed=seed)
-    train, val = plan.split(corpus, fold=0)
-    return train, val
+    dealt = len({i.body_id for i in corpus.instances})
+    if dealt < k:
+        raise ConfigError(f"validation.fraction {fraction} needs at least {k} bodies "
+                          f"with stance rows, have {dealt}")
+    return plan_folds(corpus, k=k, seed=seed).split(corpus, fold=0)

@@ -1,9 +1,9 @@
 """Keyword selection: manual refutation list, mutual information (MI), and
 the customized-class (MICC) selector that ranks keywords per theme.
 
-Documents here are bags of tokens keyed by a document id; the corpus adapter
-decides what a "document" is (this package uses one document per article
-body, headlines excluded). Both selectors read one document-by-term
+Documents here are bags of tokens keyed by a document id: the corpus's body
+token lists (Corpus.body_tokens, made when the corpus was built), one per
+article body, headlines excluded. Both selectors read one document-by-term
 presence matrix (text.presence). A term's 2x2 table against a document
 class comes from column counts over the class's rows and the other rows,
 and MI is computed once per distinct table. MICC puts each document in the
@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .corpus import Corpus
 from .errors import DataFormatError
-from .text import TokenList, presence, tokenize
+from .text import presence
 
 #: Refutation cue words that signal the disagree stance. A starting point,
 #: not gospel: every selector that takes keywords accepts any list via config.
@@ -147,11 +147,6 @@ def select_keywords_micc(
             params=(("theme", theme), ("k", str(k))),
         )
     return groups
-
-
-def corpus_documents(corpus: Corpus) -> dict[int, TokenList]:
-    """One document per article body (headlines excluded), as token lists."""
-    return {b: tokenize(text) for b, text in corpus.bodies.items()}
 
 
 def stance_positive_bodies(corpus: Corpus, positive_stances: Collection) -> set[int]:

@@ -6,8 +6,8 @@ every data-dependent part (vocabularies, IDF weights, keyword selections)
 from the training corpus alone, so cross-validation folds rebuilt through
 fit_pipeline stay leakage-free by construction.
 
-Each block owns its columns: block_matrices() tokenizes each distinct
-headline and body once, builds a block's rows once per document and
+Each block owns its columns: block_matrices() reads the token lists the
+corpus made when it was built, builds a block's rows once per document,
 gathers them to instances, and scores each pair column (TF-IDF cosine,
 embedding similarity) once per distinct headline/body pair from document
 states built once per document. assemble() lays a pipeline's blocks side
@@ -36,7 +36,6 @@ from .ensemble import EnsembleSpec, decisions, fuse
 from .errors import ConfigError, DataFormatError
 from .keywords import (
     KeywordSet,
-    corpus_documents,
     read_keyword_set,
     select_keywords_mi,
     select_keywords_micc,
@@ -58,7 +57,6 @@ from .text import (
     presence,
     tfidf_cosine,
     tfidf_doc,
-    tokenize,
 )
 
 BASELINE = "baseline"
@@ -150,14 +148,9 @@ def selecting(spec: KeywordSpec):
         raise ConfigError(f"keyword set {spec.name!r} ({spec.selector} selector): {exc}") from None
 
 
-def fit_keyword_set(
-    spec: KeywordSpec,
-    corpus: Corpus,
-    candidates: Sequence[str],
-    documents: Mapping[int, TokenList],
-) -> KeywordSet:
-    """Select one keyword set; documents are the corpus_documents(corpus)
-    body token lists."""
+def fit_keyword_set(spec: KeywordSpec, corpus: Corpus, candidates: Sequence[str]) -> KeywordSet:
+    """Select one keyword set. The selectors read one document per article
+    body (headlines excluded): the corpus's body token lists."""
     if spec.selector == "manual":
         return KeywordSet(
             name=spec.name, terms=spec.terms, provenance="manual", params=()
@@ -165,12 +158,12 @@ def fit_keyword_set(
     with selecting(spec):
         if spec.selector == "mi":
             positive = stance_positive_bodies(corpus, spec.positive)
-            ks = select_keywords_mi(documents, positive, candidates, spec.k, name=spec.name)
+            ks = select_keywords_mi(corpus.body_tokens, positive, candidates, spec.k)
             classes = "+".join(s.value for s in spec.positive)
             params = (("positive", classes), ("k", str(spec.k)))
             return KeywordSet(name=spec.name, terms=ks.terms, provenance="mi", params=params)
         groups = select_keywords_micc(
-            documents, spec.themes, candidates, spec.k, name_prefix=spec.name
+            corpus.body_tokens, spec.themes, candidates, spec.k, name_prefix=spec.name
         )
     # theme groups flatten to one ordered, deduplicated indicator list
     terms = dict.fromkeys(t for theme in spec.themes for t in groups[theme].terms)
@@ -255,8 +248,8 @@ class FittedPipeline:
         bodies: dict[int, int] = {}
         head_row = [heads.setdefault(i.headline, len(heads)) for i in corpus.instances]
         body_row = [bodies.setdefault(i.body_id, len(bodies)) for i in corpus.instances]
-        head_tokens = [tokenize(h) for h in heads]
-        body_tokens = [tokenize(corpus.body_text(b)) for b in bodies]
+        head_tokens = [corpus.headline_tokens[h] for h in heads]
+        body_tokens = [corpus.tokens_of_body(b) for b in bodies]
         pair_columns = self._pair_columns(head_tokens, body_tokens, head_row, body_row)
         blocks: dict[BlockSpec, sp.csr_matrix] = {}
         for block in self.spec.blocks:
@@ -301,10 +294,11 @@ def fit_pipeline(
     vocab_capacity: int = DEFAULT_VOCAB_CAPACITY,
     tf_log1p: bool = False,
 ) -> FittedPipeline:
-    """Fit all data-dependent state of a pipeline from the training corpus."""
+    """Fit all data-dependent state of a pipeline from the training corpus.
+    Vocabulary and IDF counts take one headline per instance and every body."""
     keyword_specs = keyword_specs or {}
-    head_tokens = [tokenize(i.headline) for i in corpus.instances]
-    body_tokens = corpus_documents(corpus)
+    head_tokens = [corpus.headline_tokens[i.headline] for i in corpus.instances]
+    body_tokens = corpus.body_tokens.values()
 
     headline_vocab = body_vocab = shared_vocab = None
     idf = None
@@ -312,8 +306,8 @@ def fit_pipeline(
         headline_vocab = build_vocabulary(
             head_tokens, vocab_capacity, ENGLISH_STOPWORDS, source="headline"
         )
-        body_vocab = body_vocabulary(body_tokens.values(), vocab_capacity)
-        all_docs = head_tokens + list(body_tokens.values())
+        body_vocab = body_vocabulary(body_tokens, vocab_capacity)
+        all_docs = head_tokens + list(body_tokens)
         shared_vocab = build_vocabulary(
             all_docs, vocab_capacity, ENGLISH_STOPWORDS, source="shared"
         )
@@ -330,11 +324,9 @@ def fit_pipeline(
                 )
             kw_spec = keyword_specs[block.keywords]
             if kw_spec.selector != "manual" and candidates is None:
-                vocab = body_vocab or body_vocabulary(body_tokens.values(), vocab_capacity)
+                vocab = body_vocab or body_vocabulary(body_tokens, vocab_capacity)
                 candidates = vocab.terms
-            keyword_sets[block.keywords] = fit_keyword_set(
-                kw_spec, corpus, candidates or (), body_tokens
-            )
+            keyword_sets[block.keywords] = fit_keyword_set(kw_spec, corpus, candidates or ())
         elif block.kind == SIMILARITY and embeddings is None:
             raise ConfigError(
                 f"pipeline {spec.name!r} has a similarity block but no "

@@ -1,6 +1,8 @@
 """Tokenization, frequency-ranked vocabularies, TF counts, term presence,
 TF-IDF cosine, and the named column blocks of a feature layout.
 
+The corpus module alone calls tokenize, once per distinct headline and
+body when a Corpus is built; every function here takes those token lists.
 A token list is counted or IDF-weighted once, and the cosine combines two
 weighted documents. count_matrix stacks the counts of many documents into
 one CSR row each, and presence reduces that matrix to "document contains

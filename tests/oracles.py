@@ -124,7 +124,7 @@ def similarity_block(head_tokens, body_tokens, table, mode):
 def feature_row(fitted, instance, corpus):
     """Dense feature row of one instance under a fitted pipeline."""
     head = tokenize(instance.headline)
-    body = tokenize(corpus.body_text(instance.body_id))
+    body = tokenize(corpus.bodies[instance.body_id])
 
     def tf(tokens, vocab):
         vec = np.zeros(len(vocab))

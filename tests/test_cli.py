@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import yaml
 from click.testing import CliRunner
 
 from stancekit.cli import main
-from stancekit.corpus import Stance, load_bodies
+from stancekit.corpus import Stance, load_bodies, load_stances
 from stancekit.evaluation import fnc_score, parse_delimited
 from stancekit.keywords import read_keyword_set
 
@@ -140,6 +141,31 @@ def fit_calls(monkeypatch):
     monkeypatch.setattr(cli, "fit_pipeline", fit)
     monkeypatch.setattr(FittedPipeline, "block_matrices", block_matrices)
     return calls
+
+
+@pytest.fixture()
+def tokenized(monkeypatch):
+    """The text of every tokenize call the CLI makes, through whichever
+    stancekit module imported the function."""
+    import stancekit.text
+
+    real, texts = stancekit.text.tokenize, []
+
+    def tokenize(text):
+        texts.append(text)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "stancekit" and getattr(module, "tokenize", None) is real:
+            monkeypatch.setattr(module, "tokenize", tokenize)
+    return texts
+
+
+def loaded_texts(tmp_path: Path, split: str) -> Counter:
+    """Each distinct headline and each body of the train or test data files."""
+    data = tmp_path / "data"
+    headlines = {i.headline for i in load_stances(data / f"{split}_stances.csv")}
+    return Counter(headlines) + Counter(load_bodies(data / f"{split}_bodies.csv").values())
 
 
 def selector_config(tmp_path: Path, keyword: str, node: dict) -> Path:
@@ -281,6 +307,19 @@ class TestTrain:
             assert any(f.endswith(".pipeline.json") for f in separate)
             assert {f: together[f] for f in separate} == separate
 
+    def test_each_text_tokenized_once(self, tmp_path, tokenized):
+        config = base_config(tmp_path)
+        tokenized.clear()  # the synthetic corpora written above
+        run("train", "--config", str(config))
+        assert Counter(tokenized) == loaded_texts(tmp_path, "train")
+
+    def test_validation_needs_enough_bodies_exit_2(self, tmp_path):
+        config = base_config(tmp_path, validation={"fraction": 0.04, "seed": 13})
+        result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "base"])
+        assert result.exit_code == 2
+        assert "validation.fraction 0.04 needs at least 25 bodies" in result.stderr
+        assert "have 24" in result.stderr
+
     def test_unreferenced_bodies_stay_in_training(self, tmp_path):
         # with seed 230, dealing every body would leave validation no stance rows
         config = base_config(tmp_path)
@@ -340,6 +379,11 @@ class TestEvaluate:
         assert fit_calls["fit"] == []
         names = [spec.name for spec in fit_calls["blocks"]]
         assert sorted(names) == ["plain", "with_manual", "with_themed"]
+
+    def test_test_corpus_tokenized_once(self, trained, tokenized):
+        tmp_path, config = trained
+        run("evaluate", "--config", str(config), "--models", "base,manual_kw,themed_kw")
+        assert Counter(tokenized) == loaded_texts(tmp_path, "test")
 
     def test_unlabeled_test_data_points_at_predict(self, tmp_path):
         config = base_config(tmp_path)
@@ -647,6 +691,13 @@ class TestCv:
 
     def test_concat_fold_scores_inner_validation_once(self, tmp_path, fit_calls):
         self.assert_fold_builds(tmp_path, fit_calls, "trio_concat", 3)
+
+    def test_each_text_tokenized_once(self, tmp_path, tokenized):
+        config = base_config(tmp_path)
+        tokenized.clear()  # the synthetic corpora written above
+        # every fold and its inner validation split read the loaded corpus's lists
+        run("cv", "--config", str(config), "--models", "trio_concat", "--jobs", "3")
+        assert Counter(tokenized) == loaded_texts(tmp_path, "train")
 
     def test_requires_cv_section(self, tmp_path):
         config = base_config(tmp_path)

@@ -99,12 +99,27 @@ class TestLoaders:
         write_bodies(bodies, {1: "body one", 2: "spare body"})
         corpus = load_corpus(stances, bodies)
         assert len(corpus) == 1
-        assert corpus.body_text(1) == "body one"
-        assert corpus.body_ids == (1, 2)
+        assert corpus.bodies == {1: "body one", 2: "spare body"}
 
-    def test_body_text_unknown_id(self, toy_corpus):
-        with pytest.raises(IntegrityError):
-            toy_corpus.body_text(10_000)
+
+class TestTokenLists:
+    def test_body_and_headline_token_lists(self):
+        corpus = make_corpus(
+            [Instance("Cat?", 1, None), Instance("Dog", 2, None), Instance("Cat?", 2, None)],
+            {1: "The cat, the CAT!", 2: "dog", 3: ""},
+        )
+        assert corpus.body_tokens == {1: ["the", "cat", "the", "cat"], 2: ["dog"], 3: []}
+        assert list(corpus.headline_tokens.items()) == [("Cat?", ["cat"]), ("Dog", ["dog"])]
+
+    def test_token_strings_interned(self):
+        corpus = Corpus(instances=(Instance("cat nap", 1, None),), bodies={1: "cat", 2: "the cat"})
+        cat = corpus.headline_tokens["cat nap"][0]
+        assert corpus.tokens_of_body(1)[0] is cat
+        assert corpus.tokens_of_body(2)[1] is cat
+
+    def test_tokens_of_body_unknown_id(self, toy_corpus):
+        with pytest.raises(IntegrityError, match="10000"):
+            toy_corpus.tokens_of_body(10_000)
 
 
 class TestRestrict:
@@ -116,6 +131,17 @@ class TestRestrict:
         # instance order preserved
         kept = [i for i in toy_corpus.instances if i.body_id in keep]
         assert list(sub.instances) == kept
+
+    @pytest.mark.parametrize("fold", [0, 1, 2])
+    def test_fold_holds_only_its_own_token_lists(self, fold):
+        corpus = synthetic_corpus(n_instances=96, n_bodies=24, seed=5)
+        for part in plan_folds(corpus, k=3, seed=4).split(corpus, fold):
+            assert list(part.body_tokens) == list(part.bodies)
+            heads = dict.fromkeys(i.headline for i in part.instances)
+            assert list(part.headline_tokens) == list(heads)
+            # the parent's lists, not fresh tokenizations
+            assert all(part.body_tokens[b] is corpus.body_tokens[b] for b in part.bodies)
+            assert all(t is corpus.headline_tokens[h] for h, t in part.headline_tokens.items())
 
 
 class TestFoldPlanning:

@@ -18,7 +18,6 @@ from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 from stancekit.keywords import (
     DEFAULT_REFUTATION_TERMS,
     KeywordSet,
-    corpus_documents,
     mutual_information,
     read_keyword_set,
     select_keywords_mi,
@@ -297,14 +296,6 @@ class TestIndicators:
 
 
 class TestCorpusViews:
-    def test_corpus_documents_tokenized_sets(self):
-        corpus = make_corpus(
-            [Instance("h", 1, Stance.AGREE)], {1: "The cat, the CAT!", 2: "dog"}
-        )
-        docs = corpus_documents(corpus)
-        assert docs[1] == ["the", "cat", "the", "cat"]
-        assert docs[2] == ["dog"]
-
     def test_stance_positive_bodies(self):
         corpus = make_corpus(
             [

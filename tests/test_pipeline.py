@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 import stancekit.embeddings as embeddings
-from stancekit.corpus import Corpus, Instance, Stance, make_corpus
+from stancekit.corpus import Corpus, Instance, Stance, make_corpus, plan_folds
 from stancekit.embeddings import CENTROID, WMD_EXACT, WMD_RELAXED, load_embeddings
 from stancekit.ensemble import SUMMATION, EnsembleMember, EnsembleSpec
 from stancekit.errors import ConfigError, IntegrityError
-from stancekit.keywords import corpus_documents
 from stancekit.mlp import TrainingConfig, predict_batch, train
 from stancekit.pipeline import (
     BlockSpec,
@@ -108,7 +107,7 @@ class TestBaselineFit:
         fitted = fit_pipeline(BASELINE_SPEC, corpus, vocab_capacity=500)
         unseen = make_corpus(
             [Instance("zyzzyva headline", 1, Stance.UNRELATED)],
-            {1: corpus.body_text(1)},
+            {1: corpus.bodies[1]},
         )
         assert "zyzzyva" not in fitted.headline_vocab
         assert "zyzzyva" not in fitted.shared_vocab
@@ -155,7 +154,7 @@ class TestKeywordBlocks:
         corpus = small_corpus()
         spec = KeywordSpec(name="auto", selector="mi", k=3, positive=(Stance.DISAGREE,))
         candidates = ["fake", "the", "news", "hoax"]
-        ks = fit_keyword_set(spec, corpus, candidates, corpus_documents(corpus))
+        ks = fit_keyword_set(spec, corpus, candidates)
         assert ks.provenance == "mi"
         assert len(ks.terms) == 3
         # every disagree headline carries "fake"; bodies with disagree instances
@@ -171,7 +170,7 @@ class TestKeywordBlocks:
         candidates = sorted(
             {t for tokens in corpus.bodies.values() for t in tokens.split()}
         )
-        ks = fit_keyword_set(spec, corpus, candidates, corpus_documents(corpus))
+        ks = fit_keyword_set(spec, corpus, candidates)
         assert ks.provenance == "micc"
         assert len(set(ks.terms)) == len(ks.terms)
         assert dict(ks.params)["themes"] == "hoax+vaccine"
@@ -373,6 +372,30 @@ class TestSharedFit:
         dense = got.toarray()
         for row, instance in enumerate(corpus.instances):
             assert np.array_equal(dense[row], feature_row(only, instance, corpus))
+
+
+class TestFoldCorpus:
+    """A fold's training side, which holds its parent's token lists, fits
+    and saves as a freshly built copy of it does."""
+
+    @pytest.mark.parametrize("fold", [0, 1, 2])
+    def test_split_fits_as_fresh_copy(self, fold, tmp_path):
+        corpus = shared_headline_corpus()
+        train = plan_folds(corpus, k=3, seed=4).split(corpus, fold)[0]
+        fresh = make_corpus(train.instances, dict(train.bodies))
+        spec = PipelineSpec(name="fold", blocks=(
+            BlockSpec(kind="baseline"),
+            BlockSpec(kind="indicator", keywords="mi"),
+            BlockSpec(kind="indicator", keywords="micc"),
+        ))
+        saved = {}
+        for name, part in (("split", train), ("fresh", fresh)):
+            fitted = fit_pipeline(spec, part, keyword_specs=ORACLE_KEYWORDS, vocab_capacity=40)
+            save_pipeline(fitted, tmp_path / name, "fold")
+            saved[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        # three vocabularies, the IDF table with its document count, two keyword sets
+        assert len(saved["split"]) == 7
+        assert saved["split"] == saved["fresh"]
 
 
 class TestLabels:

@@ -217,7 +217,7 @@ def baseline_row(instance, corpus, headline_vocab, body_vocab, shared_vocab, idf
         spec=BASELINE_ONLY, headline_vocab=headline_vocab, body_vocab=body_vocab,
         shared_vocab=shared_vocab, idf=idf, keyword_sets={}, embeddings=None,
     )
-    single = make_corpus([instance], {instance.body_id: corpus.body_text(instance.body_id)})
+    single = make_corpus([instance], {instance.body_id: corpus.bodies[instance.body_id]})
     row = fitted.matrix(single).matrix.toarray()[0]
     return row, fitted.layout
 
