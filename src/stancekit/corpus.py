@@ -3,7 +3,7 @@ leakage-safe fold planning.
 
 Input files are UTF-8 CSV per RFC 4180 (quoted fields may embed commas and
 newlines, which the bodies file uses). A Corpus tokenizes each distinct
-headline and body once, when it is built; every later step reads those
+headline and body once, on first read; every later step reads those
 lists, as do its folds and validation splits. Fold planning splits by body
 id so that no article body ever lands on both sides of a train/test boundary.
 """
@@ -14,7 +14,8 @@ import csv
 import enum
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -67,27 +68,26 @@ def _token_lists(texts: Mapping) -> dict:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Instances plus the body store they reference, and the token lists of
-    each distinct headline (keyed by its text, in first-occurrence order)
-    and of each body (keyed by body id), made from the texts unless given."""
+    """Instances plus the body store they reference. The token lists of each
+    distinct headline (keyed by its text, in first-occurrence order) and of
+    each body (keyed by body id) are made on first read."""
 
     instances: tuple[Instance, ...]
     bodies: Mapping[int, str]
-    headline_tokens: Mapping[str, TokenList] = field(default=None, repr=False, compare=False)
-    body_tokens: Mapping[int, TokenList] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.headline_tokens is None:
-            heads = {i.headline: i.headline for i in self.instances}
-            object.__setattr__(self, "headline_tokens", _token_lists(heads))
-        if self.body_tokens is None:
-            object.__setattr__(self, "body_tokens", _token_lists(self.bodies))
+    @cached_property
+    def headline_tokens(self) -> dict[str, TokenList]:
+        return _token_lists({i.headline: i.headline for i in self.instances})
+
+    @cached_property
+    def body_tokens(self) -> dict[int, TokenList]:
+        return _token_lists(self.bodies)
 
     def __len__(self) -> int:
         return len(self.instances)
 
     def tokens_of_body(self, body_id: int) -> TokenList:
-        """The token list of one body, made when the corpus was built.
+        """The token list of one body.
 
         >>> Corpus((Instance("Fake?", 7),), {7: "It's a-b FAKE."}).tokens_of_body(7)
         ['it', 's', 'a', 'b', 'fake']
@@ -100,13 +100,13 @@ class Corpus:
     def restrict(self, body_ids: Iterable[int]) -> "Corpus":
         """Sub-corpus of the given bodies and their instances, with the parent's token lists."""
         keep = set(body_ids)
-        instances = tuple(i for i in self.instances if i.body_id in keep)
-        return Corpus(
-            instances=instances,
-            bodies={b: t for b, t in self.bodies.items() if b in keep},
-            headline_tokens={i.headline: self.headline_tokens[i.headline] for i in instances},
+        part = Corpus(tuple(i for i in self.instances if i.body_id in keep),
+                      {b: t for b, t in self.bodies.items() if b in keep})
+        part.__dict__.update(  # the caches cached_property reads
+            headline_tokens={i.headline: self.headline_tokens[i.headline] for i in part.instances},
             body_tokens={b: t for b, t in self.body_tokens.items() if b in keep},
         )
+        return part
 
 
 @dataclass(frozen=True)

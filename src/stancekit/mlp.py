@@ -1,5 +1,7 @@
 """From-scratch multilayer perceptron: one ReLU hidden layer, 4-way softmax,
-cross-entropy plus l2 loss, seeded mini-batch SGD with inverted dropout.
+seeded mini-batch SGD with inverted dropout on mean cross-entropy plus
+l2_lambda times the squared weights (w1, w2). A step with rate r is, in place,
+w <- (1 - 2*r*l2_lambda) * w - r * grad(cross-entropy): l2 as weight decay.
 
 Training takes any object exposing `.matrix` (dense or scipy CSR, one row
 per example) and `.layout`; sparse input keeps the big TF blocks cheap.
@@ -43,14 +45,14 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:  # also false for nan
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 < self.dropout_keep <= 1.0:
             raise ValueError("dropout_keep must be in (0, 1]")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be non-negative")
+        if not 0.0 <= self.l2_lambda < np.inf:
+            raise ValueError("l2_lambda must be non-negative and finite")
 
 
 @dataclass
@@ -134,39 +136,35 @@ def _batch_forward(model: MlpModel, x, mask: np.ndarray | None = None, keep: flo
     return hidden_pre, hidden, probs, logits, lse
 
 
-def _l2_term(model: MlpModel, l2_lambda: float) -> float:
-    # squares summed hidden-major, the order the logged losses are defined in
-    with np.errstate(over="ignore", invalid="ignore"):
-        w1_sq = np.square(model.w1.T, order="C")
-        return l2_lambda * (float(np.sum(w1_sq)) + float(np.sum(model.w2**2)))
+def _sq_norm(a: np.ndarray) -> float:
+    """Sum of squares in one read pass; einsum's loop, unlike BLAS dot, adds
+    in an order that does not depend on the thread count."""
+    v = a.reshape(-1)
+    return float(np.einsum("i,i->", v, v))
 
 
-def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0):
-    """(objective, grads) for one mini-batch: mean cross-entropy, computed
-    from logits, plus the l2 penalty; grads keyed like the fields."""
+def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0, scale=1.0):
+    """(objective, steps) for one mini-batch: mean cross-entropy, computed
+    from logits, plus the l2 penalty; scale times the cross-entropy gradients
+    (not the l2 one, which train applies as decay), keyed like the fields.
+    scale rides on the (batch, 4) error, so x.T @ g_pre is w1's step itself."""
     n = len(y)
     if n == 0:
         raise ValueError("empty batch")
     hidden_pre, hidden, probs, logits, lse = _batch_forward(model, x, mask, keep)
     ce = float(np.mean(lse - logits[np.arange(n), y]))
 
-    g_logits = probs.copy()
+    g_logits = probs  # probs is not read again
     g_logits[np.arange(n), y] -= 1.0
-    g_logits /= n
+    g_logits *= scale / n
 
-    g_w2 = g_logits.T @ hidden + 2.0 * l2_lambda * model.w2
-    g_b2 = g_logits.sum(axis=0)
     g_hidden = g_logits @ model.w2
     if mask is not None:
         g_hidden = g_hidden * mask / keep
     g_pre = g_hidden * (hidden_pre > 0.0)
-    g_w1 = np.asarray(x.T @ g_pre)
-    g_w1 += 2.0 * l2_lambda * model.w1
-    g_b1 = g_pre.sum(axis=0)
-
-    objective = ce + _l2_term(model, l2_lambda)
-    grads = {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
-    return objective, grads
+    steps = {"w1": np.asarray(x.T @ g_pre), "b1": g_pre.sum(axis=0),
+             "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0)}
+    return ce + l2_lambda * (_sq_norm(model.w1) + _sq_norm(model.w2)), steps
 
 
 def train(
@@ -176,8 +174,9 @@ def train(
     hidden_dim: int = 100,
     epoch_callback: Callable[[int, float], None] | None = None,
 ) -> MlpModel:
-    """Seeded mini-batch SGD on cross-entropy + l2 over features.matrix, one
-    row per label; the model records features.layout.
+    """Seeded mini-batch SGD on cross-entropy + l2 (as weight decay) over
+    features.matrix, one row per label; the model records features.layout.
+    epoch_callback gets each epoch's mean batch objective, before each step.
 
     Deterministic given (data order, config.seed): weight init, epoch
     shuffles, and dropout masks all come from one RNG stream. Raises
@@ -193,26 +192,27 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     model = init_model(x.shape[1], hidden_dim, layout, seed=config.seed)
-    keep = config.dropout_keep
+    keep, rate = config.dropout_keep, config.learning_rate
+    decay = 1.0 - 2.0 * rate * config.l2_lambda
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb = x[idx]
-            yb = y[idx]
             mask = None
             if keep < 1.0:
                 mask = (rng.random((len(idx), hidden_dim)) < keep).astype(np.float64)
-            objective, grads = _batch_gradients(model, xb, yb, config.l2_lambda, mask, keep)
+            objective, steps = _batch_gradients(model, x[idx], y[idx], config.l2_lambda,
+                                                mask, keep, scale=rate)
             if not np.isfinite(objective):
                 raise TrainingDivergedError(epoch)
-            for name, grad in grads.items():  # in place: no weight-sized temporaries
-                grad *= config.learning_rate
+            model.w1 *= decay  # in place: no weight-sized array but the w1 step
+            model.w2 *= decay
+            for name, step in steps.items():
                 param = getattr(model, name)
-                param -= grad
-            del grads  # frees g_w1 before the next batch allocates its own
+                param -= step
+            del steps  # frees the w1 step before the next batch allocates its own
             epoch_loss += objective * len(idx)
         if epoch_callback is not None:
             epoch_callback(epoch, epoch_loss / n)

@@ -6,7 +6,8 @@ and selects keywords from one document-by-term presence matrix. The
 functions here compute the same values one instance, row, document or
 candidate at a time, straight from their definitions, so tests can pin the
 batched paths to them exactly. gradient_check compares backprop with
-central finite differences.
+central finite differences; eager_train is plain SGD with the l2 gradient
+added to the cross-entropy gradient, which train applies as weight decay.
 """
 
 import math
@@ -219,19 +220,28 @@ def select_micc(documents, theme_terms, candidates, k):
     return groups
 
 
+def _with_l2(steps, model, l2_lambda):
+    """Cross-entropy gradients plus the l2 gradient 2 * lambda * w."""
+    return {name: g + 2.0 * l2_lambda * getattr(model, name) if name in ("w1", "w2") else g
+            for name, g in steps.items()}
+
+
 def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
     """Max relative error between backprop and central finite differences
     on the batch of dense rows x with their labels.
 
-    Dropout must be disabled (keep = 1); the sampled parameter set always
-    covers at least min(sample_size, #params) distinct coordinates.
+    Both sides come from mlp._batch_gradients, the code train runs: the
+    objective it returns, and its cross-entropy gradients plus the l2
+    gradient. Dropout must be disabled (keep = 1); the sampled parameter set
+    always covers at least min(sample_size, #params) distinct coordinates.
     """
     if config.dropout_keep != 1.0:
         raise ValueError("gradient_check requires dropout_keep == 1")
     x = np.asarray(x, dtype=np.float64)
     y = np.array([mlp._label_index(lbl) for lbl in labels])
 
-    _, grads = mlp._batch_gradients(model, x, y, config.l2_lambda)
+    _, steps = mlp._batch_gradients(model, x, y, config.l2_lambda)
+    grads = _with_l2(steps, model, config.l2_lambda)
     params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),
               (model.w2, grads["w2"]), (model.b2, grads["b2"])]
     sizes = [p.size for p, _ in params]
@@ -257,3 +267,47 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
         denom = max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic - numeric) / denom)
     return worst
+
+
+def eager_train(features, labels, config, hidden_dim=100):
+    """(model, epoch losses) of mini-batch SGD that steps each weight by
+    rate * (cross-entropy gradient + 2 * lambda * w) and sums the l2 term
+    hidden-major: the same update as train in exact arithmetic, drawing the
+    same random numbers in the same order."""
+    x, layout = features.matrix, tuple(features.layout)
+    y = np.array([mlp._label_index(lbl) for lbl in labels])
+    n = x.shape[0]
+    rng = np.random.default_rng(config.seed)
+    model = mlp.init_model(x.shape[1], hidden_dim, layout, seed=config.seed)
+    keep, lam = config.dropout_keep, config.l2_lambda
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            mask = None
+            if keep < 1.0:
+                mask = (rng.random((len(idx), hidden_dim)) < keep).astype(np.float64)
+            xb, yb = x[idx], y[idx]
+            hidden_pre, hidden, probs, logits, lse = mlp._batch_forward(model, xb, mask, keep)
+            m = len(yb)
+            ce = float(np.mean(lse - logits[np.arange(m), yb]))
+            g_logits = probs.copy()
+            g_logits[np.arange(m), yb] -= 1.0
+            g_logits /= m
+            g_hidden = g_logits @ model.w2
+            if mask is not None:
+                g_hidden = g_hidden * mask / keep
+            g_pre = g_hidden * (hidden_pre > 0.0)
+            grads = _with_l2({
+                "w1": np.asarray(xb.T @ g_pre), "b1": g_pre.sum(axis=0),
+                "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0),
+            }, model, lam)
+            w1_sq = np.square(model.w1.T, order="C")  # hidden-major
+            l2 = lam * (float(np.sum(w1_sq)) + float(np.sum(model.w2**2)))
+            for name, grad in grads.items():
+                setattr(model, name, getattr(model, name) - config.learning_rate * grad)
+            epoch_loss += (ce + l2) * m
+        losses.append(epoch_loss / n)
+    return model, losses

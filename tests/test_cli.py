@@ -268,6 +268,20 @@ class TestTrain:
         result = RUNNER.invoke(main, ["train", "--config", str(path)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("l2_lambda", float("inf")),
+    ])
+    def test_non_finite_hyperparameter_exit_2(self, tmp_path, key, value):
+        config = base_config(tmp_path)
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        raw["models"]["base"]["training"][key] = value
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "base"])
+        assert result.exit_code == 2
+        assert f"{key} must be" in result.stderr and "finite" in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_jobs_flag_is_cv_only_exit_2(self, tmp_path):
         config = base_config(tmp_path)
         result = RUNNER.invoke(main, ["train", "--config", str(config), "--jobs", "2"])
@@ -617,6 +631,13 @@ class TestKeywords:
         assert "hoax" not in hoax.terms
         assert "vaccine" not in vaccine.terms
 
+    def test_each_body_tokenized_once_and_no_headline(self, tmp_path, tokenized):
+        config = base_config(tmp_path)
+        tokenized.clear()  # the synthetic corpora written above
+        run("keywords", "--config", str(config))
+        bodies = load_bodies(tmp_path / "data" / "train_bodies.csv").values()
+        assert Counter(tokenized) == Counter(bodies)
+
     def test_k_zero_headers_only(self, tmp_path):
         config = base_config(tmp_path)
         raw = yaml.safe_load(config.read_text(encoding="utf-8"))
@@ -813,6 +834,33 @@ class TestDeterminismUmbrella:
         first = hash_tree(tmp_path / "out")
         sweep()
         assert hash_tree(tmp_path / "out") == first
+
+
+class TestBlasThreads:
+    def test_train_bytes_independent_of_blas_thread_count(self, tmp_path):
+        """Models and training logs are byte-identical under one and two
+        BLAS threads. Each w1 has over 20k entries (50-odd inputs by 512
+        hidden units), a size at which a BLAS dot product already splits its
+        sum across two threads."""
+        config = base_config(tmp_path)
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        for model in raw["models"].values():
+            model["hidden_dim"] = 512
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "stancekit.cli", "train", "--config", str(config),
+                 "--out", str(tmp_path / f"out{threads}")],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        one, two = hash_tree(tmp_path / "out1"), hash_tree(tmp_path / "out2")
+        trained = [f for f in one if f.endswith((".model.bin", ".train.log"))]
+        assert len(trained) == 6
+        assert {f: one[f] for f in trained} == {f: two.get(f) for f in trained}
 
 
 class TestConsoleScript:

@@ -135,6 +135,19 @@ class TestErrors:
         with pytest.raises(ConfigError, match="integer"):
             load_raw(tmp_path, raw)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("learning_rate", float("nan"), "positive and finite"),
+        ("learning_rate", float("inf"), "positive and finite"),
+        ("l2_lambda", float("inf"), "non-negative and finite"),
+        ("l2_lambda", float("nan"), "non-negative and finite"),
+        ("dropout_keep", float("nan"), r"in \(0, 1\]"),
+    ])
+    def test_non_finite_training_value(self, tmp_path, key, value, message):
+        raw = base_raw()
+        raw["models"]["base"]["training"][key] = value
+        with pytest.raises(ConfigError, match=rf"models\.base\.training: {key} must be {message}"):
+            load_raw(tmp_path, raw)
+
     def test_test_files_come_together(self, tmp_path):
         raw = base_raw()
         del raw["data"]["test_bodies"]

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import stancekit.mlp as mlp
 from stancekit.corpus import Stance
@@ -26,7 +27,7 @@ from stancekit.mlp import (
 from stancekit.pipeline import FeatureMatrix
 from stancekit.text import BlockSlice
 
-from oracles import gradient_check
+from oracles import eager_train, gradient_check
 
 LAYOUT_2 = (BlockSlice("in", 0, 2),)
 
@@ -294,6 +295,47 @@ class TestTrain:
         a = train(feats, labels, cfg, hidden_dim=6)
         b = train(feats, labels, cfg, hidden_dim=6)
         assert a.w1.tobytes() == b.w1.tobytes()
+
+
+def sparse_toy(n: int = 60, dim: int = 40, seed: int = 3):
+    """Random non-negative CSR rows, about a fifth of them non-zero, with
+    labels from all four stances."""
+    rng = np.random.default_rng(seed)
+    dense = rng.random((n, dim)) * (rng.random((n, dim)) < 0.2)
+    labels = [int(v) for v in rng.integers(0, 4, size=n)]
+    layout = (BlockSlice("in", 0, dim),)
+    return FeatureMatrix(matrix=sp.csr_matrix(dense), layout=layout), labels
+
+
+# (learning_rate, l2_lambda): the default lambda, 2 * rate * lambda > 1
+# (decay flips the weights' sign every step), and test_l2_shrinks_weights's
+EAGER_CASES = [(0.05, 1e-4), (0.05, 15.0), (1e-4, 1e3)]
+
+
+class TestTrainMatchesEager:
+    """train applies l2 as in-place weight decay with the rate folded into
+    the backward pass; eager_train adds 2 * lambda * w to the gradient. The
+    two agree up to rounding: both draw the same random numbers, so only
+    the order of floating-point operations differs."""
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("keep", [1.0, 0.6])
+    @pytest.mark.parametrize("rate,lam", EAGER_CASES)
+    def test_same_weights_losses_and_decisions(self, dense, keep, rate, lam):
+        feats, labels = sparse_toy()
+        if dense:
+            feats = FeatureMatrix(matrix=feats.matrix.toarray(), layout=feats.layout)
+        cfg = TrainingConfig(learning_rate=rate, batch_size=16, epochs=12,
+                             dropout_keep=keep, l2_lambda=lam, seed=5)
+        losses = []
+        model = train(feats, labels, cfg, hidden_dim=7,
+                      epoch_callback=lambda e, loss: losses.append(loss))
+        want, want_losses = eager_train(feats, labels, cfg, hidden_dim=7)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.allclose(getattr(model, name), getattr(want, name),
+                               rtol=1e-12, atol=0), name
+        assert np.allclose(losses, want_losses, rtol=1e-13, atol=0)
+        assert predict_batch(model, feats.matrix)[0] == predict_batch(want, feats.matrix)[0]
 
 
 def random_check_setup(seed: int, input_dim: int = 5, hidden_dim: int = 4, n: int = 6):
