@@ -41,7 +41,7 @@ from .errors import (
 )
 from .evaluation import (
     ScoreReport,
-    cross_validate,
+    cross_validate_targets,
     parse_delimited,
     render_delimited,
     render_heatmap_data,
@@ -453,25 +453,33 @@ def keywords(config_path, out_dir, seed, models_csv):
             click.echo(f"command=keywords set={name} file={fname} terms={len(ks.terms)}")
 
 
-def _fold_runner(cfg: ExperimentConfig, target: str, embeddings):
+def _fold_runner(cfg: ExperimentConfig, targets: Sequence[str], embeddings):
     """Per-fold pipeline: refit everything on the fold's train side only,
-    then decide on the test side as evaluate does."""
-    ens = cfg.ensembles.get(target)
-    names = _members(cfg, [target])
-    concat = ens is not None and ens.rule == CONCATENATION
+    then decide every target on the test side as evaluate does. Each model
+    trains once per training corpus: the train side for models and
+    summation ensembles, its inner validation split's fit side for
+    concatenation ensembles, whose combiners fit on that split."""
+    concat = [t for t in targets if t in cfg.ensembles and cfg.ensembles[t].rule == CONCATENATION]
+    plain = [t for t in targets if t not in concat]
 
     def run(train_part: Corpus, test_part: Corpus, fold: int):
-        combiner = None
+        decided = {}
+        if plain:
+            fit, models = _train_models(cfg, _members(cfg, plain), train_part, embeddings)
+            probs = _probabilities(cfg, fit, models, test_part)
+            decided.update({t: _predict_target(cfg, t, probs, None) for t in plain})
         if concat:
-            train_part, inner_val = validation_split(
+            inner_train, inner_val = validation_split(
                 train_part, cfg.validation.fraction, cfg.validation.seed
             )
-        fit, models = _train_models(cfg, names, train_part, embeddings)
-        if concat:
-            combiner = _fit_combiner(ens, _probabilities(cfg, fit, models, inner_val), inner_val)
-        probs = _probabilities(cfg, fit, models, test_part)
-        decided = _predict_target(cfg, target, probs, combiner)
-        return [(i.stance, d) for i, d in zip(test_part.instances, decided)]
+            fit, models = _train_models(cfg, _members(cfg, concat), inner_train, embeddings)
+            val_probs = _probabilities(cfg, fit, models, inner_val)
+            probs = _probabilities(cfg, fit, models, test_part)
+            for t in concat:
+                combiner = _fit_combiner(cfg.ensembles[t], val_probs, inner_val)
+                decided[t] = _predict_target(cfg, t, probs, combiner)
+        truth = [i.stance for i in test_part.instances]
+        return {t: list(zip(truth, decided[t])) for t in targets}
 
     return run
 
@@ -491,9 +499,9 @@ def cv(config_path, out_dir, seed, models_csv, jobs):
     plan = plan_folds(corpus, cfg.cv.folds, cfg.cv.seed)
     embeddings = _maybe_embeddings(cfg, _members(cfg, targets), corpus)
     out = _out_dir(cfg)
-    for target in targets:
-        result = cross_validate(corpus, plan, _fold_runner(cfg, target, embeddings),
-                                jobs=jobs or os.cpu_count() or 1)
+    results = cross_validate_targets(corpus, plan, _fold_runner(cfg, targets, embeddings),
+                                     jobs=jobs or os.cpu_count() or 1)
+    for target, result in results.items():
         for fold, report in enumerate(result.reports):
             (out / f"{target}.cv.fold{fold}.scores.txt").write_text(
                 render_delimited(report), encoding="utf-8"

@@ -14,10 +14,11 @@ import csv
 import enum
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigError, DataFormatError, IntegrityError
 from .text import TokenList, tokenize
@@ -126,15 +127,16 @@ class FoldPlan:
         return corpus.restrict(set(corpus.bodies) - held), corpus.restrict(held)
 
 
-def _reader(path: Path):
-    return csv.DictReader(path.open("r", encoding="utf-8", newline=""))
-
-
-def _require_columns(reader: csv.DictReader, required: Iterable[str], path: Path) -> None:
-    have = set(reader.fieldnames or ())
-    for col in required:
-        if col not in have:
-            raise DataFormatError(f"{path}: missing required column {col!r}")
+@contextmanager
+def _reader(path: Path, required: Iterable[str]) -> Iterator[csv.DictReader]:
+    """A reader of the CSV at path, closed on exit, that has every required column."""
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        have = set(reader.fieldnames or ())
+        for col in required:
+            if col not in have:
+                raise DataFormatError(f"{path}: missing required column {col!r}")
+        yield reader
 
 
 def load_stances(path: str | Path) -> list[Instance]:
@@ -145,48 +147,44 @@ def load_stances(path: str | Path) -> list[Instance]:
     present.
     """
     path = Path(path)
-    reader = _reader(path)
-    _require_columns(reader, ("Headline", "Body ID"), path)
-    labeled = "Stance" in (reader.fieldnames or ())
-
     instances: list[Instance] = []
-    for row_no, row in enumerate(reader, start=2):  # header is line 1
-        headline = (row["Headline"] or "").strip()
-        if not headline:
-            raise DataFormatError(f"{path}: row {row_no}: empty headline")
-        try:
-            body_id = int(row["Body ID"])
-        except (TypeError, ValueError):
-            raise DataFormatError(
-                f"{path}: row {row_no}: unparseable body id {row['Body ID']!r}"
-            ) from None
-        stance = None
-        if labeled:
+    with _reader(path, ("Headline", "Body ID")) as reader:
+        labeled = "Stance" in (reader.fieldnames or ())
+        for row_no, row in enumerate(reader, start=2):  # header is line 1
+            headline = (row["Headline"] or "").strip()
+            if not headline:
+                raise DataFormatError(f"{path}: row {row_no}: empty headline")
             try:
-                stance = Stance.parse(row["Stance"] or "")
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: row {row_no}: {exc}") from None
-        instances.append(Instance(headline=headline, body_id=body_id, stance=stance))
+                body_id = int(row["Body ID"])
+            except (TypeError, ValueError):
+                raise DataFormatError(
+                    f"{path}: row {row_no}: unparseable body id {row['Body ID']!r}"
+                ) from None
+            stance = None
+            if labeled:
+                try:
+                    stance = Stance.parse(row["Stance"] or "")
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: row {row_no}: {exc}") from None
+            instances.append(Instance(headline=headline, body_id=body_id, stance=stance))
     return instances
 
 
 def load_bodies(path: str | Path) -> dict[int, str]:
     """Read a bodies CSV (Body ID, articleBody) into an id -> text map."""
     path = Path(path)
-    reader = _reader(path)
-    _require_columns(reader, ("Body ID", "articleBody"), path)
-
     bodies: dict[int, str] = {}
-    for row_no, row in enumerate(reader, start=2):
-        try:
-            body_id = int(row["Body ID"])
-        except (TypeError, ValueError):
-            raise DataFormatError(
-                f"{path}: row {row_no}: unparseable body id {row['Body ID']!r}"
-            ) from None
-        if body_id in bodies:
-            raise DataFormatError(f"{path}: duplicate body id {body_id}")
-        bodies[body_id] = row["articleBody"] or ""
+    with _reader(path, ("Body ID", "articleBody")) as reader:
+        for row_no, row in enumerate(reader, start=2):
+            try:
+                body_id = int(row["Body ID"])
+            except (TypeError, ValueError):
+                raise DataFormatError(
+                    f"{path}: row {row_no}: unparseable body id {row['Body ID']!r}"
+                ) from None
+            if body_id in bodies:
+                raise DataFormatError(f"{path}: duplicate body id {body_id}")
+            bodies[body_id] = row["articleBody"] or ""
     return bodies
 
 

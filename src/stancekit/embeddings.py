@@ -83,8 +83,9 @@ def load_embeddings(
 
     restrict_to limits loading to the given terms, which keeps memory
     proportional to the working vocabulary instead of the full table; only
-    kept lines have their components parsed, but every line's component
-    count is checked. Duplicate terms keep the first vector seen.
+    kept lines have their components parsed and checked to be finite, but
+    every line's component count is checked. Duplicate terms keep the first
+    vector seen.
     """
     keep = None if restrict_to is None else frozenset(restrict_to)
     terms: list[str] = []
@@ -125,6 +126,8 @@ def load_embeddings(
                 raise DataFormatError(
                     f"{path}:{lineno}: non-numeric vector component"
                 ) from None
+            if not np.isfinite(vec).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite vector component")
             terms.append(term)
             rows.append(vec)
     if not terms:

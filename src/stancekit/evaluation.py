@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +26,9 @@ Pair = tuple[Stance, Stance]
 #: the train corpus inside the hook; the harness only checks the plan and
 #: aggregates scores.
 FoldRunner = Callable[[Corpus, Corpus, int], Sequence[Pair]]
+
+#: A FoldRunner of several targets at once: each target's pairs.
+TargetsFoldRunner = Callable[[Corpus, Corpus, int], Mapping[str, Sequence[Pair]]]
 
 
 def fnc_score(pairs: Sequence[Pair]) -> tuple[float, float]:
@@ -211,6 +214,14 @@ def cross_validate(
     prediction. Folds run concurrently when jobs > 1; reports keep fold
     order either way.
     """
+    return cross_validate_targets(corpus, plan, lambda *split: {"": run_fold(*split)}, jobs)[""]
+
+
+def cross_validate_targets(
+    corpus: Corpus, plan: FoldPlan, run_fold: TargetsFoldRunner, jobs: int = 1
+) -> dict[str, CrossValidationResult]:
+    """cross_validate of every target run_fold returns, from one pass over
+    the folds; results keep run_fold's target order."""
     splits = []
     for fold in range(plan.k):
         train, test = plan.split(corpus, fold)
@@ -218,25 +229,27 @@ def cross_validate(
             raise ValueError(f"fold {fold} has an empty train or test side")
         splits.append((train, test))
 
-    def run(fold: int) -> ScoreReport:
+    def run(fold: int) -> dict[str, ScoreReport]:
         train, test = splits[fold]
-        pairs = run_fold(train, test, fold)
-        if len(pairs) != len(test.instances):
-            raise ValueError(
-                f"fold {fold} returned {len(pairs)} pairs "
-                f"for {len(test.instances)} held-out instances"
-            )
-        return score_predictions(pairs)
+        reports = {}
+        for target, pairs in run_fold(train, test, fold).items():
+            if len(pairs) != len(test.instances):
+                raise ValueError(
+                    f"fold {fold} returned {len(pairs)} pairs "
+                    f"for {len(test.instances)} held-out instances"
+                )
+            reports[target] = score_predictions(pairs)
+        return reports
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = tuple(pool.map(run, range(plan.k)))
+            folds = list(pool.map(run, range(plan.k)))
     else:
-        reports = tuple(run(fold) for fold in range(plan.k))
-    grades = np.array([r.relative_grade for r in reports])
-    std = float(grades.std(ddof=1)) if len(grades) > 1 else 0.0
-    return CrossValidationResult(
-        reports=reports,
-        relative_mean=float(grades.mean()),
-        relative_std=std,
-    )
+        folds = [run(fold) for fold in range(plan.k)]
+    results = {}
+    for target in folds[0]:
+        reports = tuple(f[target] for f in folds)
+        grades = np.array([r.relative_grade for r in reports])
+        std = float(grades.std(ddof=1)) if len(grades) > 1 else 0.0
+        results[target] = CrossValidationResult(reports, float(grades.mean()), std)
+    return results

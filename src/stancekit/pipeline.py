@@ -135,7 +135,7 @@ class FeatureMatrix:
 
 def body_vocabulary(body_tokens: Iterable[TokenList], capacity: int) -> Vocabulary:
     """TF vocabulary of the body side, also the keyword candidate terms."""
-    return build_vocabulary(body_tokens, capacity, ENGLISH_STOPWORDS, source="body")
+    return build_vocabulary(body_tokens, capacity, ENGLISH_STOPWORDS)
 
 
 @contextmanager
@@ -303,14 +303,10 @@ def fit_pipeline(
     headline_vocab = body_vocab = shared_vocab = None
     idf = None
     if any(b.kind == BASELINE for b in spec.blocks):
-        headline_vocab = build_vocabulary(
-            head_tokens, vocab_capacity, ENGLISH_STOPWORDS, source="headline"
-        )
+        headline_vocab = build_vocabulary(head_tokens, vocab_capacity, ENGLISH_STOPWORDS)
         body_vocab = body_vocabulary(body_tokens, vocab_capacity)
         all_docs = head_tokens + list(body_tokens)
-        shared_vocab = build_vocabulary(
-            all_docs, vocab_capacity, ENGLISH_STOPWORDS, source="shared"
-        )
+        shared_vocab = build_vocabulary(all_docs, vocab_capacity, ENGLISH_STOPWORDS)
         idf = build_idf(all_docs, shared_vocab)
 
     candidates: tuple[str, ...] | None = None
@@ -465,12 +461,12 @@ def load_pipeline(
     if missing:
         raise DataFormatError(f"{manifest_path}: missing pipeline files {missing}")
 
-    def vocab_of(tag: str, source: str) -> Vocabulary | None:
-        return load_vocabulary(out / files[tag], source) if tag in files else None
+    def vocab_of(tag: str) -> Vocabulary | None:
+        return load_vocabulary(out / files[tag]) if tag in files else None
 
-    headline_vocab = vocab_of("headline_vocab", "headline")
-    body_vocab = vocab_of("body_vocab", "body")
-    shared_vocab = vocab_of("shared_vocab", "shared")
+    headline_vocab = vocab_of("headline_vocab")
+    body_vocab = vocab_of("body_vocab")
+    shared_vocab = vocab_of("shared_vocab")
     idf = None
     if "idf" in files:
         lines = (out / files["idf"]).read_text(encoding="utf-8").splitlines()

@@ -45,7 +45,6 @@ class Vocabulary:
     """Ordered list of distinct terms with a positional index."""
 
     terms: tuple[str, ...]
-    source: str = "shared"
 
     def __post_init__(self):
         object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
@@ -61,7 +60,6 @@ def build_vocabulary(
     token_lists: Iterable[TokenList],
     capacity: int,
     stopwords: frozenset[str] | set[str] = frozenset(),
-    source: str = "shared",
 ) -> Vocabulary:
     """The `capacity` most frequent non-stopword terms, ties lexicographic."""
     if capacity < 1:
@@ -73,7 +71,7 @@ def build_vocabulary(
         (t for t in counts if t not in stopwords),
         key=lambda t: (-counts[t], t),
     )
-    return Vocabulary(terms=tuple(ranked[:capacity]), source=source)
+    return Vocabulary(terms=tuple(ranked[:capacity]))
 
 
 def dump_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
@@ -81,9 +79,9 @@ def dump_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     Path(path).write_text("".join(t + "\n" for t in vocab.terms), encoding="utf-8")
 
 
-def load_vocabulary(path: str | Path, source: str = "shared") -> Vocabulary:
+def load_vocabulary(path: str | Path) -> Vocabulary:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return Vocabulary(terms=tuple(t for t in lines if t), source=source)
+    return Vocabulary(terms=tuple(t for t in lines if t))
 
 
 def tf_counts(tokens: TokenList, vocab: Vocabulary) -> dict[int, int]:

@@ -15,7 +15,14 @@ import yaml
 from click.testing import CliRunner
 
 from stancekit.cli import main
-from stancekit.corpus import Stance, load_bodies, load_stances
+from stancekit.corpus import (
+    Stance,
+    load_bodies,
+    load_corpus,
+    load_stances,
+    plan_folds,
+    validation_split,
+)
 from stancekit.evaluation import fnc_score, parse_delimited
 from stancekit.keywords import read_keyword_set
 
@@ -122,16 +129,17 @@ def add_unreferenced_bodies(tmp_path: Path, n: int) -> None:
 
 @pytest.fixture()
 def fit_calls(monkeypatch):
-    """The specs of every fit_pipeline call the CLI makes, and the specs of
-    the pipelines it calls block_matrices on."""
+    """The specs and corpus sizes of every fit_pipeline call the CLI makes,
+    and the specs of the pipelines it calls block_matrices on."""
     import stancekit.cli as cli
     from stancekit.pipeline import FittedPipeline
 
-    calls = {"fit": [], "blocks": []}
+    calls = {"fit": [], "fit_rows": [], "blocks": []}
     real_fit, real_blocks = cli.fit_pipeline, FittedPipeline.block_matrices
 
     def fit(spec, corpus, **kwargs):
         calls["fit"].append(spec)
+        calls["fit_rows"].append(len(corpus.instances))
         return real_fit(spec, corpus, **kwargs)
 
     def block_matrices(self, corpus):
@@ -140,6 +148,21 @@ def fit_calls(monkeypatch):
 
     monkeypatch.setattr(cli, "fit_pipeline", fit)
     monkeypatch.setattr(FittedPipeline, "block_matrices", block_matrices)
+    return calls
+
+
+@pytest.fixture()
+def trainings(monkeypatch):
+    """(training rows, training seed) of every model the CLI trains."""
+    import stancekit.cli as cli
+
+    calls, real = [], cli.train_mlp
+
+    def train(matrix, labels, training, **kwargs):
+        calls.append((matrix.shape[0], training.seed))
+        return real(matrix, labels, training, **kwargs)
+
+    monkeypatch.setattr(cli, "train_mlp", train)
     return calls
 
 
@@ -166,6 +189,25 @@ def loaded_texts(tmp_path: Path, split: str) -> Counter:
     data = tmp_path / "data"
     headlines = {i.headline for i in load_stances(data / f"{split}_stances.csv")}
     return Counter(headlines) + Counter(load_bodies(data / f"{split}_bodies.csv").values())
+
+
+def embedded_config(tmp_path: Path) -> Path:
+    """base_config plus a toy embedding file and a model emb whose pipeline
+    adds a centroid similarity block to the baseline."""
+    config = base_config(tmp_path)
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    write_vectors(tmp_path / "data" / "vectors.txt")
+    raw["embeddings"] = {"path": "data/vectors.txt"}
+    raw["pipelines"]["embedded"] = {
+        "blocks": ["baseline", {"kind": "similarity", "mode": "centroid"}]
+    }
+    raw["models"]["emb"] = {
+        "pipeline": "embedded",
+        "hidden_dim": 8,
+        "training": raw["models"]["base"]["training"],
+    }
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return config
 
 
 def selector_config(tmp_path: Path, keyword: str, node: dict) -> Path:
@@ -350,6 +392,17 @@ class TestTrain:
         result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "base"])
         assert result.exit_code == 4
         assert "base" in result.stderr
+
+    def test_non_finite_embedding_component_exit_3(self, tmp_path):
+        config = embedded_config(tmp_path)
+        path = tmp_path / "data" / "vectors.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # the header stays; every vector gets one nan component
+        lines[1:] = [line.rsplit(" ", 1)[0] + " nan" for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "emb"])
+        assert result.exit_code == 3
+        assert f"{path}:2: non-finite vector component" in result.stderr
 
 
 class TestEvaluate:
@@ -580,19 +633,7 @@ class TestPredict:
     def test_plain_model_predicts_without_embeddings_loaded(self, tmp_path):
         """Training alongside a similarity model must not make the plain
         model's saved pipeline demand the embedding table at predict time."""
-        config = base_config(tmp_path)
-        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
-        write_vectors(tmp_path / "data" / "vectors.txt")
-        raw["embeddings"] = {"path": "data/vectors.txt"}
-        raw["pipelines"]["embedded"] = {
-            "blocks": ["baseline", {"kind": "similarity", "mode": "centroid"}]
-        }
-        raw["models"]["emb"] = {
-            "pipeline": "embedded",
-            "hidden_dim": 8,
-            "training": raw["models"]["base"]["training"],
-        }
-        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        config = embedded_config(tmp_path)
         run("train", "--config", str(config), "--models", "base,emb")
         run("predict", "--config", str(config), "--models", "base")
         assert (tmp_path / "out" / "base.predictions.csv").is_file()
@@ -712,6 +753,43 @@ class TestCv:
 
     def test_concat_fold_scores_inner_validation_once(self, tmp_path, fit_calls):
         self.assert_fold_builds(tmp_path, fit_calls, "trio_concat", 3)
+
+    def test_one_fit_and_training_per_fold_and_training_corpus(
+        self, tmp_path, fit_calls, trainings
+    ):
+        """Every target at once: models and summation ensembles share the
+        fold's train side, concatenation ensembles its inner fit side."""
+        config = base_config(tmp_path)
+        run("cv", "--config", str(config), "--jobs", "1")
+        data = tmp_path / "data"
+        corpus = load_corpus(data / "train_stances.csv", data / "train_bodies.csv")
+        plan = plan_folds(corpus, 3, 17)
+        rows = []
+        for fold in range(3):
+            train_side = plan.split(corpus, fold)[0]
+            inner_fit = validation_split(train_side, 0.2, 13)[0]
+            rows += [len(train_side.instances), len(inner_fit.instances)]
+        assert fit_calls["fit_rows"] == rows
+        # base, manual_kw and themed_kw train with seeds 7, 8 and 9
+        assert Counter(trainings) == Counter((n, seed) for n in rows for seed in (7, 8, 9))
+
+    def test_all_targets_match_separate_runs(self, tmp_path):
+        config = base_config(tmp_path)
+        together = run("cv", "--config", str(config)).output
+        written = hash_tree(tmp_path / "out")
+        targets = ["base", "manual_kw", "themed_kw", "duo", "trio", "trio_concat"]
+        separate = ""
+        for target in targets:
+            out = tmp_path / f"alone_{target}"
+            separate += run("cv", "--config", str(config), "--models", target,
+                            "--out", str(out)).output
+            alone = hash_tree(out)
+            assert sorted(alone) == [f"{target}.cv.aggregate.txt"] + [
+                f"{target}.cv.fold{k}.scores.txt" for k in range(3)
+            ]
+            assert {f: written[f] for f in alone} == alone
+        assert len(written) == 4 * len(targets)
+        assert together == separate
 
     def test_each_text_tokenized_once(self, tmp_path, tokenized):
         config = base_config(tmp_path)

@@ -160,6 +160,15 @@ class TestLoader:
         with pytest.raises(DataFormatError, match=r"vec\.txt:2: non-numeric"):
             load_embeddings(path, restrict_to={"b"})
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_component_on_kept_line(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"a 1 {value}\nb 0 1\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"vec\.txt:1: non-finite"):
+            load_embeddings(path)
+        # a dropped line's components are not parsed, so not checked either
+        assert load_embeddings(path, restrict_to={"b"}).terms == ("b",)
+
     def test_restrict_to(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")

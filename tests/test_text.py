@@ -68,10 +68,10 @@ class TestVocabulary:
             build_vocabulary([["a"]], capacity=0)
 
     def test_dump_load_roundtrip(self, tmp_path):
-        vocab = build_vocabulary([["b", "a", "b", "c"]], capacity=3, source="body")
+        vocab = build_vocabulary([["b", "a", "b", "c"]], capacity=3)
         path = tmp_path / "vocab.txt"
         dump_vocabulary(vocab, path)
-        back = load_vocabulary(path, source="body")
+        back = load_vocabulary(path)
         assert back.terms == vocab.terms
         assert back.index == vocab.index
 
@@ -236,9 +236,9 @@ class TestBaselineFeatures:
         ]
         bodies = {1: "cat sat cat", 2: "dog dog"}
         corpus = make_corpus(instances, bodies)
-        head_vocab = Vocabulary(("cat", "sat", "dog"), source="headline")
-        body_vocab = Vocabulary(("cat", "dog", "sat"), source="body")
-        shared = Vocabulary(("cat", "sat", "dog", "ran"), source="shared")
+        head_vocab = Vocabulary(("cat", "sat", "dog"))
+        body_vocab = Vocabulary(("cat", "dog", "sat"))
+        shared = Vocabulary(("cat", "sat", "dog", "ran"))
         idf = uniform_idf(shared)
         return corpus, head_vocab, body_vocab, shared, idf
 
