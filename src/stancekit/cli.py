@@ -536,7 +536,10 @@ def report(config_path, out_dir, seed, models_csv):
         base = target.split(".cv.fold")[0]
         if wanted is not None and base not in wanted:
             continue
-        parsed = parse_delimited(scores_path.read_text(encoding="utf-8"))
+        try:
+            parsed = parse_delimited(scores_path.read_text(encoding="utf-8"))
+        except DataFormatError as exc:
+            raise DataFormatError(f"{scores_path}: {exc}") from None
         (out / f"{target}.report.txt").write_text(render_report(parsed), encoding="utf-8")
         _write_heatmap(out, target, parsed)
         click.echo(f"command=report target={target} file={target}.report.txt")

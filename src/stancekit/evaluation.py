@@ -162,19 +162,19 @@ def render_delimited(report: ScoreReport) -> str:
 
 
 def parse_delimited(text: str) -> ScoreReport:
-    """Inverse of render_delimited."""
+    """Inverse of render_delimited; malformed text raises DataFormatError."""
     head, _, tail = text.partition("\n\n")
     values: dict[str, float] = {}
-    for line in head.splitlines():
-        key, _, value = line.partition("=")
-        if not _ or not key:
-            raise DataFormatError(f"bad metric line {line!r}")
-        values[key] = float(value)
-    rows = [line.split(",") for line in tail.splitlines() if line]
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise DataFormatError("confusion block must be 4x4 CSV")
-    counts = np.array([[int(c) for c in row] for row in rows], dtype=np.int64)
     try:
+        for line in head.splitlines():
+            key, _, value = line.partition("=")
+            if not _ or not key:
+                raise DataFormatError(f"bad metric line {line!r}")
+            values[key] = float(value)
+        rows = [line.split(",") for line in tail.splitlines() if line]
+        if len(rows) != 4 or any(len(r) != 4 for r in rows):
+            raise DataFormatError("confusion block must be 4x4 CSV")
+        counts = np.array([[int(c) for c in row] for row in rows], dtype=np.int64)
         per_class = tuple(values[f"accuracy_{s.value}"] for s in STANCES)
         return ScoreReport(
             grade=values["grade"],
@@ -186,6 +186,8 @@ def parse_delimited(text: str) -> ScoreReport:
         )
     except KeyError as exc:
         raise DataFormatError(f"missing metric {exc}") from None
+    except ValueError as exc:  # not a number, or a grade out of range
+        raise DataFormatError(str(exc)) from None
 
 
 def render_heatmap_data(confusion_matrix: np.ndarray) -> str:

@@ -98,15 +98,13 @@ def select_keywords_mi(
     positive_ids: Collection[object],
     candidates: Collection[str],
     k: int,
-    name: str = "mi",
-    params: tuple[tuple[str, str], ...] = (),
 ) -> KeywordSet:
     """Top-k candidates by mutual information, ties lexicographic."""
     terms = tuple(dict.fromkeys(candidates))
     positive = set(positive_ids)
     rows = np.array([doc_id in positive for doc_id in documents], dtype=bool)
     top = _top_k(presence(documents.values(), terms), rows, terms, k)
-    return KeywordSet(name=name, terms=top, provenance="mi", params=params)
+    return KeywordSet(name="mi", terms=top, provenance="mi")
 
 
 def select_keywords_micc(

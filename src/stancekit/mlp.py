@@ -236,7 +236,8 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MlpModel:
-    """Inverse of save_model; rejects wrong magic, future versions, truncation."""
+    """Inverse of save_model; rejects wrong magic, future versions,
+    truncation, and a layout whose blocks do not tile [0, input_dim)."""
     raw = memoryview(Path(path).read_bytes())  # slices are views, not copies
     pos = 0
 
@@ -260,6 +261,8 @@ def load_model(path: str | Path) -> MlpModel:
         name = bytes(take(name_len)).decode("utf-8")
         offset, length = struct.unpack("<II", take(8))
         layout.append(BlockSlice(name, offset, length))
+    if [b.offset for b in layout] + [input_dim] != [0] + [b.offset + b.length for b in layout]:
+        raise DataFormatError(f"{path}: feature layout does not tile the {input_dim} inputs")
 
     def view(shape: tuple[int, ...]) -> np.ndarray:
         """Read-only view of the next array in the file bytes."""

@@ -7,14 +7,14 @@ from the training corpus alone, so cross-validation folds rebuilt through
 fit_pipeline stay leakage-free by construction.
 
 Each block owns its columns: block_matrices() reads the token lists the
-corpus made when it was built, builds a block's rows once per document,
-gathers them to instances, and scores each pair column (TF-IDF cosine,
-embedding similarity) once per distinct headline/body pair from document
-states built once per document. assemble() lays a pipeline's blocks side
-by side. Pipelines trained on one corpus can thus share one fit of the
-union of their blocks and one set of block matrices: each is then
-dataclasses.replace(shared, spec=...), and featurizes and saves exactly
-as a fit of its own spec would.
+corpus made when it was built, builds a block's rows once per document and
+gathers them to instances. The TF-IDF cosine is computed for all instances
+at once from the IDF-weighted count rows; each embedding similarity is
+scored once per distinct headline/body pair from states embedded once per
+document. assemble() lays a pipeline's blocks side by side. Pipelines
+trained on one corpus can thus share one fit of the union of their blocks
+and one set of block matrices: each is then dataclasses.replace(shared,
+spec=...), and featurizes and saves exactly as a fit of its own spec.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,8 +55,7 @@ from .text import (
     dump_vocabulary,
     load_vocabulary,
     presence,
-    tfidf_cosine,
-    tfidf_doc,
+    tfidf_cosines,
 )
 
 BASELINE = "baseline"
@@ -202,42 +201,32 @@ class FittedPipeline:
         starts = accumulate((length for _, length in columns), initial=0)
         self.layout = tuple(BlockSlice(n, s, length) for (n, length), s in zip(columns, starts))
 
-    def _pair_columns(
+    def _similarity_columns(
         self, head_tokens: list, body_tokens: list, head_row: list, body_row: list
     ) -> dict[BlockSpec, sp.csr_matrix]:
-        """The pair column of each baseline (TF-IDF cosine) and similarity
-        block, gathered to instance rows. A body's document states live
-        only while its pairs are scored."""
-        state_fns: dict[str, Callable] = {}  # document state name -> its constructor
-        kernels: dict[BlockSpec, tuple[str, Callable]] = {}  # block -> (state name, kernel)
-        for block in self.spec.blocks:
-            if block.kind == BASELINE:
-                state_fns["tfidf"] = partial(tfidf_doc, vocab=self.shared_vocab, idf=self.idf)
-                kernels[block] = ("tfidf", tfidf_cosine)
-            elif block.kind == SIMILARITY:
-                kernels[block] = ("embedded", partial(similarity, mode=block.mode))
-        modes = {b.mode for b in kernels if b.kind == SIMILARITY}
-        if modes:  # only the WMD modes read a document's nBOW half
-            state_fns["embedded"] = partial(
-                embed_doc, table=self.embeddings, nbow=modes != {CENTROID}
-            )
-
-        def state(tokens: TokenList) -> dict:
-            return {name: make(tokens) for name, make in state_fns.items()}
-
+        """The column of each similarity block, gathered to instance rows.
+        Each distinct headline/body pair is scored once, from embedded
+        states built once per document; a body's state lives only while its
+        pairs are scored."""
+        blocks = [b for b in self.spec.blocks if b.kind == SIMILARITY]
+        if not blocks:
+            return {}
+        # only the WMD modes read a document's nBOW half
+        embed = partial(embed_doc, table=self.embeddings,
+                        nbow={b.mode for b in blocks} != {CENTROID})
         pairs: dict[tuple[int, int], int] = {}
         pair_row = [pairs.setdefault(p, len(pairs)) for p in zip(head_row, body_row)]
         by_body: dict[int, list[tuple[int, int]]] = {}
         for (h, b), k in pairs.items():
             by_body.setdefault(b, []).append((h, k))
-        heads = [state(tokens) for tokens in head_tokens]
+        heads = [embed(tokens) for tokens in head_tokens]
         pair_values: list = [None] * len(pairs)
         for b, members in by_body.items():
-            body = state(body_tokens[b])
+            body = embed(body_tokens[b])
             for h, k in members:
-                pair_values[k] = [kernel(heads[h][n], body[n]) for n, kernel in kernels.values()]
-        values = np.array(pair_values, dtype=np.float64).reshape(len(pairs), len(kernels))[pair_row]
-        return {block: sp.csr_matrix(values[:, [j]]) for j, block in enumerate(kernels)}
+                pair_values[k] = [similarity(heads[h], body, block.mode) for block in blocks]
+        values = np.array(pair_values, dtype=np.float64).reshape(len(pairs), len(blocks))[pair_row]
+        return {block: sp.csr_matrix(values[:, [j]]) for j, block in enumerate(blocks)}
 
     def block_matrices(self, corpus: Corpus) -> dict[BlockSpec, sp.csr_matrix]:
         """One CSR column group per spec block, rows in corpus order and
@@ -250,7 +239,7 @@ class FittedPipeline:
         body_row = [bodies.setdefault(i.body_id, len(bodies)) for i in corpus.instances]
         head_tokens = [corpus.headline_tokens[h] for h in heads]
         body_tokens = [corpus.tokens_of_body(b) for b in bodies]
-        pair_columns = self._pair_columns(head_tokens, body_tokens, head_row, body_row)
+        similarities = self._similarity_columns(head_tokens, body_tokens, head_row, body_row)
         blocks: dict[BlockSpec, sp.csr_matrix] = {}
         for block in self.spec.blocks:
             if block.kind == BASELINE:
@@ -263,7 +252,10 @@ class FittedPipeline:
                     if self.tf_log1p:
                         tf.data = np.log1p(tf.data)
                     parts.append(tf[at])
-                blocks[block] = sp.hstack(parts + [pair_columns[block]], format="csr")
+                # as CSR: a dense part would send hstack down its COO path
+                parts.append(sp.csr_matrix(
+                    tfidf_cosines(head_tokens, body_tokens, head_row, body_row, self.idf)[:, None]))
+                blocks[block] = sp.hstack(parts, format="csr")
             elif block.kind == INDICATOR:
                 terms = self.keyword_sets[block.keywords].terms
                 parts = []
@@ -273,7 +265,7 @@ class FittedPipeline:
                                                shape=(len(docs), 2 * len(terms)))[at])
                 blocks[block] = parts[0] + parts[1]
             else:
-                blocks[block] = pair_columns[block]
+                blocks[block] = similarities[block]
         return blocks
 
     def assemble(self, blocks: Mapping[BlockSpec, sp.csr_matrix]) -> FeatureMatrix:

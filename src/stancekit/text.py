@@ -1,21 +1,21 @@
 """Tokenization, frequency-ranked vocabularies, TF counts, term presence,
-TF-IDF cosine, and the named column blocks of a feature layout.
+TF-IDF cosines, and the named column blocks of a feature layout.
 
 The corpus module alone calls tokenize, once per distinct headline and
 body when a Corpus is built; every function here takes those token lists.
-A token list is counted or IDF-weighted once, and the cosine combines two
-weighted documents. count_matrix stacks the counts of many documents into
-one CSR row each, and presence reduces that matrix to "document contains
-term": the one place document frequencies (IDF, keyword selection) and
-keyword indicator bits come from. The pipeline module places these
-per-document rows into feature matrices, whose columns it names with
-BlockSlice. All functions are pure and deterministic; vocabularies and IDF
-tables are immutable after construction and safe to share between workers.
+count_matrix stacks the counts of many documents into one CSR row each.
+presence reduces that matrix to "document contains term": the one place
+document frequencies (IDF, keyword selection) and keyword indicator bits
+come from. tfidf_cosines weights the count rows of the distinct headlines
+and bodies by IDF once and scores every instance from them. The pipeline
+module places these per-document rows into feature matrices, whose columns
+it names with BlockSlice. All functions are pure and deterministic;
+vocabularies and IDF tables are immutable after construction and safe to
+share between workers.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -84,34 +84,23 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     return Vocabulary(terms=tuple(t for t in lines if t))
 
 
-def tf_counts(tokens: TokenList, vocab: Vocabulary) -> dict[int, int]:
-    """Sparse raw term counts keyed by vocabulary position; OOV ignored."""
-    index = vocab.index
-    out: dict[int, int] = {}
-    for tok in tokens:
-        i = index.get(tok)
-        if i is not None:
-            out[i] = out.get(i, 0) + 1
-    return out
-
-
 def count_matrix(token_lists: Iterable[TokenList], vocab: Vocabulary) -> sp.csr_matrix:
-    """One CSR row of tf_counts per document, indices sorted.
+    """One CSR row of raw in-vocabulary term counts per document, indices
+    sorted; out-of-vocabulary tokens are ignored.
 
     >>> count_matrix([["b", "x", "b", "a"], []], Vocabulary(("a", "b"))).toarray()
     array([[1., 2.],
            [0., 0.]])
     """
-    indptr, indices, data = [0], [], []
+    index = vocab.index
+    indptr, indices = [0], []
     for tokens in token_lists:
-        row = tf_counts(tokens, vocab)
-        indices.extend(row)
-        data.extend(row.values())
+        indices += [i for i in map(index.get, tokens) if i is not None]
         indptr.append(len(indices))
-    data = np.array(data, dtype=np.float64)
-    mat = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(vocab)))
-    mat.sort_indices()
-    return mat
+    ones = np.ones(len(indices))
+    mat = sp.csr_matrix((ones, indices, indptr), shape=(len(indptr) - 1, len(vocab)))
+    mat.sum_duplicates()  # one entry per (document, term), indices sorted
+    return mat.copy()  # sum_duplicates may leave views of the longer buffers
 
 
 def presence(token_lists: Iterable[TokenList], terms: Sequence[str]) -> sp.csr_matrix:
@@ -132,16 +121,12 @@ class IdfTable:
     """Smoothed inverse document frequencies aligned with a vocabulary.
 
     idf(t) = max(0, ln(N / (1 + df(t)))), so a term present in every
-    document (or absent from the vocabulary) never gets negative weight.
+    document never gets negative weight.
     """
 
     vocab: Vocabulary
     values: np.ndarray
     document_count: int
-
-    def idf(self, term: str) -> float:
-        i = self.vocab.index.get(term)
-        return float(self.values[i]) if i is not None else 0.0
 
 
 def build_idf(documents: Iterable[TokenList], vocab: Vocabulary) -> IdfTable:
@@ -155,33 +140,30 @@ def build_idf(documents: Iterable[TokenList], vocab: Vocabulary) -> IdfTable:
     return IdfTable(vocab=vocab, values=values, document_count=n_docs)
 
 
-class TfidfDoc(NamedTuple):
-    """IDF-weighted term counts of one document, keyed by vocabulary
-    position in first-occurrence order, and their L2 norm."""
-
-    weights: dict[int, float]
-    norm: float
+def _row_sums(mat: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
+    """Per-row sums of values aligned with mat.data, added one by one in storage order."""
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    return np.bincount(rows, weights=values, minlength=mat.shape[0])
 
 
-def tfidf_doc(tokens: TokenList, vocab: Vocabulary, idf: IdfTable) -> TfidfDoc:
-    weights = {i: c * idf.values[i] for i, c in tf_counts(tokens, vocab).items()}
-    return TfidfDoc(weights, math.sqrt(sum(v * v for v in weights.values())))
-
-
-def tfidf_cosine(headline: TfidfDoc, body: TfidfDoc) -> float:
-    """Cosine of two TF-IDF documents over the shared vocabulary.
-
-    Returns 0.0 when either side has zero norm (no weighted overlap with the
-    vocabulary); otherwise lies in [0, 1] since all weights are non-negative.
-    The dot product runs over the smaller side in its key order.
-    """
-    if headline.norm == 0.0 or body.norm == 0.0:
-        return 0.0
-    a, b = headline.weights, body.weights
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(v * b[i] for i, v in a.items() if i in b)
-    return dot / (headline.norm * body.norm)
+def tfidf_cosines(head_tokens: Sequence[TokenList], body_tokens: Sequence[TokenList],
+                  head_row: Sequence[int], body_row: Sequence[int], idf: IdfTable) -> np.ndarray:
+    """Cosine of the TF-IDF vectors of headline head_row[k] and body
+    body_row[k] for each k, or 0.0 where either side has zero norm. A TF-IDF
+    vector is a count_matrix row over idf.vocab times the IDF values. Its
+    squares, and a pair's products, are summed one after another in
+    ascending vocabulary order, which fixes every value's bits."""
+    heads, bodies = (count_matrix(docs, idf.vocab) for docs in (head_tokens, body_tokens))
+    for mat in (heads, bodies):
+        mat.data *= idf.values[mat.indices]
+    head_norm, body_norm = (np.sqrt(_row_sums(m, m.data * m.data)) for m in (heads, bodies))
+    # one headline row per instance; its entries are looked up in the body
+    # rows, which are not gathered per instance: that would cost memory
+    at = heads[head_row]
+    body_of_entry = np.repeat(np.asarray(body_row, dtype=np.intp), np.diff(at.indptr))
+    dot = _row_sums(at, at.data * np.asarray(bodies[body_of_entry, at.indices]).ravel())
+    norms = head_norm[head_row] * body_norm[body_row]
+    return np.divide(dot, norms, out=np.zeros(len(norms)), where=norms != 0.0)
 
 
 class BlockSlice(NamedTuple):

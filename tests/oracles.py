@@ -42,21 +42,28 @@ def tf_counts(tokens, vocab):
     return out
 
 
+def running_sum(values):
+    """Left-to-right float sum; `sum` compensates its rounding from Python
+    3.12 on, so it would not give the same bits on every interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def tfidf_cosine(head_tokens, body_tokens, vocab, idf):
     """Cosine of the two TF-IDF vectors; 0.0 when either norm is zero.
 
-    Sums run in first-occurrence order and the dot product over the smaller
-    side, which is the summation order the feature values are defined by.
+    Squares and products are added one at a time in ascending vocabulary
+    order, which is the summation order the feature values are defined by.
     """
-    a = {i: c * idf.values[i] for i, c in tf_counts(head_tokens, vocab).items()}
-    b = {i: c * idf.values[i] for i, c in tf_counts(body_tokens, vocab).items()}
-    norm_a = math.sqrt(sum(v * v for v in a.values()))
-    norm_b = math.sqrt(sum(v * v for v in b.values()))
+    a = {i: c * idf.values[i] for i, c in sorted(tf_counts(head_tokens, vocab).items())}
+    b = {i: c * idf.values[i] for i, c in sorted(tf_counts(body_tokens, vocab).items())}
+    norm_a = math.sqrt(running_sum(v * v for v in a.values()))
+    norm_b = math.sqrt(running_sum(v * v for v in b.values()))
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum(v * b[i] for i, v in a.items() if i in b)
+    dot = running_sum(v * b[i] for i, v in a.items() if i in b)
     return dot / (norm_a * norm_b)
 
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from stancekit.corpus import (
 )
 from stancekit.evaluation import fnc_score, parse_delimited
 from stancekit.keywords import read_keyword_set
+from stancekit.mlp import load_model, save_model
 
 from conftest import (
     FILLER,
@@ -536,6 +538,11 @@ CORRUPTIONS = {
         "base.model.bin",
         lambda p: p.write_bytes((p.parent / "manual_kw.model.bin").read_bytes()),
     ),
+    # one input row of w1 dropped: the layout names one input more than the weights
+    "model_weights_shorter_than_layout": (
+        "base.model.bin",
+        lambda p: save_model(replace(m := load_model(p), w1=m.w1[:-1]), p),
+    ),
 }
 
 
@@ -854,6 +861,18 @@ class TestReport:
         report_file.unlink()
         run("report", "--config", str(config), "--models", "base")
         assert report_file.read_text(encoding="utf-8") == original
+
+    @pytest.mark.parametrize("grade", ["abc", "999.0"])
+    def test_corrupt_scores_exit_3(self, trained, tmp_path, grade):
+        out, config = copied_workspace(trained, tmp_path)
+        run("evaluate", "--config", str(config), "--models", "base")
+        scores = out / "base.scores.txt"
+        lines = scores.read_text(encoding="utf-8").splitlines(True)
+        scores.write_text("".join(f"grade={grade}\n" if line.startswith("grade=") else line
+                                  for line in lines), encoding="utf-8")
+        result = RUNNER.invoke(main, ["report", "--config", str(config), "--models", "base"])
+        assert result.exit_code == 3, result.output
+        assert "base.scores.txt" in result.stderr
 
     def test_reports_zero_when_no_scores(self, tmp_path):
         config = base_config(tmp_path)

@@ -6,6 +6,7 @@ in binary floating point, so equality checks here are exact on purpose.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,22 @@ class TestScoreReport:
     def test_parse_rejects_garbage(self):
         with pytest.raises(DataFormatError):
             parse_delimited("just some text\n")
+
+    @pytest.mark.parametrize(
+        "pattern, bad",
+        [
+            (r"^grade=.*$", "grade=abc"),
+            (r"^grade=.*$", "grade=999.0"),  # above max_grade
+            (r"\d+\n\Z", "x\n"),  # the last confusion count
+        ],
+        ids=["grade_not_a_number", "grade_above_max", "count_not_a_number"],
+    )
+    def test_parse_rejects_bad_values(self, pattern, bad):
+        text = render_delimited(score_predictions(self._pairs()))
+        corrupt = re.sub(pattern, bad, text, count=1, flags=re.M)
+        assert corrupt != text
+        with pytest.raises(DataFormatError):
+            parse_delimited(corrupt)
 
     def test_heatmap_triples(self):
         report = score_predictions(self._pairs())

@@ -463,6 +463,24 @@ class TestModelIo:
         with pytest.raises(DataFormatError, match="magic"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            (BlockSlice("in", 0, 3),),  # short of input_dim
+            (BlockSlice("in", 0, 5),),  # past input_dim
+            (BlockSlice("a", 0, 2), BlockSlice("b", 3, 1)),  # a gap
+            (BlockSlice("a", 0, 3), BlockSlice("b", 2, 2)),  # an overlap
+            (BlockSlice("in", 1, 4),),  # not from 0
+        ],
+        ids=["short", "past_end", "gap", "overlap", "not_from_0"],
+    )
+    def test_layout_must_tile_inputs(self, tmp_path, layout):
+        model = init_model(4, 3, layout, seed=0)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        with pytest.raises(DataFormatError, match="tile the 4 inputs"):
+            load_model(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         model = init_model(4, 3, (BlockSlice("in", 0, 4),), seed=0)
         path = tmp_path / "m.bin"

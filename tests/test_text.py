@@ -15,11 +15,10 @@ from stancekit.text import (
     Vocabulary,
     build_idf,
     build_vocabulary,
+    count_matrix,
     dump_vocabulary,
     load_vocabulary,
-    tf_counts,
-    tfidf_cosine,
-    tfidf_doc,
+    tfidf_cosines,
     tokenize,
 )
 
@@ -88,35 +87,39 @@ class TestVocabulary:
 class TestTf:
     def test_counts(self):
         vocab = Vocabulary(("a", "b", "c"))
-        assert tf_counts(["a", "a", "b"], vocab) == {0: 2, 1: 1}
-        assert tf_counts(["c", "a"], vocab) == {2: 1, 0: 1}
+        mat = count_matrix([["a", "a", "b"], ["c", "a"]], vocab)
+        assert mat.indptr.tolist() == [0, 2, 4]
+        assert mat.indices.tolist() == [0, 1, 0, 2]
+        assert mat.data.tolist() == [2.0, 1.0, 1.0, 1.0]
 
     def test_empty_and_oov(self):
         vocab = Vocabulary(("a", "b"))
-        assert tf_counts([], vocab) == {}
-        assert tf_counts(["zz", "qq"], vocab) == {}
+        mat = count_matrix([[], ["zz", "qq"]], vocab)
+        assert mat.shape == (2, 2)
+        assert mat.nnz == 0
 
 
 class TestIdf:
     def test_absent_term(self):
         vocab = Vocabulary(("t",))
         table = build_idf([["x"]] * 10, vocab)
-        assert table.idf("t") == pytest.approx(math.log(10.0), abs=1e-12)
+        assert table.values[0] == pytest.approx(math.log(10.0), abs=1e-12)
 
     def test_df_one_of_four(self):
         vocab = Vocabulary(("t",))
         table = build_idf([["t"], ["x"], ["x"], ["x"]], vocab)
-        assert table.idf("t") == pytest.approx(math.log(2.0), abs=1e-12)
+        assert table.values[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_ubiquitous_term_clamped_to_zero(self):
         vocab = Vocabulary(("t",))
         table = build_idf([["t"]] * 7, vocab)
-        assert table.idf("t") == 0.0
+        assert table.values[0] == 0.0
 
     def test_out_of_vocabulary_term(self):
+        # "x" counts as a document's token but gets no value of its own
         vocab = Vocabulary(("t",))
         table = build_idf([["t"], ["x"]], vocab)
-        assert table.idf("never-seen") == 0.0
+        assert table.values.tolist() == [0.0]
 
     def test_requires_documents(self):
         with pytest.raises(ValueError):
@@ -127,39 +130,39 @@ def uniform_idf(vocab: Vocabulary) -> IdfTable:
     return IdfTable(vocab=vocab, values=np.ones(len(vocab)), document_count=1)
 
 
-def cosine(head, body, vocab, idf):
-    return tfidf_cosine(tfidf_doc(head, vocab, idf), tfidf_doc(body, vocab, idf))
+def cosine(head, body, idf):
+    return tfidf_cosines([head], [body], [0], [0], idf)[0]
 
 
 class TestTfidfCosine:
     def test_self_similarity(self):
         vocab = Vocabulary(("a", "b"))
         idf = uniform_idf(vocab)
-        got = cosine(["a", "b", "b"], ["a", "b", "b"], vocab, idf)
+        got = cosine(["a", "b", "b"], ["a", "b", "b"], idf)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_zero(self):
         vocab = Vocabulary(("a", "b", "c", "d"))
         idf = uniform_idf(vocab)
-        assert cosine(["a", "b"], ["c", "d"], vocab, idf) == 0.0
+        assert cosine(["a", "b"], ["c", "d"], idf) == 0.0
 
     def test_hand_half(self):
         # [1,1,0] . [1,0,1] / (sqrt2 * sqrt2) = 0.5
         vocab = Vocabulary(("a", "b", "c"))
         idf = uniform_idf(vocab)
-        assert cosine(["a", "b"], ["a", "c"], vocab, idf) == pytest.approx(0.5, abs=1e-12)
+        assert cosine(["a", "b"], ["a", "c"], idf) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_norm_side(self):
         vocab = Vocabulary(("a",))
         idf = uniform_idf(vocab)
-        assert cosine([], ["a"], vocab, idf) == 0.0
+        assert cosine([], ["a"], idf) == 0.0
 
     def test_document_norm(self):
+        # head weights (a, b) = (2, 1), norm sqrt(5); body a = 2, norm 2
         vocab = Vocabulary(("a", "b", "c"))
         idf = IdfTable(vocab=vocab, values=np.array([2.0, 0.5, 1.0]), document_count=4)
-        doc = tfidf_doc(["b", "a", "b", "zz"], vocab, idf)
-        assert list(doc.weights.items()) == [(1, 1.0), (0, 2.0)]
-        assert doc.norm == math.sqrt(5.0)
+        got = cosine(["b", "a", "b", "zz"], ["a"], idf)
+        assert got == 4.0 / (math.sqrt(5.0) * 2.0)
 
     @given(
         head=st.lists(st.sampled_from("abcd"), max_size=6),
@@ -168,17 +171,17 @@ class TestTfidfCosine:
     def test_range_and_symmetry(self, head, body):
         vocab = Vocabulary(("a", "b", "c", "d"))
         idf = uniform_idf(vocab)
-        value = cosine(head, body, vocab, idf)
+        value = cosine(head, body, idf)
         assert 0.0 <= value <= 1.0 + 1e-12
-        assert value == pytest.approx(cosine(body, head, vocab, idf), abs=1e-12)
+        assert value == pytest.approx(cosine(body, head, idf), abs=1e-12)
 
     @given(
         head=st.lists(st.sampled_from("abcdef"), max_size=12),
         body=st.lists(st.sampled_from("abcdefg"), max_size=40),
         weights=st.lists(st.floats(0.0, 5.0), min_size=5, max_size=5),
     )
-    # the body has fewer distinct terms, and summing in headline order
-    # instead would round differently
+    # the body has fewer distinct terms, and summing the headline's squares
+    # in first-occurrence order instead would round differently
     @example(
         head=list("bedacc"), body=list("bcd"), weights=[1.21, 2.59, 2.87, 2.82, 1.59]
     )
@@ -186,7 +189,30 @@ class TestTfidfCosine:
         vocab = Vocabulary(("a", "b", "c", "d", "e"))
         idf = IdfTable(vocab=vocab, values=np.array(weights), document_count=9)
         want = oracle_tfidf_cosine(head, body, vocab, idf)
-        assert cosine(head, body, vocab, idf) == want
+        assert cosine(head, body, idf) == want
+
+
+class TestPinnedCosines:
+    """Recorded bits of TF-IDF cosines on a fixed tiny corpus. Every sum
+    runs left to right in ascending vocabulary order, so each Python
+    version gives these same values."""
+
+    def test_float_hex(self):
+        vocab = Vocabulary(tuple("abcde"))
+        idf = IdfTable(vocab=vocab, values=np.array([1.21, 2.59, 2.87, 2.82, 1.59]),
+                       document_count=9)
+        heads = [list("bedacc"), list("edcba"), list("ccee"), ["zz"]]
+        bodies = [list("bcd"), list("aabbbe"), list("abcde") * 3]
+        # instance 0 is test_equals_per_pair_oracle's example; the last
+        # headline has zero norm
+        got = tfidf_cosines(heads, bodies, [0, 1, 2, 0, 3], [0, 1, 2, 2, 0], idf)
+        assert [float(v).hex() for v in got] == [
+            "0x1.cfc1a010de409p-1",
+            "0x1.309966cd8f410p-1",
+            "0x1.43f480bc592c2p-1",
+            "0x1.e2d24a85ff93cp-1",
+            "0x0.0p+0",
+        ]
 
 
 class TestBlocks:
