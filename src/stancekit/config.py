@@ -8,7 +8,7 @@ to a seed written in the config (or to the --seed override).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -20,9 +20,10 @@ from .mlp import TrainingConfig
 from .pipeline import (
     BlockSpec,
     DEFAULT_VOCAB_CAPACITY,
+    INDICATOR,
     KeywordSpec,
     PipelineSpec,
-    SELECTORS,
+    SIMILARITY,
 )
 
 
@@ -96,154 +97,114 @@ def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
-def _as_map(node, path: str) -> dict:
+def _section(node, path: str, keys: tuple[str, ...] | None = None) -> dict:
+    """node as a mapping (null is an empty one) whose keys all lie in keys;
+    keys=None allows any, as for the named entries of models or pipelines."""
     if node is None:
         return {}
     if not isinstance(node, dict):
         raise _fail(path, "expected a mapping")
+    if keys is not None and not set(node) <= set(keys):
+        extras = sorted(set(node) - set(keys), key=str)  # YAML keys need not be strings
+        raise _fail(path, f"unknown key(s) {extras}; allowed: {sorted(keys)}")
     return node
 
 
-def _no_extras(node: dict, allowed: tuple[str, ...], path: str) -> None:
-    extras = sorted(set(node) - set(allowed))
-    if extras:
-        raise _fail(path, f"unknown key(s) {extras}; allowed: {sorted(allowed)}")
+def _entries(raw: dict, section: str, keys: tuple[str, ...]):
+    """(name, path, node) of each named entry of a section such as models."""
+    for name, node in _section(raw.get(section), section).items():
+        path = f"{section}.{name}"
+        yield name, path, _section(node, path, keys)
 
 
-def _as_str(node: dict, key: str, path: str, required: bool = True) -> str | None:
-    if key not in node or node[key] is None:
-        if required:
-            raise _fail(f"{path}.{key}", "required")
-        return None
-    value = node[key]
-    if not isinstance(value, str) or not value:
-        raise _fail(f"{path}.{key}", "expected a non-empty string")
-    return value
+#: the default of a field that has none and must be given
+_REQUIRED = object()
+
+#: field kind -> (accepts a present value, message when it does not); a
+#: value read as kind k is returned as k(value)
+_KINDS = {
+    str: (lambda v: isinstance(v, str) and v != "", "expected a non-empty string"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "expected an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+            "expected a number"),
+    bool: (lambda v: isinstance(v, bool), "expected true or false"),
+    tuple: (lambda v: isinstance(v, list) and all(isinstance(s, str) and s for s in v),
+            "expected a list of non-empty strings"),
+}
 
 
-def _as_int(
-    node: dict,
-    key: str,
-    path: str,
-    required: bool = True,
-    default: int | None = None,
-    minimum: int | None = None,
-) -> int | None:
-    if key not in node or node[key] is None:
-        if required:
-            raise _fail(f"{path}.{key}", "required (seeds and counts must be explicit)")
+def _field(node: dict, key: str, path: str, kind: type, default=_REQUIRED,
+           minimum: int | None = None):
+    """node[key] checked as kind. An absent key, or a null scalar, gives
+    default, or fails when there is none (_REQUIRED); a null string list is
+    the wrong kind."""
+    where = f"{path}.{key}"
+    if key not in node or (node[key] is None and kind is not tuple):
+        if default is _REQUIRED:
+            raise _fail(where, "required (seeds and counts must be explicit)"
+                        if kind is int else "required")
         return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(f"{path}.{key}", "expected an integer")
-    if minimum is not None and value < minimum:
-        raise _fail(f"{path}.{key}", f"must be >= {minimum}")
-    return value
+    accepts, message = _KINDS[kind]
+    if not accepts(node[key]):
+        raise _fail(where, message)
+    if minimum is not None and node[key] < minimum:
+        raise _fail(where, f"must be >= {minimum}")
+    return kind(node[key])
 
 
-def _as_float(node: dict, key: str, path: str, default: float) -> float:
-    if key not in node or node[key] is None:
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{path}.{key}", "expected a number")
-    return float(value)
-
-
-def _as_bool(node: dict, key: str, path: str, default: bool) -> bool:
-    if key not in node or node[key] is None:
-        return default
-    value = node[key]
-    if not isinstance(value, bool):
-        raise _fail(f"{path}.{key}", "expected true or false")
-    return value
-
-
-def _as_str_list(node: dict, key: str, path: str) -> tuple[str, ...]:
-    value = node.get(key)
-    if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
-        raise _fail(f"{path}.{key}", "expected a list of non-empty strings")
-    return tuple(value)
-
-
-def _parse_training(node: dict, path: str) -> TrainingConfig:
-    _no_extras(
-        node,
-        ("learning_rate", "batch_size", "epochs", "dropout_keep", "l2_lambda", "seed"),
-        path,
-    )
+def _parse_training(node, path: str) -> TrainingConfig:
+    node = _section(node, path, ("learning_rate", "batch_size", "epochs", "dropout_keep",
+                                 "l2_lambda", "seed"))
     defaults = TrainingConfig(seed=0)
     try:
         return TrainingConfig(
-            learning_rate=_as_float(node, "learning_rate", path, defaults.learning_rate),
-            batch_size=_as_int(node, "batch_size", path, required=False,
-                               default=defaults.batch_size, minimum=1),
-            epochs=_as_int(node, "epochs", path, required=False,
-                           default=defaults.epochs, minimum=0),
-            dropout_keep=_as_float(node, "dropout_keep", path, defaults.dropout_keep),
-            l2_lambda=_as_float(node, "l2_lambda", path, defaults.l2_lambda),
-            seed=_as_int(node, "seed", path),
+            learning_rate=_field(node, "learning_rate", path, float, defaults.learning_rate),
+            batch_size=_field(node, "batch_size", path, int, defaults.batch_size, minimum=1),
+            epochs=_field(node, "epochs", path, int, defaults.epochs, minimum=0),
+            dropout_keep=_field(node, "dropout_keep", path, float, defaults.dropout_keep),
+            l2_lambda=_field(node, "l2_lambda", path, float, defaults.l2_lambda),
+            seed=_field(node, "seed", path, int),
         )
     except ValueError as exc:
         raise _fail(path, str(exc)) from None
 
 
 def _parse_keyword_spec(name: str, node: dict, path: str) -> KeywordSpec:
-    _no_extras(node, ("selector", "terms", "k", "themes", "positive"), path)
-    selector = _as_str(node, "selector", path)
-    if selector not in SELECTORS:
-        raise _fail(f"{path}.selector", f"expected one of {list(SELECTORS)}")
-    terms = _as_str_list(node, "terms", path) if "terms" in node else ()
-    themes = _as_str_list(node, "themes", path) if "themes" in node else ()
+    selector = _field(node, "selector", path, str)
+    terms = _field(node, "terms", path, tuple, ())
+    themes = _field(node, "themes", path, tuple, ())
     for key, values in (("terms", terms), ("themes", themes)):
         if len(set(values)) != len(values):
             raise _fail(f"{path}.{key}", "entries must be distinct")
-    positive: tuple[Stance, ...] = (Stance.DISAGREE,)
-    if "positive" in node:
-        names = _as_str_list(node, "positive", path)
-        try:
-            positive = tuple(Stance.parse(n) for n in names)
-        except ValueError as exc:
-            raise _fail(f"{path}.positive", str(exc)) from None
+    names = _field(node, "positive", path, tuple, ("disagree",))
     try:
-        return KeywordSpec(
-            name=name,
-            selector=selector,
-            terms=terms,
-            k=_as_int(node, "k", path, required=False, default=20, minimum=0),
-            themes=themes,
-            positive=positive,
-        )
+        positive = tuple(map(Stance.parse, names))
+    except ValueError as exc:
+        raise _fail(f"{path}.positive", str(exc)) from None
+    k = _field(node, "k", path, int, 20, minimum=0)
+    try:
+        return KeywordSpec(name=name, selector=selector, terms=terms, k=k, themes=themes,
+                           positive=positive)
     except ConfigError as exc:
         raise _fail(path, str(exc)) from None
 
 
-def _parse_pipeline(name: str, node: dict, path: str) -> PipelineSpec:
-    _no_extras(node, ("blocks",), path)
-    raw_blocks = node.get("blocks")
-    if not isinstance(raw_blocks, list) or not raw_blocks:
-        raise _fail(f"{path}.blocks", "expected a non-empty list of blocks")
-    blocks = []
-    for i, raw in enumerate(raw_blocks):
-        bpath = f"{path}.blocks[{i}]"
-        if isinstance(raw, str):
-            raw = {"kind": raw}
-        raw = _as_map(raw, bpath)
-        _no_extras(raw, ("kind", "keywords", "mode"), bpath)
-        try:
-            blocks.append(
-                BlockSpec(
-                    kind=_as_str(raw, "kind", bpath),
-                    keywords=_as_str(raw, "keywords", bpath, required=False),
-                    mode=_as_str(raw, "mode", bpath, required=False),
-                )
-            )
-        except ConfigError as exc:
-            raise _fail(bpath, str(exc)) from None
+def _parse_block(raw, path: str, keyword_specs: dict[str, KeywordSpec],
+                 has_embeddings: bool) -> BlockSpec:
+    node = _section({"kind": raw} if isinstance(raw, str) else raw, path,
+                    ("kind", "keywords", "mode"))
+    kind = _field(node, "kind", path, str)
+    keywords = _field(node, "keywords", path, str, None)
+    mode = _field(node, "mode", path, str, None)
     try:
-        return PipelineSpec(name=name, blocks=tuple(blocks))
+        block = BlockSpec(kind=kind, keywords=keywords, mode=mode)
     except ConfigError as exc:
         raise _fail(path, str(exc)) from None
+    if kind == INDICATOR and keywords not in keyword_specs:
+        raise _fail(f"{path}.keywords", f"undefined keyword set {keywords!r}")
+    if kind == SIMILARITY and not has_embeddings:
+        raise _fail(path, "similarity block requires an embeddings section")
+    return block
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -261,109 +222,93 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
-    _no_extras(
-        raw,
-        ("data", "embeddings", "features", "keywords", "pipelines", "models",
-         "ensembles", "validation", "cv", "output_dir"),
-        "config",
-    )
+    raw = _section(raw, "config", ("data", "embeddings", "features", "keywords", "pipelines",
+                                   "models", "ensembles", "validation", "cv", "output_dir"))
 
-    def rel(p: str) -> Path:
-        return base_dir / p
+    def rel(p: str | None) -> Path | None:
+        return None if p is None else base_dir / p
 
-    data_node = _as_map(raw.get("data"), "data")
-    _no_extras(data_node, ("train_stances", "train_bodies", "test_stances", "test_bodies"), "data")
-    test_stances = _as_str(data_node, "test_stances", "data", required=False)
-    test_bodies = _as_str(data_node, "test_bodies", "data", required=False)
+    node = _section(raw.get("data"), "data",
+                    ("train_stances", "train_bodies", "test_stances", "test_bodies"))
+    test_stances = _field(node, "test_stances", "data", str, None)
+    test_bodies = _field(node, "test_bodies", "data", str, None)
     if (test_stances is None) != (test_bodies is None):
         raise _fail("data", "test_stances and test_bodies must be given together")
     data = DataConfig(
-        train_stances=rel(_as_str(data_node, "train_stances", "data")),
-        train_bodies=rel(_as_str(data_node, "train_bodies", "data")),
-        test_stances=rel(test_stances) if test_stances else None,
-        test_bodies=rel(test_bodies) if test_bodies else None,
+        train_stances=rel(_field(node, "train_stances", "data", str)),
+        train_bodies=rel(_field(node, "train_bodies", "data", str)),
+        test_stances=rel(test_stances),
+        test_bodies=rel(test_bodies),
     )
 
     embeddings = None
     if raw.get("embeddings") is not None:
-        emb_node = _as_map(raw["embeddings"], "embeddings")
-        _no_extras(emb_node, ("path", "restrict_to_corpus"), "embeddings")
+        node = _section(raw["embeddings"], "embeddings", ("path", "restrict_to_corpus"))
         embeddings = EmbeddingConfig(
-            path=rel(_as_str(emb_node, "path", "embeddings")),
-            restrict_to_corpus=_as_bool(emb_node, "restrict_to_corpus", "embeddings", True),
+            path=rel(_field(node, "path", "embeddings", str)),
+            restrict_to_corpus=_field(node, "restrict_to_corpus", "embeddings", bool, True),
         )
 
-    feat_node = _as_map(raw.get("features"), "features")
-    _no_extras(feat_node, ("vocab_capacity", "tf_log1p"), "features")
+    node = _section(raw.get("features"), "features", ("vocab_capacity", "tf_log1p"))
     features = FeatureConfig(
-        vocab_capacity=_as_int(feat_node, "vocab_capacity", "features", required=False,
-                               default=DEFAULT_VOCAB_CAPACITY, minimum=1),
-        tf_log1p=_as_bool(feat_node, "tf_log1p", "features", False),
+        vocab_capacity=_field(node, "vocab_capacity", "features", int, DEFAULT_VOCAB_CAPACITY,
+                              minimum=1),
+        tf_log1p=_field(node, "tf_log1p", "features", bool, False),
     )
 
     keyword_specs = {
-        name: _parse_keyword_spec(name, _as_map(node, f"keywords.{name}"), f"keywords.{name}")
-        for name, node in _as_map(raw.get("keywords"), "keywords").items()
+        name: _parse_keyword_spec(name, node, path)
+        for name, path, node in _entries(raw, "keywords",
+                                         ("selector", "terms", "k", "themes", "positive"))
     }
 
-    pipelines = {
-        name: _parse_pipeline(name, _as_map(node, f"pipelines.{name}"), f"pipelines.{name}")
-        for name, node in _as_map(raw.get("pipelines"), "pipelines").items()
-    }
-    for name, spec in pipelines.items():
-        for i, block in enumerate(spec.blocks):
-            if block.kind == "indicator" and block.keywords not in keyword_specs:
-                raise _fail(
-                    f"pipelines.{name}.blocks[{i}].keywords",
-                    f"undefined keyword set {block.keywords!r}",
-                )
-            if block.kind == "similarity" and embeddings is None:
-                raise _fail(
-                    f"pipelines.{name}.blocks[{i}]",
-                    "similarity block requires an embeddings section",
-                )
+    pipelines: dict[str, PipelineSpec] = {}
+    for name, path, node in _entries(raw, "pipelines", ("blocks",)):
+        if not isinstance(node.get("blocks"), list):
+            raise _fail(f"{path}.blocks", "expected a non-empty list of blocks")
+        blocks = tuple(_parse_block(block, f"{path}.blocks[{i}]", keyword_specs,
+                                    embeddings is not None)
+                       for i, block in enumerate(node["blocks"]))
+        try:
+            pipelines[name] = PipelineSpec(name=name, blocks=blocks)
+        except ConfigError as exc:
+            raise _fail(path, str(exc)) from None
 
     models: dict[str, ModelConfig] = {}
-    for name, node in _as_map(raw.get("models"), "models").items():
-        path = f"models.{name}"
-        node = _as_map(node, path)
-        _no_extras(node, ("pipeline", "hidden_dim", "training"), path)
-        pipeline = _as_str(node, "pipeline", path)
+    for name, path, node in _entries(raw, "models", ("pipeline", "hidden_dim", "training")):
+        pipeline = _field(node, "pipeline", path, str)
         if pipeline not in pipelines:
             raise _fail(f"{path}.pipeline", f"undefined pipeline {pipeline!r}")
         models[name] = ModelConfig(
             name=name,
             pipeline=pipeline,
-            hidden_dim=_as_int(node, "hidden_dim", path, required=False,
-                               default=100, minimum=1),
-            training=_parse_training(_as_map(node.get("training"), f"{path}.training"),
-                                     f"{path}.training"),
+            hidden_dim=_field(node, "hidden_dim", path, int, 100, minimum=1),
+            training=_parse_training(node.get("training"), f"{path}.training"),
         )
 
     validation = None
     if raw.get("validation") is not None:
-        node = _as_map(raw["validation"], "validation")
-        _no_extras(node, ("fraction", "seed"), "validation")
-        fraction = _as_float(node, "fraction", "validation", 0.1)
+        node = _section(raw["validation"], "validation", ("fraction", "seed"))
+        fraction = _field(node, "fraction", "validation", float, 0.1)
         if not 0.0 < fraction < 1.0:
             raise _fail("validation.fraction", "must be in (0, 1)")
-        validation = ValidationConfig(fraction=fraction, seed=_as_int(node, "seed", "validation"))
+        validation = ValidationConfig(fraction=fraction,
+                                      seed=_field(node, "seed", "validation", int))
 
     ensembles: dict[str, EnsembleConfig] = {}
-    for name, node in _as_map(raw.get("ensembles"), "ensembles").items():
-        path = f"ensembles.{name}"
-        node = _as_map(node, path)
-        _no_extras(node, ("members", "rule", "combiner_seed"), path)
-        members = _as_str_list(node, "members", path)
+    for name, path, node in _entries(raw, "ensembles", ("members", "rule", "combiner_seed")):
+        members = _field(node, "members", path, tuple)
+        if not members:
+            raise _fail(f"{path}.members", "expected at least one model")
         for member in members:
             if member not in models:
                 raise _fail(f"{path}.members", f"undefined model {member!r}")
         if name in models:
             raise _fail(path, "ensemble name collides with a model name")
-        rule = _as_str(node, "rule", path, required=False) or SUMMATION
+        rule = _field(node, "rule", path, str, SUMMATION)
         if rule not in RULES:
             raise _fail(f"{path}.rule", f"expected one of {list(RULES)}")
-        combiner_seed = _as_int(node, "combiner_seed", path, required=False)
+        combiner_seed = _field(node, "combiner_seed", path, int, None)
         if rule == "concatenation":
             if combiner_seed is None:
                 raise _fail(f"{path}.combiner_seed", "required for the concatenation rule")
@@ -375,12 +320,9 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     cv = None
     if raw.get("cv") is not None:
-        node = _as_map(raw["cv"], "cv")
-        _no_extras(node, ("folds", "seed"), "cv")
-        cv = CvConfig(
-            folds=_as_int(node, "folds", "cv", minimum=2),
-            seed=_as_int(node, "seed", "cv"),
-        )
+        node = _section(raw["cv"], "cv", ("folds", "seed"))
+        cv = CvConfig(folds=_field(node, "folds", "cv", int, minimum=2),
+                      seed=_field(node, "seed", "cv", int))
 
     return ExperimentConfig(
         data=data,
@@ -389,7 +331,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         pipelines=pipelines,
         models=models,
         ensembles=ensembles,
-        output_dir=rel(_as_str(raw, "output_dir", "config")),
+        output_dir=rel(_field(raw, "output_dir", "config", str)),
         embeddings=embeddings,
         validation=validation,
         cv=cv,
@@ -398,8 +340,6 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
 def override_seeds(config: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Replace every seed in the config with one explicit value (--seed)."""
-    from dataclasses import replace
-
     models = {
         name: replace(m, training=replace(m.training, seed=seed))
         for name, m in config.models.items()

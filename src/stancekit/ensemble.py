@@ -182,4 +182,6 @@ def load_combiner(path: str | Path) -> LinearCombiner:
             f"{path}: combiner weights {weights.shape} and bias {bias.shape} "
             "are not (4, 4N) and (4,)"
         )
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise DataFormatError(f"{path}: a combiner weight is not finite")
     return combiner

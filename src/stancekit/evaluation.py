@@ -32,36 +32,32 @@ TargetsFoldRunner = Callable[[Corpus, Corpus, int], Mapping[str, Sequence[Pair]]
 
 
 def fnc_score(pairs: Sequence[Pair]) -> tuple[float, float]:
-    """Return (grade, max_grade) under the weighted relatedness metric.
-
-    All increments are multiples of 0.25, so the sums are exact floats.
-    """
+    """Return (grade, max_grade) under the weighted relatedness metric."""
     if not len(pairs):
         raise ValueError("no prediction pairs to score")
-    grade = 0.0
-    max_grade = 0.0
-    for true, pred in pairs:
-        if true is Stance.UNRELATED:
-            max_grade += 0.25
-            if pred is Stance.UNRELATED:
-                grade += 0.25
-        else:
-            max_grade += 1.0
-            if pred is not Stance.UNRELATED:
-                grade += 0.25
-                if pred is true:
-                    grade += 0.75
-    return grade, max_grade
+    return _grades(confusion(pairs))
+
+
+def _grades(counts: np.ndarray) -> tuple[float, float]:
+    """(grade, max_grade) of a confusion matrix. A pair scores 0.25 for its
+    relatedness (unrelated, the last class, vs the three related ones) and
+    a related pair 0.75 more for its exact class. All increments are
+    multiples of 0.25, so the sums are exact floats.
+
+    >>> _grades(np.array([[2, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 3]]))
+    (3.0, 5.0)
+    """
+    related = counts[:3, :3]
+    grade = 0.25 * counts[3, 3] + 0.25 * related.sum() + 0.75 * np.trace(related)
+    return float(grade), float(0.25 * counts[3].sum() + counts[:3].sum())
 
 
 def confusion(pairs: Sequence[Pair]) -> np.ndarray:
     """4x4 count matrix, rows = true stance, columns = predicted."""
     if not len(pairs):
         raise ValueError("no prediction pairs to tally")
-    counts = np.zeros((4, 4), dtype=np.int64)
-    for true, pred in pairs:
-        counts[true.index, pred.index] += 1
-    return counts
+    cells = [4 * true.index + pred.index for true, pred in pairs]
+    return np.bincount(cells, minlength=16).astype(np.int64).reshape(4, 4)
 
 
 def metrics(confusion_matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -103,8 +99,8 @@ class ScoreReport:
 
 
 def score_predictions(pairs: Sequence[Pair]) -> ScoreReport:
-    grade, max_grade = fnc_score(pairs)
     counts = confusion(pairs)
+    grade, max_grade = _grades(counts)
     per_class, f1_macro = metrics(counts)
     return ScoreReport(
         grade=grade,

@@ -280,4 +280,6 @@ def load_model(path: str | Path) -> MlpModel:
     )
     if pos != len(raw):
         raise DataFormatError(f"{path}: trailing bytes after model payload")
+    if not all(np.isfinite(a).all() for a in (model.w1, model.b1, model.w2, model.b2)):
+        raise DataFormatError(f"{path}: a model weight is not finite")
     return model

@@ -472,10 +472,6 @@ def load_pipeline(
             )
         except ValueError as exc:
             raise DataFormatError(f"{out / files['idf']}: {exc}") from None
-        if len(idf.values) != len(shared_vocab):
-            raise DataFormatError(
-                f"{out / files['idf']}: {len(idf.values)} values for {len(shared_vocab)} terms"
-            )
     keyword_sets = {
         key.partition(":")[2]: read_keyword_set(out / fname)
         for key, fname in files.items()

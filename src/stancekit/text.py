@@ -25,6 +25,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import DataFormatError
+
 #: Lowercase word tokens, in text order.
 TokenList = list[str]
 
@@ -48,6 +50,9 @@ class Vocabulary:
 
     def __post_init__(self):
         object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
+        if len(self.index) != len(self.terms):
+            repeated = next(t for i, t in enumerate(self.terms) if self.index[t] != i)
+            raise ValueError(f"vocabulary repeats the term {repeated!r}")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -81,7 +86,10 @@ def dump_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return Vocabulary(terms=tuple(t for t in lines if t))
+    try:
+        return Vocabulary(terms=tuple(t for t in lines if t))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def count_matrix(token_lists: Iterable[TokenList], vocab: Vocabulary) -> sp.csr_matrix:
@@ -127,6 +135,12 @@ class IdfTable:
     vocab: Vocabulary
     values: np.ndarray
     document_count: int
+
+    def __post_init__(self):
+        if len(self.values) != len(self.vocab):
+            raise ValueError(f"{len(self.values)} values for {len(self.vocab)} terms")
+        if not (np.isfinite(self.values) & (self.values >= 0.0)).all():
+            raise ValueError("an IDF value is not finite and >= 0")
 
 
 def build_idf(documents: Iterable[TokenList], vocab: Vocabulary) -> IdfTable:

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -514,17 +515,28 @@ CORRUPTIONS = {
     "pipeline_file_missing": ("plain.body_vocab.txt", Path.unlink),
     "idf_count_not_a_number": ("plain.idf.txt", set_line(0, "document_count=many")),
     "idf_value_not_a_number": ("plain.idf.txt", set_line(1, "many")),
+    "idf_value_nan": ("plain.idf.txt", set_line(1, "nan")),
+    "idf_value_negative": ("plain.idf.txt", set_line(1, "-0.5")),
     "idf_truncated": (
         "plain.idf.txt",
         lambda p: p.write_text("".join(p.read_text(encoding="utf-8").splitlines(True)[:-3]),
                                encoding="utf-8"),
     ),
     "keyword_set_duplicate_term": ("with_manual.kw.manual.txt", set_line(2, "fake")),
+    # the second term overwritten with the first: same length, one column dead
+    "vocabulary_repeats_a_term": (
+        "plain.headline_vocab.txt",
+        lambda p: set_line(1, p.read_text(encoding="utf-8").splitlines()[0])(p),
+    ),
     "combiner_without_weights": (
         "trio_concat.combiner.json", edit_json(lambda c: c.pop("weights"))
     ),
     "combiner_without_bias": ("trio_concat.combiner.json", edit_json(lambda c: c.pop("bias"))),
     "combiner_not_an_object": ("trio_concat.combiner.json", lambda p: p.write_text("[]")),
+    # Python's json reads and writes the NaN literal
+    "combiner_weight_nan": (
+        "trio_concat.combiner.json", edit_json(lambda c: c["weights"][0].__setitem__(0, math.nan))
+    ),
     "combiner_bias_too_short": (
         "trio_concat.combiner.json", edit_json(lambda c: c.update(bias=[0.0]))
     ),
@@ -542,6 +554,9 @@ CORRUPTIONS = {
     "model_weights_shorter_than_layout": (
         "base.model.bin",
         lambda p: save_model(replace(m := load_model(p), w1=m.w1[:-1]), p),
+    ),
+    "model_weight_not_finite": (
+        "base.model.bin", lambda p: save_model(replace(m := load_model(p), b2=m.b2 + math.inf), p)
     ),
 }
 

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 import yaml
+from click.testing import CliRunner
 
+from stancekit.cli import main
 from stancekit.config import load_config, override_seeds
 from stancekit.errors import ConfigError
 
@@ -67,6 +69,62 @@ def load_raw(tmp_path: Path, raw: dict):
     return load_config(write_config(tmp_path, raw))
 
 
+def set_entry(raw: dict, dotted: str, value) -> None:
+    """Set raw's entry at a dotted config path such as models.base.hidden_dim."""
+    *parents, key = dotted.split(".")
+    for part in parents:
+        raw = raw[part]
+    raw[key] = value
+
+
+# case -> (dotted entry, value set there, config path the message starts
+# with, text the message contains)
+CONFIG_ERRORS = {
+    "string_kind": ("output_dir", 5, "config.output_dir", "expected a non-empty string"),
+    "empty_string": ("models.base.pipeline", "", "models.base.pipeline",
+                     "expected a non-empty string"),
+    "integer_kind": ("models.base.hidden_dim", "8", "models.base.hidden_dim",
+                     "expected an integer"),
+    "float_is_not_an_integer": ("cv.seed", 1.5, "cv.seed", "expected an integer"),
+    "number_kind": ("models.base.training.learning_rate", "fast",
+                    "models.base.training.learning_rate", "expected a number"),
+    "bool_is_not_a_number": ("validation.fraction", True, "validation.fraction",
+                             "expected a number"),
+    "bool_kind": ("features.tf_log1p", "yes", "features.tf_log1p", "expected true or false"),
+    "string_list_entry_kind": ("keywords.manual.terms", ["fake", 3], "keywords.manual.terms",
+                               "expected a list of non-empty strings"),
+    "string_list_kind": ("ensembles.duo.members", "base", "ensembles.duo.members",
+                         "expected a list of non-empty strings"),
+    "vocab_capacity_minimum": ("features.vocab_capacity", 0, "features.vocab_capacity",
+                               "must be >= 1"),
+    "hidden_dim_minimum": ("models.base.hidden_dim", 0, "models.base.hidden_dim",
+                           "must be >= 1"),
+    "batch_size_minimum": ("models.base.training.batch_size", 0,
+                           "models.base.training.batch_size", "must be >= 1"),
+    "epochs_minimum": ("models.base.training.epochs", -1, "models.base.training.epochs",
+                       "must be >= 0"),
+    "k_minimum": ("keywords.auto.k", -1, "keywords.auto", "keywords.auto.k: must be >= 0"),
+    "folds_minimum": ("cv.folds", 1, "cv.folds", "must be >= 2"),
+    "unknown_section_key": ("data.extra", 1, "data", "unknown key(s) ['extra']"),
+    "unknown_training_key": ("models.base.training.momentum", 0.9, "models.base.training",
+                             "unknown key(s) ['momentum']"),
+    "section_not_a_mapping": ("features", [1], "features", "expected a mapping"),
+    "entry_not_a_mapping": ("models.base", "plain", "models.base", "expected a mapping"),
+    "unknown_selector": ("keywords.auto.selector", "tfidf", "keywords.auto", "selector"),
+    "unknown_block_kind": ("pipelines.plain.blocks", ["bogus"], "pipelines.plain.blocks[0]",
+                           "unknown feature block kind 'bogus'"),
+    "unknown_similarity_mode": ("pipelines.plain.blocks", [{"kind": "similarity",
+                                                            "mode": "cosine"}],
+                                "pipelines.plain.blocks[0]", "similarity block needs a mode"),
+    "unknown_positive_stance": ("keywords.auto.positive", ["maybe"], "keywords.auto.positive",
+                                "unknown stance 'maybe'"),
+    "fraction_one": ("validation.fraction", 1.0, "validation.fraction", "must be in (0, 1)"),
+    "fraction_zero": ("validation.fraction", 0, "validation.fraction", "must be in (0, 1)"),
+    "empty_ensemble": ("ensembles.duo.members", [], "ensembles.duo.members",
+                       "expected at least one model"),
+}
+
+
 class TestHappyPath:
     def test_full_config(self, tmp_path):
         cfg = load_raw(tmp_path, base_raw())
@@ -101,6 +159,19 @@ class TestHappyPath:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+    def test_rejected_naming_the_entry(self, tmp_path, case):
+        dotted, value, where, text = CONFIG_ERRORS[case]
+        raw = base_raw()
+        set_entry(raw, dotted, value)
+        with pytest.raises(ConfigError) as caught:
+            load_raw(tmp_path, raw)
+        message = str(caught.value)
+        assert message.startswith(where) and text in message
+        result = CliRunner().invoke(main, ["train", "--config", str(tmp_path / "exp.yaml")])
+        assert result.exit_code == 2
+        assert f"config error: {message}" in result.stderr
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config file"):
             load_config(tmp_path / "nope.yaml")
@@ -122,6 +193,12 @@ class TestErrors:
         raw["modles"] = raw.pop("models")
         with pytest.raises(ConfigError, match="modles"):
             load_raw(tmp_path, raw)
+
+    def test_unknown_keys_of_mixed_types(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("data: {1: a, zz: b}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^data: unknown key\(s\) \[1, 'zz'\]"):
+            load_config(path)
 
     def test_seed_required(self, tmp_path):
         raw = base_raw()

@@ -11,7 +11,8 @@ from stancekit.config import load_config
 from conftest import synthetic_corpus, write_corpus_files
 
 ROOT = Path(__file__).resolve().parent.parent
-CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+CONFIGS = [*sorted((ROOT / "configs").glob("*.yaml")),
+           *sorted((ROOT / "bench" / "configs").glob("*.yaml"))]
 
 
 def test_configs_present():
