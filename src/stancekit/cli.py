@@ -205,12 +205,9 @@ def _train_models(
     blocks = fit.block_matrices(corpus)
     labels = stance_labels(corpus)
     models: dict[str, MlpModel] = {}
-    for i, name in enumerate(names):
+    for name in names:
         mc = cfg.models[name]
-        matrix = replace(fit, spec=cfg.pipelines[mc.pipeline]).assemble(blocks)
-        # a block no later model reads is not held twice (as itself and in matrix)
-        later = {b for n in names[i + 1 :] for b in cfg.pipelines[cfg.models[n].pipeline].blocks}
-        blocks = {b: m for b, m in blocks.items() if b in later}
+        features = replace(fit, spec=cfg.pipelines[mc.pipeline]).assemble(blocks)
         callback = None
         if epoch_logs is not None:
             lines = epoch_logs.setdefault(name, [])
@@ -219,11 +216,10 @@ def _train_models(
                 _lines.append(f"model={_name} epoch={epoch} loss={loss!r}")
 
         try:
-            models[name] = train_mlp(matrix, labels, mc.training, hidden_dim=mc.hidden_dim,
+            models[name] = train_mlp(features, labels, mc.training, hidden_dim=mc.hidden_dim,
                                      epoch_callback=callback)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(exc.epoch, f"model {name!r}: {exc}") from None
-        del matrix  # freed before the next model's is assembled
     return fit, models
 
 
@@ -235,7 +231,7 @@ def _probabilities(cfg: ExperimentConfig, fit: FittedPipeline, models: Mapping[s
     probs = {}
     for name, model in models.items():
         pipeline = replace(fit, spec=cfg.pipelines[cfg.models[name].pipeline])
-        probs[name] = predict_batch(model, pipeline.assemble(blocks).matrix)[1]
+        probs[name] = predict_batch(model, pipeline.assemble(blocks))[1]
     return probs
 
 

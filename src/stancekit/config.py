@@ -114,6 +114,8 @@ def _entries(raw: dict, section: str, keys: tuple[str, ...]):
     """(name, path, node) of each named entry of a section such as models."""
     for name, node in _section(raw.get(section), section).items():
         path = f"{section}.{name}"
+        if not _KINDS[str][0](name):  # YAML reads `7:` as an int, which --models cannot name
+            raise _fail(path, f"entry name {name!r}: {_KINDS[str][1]}")
         yield name, path, _section(node, path, keys)
 
 

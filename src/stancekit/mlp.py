@@ -3,21 +3,25 @@ seeded mini-batch SGD with inverted dropout on mean cross-entropy plus
 l2_lambda times the squared weights (w1, w2). A step with rate r is, in place,
 w <- (1 - 2*r*l2_lambda) * w - r * grad(cross-entropy): l2 as weight decay.
 
-Training takes any object exposing `.matrix` (dense or scipy CSR, one row
-per example) and `.layout`; sparse input keeps the big TF blocks cheap.
-Prediction is batched only: predict_batch maps a whole example matrix to
-probability rows. A trained model is immutable in practice and safe for
-concurrent prediction.
+Training and prediction take a FeatureMatrix, which holds a row per
+distinct headline and body, so each mini-batch projects a document its
+examples share through w1 once and sums their w1 gradients per document
+before one sparse product; a plain dense or CSR example matrix is a
+FeatureMatrix without document rows. Prediction is batched only:
+predict_batch maps whole example matrices to probability rows. A trained
+model is immutable in practice and safe for concurrent prediction.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import STANCES, Stance
 from .errors import DataFormatError, TrainingDivergedError
@@ -27,6 +31,11 @@ _MAGIC = b"SKITMLP0"
 _VERSION = 1
 
 OUTPUT_DIM = 4  # the four stances, always
+
+#: init_model and save_model turn w1 between its input-major array and the
+#: hidden-major order of the draw and the file about this many weights at a
+#: time, so neither holds a second weight-sized array
+_CHUNK_WEIGHTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,44 @@ class MlpModel:
         return self.w2.shape[0]
 
 
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """Examples by input columns, grouped as layout says. Example i is
+    docs[head_row[i]] + docs[body_row[i]] plus pairs[i] at the input columns
+    pair_columns: docs has a CSR row per distinct headline and body, holding
+    that side's columns (TF, keyword bits), and pairs the pair's (TF-IDF
+    cosine, embedding similarity), dense or CSR. As x @ w1 is linear in x, a
+    document is projected once however many examples share it."""
+
+    pairs: np.ndarray | sp.csr_matrix
+    docs: sp.csr_matrix
+    head_row: np.ndarray
+    body_row: np.ndarray
+    pair_columns: np.ndarray
+    layout: tuple[BlockSlice, ...] = ()
+
+    @classmethod
+    def of(cls, x, layout: tuple[BlockSlice, ...] = ()) -> FeatureMatrix:
+        """A plain dense or CSR example matrix: every column a pair column,
+        both documents of every example one empty row."""
+        unused = np.zeros(x.shape[0], dtype=np.intp)
+        return cls(x, sp.csr_matrix((1, x.shape[1])), unused, unused, np.arange(x.shape[1]),
+                   layout)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.pairs.shape[0], self.docs.shape[1]
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The (examples, inputs) CSR matrix, built on first read; training
+        and prediction never read it."""
+        pairs = sp.csr_matrix(self.pairs)
+        placed = sp.csr_matrix((pairs.data, self.pair_columns[pairs.indices], pairs.indptr),
+                               shape=self.shape)
+        return self.docs[self.head_row] + self.docs[self.body_row] + placed
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis (max subtraction)."""
     z = logits - np.max(logits, axis=-1, keepdims=True)
@@ -93,14 +140,17 @@ def init_model(
 ) -> MlpModel:
     """Glorot-uniform weights, zero biases, from a dedicated RNG stream.
 
-    w1 is drawn hidden-major, the order model files store it in, then kept
-    input-major.
+    w1 is drawn hidden-major, the order model files store it in, a chunk of
+    hidden units at a time straight into its input-major array.
     """
     rng = np.random.default_rng(seed)
     a1 = np.sqrt(6.0 / (input_dim + hidden_dim))
     a2 = np.sqrt(6.0 / (hidden_dim + OUTPUT_DIM))
+    w1 = np.empty((input_dim, hidden_dim))
+    for start, stop in _unit_chunks(input_dim, hidden_dim):
+        w1[:, start:stop] = rng.uniform(-a1, a1, size=(stop - start, input_dim)).T
     return MlpModel(
-        w1=np.ascontiguousarray(rng.uniform(-a1, a1, size=(hidden_dim, input_dim)).T),
+        w1=w1,
         b1=np.zeros(hidden_dim),
         w2=rng.uniform(-a2, a2, size=(OUTPUT_DIM, hidden_dim)),
         b2=np.zeros(OUTPUT_DIM),
@@ -108,11 +158,20 @@ def init_model(
     )
 
 
-def predict_batch(model: MlpModel, matrix) -> tuple[list[Stance], np.ndarray]:
-    """Vectorized prediction over a dense or CSR example matrix: each row's
-    argmax stance in canonical order (ties go to the lowest index) and its
-    probabilities."""
-    probs = _batch_forward(model, matrix)[2]
+def _unit_chunks(input_dim: int, hidden_dim: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of consecutive hidden units, about _CHUNK_WEIGHTS weights each."""
+    step = max(1, _CHUNK_WEIGHTS // max(1, input_dim))
+    for start in range(0, hidden_dim, step):
+        yield start, min(start + step, hidden_dim)
+
+
+def predict_batch(model: MlpModel, features) -> tuple[list[Stance], np.ndarray]:
+    """Vectorized prediction over a FeatureMatrix or a dense or CSR example
+    matrix: each row's argmax stance in canonical order (ties go to the
+    lowest index) and its probabilities."""
+    if not isinstance(features, FeatureMatrix):
+        features = FeatureMatrix.of(features)
+    probs = _batch_forward(model, features)[2]
     picks = np.argmax(probs, axis=1)
     return [STANCES[int(i)] for i in picks], probs
 
@@ -121,11 +180,16 @@ def _label_index(label) -> int:
     return label.index if isinstance(label, Stance) else int(label)
 
 
-def _batch_forward(model: MlpModel, x, mask: np.ndarray | None = None, keep: float = 1.0):
+def _batch_forward(model: MlpModel, x: FeatureMatrix, mask: np.ndarray | None = None,
+                   keep: float = 1.0):
     # overflow here surfaces as a non-finite objective, which train() turns
     # into TrainingDivergedError; the interim warnings are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        hidden_pre = np.asarray(x @ model.w1) + model.b1
+        projected = x.docs @ model.w1  # each document once
+        hidden_pre = projected[x.head_row]
+        hidden_pre += projected[x.body_row]
+        hidden_pre += x.pairs @ model.w1[x.pair_columns]
+        hidden_pre += model.b1
         hidden = np.maximum(0.0, hidden_pre)
         if mask is not None:
             hidden = hidden * mask / keep
@@ -143,11 +207,65 @@ def _sq_norm(a: np.ndarray) -> float:
     return float(np.einsum("i,i->", v, v))
 
 
-def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0, scale=1.0):
-    """(objective, steps) for one mini-batch: mean cross-entropy, computed
-    from logits, plus the l2 penalty; scale times the cross-entropy gradients
-    (not the l2 one, which train applies as decay), keyed like the fields.
-    scale rides on the (batch, 4) error, so x.T @ g_pre is w1's step itself."""
+def _batches(features: FeatureMatrix, order: np.ndarray,
+             size: int) -> Iterator[tuple[np.ndarray, FeatureMatrix, tuple]]:
+    """(rows, x, backward) of each mini-batch, size rows of order in turn.
+    x is their FeatureMatrix, whose docs are the distinct documents the rows
+    use. backward holds the 0/1 (documents, rows) matrix of those uses,
+    which sums row gradients per document, the transposed docs over only
+    the input columns they touch, and those columns (all of them, as one
+    dense step, when the docs store at least half as many entries as there
+    are inputs). One sort per call finds every batch's documents; a batch
+    then builds its three sparse matrices."""
+    starts = range(0, len(order), size)
+    n_docs, inputs = features.docs.shape
+    # use 2j is row j's headline, 2j + 1 its body; the keys sort batch-major
+    keys = np.repeat(np.arange(len(order)) // size * n_docs, 2)
+    keys[0::2] += features.head_row[order]
+    keys[1::2] += features.body_row[order]
+    sorter = np.argsort(keys, kind="stable")
+    is_first = np.diff(keys[sorter], prepend=-1) != 0
+    # sorted position where each (batch, document) starts, then the end
+    runs = np.flatnonzero(np.append(is_first, True)).astype(np.int32)
+    run_of = np.empty_like(sorter)
+    run_of[sorter] = np.cumsum(is_first) - 1
+    run_docs = keys[sorter[runs[:-1]]] % n_docs
+    use_row, ones = (sorter // 2).astype(np.int32), np.ones(2 * size)
+    bounds = np.searchsorted(runs, [2 * s for s in starts] + [2 * len(order)])
+    stored, stored_length = features.docs.indptr, np.diff(features.docs.indptr)
+    for k, start in enumerate(starts):
+        a, b = 2 * start, 2 * min(start + size, len(order))
+        lo, hi = bounds[k : k + 2]
+        first, length = stored[run_docs[lo:hi]], stored_length[run_docs[lo:hi]]
+        indptr = np.zeros(hi - lo + 1, dtype=np.int32)
+        np.cumsum(length, out=indptr[1:])
+        entries = np.repeat(first - indptr[:-1], length) + np.arange(indptr[-1])
+        data, columns = features.docs.data[entries], features.docs.indices[entries]
+        # the step of a batch that may touch most of w1 is one dense array,
+        # cheaper to subtract than to gather and scatter row by row
+        touched, compact, rows = slice(None), columns, inputs
+        if 2 * len(columns) <= inputs:
+            used = np.zeros(inputs, dtype=np.int32)
+            used[columns] = 1
+            touched = np.flatnonzero(used)
+            compact, rows = (np.cumsum(used, dtype=np.int32) - 1)[columns], len(touched)
+        x = FeatureMatrix(features.pairs[order[a // 2 : b // 2]],
+                          sp.csr_matrix((data, columns, indptr), shape=(hi - lo, inputs)),
+                          run_of[a:b:2] - lo, run_of[a + 1 : b : 2] - lo, features.pair_columns)
+        by_document = sp.csr_matrix((ones[: b - a], use_row[a:b] - start, runs[lo : hi + 1] - a),
+                                    shape=(hi - lo, (b - a) // 2))
+        docs_t = sp.csc_matrix((data, compact, indptr), shape=(rows, hi - lo))
+        yield order[a // 2 : b // 2], x, (by_document, docs_t, touched)
+
+
+def _batch_gradients(model, x, backward, y, l2_lambda, mask=None, keep=1.0, scale=1.0):
+    """(objective, steps) for one mini-batch, x and backward as _batches
+    makes them: mean cross-entropy, computed from logits, plus the l2
+    penalty; scale times the cross-entropy gradients (not the l2 one, which
+    train applies as decay), keyed like the fields, w1's as (rows, step)
+    pairs. scale rides on the (batch, 4) error, so x.T @ g_pre is w1's step
+    itself; g_pre is summed per document before one sparse product, which
+    yields only the rows of the columns the documents touch."""
     n = len(y)
     if n == 0:
         raise ValueError("empty batch")
@@ -162,7 +280,10 @@ def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0, scale=1.0):
     if mask is not None:
         g_hidden = g_hidden * mask / keep
     g_pre = g_hidden * (hidden_pre > 0.0)
-    steps = {"w1": np.asarray(x.T @ g_pre), "b1": g_pre.sum(axis=0),
+    by_document, docs_t, touched = backward
+    steps = {"w1": [(touched, docs_t @ (by_document @ g_pre)),
+                    (x.pair_columns, np.asarray(x.pairs.T @ g_pre))],
+             "b1": g_pre.sum(axis=0),
              "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0)}
     return ce + l2_lambda * (_sq_norm(model.w1) + _sq_norm(model.w2)), steps
 
@@ -174,45 +295,45 @@ def train(
     hidden_dim: int = 100,
     epoch_callback: Callable[[int, float], None] | None = None,
 ) -> MlpModel:
-    """Seeded mini-batch SGD on cross-entropy + l2 (as weight decay) over
-    features.matrix, one row per label; the model records features.layout.
+    """Seeded mini-batch SGD on cross-entropy + l2 (as weight decay) over a
+    FeatureMatrix, one row per label; the model records features.layout.
     epoch_callback gets each epoch's mean batch objective, before each step.
 
     Deterministic given (data order, config.seed): weight init, epoch
     shuffles, and dropout masks all come from one RNG stream. Raises
     TrainingDivergedError naming the epoch if the objective goes non-finite.
     """
-    x, layout = features.matrix, tuple(features.layout)
     y = np.array([_label_index(lbl) for lbl in labels])
-    n = x.shape[0]
+    n, input_dim = features.shape
     if n < 1:
         raise ValueError("need at least one labeled example")
     if len(y) != n:
         raise ValueError(f"{n} feature rows but {len(y)} labels")
 
     rng = np.random.default_rng(config.seed)
-    model = init_model(x.shape[1], hidden_dim, layout, seed=config.seed)
+    model = init_model(input_dim, hidden_dim, tuple(features.layout), seed=config.seed)
     keep, rate = config.dropout_keep, config.learning_rate
     decay = 1.0 - 2.0 * rate * config.l2_lambda
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for idx, x, backward in _batches(features, order, config.batch_size):
             mask = None
             if keep < 1.0:
                 mask = (rng.random((len(idx), hidden_dim)) < keep).astype(np.float64)
-            objective, steps = _batch_gradients(model, x[idx], y[idx], config.l2_lambda,
-                                                mask, keep, scale=rate)
+            objective, steps = _batch_gradients(model, x, backward, y[idx], config.l2_lambda,
+                                                mask, keep, rate)
             if not np.isfinite(objective):
                 raise TrainingDivergedError(epoch)
-            model.w1 *= decay  # in place: no weight-sized array but the w1 step
+            model.w1 *= decay  # in place: no weight-sized array but the w1 steps
             model.w2 *= decay
+            for rows, step in steps.pop("w1"):
+                model.w1[rows] -= step
             for name, step in steps.items():
                 param = getattr(model, name)
                 param -= step
-            del steps  # frees the w1 step before the next batch allocates its own
+            del steps  # frees the w1 steps before the next batch allocates its own
             epoch_loss += objective * len(idx)
         if epoch_callback is not None:
             epoch_callback(epoch, epoch_loss / n)
@@ -221,18 +342,21 @@ def train(
 
 def save_model(model: MlpModel, path: str | Path) -> None:
     """Versioned flat binary; arrays are row-major little-endian float64,
-    w1 hidden-major as (hidden, input)."""
+    w1 hidden-major as (hidden, input), written a chunk of units at a time."""
     blocks = model.feature_layout
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<IIII", _VERSION, model.input_dim, model.hidden_dim, model.output_dim)
-    out += struct.pack("<I", len(blocks))
+    header = bytearray()
+    header += _MAGIC
+    header += struct.pack("<IIII", _VERSION, model.input_dim, model.hidden_dim, model.output_dim)
+    header += struct.pack("<I", len(blocks))
     for b in blocks:
         name = b.name.encode("utf-8")
-        out += struct.pack("<I", len(name)) + name + struct.pack("<II", b.offset, b.length)
-    for arr in (model.w1.T, model.b1, model.w2, model.b2):
-        out += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    Path(path).write_bytes(bytes(out))
+        header += struct.pack("<I", len(name)) + name + struct.pack("<II", b.offset, b.length)
+    with Path(path).open("wb") as out:
+        out.write(header)
+        for start, stop in _unit_chunks(model.input_dim, model.hidden_dim):
+            out.write(np.ascontiguousarray(model.w1[:, start:stop].T, dtype="<f8"))
+        for arr in (model.b1, model.w2, model.b2):
+            out.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_model(path: str | Path) -> MlpModel:

@@ -7,14 +7,16 @@ from the training corpus alone, so cross-validation folds rebuilt through
 fit_pipeline stay leakage-free by construction.
 
 Each block owns its columns: block_matrices() reads the token lists the
-corpus made when it was built, builds a block's rows once per document and
-gathers them to instances. The TF-IDF cosine is computed for all instances
-at once from the IDF-weighted count rows; each embedding similarity is
-scored once per distinct headline/body pair from states embedded once per
-document. assemble() lays a pipeline's blocks side by side. Pipelines
-trained on one corpus can thus share one fit of the union of their blocks
-and one set of block matrices: each is then dataclasses.replace(shared,
-spec=...), and featurizes and saves exactly as a fit of its own spec.
+corpus made when it was built and keeps a block's headline and body columns
+(TF, keyword bits) as one row per distinct document, which no instance
+copies; the model projects such a row once (see mlp.FeatureMatrix). Only
+the pair columns have a row per instance: the TF-IDF cosine, computed for
+all instances at once from the IDF-weighted count rows, and each embedding
+similarity, scored once per distinct headline/body pair from states embedded
+once per document. assemble() lays a pipeline's blocks side by side.
+Pipelines trained on one corpus can thus share one fit of the union of their
+blocks and one set of block matrices: each is then dataclasses.replace(
+shared, spec=...), and featurizes and saves exactly as a fit of its own spec.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .keywords import (
     stance_positive_bodies,
     write_keyword_set,
 )
-from .mlp import MlpModel, predict_batch
+from .mlp import FeatureMatrix, MlpModel, predict_batch
 from .stopwords import ENGLISH_STOPWORDS
 from .text import (
     BlockSlice,
@@ -120,18 +122,6 @@ class PipelineSpec:
             raise ConfigError(f"pipeline {self.name!r} repeats a feature block")
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """CSR example-by-feature matrix plus the shared block layout."""
-
-    matrix: sp.csr_matrix
-    layout: tuple[BlockSlice, ...]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
 def body_vocabulary(body_tokens: Iterable[TokenList], capacity: int) -> Vocabulary:
     """TF vocabulary of the body side, also the keyword candidate terms."""
     return build_vocabulary(body_tokens, capacity, ENGLISH_STOPWORDS)
@@ -203,8 +193,8 @@ class FittedPipeline:
 
     def _similarity_columns(
         self, head_tokens: list, body_tokens: list, head_row: list, body_row: list
-    ) -> dict[BlockSpec, sp.csr_matrix]:
-        """The column of each similarity block, gathered to instance rows.
+    ) -> dict[BlockSpec, np.ndarray]:
+        """The (instances, 1) column of each similarity block.
         Each distinct headline/body pair is scored once, from embedded
         states built once per document; a body's state lives only while its
         pairs are scored."""
@@ -226,56 +216,73 @@ class FittedPipeline:
             for h, k in members:
                 pair_values[k] = [similarity(heads[h], body, block.mode) for block in blocks]
         values = np.array(pair_values, dtype=np.float64).reshape(len(pairs), len(blocks))[pair_row]
-        return {block: sp.csr_matrix(values[:, [j]]) for j, block in enumerate(blocks)}
+        return {block: values[:, [j]] for j, block in enumerate(blocks)}
 
-    def block_matrices(self, corpus: Corpus) -> dict[BlockSpec, sp.csr_matrix]:
-        """One CSR column group per spec block, rows in corpus order and
-        columns numbered from 0 inside the block: baseline is headline TF,
-        body TF, then the TF-IDF cosine; indicator has keyword i's headline
-        bit at 2i and its body bit at 2i + 1; similarity is one column."""
+    def block_matrices(self, corpus: Corpus) -> dict[BlockSpec, FeatureMatrix]:
+        """Each spec block's columns, numbered from 0 inside the block, over
+        the corpus instances in order. The document rows are the distinct
+        headlines, then the distinct bodies, each in first-use order.
+        baseline has headline TF and body TF on them and the TF-IDF cosine
+        as its pair column; indicator has keyword i's headline bit at 2i
+        and its body bit at 2i + 1 on them; similarity is one pair column."""
         heads: dict[str, int] = {}
         bodies: dict[int, int] = {}
         head_row = [heads.setdefault(i.headline, len(heads)) for i in corpus.instances]
         body_row = [bodies.setdefault(i.body_id, len(bodies)) for i in corpus.instances]
         head_tokens = [corpus.headline_tokens[h] for h in heads]
         body_tokens = [corpus.tokens_of_body(b) for b in bodies]
+        rows = (np.array(head_row, dtype=np.intp), len(heads) + np.array(body_row, dtype=np.intp))
         similarities = self._similarity_columns(head_tokens, body_tokens, head_row, body_row)
-        blocks: dict[BlockSpec, sp.csr_matrix] = {}
+        blocks: dict[BlockSpec, FeatureMatrix] = {}
         for block in self.spec.blocks:
             if block.kind == BASELINE:
-                parts = []
-                for docs, at, vocab in (
-                    (head_tokens, head_row, self.headline_vocab),
-                    (body_tokens, body_row, self.body_vocab),
-                ):
-                    tf = count_matrix(docs, vocab)
-                    if self.tf_log1p:
+                sides = [count_matrix(head_tokens, self.headline_vocab),
+                         count_matrix(body_tokens, self.body_vocab)]
+                if self.tf_log1p:
+                    for tf in sides:
                         tf.data = np.log1p(tf.data)
-                    parts.append(tf[at])
-                # as CSR: a dense part would send hstack down its COO path
-                parts.append(sp.csr_matrix(
-                    tfidf_cosines(head_tokens, body_tokens, head_row, body_row, self.idf)[:, None]))
-                blocks[block] = sp.hstack(parts, format="csr")
+                width = len(self.headline_vocab) + len(self.body_vocab)
+                docs = _document_rows(sides, (0, len(self.headline_vocab)), 1, width + 1)
+                pairs = tfidf_cosines(head_tokens, body_tokens, head_row, body_row, self.idf)
+                pairs, at = pairs[:, None], [width]
             elif block.kind == INDICATOR:
                 terms = self.keyword_sets[block.keywords].terms
-                parts = []
-                for side, docs, at in ((0, head_tokens, head_row), (1, body_tokens, body_row)):
-                    bits = presence(docs, terms)  # keyword i of this side at column 2i + side
-                    parts.append(sp.csr_matrix((bits.data, 2 * bits.indices + side, bits.indptr),
-                                               shape=(len(docs), 2 * len(terms)))[at])
-                blocks[block] = parts[0] + parts[1]
+                sides = [presence(docs, terms) for docs in (head_tokens, body_tokens)]
+                docs = _document_rows(sides, (0, 1), 2, 2 * len(terms))
+                pairs, at = np.empty((len(head_row), 0)), []
             else:
-                blocks[block] = similarities[block]
+                docs = sp.csr_matrix((len(heads) + len(bodies), 1))
+                pairs, at = similarities[block], [0]
+            blocks[block] = FeatureMatrix(pairs, docs, *rows, np.array(at, dtype=np.intp))
         return blocks
 
-    def assemble(self, blocks: Mapping[BlockSpec, sp.csr_matrix]) -> FeatureMatrix:
-        """The spec's blocks side by side in spec order; blocks may hold more."""
-        mat = sp.hstack([blocks[b] for b in self.spec.blocks], format="csr")
-        return FeatureMatrix(matrix=mat, layout=self.layout)
+    def assemble(self, blocks: Mapping[BlockSpec, FeatureMatrix]) -> FeatureMatrix:
+        """The spec's blocks side by side in spec order; blocks may hold more.
+        Only the document rows and the pair columns are laid out."""
+        parts = [blocks[b] for b in self.spec.blocks]
+        offsets = list(accumulate((p.shape[1] for p in parts), initial=0))
+        docs = [p.docs.tocoo() for p in parts]
+        return FeatureMatrix(
+            np.concatenate([p.pairs for p in parts], axis=1),
+            sp.csr_matrix((np.concatenate([d.data for d in docs]),
+                           (np.concatenate([d.row for d in docs]),
+                            np.concatenate([d.col + at for d, at in zip(docs, offsets)]))),
+                          shape=(docs[0].shape[0], offsets[-1])),
+            parts[0].head_row, parts[0].body_row,
+            np.concatenate([p.pair_columns + at for p, at in zip(parts, offsets)]), self.layout)
 
     def matrix(self, corpus: Corpus) -> FeatureMatrix:
-        """CSR feature matrix over all corpus instances, in corpus order."""
+        """Features of all corpus instances, in corpus order."""
         return self.assemble(self.block_matrices(corpus))
+
+
+def _document_rows(sides: Sequence[sp.csr_matrix], offsets: Sequence[int], stride: int,
+                   width: int) -> sp.csr_matrix:
+    """The headline rows, then the body rows, of a block width columns wide:
+    column j of side s goes to block column stride * j + offsets[s]."""
+    return sp.vstack([sp.csr_matrix((s.data, stride * s.indices + at, s.indptr),
+                                    shape=(s.shape[0], width)) for s, at in zip(sides, offsets)],
+                     format="csr")
 
 
 def fit_pipeline(
@@ -354,7 +361,7 @@ def member_probabilities(
         raise ValueError(
             f"pipeline layout [{pipe}] does not match model layout [{got}]"
         )
-    return predict_batch(model, fm.matrix)[1]
+    return predict_batch(model, fm)[1]
 
 
 def ensemble_predictions(

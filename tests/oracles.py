@@ -6,8 +6,10 @@ and selects keywords from one document-by-term presence matrix. The
 functions here compute the same values one instance, row, document or
 candidate at a time, straight from their definitions, so tests can pin the
 batched paths to them exactly. gradient_check compares backprop with
-central finite differences; eager_train is plain SGD with the l2 gradient
-added to the cross-entropy gradient, which train applies as weight decay.
+central finite differences. pair_train is SGD over one example row per
+instance, as train ran before it projected each document once per batch;
+eager_train is plain SGD with the l2 gradient added to the cross-entropy
+gradient, which train applies as weight decay.
 """
 
 import math
@@ -233,9 +235,19 @@ def _with_l2(steps, model, l2_lambda):
             for name, g in steps.items()}
 
 
+def one_batch(x):
+    """(batch, backward): x, dense rows or a FeatureMatrix, as the one
+    mini-batch of all its rows that train would make of it."""
+    if not isinstance(x, mlp.FeatureMatrix):
+        x = mlp.FeatureMatrix.of(np.asarray(x, dtype=np.float64))
+    n = x.shape[0]
+    return next(mlp._batches(x, np.arange(n), max(n, 1)), (None, x, None))[1:]
+
+
 def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
     """Max relative error between backprop and central finite differences
-    on the batch of dense rows x with their labels.
+    on the batch x with its labels: dense rows, or a FeatureMatrix taken as
+    one mini-batch of all its rows.
 
     Both sides come from mlp._batch_gradients, the code train runs: the
     objective it returns, and its cross-entropy gradients plus the l2
@@ -244,11 +256,17 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
     """
     if config.dropout_keep != 1.0:
         raise ValueError("gradient_check requires dropout_keep == 1")
-    x = np.asarray(x, dtype=np.float64)
+    x, backward = one_batch(x)
     y = np.array([mlp._label_index(lbl) for lbl in labels])
 
-    _, steps = mlp._batch_gradients(model, x, y, config.l2_lambda)
-    grads = _with_l2(steps, model, config.l2_lambda)
+    def batch_gradients():
+        return mlp._batch_gradients(model, x, backward, y, config.l2_lambda)
+
+    _, steps = batch_gradients()
+    w1 = np.zeros_like(model.w1)
+    for rows, part in steps["w1"]:  # the steps of disjoint row sets
+        w1[rows] += part
+    grads = _with_l2({**steps, "w1": w1}, model, config.l2_lambda)
     params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),
               (model.w2, grads["w2"]), (model.b2, grads["b2"])]
     sizes = [p.size for p, _ in params]
@@ -265,15 +283,77 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
         view = param.reshape(-1)
         original = view[flat]
         view[flat] = original + step
-        up = mlp._batch_gradients(model, x, y, config.l2_lambda)[0]
+        up = batch_gradients()[0]
         view[flat] = original - step
-        down = mlp._batch_gradients(model, x, y, config.l2_lambda)[0]
+        down = batch_gradients()[0]
         view[flat] = original
         numeric = (up - down) / (2.0 * step)
         analytic = grad.reshape(-1)[flat]
         denom = max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic - numeric) / denom)
     return worst
+
+
+def _pair_forward(model, x, mask=None, keep=1.0):
+    """(hidden_pre, hidden, probs, logits, lse) of the example rows x, from
+    x @ w1 itself."""
+    hidden_pre = np.asarray(x @ model.w1) + model.b1
+    hidden = np.maximum(0.0, hidden_pre)
+    if mask is not None:
+        hidden = hidden * mask / keep
+    logits = hidden @ model.w2.T + model.b2
+    lse = np.log(np.exp(logits - logits.max(axis=1, keepdims=True)).sum(axis=1))
+    return hidden_pre, hidden, softmax(logits), logits, lse + logits.max(axis=1)
+
+
+#: how far train's weights may lie from pair_train's: about ten ulps of a
+#: weight of 0.5; the differences seen are one or two
+PAIR_ATOL = 1e-15
+
+
+def pair_train(features, labels, config, hidden_dim=100):
+    """(model, epoch losses) of train over features.matrix, one example row
+    per instance: each mini-batch gathers its rows, multiplies them by w1 and
+    takes w1's step as their transpose times g_pre, so a body is multiplied
+    once per instance that uses it. Same random numbers, same in-place decay
+    and steps as train; only the order of additions differs."""
+    x = features.matrix
+    y = np.array([mlp._label_index(lbl) for lbl in labels])
+    n = x.shape[0]
+    rng = np.random.default_rng(config.seed)
+    model = mlp.init_model(x.shape[1], hidden_dim, tuple(features.layout), seed=config.seed)
+    keep, rate = config.dropout_keep, config.learning_rate
+    decay = 1.0 - 2.0 * rate * config.l2_lambda
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            mask = None
+            if keep < 1.0:
+                mask = (rng.random((len(idx), hidden_dim)) < keep).astype(np.float64)
+            xb, yb = x[idx], y[idx]
+            hidden_pre, hidden, probs, logits, lse = _pair_forward(model, xb, mask, keep)
+            m = len(yb)
+            ce = float(np.mean(lse - logits[np.arange(m), yb]))
+            g_logits = probs
+            g_logits[np.arange(m), yb] -= 1.0
+            g_logits *= rate / m
+            g_hidden = g_logits @ model.w2
+            if mask is not None:
+                g_hidden = g_hidden * mask / keep
+            g_pre = g_hidden * (hidden_pre > 0.0)
+            l2 = config.l2_lambda * (mlp._sq_norm(model.w1) + mlp._sq_norm(model.w2))
+            model.w1 *= decay
+            model.w2 *= decay
+            model.w1 -= np.asarray(xb.T @ g_pre)
+            model.b1 -= g_pre.sum(axis=0)
+            model.w2 -= g_logits.T @ hidden
+            model.b2 -= g_logits.sum(axis=0)
+            epoch_loss += (ce + l2) * m
+        losses.append(epoch_loss / n)
+    return model, losses
 
 
 def eager_train(features, labels, config, hidden_dim=100):
@@ -297,7 +377,7 @@ def eager_train(features, labels, config, hidden_dim=100):
             if keep < 1.0:
                 mask = (rng.random((len(idx), hidden_dim)) < keep).astype(np.float64)
             xb, yb = x[idx], y[idx]
-            hidden_pre, hidden, probs, logits, lse = mlp._batch_forward(model, xb, mask, keep)
+            hidden_pre, hidden, probs, logits, lse = _pair_forward(model, xb, mask, keep)
             m = len(yb)
             ce = float(np.mean(lse - logits[np.arange(m), yb]))
             g_logits = probs.copy()

@@ -907,6 +907,26 @@ def test_output_path_not_a_directory_exit_2(tmp_path, command):
     assert f"output path {tmp_path / 'out'} is not a directory" in result.stderr
 
 
+def test_commands_build_no_example_rows(tmp_path, monkeypatch):
+    """train, evaluate and cv keep headline and body columns per document:
+    none lays sparse blocks side by side or builds a FeatureMatrix's
+    example-by-input matrix."""
+    import scipy.sparse
+
+    from stancekit.mlp import FeatureMatrix
+
+    config = base_config(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an example-by-input matrix was built")
+
+    monkeypatch.setattr(scipy.sparse, "hstack", refuse)
+    monkeypatch.setattr(FeatureMatrix, "matrix", property(refuse))
+    run("train", "--config", str(config))
+    for command in ("evaluate", "cv"):
+        run(command, "--config", str(config), "--models", "trio_concat")
+
+
 class TestDeterminismUmbrella:
     def test_across_hash_seeds(self, tmp_path):
         """Every command writes the same bytes under two string-hash seeds,

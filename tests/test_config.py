@@ -172,6 +172,20 @@ class TestErrors:
         assert result.exit_code == 2
         assert f"config error: {message}" in result.stderr
 
+    @pytest.mark.parametrize("name", [7, ""], ids=["integer", "empty"])
+    @pytest.mark.parametrize("section", ["keywords", "pipelines", "models", "ensembles"])
+    def test_entry_name_must_be_a_string(self, tmp_path, section, name):
+        raw = base_raw()
+        entries = raw[section]
+        entries[name] = entries.pop(next(iter(entries)))
+        with pytest.raises(ConfigError) as caught:
+            load_raw(tmp_path, raw)
+        message = str(caught.value)
+        assert message.startswith(f"{section}.{name}: entry name {name!r}")
+        result = CliRunner().invoke(main, ["train", "--config", str(tmp_path / "exp.yaml")])
+        assert result.exit_code == 2
+        assert f"config error: {message}" in result.stderr
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config file"):
             load_config(tmp_path / "nope.yaml")

@@ -10,11 +10,13 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, strategies as st
 
 import stancekit.mlp as mlp
 from stancekit.corpus import Stance
 from stancekit.errors import DataFormatError, TrainingDivergedError
 from stancekit.mlp import (
+    FeatureMatrix,
     MlpModel,
     TrainingConfig,
     init_model,
@@ -24,10 +26,9 @@ from stancekit.mlp import (
     softmax,
     train,
 )
-from stancekit.pipeline import FeatureMatrix
 from stancekit.text import BlockSlice
 
-from oracles import eager_train, gradient_check
+from oracles import PAIR_ATOL, eager_train, gradient_check, one_batch, pair_train
 
 LAYOUT_2 = (BlockSlice("in", 0, 2),)
 
@@ -41,7 +42,8 @@ def objective(model, batch, l2_lambda):
     """Batch objective of (values, stance) pairs."""
     x = np.array([values for values, _ in batch], dtype=np.float64)
     y = np.array([label.index for _, label in batch], dtype=np.int64)
-    return mlp._batch_gradients(model, x, y, l2_lambda)[0]
+    x, backward = one_batch(x.reshape(len(batch), model.input_dim))
+    return mlp._batch_gradients(model, x, backward, y, l2_lambda)[0]
 
 
 def zero_model(input_dim: int = 2, hidden_dim: int = 2) -> MlpModel:
@@ -106,6 +108,17 @@ class TestInit:
         a = init_model(7, 5, (BlockSlice("in", 0, 7),), seed=3)
         b = init_model(7, 5, (BlockSlice("in", 0, 7),), seed=4)
         assert not np.array_equal(a.w1, b.w1)
+
+    def test_w1_drawn_in_chunks_as_one_draw(self, monkeypatch):
+        # 2 hidden units of 5 inputs per chunk: 4 chunks for 7 units
+        monkeypatch.setattr(mlp, "_CHUNK_WEIGHTS", 10)
+        model = init_model(5, 7, (BlockSlice("in", 0, 5),), seed=3)
+        rng = np.random.default_rng(3)
+        drawn = rng.uniform(-math.sqrt(6.0 / 12), math.sqrt(6.0 / 12), size=(7, 5))
+        assert model.w1.tobytes() == np.ascontiguousarray(drawn.T).tobytes()
+        # the stream stands where one draw of all of w1 leaves it
+        after = rng.uniform(-math.sqrt(6.0 / 11), math.sqrt(6.0 / 11), size=(4, 7))
+        assert model.w2.tobytes() == after.tobytes()
 
     def test_glorot_bounds(self):
         model = init_model(10, 6, (BlockSlice("in", 0, 10),), seed=0)
@@ -229,7 +242,7 @@ def separable_toy(n: int = 20):
         side = 1.0 if i % 2 else -1.0
         points.append([side * (1.5 + rng.random()), float(rng.normal(0, 0.2))])
         labels.append(Stance.AGREE if side > 0 else Stance.DISAGREE)
-    return FeatureMatrix(matrix=np.array(points), layout=LAYOUT_2), labels
+    return FeatureMatrix.of(np.array(points), LAYOUT_2), labels
 
 
 class TestTrain:
@@ -304,7 +317,7 @@ def sparse_toy(n: int = 60, dim: int = 40, seed: int = 3):
     dense = rng.random((n, dim)) * (rng.random((n, dim)) < 0.2)
     labels = [int(v) for v in rng.integers(0, 4, size=n)]
     layout = (BlockSlice("in", 0, dim),)
-    return FeatureMatrix(matrix=sp.csr_matrix(dense), layout=layout), labels
+    return FeatureMatrix.of(sp.csr_matrix(dense), layout), labels
 
 
 # (learning_rate, l2_lambda): the default lambda, 2 * rate * lambda > 1
@@ -324,7 +337,7 @@ class TestTrainMatchesEager:
     def test_same_weights_losses_and_decisions(self, dense, keep, rate, lam):
         feats, labels = sparse_toy()
         if dense:
-            feats = FeatureMatrix(matrix=feats.matrix.toarray(), layout=feats.layout)
+            feats = FeatureMatrix.of(feats.pairs.toarray(), feats.layout)
         cfg = TrainingConfig(learning_rate=rate, batch_size=16, epochs=12,
                              dropout_keep=keep, l2_lambda=lam, seed=5)
         losses = []
@@ -336,6 +349,76 @@ class TestTrainMatchesEager:
                                rtol=1e-12, atol=0), name
         assert np.allclose(losses, want_losses, rtol=1e-13, atol=0)
         assert predict_batch(model, feats.matrix)[0] == predict_batch(want, feats.matrix)[0]
+
+
+def document_toy(seed: int, n: int = 60, pair_cols: int = 2, heads: int = 12, bodies: int = 5):
+    """A FeatureMatrix with a document side, and labels from all four
+    stances: sparse non-negative headline and body rows over 9 and 11
+    columns, examples that share them, and dense pair columns, the three
+    kinds of column shuffled together."""
+    rng = np.random.default_rng(seed)
+    at = np.split(rng.permutation(20 + pair_cols), [9, 20])
+    docs = np.zeros((heads + bodies, 20 + pair_cols))
+    for rows, cols in ((slice(0, heads), at[0]), (slice(heads, None), at[1])):
+        side = docs[rows]
+        side[:, cols] = rng.random((len(side), len(cols))) * (rng.random((len(side), len(cols))) < 0.4)
+    feats = FeatureMatrix(rng.random((n, pair_cols)), sp.csr_matrix(docs),
+                          rng.integers(0, heads, n), heads + rng.integers(0, bodies, n),
+                          np.sort(at[2]), (BlockSlice("in", 0, 20 + pair_cols),))
+    return feats, [int(v) for v in rng.integers(0, 4, size=n)]
+
+
+class TestDocumentSide:
+    """A FeatureMatrix with a document side stands for its example rows:
+    the first layer sums each example's headline, body and pair
+    projections, and a batch sums w1's gradient per document."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), size=st.integers(1, 12),
+           pair_cols=st.integers(0, 2))
+    def test_batches_stand_for_their_rows(self, seed, n, size, pair_cols):
+        feats, _ = document_toy(seed, n=n, pair_cols=pair_cols)
+        model = init_model(feats.shape[1], 5, feats.layout, seed=seed)
+        model.b1[:] = np.linspace(-0.5, 0.5, 5)
+        x = feats.matrix.toarray()
+        # a dot product's rounding is relative to the sum of its |terms|
+        scale = np.abs(x) @ np.abs(model.w1) + np.abs(model.b1)
+        got = mlp._batch_forward(model, feats)[0]
+        assert np.all(np.abs(got - (x @ model.w1 + model.b1)) <= 1e-12 * scale)
+        g = np.random.default_rng(seed).normal(size=(n, 5))
+        side = x.copy()
+        side[:, feats.pair_columns] = 0.0
+        for rows, batch, (by_document, docs_t, touched) in mlp._batches(
+                feats, np.random.default_rng(seed).permutation(n), size):
+            assert np.array_equal(batch.matrix.toarray(), x[rows])
+            step = np.zeros_like(model.w1)
+            step[touched] = docs_t @ (by_document @ g[rows])
+            want = side[rows].T @ g[rows]
+            assert np.all(np.abs(step - want) <= 1e-12 * (np.abs(side[rows].T) @ np.abs(g[rows])))
+
+    def test_gradient_check(self):
+        feats, labels = document_toy(seed=2, n=20)
+        model = init_model(feats.shape[1], 4, feats.layout, seed=2)
+        model.b1[:] = [0.3, -0.2, 0.4, 0.1]
+        cfg = TrainingConfig(dropout_keep=1.0, l2_lambda=1e-3)
+        assert gradient_check(model, feats, labels, cfg, sample_size=200) < 1e-5
+
+    @pytest.mark.parametrize("pair_cols", [0, 2])
+    @pytest.mark.parametrize("keep", [1.0, 0.6])
+    def test_train_matches_pair_rows(self, keep, pair_cols):
+        """pair_train multiplies one example row per instance; only the order
+        of additions differs, so weights agree to a few ulps."""
+        feats, labels = document_toy(seed=4, pair_cols=pair_cols)
+        cfg = TrainingConfig(learning_rate=0.05, batch_size=16, epochs=6,
+                             dropout_keep=keep, l2_lambda=1e-4, seed=5)
+        losses = []
+        model = train(feats, labels, cfg, hidden_dim=7,
+                      epoch_callback=lambda e, loss: losses.append(loss))
+        want, want_losses = pair_train(feats, labels, cfg, hidden_dim=7)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.allclose(getattr(model, name), getattr(want, name),
+                               rtol=0, atol=PAIR_ATOL), name
+        assert np.allclose(losses, want_losses, rtol=1e-14, atol=0)
+        assert predict_batch(model, feats)[0] == predict_batch(want, feats.matrix)[0]
 
 
 def random_check_setup(seed: int, input_dim: int = 5, hidden_dim: int = 4, n: int = 6):
@@ -424,6 +507,16 @@ class TestModelIo:
         back = load_model(path)
         assert back.w1.flags.c_contiguous
         assert back.w1.tobytes() == model.w1.tobytes()
+
+    def test_w1_written_hidden_major_in_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mlp, "_CHUNK_WEIGHTS", 10)
+        model = init_model(5, 7, (BlockSlice("in", 0, 5),), seed=1)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        payload = b"".join(np.ascontiguousarray(a).tobytes()
+                           for a in (model.w1.T, model.b1, model.w2, model.b2))
+        assert path.read_bytes().endswith(payload)
+        assert load_model(path).w1.tobytes() == model.w1.tobytes()
 
     @pytest.mark.parametrize("hidden_dim", [1, 3])
     def test_loaded_arrays_own_writeable_memory(self, tmp_path, hidden_dim):

@@ -26,7 +26,7 @@ from stancekit.pipeline import (
 )
 
 from conftest import synthetic_corpus, write_vectors
-from oracles import feature_row, fuse_summation_row
+from oracles import PAIR_ATOL, feature_row, fuse_summation_row, pair_train
 
 BASELINE_SPEC = PipelineSpec(name="plain", blocks=(BlockSpec(kind="baseline"),))
 
@@ -350,7 +350,7 @@ class TestSharedFit:
         start = 0
         for block in spec.blocks:
             width = blocks[block].shape[1]
-            assert np.array_equal(blocks[block].toarray(), full[:, start : start + width])
+            assert np.array_equal(blocks[block].matrix.toarray(), full[:, start : start + width])
             start += width
         assert start == input_width(fitted)
 
@@ -360,7 +360,7 @@ class TestSharedFit:
         relaxed = BlockSpec(kind="similarity", mode=WMD_RELAXED)
         spec = PipelineSpec(name="both", blocks=(centroid, relaxed))
         both = fit_pipeline(spec, corpus, embeddings=load_embeddings(vectors_file))
-        want = both.block_matrices(corpus)[centroid]
+        want = both.block_matrices(corpus)[centroid].matrix
 
         def refuse(*args, **kwargs):
             raise AssertionError("nBOW masses built for a centroid-only pipeline")
@@ -468,6 +468,34 @@ class TestModelGlue:
         )
         with pytest.raises(ConfigError, match="ghost"):
             ensemble_predictions(spec, {}, {"plain": fitted}, corpus)
+
+
+class TestDocumentRows:
+    """Features keep a headline's and a body's columns once per document;
+    training and prediction from them match those from the example rows."""
+
+    @pytest.mark.parametrize("keep", [1.0, 0.6])
+    @pytest.mark.parametrize("name", sorted(ORACLE_PIPELINES))
+    def test_train_and_predict_match_example_rows(self, name, keep, vectors_file):
+        corpus = shared_headline_corpus()
+        spec = PipelineSpec(name=name, blocks=ORACLE_PIPELINES[name])
+        fitted = fit_pipeline(spec, corpus, keyword_specs=ORACLE_KEYWORDS,
+                              embeddings=load_embeddings(vectors_file), vocab_capacity=40)
+        features = fitted.matrix(corpus)
+        documents = {i.headline for i in corpus.instances} | set(corpus.bodies)
+        assert features.docs.shape[0] == len(documents)
+        cfg = TrainingConfig(learning_rate=0.05, batch_size=8, epochs=5, dropout_keep=keep,
+                             l2_lambda=1e-4, seed=3)
+        model = train(features, stance_labels(corpus), cfg, hidden_dim=6)
+        want, _ = pair_train(features, stance_labels(corpus), cfg, hidden_dim=6)
+        for field in ("w1", "b1", "w2", "b2"):
+            assert np.allclose(getattr(model, field), getattr(want, field),
+                               rtol=0, atol=PAIR_ATOL), field
+        unseen = fitted.matrix(synthetic_corpus(n_instances=20, n_bodies=5, seed=9))
+        stances, probs = predict_batch(model, unseen)
+        from_rows = predict_batch(model, unseen.matrix)
+        assert stances == from_rows[0]
+        assert np.allclose(probs, from_rows[1], rtol=1e-12, atol=0)
 
 
 class TestPersistence:
