@@ -208,64 +208,54 @@ def _sq_norm(a: np.ndarray) -> float:
 
 
 def _batches(features: FeatureMatrix, order: np.ndarray,
-             size: int) -> Iterator[tuple[np.ndarray, FeatureMatrix, tuple]]:
-    """(rows, x, backward) of each mini-batch, size rows of order in turn.
-    x is their FeatureMatrix, whose docs are the distinct documents the rows
-    use. backward holds the 0/1 (documents, rows) matrix of those uses,
-    which sums row gradients per document, the transposed docs over only
-    the input columns they touch, and those columns (all of them, as one
-    dense step, when the docs store at least half as many entries as there
-    are inputs). One sort per call finds every batch's documents; a batch
-    then builds its three sparse matrices."""
+             size: int) -> Iterator[tuple[np.ndarray, FeatureMatrix, sp.csr_matrix]]:
+    """(rows, x, by_document) of each mini-batch, size rows of order in
+    turn. x is their FeatureMatrix, whose docs are the distinct documents
+    the rows use; by_document is the 0/1 (documents, rows) matrix of those
+    uses, which sums row gradients per document (np.add.reduceat takes six
+    times as long for a batch of 500 rows at FNC scale). One sort per call
+    finds every batch's documents; a batch copies their entries straight
+    into its CSR arrays (scipy's row indexing costs twice as much at a few
+    rows)."""
     starts = range(0, len(order), size)
-    n_docs, inputs = features.docs.shape
+    docs = features.docs
     # use 2j is row j's headline, 2j + 1 its body; the keys sort batch-major
-    keys = np.repeat(np.arange(len(order)) // size * n_docs, 2)
+    keys = np.repeat(np.arange(len(order)) // size * docs.shape[0], 2)
     keys[0::2] += features.head_row[order]
     keys[1::2] += features.body_row[order]
     sorter = np.argsort(keys, kind="stable")
     is_first = np.diff(keys[sorter], prepend=-1) != 0
     # sorted position where each (batch, document) starts, then the end
-    runs = np.flatnonzero(np.append(is_first, True)).astype(np.int32)
+    runs = np.flatnonzero(np.append(is_first, True))
     run_of = np.empty_like(sorter)
     run_of[sorter] = np.cumsum(is_first) - 1
-    run_docs = keys[sorter[runs[:-1]]] % n_docs
-    use_row, ones = (sorter // 2).astype(np.int32), np.ones(2 * size)
+    run_docs, use_row = keys[sorter[runs[:-1]]] % docs.shape[0], sorter // 2
+    ones = np.ones(2 * min(size, len(order)))
+    lengths = np.diff(docs.indptr)
     bounds = np.searchsorted(runs, [2 * s for s in starts] + [2 * len(order)])
-    stored, stored_length = features.docs.indptr, np.diff(features.docs.indptr)
     for k, start in enumerate(starts):
         a, b = 2 * start, 2 * min(start + size, len(order))
         lo, hi = bounds[k : k + 2]
-        first, length = stored[run_docs[lo:hi]], stored_length[run_docs[lo:hi]]
-        indptr = np.zeros(hi - lo + 1, dtype=np.int32)
+        first, length = docs.indptr[run_docs[lo:hi]], lengths[run_docs[lo:hi]]
+        indptr = np.zeros(hi - lo + 1, dtype=docs.indptr.dtype)
         np.cumsum(length, out=indptr[1:])
         entries = np.repeat(first - indptr[:-1], length) + np.arange(indptr[-1])
-        data, columns = features.docs.data[entries], features.docs.indices[entries]
-        # the step of a batch that may touch most of w1 is one dense array,
-        # cheaper to subtract than to gather and scatter row by row
-        touched, compact, rows = slice(None), columns, inputs
-        if 2 * len(columns) <= inputs:
-            used = np.zeros(inputs, dtype=np.int32)
-            used[columns] = 1
-            touched = np.flatnonzero(used)
-            compact, rows = (np.cumsum(used, dtype=np.int32) - 1)[columns], len(touched)
-        x = FeatureMatrix(features.pairs[order[a // 2 : b // 2]],
-                          sp.csr_matrix((data, columns, indptr), shape=(hi - lo, inputs)),
+        batch = sp.csr_matrix((docs.data[entries], docs.indices[entries], indptr),
+                              shape=(hi - lo, docs.shape[1]))
+        x = FeatureMatrix(features.pairs[order[a // 2 : b // 2]], batch,
                           run_of[a:b:2] - lo, run_of[a + 1 : b : 2] - lo, features.pair_columns)
         by_document = sp.csr_matrix((ones[: b - a], use_row[a:b] - start, runs[lo : hi + 1] - a),
                                     shape=(hi - lo, (b - a) // 2))
-        docs_t = sp.csc_matrix((data, compact, indptr), shape=(rows, hi - lo))
-        yield order[a // 2 : b // 2], x, (by_document, docs_t, touched)
+        yield order[a // 2 : b // 2], x, by_document
 
 
-def _batch_gradients(model, x, backward, y, l2_lambda, mask=None, keep=1.0, scale=1.0):
-    """(objective, steps) for one mini-batch, x and backward as _batches
+def _batch_gradients(model, x, by_document, y, l2_lambda, mask=None, keep=1.0, scale=1.0):
+    """(objective, steps) for one mini-batch, x and by_document as _batches
     makes them: mean cross-entropy, computed from logits, plus the l2
     penalty; scale times the cross-entropy gradients (not the l2 one, which
-    train applies as decay), keyed like the fields, w1's as (rows, step)
-    pairs. scale rides on the (batch, 4) error, so x.T @ g_pre is w1's step
-    itself; g_pre is summed per document before one sparse product, which
-    yields only the rows of the columns the documents touch."""
+    train applies as decay), keyed like the fields. scale rides on the
+    (batch, 4) error, so x.T @ g_pre is w1's step itself; g_pre is summed
+    per document before one transposed product."""
     n = len(y)
     if n == 0:
         raise ValueError("empty batch")
@@ -280,10 +270,9 @@ def _batch_gradients(model, x, backward, y, l2_lambda, mask=None, keep=1.0, scal
     if mask is not None:
         g_hidden = g_hidden * mask / keep
     g_pre = g_hidden * (hidden_pre > 0.0)
-    by_document, docs_t, touched = backward
-    steps = {"w1": [(touched, docs_t @ (by_document @ g_pre)),
-                    (x.pair_columns, np.asarray(x.pairs.T @ g_pre))],
-             "b1": g_pre.sum(axis=0),
+    w1 = x.docs.T @ (by_document @ g_pre)
+    w1[x.pair_columns] += x.pairs.T @ g_pre  # rows no document column touches
+    steps = {"w1": w1, "b1": g_pre.sum(axis=0),
              "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0)}
     return ce + l2_lambda * (_sq_norm(model.w1) + _sq_norm(model.w2)), steps
 
@@ -318,22 +307,20 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for idx, x, backward in _batches(features, order, config.batch_size):
+        for idx, x, by_document in _batches(features, order, config.batch_size):
             mask = None
             if keep < 1.0:
                 mask = (rng.random((len(idx), hidden_dim)) < keep).astype(np.float64)
-            objective, steps = _batch_gradients(model, x, backward, y[idx], config.l2_lambda,
+            objective, steps = _batch_gradients(model, x, by_document, y[idx], config.l2_lambda,
                                                 mask, keep, rate)
             if not np.isfinite(objective):
                 raise TrainingDivergedError(epoch)
-            model.w1 *= decay  # in place: no weight-sized array but the w1 steps
+            model.w1 *= decay  # in place: no weight-sized array but the w1 step
             model.w2 *= decay
-            for rows, step in steps.pop("w1"):
-                model.w1[rows] -= step
             for name, step in steps.items():
                 param = getattr(model, name)
                 param -= step
-            del steps  # frees the w1 steps before the next batch allocates its own
+            del steps  # frees the w1 step before the next batch allocates its own
             epoch_loss += objective * len(idx)
         if epoch_callback is not None:
             epoch_callback(epoch, epoch_loss / n)

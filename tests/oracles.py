@@ -236,7 +236,7 @@ def _with_l2(steps, model, l2_lambda):
 
 
 def one_batch(x):
-    """(batch, backward): x, dense rows or a FeatureMatrix, as the one
+    """(batch, by_document): x, dense rows or a FeatureMatrix, as the one
     mini-batch of all its rows that train would make of it."""
     if not isinstance(x, mlp.FeatureMatrix):
         x = mlp.FeatureMatrix.of(np.asarray(x, dtype=np.float64))
@@ -256,17 +256,13 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
     """
     if config.dropout_keep != 1.0:
         raise ValueError("gradient_check requires dropout_keep == 1")
-    x, backward = one_batch(x)
+    x, by_document = one_batch(x)
     y = np.array([mlp._label_index(lbl) for lbl in labels])
 
     def batch_gradients():
-        return mlp._batch_gradients(model, x, backward, y, config.l2_lambda)
+        return mlp._batch_gradients(model, x, by_document, y, config.l2_lambda)
 
-    _, steps = batch_gradients()
-    w1 = np.zeros_like(model.w1)
-    for rows, part in steps["w1"]:  # the steps of disjoint row sets
-        w1[rows] += part
-    grads = _with_l2({**steps, "w1": w1}, model, config.l2_lambda)
+    grads = _with_l2(batch_gradients()[1], model, config.l2_lambda)
     params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),
               (model.w2, grads["w2"]), (model.b2, grads["b2"])]
     sizes = [p.size for p, _ in params]

@@ -6,6 +6,7 @@ through predict_batch and the batch objective as one-row matrices.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,8 +43,8 @@ def objective(model, batch, l2_lambda):
     """Batch objective of (values, stance) pairs."""
     x = np.array([values for values, _ in batch], dtype=np.float64)
     y = np.array([label.index for _, label in batch], dtype=np.int64)
-    x, backward = one_batch(x.reshape(len(batch), model.input_dim))
-    return mlp._batch_gradients(model, x, backward, y, l2_lambda)[0]
+    x, by_document = one_batch(x.reshape(len(batch), model.input_dim))
+    return mlp._batch_gradients(model, x, by_document, y, l2_lambda)[0]
 
 
 def zero_model(input_dim: int = 2, hidden_dim: int = 2) -> MlpModel:
@@ -309,6 +310,15 @@ class TestTrain:
         b = train(feats, labels, cfg, hidden_dim=6)
         assert a.w1.tobytes() == b.w1.tobytes()
 
+    def test_batch_larger_than_corpus_is_one_batch(self):
+        feats, labels = document_toy(seed=3)
+        n = feats.shape[0]
+        whole = TrainingConfig(learning_rate=0.05, batch_size=n, epochs=3, seed=1)
+        huge = replace(whole, batch_size=10**12)  # a valid config; nothing is sized by it
+        a, b = train(feats, labels, whole, hidden_dim=5), train(feats, labels, huge, hidden_dim=5)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
 
 def sparse_toy(n: int = 60, dim: int = 40, seed: int = 3):
     """Random non-negative CSR rows, about a fifth of them non-zero, with
@@ -387,11 +397,10 @@ class TestDocumentSide:
         g = np.random.default_rng(seed).normal(size=(n, 5))
         side = x.copy()
         side[:, feats.pair_columns] = 0.0
-        for rows, batch, (by_document, docs_t, touched) in mlp._batches(
+        for rows, batch, by_document in mlp._batches(
                 feats, np.random.default_rng(seed).permutation(n), size):
             assert np.array_equal(batch.matrix.toarray(), x[rows])
-            step = np.zeros_like(model.w1)
-            step[touched] = docs_t @ (by_document @ g[rows])
+            step = batch.docs.T @ (by_document @ g[rows])
             want = side[rows].T @ g[rows]
             assert np.all(np.abs(step - want) <= 1e-12 * (np.abs(side[rows].T) @ np.abs(g[rows])))
 
