@@ -3,23 +3,17 @@
 Embeddings load from the whitespace-separated text format (one term plus
 its vector per line, optional "count dim" header).
 
-Similarity features are document-level. embed_doc turns one document
-into an EmbeddedDoc once: the centroid of its per-occurrence vectors and
-its norm, plus, for the WMD modes, its nBOW side: the vectors of its most
-frequent embedded terms, their normalized counts apportioned to integer
-masses. Every pair kernel (centroid_cosine, wmd_relaxed, wmd_exact) is a function of
-two such states and never touches the table, so a body shared by many
-headlines, or scored in several similarity modes, is embedded once. A
-document without any embedded token has no state (None), and its
-similarity() value is 0.0.
+embed_doc turns one document into an EmbeddedDoc once: the centroid of
+its per-occurrence vectors and its norm, plus, for the WMD modes, its nBOW
+side: the vectors of its most frequent embedded terms and their normalized
+counts apportioned to integer masses. The pair kernels (centroid_cosine,
+wmd_relaxed, wmd_exact) read two such states and never the table, so a
+document is embedded once however many pairs and modes use it. A document
+without an embedded token has no state (None), and similarity() 0.0.
 
-WMD is the minimum cost of transporting one nBOW distribution into the
-other, with Euclidean ground distance between embeddings. The solver
-works on the integer masses, so the optimum is exact for the rounded
-problem and reruns are bit-stable. It runs successive shortest paths;
-each path search is a Bellman-Ford label correction done in whole-array
-numpy steps over the m x n cost matrix, so its Python overhead grows with
-the path length, not with the number of edges.
+WMD (Kusner et al. 2015) is the least cost of moving one nBOW side onto
+the other, with Euclidean ground distances; a transportation simplex
+solves it exactly on the integer masses, so reruns are bit-stable.
 """
 
 from __future__ import annotations
@@ -43,6 +37,9 @@ MASS_SCALE = 10**9
 #: measurable accuracy gain.
 WMD_TERM_CAP = 200
 
+#: Pivots per cost-matrix row and column before the solver raises RuntimeError.
+PIVOTS_PER_LINE = 64
+
 CENTROID = "centroid"
 WMD_EXACT = "wmd-exact"
 WMD_RELAXED = "wmd-relaxed"
@@ -58,9 +55,7 @@ class EmbeddingTable:
     skipped_duplicates: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "index", {term: i for i, term in enumerate(self.terms)}
-        )
+        object.__setattr__(self, "index", {term: i for i, term in enumerate(self.terms)})
 
     @property
     def dim(self) -> int:
@@ -132,10 +127,7 @@ def load_embeddings(
             rows.append(vec)
     if not terms:
         raise DataFormatError(f"{path}: no embedding vectors loaded")
-    matrix = np.vstack(rows)
-    return EmbeddingTable(
-        terms=tuple(terms), matrix=matrix, skipped_duplicates=duplicates
-    )
+    return EmbeddingTable(tuple(terms), np.vstack(rows), skipped_duplicates=duplicates)
 
 
 class EmbeddedDoc(NamedTuple):
@@ -200,84 +192,92 @@ def _cost_matrix(a: EmbeddedDoc, b: EmbeddedDoc) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def _transport_min_cost(
-    supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
-) -> np.ndarray:
-    """Exact min-cost transport via successive shortest paths.
+def _transport_min_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Exact min-cost transport plan by the transportation simplex.
 
-    Integer supply and demand must balance. Each round labels the residual
-    graph from every source with supply left, alternating whole-array
-    relaxations of sinks (forward edges, cost c) and sources (backward
-    edges along cells carrying flow, cost -c) until no label improves.
-    The cheapest sink with demand left then receives the bottleneck flow
-    along its path.
+    Integer supply and demand must balance. The start takes cells in stable
+    cost order, gives each min(left, need) and closes its row if used up and
+    not the last open row, else its column: m + n - 1 basic cells, zero-flow
+    ones included, that join rows and columns in a tree. Each pivot enters
+    the first cell of least c - u - v (u, v: potentials off the tree) while
+    that is negative, shifts the least flow of the cycle's minus cells round
+    it, drops the first minus cell left empty and rereads the moved subtree.
+
+    >>> _transport_min_cost(np.array([3, 1]), np.array([2, 2]),
+    ...                     np.array([[1.0, 2.0], [1.0, 5.0]]))
+    array([[1, 2],
+           [1, 0]])
     """
     m, n = cost.shape
     if int(supply.sum()) != int(demand.sum()):
         raise ValueError("supply and demand must balance")
+    left = supply.tolist() + demand.tolist()  # by node: row i is i, column j is m + j
+    is_open, open_rows = [True] * (m + n), m
+    basis: dict[tuple[int, int], int] = {}  # (row node, column node) -> flow
+    for cell in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, k = cell // n, m + cell % n
+        if is_open[i] and is_open[k]:
+            basis[i, k] = q = min(left[i], left[k])
+            left[i] -= q
+            left[k] -= q
+            row_done = left[i] == 0 and open_rows > 1
+            is_open[i if row_done else k] = False
+            open_rows -= row_done
+            if len(basis) == m + n - 1:
+                break
+    adjacent: list[set[int]] = [set() for _ in range(m + n)]
+    toggled = list(basis)  # tree edges to flip: the start basis, then each pivot's two
+    costs = cost.tolist()
+    tol = -1e-12 * float(cost.max())  # below any rounding of a basic cell's c - u - v
+    potential, parent, depth = [0.0] * (m + n), [-1] * (m + n), [0] * (m + n)
+    stack = [(0, k) for i, k in basis if i == 0]  # tree edges (a, b): b hangs from a
+    for _ in range(PIVOTS_PER_LINE * (m + n) + 1):
+        for i, k in toggled:
+            adjacent[i] ^= {k}
+            adjacent[k] ^= {i}
+        while stack:
+            a, b = stack.pop()
+            parent[b], depth[b] = a, depth[a] + 1
+            potential[b] = (costs[a][b - m] if a < m else costs[b][a - m]) - potential[a]
+            for x in adjacent[b]:
+                if x != a:
+                    stack.append((b, x))
+        reduced = cost - np.array(potential[:m])[:, None] - np.array(potential[m:])
+        enter = int(reduced.argmin())
+        if reduced.flat[enter] >= tol:
+            break
+        # the cycle: entering cell, up from its row to the common ancestor, down to its column
+        entering = a, b = enter // n, m + enter % n
+        row_path, col_path = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                row_path.append((a, parent[a]) if a < m else (parent[a], a))
+                a = parent[a]
+            else:
+                col_path.append((b, parent[b]) if b < m else (parent[b], b))
+                b = parent[b]
+        cycle = [entering] + row_path + col_path[::-1]  # plus, minus, plus, ...
+        leave = min(cycle[1::2], key=basis.__getitem__)
+        theta = basis[leave]
+        basis[entering] = 0
+        for t, cell in enumerate(cycle):
+            basis[cell] += -theta if t % 2 else theta
+        del basis[leave]
+        toggled = [leave, entering]
+        # the subtree the leaving edge cuts off hangs from the entering one
+        stack = [entering[::-1] if cycle.index(leave) <= len(row_path) else entering]
+    else:
+        raise RuntimeError("transport solver exceeded its iteration budget")
     flow = np.zeros((m, n), dtype=np.int64)
-    left = supply.astype(np.int64).copy()
-    need = demand.astype(np.int64).copy()
-    rows, cols = np.arange(m), np.arange(n)
-    # labels improve only by more than this: rounding in a path sum stays
-    # far below it at any cost scale, so a zero-cost tie cannot close a
-    # parent cycle that would keep the path walk below from ending
-    tie = 1e-12 * float(cost.max())
-    rounds = 0
-    max_rounds = 64 * (m + n) + 256
-    while left.any():
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError("transport solver exceeded its iteration budget")
-        src = np.where(left > 0, 0.0, np.inf)
-        src_parent = np.full(m, -1)
-        sink = np.full(n, np.inf)
-        sink_parent = np.full(n, -1)
-        backward = np.where(flow > 0, -cost, np.inf)
-        while True:
-            via = src[:, None] + cost
-            best = via.argmin(axis=0)
-            length = via[best, cols]
-            better = length < sink - tie
-            sink[better] = length[better]
-            sink_parent[better] = best[better]
-            via = sink + backward
-            best = via.argmin(axis=1)
-            length = via[rows, best]
-            better = length < src - tie
-            if not better.any():
-                break
-            src[better] = length[better]
-            src_parent[better] = best[better]
-
-        target = int(np.argmin(np.where(need > 0, sink, np.inf)))
-        push = need[target]
-        forward_i, forward_j, backward_i, backward_j = [], [], [], []
-        j = target
-        while True:
-            i = sink_parent[j]
-            forward_i.append(i)
-            forward_j.append(j)
-            j = src_parent[i]
-            if j < 0:
-                break
-            backward_i.append(i)
-            backward_j.append(j)
-            push = min(push, flow[i, j])
-        push = min(push, left[i])
-        flow[forward_i, forward_j] += push
-        flow[backward_i, backward_j] -= push
-        left[i] -= push
-        need[target] -= push
+    for (i, k), q in basis.items():
+        flow[i, k - m] = q
     return flow
 
 
 def wmd_exact(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
     """Word mover's distance between the nBOW sides of two documents."""
     cost = _cost_matrix(a, b)
-    flow = _transport_min_cost(a.masses, b.masses, cost)
-    mass_flow = flow / MASS_SCALE
-    return float((mass_flow * cost).sum())
+    return float((_transport_min_cost(a.masses, b.masses, cost) / MASS_SCALE * cost).sum())
 
 
 def wmd_relaxed(a: EmbeddedDoc, b: EmbeddedDoc) -> float:

@@ -180,6 +180,19 @@ def _label_index(label) -> int:
     return label.index if isinstance(label, Stance) else int(label)
 
 
+def _label_indices(labels: Sequence[Stance | int] | np.ndarray) -> np.ndarray:
+    """Stance indices of labels; an integer array is taken as it is. A label
+    outside 0..3 raises ValueError."""
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        y = labels
+    else:
+        y = np.array([_label_index(lbl) for lbl in labels], dtype=np.int64)
+    bad = y[(y < 0) | (y >= len(STANCES))]
+    if len(bad):
+        raise ValueError(f"label {bad[0]} is not a stance index 0..{len(STANCES) - 1}")
+    return y
+
+
 def _batch_forward(model: MlpModel, x: FeatureMatrix, mask: np.ndarray | None = None,
                    keep: float = 1.0):
     # overflow here surfaces as a non-finite objective, which train() turns
@@ -279,20 +292,21 @@ def _batch_gradients(model, x, by_document, y, l2_lambda, mask=None, keep=1.0, s
 
 def train(
     features,
-    labels: Sequence[Stance | int],
+    labels: Sequence[Stance | int] | np.ndarray,
     config: TrainingConfig,
     hidden_dim: int = 100,
     epoch_callback: Callable[[int, float], None] | None = None,
 ) -> MlpModel:
     """Seeded mini-batch SGD on cross-entropy + l2 (as weight decay) over a
-    FeatureMatrix, one row per label; the model records features.layout.
-    epoch_callback gets each epoch's mean batch objective, before each step.
+    FeatureMatrix, one row per label (a Stance or its index 0..3); the model
+    records features.layout. epoch_callback gets each epoch's mean batch
+    objective, before each step.
 
     Deterministic given (data order, config.seed): weight init, epoch
     shuffles, and dropout masks all come from one RNG stream. Raises
     TrainingDivergedError naming the epoch if the objective goes non-finite.
     """
-    y = np.array([_label_index(lbl) for lbl in labels])
+    y = _label_indices(labels)
     n, input_dim = features.shape
     if n < 1:
         raise ValueError("need at least one labeled example")

@@ -9,7 +9,9 @@ batched paths to them exactly. gradient_check compares backprop with
 central finite differences. pair_train is SGD over one example row per
 instance, as train ran before it projected each document once per batch;
 eager_train is plain SGD with the l2 gradient added to the cross-entropy
-gradient, which train applies as weight decay.
+gradient, which train applies as weight decay. ssp_transport solves the
+integer transport problem by successive shortest paths, independently of
+the package's transportation simplex.
 """
 
 import math
@@ -129,6 +131,77 @@ def similarity_block(head_tokens, body_tokens, table, mode):
         backward = float(demand / MASS_SCALE @ cost.min(axis=0))
         distance = max(forward, backward)
     return 1.0 / (1.0 + distance)
+
+
+def ssp_transport(supply, demand, cost):
+    """Exact min-cost transport plan via successive shortest paths, as the
+    package solved it before its transportation simplex.
+
+    Integer supply and demand must balance. Each round labels the residual
+    graph from every source with supply left, alternating whole-array
+    relaxations of sinks (forward edges, cost c) and sources (backward
+    edges along cells carrying flow, cost -c) until no label improves.
+    The cheapest sink with demand left then receives the bottleneck flow
+    along its path.
+    """
+    m, n = cost.shape
+    if int(supply.sum()) != int(demand.sum()):
+        raise ValueError("supply and demand must balance")
+    flow = np.zeros((m, n), dtype=np.int64)
+    left = supply.astype(np.int64).copy()
+    need = demand.astype(np.int64).copy()
+    rows, cols = np.arange(m), np.arange(n)
+    # labels improve only by more than this: rounding in a path sum stays
+    # far below it at any cost scale, so a zero-cost tie cannot close a
+    # parent cycle that would keep the path walk below from ending
+    tie = 1e-12 * float(cost.max())
+    rounds = 0
+    max_rounds = 64 * (m + n) + 256
+    while left.any():
+        rounds += 1
+        if rounds > max_rounds:
+            raise RuntimeError("transport solver exceeded its iteration budget")
+        src = np.where(left > 0, 0.0, np.inf)
+        src_parent = np.full(m, -1)
+        sink = np.full(n, np.inf)
+        sink_parent = np.full(n, -1)
+        backward = np.where(flow > 0, -cost, np.inf)
+        while True:
+            via = src[:, None] + cost
+            best = via.argmin(axis=0)
+            length = via[best, cols]
+            better = length < sink - tie
+            sink[better] = length[better]
+            sink_parent[better] = best[better]
+            via = sink + backward
+            best = via.argmin(axis=1)
+            length = via[rows, best]
+            better = length < src - tie
+            if not better.any():
+                break
+            src[better] = length[better]
+            src_parent[better] = best[better]
+
+        target = int(np.argmin(np.where(need > 0, sink, np.inf)))
+        push = need[target]
+        forward_i, forward_j, backward_i, backward_j = [], [], [], []
+        j = target
+        while True:
+            i = sink_parent[j]
+            forward_i.append(i)
+            forward_j.append(j)
+            j = src_parent[i]
+            if j < 0:
+                break
+            backward_i.append(i)
+            backward_j.append(j)
+            push = min(push, flow[i, j])
+        push = min(push, left[i])
+        flow[forward_i, forward_j] += push
+        flow[backward_i, backward_j] -= push
+        left[i] -= push
+        need[target] -= push
+    return flow
 
 
 def feature_row(fitted, instance, corpus):

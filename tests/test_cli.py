@@ -16,6 +16,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from stancekit import embeddings
 from stancekit.cli import main
 from stancekit.corpus import (
     Stance,
@@ -395,6 +396,16 @@ class TestTrain:
         result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "base"])
         assert result.exit_code == 4
         assert "base" in result.stderr
+
+    def test_transport_budget_exit_4(self, tmp_path, monkeypatch):
+        config = embedded_config(tmp_path)
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        raw["pipelines"]["embedded"]["blocks"][1]["mode"] = "wmd-exact"
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        monkeypatch.setattr(embeddings, "PIVOTS_PER_LINE", 0)
+        result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "emb"])
+        assert result.exit_code == 4
+        assert "error: transport solver exceeded its iteration budget" in result.stderr
 
     def test_non_finite_embedding_component_exit_3(self, tmp_path):
         config = embedded_config(tmp_path)

@@ -5,6 +5,9 @@ The WMD oracle enumerates basic feasible solutions of the transportation
 polytope directly: every spanning set of m+n-1 cells whose balance system
 has a unique non-negative solution is a vertex, and the LP optimum is the
 cheapest vertex. Kept deliberately independent of the shipped solver.
+Where enumeration cannot reach (11 x 25 and 11 x 200 pairs), the shipped
+transportation simplex is compared with oracles.ssp_transport, a
+successive-shortest-path solver.
 """
 
 import itertools
@@ -36,6 +39,8 @@ from stancekit.embeddings import (
 )
 from stancekit.errors import DataFormatError
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
+
+from oracles import ssp_transport
 
 
 def table_from(mapping: dict[str, list[float]]) -> EmbeddingTable:
@@ -283,8 +288,9 @@ class TestApportion:
 
 
 class TestWmdExact:
-    #: float.hex distances of the earlier heap-and-potentials solver on the
-    #: same integer masses: the path search changed, the optimum must not.
+    #: float.hex distances of earlier solvers on the same integer masses (the
+    #: heap-and-potentials one; for the 11 x 25 "embed" rows, successive
+    #: shortest paths): the solver changed, the optimum must not.
     RECORDED = (
         ("random", 0, "0x1.3f70b54f3dfd9p+1"),
         ("random", 1, "0x1.d4fb6beb90bb7p+1"),
@@ -296,6 +302,10 @@ class TestWmdExact:
         ("random", 7, "0x1.08184d31fa1c2p+2"),
         ("fnc", 0, "0x1.14e47c9c1ad16p+3"),
         ("fnc", 1, "0x1.0cb506206d6f2p+3"),
+        ("embed", 0, "0x1.fcf5dd310a6c0p+2"),
+        ("embed", 1, "0x1.d82bbccf588f8p+2"),
+        ("embed", 2, "0x1.df21b8f5850e0p+2"),
+        ("embed", 3, "0x1.f0895c01b0ce5p+2"),
     )
 
     def test_identity_zero(self):
@@ -326,6 +336,8 @@ class TestWmdExact:
     def test_recorded_distances_bit_for_bit(self, kind, seed, want):
         if kind == "random":
             instance = random_instance(np.random.default_rng(seed), max_side=6)
+        elif kind == "embed":
+            instance = fnc_shaped_instance(seed, n=25)
         else:
             instance = fnc_shaped_instance(seed)
         assert wmd_exact(*instance).hex() == want
@@ -392,6 +404,58 @@ class TestWmdExact:
     def test_unbalanced_masses_rejected(self):
         with pytest.raises(ValueError, match="balance"):
             _transport_min_cost(np.array([2, 1]), np.array([2]), np.zeros((2, 1)))
+
+    @staticmethod
+    def solve_both(da, db):
+        """(simplex distance, SSP oracle distance), each summed as wmd_exact
+        sums, after checking that the simplex plan is integral and feasible."""
+        cost = _cost_matrix(da, db)
+        flow = _transport_min_cost(da.masses, db.masses, cost)
+        assert flow.dtype == np.int64 and np.all(flow >= 0)
+        assert np.array_equal(flow.sum(axis=1), da.masses)
+        assert np.array_equal(flow.sum(axis=0), db.masses)
+        oracle = ssp_transport(da.masses, db.masses, cost)
+        return [float((f / MASS_SCALE * cost).sum()) for f in (flow, oracle)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_embed_sim_shape_matches_ssp_bit_for_bit(self, seed):
+        # 11 x 25: a headline against a short body, as on the embed-sim workload
+        for k in range(10):
+            got, want = self.solve_both(*fnc_shaped_instance(10 * seed + k, n=25))
+            assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("seed", range(2, 6))
+    def test_fnc_shape_matches_ssp_bit_for_bit(self, seed):
+        got, want = self.solve_both(*fnc_shaped_instance(seed))
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("family", ["equal_masses", "permutation", "grid"])
+    def test_degenerate_families_match_ssp(self, family):
+        # tied optimal plans may differ from the oracle's, and their sums
+        # by rounding only
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            m, n = (int(v) for v in rng.integers(1, 13, size=2))
+            if family == "grid":
+                vectors = rng.integers(-1, 2, size=(m + n, 2)).astype(float)
+                da = counts_state(rng, vectors[:m], 4)
+                db = counts_state(rng, vectors[m:], 4)
+            elif family == "equal_masses":
+                vectors = rng.normal(size=(m + n, 3))
+                da = doc_state(vectors[:m], np.full(m, 1.0 / m))
+                db = doc_state(vectors[m:], np.full(n, 1.0 / n))
+            else:  # m = n equal masses on permuted copies of the same points
+                vectors = rng.normal(size=(m, 3))
+                da = doc_state(vectors, np.full(m, 1.0 / m))
+                db = doc_state(vectors[rng.permutation(m)], np.full(m, 1.0 / m))
+            got, want = self.solve_both(da, db)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_pivot_budget_exceeded_raises(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "PIVOTS_PER_LINE", 0)
+        da, db = fnc_shaped_instance(0, n=25)
+        with pytest.raises(RuntimeError, match="iteration budget"):
+            wmd_exact(da, db)
 
 
 class TestWmdRelaxed:

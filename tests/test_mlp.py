@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 import stancekit.mlp as mlp
-from stancekit.corpus import Stance
+from stancekit.corpus import Instance, Stance, make_corpus
 from stancekit.errors import DataFormatError, TrainingDivergedError
 from stancekit.mlp import (
     FeatureMatrix,
@@ -27,6 +27,7 @@ from stancekit.mlp import (
     softmax,
     train,
 )
+from stancekit.pipeline import stance_labels
 from stancekit.text import BlockSlice
 
 from oracles import PAIR_ATOL, eager_train, gradient_check, one_batch, pair_train
@@ -301,6 +302,29 @@ class TestTrain:
         cfg = TrainingConfig(seed=0)
         with pytest.raises(ValueError):
             train(feats, labels[:-1], cfg)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_label_outside_stances_rejected(self, bad, as_array):
+        # -1 would otherwise index the last class, "unrelated"
+        feats, labels = separable_toy()
+        indices = [lbl.index for lbl in labels[:-1]] + [bad]
+        if as_array:
+            indices = np.array(indices, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"label {bad} is not a stance index"):
+            train(feats, indices, TrainingConfig(seed=0), hidden_dim=4)
+
+    def test_stance_list_and_stance_labels_train_the_same_model(self):
+        feats, labels = separable_toy()
+        corpus = make_corpus([Instance(f"h{i}", 1, lbl) for i, lbl in enumerate(labels)],
+                             {1: "body"})
+        indices = stance_labels(corpus)
+        assert indices.dtype == np.int64
+        cfg = TrainingConfig(learning_rate=0.05, batch_size=4, epochs=5, seed=3)
+        a = train(feats, labels, cfg, hidden_dim=6)
+        b = train(feats, indices, cfg, hidden_dim=6)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     def test_dropout_path_deterministic(self):
         feats, labels = separable_toy()
