@@ -187,11 +187,10 @@ def _train_models(
     names: Sequence[str],
     corpus: Corpus,
     embeddings: EmbeddingTable | None,
-    epoch_logs: dict[str, list[str]] | None = None,
-) -> tuple[FittedPipeline, dict[str, MlpModel]]:
+) -> tuple[FittedPipeline, dict[str, MlpModel], dict[str, list[float]]]:
     """Fit the union of the named models' pipeline blocks once and build
     each block once, then train every model on its pipeline's blocks.
-    Returns that one fit and the models."""
+    Returns that one fit, the models and each model's epoch losses."""
     pids = list(dict.fromkeys(cfg.models[name].pipeline for name in names))
     union = tuple(dict.fromkeys(b for pid in pids for b in cfg.pipelines[pid].blocks))
     fit = fit_pipeline(
@@ -205,22 +204,17 @@ def _train_models(
     blocks = fit.block_matrices(corpus)
     labels = stance_labels(corpus)
     models: dict[str, MlpModel] = {}
+    losses: dict[str, list[float]] = {}
     for name in names:
         mc = cfg.models[name]
         features = replace(fit, spec=cfg.pipelines[mc.pipeline]).assemble(blocks)
-        callback = None
-        if epoch_logs is not None:
-            lines = epoch_logs.setdefault(name, [])
-
-            def callback(epoch: int, loss: float, _lines=lines, _name=name):
-                _lines.append(f"model={_name} epoch={epoch} loss={loss!r}")
-
+        losses[name] = []
         try:
             models[name] = train_mlp(features, labels, mc.training, hidden_dim=mc.hidden_dim,
-                                     epoch_callback=callback)
+                                     epoch_callback=lambda _, loss: losses[name].append(loss))
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(exc.epoch, f"model {name!r}: {exc}") from None
-    return fit, models
+    return fit, models, losses
 
 
 def _probabilities(cfg: ExperimentConfig, fit: FittedPipeline, models: Mapping[str, MlpModel],
@@ -285,13 +279,13 @@ def train(config_path, out_dir, seed, models_csv):
     embeddings = _maybe_embeddings(cfg, names, corpus)
     out = _out_dir(cfg)
 
-    epoch_logs: dict[str, list[str]] = {}
-    fit, models = _train_models(cfg, names, fit_part, embeddings, epoch_logs)
+    fit, models, losses = _train_models(cfg, names, fit_part, embeddings)
     for pid in dict.fromkeys(cfg.models[name].pipeline for name in names):
         save_pipeline(replace(fit, spec=cfg.pipelines[pid]), out, pid)
     val_probs = {} if val_part is None else _probabilities(cfg, fit, models, val_part)
     for name in names:
-        lines = epoch_logs.get(name, [])
+        lines = [f"model={name} epoch={epoch} loss={loss!r}"
+                 for epoch, loss in enumerate(losses[name], start=1)]
         if val_part is not None:
             pairs = list(zip((i.stance for i in val_part.instances), decisions(val_probs[name])))
             grade = score_predictions(pairs).relative_grade
@@ -461,14 +455,14 @@ def _fold_runner(cfg: ExperimentConfig, targets: Sequence[str], embeddings):
     def run(train_part: Corpus, test_part: Corpus, fold: int):
         decided = {}
         if plain:
-            fit, models = _train_models(cfg, _members(cfg, plain), train_part, embeddings)
+            fit, models, _ = _train_models(cfg, _members(cfg, plain), train_part, embeddings)
             probs = _probabilities(cfg, fit, models, test_part)
             decided.update({t: _predict_target(cfg, t, probs, None) for t in plain})
         if concat:
             inner_train, inner_val = validation_split(
                 train_part, cfg.validation.fraction, cfg.validation.seed
             )
-            fit, models = _train_models(cfg, _members(cfg, concat), inner_train, embeddings)
+            fit, models, _ = _train_models(cfg, _members(cfg, concat), inner_train, embeddings)
             val_probs = _probabilities(cfg, fit, models, inner_val)
             probs = _probabilities(cfg, fit, models, test_part)
             for t in concat:

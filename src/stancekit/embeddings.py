@@ -7,9 +7,10 @@ embed_doc turns one document into an EmbeddedDoc once: the centroid of
 its per-occurrence vectors and its norm, plus, for the WMD modes, its nBOW
 side: the vectors of its most frequent embedded terms and their normalized
 counts apportioned to integer masses. The pair kernels (centroid_cosine,
-wmd_relaxed, wmd_exact) read two such states and never the table, so a
-document is embedded once however many pairs and modes use it. A document
-without an embedded token has no state (None), and similarity() 0.0.
+wmd_relaxed, wmd_exact) read two such states and never the table.
+
+similarities() scores the similarity columns of a featurization from such
+states, embedded once per document, and one cost matrix per distinct pair.
 
 WMD (Kusner et al. 2015) is the least cost of moving one nBOW side onto
 the other, with Euclidean ground distances; a transportation simplex
@@ -274,10 +275,19 @@ def _transport_min_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
     return flow
 
 
+def _wmd_exact(a: EmbeddedDoc, b: EmbeddedDoc, cost: np.ndarray) -> float:
+    return float((_transport_min_cost(a.masses, b.masses, cost) / MASS_SCALE * cost).sum())
+
+
+def _wmd_relaxed(a: EmbeddedDoc, b: EmbeddedDoc, cost: np.ndarray) -> float:
+    forward = float(a.masses / MASS_SCALE @ cost.min(axis=1))
+    backward = float(b.masses / MASS_SCALE @ cost.min(axis=0))
+    return max(forward, backward)
+
+
 def wmd_exact(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
     """Word mover's distance between the nBOW sides of two documents."""
-    cost = _cost_matrix(a, b)
-    return float((_transport_min_cost(a.masses, b.masses, cost) / MASS_SCALE * cost).sum())
+    return _wmd_exact(a, b, _cost_matrix(a, b))
 
 
 def wmd_relaxed(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
@@ -287,24 +297,35 @@ def wmd_relaxed(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
     nearest counterpart. Both sides use the same integer masses as the
     exact solver, which guarantees relaxed <= exact.
     """
-    cost = _cost_matrix(a, b)
-    forward = float(a.masses / MASS_SCALE @ cost.min(axis=1))
-    backward = float(b.masses / MASS_SCALE @ cost.min(axis=0))
-    return max(forward, backward)
+    return _wmd_relaxed(a, b, _cost_matrix(a, b))
 
 
-def similarity(head: EmbeddedDoc | None, body: EmbeddedDoc | None, mode: str) -> float:
-    """Headline/body value of one similarity feature block.
+_WMD = {WMD_EXACT: _wmd_exact, WMD_RELAXED: _wmd_relaxed}
 
-    centroid mode gives the centroid cosine. WMD modes give 1/(1 + d) so
-    larger values always mean more similar. A degenerate side (None: no
-    embedded token) gives 0.0.
-    """
-    if mode not in SIMILARITY_MODES:
-        raise ValueError(f"unknown similarity mode {mode!r}")
-    if head is None or body is None:
-        return 0.0
-    if mode == CENTROID:
-        return centroid_cosine(head, body)
-    distance = wmd_exact(head, body) if mode == WMD_EXACT else wmd_relaxed(head, body)
-    return 1.0 / (1.0 + distance)
+
+def similarities(head_tokens: Sequence[Sequence[str]], body_tokens: Sequence[Sequence[str]],
+                 head_row: Sequence[int], body_row: Sequence[int], table: EmbeddingTable,
+                 modes: Sequence[str]) -> np.ndarray:
+    """Column j of row k is the modes[j] similarity of headline head_row[k]
+    and body body_row[k]: the centroid cosine, or 1/(1 + d) for a WMD mode's
+    distance d, so larger always means more similar; 0.0 where a side has
+    no embedded token. Each distinct pair is scored once, and its WMD modes
+    read one cost matrix. A body's state lives only while its pairs are."""
+    for mode in modes:
+        if mode not in SIMILARITY_MODES:
+            raise ValueError(f"unknown similarity mode {mode!r}")
+    nbow = any(mode in _WMD for mode in modes)  # only WMD modes read the nBOW half
+    pairs = sorted(set(zip(body_row, head_row)))  # distinct, grouped by body
+    heads = [embed_doc(tokens, table, nbow) for tokens in head_tokens]
+    values = np.zeros((len(pairs), len(modes)))
+    last = None
+    for k, (b, h) in enumerate(pairs):
+        if b != last:
+            last, body = b, embed_doc(body_tokens[b], table, nbow)
+        head = heads[h]
+        if head is not None and body is not None:
+            cost = _cost_matrix(head, body) if nbow else None
+            values[k] = [centroid_cosine(head, body) if mode == CENTROID
+                         else 1.0 / (1.0 + _WMD[mode](head, body, cost)) for mode in modes]
+    row = {pair: k for k, pair in enumerate(pairs)}
+    return values[[row[pair] for pair in zip(body_row, head_row)]]

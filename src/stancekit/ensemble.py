@@ -24,6 +24,10 @@ SUMMATION = "summation"
 CONCATENATION = "concatenation"
 RULES = (SUMMATION, CONCATENATION)
 
+#: Step size and full-batch steps of fit_concat_combiner's gradient descent.
+COMBINER_LEARNING_RATE = 0.5
+COMBINER_EPOCHS = 500
+
 
 @dataclass(frozen=True)
 class EnsembleMember:
@@ -110,8 +114,6 @@ def fit_concat_combiner(
     member_probs: np.ndarray,
     labels: Sequence[Stance | int],
     seed: int,
-    learning_rate: float = 0.5,
-    epochs: int = 500,
 ) -> LinearCombiner:
     """Multinomial-logistic map fitted by seeded full-batch gradient descent.
 
@@ -140,11 +142,11 @@ def fit_concat_combiner(
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-0.01, 0.01, size=(4, dim))
     bias = np.zeros(4)
-    for _ in range(epochs):
+    for _ in range(COMBINER_EPOCHS):
         probs = softmax(x @ weights.T + bias)
         g = (probs - onehot) / n
-        weights -= learning_rate * (g.T @ x)
-        bias -= learning_rate * g.sum(axis=0)
+        weights -= COMBINER_LEARNING_RATE * (g.T @ x)
+        bias -= COMBINER_LEARNING_RATE * g.sum(axis=0)
     return LinearCombiner(weights=weights, bias=bias, fit_warnings=warnings)
 
 

@@ -361,8 +361,9 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MlpModel:
-    """Inverse of save_model; rejects wrong magic, future versions,
-    truncation, and a layout whose blocks do not tile [0, input_dim)."""
+    """Inverse of save_model; rejects wrong magic, future versions, an
+    output size other than one per stance, truncation, and a layout whose
+    blocks do not tile [0, input_dim)."""
     raw = memoryview(Path(path).read_bytes())  # slices are views, not copies
     pos = 0
 
@@ -379,6 +380,8 @@ def load_model(path: str | Path) -> MlpModel:
     version, input_dim, hidden_dim, output_dim = struct.unpack("<IIII", take(16))
     if version != _VERSION:
         raise DataFormatError(f"{path}: unsupported model format version {version}")
+    if output_dim != len(STANCES):
+        raise DataFormatError(f"{path}: {output_dim} outputs, expected one per stance")
     (n_blocks,) = struct.unpack("<I", take(4))
     layout = []
     for _ in range(n_blocks):

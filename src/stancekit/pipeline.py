@@ -11,9 +11,10 @@ corpus made when it was built and keeps a block's headline and body columns
 (TF, keyword bits) as one row per distinct document, which no instance
 copies; the model projects such a row once (see mlp.FeatureMatrix). Only
 the pair columns have a row per instance: the TF-IDF cosine, computed for
-all instances at once from the IDF-weighted count rows, and each embedding
-similarity, scored once per distinct headline/body pair from states embedded
-once per document. assemble() lays a pipeline's blocks side by side.
+all instances at once from the IDF-weighted count rows, and the embedding
+similarities, all scored by one embeddings.similarities() call that takes
+each distinct headline/body pair once. assemble() lays a pipeline's blocks
+side by side.
 Pipelines trained on one corpus can thus share one fit of the union of their
 blocks and one set of block matrices: each is then dataclasses.replace(
 shared, spec=...), and featurizes and saves exactly as a fit of its own spec.
@@ -24,7 +25,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, Stance
-from .embeddings import CENTROID, EmbeddingTable, SIMILARITY_MODES, embed_doc, similarity
+from .embeddings import EmbeddingTable, SIMILARITY_MODES, similarities
 from .ensemble import EnsembleSpec, decisions, fuse
 from .errors import ConfigError, DataFormatError
 from .keywords import (
@@ -169,7 +169,6 @@ class FittedPipeline:
     spec: PipelineSpec
     headline_vocab: Vocabulary | None
     body_vocab: Vocabulary | None
-    shared_vocab: Vocabulary | None
     idf: IdfTable | None
     keyword_sets: dict[str, KeywordSet]
     embeddings: EmbeddingTable | None
@@ -191,32 +190,10 @@ class FittedPipeline:
         starts = accumulate((length for _, length in columns), initial=0)
         self.layout = tuple(BlockSlice(n, s, length) for (n, length), s in zip(columns, starts))
 
-    def _similarity_columns(
-        self, head_tokens: list, body_tokens: list, head_row: list, body_row: list
-    ) -> dict[BlockSpec, np.ndarray]:
-        """The (instances, 1) column of each similarity block.
-        Each distinct headline/body pair is scored once, from embedded
-        states built once per document; a body's state lives only while its
-        pairs are scored."""
-        blocks = [b for b in self.spec.blocks if b.kind == SIMILARITY]
-        if not blocks:
-            return {}
-        # only the WMD modes read a document's nBOW half
-        embed = partial(embed_doc, table=self.embeddings,
-                        nbow={b.mode for b in blocks} != {CENTROID})
-        pairs: dict[tuple[int, int], int] = {}
-        pair_row = [pairs.setdefault(p, len(pairs)) for p in zip(head_row, body_row)]
-        by_body: dict[int, list[tuple[int, int]]] = {}
-        for (h, b), k in pairs.items():
-            by_body.setdefault(b, []).append((h, k))
-        heads = [embed(tokens) for tokens in head_tokens]
-        pair_values: list = [None] * len(pairs)
-        for b, members in by_body.items():
-            body = embed(body_tokens[b])
-            for h, k in members:
-                pair_values[k] = [similarity(heads[h], body, block.mode) for block in blocks]
-        values = np.array(pair_values, dtype=np.float64).reshape(len(pairs), len(blocks))[pair_row]
-        return {block: values[:, [j]] for j, block in enumerate(blocks)}
+    @property
+    def shared_vocab(self) -> Vocabulary | None:
+        """The vocabulary of the TF-IDF cosine: the IDF table's."""
+        return None if self.idf is None else self.idf.vocab
 
     def block_matrices(self, corpus: Corpus) -> dict[BlockSpec, FeatureMatrix]:
         """Each spec block's columns, numbered from 0 inside the block, over
@@ -232,7 +209,10 @@ class FittedPipeline:
         head_tokens = [corpus.headline_tokens[h] for h in heads]
         body_tokens = [corpus.tokens_of_body(b) for b in bodies]
         rows = (np.array(head_row, dtype=np.intp), len(heads) + np.array(body_row, dtype=np.intp))
-        similarities = self._similarity_columns(head_tokens, body_tokens, head_row, body_row)
+        modes = [b.mode for b in self.spec.blocks if b.kind == SIMILARITY]
+        if modes:
+            sims = similarities(head_tokens, body_tokens, head_row, body_row, self.embeddings,
+                                modes)
         blocks: dict[BlockSpec, FeatureMatrix] = {}
         for block in self.spec.blocks:
             if block.kind == BASELINE:
@@ -252,7 +232,7 @@ class FittedPipeline:
                 pairs, at = np.empty((len(head_row), 0)), []
             else:
                 docs = sp.csr_matrix((len(heads) + len(bodies), 1))
-                pairs, at = similarities[block], [0]
+                pairs, at = sims[:, [modes.index(block.mode)]], [0]
             blocks[block] = FeatureMatrix(pairs, docs, *rows, np.array(at, dtype=np.intp))
         return blocks
 
@@ -299,8 +279,7 @@ def fit_pipeline(
     head_tokens = [corpus.headline_tokens[i.headline] for i in corpus.instances]
     body_tokens = corpus.body_tokens.values()
 
-    headline_vocab = body_vocab = shared_vocab = None
-    idf = None
+    headline_vocab = body_vocab = idf = None
     if any(b.kind == BASELINE for b in spec.blocks):
         headline_vocab = build_vocabulary(head_tokens, vocab_capacity, ENGLISH_STOPWORDS)
         body_vocab = body_vocabulary(body_tokens, vocab_capacity)
@@ -332,7 +311,6 @@ def fit_pipeline(
         spec=spec,
         headline_vocab=headline_vocab,
         body_vocab=body_vocab,
-        shared_vocab=shared_vocab,
         idf=idf,
         keyword_sets=keyword_sets,
         embeddings=embeddings,
@@ -492,7 +470,6 @@ def load_pipeline(
         spec=spec,
         headline_vocab=headline_vocab,
         body_vocab=body_vocab,
-        shared_vocab=shared_vocab,
         idf=idf,
         keyword_sets=keyword_sets,
         embeddings=embeddings,

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -568,6 +569,12 @@ CORRUPTIONS = {
     ),
     "model_weight_not_finite": (
         "base.model.bin", lambda p: save_model(replace(m := load_model(p), b2=m.b2 + math.inf), p)
+    ),
+    # a fifth output row: the header says output_dim 5
+    "model_five_classes": (
+        "base.model.bin",
+        lambda p: save_model(replace(m := load_model(p), w2=np.vstack([m.w2, m.w2[:1]]),
+                                     b2=np.append(m.b2, 0.0)), p),
     ),
 }
 

@@ -33,7 +33,7 @@ from stancekit.embeddings import (
     centroid_cosine,
     embed_doc,
     load_embeddings,
-    similarity,
+    similarities,
     wmd_exact,
     wmd_relaxed,
 )
@@ -259,9 +259,8 @@ class TestCentroid:
         assert self.cos(["x"], ["x", "y"]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_degenerate_sides(self):
-        x = embed_doc(["x"], self.TABLE)
-        assert similarity(embed_doc([], self.TABLE), x, CENTROID) == 0.0
-        assert similarity(embed_doc(["unseen"], self.TABLE), x, CENTROID) == 0.0
+        values = similarities([[], ["unseen"]], [["x"]], [0, 1], [0, 0], self.TABLE, [CENTROID])
+        assert values.tolist() == [[0.0], [0.0]]
         assert self.cos(["o"], ["x"]) == 0.0  # zero-vector centroid
 
 
@@ -480,7 +479,7 @@ class TestSimilarityBlock:
     TABLE = table_from({"near": [0.0, 0.0], "far": [1.0, 0.0], "other": [0.0, 3.0]})
 
     def value(self, head, body, mode):
-        return similarity(embed_doc(head, self.TABLE), embed_doc(body, self.TABLE), mode)
+        return similarities([head], [body], [0], [0], self.TABLE, [mode])[0, 0]
 
     def test_centroid_identical(self):
         value = self.value(["near", "far"], ["near", "far"], CENTROID)
@@ -498,6 +497,17 @@ class TestSimilarityBlock:
             assert self.value(["zz", "qq"], ["near"], mode) == 0.0
             assert self.value(["near"], [], mode) == 0.0
 
+    def test_columns_follow_modes_and_instances(self):
+        heads, bodies = [["near"], ["zz"]], [["far"], ["near", "far"]]
+        head_row, body_row = [0, 1, 0, 0], [0, 0, 1, 0]
+        values = similarities(heads, bodies, head_row, body_row, self.TABLE, SIMILARITY_MODES)
+        assert values.shape == (4, len(SIMILARITY_MODES))
+        for k, (h, b) in enumerate(zip(head_row, body_row)):
+            for j, mode in enumerate(SIMILARITY_MODES):
+                assert values[k, j] == self.value(heads[h], bodies[b], mode)
+        assert values[3].tolist() == values[0].tolist()
+        assert values[1].tolist() == [0.0] * len(SIMILARITY_MODES)
+
     def test_block_names_follow_mode(self):
         corpus = make_corpus([Instance("near", 1, None)], {1: "far"})
         fitted = FittedPipeline(
@@ -505,7 +515,7 @@ class TestSimilarityBlock:
                 name="emb",
                 blocks=tuple(BlockSpec(kind="similarity", mode=m) for m in SIMILARITY_MODES),
             ),
-            headline_vocab=None, body_vocab=None, shared_vocab=None, idf=None,
+            headline_vocab=None, body_vocab=None, idf=None,
             keyword_sets={}, embeddings=self.TABLE,
         )
         assert [b.name for b in fitted.layout] == [

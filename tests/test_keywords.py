@@ -270,7 +270,7 @@ def indicator_row(headline: str, body: str, terms) -> list[float]:
     corpus = make_corpus([Instance(headline, 1, None)], {1: body})
     fitted = FittedPipeline(
         spec=PipelineSpec(name="kw", blocks=(BlockSpec(kind="indicator", keywords="m"),)),
-        headline_vocab=None, body_vocab=None, shared_vocab=None, idf=None,
+        headline_vocab=None, body_vocab=None, idf=None,
         keyword_sets={"m": KeywordSet(name="manual", terms=tuple(terms))},
         embeddings=None,
     )

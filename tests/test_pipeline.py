@@ -373,6 +373,26 @@ class TestSharedFit:
         for row, instance in enumerate(corpus.instances):
             assert np.array_equal(dense[row], feature_row(only, instance, corpus))
 
+    def test_wmd_modes_share_one_cost_matrix_per_pair(self, monkeypatch, vectors_file):
+        """A fit with both WMD modes builds the ground distances of each
+        distinct pair with two embedded sides once, for both blocks."""
+        corpus = shared_headline_corpus()
+        table = load_embeddings(vectors_file)
+        spec = PipelineSpec(name="all", blocks=ORACLE_PIPELINES["similarity"])
+        fitted = fit_pipeline(spec, corpus, embeddings=table)
+        built = []
+        cost_matrix = embeddings._cost_matrix
+        monkeypatch.setattr(embeddings, "_cost_matrix",
+                            lambda a, b: built.append(1) or cost_matrix(a, b))
+        fitted.block_matrices(corpus)
+        scored = {
+            (i.headline, i.body_id) for i in corpus.instances
+            if embeddings.embed_doc(corpus.headline_tokens[i.headline], table) is not None
+            and embeddings.embed_doc(corpus.tokens_of_body(i.body_id), table) is not None
+        }
+        assert 0 < len(scored) < len(corpus)
+        assert len(built) == len(scored)
+
 
 class TestFoldCorpus:
     """A fold's training side, which holds its parent's token lists, fits

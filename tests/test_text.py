@@ -228,20 +228,20 @@ class TestBlocks:
         keyword_sets = {ref: KeywordSet(name="dup", terms=("x",)) for ref in ("a", "b")}
         with pytest.raises(ConfigError, match="duplicate block names"):
             FittedPipeline(
-                spec=spec, headline_vocab=None, body_vocab=None, shared_vocab=None,
-                idf=None, keyword_sets=keyword_sets, embeddings=None,
+                spec=spec, headline_vocab=None, body_vocab=None, idf=None,
+                keyword_sets=keyword_sets, embeddings=None,
             )
 
 
 BASELINE_ONLY = PipelineSpec(name="plain", blocks=(BlockSpec(kind="baseline"),))
 
 
-def baseline_row(instance, corpus, headline_vocab, body_vocab, shared_vocab, idf):
+def baseline_row(instance, corpus, headline_vocab, body_vocab, idf):
     """Dense matrix row of one instance under a hand-built baseline
     pipeline, and the pipeline's layout."""
     fitted = FittedPipeline(
         spec=BASELINE_ONLY, headline_vocab=headline_vocab, body_vocab=body_vocab,
-        shared_vocab=shared_vocab, idf=idf, keyword_sets={}, embeddings=None,
+        idf=idf, keyword_sets={}, embeddings=None,
     )
     single = make_corpus([instance], {instance.body_id: corpus.bodies[instance.body_id]})
     row = fitted.matrix(single).matrix.toarray()[0]
@@ -264,13 +264,12 @@ class TestBaselineFeatures:
         corpus = make_corpus(instances, bodies)
         head_vocab = Vocabulary(("cat", "sat", "dog"))
         body_vocab = Vocabulary(("cat", "dog", "sat"))
-        shared = Vocabulary(("cat", "sat", "dog", "ran"))
-        idf = uniform_idf(shared)
-        return corpus, head_vocab, body_vocab, shared, idf
+        idf = uniform_idf(Vocabulary(("cat", "sat", "dog", "ran")))
+        return corpus, head_vocab, body_vocab, idf
 
     def test_vector_length(self):
-        corpus, hv, bv, sv, idf = self._tiny()
-        row, layout = baseline_row(corpus.instances[0], corpus, hv, bv, sv, idf)
+        corpus, hv, bv, idf = self._tiny()
+        row, layout = baseline_row(corpus.instances[0], corpus, hv, bv, idf)
         assert len(row) == len(hv) + len(bv) + 1
         assert [s.name for s in layout] == ["tf_headline", "tf_body", "tfidf_cos"]
 
@@ -278,12 +277,12 @@ class TestBaselineFeatures:
         corpus = make_corpus([Instance("cat sat", 1, None)], {1: "cat sat"})
         vocab = Vocabulary(("cat", "sat"))
         idf = uniform_idf(vocab)
-        row, layout = baseline_row(corpus.instances[0], corpus, vocab, vocab, vocab, idf)
+        row, layout = baseline_row(corpus.instances[0], corpus, vocab, vocab, idf)
         assert block(row, layout, "tfidf_cos")[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_computed_vector(self):
-        corpus, hv, bv, sv, idf = self._tiny()
-        row, layout = baseline_row(corpus.instances[0], corpus, hv, bv, sv, idf)
+        corpus, hv, bv, idf = self._tiny()
+        row, layout = baseline_row(corpus.instances[0], corpus, hv, bv, idf)
         # headline "cat sat" over (cat, sat, dog); body "cat sat cat" over (cat, dog, sat)
         assert list(block(row, layout, "tf_headline")) == [1.0, 1.0, 0.0]
         assert list(block(row, layout, "tf_body")) == [2.0, 0.0, 1.0]
