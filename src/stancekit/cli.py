@@ -21,12 +21,11 @@ import click
 import numpy as np
 
 from .config import EnsembleConfig, ExperimentConfig, load_config, override_seeds
-from .corpus import Corpus, Stance, load_corpus, plan_folds, validation_split
+from .corpus import Corpus, Stance, decisions, load_corpus, plan_folds, validation_split
 from .embeddings import EmbeddingTable, load_embeddings
 from .ensemble import (
     CONCATENATION,
     LinearCombiner,
-    decisions,
     fit_concat_combiner,
     fuse,
     load_combiner,
@@ -81,7 +80,7 @@ def _handled(func):
         except TrainingDivergedError as exc:
             click.echo(f"training error: {exc}", err=True)
             sys.exit(4)
-        except (StancekitError, ValueError, RuntimeError) as exc:
+        except StancekitError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(4)
 
@@ -310,8 +309,7 @@ def _fit_combiner(
     """Concatenation combiner fitted on the members' probabilities of a
     labeled corpus."""
     stack = np.stack([probs[m] for m in ens.members], axis=1)
-    labels = [i.stance for i in corpus.instances]
-    return fit_concat_combiner(stack, labels, seed=ens.combiner_seed)
+    return fit_concat_combiner(stack, stance_labels(corpus), seed=ens.combiner_seed)
 
 
 def _saved_combiner(cfg: ExperimentConfig, target: str) -> LinearCombiner | None:

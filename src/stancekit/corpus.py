@@ -1,5 +1,6 @@
-"""FNC-1 format corpus ingestion, validation, tokenization, and
-leakage-safe fold planning.
+"""The four stance classes, FNC-1 format corpus ingestion, validation,
+tokenization, and leakage-safe fold planning. STANCES fixes the class order;
+stance_indices and decisions are the only stance <-> class index mappings.
 
 Input files are UTF-8 CSV per RFC 4180 (quoted fields may embed commas and
 newlines, which the bodies file uses). A Corpus tokenizes each distinct
@@ -12,13 +13,16 @@ from __future__ import annotations
 
 import csv
 import enum
+import operator
 import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DataFormatError, IntegrityError
 from .text import TokenList, tokenize
@@ -51,6 +55,29 @@ class Stance(enum.Enum):
 #: Canonical class order: agree=0, disagree=1, discuss=2, unrelated=3.
 STANCES: tuple[Stance, ...] = (Stance.AGREE, Stance.DISAGREE, Stance.DISCUSS, Stance.UNRELATED)
 _STANCE_INDEX = {s: i for i, s in enumerate(STANCES)}
+
+
+def stance_indices(labels: Sequence[Stance | int | None] | np.ndarray) -> np.ndarray:
+    """Class indices of labels (Stances or ints 0..3) as an int64 array; an
+    integer array is range-checked and returned as it is. An unlabeled
+    (None) or out-of-range label raises ValueError naming its position."""
+    y = labels
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
+        y = np.empty(len(labels), dtype=np.int64)
+        for row, label in enumerate(labels):
+            if label is None:
+                raise ValueError(f"label at position {row} is unlabeled")
+            y[row] = label.index if isinstance(label, Stance) else operator.index(label)
+    bad = np.flatnonzero((y < 0) | (y >= len(STANCES)))
+    if len(bad):
+        raise ValueError(f"label {y[bad[0]]} is not a stance index 0..3 (position {bad[0]})")
+    return y
+
+
+def decisions(probs: np.ndarray) -> list[Stance]:
+    """The argmax stance of each (n, 4) probability row; np.argmax takes the
+    first maximum, so a tie goes to the lowest index."""
+    return [STANCES[i] for i in np.argmax(probs, axis=1).tolist()]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, SolverBudgetError
 
 #: Integer mass assigned to each distribution before transport. Weights are
 #: apportioned to parts of 1e9 so the rounding error per term stays below
@@ -38,7 +38,7 @@ MASS_SCALE = 10**9
 #: measurable accuracy gain.
 WMD_TERM_CAP = 200
 
-#: Pivots per cost-matrix row and column before the solver raises RuntimeError.
+#: Pivots per cost-matrix row and column before the solver raises SolverBudgetError.
 PIVOTS_PER_LINE = 64
 
 CENTROID = "centroid"
@@ -268,7 +268,7 @@ def _transport_min_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
         # the subtree the leaving edge cuts off hangs from the entering one
         stack = [entering[::-1] if cycle.index(leave) <= len(row_path) else entering]
     else:
-        raise RuntimeError("transport solver exceeded its iteration budget")
+        raise SolverBudgetError("transport solver exceeded its iteration budget")
     flow = np.zeros((m, n), dtype=np.int64)
     for (i, k), q in basis.items():
         flow[i, k - m] = q

@@ -4,7 +4,9 @@ Two rules: summation (mean of member probabilities) and concatenation
 (a learned linear map from the stacked 4N vector back to 4 classes).
 Member outputs fused here are post-softmax probabilities, which keeps
 summation scale-free across members. Fusion works on a whole (n, N, 4)
-stack of member probabilities at once.
+stack of member probabilities at once; corpus.decisions turns the fused rows
+into stances, and the combiner reads its labels through
+corpus.stance_indices.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import STANCES, Stance
+from .corpus import STANCES, Stance, stance_indices
 from .errors import DataFormatError
 from .mlp import softmax
 
@@ -49,9 +51,6 @@ class LinearCombiner:
     def n_inputs(self) -> int:
         return self.weights.shape[1]
 
-    def logits(self, concatenated: np.ndarray) -> np.ndarray:
-        return concatenated @ self.weights.T + self.bias
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -77,14 +76,6 @@ class EnsembleSpec:
                 )
 
 
-def decisions(fused: np.ndarray) -> list[Stance]:
-    """Argmax stance of each (n, 4) probability row.
-
-    np.argmax returns the first maximum: lowest canonical index on ties.
-    """
-    return [STANCES[int(i)] for i in np.argmax(fused, axis=1)]
-
-
 def fuse(
     member_probs: np.ndarray, rule: str = SUMMATION, combiner: LinearCombiner | None = None
 ) -> np.ndarray:
@@ -107,34 +98,35 @@ def fuse(
         raise ValueError(
             f"combiner expects {combiner.n_inputs} inputs, got {flat.shape[1]}"
         )
-    return softmax(combiner.logits(flat))
+    return softmax(flat @ combiner.weights.T + combiner.bias)
 
 
 def fit_concat_combiner(
     member_probs: np.ndarray,
-    labels: Sequence[Stance | int],
+    labels: Sequence[Stance | int] | np.ndarray,
     seed: int,
 ) -> LinearCombiner:
     """Multinomial-logistic map fitted by seeded full-batch gradient descent.
 
-    member_probs has shape (n_examples, n_members, 4) or (n_examples, 4N).
-    A class absent from the fit data yields a degenerate-fit warning on the
-    returned combiner; the fit itself proceeds.
+    member_probs has shape (n_examples, n_members, 4) or (n_examples, 4N),
+    one row per label (a Stance or its index 0..3; anything else raises
+    ValueError). A class absent from the fit data yields a degenerate-fit
+    warning on the returned combiner; the fit itself proceeds.
     """
     x = np.asarray(member_probs, dtype=np.float64)
     if x.ndim == 3:
         x = x.reshape(x.shape[0], -1)
     if x.ndim != 2 or x.shape[1] % 4 != 0:
         raise ValueError("member probabilities must stack to an (n, 4N) matrix")
-    y = np.array([lbl.index if isinstance(lbl, Stance) else int(lbl) for lbl in labels])
+    y = stance_indices(labels)
     if len(y) != x.shape[0]:
         raise ValueError(f"{x.shape[0]} examples but {len(y)} labels")
+    if not len(y):
+        raise ValueError("no examples to fit the combiner on")
 
-    warnings = tuple(
-        f"class {s.value!r} absent from combiner fit data"
-        for s in STANCES
-        if s.index not in set(y.tolist())
-    )
+    counts = np.bincount(y, minlength=len(STANCES))
+    warnings = tuple(f"class {s.value!r} absent from combiner fit data"
+                     for s, count in zip(STANCES, counts) if not count)
 
     n, dim = x.shape
     onehot = np.zeros((n, 4))

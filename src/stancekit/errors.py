@@ -21,6 +21,10 @@ class IntegrityError(StancekitError):
     """Cross-file referential integrity is violated (e.g. dangling body id)."""
 
 
+class SolverBudgetError(StancekitError):
+    """An iterative solver used up its iteration budget without converging."""
+
+
 class TrainingDivergedError(StancekitError):
     """Training produced a non-finite loss."""
 

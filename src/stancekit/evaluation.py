@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FoldPlan, STANCES, Stance
+from .corpus import Corpus, FoldPlan, STANCES, Stance, stance_indices
 from .errors import DataFormatError
 
 #: (true, predicted) pair
@@ -56,8 +56,8 @@ def confusion(pairs: Sequence[Pair]) -> np.ndarray:
     """4x4 count matrix, rows = true stance, columns = predicted."""
     if not len(pairs):
         raise ValueError("no prediction pairs to tally")
-    cells = [4 * true.index + pred.index for true, pred in pairs]
-    return np.bincount(cells, minlength=16).astype(np.int64).reshape(4, 4)
+    truth, predicted = (stance_indices(side) for side in zip(*pairs))
+    return np.bincount(4 * truth + predicted, minlength=16).astype(np.int64).reshape(4, 4)
 
 
 def metrics(confusion_matrix: np.ndarray) -> tuple[np.ndarray, float]:

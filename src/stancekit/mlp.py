@@ -7,9 +7,11 @@ Training and prediction take a FeatureMatrix, which holds a row per
 distinct headline and body, so each mini-batch projects a document its
 examples share through w1 once and sums their w1 gradients per document
 before one sparse product; a plain dense or CSR example matrix is a
-FeatureMatrix without document rows. Prediction is batched only:
-predict_batch maps whole example matrices to probability rows. A trained
-model is immutable in practice and safe for concurrent prediction.
+FeatureMatrix without document rows. Labels are read, and decisions
+made, through corpus.stance_indices and corpus.decisions. Prediction is
+batched only: predict_batch maps whole example matrices to probability rows
+and their argmax stances. A trained model is immutable in practice and safe
+for concurrent prediction.
 """
 
 from __future__ import annotations
@@ -23,14 +25,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import STANCES, Stance
+from .corpus import STANCES, Stance, decisions, stance_indices
 from .errors import DataFormatError, TrainingDivergedError
 from .text import BlockSlice
 
 _MAGIC = b"SKITMLP0"
 _VERSION = 1
-
-OUTPUT_DIM = 4  # the four stances, always
 
 #: init_model and save_model turn w1 between its input-major array and the
 #: hidden-major order of the draw and the file about this many weights at a
@@ -145,15 +145,16 @@ def init_model(
     """
     rng = np.random.default_rng(seed)
     a1 = np.sqrt(6.0 / (input_dim + hidden_dim))
-    a2 = np.sqrt(6.0 / (hidden_dim + OUTPUT_DIM))
+    classes = len(STANCES)
+    a2 = np.sqrt(6.0 / (hidden_dim + classes))
     w1 = np.empty((input_dim, hidden_dim))
     for start, stop in _unit_chunks(input_dim, hidden_dim):
         w1[:, start:stop] = rng.uniform(-a1, a1, size=(stop - start, input_dim)).T
     return MlpModel(
         w1=w1,
         b1=np.zeros(hidden_dim),
-        w2=rng.uniform(-a2, a2, size=(OUTPUT_DIM, hidden_dim)),
-        b2=np.zeros(OUTPUT_DIM),
+        w2=rng.uniform(-a2, a2, size=(classes, hidden_dim)),
+        b2=np.zeros(classes),
         feature_layout=feature_layout,
     )
 
@@ -172,25 +173,7 @@ def predict_batch(model: MlpModel, features) -> tuple[list[Stance], np.ndarray]:
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix.of(features)
     probs = _batch_forward(model, features)[2]
-    picks = np.argmax(probs, axis=1)
-    return [STANCES[int(i)] for i in picks], probs
-
-
-def _label_index(label) -> int:
-    return label.index if isinstance(label, Stance) else int(label)
-
-
-def _label_indices(labels: Sequence[Stance | int] | np.ndarray) -> np.ndarray:
-    """Stance indices of labels; an integer array is taken as it is. A label
-    outside 0..3 raises ValueError."""
-    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
-        y = labels
-    else:
-        y = np.array([_label_index(lbl) for lbl in labels], dtype=np.int64)
-    bad = y[(y < 0) | (y >= len(STANCES))]
-    if len(bad):
-        raise ValueError(f"label {bad[0]} is not a stance index 0..{len(STANCES) - 1}")
-    return y
+    return decisions(probs), probs
 
 
 def _batch_forward(model: MlpModel, x: FeatureMatrix, mask: np.ndarray | None = None,
@@ -207,10 +190,10 @@ def _batch_forward(model: MlpModel, x: FeatureMatrix, mask: np.ndarray | None = 
         if mask is not None:
             hidden = hidden * mask / keep
         logits = hidden @ model.w2.T + model.b2
-        z = logits - logits.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1)) + logits.max(axis=1)
-        probs = softmax(logits)
-    return hidden_pre, hidden, probs, logits, lse
+        top = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - top)  # one exp for the softmax and the log-sum-exp
+        total = e.sum(axis=1, keepdims=True)
+        return hidden_pre, hidden, e / total, logits, np.log(total[:, 0]) + top[:, 0]
 
 
 def _sq_norm(a: np.ndarray) -> float:
@@ -306,7 +289,7 @@ def train(
     shuffles, and dropout masks all come from one RNG stream. Raises
     TrainingDivergedError naming the epoch if the objective goes non-finite.
     """
-    y = _label_indices(labels)
+    y = stance_indices(labels)
     n, input_dim = features.shape
     if n < 1:
         raise ValueError("need at least one labeled example")

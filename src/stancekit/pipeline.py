@@ -32,9 +32,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Stance
+from .corpus import Corpus, Stance, decisions, stance_indices
 from .embeddings import EmbeddingTable, SIMILARITY_MODES, similarities
-from .ensemble import EnsembleSpec, decisions, fuse
+from .ensemble import EnsembleSpec, fuse
 from .errors import ConfigError, DataFormatError
 from .keywords import (
     KeywordSet,
@@ -320,12 +320,7 @@ def fit_pipeline(
 
 def stance_labels(corpus: Corpus) -> np.ndarray:
     """Canonical label indices for a fully labeled corpus."""
-    labels = np.empty(len(corpus.instances), dtype=np.int64)
-    for row, instance in enumerate(corpus.instances):
-        if instance.stance is None:
-            raise ValueError(f"instance {row} is unlabeled")
-        labels[row] = instance.stance.index
-    return labels
+    return stance_indices([i.stance for i in corpus.instances])
 
 
 def member_probabilities(

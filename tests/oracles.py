@@ -20,7 +20,7 @@ from collections import Counter
 import numpy as np
 
 import stancekit.mlp as mlp
-from stancekit.corpus import STANCES
+from stancekit.corpus import STANCES, stance_indices
 from stancekit.embeddings import (
     CENTROID,
     MASS_SCALE,
@@ -330,7 +330,7 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
     if config.dropout_keep != 1.0:
         raise ValueError("gradient_check requires dropout_keep == 1")
     x, by_document = one_batch(x)
-    y = np.array([mlp._label_index(lbl) for lbl in labels])
+    y = stance_indices(labels)
 
     def batch_gradients():
         return mlp._batch_gradients(model, x, by_document, y, config.l2_lambda)
@@ -387,7 +387,7 @@ def pair_train(features, labels, config, hidden_dim=100):
     once per instance that uses it. Same random numbers, same in-place decay
     and steps as train; only the order of additions differs."""
     x = features.matrix
-    y = np.array([mlp._label_index(lbl) for lbl in labels])
+    y = stance_indices(labels)
     n = x.shape[0]
     rng = np.random.default_rng(config.seed)
     model = mlp.init_model(x.shape[1], hidden_dim, tuple(features.layout), seed=config.seed)
@@ -431,7 +431,7 @@ def eager_train(features, labels, config, hidden_dim=100):
     hidden-major: the same update as train in exact arithmetic, drawing the
     same random numbers in the same order."""
     x, layout = features.matrix, tuple(features.layout)
-    y = np.array([mlp._label_index(lbl) for lbl in labels])
+    y = stance_indices(labels)
     n = x.shape[0]
     rng = np.random.default_rng(config.seed)
     model = mlp.init_model(x.shape[1], hidden_dim, layout, seed=config.seed)

@@ -639,6 +639,14 @@ class TestEmptyStances:
         text = (out / "trio_concat.predictions.csv").read_text(encoding="utf-8")
         assert text == "Headline,Body ID,Stance\n"
 
+    def test_predict_with_similarity_block_writes_header_only(self, tmp_path):
+        config = embedded_config(tmp_path)
+        run("train", "--config", str(config), "--models", "emb")
+        write_stances(tmp_path / "data" / "test_stances.csv", [], labeled=False)
+        run("predict", "--config", str(config), "--models", "emb")
+        text = (tmp_path / "out" / "emb.predictions.csv").read_text(encoding="utf-8")
+        assert text == "Headline,Body ID,Stance\n"
+
 
 class TestPredict:
     def test_rows_order_and_names(self, trained):

@@ -2,6 +2,7 @@
 
 import csv
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,11 +11,13 @@ from stancekit.corpus import (
     Corpus,
     Instance,
     Stance,
+    decisions,
     load_bodies,
     load_corpus,
     load_stances,
     make_corpus,
     plan_folds,
+    stance_indices,
     validation_split,
 )
 from stancekit.errors import ConfigError, DataFormatError, IntegrityError
@@ -45,6 +48,50 @@ class TestStance:
 
     def test_str_is_wire_name(self):
         assert str(Stance.UNRELATED) == "unrelated"
+
+
+class TestStanceIndices:
+    def test_stances_and_indices_mix(self):
+        y = stance_indices([Stance.UNRELATED, 1, Stance.AGREE, np.int32(2)])
+        assert y.dtype == np.int64
+        assert y.tolist() == [3, 1, 0, 2]
+
+    def test_integer_array_returned_as_is(self):
+        y = np.array([0, 3, 2], dtype=np.int64)
+        assert stance_indices(y) is y
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_out_of_range_rejected(self, bad, as_array):
+        labels = [0, 1, bad]
+        want = rf"label {bad} is not a stance index 0..3 \(position 2\)"
+        with pytest.raises(ValueError, match=want):
+            stance_indices(np.array(labels) if as_array else labels)
+
+    def test_unlabeled_names_its_position(self):
+        with pytest.raises(ValueError, match="position 1 is unlabeled"):
+            stance_indices([Stance.AGREE, None])
+
+    def test_empty(self):
+        assert stance_indices([]).shape == (0,)
+
+
+class TestDecisions:
+    def test_argmax_in_canonical_order(self):
+        probs = np.eye(4)[[2, 0, 3, 1]]
+        assert decisions(probs) == [Stance.DISCUSS, Stance.AGREE, Stance.UNRELATED,
+                                    Stance.DISAGREE]
+
+    def test_tie_goes_to_lowest_index(self):
+        assert decisions(np.array([[0.1, 0.4, 0.1, 0.4], [0.25] * 4])) == [
+            Stance.DISAGREE, Stance.AGREE]
+
+    def test_no_rows(self):
+        assert decisions(np.empty((0, 4))) == []
+
+    def test_round_trip(self):
+        stances = [STANCES[i % 4] for i in range(9)]
+        assert decisions(np.eye(4)[stance_indices(stances)]) == stances
 
 
 class TestLoaders:

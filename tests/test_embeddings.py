@@ -37,7 +37,7 @@ from stancekit.embeddings import (
     wmd_exact,
     wmd_relaxed,
 )
-from stancekit.errors import DataFormatError
+from stancekit.errors import DataFormatError, SolverBudgetError
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 
 from oracles import ssp_transport
@@ -453,7 +453,7 @@ class TestWmdExact:
     def test_pivot_budget_exceeded_raises(self, monkeypatch):
         monkeypatch.setattr(embeddings, "PIVOTS_PER_LINE", 0)
         da, db = fnc_shaped_instance(0, n=25)
-        with pytest.raises(RuntimeError, match="iteration budget"):
+        with pytest.raises(SolverBudgetError, match="iteration budget"):
             wmd_exact(da, db)
 
 

@@ -7,14 +7,13 @@ import operator
 import numpy as np
 import pytest
 
-from stancekit.corpus import STANCES, Stance
+from stancekit.corpus import STANCES, Stance, decisions
 from stancekit.ensemble import (
     CONCATENATION,
     SUMMATION,
     EnsembleMember,
     EnsembleSpec,
     LinearCombiner,
-    decisions,
     fit_concat_combiner,
     fuse,
     load_combiner,
@@ -183,6 +182,13 @@ class TestCombinerFit:
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
             fit_concat_combiner(np.zeros((3, 4)), [Stance.AGREE] * 2, seed=0)
+
+    @pytest.mark.parametrize("bad", [-1, 4, None])
+    def test_label_outside_stances_rejected(self, bad):
+        # -1 would otherwise train as the last class, "unrelated"
+        labels, stack = self._toy(n=6)
+        with pytest.raises(ValueError, match="not a stance index|unlabeled"):
+            fit_concat_combiner(stack, [bad, 0, 1, 2, 3, 0], seed=0)
 
     def test_deterministic(self):
         labels, stack = self._toy(n=20)
