@@ -3,8 +3,9 @@
 One YAML config drives everything; flags only override paths and seeds,
 and cv's --jobs caps its parallel folds. Every command is deterministic:
 rerunning with the same config and inputs writes byte-identical files
-(logs carry no timestamps, floats are serialized with repr). evaluate,
-predict and every cv fold decide through _predict_target.
+(logs carry no timestamps, floats are serialized with repr). train and
+every cv fold run one training step, _train_models; evaluate, predict and
+every cv fold decide through _predict_target.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 import click
 import numpy as np
 
-from .config import EnsembleConfig, ExperimentConfig, load_config, override_seeds
+from .config import ExperimentConfig, load_config, override_seeds
 from .corpus import Corpus, Stance, decisions, load_corpus, plan_folds, validation_split
 from .embeddings import EmbeddingTable, load_embeddings
 from .ensemble import (
@@ -186,10 +187,18 @@ def _train_models(
     names: Sequence[str],
     corpus: Corpus,
     embeddings: EmbeddingTable | None,
-) -> tuple[FittedPipeline, dict[str, MlpModel], dict[str, list[float]]]:
-    """Fit the union of the named models' pipeline blocks once and build
-    each block once, then train every model on its pipeline's blocks.
-    Returns that one fit, the models and each model's epoch losses."""
+    validate: bool,
+) -> tuple[FittedPipeline, dict[str, MlpModel], dict[str, list[float]], dict[str, float],
+           dict[str, LinearCombiner]]:
+    """The one training step. With validate, hold out the config's
+    validation split of the corpus first. Fit the union of the named
+    models' pipeline blocks once on the rest and build each block once,
+    then train every model on its pipeline's blocks. Returns that one fit,
+    the models, each model's epoch losses and, from one build of the
+    held-out side's blocks, each model's validation relative grade and the
+    combiner of every concatenation ensemble whose members all trained."""
+    if validate:
+        corpus, held_out = validation_split(corpus, cfg.validation.fraction, cfg.validation.seed)
     pids = list(dict.fromkeys(cfg.models[name].pipeline for name in names))
     union = tuple(dict.fromkeys(b for pid in pids for b in cfg.pipelines[pid].blocks))
     fit = fit_pipeline(
@@ -213,7 +222,19 @@ def _train_models(
                                      epoch_callback=lambda _, loss: losses[name].append(loss))
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(exc.epoch, f"model {name!r}: {exc}") from None
-    return fit, models, losses
+    if not validate:
+        return fit, models, losses, {}, {}
+    probs = _probabilities(cfg, fit, models, held_out)
+    truth, held_labels = [i.stance for i in held_out.instances], stance_labels(held_out)
+    grades = {name: score_predictions(list(zip(truth, decisions(probs[name])))).relative_grade
+              for name in names}
+    combiners = {
+        ens.name: fit_concat_combiner(np.stack([probs[m] for m in ens.members], axis=1),
+                                      held_labels, seed=ens.combiner_seed)
+        for ens in cfg.ensembles.values()
+        if ens.rule == CONCATENATION and all(m in models for m in ens.members)
+    }
+    return fit, models, losses, grades, combiners
 
 
 def _probabilities(cfg: ExperimentConfig, fit: FittedPipeline, models: Mapping[str, MlpModel],
@@ -269,47 +290,27 @@ def train(config_path, out_dir, seed, models_csv):
     cfg = _load(config_path, out_dir, seed)
     names = _select(cfg, models_csv, list(cfg.models), "model")
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
-    if cfg.validation is not None:
-        fit_part, val_part = validation_split(
-            corpus, cfg.validation.fraction, cfg.validation.seed
-        )
-    else:
-        fit_part, val_part = corpus, None
     embeddings = _maybe_embeddings(cfg, names, corpus)
+    fit, models, losses, grades, combiners = _train_models(
+        cfg, names, corpus, embeddings, validate=cfg.validation is not None
+    )
     out = _out_dir(cfg)
-
-    fit, models, losses = _train_models(cfg, names, fit_part, embeddings)
     for pid in dict.fromkeys(cfg.models[name].pipeline for name in names):
         save_pipeline(replace(fit, spec=cfg.pipelines[pid]), out, pid)
-    val_probs = {} if val_part is None else _probabilities(cfg, fit, models, val_part)
     for name in names:
         lines = [f"model={name} epoch={epoch} loss={loss!r}"
                  for epoch, loss in enumerate(losses[name], start=1)]
-        if val_part is not None:
-            pairs = list(zip((i.stance for i in val_part.instances), decisions(val_probs[name])))
-            grade = score_predictions(pairs).relative_grade
-            lines.append(f"model={name} validation_relative_grade={grade!r}")
+        if name in grades:
+            lines.append(f"model={name} validation_relative_grade={grades[name]!r}")
         save_model(models[name], out / f"{name}.model.bin")
         (out / f"{name}.train.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
         click.echo(f"command=train model={name} file={name}.model.bin")
 
-    for ens in cfg.ensembles.values():
-        if ens.rule != CONCATENATION or not all(m in models for m in ens.members):
-            continue
-        combiner = _fit_combiner(ens, val_probs, val_part)
-        save_combiner(combiner, out / f"{ens.name}.combiner.json")
+    for ens, combiner in combiners.items():
+        save_combiner(combiner, out / f"{ens}.combiner.json")
         for warning in combiner.fit_warnings:
-            click.echo(f"command=train ensemble={ens.name} warning={warning!r}", err=True)
-        click.echo(f"command=train ensemble={ens.name} file={ens.name}.combiner.json")
-
-
-def _fit_combiner(
-    ens: EnsembleConfig, probs: Mapping[str, np.ndarray], corpus: Corpus
-) -> LinearCombiner:
-    """Concatenation combiner fitted on the members' probabilities of a
-    labeled corpus."""
-    stack = np.stack([probs[m] for m in ens.members], axis=1)
-    return fit_concat_combiner(stack, stance_labels(corpus), seed=ens.combiner_seed)
+            click.echo(f"command=train ensemble={ens} warning={warning!r}", err=True)
+        click.echo(f"command=train ensemble={ens} file={ens}.combiner.json")
 
 
 def _saved_combiner(cfg: ExperimentConfig, target: str) -> LinearCombiner | None:
@@ -442,30 +443,23 @@ def keywords(config_path, out_dir, seed, models_csv):
 
 
 def _fold_runner(cfg: ExperimentConfig, targets: Sequence[str], embeddings):
-    """Per-fold pipeline: refit everything on the fold's train side only,
-    then decide every target on the test side as evaluate does. Each model
-    trains once per training corpus: the train side for models and
-    summation ensembles, its inner validation split's fit side for
-    concatenation ensembles, whose combiners fit on that split."""
+    """Per-fold pipeline: run train's training step on the fold's train
+    side only, then decide every target on the test side as evaluate does.
+    The step runs once per target group: without a validation split for
+    models and summation ensembles, with it for concatenation ensembles,
+    whose combiners fit on its held-out side."""
     concat = [t for t in targets if t in cfg.ensembles and cfg.ensembles[t].rule == CONCATENATION]
     plain = [t for t in targets if t not in concat]
 
     def run(train_part: Corpus, test_part: Corpus, fold: int):
         decided = {}
-        if plain:
-            fit, models, _ = _train_models(cfg, _members(cfg, plain), train_part, embeddings)
+        for group, validate in ((plain, False), (concat, True)):
+            if not group:
+                continue
+            fit, models, _, _, combiners = _train_models(cfg, _members(cfg, group), train_part,
+                                                         embeddings, validate)
             probs = _probabilities(cfg, fit, models, test_part)
-            decided.update({t: _predict_target(cfg, t, probs, None) for t in plain})
-        if concat:
-            inner_train, inner_val = validation_split(
-                train_part, cfg.validation.fraction, cfg.validation.seed
-            )
-            fit, models, _ = _train_models(cfg, _members(cfg, concat), inner_train, embeddings)
-            val_probs = _probabilities(cfg, fit, models, inner_val)
-            probs = _probabilities(cfg, fit, models, test_part)
-            for t in concat:
-                combiner = _fit_combiner(cfg.ensembles[t], val_probs, inner_val)
-                decided[t] = _predict_target(cfg, t, probs, combiner)
+            decided.update({t: _predict_target(cfg, t, probs, combiners.get(t)) for t in group})
         truth = [i.stance for i in test_part.instances]
         return {t: list(zip(truth, decided[t])) for t in targets}
 

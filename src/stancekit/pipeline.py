@@ -241,13 +241,9 @@ class FittedPipeline:
         Only the document rows and the pair columns are laid out."""
         parts = [blocks[b] for b in self.spec.blocks]
         offsets = list(accumulate((p.shape[1] for p in parts), initial=0))
-        docs = [p.docs.tocoo() for p in parts]
         return FeatureMatrix(
             np.concatenate([p.pairs for p in parts], axis=1),
-            sp.csr_matrix((np.concatenate([d.data for d in docs]),
-                           (np.concatenate([d.row for d in docs]),
-                            np.concatenate([d.col + at for d, at in zip(docs, offsets)]))),
-                          shape=(docs[0].shape[0], offsets[-1])),
+            sp.hstack([p.docs for p in parts], format="csr"),
             parts[0].head_row, parts[0].body_row,
             np.concatenate([p.pair_columns + at for p, at in zip(parts, offsets)]), self.layout)
 

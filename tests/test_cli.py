@@ -380,6 +380,7 @@ class TestTrain:
         assert result.exit_code == 2
         assert "validation.fraction 0.04 needs at least 25 bodies" in result.stderr
         assert "have 24" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_unreferenced_bodies_stay_in_training(self, tmp_path):
         # with seed 230, dealing every body would leave validation no stance rows
@@ -802,6 +803,30 @@ class TestCv:
     def test_concat_fold_scores_inner_validation_once(self, tmp_path, fit_calls):
         self.assert_fold_builds(tmp_path, fit_calls, "trio_concat", 3)
 
+    def test_concat_fold_matches_train_and_evaluate(self, tmp_path):
+        """A fold's concatenation ensemble scores what train + evaluate give
+        when the fold's train and test sides are the config's data."""
+        config = base_config(tmp_path)
+        run("cv", "--config", str(config), "--models", "trio_concat")
+        corpus = load_corpus(tmp_path / "data" / "train_stances.csv",
+                             tmp_path / "data" / "train_bodies.csv")
+        plan = plan_folds(corpus, 3, 17)
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        for fold in range(3):
+            data = {}
+            for side, part in zip(("train", "test"), plan.split(corpus, fold)):
+                stances = f"data/fold{fold}_{side}_stances.csv"
+                bodies = f"data/fold{fold}_{side}_bodies.csv"
+                write_corpus_files(part, tmp_path / stances, tmp_path / bodies)
+                data.update({f"{side}_stances": stances, f"{side}_bodies": bodies})
+            fold_config = tmp_path / f"fold{fold}.yaml"
+            fold_config.write_text(yaml.safe_dump(dict(raw, data=data, output_dir=f"fold{fold}")),
+                                   encoding="utf-8")
+            run("train", "--config", str(fold_config))
+            run("evaluate", "--config", str(fold_config), "--models", "trio_concat")
+            assert (tmp_path / f"fold{fold}" / "trio_concat.scores.txt").read_bytes() == (
+                tmp_path / "out" / f"trio_concat.cv.fold{fold}.scores.txt").read_bytes()
+
     def test_one_fit_and_training_per_fold_and_training_corpus(
         self, tmp_path, fit_calls, trainings
     ):
@@ -935,22 +960,44 @@ def test_output_path_not_a_directory_exit_2(tmp_path, command):
 
 def test_commands_build_no_example_rows(tmp_path, monkeypatch):
     """train, evaluate and cv keep headline and body columns per document:
-    none lays sparse blocks side by side or builds a FeatureMatrix's
-    example-by-input matrix."""
+    none lays sparse blocks side by side with a row per example or builds a
+    FeatureMatrix's example-by-input matrix."""
     import scipy.sparse
 
     from stancekit.mlp import FeatureMatrix
+    from stancekit.pipeline import FittedPipeline
 
     config = base_config(tmp_path)
+    builds = []  # the document rows of every block build, kept alive
+    examples = {}  # id of a build's document rows -> examples of its corpus
+    stacked = set()  # ids of the first document rows of every stack
+    real_blocks, real_hstack = FittedPipeline.block_matrices, scipy.sparse.hstack
+
+    def block_matrices(self, corpus):
+        blocks = real_blocks(self, corpus)
+        builds.append([b.docs for b in blocks.values()])
+        examples.update({id(b.docs): len(corpus.instances) for b in blocks.values()})
+        return blocks
+
+    def hstack(blocks, *args, **kwargs):
+        matrix = real_hstack(blocks, *args, **kwargs)
+        first = id(blocks[0])
+        if first not in examples or matrix.shape[0] == examples[first]:
+            raise AssertionError("an example-by-input matrix was built")
+        stacked.add(first)
+        return matrix
 
     def refuse(*args, **kwargs):
         raise AssertionError("an example-by-input matrix was built")
 
-    monkeypatch.setattr(scipy.sparse, "hstack", refuse)
+    monkeypatch.setattr(FittedPipeline, "block_matrices", block_matrices)
+    monkeypatch.setattr(scipy.sparse, "hstack", hstack)
     monkeypatch.setattr(FeatureMatrix, "matrix", property(refuse))
     run("train", "--config", str(config))
     for command in ("evaluate", "cv"):
         run(command, "--config", str(config), "--models", "trio_concat")
+    # every block build was laid out through the wrapper, so its shape check ran
+    assert all(any(id(docs) in stacked for docs in build) for build in builds)
 
 
 class TestDeterminismUmbrella:
