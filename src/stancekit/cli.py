@@ -125,7 +125,7 @@ def _select(cfg: ExperimentConfig, models_csv: str | None, pool: Sequence[str],
             what: str) -> list[str]:
     if models_csv is None:
         return list(pool)
-    names = [n.strip() for n in models_csv.split(",") if n.strip()]
+    names = list(dict.fromkeys(n.strip() for n in models_csv.split(",") if n.strip()))
     if not names:
         raise ConfigError(f"--models selected no {what}")
     for name in names:

@@ -1,9 +1,10 @@
 """Experiment configuration: one YAML file drives every CLI command.
 
-Validation is strict and happens before any compute: unknown keys,
-undefined references, and missing seeds are all rejected with the field
-path in the message. Every random choice anywhere in a run traces back
-to a seed written in the config (or to the --seed override).
+Validation is strict and happens before any compute: unknown keys, keys
+that an entry's block kind, keyword selector or fusion rule does not read,
+undefined references and missing seeds are all rejected with the field path
+in the message. Every random choice anywhere in a run traces back to a seed
+written in the config (or to the --seed override).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from .corpus import Stance
-from .ensemble import RULES, SUMMATION
+from .ensemble import CONCATENATION, RULES, SUMMATION
 from .errors import ConfigError
 from .mlp import TrainingConfig
 from .pipeline import (
@@ -110,7 +111,7 @@ def _section(node, path: str, keys: tuple[str, ...] | None = None) -> dict:
     return node
 
 
-def _entries(raw: dict, section: str, keys: tuple[str, ...]):
+def _entries(raw: dict, section: str, keys: tuple[str, ...] | None = None):
     """(name, path, node) of each named entry of a section such as models."""
     for name, node in _section(raw.get(section), section).items():
         path = f"{section}.{name}"
@@ -172,7 +173,9 @@ def _parse_training(node, path: str) -> TrainingConfig:
 
 
 def _parse_keyword_spec(name: str, node: dict, path: str) -> KeywordSpec:
-    selector = _field(node, "selector", path, str)
+    selector = _field(node, "selector", path, str)  # KeywordSpec refuses an unknown one
+    _section(node, path, {"manual": ("selector", "terms"), "mi": ("selector", "k", "positive"),
+                          "micc": ("selector", "themes", "k")}.get(selector))
     terms = _field(node, "terms", path, tuple, ())
     themes = _field(node, "themes", path, tuple, ())
     for key, values in (("terms", terms), ("themes", themes)):
@@ -260,8 +263,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
 
     keyword_specs = {
         name: _parse_keyword_spec(name, node, path)
-        for name, path, node in _entries(raw, "keywords",
-                                         ("selector", "terms", "k", "themes", "positive"))
+        for name, path, node in _entries(raw, "keywords")
     }
 
     pipelines: dict[str, PipelineSpec] = {}
@@ -298,7 +300,12 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
                                       seed=_field(node, "seed", "validation", int))
 
     ensembles: dict[str, EnsembleConfig] = {}
-    for name, path, node in _entries(raw, "ensembles", ("members", "rule", "combiner_seed")):
+    for name, path, node in _entries(raw, "ensembles"):
+        rule = _field(node, "rule", path, str, SUMMATION)
+        if rule not in RULES:
+            raise _fail(f"{path}.rule", f"expected one of {list(RULES)}")
+        concat = rule == CONCATENATION
+        _section(node, path, ("members", "rule") + (("combiner_seed",) if concat else ()))
         members = _field(node, "members", path, tuple)
         if not members:
             raise _fail(f"{path}.members", "expected at least one model")
@@ -307,11 +314,8 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
                 raise _fail(f"{path}.members", f"undefined model {member!r}")
         if name in models:
             raise _fail(path, "ensemble name collides with a model name")
-        rule = _field(node, "rule", path, str, SUMMATION)
-        if rule not in RULES:
-            raise _fail(f"{path}.rule", f"expected one of {list(RULES)}")
         combiner_seed = _field(node, "combiner_seed", path, int, None)
-        if rule == "concatenation":
+        if concat:
             if combiner_seed is None:
                 raise _fail(f"{path}.combiner_seed", "required for the concatenation rule")
             if validation is None:

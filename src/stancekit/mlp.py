@@ -32,9 +32,9 @@ from .text import BlockSlice
 _MAGIC = b"SKITMLP0"
 _VERSION = 1
 
-#: init_model and save_model turn w1 between its input-major array and the
-#: hidden-major order of the draw and the file about this many weights at a
-#: time, so neither holds a second weight-sized array
+#: init_model draws w1 in hidden-major order about this many weights at a
+#: time into its input-major array, so it holds no second weight-sized array
+#: while cv's concurrent folds train (the fnc-headline benchmark's cv --jobs 2)
 _CHUNK_WEIGHTS = 1 << 18
 
 
@@ -326,7 +326,7 @@ def train(
 
 def save_model(model: MlpModel, path: str | Path) -> None:
     """Versioned flat binary; arrays are row-major little-endian float64,
-    w1 hidden-major as (hidden, input), written a chunk of units at a time."""
+    w1 hidden-major as (hidden, input)."""
     blocks = model.feature_layout
     header = bytearray()
     header += _MAGIC
@@ -337,9 +337,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
         header += struct.pack("<I", len(name)) + name + struct.pack("<II", b.offset, b.length)
     with Path(path).open("wb") as out:
         out.write(header)
-        for start, stop in _unit_chunks(model.input_dim, model.hidden_dim):
-            out.write(np.ascontiguousarray(model.w1[:, start:stop].T, dtype="<f8"))
-        for arr in (model.b1, model.w2, model.b2):
+        for arr in (model.w1.T, model.b1, model.w2, model.b2):
             out.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 

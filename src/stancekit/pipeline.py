@@ -1,10 +1,10 @@
 """Named feature pipelines: fit on a training corpus, then featurize.
 
-A pipeline is an ordered list of feature blocks (baseline TF + TF-IDF
-cosine, keyword indicator bits, embedding similarity). Fitting derives
-every data-dependent part (vocabularies, IDF weights, keyword selections)
-from the training corpus alone, so cross-validation folds rebuilt through
-fit_pipeline stay leakage-free by construction.
+A pipeline is an ordered list of feature blocks: baseline TF + TF-IDF cosine,
+indicator bits of a keyword set, embedding similarity of a mode (which needs
+an embedding table). Fitting derives every data-dependent part (vocabularies,
+IDF weights, keyword selections) from the training corpus alone, so
+cross-validation folds rebuilt through fit_pipeline stay leakage-free.
 
 Each block owns its columns: block_matrices() reads the token lists the
 corpus made when it was built and keeps a block's headline and body columns
@@ -98,8 +98,8 @@ class BlockSpec:
     """One feature block of a pipeline."""
 
     kind: str
-    keywords: str | None = None  # indicator: name of a KeywordSpec
-    mode: str | None = None  # similarity: centroid | wmd-exact | wmd-relaxed
+    keywords: str | None = None  # indicator only: name of a KeywordSpec
+    mode: str | None = None  # similarity only: centroid | wmd-exact | wmd-relaxed
 
     def __post_init__(self):
         if self.kind not in BLOCK_KINDS:
@@ -108,6 +108,9 @@ class BlockSpec:
             raise ConfigError("indicator block needs a keyword-set name")
         if self.kind == SIMILARITY and self.mode not in SIMILARITY_MODES:
             raise ConfigError(f"similarity block needs a mode from {SIMILARITY_MODES}")
+        for key, owner in (("keywords", INDICATOR), ("mode", SIMILARITY)):
+            if getattr(self, key) is not None and self.kind != owner:
+                raise ConfigError(f"{self.kind} block takes no {key}; only {owner} blocks do")
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,8 @@ def fit_keyword_set(spec: KeywordSpec, corpus: Corpus, candidates: Sequence[str]
 class FittedPipeline:
     """A pipeline after fitting; read-only once constructed. Its fitted state
     may cover more blocks than spec (a shared fit); featurizing and saving
-    read only what spec uses."""
+    read only what spec uses. Constructing one, by a fit, a load or a
+    dataclasses.replace, refuses a similarity block without an embedding table."""
 
     spec: PipelineSpec
     headline_vocab: Vocabulary | None
@@ -183,6 +187,9 @@ class FittedPipeline:
             elif block.kind == INDICATOR:
                 ks = self.keyword_sets[block.keywords]
                 columns.append((f"kw_{ks.name}", 2 * len(ks.terms)))
+            elif self.embeddings is None:
+                raise ConfigError(f"pipeline {self.spec.name!r} has a similarity block but no "
+                                  "embedding table")
             else:
                 columns.append(("emb_" + block.mode.replace("-", "_"), 1))
         if len({name for name, _ in columns}) != len(columns):
@@ -297,11 +304,6 @@ def fit_pipeline(
                 vocab = body_vocab or body_vocabulary(body_tokens, vocab_capacity)
                 candidates = vocab.terms
             keyword_sets[block.keywords] = fit_keyword_set(kw_spec, corpus, candidates or ())
-        elif block.kind == SIMILARITY and embeddings is None:
-            raise ConfigError(
-                f"pipeline {spec.name!r} has a similarity block but no "
-                "embedding table is configured"
-            )
 
     return FittedPipeline(
         spec=spec,
@@ -384,8 +386,8 @@ def save_pipeline(fitted: FittedPipeline, out_dir: str | Path, name: str) -> Non
             {"kind": b.kind, "keywords": b.keywords, "mode": b.mode}
             for b in fitted.spec.blocks
         ],
-        # from the spec, not the attached table: a shared table may be handed
-        # to every pipeline of a run even when this one has no similarity block
+        # from the spec, not the attached table, which a shared fit may hand to
+        # a pipeline without similarity blocks; load_pipeline does not read it
         "needs_embeddings": any(b.kind == SIMILARITY for b in fitted.spec.blocks),
         "files": files,
     }
@@ -453,10 +455,6 @@ def load_pipeline(
         for key, fname in files.items()
         if key.startswith("keywords:")
     }
-    if manifest.get("needs_embeddings") and embeddings is None:
-        raise ConfigError(
-            f"pipeline {name!r} uses embedding features; pass the embedding table"
-        )
     return FittedPipeline(
         spec=spec,
         headline_vocab=headline_vocab,

@@ -296,6 +296,28 @@ class TestTrain:
         assert (out / "base.model.bin").is_file()
         assert not (out / "manual_kw.model.bin").exists()
 
+    def test_repeated_model_name_trains_once(self, tmp_path, trainings):
+        config = base_config(tmp_path)
+        result = run("train", "--config", str(config), "--models", "base,base")
+        assert len(trainings) == 1
+        assert result.stdout.splitlines() == ["command=train model=base file=base.model.bin"]
+
+    def test_stray_block_key_exit_2(self, tmp_path):
+        config = base_config(tmp_path)
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        raw["pipelines"]["with_mi"] = {"blocks": [
+            {"kind": "baseline", "keywords": "nosuchset"},
+            {"kind": "indicator", "keywords": "auto"},
+        ]}
+        raw["models"]["mi_kw"] = dict(raw["models"]["base"], pipeline="with_mi")
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        result = RUNNER.invoke(main, ["train", "--config", str(config),
+                                      "--models", "base,mi_kw"])
+        assert result.exit_code == 2
+        assert ("config error: pipelines.with_mi.blocks[0]: baseline block takes no "
+                "keywords") in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_out_flag_redirects(self, tmp_path):
         config = base_config(tmp_path)
         elsewhere = tmp_path / "elsewhere"
@@ -522,6 +544,10 @@ CORRUPTIONS = {
         "plain.pipeline.json", edit_json(lambda m: m["files"].pop("body_vocab"))
     ),
     "manifest_not_an_object": ("plain.pipeline.json", lambda p: p.write_text("[]")),
+    # a block key its kind does not read, as a config could once leave there
+    "manifest_block_with_stray_key": (
+        "plain.pipeline.json", edit_json(lambda m: m["blocks"][0].update(keywords="manual"))
+    ),
     "manifest_file_not_a_name": (
         "plain.pipeline.json", edit_json(lambda m: m["files"].update(idf=5))
     ),

@@ -122,6 +122,34 @@ CONFIG_ERRORS = {
     "fraction_zero": ("validation.fraction", 0, "validation.fraction", "must be in (0, 1)"),
     "empty_ensemble": ("ensembles.duo.members", [], "ensembles.duo.members",
                        "expected at least one model"),
+    # a key its block kind, keyword selector or fusion rule does not read
+    "baseline_keywords": ("pipelines.plain.blocks", [{"kind": "baseline", "keywords": "manual"}],
+                          "pipelines.plain.blocks[0]", "baseline block takes no keywords"),
+    "baseline_mode": ("pipelines.plain.blocks", [{"kind": "baseline", "mode": "centroid"}],
+                      "pipelines.plain.blocks[0]", "baseline block takes no mode"),
+    "indicator_mode": ("pipelines.with_kw.blocks",
+                       ["baseline", {"kind": "indicator", "keywords": "manual",
+                                     "mode": "centroid"}],
+                       "pipelines.with_kw.blocks[1]", "indicator block takes no mode"),
+    "similarity_keywords": ("pipelines.plain.blocks",
+                            [{"kind": "similarity", "mode": "centroid", "keywords": "manual"}],
+                            "pipelines.plain.blocks[0]", "similarity block takes no keywords"),
+    "manual_k": ("keywords.manual.k", 3, "keywords.manual",
+                 "unknown key(s) ['k']; allowed: ['selector', 'terms']"),
+    "manual_themes": ("keywords.manual.themes", ["hoax"], "keywords.manual",
+                      "unknown key(s) ['themes']; allowed: ['selector', 'terms']"),
+    "manual_positive": ("keywords.manual.positive", ["agree"], "keywords.manual",
+                        "unknown key(s) ['positive']; allowed: ['selector', 'terms']"),
+    "mi_terms": ("keywords.auto.terms", ["fake"], "keywords.auto",
+                 "unknown key(s) ['terms']; allowed: ['k', 'positive', 'selector']"),
+    "mi_themes": ("keywords.auto.themes", ["hoax"], "keywords.auto",
+                  "unknown key(s) ['themes']; allowed: ['k', 'positive', 'selector']"),
+    "micc_terms": ("keywords.themed.terms", ["fake"], "keywords.themed",
+                   "unknown key(s) ['terms']; allowed: ['k', 'selector', 'themes']"),
+    "micc_positive": ("keywords.themed.positive", ["agree"], "keywords.themed",
+                      "unknown key(s) ['positive']; allowed: ['k', 'selector', 'themes']"),
+    "summation_combiner_seed": ("ensembles.duo.combiner_seed", 21, "ensembles.duo",
+                                "unknown key(s) ['combiner_seed']; allowed: ['members', 'rule']"),
 }
 
 

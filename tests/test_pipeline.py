@@ -205,6 +205,12 @@ class TestSimilarityBlocks:
         with pytest.raises(ConfigError, match="embedding"):
             fit_pipeline(spec, corpus)
 
+    def test_replace_requires_embeddings(self):
+        fitted = fit_pipeline(BASELINE_SPEC, small_corpus(), vocab_capacity=20)
+        spec = PipelineSpec(name="emb", blocks=(BlockSpec(kind="similarity", mode=CENTROID),))
+        with pytest.raises(ConfigError, match="embedding"):
+            replace(fitted, spec=spec)
+
     def test_adds_similarity_block(self, tmp_path):
         corpus = small_corpus()
         table = self._table(tmp_path)
