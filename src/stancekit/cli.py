@@ -1,11 +1,11 @@
 """Command-line surface: train, evaluate, predict, keywords, cv, report.
 
-One YAML config drives everything; flags only override paths and seeds,
-and cv's --jobs caps its parallel folds. Every command is deterministic:
-rerunning with the same config and inputs writes byte-identical files
-(logs carry no timestamps, floats are serialized with repr). train and
-every cv fold run one training step, _train_models; evaluate, predict and
-every cv fold decide through _predict_target.
+One YAML config drives everything, seeds included; flags only override
+paths and select targets, and cv's --jobs caps its parallel folds. Every
+command is deterministic: rerunning with the same config and inputs writes
+byte-identical files (logs carry no timestamps, floats are serialized with
+repr). train and every cv fold run one training step, _train_models;
+evaluate, predict and every cv fold decide through _predict_target.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from functools import wraps
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence
 import click
 import numpy as np
 
-from .config import ExperimentConfig, load_config, override_seeds
+from .config import ExperimentConfig, load_config
 from .corpus import Corpus, Stance, decisions, load_corpus, plan_folds, validation_split
 from .embeddings import EmbeddingTable, load_embeddings
 from .ensemble import (
@@ -95,8 +96,6 @@ def _common(func):
                          type=click.Path(), help="experiment config (YAML)"),
             click.option("--out", "out_dir", type=click.Path(), default=None,
                          help="override the configured output directory"),
-            click.option("--seed", type=int, default=None,
-                         help="override every seed in the config"),
             click.option("--models", "models_csv", default=None,
                          help="comma-separated target names (default: all)"),
         )
@@ -105,10 +104,8 @@ def _common(func):
     return func
 
 
-def _load(config_path, out_dir, seed) -> ExperimentConfig:
+def _load(config_path, out_dir) -> ExperimentConfig:
     cfg = load_config(config_path)
-    if seed is not None:
-        cfg = override_seeds(cfg, seed)
     if out_dir is not None:
         cfg = replace(cfg, output_dir=Path(out_dir))
     if cfg.output_dir.exists() and not cfg.output_dir.is_dir():
@@ -282,18 +279,38 @@ def main():
     keyword and embedding-similarity features, weighted-metric evaluation."""
 
 
+def _refuse_stale_pipelines(cfg: ExperimentConfig, names: Sequence[str],
+                            fit: FittedPipeline) -> None:
+    """Refuse to rewrite a saved pipeline under a saved model of it that this
+    run keeps: the new fit must write the same pipeline files, byte for byte."""
+    out = cfg.output_dir
+    for pid in dict.fromkeys(cfg.models[name].pipeline for name in names):
+        kept = [m for m, mc in cfg.models.items() if mc.pipeline == pid and m not in names
+                and (out / f"{m}.model.bin").is_file()]
+        if not kept or not (out / f"{pid}.pipeline.json").is_file():
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            save_pipeline(replace(fit, spec=cfg.pipelines[pid]), tmp, pid)
+            same = all((out / f.name).is_file() and (out / f.name).read_bytes() == f.read_bytes()
+                       for f in Path(tmp).iterdir())
+        if not same:
+            raise ConfigError(f"train would rewrite saved pipeline {pid!r} under kept model(s) "
+                              f"{', '.join(kept)}; train them too or pass another --out")
+
+
 @main.command()
 @_common
 @_handled
-def train(config_path, out_dir, seed, models_csv):
+def train(config_path, out_dir, models_csv):
     """Fit feature pipelines and train the configured models."""
-    cfg = _load(config_path, out_dir, seed)
+    cfg = _load(config_path, out_dir)
     names = _select(cfg, models_csv, list(cfg.models), "model")
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
     embeddings = _maybe_embeddings(cfg, names, corpus)
     fit, models, losses, grades, combiners = _train_models(
         cfg, names, corpus, embeddings, validate=cfg.validation is not None
     )
+    _refuse_stale_pipelines(cfg, names, fit)
     out = _out_dir(cfg)
     for pid in dict.fromkeys(cfg.models[name].pipeline for name in names):
         save_pipeline(replace(fit, spec=cfg.pipelines[pid]), out, pid)
@@ -370,9 +387,9 @@ def _saved_decisions(cfg: ExperimentConfig, targets: Sequence[str],
 @main.command()
 @_common
 @_handled
-def evaluate(config_path, out_dir, seed, models_csv):
+def evaluate(config_path, out_dir, models_csv):
     """Score trained models and ensembles on the labeled test data."""
-    cfg = _load(config_path, out_dir, seed)
+    cfg = _load(config_path, out_dir)
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     corpus = _test_corpus(cfg, require_labels=True)
     decided = _saved_decisions(cfg, targets, corpus)
@@ -390,9 +407,9 @@ def evaluate(config_path, out_dir, seed, models_csv):
 @main.command()
 @_common
 @_handled
-def predict(config_path, out_dir, seed, models_csv):
+def predict(config_path, out_dir, models_csv):
     """Predict stances for the (possibly unlabeled) test data."""
-    cfg = _load(config_path, out_dir, seed)
+    cfg = _load(config_path, out_dir)
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     if len(targets) != 1:
         raise ConfigError("predict needs exactly one target; pass --models NAME")
@@ -412,9 +429,9 @@ def predict(config_path, out_dir, seed, models_csv):
 @main.command()
 @_common
 @_handled
-def keywords(config_path, out_dir, seed, models_csv):
+def keywords(config_path, out_dir, models_csv):
     """Select and write the configured keyword sets from the training data."""
-    cfg = _load(config_path, out_dir, seed)
+    cfg = _load(config_path, out_dir)
     names = _select(cfg, models_csv, list(cfg.keyword_specs), "keyword set")
     # mi selection ranks terms against stance classes, so it needs labels
     needs_labels = any(cfg.keyword_specs[n].selector == "mi" for n in names)
@@ -471,9 +488,9 @@ def _fold_runner(cfg: ExperimentConfig, targets: Sequence[str], embeddings):
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
               help="parallel folds (default: available cores)")
 @_handled
-def cv(config_path, out_dir, seed, models_csv, jobs):
+def cv(config_path, out_dir, models_csv, jobs):
     """K-fold cross-validation with per-fold refits of all fitted state."""
-    cfg = _load(config_path, out_dir, seed)
+    cfg = _load(config_path, out_dir)
     if cfg.cv is None:
         raise ConfigError("config has no cv section")
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
@@ -505,9 +522,9 @@ def cv(config_path, out_dir, seed, models_csv, jobs):
 @main.command()
 @_common
 @_handled
-def report(config_path, out_dir, seed, models_csv):
+def report(config_path, out_dir, models_csv):
     """Re-emit human reports and heat-map plot data from saved score files."""
-    cfg = _load(config_path, out_dir, seed)
+    cfg = _load(config_path, out_dir)
     out = _out_dir(cfg)
     wanted = None
     if models_csv is not None:

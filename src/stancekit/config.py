@@ -4,12 +4,12 @@ Validation is strict and happens before any compute: unknown keys, keys
 that an entry's block kind, keyword selector or fusion rule does not read,
 undefined references and missing seeds are all rejected with the field path
 in the message. Every random choice anywhere in a run traces back to a seed
-written in the config (or to the --seed override).
+written in the config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -343,21 +343,3 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         cv=cv,
     )
 
-
-def override_seeds(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """Replace every seed in the config with one explicit value (--seed)."""
-    models = {
-        name: replace(m, training=replace(m.training, seed=seed))
-        for name, m in config.models.items()
-    }
-    ensembles = {
-        name: replace(e, combiner_seed=seed if e.combiner_seed is not None else None)
-        for name, e in config.ensembles.items()
-    }
-    return replace(
-        config,
-        models=models,
-        ensembles=ensembles,
-        validation=replace(config.validation, seed=seed) if config.validation else None,
-        cv=replace(config.cv, seed=seed) if config.cv else None,
-    )

@@ -166,6 +166,16 @@ def _reader(path: Path, required: Iterable[str]) -> Iterator[csv.DictReader]:
         yield reader
 
 
+def _body_id(path: Path, row_no: int, row: Mapping[str, str]) -> int:
+    """The row's Body ID as an int; row_no is its line in the file."""
+    try:
+        return int(row["Body ID"])
+    except (TypeError, ValueError):
+        raise DataFormatError(
+            f"{path}: row {row_no}: unparseable body id {row['Body ID']!r}"
+        ) from None
+
+
 def load_stances(path: str | Path) -> list[Instance]:
     """Read a stances CSV (Headline, Body ID, optional Stance).
 
@@ -181,12 +191,7 @@ def load_stances(path: str | Path) -> list[Instance]:
             headline = (row["Headline"] or "").strip()
             if not headline:
                 raise DataFormatError(f"{path}: row {row_no}: empty headline")
-            try:
-                body_id = int(row["Body ID"])
-            except (TypeError, ValueError):
-                raise DataFormatError(
-                    f"{path}: row {row_no}: unparseable body id {row['Body ID']!r}"
-                ) from None
+            body_id = _body_id(path, row_no, row)
             stance = None
             if labeled:
                 try:
@@ -203,12 +208,7 @@ def load_bodies(path: str | Path) -> dict[int, str]:
     bodies: dict[int, str] = {}
     with _reader(path, ("Body ID", "articleBody")) as reader:
         for row_no, row in enumerate(reader, start=2):
-            try:
-                body_id = int(row["Body ID"])
-            except (TypeError, ValueError):
-                raise DataFormatError(
-                    f"{path}: row {row_no}: unparseable body id {row['Body ID']!r}"
-                ) from None
+            body_id = _body_id(path, row_no, row)
             if body_id in bodies:
                 raise DataFormatError(f"{path}: duplicate body id {body_id}")
             bodies[body_id] = row["articleBody"] or ""

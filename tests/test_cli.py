@@ -282,12 +282,28 @@ class TestTrain:
         run("train", "--config", str(config))
         assert hash_tree(tmp_path / "out") == first
 
-    def test_seed_override_changes_models(self, tmp_path):
+    def test_refuses_to_rewrite_pipeline_under_kept_model_exit_2(self, tmp_path):
         config = base_config(tmp_path)
-        run("train", "--config", str(config))
-        first = (tmp_path / "out" / "base.model.bin").read_bytes()
-        run("train", "--config", str(config), "--seed", "4242")
-        assert (tmp_path / "out" / "base.model.bin").read_bytes() != first
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        raw["models"]["base2"] = dict(raw["models"]["base"], training=dict(
+            raw["models"]["base"]["training"], seed=10))
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        run("train", "--config", str(config), "--models", "base")
+        kept = hash_tree(tmp_path / "out")
+        assert "plain.pipeline.json" in kept and "base.model.bin" in kept
+
+        edited = tmp_path / "edited.yaml"
+        edited.write_text(yaml.safe_dump(dict(raw, validation={"fraction": 0.2, "seed": 14})),
+                          encoding="utf-8")
+        result = RUNNER.invoke(main, ["train", "--config", str(edited), "--models", "base2"])
+        assert result.exit_code == 2
+        assert "saved pipeline 'plain' under kept model(s) base;" in result.stderr
+        assert hash_tree(tmp_path / "out") == kept
+
+        run("train", "--config", str(config), "--models", "base2")
+        rerun = hash_tree(tmp_path / "out")
+        assert {f: rerun[f] for f in kept} == kept
+        assert "base2.model.bin" in rerun
 
     def test_models_selection(self, tmp_path):
         config = base_config(tmp_path)
@@ -406,9 +422,9 @@ class TestTrain:
 
     def test_unreferenced_bodies_stay_in_training(self, tmp_path):
         # with seed 230, dealing every body would leave validation no stance rows
-        config = base_config(tmp_path)
+        config = base_config(tmp_path, validation={"fraction": 0.2, "seed": 230})
         add_unreferenced_bodies(tmp_path, 400)
-        run("train", "--config", str(config), "--models", "base", "--seed", "230")
+        run("train", "--config", str(config), "--models", "base")
         log = (tmp_path / "out" / "base.train.log").read_text(encoding="utf-8")
         assert "validation_relative_grade=" in log
 
@@ -920,9 +936,9 @@ class TestCv:
 
     def test_unreferenced_bodies_stay_in_training(self, tmp_path):
         # with seed 3, dealing every body would leave fold 8 no stance rows
-        config = base_config(tmp_path, cv={"folds": 10, "seed": 17})
+        config = base_config(tmp_path, cv={"folds": 10, "seed": 3})
         add_unreferenced_bodies(tmp_path, 40)
-        run("cv", "--config", str(config), "--models", "base", "--seed", "3")
+        run("cv", "--config", str(config), "--models", "base")
         assert len(list((tmp_path / "out").glob("base.cv.fold*.scores.txt"))) == 10
 
     def test_jobs_must_be_positive_exit_2(self, tmp_path):
@@ -982,6 +998,18 @@ def test_output_path_not_a_directory_exit_2(tmp_path, command):
     result = RUNNER.invoke(main, [command, "--config", str(config), "--models", "base"])
     assert result.exit_code == 2
     assert f"output path {tmp_path / 'out'} is not a directory" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command", ["train", "evaluate", "predict", "keywords", "cv", "report"]
+)
+def test_seed_flag_refused_exit_2(tmp_path, command):
+    # seeds live only in the config, so a saved run is a function of it and the data
+    config = base_config(tmp_path)
+    result = RUNNER.invoke(main, [command, "--config", str(config), "--seed", "1"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--seed" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_commands_build_no_example_rows(tmp_path, monkeypatch):

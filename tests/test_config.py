@@ -7,7 +7,7 @@ import yaml
 from click.testing import CliRunner
 
 from stancekit.cli import main
-from stancekit.config import load_config, override_seeds
+from stancekit.config import load_config
 from stancekit.errors import ConfigError
 
 
@@ -349,25 +349,3 @@ class TestErrors:
         with pytest.raises(ConfigError, match="output_dir"):
             load_raw(tmp_path, raw)
 
-
-class TestSeedOverride:
-    def test_overrides_every_seed(self, tmp_path):
-        raw = base_raw()
-        raw["ensembles"]["duo"]["rule"] = "concatenation"
-        raw["ensembles"]["duo"]["combiner_seed"] = 3
-        cfg = load_raw(tmp_path, raw)
-        bumped = override_seeds(cfg, 999)
-        assert all(m.training.seed == 999 for m in bumped.models.values())
-        assert bumped.ensembles["duo"].combiner_seed == 999
-        assert bumped.validation.seed == 999
-        assert bumped.cv.seed == 999
-
-    def test_summation_combiner_seed_stays_none(self, tmp_path):
-        cfg = load_raw(tmp_path, base_raw())
-        bumped = override_seeds(cfg, 5)
-        assert bumped.ensembles["duo"].combiner_seed is None
-
-    def test_original_untouched(self, tmp_path):
-        cfg = load_raw(tmp_path, base_raw())
-        override_seeds(cfg, 123)
-        assert cfg.models["base"].training.seed == 7
