@@ -16,7 +16,7 @@ import yaml
 
 from .corpus import Stance
 from .ensemble import CONCATENATION, RULES, SUMMATION
-from .errors import ConfigError
+from .errors import ConfigError, undecodable_as
 from .mlp import TrainingConfig
 from .pipeline import (
     BlockSpec,
@@ -216,7 +216,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and fully validate a YAML experiment config."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        with undecodable_as(ConfigError, path):
+            raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file") from None
     except yaml.YAMLError as exc:

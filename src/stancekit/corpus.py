@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, IntegrityError
+from .errors import ConfigError, DataFormatError, IntegrityError, undecodable_as
 from .text import TokenList, tokenize
 
 
@@ -154,10 +154,20 @@ class FoldPlan:
         return corpus.restrict(set(corpus.bodies) - held), corpus.restrict(held)
 
 
+#: csv's per-field limit for reading, far above its 131,072-character
+#: default so that a long article body reads; the largest C long of every
+#: platform (Windows' is 32 bits), which field_size_limit requires
+_FIELD_SIZE_LIMIT = 2**31 - 1
+
+
 @contextmanager
 def _reader(path: Path, required: Iterable[str]) -> Iterator[csv.DictReader]:
-    """A reader of the CSV at path, closed on exit, that has every required column."""
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    """A reader of the CSV at path, closed on exit, that has every required
+    column. Bytes that are not UTF-8, read in the block too, raise
+    DataFormatError."""
+    csv.field_size_limit(_FIELD_SIZE_LIMIT)
+    with (path.open("r", encoding="utf-8", newline="") as handle,
+          undecodable_as(DataFormatError, path)):
         reader = csv.DictReader(handle)
         have = set(reader.fieldnames or ())
         for col in required:

@@ -4,6 +4,9 @@ The CLI maps these onto process exit codes: config problems exit 2, data
 format/integrity problems exit 3, runtime/training failures exit 4.
 """
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class StancekitError(Exception):
     """Base class for all package-specific errors."""
@@ -31,3 +34,14 @@ class TrainingDivergedError(StancekitError):
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch
         super().__init__(message or f"non-finite loss at epoch {epoch}")
+
+
+@contextmanager
+def undecodable_as(error: type[StancekitError], path) -> Iterator[None]:
+    """Turns a UnicodeDecodeError raised in the block into error, naming the
+    file at path: a text input that is not UTF-8 is bad input, not a fault."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text "
+                    f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None

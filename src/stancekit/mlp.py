@@ -1,7 +1,11 @@
 """From-scratch multilayer perceptron: one ReLU hidden layer, 4-way softmax,
 seeded mini-batch SGD with inverted dropout on mean cross-entropy plus
-l2_lambda times the squared weights (w1, w2). A step with rate r is, in place,
+l2_lambda times the squared weights (w1, w2). A step with rate r is
 w <- (1 - 2*r*l2_lambda) * w - r * grad(cross-entropy): l2 as weight decay.
+w2 decays in place; w1 is held as scale * w during training, so its decay
+multiplies the scale, and a step changes only the rows its batch touches
+(built on those rows alone when they are fewer than half of w1's). The
+objective's ||w1||^2 is carried from step to step, not read from all of w1.
 
 Training and prediction take a FeatureMatrix, which holds a row per
 distinct headline and body, so each mini-batch projects a document its
@@ -36,6 +40,9 @@ _VERSION = 1
 #: time into its input-major array, so it holds no second weight-sized array
 #: while cv's concurrent folds train (the fnc-headline benchmark's cv --jobs 2)
 _CHUNK_WEIGHTS = 1 << 18
+
+#: train multiplies w1's scale into its weights once |scale| falls below this
+_SCALE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -177,14 +184,19 @@ def predict_batch(model: MlpModel, features) -> tuple[list[Stance], np.ndarray]:
 
 
 def _batch_forward(model: MlpModel, x: FeatureMatrix, mask: np.ndarray | None = None,
-                   keep: float = 1.0):
+                   keep: float = 1.0, w1_scale: float | None = None):
+    """(hidden_pre, hidden, probs, logits, lse, xw) of the rows x. With
+    w1_scale (train's), the weights are w1_scale * model.w1 and xw is
+    x @ model.w1 itself; without, they are model.w1, and xw is None, as
+    hidden_pre is built in its place."""
     # overflow here surfaces as a non-finite objective, which train() turns
     # into TrainingDivergedError; the interim warnings are just noise
     with np.errstate(over="ignore", invalid="ignore"):
         projected = x.docs @ model.w1  # each document once
-        hidden_pre = projected[x.head_row]
-        hidden_pre += projected[x.body_row]
-        hidden_pre += x.pairs @ model.w1[x.pair_columns]
+        xw = projected[x.head_row]
+        xw += projected[x.body_row]
+        xw += x.pairs @ model.w1[x.pair_columns]
+        hidden_pre, xw = (xw, None) if w1_scale is None else (w1_scale * xw, xw)
         hidden_pre += model.b1
         hidden = np.maximum(0.0, hidden_pre)
         if mask is not None:
@@ -193,14 +205,64 @@ def _batch_forward(model: MlpModel, x: FeatureMatrix, mask: np.ndarray | None = 
         top = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - top)  # one exp for the softmax and the log-sum-exp
         total = e.sum(axis=1, keepdims=True)
-        return hidden_pre, hidden, e / total, logits, np.log(total[:, 0]) + top[:, 0]
+        return hidden_pre, hidden, e / total, logits, np.log(total[:, 0]) + top[:, 0], xw
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b in one read pass; einsum's loop, unlike BLAS dot, adds
+    in an order that does not depend on the thread count."""
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
 
 
 def _sq_norm(a: np.ndarray) -> float:
-    """Sum of squares in one read pass; einsum's loop, unlike BLAS dot, adds
-    in an order that does not depend on the thread count."""
-    v = a.reshape(-1)
-    return float(np.einsum("i,i->", v, v))
+    """Sum of squares of a, as _dot adds it."""
+    return _dot(a, a)
+
+
+class _ScaledW1:
+    """model.w1 during train, held as scale * w: the sparse-update trick of
+    Bottou 2012 ("Stochastic Gradient Descent Tricks", section 5.1). The l2
+    decay multiplies scale alone, so a step changes only the rows of w its
+    batch touches. sq_norm carries ||w||^2 from step to step; all of w is
+    read for it only here and after a fold, which multiplies scale into w
+    once |scale| falls below _SCALE_FLOOR (and when the decay is exactly 0)."""
+
+    def __init__(self, w: np.ndarray, decay: float):
+        self.w, self.decay, self.scale = w, decay, 1.0
+        self.sq_norm = _sq_norm(w)
+
+    def _next_scale(self) -> tuple[float, bool]:
+        scale = self.scale * self.decay
+        return scale, abs(scale) < _SCALE_FLOOR
+
+    @property
+    def step_scale(self) -> float:
+        """The scale after this batch's decay, which its step is taken at."""
+        scale, folds = self._next_scale()
+        return 1.0 if folds else scale
+
+    def take(self, rows: np.ndarray | None, values: np.ndarray, dot_w: float) -> None:
+        """Decays, then subtracts values, a step taken at step_scale, from
+        w[rows] (rows None: from all of w); dot_w is <w, step>."""
+        scale, folds = self._next_scale()
+        if folds:
+            self.w *= scale
+            scale = 1.0
+        self.scale = scale
+        if rows is None:
+            self.w -= values
+        else:
+            self.w[rows] -= values
+        if folds:
+            self.sq_norm = _sq_norm(self.w)
+        else:  # ||w - d||^2 = ||w||^2 - 2<w, d> + ||d||^2
+            self.sq_norm += _sq_norm(values) - 2.0 * dot_w
+
+    def fold(self) -> None:
+        """Multiplies scale into w, which then holds the weights themselves."""
+        if self.scale != 1.0:
+            self.w *= self.scale
+            self.scale = 1.0
 
 
 def _batches(features: FeatureMatrix, order: np.ndarray,
@@ -245,32 +307,71 @@ def _batches(features: FeatureMatrix, order: np.ndarray,
         yield order[a // 2 : b // 2], x, by_document
 
 
-def _batch_gradients(model, x, by_document, y, l2_lambda, mask=None, keep=1.0, scale=1.0):
+def _w1_step(x: FeatureMatrix, by_document: sp.csr_matrix, g_pre: np.ndarray,
+             compress: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """(rows, x.T @ g_pre on them): with compress, the rows the batch's
+    documents and pair columns touch when they are fewer than half of
+    w1's, through the batch's CSR with compressed column ids; otherwise
+    (None, the whole zero-filled product). The rows hold the same bits
+    either way. g_pre is summed per document before one transposed product."""
+    docs = x.docs
+    rows, cols, pair_rows, width = None, docs.indices, x.pair_columns, docs.shape[1]
+    if compress:
+        touched = np.zeros(width, dtype=bool)
+        touched[cols] = True
+        touched[pair_rows] = True
+        if 2 * np.count_nonzero(touched) < width:
+            rows = np.flatnonzero(touched)
+            at = np.cumsum(touched) - 1  # a touched row's place in rows
+            cols, pair_rows, width = at[cols], at[pair_rows], len(rows)
+    # the transpose of the batch's CSR, its columns compressed or not
+    docs_t = sp.csc_matrix((docs.data, cols, docs.indptr), shape=(width, docs.shape[0]))
+    step = docs_t @ (by_document @ g_pre)
+    step[pair_rows] += x.pairs.T @ g_pre  # rows no document column touches
+    return rows, step
+
+
+def _batch_gradients(model, x, by_document, y, l2_lambda, mask=None, keep=1.0, rate=1.0,
+                     w1: _ScaledW1 | None = None):
     """(objective, steps) for one mini-batch, x and by_document as _batches
     makes them: mean cross-entropy, computed from logits, plus the l2
-    penalty; scale times the cross-entropy gradients (not the l2 one, which
-    train applies as decay), keyed like the fields. scale rides on the
-    (batch, 4) error, so x.T @ g_pre is w1's step itself; g_pre is summed
-    per document before one transposed product."""
+    penalty; rate times the cross-entropy gradients (not the l2 one, which
+    train applies as decay), keyed like the fields. rate rides on the
+    (batch, 4) error, so x.T @ g_pre is w1's step itself.
+
+    Without w1, model.w1 holds the weights, the penalty reads all of it, and
+    steps["w1"] is the dense (input, hidden) step: what gradient_check
+    differentiates. train passes its _ScaledW1, whose w model.w1 is: the
+    penalty reads its carried norm, 1 / w1.step_scale rides on the
+    (batch, hidden) g_pre, and steps["w1"] is w1.take's arguments, whose
+    <w, step> = <x @ w, g_pre> is read off the forward pass's projections.
+    """
     n = len(y)
     if n == 0:
         raise ValueError("empty batch")
-    hidden_pre, hidden, probs, logits, lse = _batch_forward(model, x, mask, keep)
+    w1_scale = None if w1 is None else w1.scale
+    hidden_pre, hidden, probs, logits, lse, xw = _batch_forward(model, x, mask, keep, w1_scale)
     ce = float(np.mean(lse - logits[np.arange(n), y]))
 
     g_logits = probs  # probs is not read again
     g_logits[np.arange(n), y] -= 1.0
-    g_logits *= scale / n
+    g_logits *= rate / n
 
     g_hidden = g_logits @ model.w2
     if mask is not None:
         g_hidden = g_hidden * mask / keep
     g_pre = g_hidden * (hidden_pre > 0.0)
-    w1 = x.docs.T @ (by_document @ g_pre)
-    w1[x.pair_columns] += x.pairs.T @ g_pre  # rows no document column touches
-    steps = {"w1": w1, "b1": g_pre.sum(axis=0),
-             "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0)}
-    return ce + l2_lambda * (_sq_norm(model.w1) + _sq_norm(model.w2)), steps
+    steps = {"b1": g_pre.sum(axis=0), "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0)}
+    if w1 is None:
+        steps["w1"] = _w1_step(x, by_document, g_pre, compress=False)[1]
+        w1_sq_norm = _sq_norm(model.w1)
+    else:
+        g_pre /= w1.step_scale
+        dot_w = _dot(xw, g_pre)
+        del xw  # freed before the w1 step is allocated
+        steps["w1"] = (*_w1_step(x, by_document, g_pre, compress=True), dot_w)
+        w1_sq_norm = w1_scale * w1_scale * w1.sq_norm
+    return ce + l2_lambda * (w1_sq_norm + _sq_norm(model.w2)), steps
 
 
 def train(
@@ -284,6 +385,10 @@ def train(
     FeatureMatrix, one row per label (a Stance or its index 0..3); the model
     records features.layout. epoch_callback gets each epoch's mean batch
     objective, before each step.
+
+    The decay multiplies w2 and the scale of w1 (a _ScaledW1), which is
+    multiplied into w1 before train returns, so the model holds the
+    weights themselves.
 
     Deterministic given (data order, config.seed): weight init, epoch
     shuffles, and dropout masks all come from one RNG stream. Raises
@@ -300,6 +405,7 @@ def train(
     model = init_model(input_dim, hidden_dim, tuple(features.layout), seed=config.seed)
     keep, rate = config.dropout_keep, config.learning_rate
     decay = 1.0 - 2.0 * rate * config.l2_lambda
+    w1 = _ScaledW1(model.w1, decay)
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
@@ -309,18 +415,19 @@ def train(
             if keep < 1.0:
                 mask = (rng.random((len(idx), hidden_dim)) < keep).astype(np.float64)
             objective, steps = _batch_gradients(model, x, by_document, y[idx], config.l2_lambda,
-                                                mask, keep, rate)
+                                                mask, keep, rate, w1)
             if not np.isfinite(objective):
                 raise TrainingDivergedError(epoch)
-            model.w1 *= decay  # in place: no weight-sized array but the w1 step
+            # frees the w1 step before the next batch allocates its own
+            w1.take(*steps.pop("w1"))
             model.w2 *= decay
             for name, step in steps.items():
                 param = getattr(model, name)
                 param -= step
-            del steps  # frees the w1 step before the next batch allocates its own
             epoch_loss += objective * len(idx)
         if epoch_callback is not None:
             epoch_callback(epoch, epoch_loss / n)
+    w1.fold()
     return model
 
 

@@ -384,8 +384,10 @@ def pair_train(features, labels, config, hidden_dim=100):
     """(model, epoch losses) of train over features.matrix, one example row
     per instance: each mini-batch gathers its rows, multiplies them by w1 and
     takes w1's step as their transpose times g_pre, so a body is multiplied
-    once per instance that uses it. Same random numbers, same in-place decay
-    and steps as train; only the order of additions differs."""
+    once per instance that uses it, and decays w1 in place. Same random
+    numbers and the same update as train, which decays a scale of w1 and
+    carries its squared norm; only the order and rounding of operations
+    differ."""
     x = features.matrix
     y = stance_indices(labels)
     n = x.shape[0]

@@ -347,6 +347,25 @@ class TestTrain:
         result = RUNNER.invoke(main, ["train", "--config", str(config)])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("name", ["train_stances.csv", "train_bodies.csv", "vectors.txt"])
+    def test_data_file_not_utf8_exit_3(self, tmp_path, name):
+        config = embedded_config(tmp_path)
+        path = tmp_path / "data" / name
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2] + b"\xff" + raw[len(raw) // 2 :])
+        result = RUNNER.invoke(main, ["train", "--config", str(config), "--models", "emb"])
+        assert result.exit_code == 3, result.output
+        assert f"{path}: not UTF-8 text (byte 0xff" in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8_exit_2(self, tmp_path):
+        config = base_config(tmp_path)
+        config.write_bytes(b"# caf\xe9\n" + config.read_bytes())
+        result = RUNNER.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert f"{config}: not UTF-8 text (byte 0xe9" in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("data: {}\n", encoding="utf-8")

@@ -134,6 +134,24 @@ class TestLoaders:
         with pytest.raises(DataFormatError, match="duplicate body id 1"):
             load_bodies(path)
 
+    def test_load_bodies_field_past_csv_default_limit(self, tmp_path):
+        # csv reads at most 131,072 characters a field unless told otherwise
+        path = tmp_path / "bodies.csv"
+        long_body = ("word " * 40_000)[:200_000]
+        write_bodies(path, {1: long_body, 2: "short"})
+        assert load_bodies(path) == {1: long_body, 2: "short"}
+
+    @pytest.mark.parametrize("loader,header", [(load_stances, b"Headline,Body ID,Stance\n"),
+                                               (load_bodies, b"Body ID,articleBody\n")])
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_bytes_not_utf8_name_the_file(self, tmp_path, loader, header, where):
+        path = tmp_path / "data.csv"
+        row = b"caf\xe9 latte,1,agree\n" if loader is load_stances else b"1,caf\xe9 latte\n"
+        raw = header + row
+        path.write_bytes(b"\xff" + raw if where == "header" else raw)
+        with pytest.raises(DataFormatError, match=r"data\.csv: not UTF-8 text \(byte 0x(ff|e9)"):
+            loader(path)
+
     def test_make_corpus_integrity(self):
         good = make_corpus([Instance("h", 7, None)], {7: "t"})
         assert len(good) == 1

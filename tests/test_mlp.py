@@ -354,9 +354,16 @@ def sparse_toy(n: int = 60, dim: int = 40, seed: int = 3):
     return FeatureMatrix.of(sp.csr_matrix(dense), layout), labels
 
 
+def dense_toy():
+    """sparse_toy's rows as a dense matrix."""
+    feats, labels = sparse_toy()
+    return FeatureMatrix.of(feats.pairs.toarray(), feats.layout), labels
+
+
 # (learning_rate, l2_lambda): the default lambda, 2 * rate * lambda > 1
-# (decay flips the weights' sign every step), and test_l2_shrinks_weights's
-EAGER_CASES = [(0.05, 1e-4), (0.05, 15.0), (1e-4, 1e3)]
+# (decay flips the weights' sign every step), test_l2_shrinks_weights's,
+# and a decay of exactly 0 (2 * rate * lambda = 1)
+EAGER_CASES = [(0.05, 1e-4), (0.05, 15.0), (1e-4, 1e3), (0.5, 1.0)]
 
 
 class TestTrainMatchesEager:
@@ -385,21 +392,32 @@ class TestTrainMatchesEager:
         assert predict_batch(model, feats.matrix)[0] == predict_batch(want, feats.matrix)[0]
 
 
-def document_toy(seed: int, n: int = 60, pair_cols: int = 2, heads: int = 12, bodies: int = 5):
+def document_toy(seed: int, n: int = 60, pair_cols: int = 2, heads: int = 12, bodies: int = 5,
+                 head_cols: int = 9, body_cols: int = 11, density: float = 0.4):
     """A FeatureMatrix with a document side, and labels from all four
-    stances: sparse non-negative headline and body rows over 9 and 11
-    columns, examples that share them, and dense pair columns, the three
-    kinds of column shuffled together."""
+    stances: sparse non-negative headline and body rows over head_cols and
+    body_cols columns, about density of each row non-zero, examples that
+    share them, and dense pair columns, the three kinds of column shuffled
+    together."""
     rng = np.random.default_rng(seed)
-    at = np.split(rng.permutation(20 + pair_cols), [9, 20])
-    docs = np.zeros((heads + bodies, 20 + pair_cols))
+    width = head_cols + body_cols + pair_cols
+    at = np.split(rng.permutation(width), [head_cols, head_cols + body_cols])
+    docs = np.zeros((heads + bodies, width))
     for rows, cols in ((slice(0, heads), at[0]), (slice(heads, None), at[1])):
         side = docs[rows]
-        side[:, cols] = rng.random((len(side), len(cols))) * (rng.random((len(side), len(cols))) < 0.4)
+        side[:, cols] = (rng.random((len(side), len(cols)))
+                         * (rng.random((len(side), len(cols))) < density))
     feats = FeatureMatrix(rng.random((n, pair_cols)), sp.csr_matrix(docs),
                           rng.integers(0, heads, n), heads + rng.integers(0, bodies, n),
-                          np.sort(at[2]), (BlockSlice("in", 0, 20 + pair_cols),))
+                          np.sort(at[2]), (BlockSlice("in", 0, width),))
     return feats, [int(v) for v in rng.integers(0, 4, size=n)]
+
+
+def wide_toy():
+    """document_toy over 150 headline and 250 body columns, a few of them
+    non-zero in each document: a batch of 4 examples touches about a
+    tenth of w1's rows, so train takes its compressed step."""
+    return document_toy(seed=8, head_cols=150, body_cols=250, density=0.02)
 
 
 class TestDocumentSide:
@@ -452,6 +470,102 @@ class TestDocumentSide:
                                rtol=0, atol=PAIR_ATOL), name
         assert np.allclose(losses, want_losses, rtol=1e-14, atol=0)
         assert predict_batch(model, feats)[0] == predict_batch(want, feats.matrix)[0]
+
+
+#: toy -> (features and labels, the batch size its pins train with, the
+#: form of every w1 step train takes on it)
+STEP_FORMS = {
+    "sparse": (sparse_toy, 16, "dense"),
+    "dense": (dense_toy, 16, "dense"),
+    "documents": (lambda: document_toy(seed=4), 16, "dense"),
+    "wide": (wide_toy, 4, "compressed"),
+}
+
+
+class TestStepForms:
+    """train takes w1's step only on the rows a batch touches when they are
+    fewer than half of w1's rows, through the batch's CSR with compressed
+    column ids, and as one dense product otherwise. Both forms subtract
+    the same bits from the rows they touch; the decay multiplies a scale."""
+
+    @pytest.mark.parametrize("toy", sorted(STEP_FORMS))
+    def test_each_toy_takes_one_form(self, monkeypatch, toy):
+        make, batch_size, form = STEP_FORMS[toy]
+        forms, real = [], mlp._w1_step
+
+        def recording(x, by_document, g_pre, compress):
+            rows, step = real(x, by_document, g_pre, compress)
+            forms.append("dense" if rows is None else "compressed")
+            return rows, step
+
+        monkeypatch.setattr(mlp, "_w1_step", recording)
+        feats, labels = make()
+        cfg = TrainingConfig(learning_rate=0.05, batch_size=batch_size, epochs=3, seed=5)
+        train(feats, labels, cfg, hidden_dim=7)
+        assert len(forms) == 3 * -(-feats.shape[0] // batch_size)
+        assert set(forms) == {form}
+
+    def test_compressed_rows_hold_the_dense_bits(self):
+        feats, _ = wide_toy()
+        g = np.random.default_rng(1).normal(size=(feats.shape[0], 7))
+        for rows, x, by_document in mlp._batches(feats, np.arange(feats.shape[0]), 4):
+            touched, step = mlp._w1_step(x, by_document, g[rows], compress=True)
+            none, dense = mlp._w1_step(x, by_document, g[rows], compress=False)
+            assert none is None and 2 * len(touched) < feats.shape[1]
+            assert step.tobytes() == dense[touched].tobytes()
+            assert not np.delete(dense, touched, axis=0).any()
+
+    @pytest.mark.parametrize("keep", [1.0, 0.6])
+    def test_compressed_step_matches_pair_rows(self, keep):
+        feats, labels = wide_toy()
+        cfg = TrainingConfig(learning_rate=0.05, batch_size=4, epochs=6,
+                             dropout_keep=keep, l2_lambda=1e-4, seed=5)
+        losses = []
+        model = train(feats, labels, cfg, hidden_dim=7,
+                      epoch_callback=lambda e, loss: losses.append(loss))
+        want, want_losses = pair_train(feats, labels, cfg, hidden_dim=7)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.allclose(getattr(model, name), getattr(want, name),
+                               rtol=0, atol=PAIR_ATOL), name
+        assert np.allclose(losses, want_losses, rtol=1e-14, atol=0)
+        assert predict_batch(model, feats)[0] == predict_batch(want, feats.matrix)[0]
+
+    @pytest.mark.parametrize("keep", [1.0, 0.6])
+    @pytest.mark.parametrize("rate,lam", EAGER_CASES)
+    def test_compressed_step_matches_eager(self, keep, rate, lam):
+        feats, labels = wide_toy()
+        cfg = TrainingConfig(learning_rate=rate, batch_size=4, epochs=6,
+                             dropout_keep=keep, l2_lambda=lam, seed=5)
+        losses = []
+        model = train(feats, labels, cfg, hidden_dim=7,
+                      epoch_callback=lambda e, loss: losses.append(loss))
+        want, want_losses = eager_train(feats, labels, cfg, hidden_dim=7)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.allclose(getattr(model, name), getattr(want, name),
+                               rtol=1e-12, atol=0), name
+        assert np.allclose(losses, want_losses, rtol=1e-13, atol=0)
+        assert predict_batch(model, feats)[0] == predict_batch(want, feats.matrix)[0]
+
+    # (learning_rate, l2_lambda, folds in 48 steps): the scale never reaches
+    # the floor; 0.5 ** 30 < 1e-9 folds once at step 30; a decay of 0 folds
+    # every step
+    @pytest.mark.parametrize("rate,lam,folds", [(0.05, 1e-4, 0), (0.05, 15.0, 1),
+                                                (0.5, 1.0, 48)])
+    def test_whole_w1_norm_read_at_start_and_per_fold(self, monkeypatch, rate, lam, folds):
+        reads, real = [], mlp._sq_norm
+
+        def recording(a):
+            reads.append(a)
+            return real(a)
+
+        monkeypatch.setattr(mlp, "_sq_norm", recording)
+        feats, labels = sparse_toy()
+        cfg = TrainingConfig(learning_rate=rate, batch_size=16, epochs=12,
+                             dropout_keep=1.0, l2_lambda=lam, seed=5)
+        model = train(feats, labels, cfg, hidden_dim=7)
+        assert mlp._SCALE_FLOOR == 1e-9
+        # train folds w1 in place, so every read of all of it reads this array
+        assert sum(a is model.w1 for a in reads) == 1 + folds
 
 
 def random_check_setup(seed: int, input_dim: int = 5, hidden_dim: int = 4, n: int = 6):
