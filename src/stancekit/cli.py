@@ -5,19 +5,23 @@ paths and select targets, and cv's --jobs caps its parallel folds. Every
 command is deterministic: rerunning with the same config and inputs writes
 byte-identical files (logs carry no timestamps, floats are serialized with
 repr). train and every cv fold run one training step, _train_models;
-evaluate, predict and every cv fold decide through _predict_target.
+evaluate, predict and every cv fold decide through _predict_target. train
+stages its files beside the output directory and moves them in only if no
+saved file it keeps there reads one it changes (_refuse_stale_rewrites);
+else it exits 2 and writes nothing.
 """
 
 from __future__ import annotations
 
 import csv
+import filecmp
 import os
 import sys
 import tempfile
 from dataclasses import replace
 from functools import wraps
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import click
 import numpy as np
@@ -43,7 +47,7 @@ from .errors import (
 from .evaluation import (
     ScoreReport,
     cross_validate_targets,
-    parse_delimited,
+    read_delimited,
     render_delimited,
     render_heatmap_data,
     render_report,
@@ -151,25 +155,27 @@ def _test_corpus(cfg: ExperimentConfig, require_labels: bool) -> Corpus:
     return _read_corpus(cfg.data.test_stances, cfg.data.test_bodies, require_labels)
 
 
-def _members(cfg: ExperimentConfig, targets: Sequence[str]) -> list[str]:
-    """Model names behind the given model/ensemble targets, in first-use order."""
-    names: dict[str, None] = {}
-    for target in targets:
-        ens = cfg.ensembles.get(target)
-        names.update(dict.fromkeys([target] if ens is None else ens.members))
-    return list(names)
+class _Plan(NamedTuple):
+    """A command's targets, the models behind them and those models'
+    pipelines, each in first-use order, and spec, the union of their blocks."""
+
+    targets: tuple[str, ...]
+    models: tuple[str, ...]
+    pipelines: tuple[str, ...]
+    spec: PipelineSpec
 
 
-def _maybe_embeddings(
-    cfg: ExperimentConfig, names: Sequence[str], corpus: Corpus
-) -> EmbeddingTable | None:
-    """The embedding table, when a pipeline of the named models needs one."""
-    needed = any(
-        block.kind == SIMILARITY
-        for name in names
-        for block in cfg.pipelines[cfg.models[name].pipeline].blocks
-    )
-    if not needed:
+def _plan(cfg: ExperimentConfig, targets: Sequence[str]) -> _Plan:
+    models = tuple(dict.fromkeys(
+        m for t in targets for m in (cfg.ensembles[t].members if t in cfg.ensembles else [t])))
+    pids = tuple(dict.fromkeys(cfg.models[name].pipeline for name in models))
+    union = tuple(dict.fromkeys(b for pid in pids for b in cfg.pipelines[pid].blocks))
+    return _Plan(tuple(targets), models, pids, PipelineSpec(name="+".join(pids), blocks=union))
+
+
+def _maybe_embeddings(cfg: ExperimentConfig, plan: _Plan, corpus: Corpus) -> EmbeddingTable | None:
+    """The embedding table, when a pipeline of the plan needs one."""
+    if all(block.kind != SIMILARITY for block in plan.spec.blocks):
         return None
     if not cfg.embeddings.path.is_file():
         raise DataFormatError(f"no such embedding file: {cfg.embeddings.path}")
@@ -181,25 +187,23 @@ def _maybe_embeddings(
 
 def _train_models(
     cfg: ExperimentConfig,
-    names: Sequence[str],
+    plan: _Plan,
     corpus: Corpus,
     embeddings: EmbeddingTable | None,
     validate: bool,
 ) -> tuple[FittedPipeline, dict[str, MlpModel], dict[str, list[float]], dict[str, float],
            dict[str, LinearCombiner]]:
     """The one training step. With validate, hold out the config's
-    validation split of the corpus first. Fit the union of the named
-    models' pipeline blocks once on the rest and build each block once,
-    then train every model on its pipeline's blocks. Returns that one fit,
-    the models, each model's epoch losses and, from one build of the
-    held-out side's blocks, each model's validation relative grade and the
-    combiner of every concatenation ensemble whose members all trained."""
+    validation split of the corpus first. Fit the plan's union of blocks
+    once on the rest and build each block once, then train every model of
+    the plan on its pipeline's blocks. Returns that one fit, the models,
+    each model's epoch losses and, from one build of the held-out side's
+    blocks, each model's validation relative grade and the combiner of
+    every concatenation ensemble whose members all trained."""
     if validate:
         corpus, held_out = validation_split(corpus, cfg.validation.fraction, cfg.validation.seed)
-    pids = list(dict.fromkeys(cfg.models[name].pipeline for name in names))
-    union = tuple(dict.fromkeys(b for pid in pids for b in cfg.pipelines[pid].blocks))
     fit = fit_pipeline(
-        PipelineSpec(name="+".join(pids), blocks=union),
+        plan.spec,
         corpus,
         keyword_specs=cfg.keyword_specs,
         embeddings=embeddings,
@@ -210,7 +214,7 @@ def _train_models(
     labels = stance_labels(corpus)
     models: dict[str, MlpModel] = {}
     losses: dict[str, list[float]] = {}
-    for name in names:
+    for name in plan.models:
         mc = cfg.models[name]
         features = replace(fit, spec=cfg.pipelines[mc.pipeline]).assemble(blocks)
         losses[name] = []
@@ -224,7 +228,7 @@ def _train_models(
     probs = _probabilities(cfg, fit, models, held_out)
     truth, held_labels = [i.stance for i in held_out.instances], stance_labels(held_out)
     grades = {name: score_predictions(list(zip(truth, decisions(probs[name])))).relative_grade
-              for name in names}
+              for name in plan.models}
     combiners = {
         ens.name: fit_concat_combiner(np.stack([probs[m] for m in ens.members], axis=1),
                                       held_labels, seed=ens.combiner_seed)
@@ -246,12 +250,6 @@ def _probabilities(cfg: ExperimentConfig, fit: FittedPipeline, models: Mapping[s
     return probs
 
 
-def _write_score_files(out: Path, target: str, report: ScoreReport) -> None:
-    (out / f"{target}.scores.txt").write_text(render_delimited(report), encoding="utf-8")
-    (out / f"{target}.report.txt").write_text(render_report(report), encoding="utf-8")
-    _write_heatmap(out, target, report)
-
-
 _GNUPLOT_TEMPLATE = """\
 # render with: gnuplot -p {name}.heatmap.gp
 set title "stance confusion counts (rows=true, cols=predicted)"
@@ -264,7 +262,8 @@ plot "{name}.heatmap.dat" using 2:1:3 with image notitle
 """
 
 
-def _write_heatmap(out: Path, target: str, report: ScoreReport) -> None:
+def _write_reports(out: Path, target: str, report: ScoreReport) -> None:
+    (out / f"{target}.report.txt").write_text(render_report(report), encoding="utf-8")
     (out / f"{target}.heatmap.dat").write_text(
         render_heatmap_data(report.confusion), encoding="utf-8"
     )
@@ -279,23 +278,25 @@ def main():
     keyword and embedding-similarity features, weighted-metric evaluation."""
 
 
-def _refuse_stale_pipelines(cfg: ExperimentConfig, names: Sequence[str],
-                            fit: FittedPipeline) -> None:
-    """Refuse to rewrite a saved pipeline under a saved model of it that this
-    run keeps: the new fit must write the same pipeline files, byte for byte."""
-    out = cfg.output_dir
-    for pid in dict.fromkeys(cfg.models[name].pipeline for name in names):
-        kept = [m for m, mc in cfg.models.items() if mc.pipeline == pid and m not in names
-                and (out / f"{m}.model.bin").is_file()]
-        if not kept or not (out / f"{pid}.pipeline.json").is_file():
-            continue
-        with tempfile.TemporaryDirectory() as tmp:
-            save_pipeline(replace(fit, spec=cfg.pipelines[pid]), tmp, pid)
-            same = all((out / f.name).is_file() and (out / f.name).read_bytes() == f.read_bytes()
-                       for f in Path(tmp).iterdir())
-        if not same:
-            raise ConfigError(f"train would rewrite saved pipeline {pid!r} under kept model(s) "
-                              f"{', '.join(kept)}; train them too or pass another --out")
+def _refuse_stale_rewrites(cfg: ExperimentConfig, plan: _Plan, pipelines: Mapping[str, list[str]],
+                           stage: Path, out: Path) -> None:
+    """train's rewrite rule: a pipeline (its manifest and the sidecars it
+    lists) is read by the config's models on it, a model file by the
+    combiners of the concatenation ensembles listing it. Whatever a kept
+    reader (in out, not staged) reads must be staged with out's bytes."""
+    chain = [("pipeline", pid, files, "model", "train them",
+              {m: f"{m}.model.bin" for m, mc in cfg.models.items() if mc.pipeline == pid})
+             for pid, files in pipelines.items()]
+    chain += [("model", name, [f"{name}.model.bin"], "combiner", "train all their members",
+               {e: f"{e}.combiner.json" for e, ens in cfg.ensembles.items()
+                if ens.rule == CONCATENATION and name in ens.members})
+              for name in plan.models]
+    for kind, name, files, reader, hint, readers in chain:
+        kept = [r for r, f in readers.items() if (out / f).is_file() and not (stage / f).exists()]
+        if kept and not all((out / f).is_file() and filecmp.cmp(out / f, stage / f, shallow=False)
+                            for f in files):
+            raise ConfigError(f"train would rewrite saved {kind} {name!r} under kept {reader}(s) "
+                              f"{', '.join(kept)}; {hint} too or pass another --out")
 
 
 @main.command()
@@ -304,27 +305,32 @@ def _refuse_stale_pipelines(cfg: ExperimentConfig, names: Sequence[str],
 def train(config_path, out_dir, models_csv):
     """Fit feature pipelines and train the configured models."""
     cfg = _load(config_path, out_dir)
-    names = _select(cfg, models_csv, list(cfg.models), "model")
+    plan = _plan(cfg, _select(cfg, models_csv, list(cfg.models), "model"))
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
-    embeddings = _maybe_embeddings(cfg, names, corpus)
+    embeddings = _maybe_embeddings(cfg, plan, corpus)
     fit, models, losses, grades, combiners = _train_models(
-        cfg, names, corpus, embeddings, validate=cfg.validation is not None
+        cfg, plan, corpus, embeddings, validate=cfg.validation is not None
     )
-    _refuse_stale_pipelines(cfg, names, fit)
-    out = _out_dir(cfg)
-    for pid in dict.fromkeys(cfg.models[name].pipeline for name in names):
-        save_pipeline(replace(fit, spec=cfg.pipelines[pid]), out, pid)
-    for name in names:
-        lines = [f"model={name} epoch={epoch} loss={loss!r}"
-                 for epoch, loss in enumerate(losses[name], start=1)]
-        if name in grades:
-            lines.append(f"model={name} validation_relative_grade={grades[name]!r}")
-        save_model(models[name], out / f"{name}.model.bin")
-        (out / f"{name}.train.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = _out_dir(cfg).resolve()
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
+        stage = Path(tmp)
+        pipelines = {pid: save_pipeline(replace(fit, spec=cfg.pipelines[pid]), stage, pid)
+                     for pid in plan.pipelines}
+        for name in plan.models:
+            lines = [f"model={name} epoch={epoch} loss={loss!r}"
+                     for epoch, loss in enumerate(losses[name], start=1)]
+            if name in grades:
+                lines.append(f"model={name} validation_relative_grade={grades[name]!r}")
+            save_model(models[name], stage / f"{name}.model.bin")
+            (stage / f"{name}.train.log").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for ens, combiner in combiners.items():
+            save_combiner(combiner, stage / f"{ens}.combiner.json")
+        _refuse_stale_rewrites(cfg, plan, pipelines, stage, out)
+        for staged in sorted(stage.iterdir()):
+            os.replace(staged, out / staged.name)
+    for name in plan.models:
         click.echo(f"command=train model={name} file={name}.model.bin")
-
     for ens, combiner in combiners.items():
-        save_combiner(combiner, out / f"{ens}.combiner.json")
         for warning in combiner.fit_warnings:
             click.echo(f"command=train ensemble={ens} warning={warning!r}", err=True)
         click.echo(f"command=train ensemble={ens} file={ens}.combiner.json")
@@ -357,31 +363,29 @@ def _predict_target(
     return decisions(fuse(stack, ens.rule, combiner))
 
 
-def _saved_decisions(cfg: ExperimentConfig, targets: Sequence[str],
+def _saved_decisions(cfg: ExperimentConfig, plan: _Plan,
                      corpus: Corpus) -> dict[str, list[Stance]]:
     """Each target's decisions on the corpus from the saved artifacts, all
     loaded and checked first; each saved pipeline featurizes it once."""
     out = cfg.output_dir
-    names = _members(cfg, targets)
-    embeddings = _maybe_embeddings(cfg, names, corpus)
-    fits = {pid: load_pipeline(out, pid, embeddings)
-            for pid in dict.fromkeys(cfg.models[name].pipeline for name in names)}
+    embeddings = _maybe_embeddings(cfg, plan, corpus)
+    fits = {pid: load_pipeline(out, pid, embeddings) for pid in plan.pipelines}
     for pid, fit in fits.items():
         if fit.spec != cfg.pipelines[pid]:
             raise ConfigError(f"saved pipeline {pid!r} differs from the config's; run train")
     models: dict[str, dict[str, MlpModel]] = {pid: {} for pid in fits}
-    for name in names:
+    for name in plan.models:
         path, pid = out / f"{name}.model.bin", cfg.models[name].pipeline
         if not path.is_file():
             raise ConfigError(f"no trained model file for {name!r}; run the train command")
         models[pid][name] = load_model(path)
         if models[pid][name].feature_layout != fits[pid].layout:
             raise DataFormatError(f"{path}: feature layout does not match pipeline {pid!r}")
-    combiners = {target: _saved_combiner(cfg, target) for target in targets}
+    combiners = {target: _saved_combiner(cfg, target) for target in plan.targets}
     probs = {}
     for pid, fit in fits.items():
         probs.update(_probabilities(cfg, fit, models[pid], corpus))
-    return {t: _predict_target(cfg, t, probs, combiners[t]) for t in targets}
+    return {t: _predict_target(cfg, t, probs, combiners[t]) for t in plan.targets}
 
 
 @main.command()
@@ -392,12 +396,13 @@ def evaluate(config_path, out_dir, models_csv):
     cfg = _load(config_path, out_dir)
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     corpus = _test_corpus(cfg, require_labels=True)
-    decided = _saved_decisions(cfg, targets, corpus)
+    decided = _saved_decisions(cfg, _plan(cfg, targets), corpus)
     out = _out_dir(cfg)
     truth = [i.stance for i in corpus.instances]
     for target in targets:
         report = score_predictions(list(zip(truth, decided[target])))
-        _write_score_files(out, target, report)
+        (out / f"{target}.scores.txt").write_text(render_delimited(report), encoding="utf-8")
+        _write_reports(out, target, report)
         click.echo(
             f"command=evaluate target={target} grade={report.grade!r} "
             f"relative_grade={report.relative_grade!r} f1_macro={report.f1_macro!r}"
@@ -415,7 +420,7 @@ def predict(config_path, out_dir, models_csv):
         raise ConfigError("predict needs exactly one target; pass --models NAME")
     target = targets[0]
     corpus = _test_corpus(cfg, require_labels=False)
-    decided = _saved_decisions(cfg, [target], corpus)[target]
+    decided = _saved_decisions(cfg, _plan(cfg, [target]), corpus)[target]
     out = _out_dir(cfg)
     path = out / f"{target}.predictions.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -467,16 +472,17 @@ def _fold_runner(cfg: ExperimentConfig, targets: Sequence[str], embeddings):
     whose combiners fit on its held-out side."""
     concat = [t for t in targets if t in cfg.ensembles and cfg.ensembles[t].rule == CONCATENATION]
     plain = [t for t in targets if t not in concat]
+    groups = [(_plan(cfg, group), validate)
+              for group, validate in ((plain, False), (concat, True)) if group]
 
     def run(train_part: Corpus, test_part: Corpus, fold: int):
         decided = {}
-        for group, validate in ((plain, False), (concat, True)):
-            if not group:
-                continue
-            fit, models, _, _, combiners = _train_models(cfg, _members(cfg, group), train_part,
-                                                         embeddings, validate)
+        for plan, validate in groups:
+            fit, models, _, _, combiners = _train_models(cfg, plan, train_part, embeddings,
+                                                         validate)
             probs = _probabilities(cfg, fit, models, test_part)
-            decided.update({t: _predict_target(cfg, t, probs, combiners.get(t)) for t in group})
+            decided.update({t: _predict_target(cfg, t, probs, combiners.get(t))
+                            for t in plan.targets})
         truth = [i.stance for i in test_part.instances]
         return {t: list(zip(truth, decided[t])) for t in targets}
 
@@ -495,18 +501,17 @@ def cv(config_path, out_dir, models_csv, jobs):
         raise ConfigError("config has no cv section")
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
-    plan = plan_folds(corpus, cfg.cv.folds, cfg.cv.seed)
-    embeddings = _maybe_embeddings(cfg, _members(cfg, targets), corpus)
+    folds = plan_folds(corpus, cfg.cv.folds, cfg.cv.seed)
+    embeddings = _maybe_embeddings(cfg, _plan(cfg, targets), corpus)
     out = _out_dir(cfg)
-    results = cross_validate_targets(corpus, plan, _fold_runner(cfg, targets, embeddings),
+    results = cross_validate_targets(corpus, folds, _fold_runner(cfg, targets, embeddings),
                                      jobs=jobs or os.cpu_count() or 1)
     for target, result in results.items():
+        lines = [f"target={target}", f"folds={cfg.cv.folds}"]
         for fold, report in enumerate(result.reports):
             (out / f"{target}.cv.fold{fold}.scores.txt").write_text(
                 render_delimited(report), encoding="utf-8"
             )
-        lines = [f"target={target}", f"folds={cfg.cv.folds}"]
-        for fold, report in enumerate(result.reports):
             lines.append(f"relative_grade_fold{fold}={report.relative_grade!r}")
         lines.append(f"relative_mean={result.relative_mean!r}")
         lines.append(f"relative_std={result.relative_std!r}")
@@ -535,12 +540,7 @@ def report(config_path, out_dir, models_csv):
         base = target.split(".cv.fold")[0]
         if wanted is not None and base not in wanted:
             continue
-        try:
-            parsed = parse_delimited(scores_path.read_text(encoding="utf-8"))
-        except DataFormatError as exc:
-            raise DataFormatError(f"{scores_path}: {exc}") from None
-        (out / f"{target}.report.txt").write_text(render_report(parsed), encoding="utf-8")
-        _write_heatmap(out, target, parsed)
+        _write_reports(out, target, read_delimited(scores_path))
         click.echo(f"command=report target={target} file={target}.report.txt")
         count += 1
     if count == 0:

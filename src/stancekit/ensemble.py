@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import STANCES, Stance, stance_indices
-from .errors import DataFormatError
+from .errors import DataFormatError, undecodable_as
 from .mlp import softmax
 
 SUMMATION = "summation"
@@ -155,7 +155,8 @@ def save_combiner(combiner: LinearCombiner, path: str | Path) -> None:
 
 def load_combiner(path: str | Path) -> LinearCombiner:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        with undecodable_as(DataFormatError, path):
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not a combiner file ({exc})") from None
     if (not isinstance(payload, dict) or payload.get("format") != "stancekit-combiner"

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, FoldPlan, STANCES, Stance, stance_indices
-from .errors import DataFormatError
+from .errors import DataFormatError, undecodable_as
 
 #: (true, predicted) pair
 Pair = tuple[Stance, Stance]
@@ -184,6 +185,17 @@ def parse_delimited(text: str) -> ScoreReport:
         raise DataFormatError(f"missing metric {exc}") from None
     except ValueError as exc:  # not a number, or a grade out of range
         raise DataFormatError(str(exc)) from None
+
+
+def read_delimited(path: str | Path) -> ScoreReport:
+    """parse_delimited of a score file; a malformed one raises
+    DataFormatError naming it."""
+    with undecodable_as(DataFormatError, path):
+        text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse_delimited(text)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def render_heatmap_data(confusion_matrix: np.ndarray) -> str:

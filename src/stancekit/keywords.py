@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
-from .errors import DataFormatError
+from .errors import DataFormatError, undecodable_as
 from .text import presence
 
 #: Refutation cue words that signal the disagree stance. A starting point,
@@ -164,7 +164,8 @@ def write_keyword_set(ks: KeywordSet, path: str | Path) -> None:
 
 
 def read_keyword_set(path: str | Path) -> KeywordSet:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with undecodable_as(DataFormatError, path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("# "):
         raise DataFormatError(f"{path}: missing keyword-set header line")
     fields = lines[0][2:].split()

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from .corpus import Corpus, Stance, decisions, stance_indices
 from .embeddings import EmbeddingTable, SIMILARITY_MODES, similarities
 from .ensemble import EnsembleSpec, fuse
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, undecodable_as
 from .keywords import (
     KeywordSet,
     read_keyword_set,
@@ -355,10 +355,11 @@ def ensemble_predictions(
     return decisions(fused), fused
 
 
-def save_pipeline(fitted: FittedPipeline, out_dir: str | Path, name: str) -> None:
+def save_pipeline(fitted: FittedPipeline, out_dir: str | Path, name: str) -> list[str]:
     """Write the fitted state the spec uses plus a JSON manifest: the
     vocabularies and IDF only for a baseline block, and the keyword sets of
-    the spec's own indicator blocks."""
+    the spec's own indicator blocks. Returns the names of the files written,
+    the manifest first."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
@@ -394,6 +395,7 @@ def save_pipeline(fitted: FittedPipeline, out_dir: str | Path, name: str) -> Non
     (out / f"{name}.pipeline.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True), encoding="utf-8"
     )
+    return [f"{name}.pipeline.json", *files.values()]
 
 
 def load_pipeline(
@@ -404,7 +406,8 @@ def load_pipeline(
     out = Path(out_dir)
     manifest_path = out / f"{name}.pipeline.json"
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        with undecodable_as(DataFormatError, manifest_path):
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"no fitted pipeline {name!r} under {out}") from None
     except json.JSONDecodeError as exc:
@@ -439,7 +442,8 @@ def load_pipeline(
     shared_vocab = vocab_of("shared_vocab")
     idf = None
     if "idf" in files:
-        lines = (out / files["idf"]).read_text(encoding="utf-8").splitlines()
+        with undecodable_as(DataFormatError, out / files["idf"]):
+            lines = (out / files["idf"]).read_text(encoding="utf-8").splitlines()
         if not lines or not lines[0].startswith("document_count="):
             raise DataFormatError(f"{files['idf']}: missing document_count header")
         try:

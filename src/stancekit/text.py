@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataFormatError
+from .errors import DataFormatError, undecodable_as
 
 #: Lowercase word tokens, in text order.
 TokenList = list[str]
@@ -85,7 +85,8 @@ def dump_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with undecodable_as(DataFormatError, path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     try:
         return Vocabulary(terms=tuple(t for t in lines if t))
     except ValueError as exc:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from stancekit import embeddings
 from stancekit.cli import main
@@ -305,6 +306,30 @@ class TestTrain:
         assert {f: rerun[f] for f in kept} == kept
         assert "base2.model.bin" in rerun
 
+    def test_refuses_to_rewrite_model_under_kept_combiner_exit_2(self, tmp_path):
+        config = base_config(tmp_path)
+        run("train", "--config", str(config))
+        kept = hash_tree(tmp_path / "out")
+        # retraining a member with its config unchanged writes the same model bytes
+        run("train", "--config", str(config), "--models", "manual_kw")
+        assert hash_tree(tmp_path / "out") == kept
+
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        raw["models"]["manual_kw"]["training"]["seed"] = 30
+        edited = tmp_path / "edited.yaml"
+        edited.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        beside = sorted(p.name for p in tmp_path.iterdir())
+        result = RUNNER.invoke(main, ["train", "--config", str(edited), "--models", "manual_kw"])
+        assert result.exit_code == 2
+        assert "saved model 'manual_kw' under kept combiner(s) trio_concat;" in result.stderr
+        assert hash_tree(tmp_path / "out") == kept
+        assert sorted(p.name for p in tmp_path.iterdir()) == beside
+
+        run("train", "--config", str(edited), "--models", "base,manual_kw,themed_kw")
+        refit = hash_tree(tmp_path / "out")
+        assert refit["manual_kw.model.bin"] != kept["manual_kw.model.bin"]
+        assert refit["trio_concat.combiner.json"] != kept["trio_concat.combiner.json"]
+
     def test_models_selection(self, tmp_path):
         config = base_config(tmp_path)
         run("train", "--config", str(config), "--models", "base")
@@ -570,6 +595,11 @@ def set_line(index: int, text: str):
     return corrupt
 
 
+def not_utf8(path: Path) -> None:
+    """A corruption that puts a byte no UTF-8 text holds at the file's start."""
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
 # case -> (saved file, corruption of that file); the error must name the file
 CORRUPTIONS = {
     "manifest_without_files": ("plain.pipeline.json", edit_json(lambda m: m.pop("files"))),
@@ -579,6 +609,7 @@ CORRUPTIONS = {
         "plain.pipeline.json", edit_json(lambda m: m["files"].pop("body_vocab"))
     ),
     "manifest_not_an_object": ("plain.pipeline.json", lambda p: p.write_text("[]")),
+    "manifest_not_utf8": ("plain.pipeline.json", not_utf8),
     # a block key its kind does not read, as a config could once leave there
     "manifest_block_with_stray_key": (
         "plain.pipeline.json", edit_json(lambda m: m["blocks"][0].update(keywords="manual"))
@@ -591,22 +622,26 @@ CORRUPTIONS = {
     "idf_value_not_a_number": ("plain.idf.txt", set_line(1, "many")),
     "idf_value_nan": ("plain.idf.txt", set_line(1, "nan")),
     "idf_value_negative": ("plain.idf.txt", set_line(1, "-0.5")),
+    "idf_not_utf8": ("plain.idf.txt", not_utf8),
     "idf_truncated": (
         "plain.idf.txt",
         lambda p: p.write_text("".join(p.read_text(encoding="utf-8").splitlines(True)[:-3]),
                                encoding="utf-8"),
     ),
     "keyword_set_duplicate_term": ("with_manual.kw.manual.txt", set_line(2, "fake")),
+    "keyword_set_not_utf8": ("with_manual.kw.manual.txt", not_utf8),
     # the second term overwritten with the first: same length, one column dead
     "vocabulary_repeats_a_term": (
         "plain.headline_vocab.txt",
         lambda p: set_line(1, p.read_text(encoding="utf-8").splitlines()[0])(p),
     ),
+    "vocabulary_not_utf8": ("plain.body_vocab.txt", not_utf8),
     "combiner_without_weights": (
         "trio_concat.combiner.json", edit_json(lambda c: c.pop("weights"))
     ),
     "combiner_without_bias": ("trio_concat.combiner.json", edit_json(lambda c: c.pop("bias"))),
     "combiner_not_an_object": ("trio_concat.combiner.json", lambda p: p.write_text("[]")),
+    "combiner_not_utf8": ("trio_concat.combiner.json", not_utf8),
     # Python's json reads and writes the NaN literal
     "combiner_weight_nan": (
         "trio_concat.combiner.json", edit_json(lambda c: c["weights"][0].__setitem__(0, math.nan))
@@ -674,6 +709,62 @@ class TestSavedArtifacts:
         result = RUNNER.invoke(main, ["evaluate", "--config", str(config), "--models", "base"])
         assert result.exit_code == 2
         assert "saved pipeline 'plain' differs" in result.stderr
+
+
+# what one fuzz edit may insert into a saved file
+FUZZ_TOKENS = (b"nan", b"1e400", b'"', b"\xff", b"\n")
+
+
+def fuzz_edit(data, raw: bytes) -> bytes:
+    """raw with one drawn edit: a flipped byte, a truncation, a deleted or
+    duplicated line, or an inserted FUZZ_TOKENS token."""
+    kind = data.draw(st.sampled_from(["flip", "truncate", "delete", "duplicate", "insert"]))
+    if kind == "flip":
+        at, mask = data.draw(st.integers(0, len(raw) - 1)), data.draw(st.integers(1, 255))
+        return raw[:at] + bytes([raw[at] ^ mask]) + raw[at + 1:]
+    if kind == "truncate":
+        return raw[:data.draw(st.integers(0, len(raw) - 1))]
+    if kind == "insert":
+        at = data.draw(st.integers(0, len(raw)))
+        return raw[:at] + data.draw(st.sampled_from(FUZZ_TOKENS)) + raw[at:]
+    lines = raw.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    return b"".join(lines[:i] + lines[i:i + 1] * (2 if kind == "duplicate" else 0) + lines[i + 1:])
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(trained, tmp_path_factory):
+    """(pristine output directory with score files, workspace whose out is
+    replaced per example, its config, the files evaluate, predict and
+    report read)."""
+    source, config = trained
+    pristine = tmp_path_factory.mktemp("pristine")
+    shutil.copytree(source, pristine, dirs_exist_ok=True)
+    run("evaluate", "--config", str(pristine / config.name))
+    work = tmp_path_factory.mktemp("fuzzed")
+    shutil.copytree(pristine, work, dirs_exist_ok=True)
+    unread = (".train.log", ".report.txt", ".heatmap.dat", ".heatmap.gp")
+    read = sorted(p.name for p in (pristine / "out").iterdir() if not p.name.endswith(unread))
+    return pristine / "out", work, work / config.name, read
+
+
+class TestSavedFileFuzz:
+    """One edit to one saved file: every reading command exits with a
+    documented code, never with a traceback."""
+
+    @settings(max_examples=300, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_edit_exits_documented_code(self, fuzz_workspace, data):
+        pristine, work, config, read = fuzz_workspace
+        shutil.rmtree(work / "out")
+        shutil.copytree(pristine, work / "out")
+        name = data.draw(st.sampled_from(read))
+        path = work / "out" / name
+        path.write_bytes(fuzz_edit(data, path.read_bytes()))
+        args = ["report"] if name.endswith(".scores.txt") else data.draw(
+            st.sampled_from([["evaluate"], ["predict", "--models", "trio_concat"]]))
+        result = RUNNER.invoke(main, [*args, "--config", str(config)])
+        assert result.exit_code in (0, 2, 3, 4), (name, result.exception)
 
 
 class TestEmptyStances:
@@ -1000,6 +1091,14 @@ class TestReport:
         result = RUNNER.invoke(main, ["report", "--config", str(config), "--models", "base"])
         assert result.exit_code == 3, result.output
         assert "base.scores.txt" in result.stderr
+
+    def test_scores_not_utf8_exit_3(self, trained, tmp_path):
+        out, config = copied_workspace(trained, tmp_path)
+        run("evaluate", "--config", str(config), "--models", "trio")
+        not_utf8(out / "trio.scores.txt")
+        result = RUNNER.invoke(main, ["report", "--config", str(config), "--models", "trio"])
+        assert result.exit_code == 3, result.output
+        assert "trio.scores.txt: not UTF-8 text" in result.stderr
 
     def test_reports_zero_when_no_scores(self, tmp_path):
         config = base_config(tmp_path)
