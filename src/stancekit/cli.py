@@ -6,9 +6,9 @@ command is deterministic: rerunning with the same config and inputs writes
 byte-identical files (logs carry no timestamps, floats are serialized with
 repr). train and every cv fold run one training step, _train_models;
 evaluate, predict and every cv fold decide through _predict_target. train
-stages its files beside the output directory and moves them in only if no
-saved file it keeps there reads one it changes (_refuse_stale_rewrites);
-else it exits 2 and writes nothing.
+stages its files in a hidden directory inside the output directory and
+moves them in only if no saved file it keeps there reads one it changes
+(_refuse_stale_rewrites); else it exits 2 and leaves every file as it was.
 """
 
 from __future__ import annotations
@@ -166,11 +166,14 @@ class _Plan(NamedTuple):
 
 
 def _plan(cfg: ExperimentConfig, targets: Sequence[str]) -> _Plan:
-    models = tuple(dict.fromkeys(
-        m for t in targets for m in (cfg.ensembles[t].members if t in cfg.ensembles else [t])))
+    models: dict[str, None] = {}
+    for target in targets:
+        ens = cfg.ensembles.get(target)
+        models.update(dict.fromkeys([target] if ens is None else ens.members))
     pids = tuple(dict.fromkeys(cfg.models[name].pipeline for name in models))
     union = tuple(dict.fromkeys(b for pid in pids for b in cfg.pipelines[pid].blocks))
-    return _Plan(tuple(targets), models, pids, PipelineSpec(name="+".join(pids), blocks=union))
+    spec = PipelineSpec(name="+".join(pids), blocks=union)
+    return _Plan(tuple(targets), tuple(models), pids, spec)
 
 
 def _maybe_embeddings(cfg: ExperimentConfig, plan: _Plan, corpus: Corpus) -> EmbeddingTable | None:
@@ -284,19 +287,27 @@ def _refuse_stale_rewrites(cfg: ExperimentConfig, plan: _Plan, pipelines: Mappin
     lists) is read by the config's models on it, a model file by the
     combiners of the concatenation ensembles listing it. Whatever a kept
     reader (in out, not staged) reads must be staged with out's bytes."""
-    chain = [("pipeline", pid, files, "model", "train them",
-              {m: f"{m}.model.bin" for m, mc in cfg.models.items() if mc.pipeline == pid})
-             for pid, files in pipelines.items()]
-    chain += [("model", name, [f"{name}.model.bin"], "combiner", "train all their members",
-               {e: f"{e}.combiner.json" for e, ens in cfg.ensembles.items()
-                if ens.rule == CONCATENATION and name in ens.members})
-              for name in plan.models]
-    for kind, name, files, reader, hint, readers in chain:
-        kept = [r for r, f in readers.items() if (out / f).is_file() and not (stage / f).exists()]
-        if kept and not all((out / f).is_file() and filecmp.cmp(out / f, stage / f, shallow=False)
-                            for f in files):
-            raise ConfigError(f"train would rewrite saved {kind} {name!r} under kept {reader}(s) "
-                              f"{', '.join(kept)}; {hint} too or pass another --out")
+
+    def kept(readers: Mapping[str, str]) -> str:
+        """The readers (name -> file) that out keeps and this run does not write."""
+        return ", ".join(r for r, f in readers.items()
+                         if (out / f).is_file() and not (stage / f).exists())
+
+    def same(files: list[str]) -> bool:
+        return all((out / f).is_file() and filecmp.cmp(out / f, stage / f, shallow=False)
+                   for f in files)
+
+    for pid, files in pipelines.items():
+        models = kept({m: f"{m}.model.bin" for m, mc in cfg.models.items() if mc.pipeline == pid})
+        if models and not same(files):
+            raise ConfigError(f"train would rewrite saved pipeline {pid!r} under kept model(s) "
+                              f"{models}; train them too or pass another --out")
+    for name in plan.models:
+        combiners = kept({e: f"{e}.combiner.json" for e, ens in cfg.ensembles.items()
+                          if ens.rule == CONCATENATION and name in ens.members})
+        if combiners and not same([f"{name}.model.bin"]):
+            raise ConfigError(f"train would rewrite saved model {name!r} under kept combiner(s) "
+                              f"{combiners}; train all their members too or pass another --out")
 
 
 @main.command()
@@ -311,8 +322,8 @@ def train(config_path, out_dir, models_csv):
     fit, models, losses, grades, combiners = _train_models(
         cfg, plan, corpus, embeddings, validate=cfg.validation is not None
     )
-    out = _out_dir(cfg).resolve()
-    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as tmp:
+    out = _out_dir(cfg)
+    with tempfile.TemporaryDirectory(prefix=".train-", dir=out) as tmp:
         stage = Path(tmp)
         pipelines = {pid: save_pipeline(replace(fit, spec=cfg.pipelines[pid]), stage, pid)
                      for pid in plan.pipelines}
@@ -507,11 +518,12 @@ def cv(config_path, out_dir, models_csv, jobs):
     results = cross_validate_targets(corpus, folds, _fold_runner(cfg, targets, embeddings),
                                      jobs=jobs or os.cpu_count() or 1)
     for target, result in results.items():
-        lines = [f"target={target}", f"folds={cfg.cv.folds}"]
         for fold, report in enumerate(result.reports):
             (out / f"{target}.cv.fold{fold}.scores.txt").write_text(
                 render_delimited(report), encoding="utf-8"
             )
+        lines = [f"target={target}", f"folds={cfg.cv.folds}"]
+        for fold, report in enumerate(result.reports):
             lines.append(f"relative_grade_fold{fold}={report.relative_grade!r}")
         lines.append(f"relative_mean={result.relative_mean!r}")
         lines.append(f"relative_std={result.relative_std!r}")

@@ -1,6 +1,7 @@
 """End-to-end command surface: train/evaluate/predict/keywords/cv/report."""
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -324,11 +325,27 @@ class TestTrain:
         assert "saved model 'manual_kw' under kept combiner(s) trio_concat;" in result.stderr
         assert hash_tree(tmp_path / "out") == kept
         assert sorted(p.name for p in tmp_path.iterdir()) == beside
+        assert not [p for p in (tmp_path / "out").iterdir() if p.is_dir()]
 
         run("train", "--config", str(edited), "--models", "base,manual_kw,themed_kw")
         refit = hash_tree(tmp_path / "out")
         assert refit["manual_kw.model.bin"] != kept["manual_kw.model.bin"]
         assert refit["trio_concat.combiner.json"] != kept["trio_concat.combiner.json"]
+
+    def test_out_on_its_own_filesystem(self, tmp_path, monkeypatch):
+        """--out may be a mount point: train moves nothing into it from outside."""
+        config = base_config(tmp_path)
+        out, move = (tmp_path / "out").resolve(), os.replace
+
+        def replace_within_out(src, dst):
+            if Path(dst).resolve().is_relative_to(out) != Path(src).resolve().is_relative_to(out):
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            move(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_within_out)
+        run("train", "--config", str(config), "--models", "base")
+        names = sorted(p.name for p in out.iterdir())
+        assert "base.model.bin" in names and not [n for n in names if n.startswith(".")]
 
     def test_models_selection(self, tmp_path):
         config = base_config(tmp_path)
@@ -564,12 +581,15 @@ class TestEvaluate:
         assert "predict" in result.stderr
 
 
+# what evaluate, predict and keywords write into the shared trained workspace
+WRITTEN = ("*.scores.txt", "*.report.txt", "*.heatmap.*", "*.predictions.csv", "*.keywords.txt")
+
+
 def copied_workspace(trained, tmp_path: Path) -> tuple[Path, Path]:
-    """A private copy of the trained workspace, safe to corrupt, without
-    the files evaluate and predict write."""
+    """A private copy of the trained workspace, safe to corrupt, with only
+    the files train wrote."""
     source, config = trained
-    written = ("*.scores.txt", "*.report.txt", "*.heatmap.*", "*.predictions.csv")
-    shutil.copytree(source, tmp_path / "ws", ignore=shutil.ignore_patterns(*written))
+    shutil.copytree(source, tmp_path / "ws", ignore=shutil.ignore_patterns(*WRITTEN))
     return tmp_path / "ws" / "out", tmp_path / "ws" / config.name
 
 
@@ -739,7 +759,8 @@ def fuzz_workspace(trained, tmp_path_factory):
     report read)."""
     source, config = trained
     pristine = tmp_path_factory.mktemp("pristine")
-    shutil.copytree(source, pristine, dirs_exist_ok=True)
+    shutil.copytree(source, pristine, dirs_exist_ok=True,
+                    ignore=shutil.ignore_patterns(*WRITTEN))
     run("evaluate", "--config", str(pristine / config.name))
     work = tmp_path_factory.mktemp("fuzzed")
     shutil.copytree(pristine, work, dirs_exist_ok=True)
