@@ -176,8 +176,10 @@ def _plan(cfg: ExperimentConfig, targets: Sequence[str]) -> _Plan:
     return _Plan(tuple(targets), tuple(models), pids, spec)
 
 
-def _maybe_embeddings(cfg: ExperimentConfig, plan: _Plan, corpus: Corpus) -> EmbeddingTable | None:
-    """The embedding table, when a pipeline of the plan needs one."""
+def _maybe_embeddings(cfg: ExperimentConfig, plan: _Plan, corpus: Corpus,
+                      command: str) -> EmbeddingTable | None:
+    """The embedding table, when a pipeline of the plan needs one; a
+    warning on stderr counts the repeated terms whose vectors it skipped."""
     if all(block.kind != SIMILARITY for block in plan.spec.blocks):
         return None
     if not cfg.embeddings.path.is_file():
@@ -185,7 +187,13 @@ def _maybe_embeddings(cfg: ExperimentConfig, plan: _Plan, corpus: Corpus) -> Emb
     restrict = None
     if cfg.embeddings.restrict_to_corpus:
         restrict = set().union(*corpus.headline_tokens.values(), *corpus.body_tokens.values())
-    return load_embeddings(cfg.embeddings.path, restrict_to=restrict)
+    table = load_embeddings(cfg.embeddings.path, restrict_to=restrict)
+    if table.skipped_duplicates:
+        warning = (f"{table.skipped_duplicates} duplicate terms skipped; "
+                   "the first vector of each is kept")
+        click.echo(f"command={command} embeddings={cfg.embeddings.path} warning={warning!r}",
+                   err=True)
+    return table
 
 
 def _train_models(
@@ -318,7 +326,7 @@ def train(config_path, out_dir, models_csv):
     cfg = _load(config_path, out_dir)
     plan = _plan(cfg, _select(cfg, models_csv, list(cfg.models), "model"))
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
-    embeddings = _maybe_embeddings(cfg, plan, corpus)
+    embeddings = _maybe_embeddings(cfg, plan, corpus, "train")
     fit, models, losses, grades, combiners = _train_models(
         cfg, plan, corpus, embeddings, validate=cfg.validation is not None
     )
@@ -374,12 +382,12 @@ def _predict_target(
     return decisions(fuse(stack, ens.rule, combiner))
 
 
-def _saved_decisions(cfg: ExperimentConfig, plan: _Plan,
-                     corpus: Corpus) -> dict[str, list[Stance]]:
+def _saved_decisions(cfg: ExperimentConfig, plan: _Plan, corpus: Corpus,
+                     command: str) -> dict[str, list[Stance]]:
     """Each target's decisions on the corpus from the saved artifacts, all
     loaded and checked first; each saved pipeline featurizes it once."""
     out = cfg.output_dir
-    embeddings = _maybe_embeddings(cfg, plan, corpus)
+    embeddings = _maybe_embeddings(cfg, plan, corpus, command)
     fits = {pid: load_pipeline(out, pid, embeddings) for pid in plan.pipelines}
     for pid, fit in fits.items():
         if fit.spec != cfg.pipelines[pid]:
@@ -407,7 +415,7 @@ def evaluate(config_path, out_dir, models_csv):
     cfg = _load(config_path, out_dir)
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     corpus = _test_corpus(cfg, require_labels=True)
-    decided = _saved_decisions(cfg, _plan(cfg, targets), corpus)
+    decided = _saved_decisions(cfg, _plan(cfg, targets), corpus, "evaluate")
     out = _out_dir(cfg)
     truth = [i.stance for i in corpus.instances]
     for target in targets:
@@ -431,7 +439,7 @@ def predict(config_path, out_dir, models_csv):
         raise ConfigError("predict needs exactly one target; pass --models NAME")
     target = targets[0]
     corpus = _test_corpus(cfg, require_labels=False)
-    decided = _saved_decisions(cfg, _plan(cfg, [target]), corpus)[target]
+    decided = _saved_decisions(cfg, _plan(cfg, [target]), corpus, "predict")[target]
     out = _out_dir(cfg)
     path = out / f"{target}.predictions.csv"
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -513,7 +521,7 @@ def cv(config_path, out_dir, models_csv, jobs):
     targets = _select(cfg, models_csv, cfg.targets(), "model or ensemble")
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
     folds = plan_folds(corpus, cfg.cv.folds, cfg.cv.seed)
-    embeddings = _maybe_embeddings(cfg, _plan(cfg, targets), corpus)
+    embeddings = _maybe_embeddings(cfg, _plan(cfg, targets), corpus, "cv")
     out = _out_dir(cfg)
     results = cross_validate_targets(corpus, folds, _fold_runner(cfg, targets, embeddings),
                                      jobs=jobs or os.cpu_count() or 1)

@@ -11,11 +11,14 @@ Training and prediction take a FeatureMatrix, which holds a row per
 distinct headline and body, so each mini-batch projects a document its
 examples share through w1 once and sums their w1 gradients per document
 before one sparse product; a plain dense or CSR example matrix is a
-FeatureMatrix without document rows. Labels are read, and decisions
-made, through corpus.stance_indices and corpus.decisions. Prediction is
-batched only: predict_batch maps whole example matrices to probability rows
-and their argmax stances. A trained model is immutable in practice and safe
-for concurrent prediction.
+FeatureMatrix without document rows. A mini-batch holds its documents and
+their uses as bare CSR arrays, and its sparse products run scipy's CSR/CSC
+kernels on them (_sparse_product): the SGD loop builds no scipy matrix
+unless the pair columns are one (a plain CSR example matrix).
+Labels are read, and decisions made, through corpus.stance_indices and
+corpus.decisions. Prediction is batched only: predict_batch maps whole
+example matrices to probability rows and their argmax stances. A trained
+model is immutable in practice and safe for concurrent prediction.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .corpus import STANCES, Stance, decisions, stance_indices
 from .errors import DataFormatError, TrainingDivergedError
@@ -132,6 +136,42 @@ class FeatureMatrix:
         return self.docs[self.head_row] + self.docs[self.body_row] + placed
 
 
+class _Csr(NamedTuple):
+    """The arrays of a CSR matrix, indptr and indices of one index dtype,
+    as a scipy CSR matrix holds them."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+class _Batch(NamedTuple):
+    """One mini-batch of a FeatureMatrix, read as one: docs holds the
+    distinct documents its rows use, which head_row and body_row index, and
+    uses is the 0/1 (documents, rows) matrix of those uses."""
+
+    pairs: np.ndarray | sp.csr_matrix
+    docs: _Csr
+    head_row: np.ndarray
+    body_row: np.ndarray
+    pair_columns: np.ndarray
+    uses: _Csr
+
+
+def _sparse_product(a: _Csr | sp.csr_matrix, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """a @ b, or with transpose a.T @ b (the CSC matrix of a's arrays), for
+    a 2-d float64 b: the kernel scipy's @ runs, on a's arrays, into a
+    zero-filled float64 array, so the product has @'s bits and no scipy
+    matrix is built. scipy.sparse._sparsetools is private, so a test pins
+    this against @; there is no fallback path."""
+    rows, cols = a.shape[::-1] if transpose else a.shape
+    out = np.zeros((rows, b.shape[1]))
+    kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
+    kernel(rows, cols, b.shape[1], a.indptr, a.indices, a.data, b.ravel(), out.ravel())
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis (max subtraction)."""
     z = logits - np.max(logits, axis=-1, keepdims=True)
@@ -183,7 +223,7 @@ def predict_batch(model: MlpModel, features) -> tuple[list[Stance], np.ndarray]:
     return decisions(probs), probs
 
 
-def _batch_forward(model: MlpModel, x: FeatureMatrix, mask: np.ndarray | None = None,
+def _batch_forward(model: MlpModel, x: FeatureMatrix | _Batch, mask: np.ndarray | None = None,
                    keep: float = 1.0, w1_scale: float | None = None):
     """(hidden_pre, hidden, probs, logits, lse, xw) of the rows x. With
     w1_scale (train's), the weights are w1_scale * model.w1 and xw is
@@ -192,7 +232,7 @@ def _batch_forward(model: MlpModel, x: FeatureMatrix, mask: np.ndarray | None = 
     # overflow here surfaces as a non-finite objective, which train() turns
     # into TrainingDivergedError; the interim warnings are just noise
     with np.errstate(over="ignore", invalid="ignore"):
-        projected = x.docs @ model.w1  # each document once
+        projected = _sparse_product(x.docs, model.w1)  # each document once
         xw = projected[x.head_row]
         xw += projected[x.body_row]
         xw += x.pairs @ model.w1[x.pair_columns]
@@ -266,15 +306,13 @@ class _ScaledW1:
 
 
 def _batches(features: FeatureMatrix, order: np.ndarray,
-             size: int) -> Iterator[tuple[np.ndarray, FeatureMatrix, sp.csr_matrix]]:
-    """(rows, x, by_document) of each mini-batch, size rows of order in
-    turn. x is their FeatureMatrix, whose docs are the distinct documents
-    the rows use; by_document is the 0/1 (documents, rows) matrix of those
-    uses, which sums row gradients per document (np.add.reduceat takes six
-    times as long for a batch of 500 rows at FNC scale). One sort per call
-    finds every batch's documents; a batch copies their entries straight
-    into its CSR arrays (scipy's row indexing costs twice as much at a few
-    rows)."""
+             size: int) -> Iterator[tuple[np.ndarray, _Batch]]:
+    """(rows, batch) of each mini-batch, size rows of order in turn. The
+    batch's docs are the distinct documents the rows use, and its uses the
+    0/1 (documents, rows) matrix of those uses, which sums row gradients
+    per document (np.add.reduceat takes six times as long for a batch of
+    500 rows at FNC scale). One sort per call finds every batch's
+    documents; a batch copies their entries straight into its CSR arrays."""
     starts = range(0, len(order), size)
     docs = features.docs
     # use 2j is row j's headline, 2j + 1 its body; the keys sort batch-major
@@ -298,22 +336,21 @@ def _batches(features: FeatureMatrix, order: np.ndarray,
         indptr = np.zeros(hi - lo + 1, dtype=docs.indptr.dtype)
         np.cumsum(length, out=indptr[1:])
         entries = np.repeat(first - indptr[:-1], length) + np.arange(indptr[-1])
-        batch = sp.csr_matrix((docs.data[entries], docs.indices[entries], indptr),
-                              shape=(hi - lo, docs.shape[1]))
-        x = FeatureMatrix(features.pairs[order[a // 2 : b // 2]], batch,
-                          run_of[a:b:2] - lo, run_of[a + 1 : b : 2] - lo, features.pair_columns)
-        by_document = sp.csr_matrix((ones[: b - a], use_row[a:b] - start, runs[lo : hi + 1] - a),
-                                    shape=(hi - lo, (b - a) // 2))
-        yield order[a // 2 : b // 2], x, by_document
+        rows = order[a // 2 : b // 2]
+        yield rows, _Batch(
+            features.pairs[rows],
+            _Csr(docs.data[entries], docs.indices[entries], indptr, (hi - lo, docs.shape[1])),
+            run_of[a:b:2] - lo, run_of[a + 1 : b : 2] - lo, features.pair_columns,
+            _Csr(ones[: b - a], use_row[a:b] - start, runs[lo : hi + 1] - a, (hi - lo, len(rows))))
 
 
-def _w1_step(x: FeatureMatrix, by_document: sp.csr_matrix, g_pre: np.ndarray,
-             compress: bool) -> tuple[np.ndarray | None, np.ndarray]:
+def _w1_step(x: _Batch, g_pre: np.ndarray, compress: bool) -> tuple[np.ndarray | None, np.ndarray]:
     """(rows, x.T @ g_pre on them): with compress, the rows the batch's
     documents and pair columns touch when they are fewer than half of
     w1's, through the batch's CSR with compressed column ids; otherwise
     (None, the whole zero-filled product). The rows hold the same bits
-    either way. g_pre is summed per document before one transposed product."""
+    either way. g_pre is summed per document (x.uses @ g_pre) before one
+    product with the transpose of the batch's documents."""
     docs = x.docs
     rows, cols, pair_rows, width = None, docs.indices, x.pair_columns, docs.shape[1]
     if compress:
@@ -322,22 +359,22 @@ def _w1_step(x: FeatureMatrix, by_document: sp.csr_matrix, g_pre: np.ndarray,
         touched[pair_rows] = True
         if 2 * np.count_nonzero(touched) < width:
             rows = np.flatnonzero(touched)
-            at = np.cumsum(touched) - 1  # a touched row's place in rows
+            at = np.cumsum(touched, dtype=cols.dtype) - 1  # a touched row's place in rows
             cols, pair_rows, width = at[cols], at[pair_rows], len(rows)
-    # the transpose of the batch's CSR, its columns compressed or not
-    docs_t = sp.csc_matrix((docs.data, cols, docs.indptr), shape=(width, docs.shape[0]))
-    step = docs_t @ (by_document @ g_pre)
+    # the batch's documents with their columns compressed or not
+    compressed = docs._replace(indices=cols, shape=(docs.shape[0], width))
+    step = _sparse_product(compressed, _sparse_product(x.uses, g_pre), transpose=True)
     step[pair_rows] += x.pairs.T @ g_pre  # rows no document column touches
     return rows, step
 
 
-def _batch_gradients(model, x, by_document, y, l2_lambda, mask=None, keep=1.0, rate=1.0,
+def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0, rate=1.0,
                      w1: _ScaledW1 | None = None):
-    """(objective, steps) for one mini-batch, x and by_document as _batches
-    makes them: mean cross-entropy, computed from logits, plus the l2
-    penalty; rate times the cross-entropy gradients (not the l2 one, which
-    train applies as decay), keyed like the fields. rate rides on the
-    (batch, 4) error, so x.T @ g_pre is w1's step itself.
+    """(objective, steps) for one mini-batch x, as _batches makes it: mean
+    cross-entropy, computed from logits, plus the l2 penalty; rate times
+    the cross-entropy gradients (not the l2 one, which train applies as
+    decay), keyed like the fields. rate rides on the (batch, 4) error, so
+    x.T @ g_pre is w1's step itself.
 
     Without w1, model.w1 holds the weights, the penalty reads all of it, and
     steps["w1"] is the dense (input, hidden) step: what gradient_check
@@ -363,13 +400,13 @@ def _batch_gradients(model, x, by_document, y, l2_lambda, mask=None, keep=1.0, r
     g_pre = g_hidden * (hidden_pre > 0.0)
     steps = {"b1": g_pre.sum(axis=0), "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0)}
     if w1 is None:
-        steps["w1"] = _w1_step(x, by_document, g_pre, compress=False)[1]
+        steps["w1"] = _w1_step(x, g_pre, compress=False)[1]
         w1_sq_norm = _sq_norm(model.w1)
     else:
         g_pre /= w1.step_scale
         dot_w = _dot(xw, g_pre)
         del xw  # freed before the w1 step is allocated
-        steps["w1"] = (*_w1_step(x, by_document, g_pre, compress=True), dot_w)
+        steps["w1"] = (*_w1_step(x, g_pre, compress=True), dot_w)
         w1_sq_norm = w1_scale * w1_scale * w1.sq_norm
     return ce + l2_lambda * (w1_sq_norm + _sq_norm(model.w2)), steps
 
@@ -410,12 +447,12 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for idx, x, by_document in _batches(features, order, config.batch_size):
+        for idx, x in _batches(features, order, config.batch_size):
             mask = None
             if keep < 1.0:
                 mask = (rng.random((len(idx), hidden_dim)) < keep).astype(np.float64)
-            objective, steps = _batch_gradients(model, x, by_document, y[idx], config.l2_lambda,
-                                                mask, keep, rate, w1)
+            objective, steps = _batch_gradients(model, x, y[idx], config.l2_lambda, mask, keep,
+                                                rate, w1)
             if not np.isfinite(objective):
                 raise TrainingDivergedError(epoch)
             # frees the w1 step before the next batch allocates its own

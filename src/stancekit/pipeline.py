@@ -442,10 +442,11 @@ def load_pipeline(
     shared_vocab = vocab_of("shared_vocab")
     idf = None
     if "idf" in files:
-        with undecodable_as(DataFormatError, out / files["idf"]):
-            lines = (out / files["idf"]).read_text(encoding="utf-8").splitlines()
+        idf_path = out / files["idf"]
+        with undecodable_as(DataFormatError, idf_path):
+            lines = idf_path.read_text(encoding="utf-8").splitlines()
         if not lines or not lines[0].startswith("document_count="):
-            raise DataFormatError(f"{files['idf']}: missing document_count header")
+            raise DataFormatError(f"{idf_path}: missing document_count header")
         try:
             idf = IdfTable(
                 vocab=shared_vocab,
@@ -453,7 +454,7 @@ def load_pipeline(
                 document_count=int(lines[0].partition("=")[2]),
             )
         except ValueError as exc:
-            raise DataFormatError(f"{out / files['idf']}: {exc}") from None
+            raise DataFormatError(f"{idf_path}: {exc}") from None
     keyword_sets = {
         key.partition(":")[2]: read_keyword_set(out / fname)
         for key, fname in files.items()

@@ -309,12 +309,12 @@ def _with_l2(steps, model, l2_lambda):
 
 
 def one_batch(x):
-    """(batch, by_document): x, dense rows or a FeatureMatrix, as the one
-    mini-batch of all its rows that train would make of it."""
+    """x, dense rows or a FeatureMatrix, as the one mini-batch of all its
+    rows that train would make of it (x itself when it has no rows)."""
     if not isinstance(x, mlp.FeatureMatrix):
         x = mlp.FeatureMatrix.of(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
-    return next(mlp._batches(x, np.arange(n), max(n, 1)), (None, x, None))[1:]
+    return next(mlp._batches(x, np.arange(n), max(n, 1)), (None, x))[1]
 
 
 def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
@@ -329,11 +329,11 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
     """
     if config.dropout_keep != 1.0:
         raise ValueError("gradient_check requires dropout_keep == 1")
-    x, by_document = one_batch(x)
+    x = one_batch(x)
     y = stance_indices(labels)
 
     def batch_gradients():
-        return mlp._batch_gradients(model, x, by_document, y, config.l2_lambda)
+        return mlp._batch_gradients(model, x, y, config.l2_lambda)
 
     grads = _with_l2(batch_gradients()[1], model, config.l2_lambda)
     params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),

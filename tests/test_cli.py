@@ -519,6 +519,25 @@ class TestTrain:
         assert result.exit_code == 3
         assert f"{path}:2: non-finite vector component" in result.stderr
 
+    def test_duplicate_embedding_terms_warn_once(self, tmp_path):
+        """Every term listed again with another vector: the first vectors are
+        kept, so train writes the same bytes, and says so in one line."""
+        config = embedded_config(tmp_path)
+        path = tmp_path / "data" / "vectors.txt"
+        result = run("train", "--config", str(config), "--models", "emb")
+        assert "warning=" not in result.stderr
+        want = hash_tree(tmp_path / "out")
+        shutil.rmtree(tmp_path / "out")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        again = [" ".join([term, *(str(-float(v)) for v in values)])
+                 for term, *values in (line.split() for line in lines[1:])]
+        path.write_text("\n".join(lines + again) + "\n", encoding="utf-8")
+        result = run("train", "--config", str(config), "--models", "emb")
+        warning = f"{len(again)} duplicate terms skipped; the first vector of each is kept"
+        assert [line for line in result.stderr.splitlines() if "warning=" in line] == [
+            f"command=train embeddings={path} warning={warning!r}"]
+        assert hash_tree(tmp_path / "out") == want
+
 
 class TestEvaluate:
     def test_score_files_per_target(self, trained):
@@ -643,6 +662,12 @@ CORRUPTIONS = {
     "idf_value_nan": ("plain.idf.txt", set_line(1, "nan")),
     "idf_value_negative": ("plain.idf.txt", set_line(1, "-0.5")),
     "idf_not_utf8": ("plain.idf.txt", not_utf8),
+    "idf_without_header": (
+        "plain.idf.txt",
+        lambda p: p.write_text("".join(p.read_text(encoding="utf-8").splitlines(True)[1:]),
+                               encoding="utf-8"),
+    ),
+    "idf_empty": ("plain.idf.txt", lambda p: p.write_text("")),
     "idf_truncated": (
         "plain.idf.txt",
         lambda p: p.write_text("".join(p.read_text(encoding="utf-8").splitlines(True)[:-3]),
@@ -709,7 +734,8 @@ class TestSavedArtifacts:
         target = "trio_concat" if "combiner" in case else "trio"
         result = RUNNER.invoke(main, [command, "--config", str(config), "--models", target])
         assert result.exit_code == 3, result.output
-        assert named in result.stderr
+        # a file that is there is named by its path; a missing one by the manifest
+        assert (str(out / named) if (out / named).exists() else named) in result.stderr
         assert hash_tree(out) == before
 
     def test_missing_combiner_fails_before_any_score_file(self, trained, tmp_path):
@@ -786,6 +812,49 @@ class TestSavedFileFuzz:
             st.sampled_from([["evaluate"], ["predict", "--models", "trio_concat"]]))
         result = RUNNER.invoke(main, [*args, "--config", str(config)])
         assert result.exit_code in (0, 2, 3, 4), (name, result.exception)
+
+
+# input file -> the reading commands that read it
+FUZZED_INPUTS = {
+    "exp.yaml": (["evaluate"], ["predict", "--models", "emb"], ["keywords"]),
+    "data/train_stances.csv": (["keywords"],),
+    "data/train_bodies.csv": (["keywords"],),
+    "data/test_stances.csv": (["evaluate"], ["predict", "--models", "emb"]),
+    "data/test_bodies.csv": (["evaluate"], ["predict", "--models", "emb"]),
+    "data/vectors.txt": (["evaluate"], ["predict", "--models", "emb"]),
+}
+
+
+@pytest.fixture(scope="module")
+def input_fuzz_workspace(tmp_path_factory):
+    """A workspace trained on embedded_config, whose inputs the fuzz edits."""
+    work = tmp_path_factory.mktemp("inputs")
+    config = embedded_config(work)
+    run("train", "--config", str(config))
+    return work, config
+
+
+class TestInputFileFuzz:
+    """One edit to the config, a CSV or the embedding file: every command
+    that reads it exits with a documented code, never with a traceback.
+    --out pins the output directory, so an edited config cannot move where
+    a command writes."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_one_edit_exits_documented_code(self, input_fuzz_workspace, data):
+        work, config = input_fuzz_workspace
+        name = data.draw(st.sampled_from(sorted(FUZZED_INPUTS)))
+        path = work / name
+        original = path.read_bytes()
+        path.write_bytes(fuzz_edit(data, original))
+        args = data.draw(st.sampled_from(FUZZED_INPUTS[name]))
+        try:
+            result = RUNNER.invoke(main, [*args, "--config", str(config),
+                                          "--out", str(work / "out")])
+        finally:
+            path.write_bytes(original)
+        assert result.exit_code in (0, 2, 3, 4), (name, args, result.exception)
 
 
 class TestEmptyStances:

@@ -44,8 +44,13 @@ def objective(model, batch, l2_lambda):
     """Batch objective of (values, stance) pairs."""
     x = np.array([values for values, _ in batch], dtype=np.float64)
     y = np.array([label.index for _, label in batch], dtype=np.int64)
-    x, by_document = one_batch(x.reshape(len(batch), model.input_dim))
-    return mlp._batch_gradients(model, x, by_document, y, l2_lambda)[0]
+    x = one_batch(x.reshape(len(batch), model.input_dim))
+    return mlp._batch_gradients(model, x, y, l2_lambda)[0]
+
+
+def csr(a) -> sp.csr_matrix:
+    """The scipy matrix of a batch's CSR arrays (an mlp._Csr)."""
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def zero_model(input_dim: int = 2, hidden_dim: int = 2) -> MlpModel:
@@ -439,10 +444,14 @@ class TestDocumentSide:
         g = np.random.default_rng(seed).normal(size=(n, 5))
         side = x.copy()
         side[:, feats.pair_columns] = 0.0
-        for rows, batch, by_document in mlp._batches(
-                feats, np.random.default_rng(seed).permutation(n), size):
-            assert np.array_equal(batch.matrix.toarray(), x[rows])
-            step = batch.docs.T @ (by_document @ g[rows])
+        for rows, batch in mlp._batches(feats, np.random.default_rng(seed).permutation(n), size):
+            docs, uses = csr(batch.docs), csr(batch.uses)
+            examples = FeatureMatrix(batch.pairs, docs, batch.head_row, batch.body_row,
+                                     batch.pair_columns)
+            assert np.array_equal(examples.matrix.toarray(), x[rows])
+            # each row uses its headline and its body once
+            assert np.array_equal(uses.toarray().sum(axis=0), np.full(len(rows), 2.0))
+            step = docs.T @ (uses @ g[rows])
             want = side[rows].T @ g[rows]
             assert np.all(np.abs(step - want) <= 1e-12 * (np.abs(side[rows].T) @ np.abs(g[rows])))
 
@@ -493,8 +502,8 @@ class TestStepForms:
         make, batch_size, form = STEP_FORMS[toy]
         forms, real = [], mlp._w1_step
 
-        def recording(x, by_document, g_pre, compress):
-            rows, step = real(x, by_document, g_pre, compress)
+        def recording(x, g_pre, compress):
+            rows, step = real(x, g_pre, compress)
             forms.append("dense" if rows is None else "compressed")
             return rows, step
 
@@ -508,9 +517,9 @@ class TestStepForms:
     def test_compressed_rows_hold_the_dense_bits(self):
         feats, _ = wide_toy()
         g = np.random.default_rng(1).normal(size=(feats.shape[0], 7))
-        for rows, x, by_document in mlp._batches(feats, np.arange(feats.shape[0]), 4):
-            touched, step = mlp._w1_step(x, by_document, g[rows], compress=True)
-            none, dense = mlp._w1_step(x, by_document, g[rows], compress=False)
+        for rows, x in mlp._batches(feats, np.arange(feats.shape[0]), 4):
+            touched, step = mlp._w1_step(x, g[rows], compress=True)
+            none, dense = mlp._w1_step(x, g[rows], compress=False)
             assert none is None and 2 * len(touched) < feats.shape[1]
             assert step.tobytes() == dense[touched].tobytes()
             assert not np.delete(dense, touched, axis=0).any()
@@ -566,6 +575,53 @@ class TestStepForms:
         assert mlp._SCALE_FLOOR == 1e-9
         # train folds w1 in place, so every read of all of it reads this array
         assert sum(a is model.w1 for a in reads) == 1 + folds
+
+
+def random_csr(seed: int, shape: tuple[int, int], index_dtype) -> mlp._Csr:
+    """The arrays of a random CSR matrix, every third row empty."""
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+    dense[::3] = 0.0
+    m = sp.csr_matrix(dense)
+    return mlp._Csr(m.data, m.indices.astype(index_dtype), m.indptr.astype(index_dtype), m.shape)
+
+
+class TestSparseProduct:
+    """_sparse_product runs scipy's private CSR/CSC kernels on bare arrays;
+    a scipy release that changes them must fail here, not shift weights."""
+
+    # every third row is empty, so the (1, 30) operand holds no entry at all
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("shape", [(9, 13), (13, 9), (4, 6), (1, 30)])
+    @pytest.mark.parametrize("vecs", [1, 2, 7])
+    @pytest.mark.parametrize("layout", ["C", "strided", "F"])
+    def test_has_the_bits_of_scipy_matmul(self, index_dtype, transpose, shape, vecs, layout):
+        a = random_csr(sum(shape) + vecs, shape, index_dtype)
+        scipy_a = csr(a).T if transpose else csr(a)  # the CSC of a's arrays
+        b = np.random.default_rng(vecs).normal(size=(scipy_a.shape[1], 2 * vecs))
+        b = b[:, ::2] if layout == "strided" else np.array(b[:, :vecs], order=layout)
+        got = mlp._sparse_product(a, b, transpose)
+        want = scipy_a @ b
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_train_builds_no_sparse_matrix_per_batch(self, monkeypatch):
+        built = []
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array, sp.csc_array):
+            def counting(self, *args, _real=cls.__init__, **kwargs):
+                built.append(type(self))
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        feats, labels = document_toy(seed=4)
+        counts = []
+        for batch_size in (60, 4):  # 1 and 15 batches an epoch
+            built.clear()
+            train(feats, labels, TrainingConfig(batch_size=batch_size, epochs=2, seed=5),
+                  hidden_dim=7)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
 
 def random_check_setup(seed: int, input_dim: int = 5, hidden_dim: int = 4, n: int = 6):
