@@ -9,6 +9,7 @@ evaluate, predict and every cv fold decide through _predict_target. train
 stages its files in a hidden directory inside the output directory and
 moves them in only if no saved file it keeps there reads one it changes
 (_refuse_stale_rewrites); else it exits 2 and leaves every file as it was.
+No command creates its output directory before its work succeeds.
 """
 
 from __future__ import annotations
@@ -460,8 +461,8 @@ def keywords(config_path, out_dir, models_csv):
     # mi selection ranks terms against stance classes, so it needs labels
     needs_labels = any(cfg.keyword_specs[n].selector == "mi" for n in names)
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, needs_labels)
-    out = _out_dir(cfg)
     candidates = body_vocabulary(corpus.body_tokens.values(), cfg.features.vocab_capacity).terms
+    selected = []  # (file name, log fields, keyword set): all selected before any is written
     for name in names:
         spec = cfg.keyword_specs[name]
         if spec.selector == "micc":
@@ -469,18 +470,15 @@ def keywords(config_path, out_dir, models_csv):
                 groups = select_keywords_micc(
                     corpus.body_tokens, spec.themes, candidates, spec.k, name_prefix=spec.name
                 )
-            for theme, group in groups.items():
-                fname = f"{name}.{theme}.keywords.txt"
-                write_keyword_set(group, out / fname)
-                click.echo(
-                    f"command=keywords set={name} theme={theme} file={fname} "
-                    f"terms={len(group.terms)}"
-                )
+            selected += [(f"{name}.{theme}.keywords.txt", f"set={name} theme={theme}", group)
+                         for theme, group in groups.items()]
         else:
             ks = fit_keyword_set(spec, corpus, candidates)
-            fname = f"{name}.keywords.txt"
-            write_keyword_set(ks, out / fname)
-            click.echo(f"command=keywords set={name} file={fname} terms={len(ks.terms)}")
+            selected.append((f"{name}.keywords.txt", f"set={name}", ks))
+    out = _out_dir(cfg)
+    for fname, fields, ks in selected:
+        write_keyword_set(ks, out / fname)
+        click.echo(f"command=keywords {fields} file={fname} terms={len(ks.terms)}")
 
 
 def _fold_runner(cfg: ExperimentConfig, targets: Sequence[str], embeddings):
@@ -522,9 +520,9 @@ def cv(config_path, out_dir, models_csv, jobs):
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, require_labels=True)
     folds = plan_folds(corpus, cfg.cv.folds, cfg.cv.seed)
     embeddings = _maybe_embeddings(cfg, _plan(cfg, targets), corpus, "cv")
-    out = _out_dir(cfg)
     results = cross_validate_targets(corpus, folds, _fold_runner(cfg, targets, embeddings),
                                      jobs=jobs or os.cpu_count() or 1)
+    out = _out_dir(cfg)
     for target, result in results.items():
         for fold, report in enumerate(result.reports):
             (out / f"{target}.cv.fold{fold}.scores.txt").write_text(
@@ -550,10 +548,10 @@ def cv(config_path, out_dir, models_csv, jobs):
 def report(config_path, out_dir, models_csv):
     """Re-emit human reports and heat-map plot data from saved score files."""
     cfg = _load(config_path, out_dir)
-    out = _out_dir(cfg)
     wanted = None
     if models_csv is not None:
         wanted = set(_select(cfg, models_csv, cfg.targets(), "model or ensemble"))
+    out = _out_dir(cfg)
     count = 0
     for scores_path in sorted(out.glob("*.scores.txt")):
         target = scores_path.name[: -len(".scores.txt")]

@@ -6,6 +6,9 @@ w2 decays in place; w1 is held as scale * w during training, so its decay
 multiplies the scale, and a step changes only the rows its batch touches
 (built on those rows alone when they are fewer than half of w1's). The
 objective's ||w1||^2 is carried from step to step, not read from all of w1.
+There is one forward pass, gradient and step, the ones train runs: a
+trained model predicts through the same forward pass at scale 1, and the
+gradient checks in tests differentiate train's scaled, compressed step.
 
 Training and prediction take a FeatureMatrix, which holds a row per
 distinct headline and body, so each mini-batch projects a document its
@@ -224,11 +227,10 @@ def predict_batch(model: MlpModel, features) -> tuple[list[Stance], np.ndarray]:
 
 
 def _batch_forward(model: MlpModel, x: FeatureMatrix | _Batch, mask: np.ndarray | None = None,
-                   keep: float = 1.0, w1_scale: float | None = None):
-    """(hidden_pre, hidden, probs, logits, lse, xw) of the rows x. With
-    w1_scale (train's), the weights are w1_scale * model.w1 and xw is
-    x @ model.w1 itself; without, they are model.w1, and xw is None, as
-    hidden_pre is built in its place."""
+                   keep: float = 1.0, w1_scale: float = 1.0):
+    """(hidden_pre, hidden, probs, logits, lse, xw) of the rows x under the
+    weights w1_scale * model.w1 (train's _ScaledW1; 1.0 for a trained
+    model): xw is x @ model.w1 itself, which hidden_pre scales."""
     # overflow here surfaces as a non-finite objective, which train() turns
     # into TrainingDivergedError; the interim warnings are just noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,7 +238,7 @@ def _batch_forward(model: MlpModel, x: FeatureMatrix | _Batch, mask: np.ndarray 
         xw = projected[x.head_row]
         xw += projected[x.body_row]
         xw += x.pairs @ model.w1[x.pair_columns]
-        hidden_pre, xw = (xw, None) if w1_scale is None else (w1_scale * xw, xw)
+        hidden_pre = w1_scale * xw
         hidden_pre += model.b1
         hidden = np.maximum(0.0, hidden_pre)
         if mask is not None:
@@ -344,23 +346,22 @@ def _batches(features: FeatureMatrix, order: np.ndarray,
             _Csr(ones[: b - a], use_row[a:b] - start, runs[lo : hi + 1] - a, (hi - lo, len(rows))))
 
 
-def _w1_step(x: _Batch, g_pre: np.ndarray, compress: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """(rows, x.T @ g_pre on them): with compress, the rows the batch's
-    documents and pair columns touch when they are fewer than half of
-    w1's, through the batch's CSR with compressed column ids; otherwise
-    (None, the whole zero-filled product). The rows hold the same bits
-    either way. g_pre is summed per document (x.uses @ g_pre) before one
-    product with the transpose of the batch's documents."""
+def _w1_step(x: _Batch, g_pre: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(rows, x.T @ g_pre on them): the rows the batch's documents and pair
+    columns touch, through the batch's CSR with compressed column ids, when
+    they are fewer than half of w1's; otherwise (None, the whole zero-filled
+    product). The rows hold the same bits either way. g_pre is summed per
+    document (x.uses @ g_pre) before one product with the transpose of the
+    batch's documents."""
     docs = x.docs
     rows, cols, pair_rows, width = None, docs.indices, x.pair_columns, docs.shape[1]
-    if compress:
-        touched = np.zeros(width, dtype=bool)
-        touched[cols] = True
-        touched[pair_rows] = True
-        if 2 * np.count_nonzero(touched) < width:
-            rows = np.flatnonzero(touched)
-            at = np.cumsum(touched, dtype=cols.dtype) - 1  # a touched row's place in rows
-            cols, pair_rows, width = at[cols], at[pair_rows], len(rows)
+    touched = np.zeros(width, dtype=bool)
+    touched[cols] = True
+    touched[pair_rows] = True
+    if 2 * np.count_nonzero(touched) < width:
+        rows = np.flatnonzero(touched)
+        at = np.cumsum(touched, dtype=cols.dtype) - 1  # a touched row's place in rows
+        cols, pair_rows, width = at[cols], at[pair_rows], len(rows)
     # the batch's documents with their columns compressed or not
     compressed = docs._replace(indices=cols, shape=(docs.shape[0], width))
     step = _sparse_product(compressed, _sparse_product(x.uses, g_pre), transpose=True)
@@ -368,26 +369,21 @@ def _w1_step(x: _Batch, g_pre: np.ndarray, compress: bool) -> tuple[np.ndarray |
     return rows, step
 
 
-def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0, rate=1.0,
-                     w1: _ScaledW1 | None = None):
-    """(objective, steps) for one mini-batch x, as _batches makes it: mean
-    cross-entropy, computed from logits, plus the l2 penalty; rate times
-    the cross-entropy gradients (not the l2 one, which train applies as
-    decay), keyed like the fields. rate rides on the (batch, 4) error, so
-    x.T @ g_pre is w1's step itself.
-
-    Without w1, model.w1 holds the weights, the penalty reads all of it, and
-    steps["w1"] is the dense (input, hidden) step: what gradient_check
-    differentiates. train passes its _ScaledW1, whose w model.w1 is: the
-    penalty reads its carried norm, 1 / w1.step_scale rides on the
-    (batch, hidden) g_pre, and steps["w1"] is w1.take's arguments, whose
-    <w, step> = <x @ w, g_pre> is read off the forward pass's projections.
+def _batch_gradients(model, w1: _ScaledW1, x, y, l2_lambda, mask=None, keep=1.0, rate=1.0):
+    """(objective, steps) for one mini-batch x, as _batches makes it, under
+    the weights w1.scale * w1.w (w1.w is model.w1): mean cross-entropy,
+    computed from logits, plus the l2 penalty, which reads w1's carried
+    norm; rate times the cross-entropy gradients (not the l2 one, which
+    train applies as decay), keyed like the fields. rate rides on the
+    (batch, 4) error and 1 / w1.step_scale on the (batch, hidden) g_pre,
+    so steps["w1"] is w1.take's arguments: the step x.T @ g_pre, on the
+    rows _w1_step picks, and <w, step> = <x @ w, g_pre>, read off the
+    forward pass's projections.
     """
     n = len(y)
     if n == 0:
         raise ValueError("empty batch")
-    w1_scale = None if w1 is None else w1.scale
-    hidden_pre, hidden, probs, logits, lse, xw = _batch_forward(model, x, mask, keep, w1_scale)
+    hidden_pre, hidden, probs, logits, lse, xw = _batch_forward(model, x, mask, keep, w1.scale)
     ce = float(np.mean(lse - logits[np.arange(n), y]))
 
     g_logits = probs  # probs is not read again
@@ -399,15 +395,11 @@ def _batch_gradients(model, x, y, l2_lambda, mask=None, keep=1.0, rate=1.0,
         g_hidden = g_hidden * mask / keep
     g_pre = g_hidden * (hidden_pre > 0.0)
     steps = {"b1": g_pre.sum(axis=0), "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0)}
-    if w1 is None:
-        steps["w1"] = _w1_step(x, g_pre, compress=False)[1]
-        w1_sq_norm = _sq_norm(model.w1)
-    else:
-        g_pre /= w1.step_scale
-        dot_w = _dot(xw, g_pre)
-        del xw  # freed before the w1 step is allocated
-        steps["w1"] = (*_w1_step(x, g_pre, compress=True), dot_w)
-        w1_sq_norm = w1_scale * w1_scale * w1.sq_norm
+    g_pre /= w1.step_scale
+    dot_w = _dot(xw, g_pre)
+    del xw  # freed before the w1 step is allocated
+    steps["w1"] = (*_w1_step(x, g_pre), dot_w)
+    w1_sq_norm = w1.scale * w1.scale * w1.sq_norm
     return ce + l2_lambda * (w1_sq_norm + _sq_norm(model.w2)), steps
 
 
@@ -451,8 +443,8 @@ def train(
             mask = None
             if keep < 1.0:
                 mask = (rng.random((len(idx), hidden_dim)) < keep).astype(np.float64)
-            objective, steps = _batch_gradients(model, x, y[idx], config.l2_lambda, mask, keep,
-                                                rate, w1)
+            objective, steps = _batch_gradients(model, w1, x, y[idx], config.l2_lambda, mask,
+                                                keep, rate)
             if not np.isfinite(objective):
                 raise TrainingDivergedError(epoch)
             # frees the w1 step before the next batch allocates its own

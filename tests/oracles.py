@@ -5,8 +5,8 @@ headline and body, then a gather), fuses whole probability stacks at once,
 and selects keywords from one document-by-term presence matrix. The
 functions here compute the same values one instance, row, document or
 candidate at a time, straight from their definitions, so tests can pin the
-batched paths to them exactly. gradient_check compares backprop with
-central finite differences. pair_train is SGD over one example row per
+batched paths to them exactly. gradient_check compares backprop, through
+train's scaled and row-compressed step, with central finite differences. pair_train is SGD over one example row per
 instance, as train ran before it projected each document once per batch;
 eager_train is plain SGD with the l2 gradient added to the cross-entropy
 gradient, which train applies as weight decay. ssp_transport solves the
@@ -317,15 +317,19 @@ def one_batch(x):
     return next(mlp._batches(x, np.arange(n), max(n, 1)), (None, x))[1]
 
 
-def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
+def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5, scale=1.0):
     """Max relative error between backprop and central finite differences
     on the batch x with its labels: dense rows, or a FeatureMatrix taken as
-    one mini-batch of all its rows.
+    one mini-batch of all its rows, under the weights scale * model.w1.
 
-    Both sides come from mlp._batch_gradients, the code train runs: the
+    Both sides come from mlp._batch_gradients, the code train runs, given
+    a fresh mlp._ScaledW1 of model.w1 at scale for each evaluation: the
     objective it returns, and its cross-entropy gradients plus the l2
-    gradient. Dropout must be disabled (keep = 1); the sampled parameter set
-    always covers at least min(sample_size, #params) distinct coordinates.
+    gradient. Its w1 step, (rows, values) scattered into a dense array, is
+    taken at scale, so d objective / d model.w1 = scale**2 * (values + 2 *
+    l2_lambda * model.w1). Dropout must be disabled (keep = 1); the sampled
+    parameter set always covers at least min(sample_size, #params) distinct
+    coordinates.
     """
     if config.dropout_keep != 1.0:
         raise ValueError("gradient_check requires dropout_keep == 1")
@@ -333,9 +337,16 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5):
     y = stance_indices(labels)
 
     def batch_gradients():
-        return mlp._batch_gradients(model, x, y, config.l2_lambda)
+        w1 = mlp._ScaledW1(model.w1, 1.0)
+        w1.scale = scale
+        return mlp._batch_gradients(model, w1, x, y, config.l2_lambda)
 
-    grads = _with_l2(batch_gradients()[1], model, config.l2_lambda)
+    steps = batch_gradients()[1]
+    rows, values, _ = steps["w1"]
+    steps["w1"] = np.zeros_like(model.w1)
+    steps["w1"][slice(None) if rows is None else rows] = values
+    grads = _with_l2(steps, model, config.l2_lambda)
+    grads["w1"] *= scale * scale
     params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),
               (model.w2, grads["w2"]), (model.b2, grads["b2"])]
     sizes = [p.size for p, _ in params]

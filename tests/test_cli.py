@@ -254,6 +254,7 @@ class TestKeywordSelectorFailures:
         result = RUNNER.invoke(main, [command, "--config", str(config), "--models", target])
         assert result.exit_code == 2
         assert f"keyword set {keyword!r} ({selector} selector): {reason}" in result.stderr
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -1206,6 +1207,17 @@ def test_output_path_not_a_directory_exit_2(tmp_path, command):
     result = RUNNER.invoke(main, [command, "--config", str(config), "--models", "base"])
     assert result.exit_code == 2
     assert f"output path {tmp_path / 'out'} is not a directory" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command", ["train", "evaluate", "predict", "keywords", "cv", "report"]
+)
+def test_unknown_target_exit_2(tmp_path, command):
+    config = base_config(tmp_path)
+    result = RUNNER.invoke(main, [command, "--config", str(config), "--models", "nosuch"])
+    assert result.exit_code == 2
+    assert "named 'nosuch' in the config" in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ def objective(model, batch, l2_lambda):
     x = np.array([values for values, _ in batch], dtype=np.float64)
     y = np.array([label.index for _, label in batch], dtype=np.int64)
     x = one_batch(x.reshape(len(batch), model.input_dim))
-    return mlp._batch_gradients(model, x, y, l2_lambda)[0]
+    return mlp._batch_gradients(model, mlp._ScaledW1(model.w1, 1.0), x, y, l2_lambda)[0]
 
 
 def csr(a) -> sp.csr_matrix:
@@ -502,8 +502,8 @@ class TestStepForms:
         make, batch_size, form = STEP_FORMS[toy]
         forms, real = [], mlp._w1_step
 
-        def recording(x, g_pre, compress):
-            rows, step = real(x, g_pre, compress)
+        def recording(x, g_pre):
+            rows, step = real(x, g_pre)
             forms.append("dense" if rows is None else "compressed")
             return rows, step
 
@@ -518,11 +518,30 @@ class TestStepForms:
         feats, _ = wide_toy()
         g = np.random.default_rng(1).normal(size=(feats.shape[0], 7))
         for rows, x in mlp._batches(feats, np.arange(feats.shape[0]), 4):
-            touched, step = mlp._w1_step(x, g[rows], compress=True)
-            none, dense = mlp._w1_step(x, g[rows], compress=False)
-            assert none is None and 2 * len(touched) < feats.shape[1]
+            touched, step = mlp._w1_step(x, g[rows])
+            # the dense form: the product over all of w1's rows
+            dense = mlp._sparse_product(x.docs, mlp._sparse_product(x.uses, g[rows]), True)
+            dense[x.pair_columns] += x.pairs.T @ g[rows]
+            assert 2 * len(touched) < feats.shape[1]
             assert step.tobytes() == dense[touched].tobytes()
             assert not np.delete(dense, touched, axis=0).any()
+
+    @pytest.mark.parametrize("scale", [0.37, -1.7])
+    def test_gradient_check_at_a_scale(self, scale):
+        """The finite differences see the weights scale * w1; the step is
+        taken at that scale, on the rows one batch of 4 touches."""
+        feats, labels = wide_toy()
+        feats = replace(feats, pairs=feats.pairs[:4], head_row=feats.head_row[:4],
+                        body_row=feats.body_row[:4])
+        model = init_model(feats.shape[1], 4, feats.layout, seed=2)
+        model.b1[:] = [0.3, -0.2, 0.4, 0.1]
+        rows, _ = mlp._w1_step(one_batch(feats), np.ones((4, 4)))
+        assert rows is not None
+        # on the rows no batch touches the gradient is l2's alone; at 1e-3
+        # it falls to 1e-7 on the smallest weights, where the differences'
+        # rounding is a relative 1e-5
+        cfg = TrainingConfig(dropout_keep=1.0, l2_lambda=0.1)
+        assert gradient_check(model, feats, labels[:4], cfg, sample_size=200, scale=scale) < 1e-5
 
     @pytest.mark.parametrize("keep", [1.0, 0.6])
     def test_compressed_step_matches_pair_rows(self, keep):
