@@ -5,7 +5,7 @@ features, probability-fusion ensembling, and the weighted relatedness metric.
 """
 
 from .corpus import Corpus, FoldPlan, Instance, STANCES, Stance, load_corpus
-from .evaluation import ScoreReport, cross_validate, fnc_score, score_predictions
+from .evaluation import ScoreReport, cross_validate, score_predictions
 from .mlp import MlpModel, TrainingConfig, load_model, save_model, train
 from .pipeline import FittedPipeline, PipelineSpec, fit_pipeline
 
@@ -24,7 +24,6 @@ __all__ = [
     "TrainingConfig",
     "cross_validate",
     "fit_pipeline",
-    "fnc_score",
     "load_corpus",
     "load_model",
     "save_model",

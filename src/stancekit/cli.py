@@ -551,7 +551,7 @@ def report(config_path, out_dir, models_csv):
     wanted = None
     if models_csv is not None:
         wanted = set(_select(cfg, models_csv, cfg.targets(), "model or ensemble"))
-    out = _out_dir(cfg)
+    out = cfg.output_dir  # written only beside score files, so never created
     count = 0
     for scores_path in sorted(out.glob("*.scores.txt")):
         target = scores_path.name[: -len(".scores.txt")]

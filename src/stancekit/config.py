@@ -111,12 +111,21 @@ def _section(node, path: str, keys: tuple[str, ...] | None = None) -> dict:
     return node
 
 
+def _check_name(name: str, path: str) -> None:
+    """Entry names and MICC themes become parts of file names and of
+    keyword-file headers, which split on whitespace."""
+    if name in (".", "..") or any(c in "/\\\0" or c.isspace() for c in name):
+        raise _fail(path, f"name {name!r} cannot be part of a file name: "
+                          "no /, \\, whitespace or NUL, and not . or ..")
+
+
 def _entries(raw: dict, section: str, keys: tuple[str, ...] | None = None):
     """(name, path, node) of each named entry of a section such as models."""
     for name, node in _section(raw.get(section), section).items():
         path = f"{section}.{name}"
         if not _KINDS[str][0](name):  # YAML reads `7:` as an int, which --models cannot name
             raise _fail(path, f"entry name {name!r}: {_KINDS[str][1]}")
+        _check_name(name, path)
         yield name, path, _section(node, path, keys)
 
 
@@ -181,6 +190,8 @@ def _parse_keyword_spec(name: str, node: dict, path: str) -> KeywordSpec:
     for key, values in (("terms", terms), ("themes", themes)):
         if len(set(values)) != len(values):
             raise _fail(f"{path}.{key}", "entries must be distinct")
+    for i, theme in enumerate(themes):
+        _check_name(theme, f"{path}.themes[{i}]")
     names = _field(node, "positive", path, tuple, ("disagree",))
     try:
         positive = tuple(map(Stance.parse, names))

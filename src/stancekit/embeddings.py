@@ -6,8 +6,9 @@ its vector per line, optional "count dim" header).
 embed_doc turns one document into an EmbeddedDoc once: the centroid of
 its per-occurrence vectors and its norm, plus, for the WMD modes, its nBOW
 side: the vectors of its most frequent embedded terms and their normalized
-counts apportioned to integer masses. The pair kernels (centroid_cosine,
-wmd_relaxed, wmd_exact) read two such states and never the table.
+counts apportioned to integer masses. The pair kernels read two such
+states and never the table: centroid_cosine, and _wmd_exact and
+_wmd_relaxed, which also read the pair's _cost_matrix.
 
 similarities() scores the similarity columns of a featurization from such
 states, embedded once per document, and one cost matrix per distinct pair.
@@ -58,18 +59,8 @@ class EmbeddingTable:
     def __post_init__(self):
         object.__setattr__(self, "index", {term: i for i, term in enumerate(self.terms)})
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
     def __len__(self) -> int:
         return len(self.terms)
-
-    def vector(self, term: str) -> np.ndarray:
-        return self.matrix[self.index[term]]
 
 
 def load_embeddings(
@@ -276,28 +267,21 @@ def _transport_min_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray
 
 
 def _wmd_exact(a: EmbeddedDoc, b: EmbeddedDoc, cost: np.ndarray) -> float:
+    """Word mover's distance between the nBOW sides of two documents, given
+    their _cost_matrix."""
     return float((_transport_min_cost(a.masses, b.masses, cost) / MASS_SCALE * cost).sum())
 
 
 def _wmd_relaxed(a: EmbeddedDoc, b: EmbeddedDoc, cost: np.ndarray) -> float:
+    """Lower bound on _wmd_exact: the tighter of the two one-sided relaxations.
+
+    Each relaxation drops one marginal constraint, so all mass moves to its
+    nearest counterpart. Both read the exact solver's integer masses, so
+    relaxed <= exact.
+    """
     forward = float(a.masses / MASS_SCALE @ cost.min(axis=1))
     backward = float(b.masses / MASS_SCALE @ cost.min(axis=0))
     return max(forward, backward)
-
-
-def wmd_exact(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
-    """Word mover's distance between the nBOW sides of two documents."""
-    return _wmd_exact(a, b, _cost_matrix(a, b))
-
-
-def wmd_relaxed(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
-    """Lower bound on wmd_exact: the tighter of the two one-sided relaxations.
-
-    Each relaxation drops one marginal constraint, so all mass moves to its
-    nearest counterpart. Both sides use the same integer masses as the
-    exact solver, which guarantees relaxed <= exact.
-    """
-    return _wmd_relaxed(a, b, _cost_matrix(a, b))
 
 
 _WMD = {WMD_EXACT: _wmd_exact, WMD_RELAXED: _wmd_relaxed}

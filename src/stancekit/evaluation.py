@@ -4,6 +4,10 @@ The competition metric awards 0.25 points for getting relatedness right
 (unrelated vs anything else) and a further 0.75 for the exact related
 class. The relative grade normalizes by the maximum achievable grade on
 the same label set, so systems are comparable across splits.
+
+score_predictions is the one scorer: evaluate, cv and train's validation
+read its report, whose grade and max_grade come from the confusion matrix
+it also reports.
 """
 
 from __future__ import annotations
@@ -30,13 +34,6 @@ FoldRunner = Callable[[Corpus, Corpus, int], Sequence[Pair]]
 
 #: A FoldRunner of several targets at once: each target's pairs.
 TargetsFoldRunner = Callable[[Corpus, Corpus, int], Mapping[str, Sequence[Pair]]]
-
-
-def fnc_score(pairs: Sequence[Pair]) -> tuple[float, float]:
-    """Return (grade, max_grade) under the weighted relatedness metric."""
-    if not len(pairs):
-        raise ValueError("no prediction pairs to score")
-    return _grades(confusion(pairs))
 
 
 def _grades(counts: np.ndarray) -> tuple[float, float]:

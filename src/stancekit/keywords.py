@@ -1,5 +1,7 @@
-"""Keyword selection: manual refutation list, mutual information (MI), and
-the customized-class (MICC) selector that ranks keywords per theme.
+"""Keyword selection: a manual selector's terms as the config lists them
+(configs/headline.yaml lists the paper's refutation cues), mutual
+information (MI), and the customized-class (MICC) selector that ranks
+keywords per theme.
 
 Documents here are bags of tokens keyed by a document id: the corpus's body
 token lists (Corpus.body_tokens, made when the corpus was built), one per
@@ -26,13 +28,6 @@ import scipy.sparse as sp
 from .corpus import Corpus
 from .errors import DataFormatError, undecodable_as
 from .text import presence
-
-#: Refutation cue words that signal the disagree stance. A starting point,
-#: not gospel: every selector that takes keywords accepts any list via config.
-DEFAULT_REFUTATION_TERMS: tuple[str, ...] = (
-    "fake", "fraud", "hoax", "false", "deny", "denies", "not", "despite",
-    "nope", "doubt", "doubts", "bogus", "debunk", "pranks", "retract",
-)
 
 
 @dataclass(frozen=True)

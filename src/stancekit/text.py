@@ -57,9 +57,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
 
 def build_vocabulary(
     token_lists: Iterable[TokenList],

@@ -137,6 +137,9 @@ def vectors_file(tmp_path: Path) -> Path:
 
 # Full-dataset checks only run when the four FNC-1 CSV files are present,
 # either under $STANCEKIT_FNC_DATA or the repository's data/ directory.
+#: the shipped three-model config: the paper's manual refutation list lives here
+HEADLINE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "headline.yaml"
+
 FNC_FILES = {
     "train_stances": "train_stances.csv",
     "train_bodies": "train_bodies.csv",

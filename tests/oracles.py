@@ -11,7 +11,8 @@ instance, as train ran before it projected each document once per batch;
 eager_train is plain SGD with the l2 gradient added to the cross-entropy
 gradient, which train applies as weight decay. ssp_transport solves the
 integer transport problem by successive shortest paths, independently of
-the package's transportation simplex.
+the package's transportation simplex. wmd is the one door through which
+tests reach the package's own WMD kernels.
 """
 
 import math
@@ -27,7 +28,9 @@ from stancekit.embeddings import (
     SIMILARITY_MODES,
     WMD_EXACT,
     WMD_TERM_CAP,
+    _WMD,
     _apportion,
+    _cost_matrix,
     _transport_min_cost,
 )
 from stancekit.keywords import mutual_information
@@ -84,7 +87,7 @@ def nbow(tokens, table, max_terms=None):
     """(terms, weights) of the embedded tokens: normalized counts, most
     frequent first (ties lexicographic), cut to max_terms before
     normalizing. None when no token is embedded."""
-    counts = Counter(t for t in tokens if t in table)
+    counts = Counter(t for t in tokens if t in table.index)
     if not counts:
         return None
     items = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_terms]
@@ -94,8 +97,8 @@ def nbow(tokens, table, max_terms=None):
 
 def centroid_cosine(tokens_a, tokens_b, table):
     """Cosine between per-occurrence mean vectors; 0.0 when degenerate."""
-    vecs_a = [table.vector(t) for t in tokens_a if t in table]
-    vecs_b = [table.vector(t) for t in tokens_b if t in table]
+    vecs_a = [table.matrix[table.index[t]] for t in tokens_a if t in table.index]
+    vecs_b = [table.matrix[table.index[t]] for t in tokens_b if t in table.index]
     if not vecs_a or not vecs_b:
         return 0.0
     ca = np.mean(vecs_a, axis=0)
@@ -118,8 +121,8 @@ def similarity_block(head_tokens, body_tokens, table, mode):
     dist_b = nbow(body_tokens, table, WMD_TERM_CAP)
     if dist_a is None or dist_b is None:
         return 0.0
-    va = np.vstack([table.vector(t) for t in dist_a[0]])
-    vb = np.vstack([table.vector(t) for t in dist_b[0]])
+    va = table.matrix[[table.index[t] for t in dist_a[0]]]
+    vb = table.matrix[[table.index[t] for t in dist_b[0]]]
     diff = va[:, None, :] - vb[None, :, :]
     cost = np.sqrt((diff * diff).sum(axis=2))
     supply, demand = _apportion(dist_a[1]), _apportion(dist_b[1])
@@ -131,6 +134,12 @@ def similarity_block(head_tokens, body_tokens, table, mode):
         backward = float(demand / MASS_SCALE @ cost.min(axis=0))
         distance = max(forward, backward)
     return 1.0 / (1.0 + distance)
+
+
+def wmd(a, b, mode=WMD_EXACT):
+    """Word mover's distance of two EmbeddedDocs as similarities computes
+    it: the mode's kernel, _wmd_exact or _wmd_relaxed, on their _cost_matrix."""
+    return _WMD[mode](a, b, _cost_matrix(a, b))
 
 
 def ssp_transport(supply, demand, cost):

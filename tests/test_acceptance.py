@@ -15,10 +15,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from stancekit.config import load_config
 from stancekit.corpus import Stance, load_corpus, plan_folds
 from stancekit.ensemble import EnsembleMember, EnsembleSpec
-from stancekit.evaluation import cross_validate, fnc_score, score_predictions
-from stancekit.keywords import DEFAULT_REFUTATION_TERMS, mutual_information
+from stancekit.evaluation import cross_validate, score_predictions
+from stancekit.keywords import mutual_information
 from stancekit.mlp import TrainingConfig, init_model, predict_batch
 from stancekit.mlp import train as train_model
 from stancekit.pipeline import (
@@ -31,14 +32,20 @@ from stancekit.pipeline import (
 )
 from stancekit.text import BlockSlice
 
-from conftest import FNC_SKIP_REASON, fnc_paths, synthetic_corpus
-from oracles import gradient_check
+from conftest import FNC_SKIP_REASON, HEADLINE_CONFIG, fnc_paths, synthetic_corpus
+from oracles import gradient_check, wmd
 from test_cli import base_config, hash_tree, run
 from test_embeddings import brute_force_wmd, random_instance
-from test_evaluation import brute_force_grade, cheating_runner, constructed_pairs, honest_runner
+from test_evaluation import (
+    brute_force_grade,
+    cheating_runner,
+    constructed_pairs,
+    grades,
+    honest_runner,
+)
 from test_keywords import entropy_identity_mi
 
-from stancekit.embeddings import wmd_exact, wmd_relaxed
+from stancekit.embeddings import WMD_RELAXED
 
 
 @contextmanager
@@ -72,7 +79,7 @@ def fnc_run():
     test_corpus = load_corpus(paths["test_stances"], paths["test_bodies"])
 
     keyword_specs = {
-        "manual": KeywordSpec(name="manual", selector="manual", terms=DEFAULT_REFUTATION_TERMS),
+        "manual": load_config(HEADLINE_CONFIG).keyword_specs["manual"],
         "micc": KeywordSpec(name="micc", selector="micc", themes=("hoax", "fraud", "scam"), k=20),
     }
     layouts = {
@@ -171,9 +178,9 @@ def test_criterion_02_ensemble_improvement(fnc_run):
 
 def test_criterion_03_margin_sanity():
     with criterion(3, "margin-sanity") as c:
-        winner_grade, winner_max = fnc_score(constructed_pairs(18348, 7064, 4317))
-        runner_grade, runner_max = fnc_score(constructed_pairs(18349, 7064, 4271))
-        reference_grade, _ = fnc_score(constructed_pairs(18347, 7064, 4225))
+        winner_grade, winner_max = grades(constructed_pairs(18348, 7064, 4317))
+        runner_grade, runner_max = grades(constructed_pairs(18349, 7064, 4271))
+        reference_grade, _ = grades(constructed_pairs(18347, 7064, 4225))
         assert winner_max == runner_max == 11651.25
         assert winner_grade == 9590.75
         assert runner_grade == 9556.5
@@ -192,7 +199,7 @@ def test_criterion_04_scorer_oracle_equivalence():
         for _ in range(1000):
             n = rng.randint(1, 200)
             pairs = [(rng.choice(stances), rng.choice(stances)) for _ in range(n)]
-            assert fnc_score(pairs) == brute_force_grade(pairs)
+            assert grades(pairs) == brute_force_grade(pairs)
             pairs_seen += n
         c.note = f"1000 lists, {pairs_seen} pairs, grade and max_grade exactly equal"
 
@@ -245,15 +252,15 @@ def test_criterion_07_wmd_correctness():
         worst = 0.0
         for seed in range(30):
             da, db = random_instance(np.random.default_rng(seed))
-            distance = wmd_exact(da, db)
+            distance = wmd(da, db)
             want = brute_force_wmd(da, db)
             worst = max(worst, abs(distance - want))
             assert abs(distance - want) <= 1e-6
         rng = np.random.default_rng(7000)
         for _ in range(100):
             da, db = random_instance(rng)
-            exact = wmd_exact(da, db)
-            assert wmd_relaxed(da, db) <= exact + 1e-9
+            exact = wmd(da, db)
+            assert wmd(da, db, WMD_RELAXED) <= exact + 1e-9
         c.note = f"30 enumerated instances (worst gap {worst:.2e}); relaxed bound held on 100"
 
 

@@ -29,7 +29,7 @@ from stancekit.corpus import (
     plan_folds,
     validation_split,
 )
-from stancekit.evaluation import fnc_score, parse_delimited
+from stancekit.evaluation import parse_delimited, score_predictions
 from stancekit.keywords import read_keyword_set
 from stancekit.mlp import load_model, save_model
 
@@ -918,7 +918,7 @@ class TestPredict:
             predicted = [Stance.parse(row["Stance"]) for row in csv.DictReader(fh)]
         with (tmp_path / "data" / "test_stances.csv").open(newline="", encoding="utf-8") as fh:
             truth = [Stance.parse(row["Stance"]) for row in csv.DictReader(fh)]
-        grade, _ = fnc_score(list(zip(truth, predicted)))
+        grade = score_predictions(list(zip(truth, predicted))).grade
         report = parse_delimited((out / "base.scores.txt").read_text(encoding="utf-8"))
         assert grade == report.grade
 
@@ -1197,6 +1197,12 @@ class TestReport:
         result = run("report", "--config", str(config))
         assert "files=0" in result.output
 
+    def test_fresh_config_creates_no_output_directory(self, tmp_path):
+        config = base_config(tmp_path)
+        result = run("report", "--config", str(config))
+        assert "files=0" in result.output
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize(
     "command", ["train", "evaluate", "predict", "keywords", "cv", "report"]
@@ -1218,6 +1224,49 @@ def test_unknown_target_exit_2(tmp_path, command):
     assert result.exit_code == 2
     assert "named 'nosuch' in the config" in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def renamed(node, old: str, new: str):
+    """node with every mapping key and string equal to old replaced by new."""
+    if isinstance(node, dict):
+        return {renamed(k, old, new): renamed(v, old, new) for k, v in node.items()}
+    if isinstance(node, list):
+        return [renamed(v, old, new) for v in node]
+    return new if node == old else node
+
+
+#: (section, base_config name, name that cannot be part of a file name, command)
+UNFIT_NAMES = {
+    "model-slash": ("models", "base", "a/b", "train"),
+    "model-parent": ("models", "base", "../esc", "train"),
+    "model-tab": ("models", "base", "tab\tname", "train"),
+    "model-nul": ("models", "base", "nul\0name", "train"),
+    "pipeline-dotdot": ("pipelines", "plain", "..", "train"),
+    "pipeline-dot": ("pipelines", "plain", ".", "train"),
+    "ensemble-escape": ("ensembles", "duo", "../../escaped", "evaluate"),
+    "keywords-space": ("keywords", "manual", "my set", "train"),
+    "keywords-backslash": ("keywords", "manual", "a\\b", "keywords"),
+    "theme-slash": ("themes", "hoax", "a/b", "keywords"),
+}
+
+
+@pytest.mark.parametrize("section,old,new,command", UNFIT_NAMES.values(), ids=UNFIT_NAMES)
+def test_name_that_is_no_file_name_exit_2(tmp_path, section, old, new, command):
+    config = base_config(tmp_path)
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    if section == "themes":  # a theme word is also a manual term here
+        raw["keywords"]["themed"]["themes"][0] = new
+        where = "keywords.themed.themes[0]"
+    else:
+        raw = renamed(raw, old, new)
+        where = f"{section}.{new}"
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "run" / "out"
+    result = RUNNER.invoke(main, [command, "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"config error: {where}: name {new!r} cannot be part of a file name" in result.stderr
+    # an escaped write would land beside these, or under run/
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "exp.yaml"]
 
 
 @pytest.mark.parametrize(

@@ -34,13 +34,11 @@ from stancekit.embeddings import (
     embed_doc,
     load_embeddings,
     similarities,
-    wmd_exact,
-    wmd_relaxed,
 )
 from stancekit.errors import DataFormatError, SolverBudgetError
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 
-from oracles import ssp_transport
+from oracles import ssp_transport, wmd
 
 
 def table_from(mapping: dict[str, list[float]]) -> EmbeddingTable:
@@ -98,6 +96,22 @@ def random_instance(rng: np.random.Generator, max_side: int = 4):
     return counts_state(rng, vectors[:m], 6), counts_state(rng, vectors[m:], 6)
 
 
+def random_token_instance(rng: np.random.Generator, max_side: int = 4):
+    """random_instance's draws as (table, headline tokens, body tokens):
+    each vector is a term of the table, repeated its count times."""
+    m = int(rng.integers(1, max_side + 1))
+    n = int(rng.integers(1, max_side + 1))
+    dim = int(rng.integers(2, 5))
+    vectors = np.array([rng.normal(0.0, 2.0, size=dim) for _ in range(m + n)])
+    table = EmbeddingTable(terms=tuple(f"t{i}" for i in range(m + n)), matrix=vectors)
+    head, body = (
+        [term for term, count in zip(terms, rng.integers(1, 6, size=len(terms)))
+         for _ in range(count)]
+        for terms in (table.terms[:m], table.terms[m:])
+    )
+    return table, head, body
+
+
 def fnc_shaped_instance(seed: int, m: int = 11, n: int = 200, dim: int = 50, shared: int = 5):
     """Headline-by-body shaped pair: m vs n terms, `shared` terms in both."""
     rng = np.random.default_rng(seed)
@@ -132,14 +146,14 @@ class TestLoader:
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
         table = load_embeddings(path)
         assert len(table) == 2
-        assert table.dim == 3
-        assert list(table.vector("a")) == [1.0, 0.0, 0.0]
+        assert table.matrix.shape == (2, 3)
+        assert list(table.matrix[table.index["a"]]) == [1.0, 0.0, 0.0]
 
     def test_headerless_form(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0\nb 0 1\n", encoding="utf-8")
         table = load_embeddings(path)
-        assert len(table) == 2 and table.dim == 2
+        assert len(table) == 2 and table.matrix.shape == (2, 2)
 
     def test_inconsistent_dim_names_line(self, tmp_path):
         path = tmp_path / "vec.txt"
@@ -179,13 +193,13 @@ class TestLoader:
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n", encoding="utf-8")
         table = load_embeddings(path, restrict_to={"a"})
         assert len(table) == 1
-        assert "b" not in table
+        assert table.terms == ("a",)
 
     def test_duplicates_keep_first(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("a 1 0\na 9 9\nb 0 1\n", encoding="utf-8")
         table = load_embeddings(path)
-        assert list(table.vector("a")) == [1.0, 0.0]
+        assert list(table.matrix[table.index["a"]]) == [1.0, 0.0]
         assert table.skipped_duplicates == 1
 
     def test_nothing_loaded(self, tmp_path):
@@ -193,13 +207,6 @@ class TestLoader:
         path.write_text("", encoding="utf-8")
         with pytest.raises(DataFormatError):
             load_embeddings(path)
-
-    def test_unknown_term_lookup(self, tmp_path):
-        path = tmp_path / "vec.txt"
-        path.write_text("a 1 0\n", encoding="utf-8")
-        table = load_embeddings(path)
-        with pytest.raises(KeyError):
-            table.vector("zz")
 
 
 class TestNbow:
@@ -310,26 +317,26 @@ class TestWmdExact:
     def test_identity_zero(self):
         table = table_from({"a": [1.0, 2.0], "b": [3.0, 4.0]})
         doc = embed_doc(["a", "b", "b"], table)
-        assert wmd_exact(doc, doc) == 0.0
+        assert wmd(doc, doc) == 0.0
 
     def test_single_vs_single_euclidean(self):
         table = table_from({"a": [0.0, 0.0], "b": [1.0, 2.0]})
         da, db = embed_doc(["a"], table), embed_doc(["b"], table)
-        assert wmd_exact(da, db) == pytest.approx(math.sqrt(5.0), abs=1e-9)
+        assert wmd(da, db) == pytest.approx(math.sqrt(5.0), abs=1e-9)
 
     def test_three_by_three_toy_matches_enumeration(self):
         da = doc_state(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]),
                        np.array([0.5, 0.25, 0.25]))
         db = doc_state(np.array([[1.0, 1.0], [3.0, 1.0], [-1.0, 2.0]]),
                        np.array([0.25, 0.25, 0.5]))
-        assert wmd_exact(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
+        assert wmd(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_instances_match_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(4):
             da, db = random_instance(rng)
-            assert wmd_exact(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
+            assert wmd(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
 
     @pytest.mark.parametrize("kind, seed, want", RECORDED)
     def test_recorded_distances_bit_for_bit(self, kind, seed, want):
@@ -339,7 +346,7 @@ class TestWmdExact:
             instance = fnc_shaped_instance(seed, n=25)
         else:
             instance = fnc_shaped_instance(seed)
-        assert wmd_exact(*instance).hex() == want
+        assert wmd(*instance).hex() == want
 
     def test_shared_vectors_and_identical_distributions(self):
         # a, b, c share one vector and d, e another: every optimal plan is
@@ -352,21 +359,21 @@ class TestWmdExact:
         )
 
         def doc(terms, weights):
-            return doc_state(np.vstack([table.vector(t) for t in terms]), np.array(weights))
+            return doc_state(table.matrix[[table.index[t] for t in terms]], np.array(weights))
 
         same_points = (doc("adf", [0.25, 0.25, 0.5]), doc("bef", [0.25, 0.25, 0.5]))
-        assert wmd_exact(*same_points) == 0.0
-        assert wmd_exact(same_points[0], same_points[0]) == 0.0
+        assert wmd(*same_points) == 0.0
+        assert wmd(same_points[0], same_points[0]) == 0.0
         da = doc("abdf", [0.125, 0.375, 0.25, 0.25])
         db = doc("cea", [0.25, 0.5, 0.25])
-        assert wmd_exact(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
+        assert wmd(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_grid_vector_ties_match_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(4):
             da, db = tie_instance(rng)
-            assert wmd_exact(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
+            assert wmd(da, db) == pytest.approx(brute_force_wmd(da, db), abs=1e-6)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9])
     def test_any_cost_scale(self, scale):
@@ -377,15 +384,15 @@ class TestWmdExact:
         instances += [tie_instance(rng, max_side=5) for _ in range(10)]
         instances.append(fnc_shaped_instance(0, n=40))
         for da, db in instances:
-            want = scale * wmd_exact(da, db)
+            want = scale * wmd(da, db)
             scaled = [d._replace(vectors=d.vectors * scale) for d in (da, db)]
-            assert wmd_exact(*scaled) == pytest.approx(want, rel=1e-9)
+            assert wmd(*scaled) == pytest.approx(want, rel=1e-9)
 
     def test_symmetry(self):
         rng = np.random.default_rng(99)
         for _ in range(10):
             da, db = random_instance(rng)
-            assert wmd_exact(da, db) == pytest.approx(wmd_exact(db, da), abs=1e-9)
+            assert wmd(da, db) == pytest.approx(wmd(db, da), abs=1e-9)
 
     def test_flow_marginals_exact(self):
         rng = np.random.default_rng(7)
@@ -406,7 +413,7 @@ class TestWmdExact:
 
     @staticmethod
     def solve_both(da, db):
-        """(simplex distance, SSP oracle distance), each summed as wmd_exact
+        """(simplex distance, SSP oracle distance), each summed as _wmd_exact
         sums, after checking that the simplex plan is integral and feasible."""
         cost = _cost_matrix(da, db)
         flow = _transport_min_cost(da.masses, db.masses, cost)
@@ -454,25 +461,25 @@ class TestWmdExact:
         monkeypatch.setattr(embeddings, "PIVOTS_PER_LINE", 0)
         da, db = fnc_shaped_instance(0, n=25)
         with pytest.raises(SolverBudgetError, match="iteration budget"):
-            wmd_exact(da, db)
+            wmd(da, db)
 
 
 class TestWmdRelaxed:
     def test_identity_zero(self):
         table = table_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
         doc = embed_doc(["a", "b"], table)
-        assert wmd_relaxed(doc, doc) == 0.0
+        assert wmd(doc, doc, WMD_RELAXED) == 0.0
 
     def test_single_vs_single_equals_exact(self):
         table = table_from({"a": [0.0, 1.0], "b": [1.0, 1.0]})
         da, db = embed_doc(["a"], table), embed_doc(["b"], table)
-        assert wmd_relaxed(da, db) == pytest.approx(wmd_exact(da, db), abs=1e-12)
+        assert wmd(da, db, WMD_RELAXED) == pytest.approx(wmd(da, db), abs=1e-12)
 
     def test_lower_bound_on_100_seeded(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             da, db = random_instance(rng)
-            assert wmd_relaxed(da, db) <= wmd_exact(da, db) + 1e-9
+            assert wmd(da, db, WMD_RELAXED) <= wmd(da, db) + 1e-9
 
 
 class TestSimilarityBlock:
@@ -507,6 +514,19 @@ class TestSimilarityBlock:
                 assert values[k, j] == self.value(heads[h], bodies[b], mode)
         assert values[3].tolist() == values[0].tolist()
         assert values[1].tolist() == [0.0] * len(SIMILARITY_MODES)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_wmd_columns_are_the_checked_kernels(self, seed):
+        # each WMD column is 1/(1 + d) of the distance that the enumeration,
+        # SSP and RECORDED checks above read through oracles.wmd
+        rng = np.random.default_rng(seed)
+        modes = (WMD_EXACT, WMD_RELAXED)
+        for _ in range(4):
+            table, head, body = random_token_instance(rng)
+            values = similarities([head], [body], [0], [0], table, modes)
+            da, db = embed_doc(head, table), embed_doc(body, table)
+            for j, mode in enumerate(modes):
+                assert values[0, j].hex() == (1.0 / (1.0 + wmd(da, db, mode))).hex()
 
     def test_block_names_follow_mode(self):
         corpus = make_corpus([Instance("near", 1, None)], {1: "far"})

@@ -1,8 +1,9 @@
 """Weighted scoring, confusion metrics, report formats, and the cv harness.
 
 The scorer oracle is a per-pair brute-force recomputation kept textually
-independent of fnc_score. Grades are sums of 0.25 steps, which are exact
-in binary floating point, so equality checks here are exact on purpose.
+independent of score_predictions, whose grade and max_grade are what
+evaluate and cv write. Grades are sums of 0.25 steps, which are exact in
+binary floating point, so equality checks here are exact on purpose.
 """
 
 import random
@@ -18,7 +19,6 @@ from stancekit.evaluation import (
     CrossValidationResult,
     confusion,
     cross_validate,
-    fnc_score,
     metrics,
     parse_delimited,
     render_delimited,
@@ -45,6 +45,12 @@ def brute_force_grade(pairs):
         if true_related and pred_related and true == pred:
             grade += 0.75
     return grade, best
+
+
+def grades(pairs):
+    """(grade, max_grade) of score_predictions' report on the pairs."""
+    report = score_predictions(pairs)
+    return report.grade, report.max_grade
 
 
 # label counts of the held-out evaluation split these grades refer to
@@ -89,29 +95,29 @@ def constructed_pairs(unrelated_right: int, related_as_related: int, related_exa
 class TestFncScore:
     def test_all_correct_hits_max(self):
         pairs = [(s, s) for s in STANCES for _ in range(3)]
-        grade, max_grade = fnc_score(pairs)
+        grade, max_grade = grades(pairs)
         assert grade == max_grade == 3 * (1.0 + 1.0 + 1.0 + 0.25)
 
     def test_relatedness_only_quarter_point(self):
-        grade, max_grade = fnc_score([(Stance.AGREE, Stance.DISCUSS)])
+        grade, max_grade = grades([(Stance.AGREE, Stance.DISCUSS)])
         assert (grade, max_grade) == (0.25, 1.0)
 
     def test_unrelated_correct(self):
-        assert fnc_score([(Stance.UNRELATED, Stance.UNRELATED)]) == (0.25, 0.25)
+        assert grades([(Stance.UNRELATED, Stance.UNRELATED)]) == (0.25, 0.25)
 
     def test_unrelated_called_related_scores_nothing(self):
-        assert fnc_score([(Stance.UNRELATED, Stance.AGREE)]) == (0.0, 0.25)
+        assert grades([(Stance.UNRELATED, Stance.AGREE)]) == (0.0, 0.25)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fnc_score([])
+            grades([])
 
     def test_permutation_invariant(self):
         rng = random.Random(0)
         pairs = [(rng.choice(STANCES), rng.choice(STANCES)) for _ in range(60)]
-        base = fnc_score(pairs)
+        base = grades(pairs)
         rng.shuffle(pairs)
-        assert fnc_score(pairs) == base
+        assert grades(pairs) == base
 
     def test_thousand_seeded_lists_match_brute_force_exactly(self):
         rng = random.Random(1234)
@@ -120,7 +126,7 @@ class TestFncScore:
             pairs = [
                 (rng.choice(STANCES), rng.choice(STANCES)) for _ in range(length)
             ]
-            assert fnc_score(pairs) == brute_force_grade(pairs)
+            assert grades(pairs) == brute_force_grade(pairs)
 
     @given(
         st.lists(
@@ -130,7 +136,7 @@ class TestFncScore:
         )
     )
     def test_grade_bounded_by_max(self, pairs):
-        grade, max_grade = fnc_score(pairs)
+        grade, max_grade = grades(pairs)
         assert 0.0 <= grade <= max_grade
 
 
@@ -141,26 +147,26 @@ class TestReferenceMargins:
 
     def test_max_grade_from_label_counts(self):
         perfect = [(s, s) for s, count in TEST_COUNTS.items() for _ in range(count)]
-        grade, max_grade = fnc_score(perfect)
+        grade, max_grade = grades(perfect)
         assert max_grade == self.MAX_GRADE
         assert grade == max_grade
 
     def test_winner_grade(self):
         pairs = constructed_pairs(18348, 7064, 4317)
-        grade, max_grade = fnc_score(pairs)
+        grade, max_grade = grades(pairs)
         assert (grade, max_grade) == (9590.75, self.MAX_GRADE)
 
     def test_runner_up_grade(self):
         pairs = constructed_pairs(18349, 7064, 4271)
-        assert fnc_score(pairs) == (9556.5, self.MAX_GRADE)
+        assert grades(pairs) == (9556.5, self.MAX_GRADE)
 
     def test_winning_margin_exact(self):
-        winner, _ = fnc_score(constructed_pairs(18348, 7064, 4317))
-        runner_up, _ = fnc_score(constructed_pairs(18349, 7064, 4271))
+        winner, _ = grades(constructed_pairs(18348, 7064, 4317))
+        runner_up, _ = grades(constructed_pairs(18349, 7064, 4271))
         assert winner - runner_up == 34.25
 
     def test_reference_grade_ratio(self):
-        grade, max_grade = fnc_score(constructed_pairs(18347, 7064, 4225))
+        grade, max_grade = grades(constructed_pairs(18347, 7064, 4225))
         assert grade == 9521.5
         relative = 100.0 * grade / max_grade
         assert relative == pytest.approx(81.72, abs=0.005)
@@ -245,7 +251,7 @@ class TestScoreReport:
     def test_fields_cross_check(self):
         pairs = self._pairs()
         report = score_predictions(pairs)
-        grade, max_grade = fnc_score(pairs)
+        grade, max_grade = brute_force_grade(pairs)
         assert report.grade == grade and report.max_grade == max_grade
         assert report.relative_grade == pytest.approx(100.0 * grade / max_grade, abs=1e-9)
         cm = confusion(pairs)
@@ -312,7 +318,7 @@ class TestScoreReport:
         for _ in range(4000):
             true = rng.choice(STANCES)
             pairs.append((true, rng.choice(STANCES)))
-        grade, max_grade = fnc_score(pairs)
+        grade, max_grade = grades(pairs)
         # per unrelated pair: 0.25/4; per related pair: 0.25*(3/4) + 0.75/4
         expected = 1000 * (0.25 / 4) + 3000 * (0.25 * 0.75 + 0.75 * 0.25)
         spread = 4000 ** 0.5 * 0.5  # generous multiple-sigma envelope

@@ -12,11 +12,11 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from stancekit.config import load_config
 from stancekit.corpus import Instance, Stance, make_corpus
 from stancekit.errors import DataFormatError
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 from stancekit.keywords import (
-    DEFAULT_REFUTATION_TERMS,
     KeywordSet,
     mutual_information,
     read_keyword_set,
@@ -26,6 +26,7 @@ from stancekit.keywords import (
     write_keyword_set,
 )
 
+from conftest import HEADLINE_CONFIG
 from oracles import select_mi, select_micc
 
 
@@ -337,6 +338,8 @@ class TestKeywordSetIo:
 
 class TestManualList:
     def test_fifteen_distinct_lowercase_terms(self):
-        assert len(DEFAULT_REFUTATION_TERMS) == 15
-        assert len(set(DEFAULT_REFUTATION_TERMS)) == 15
-        assert all(t == t.lower() for t in DEFAULT_REFUTATION_TERMS)
+        spec = load_config(HEADLINE_CONFIG).keyword_specs["manual"]
+        assert spec.selector == "manual"
+        assert len(spec.terms) == 15
+        assert len(set(spec.terms)) == 15
+        assert all(t == t.lower() for t in spec.terms)

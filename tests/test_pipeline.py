@@ -109,8 +109,8 @@ class TestBaselineFit:
             [Instance("zyzzyva headline", 1, Stance.UNRELATED)],
             {1: corpus.bodies[1]},
         )
-        assert "zyzzyva" not in fitted.headline_vocab
-        assert "zyzzyva" not in fitted.shared_vocab
+        assert "zyzzyva" not in fitted.headline_vocab.index
+        assert "zyzzyva" not in fitted.shared_vocab.index
         # featurizing unseen text still works, oov terms simply drop out
         fm = fitted.matrix(unseen)
         assert fm.shape == (1, input_width(fitted))
