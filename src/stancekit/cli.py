@@ -9,7 +9,8 @@ evaluate, predict and every cv fold decide through _predict_target. train
 stages its files in a hidden directory inside the output directory and
 moves them in only if no saved file it keeps there reads one it changes
 (_refuse_stale_rewrites); else it exits 2 and leaves every file as it was.
-No command creates its output directory before its work succeeds.
+No command creates its output directory before its work succeeds. Reports
+and score files are rendered by the evaluation module and written here.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from .evaluation import (
     ScoreReport,
     cross_validate_targets,
     read_delimited,
+    render_cv_aggregate,
     render_delimited,
     render_heatmap_data,
+    render_heatmap_script,
     render_report,
     score_predictions,
 )
@@ -262,26 +265,11 @@ def _probabilities(cfg: ExperimentConfig, fit: FittedPipeline, models: Mapping[s
     return probs
 
 
-_GNUPLOT_TEMPLATE = """\
-# render with: gnuplot -p {name}.heatmap.gp
-set title "stance confusion counts (rows=true, cols=predicted)"
-set palette gray negative
-set xrange [-0.5:3.5]
-set yrange [3.5:-0.5]
-set xtics ("agree" 0, "disagree" 1, "discuss" 2, "unrelated" 3)
-set ytics ("agree" 0, "disagree" 1, "discuss" 2, "unrelated" 3)
-plot "{name}.heatmap.dat" using 2:1:3 with image notitle
-"""
-
-
 def _write_reports(out: Path, target: str, report: ScoreReport) -> None:
     (out / f"{target}.report.txt").write_text(render_report(report), encoding="utf-8")
-    (out / f"{target}.heatmap.dat").write_text(
-        render_heatmap_data(report.confusion), encoding="utf-8"
-    )
-    (out / f"{target}.heatmap.gp").write_text(
-        _GNUPLOT_TEMPLATE.format(name=target), encoding="utf-8"
-    )
+    (out / f"{target}.heatmap.dat").write_text(render_heatmap_data(report.confusion),
+                                               encoding="utf-8")
+    (out / f"{target}.heatmap.gp").write_text(render_heatmap_script(target), encoding="utf-8")
 
 
 @click.group()
@@ -525,17 +513,10 @@ def cv(config_path, out_dir, models_csv, jobs):
     out = _out_dir(cfg)
     for target, result in results.items():
         for fold, report in enumerate(result.reports):
-            (out / f"{target}.cv.fold{fold}.scores.txt").write_text(
-                render_delimited(report), encoding="utf-8"
-            )
-        lines = [f"target={target}", f"folds={cfg.cv.folds}"]
-        for fold, report in enumerate(result.reports):
-            lines.append(f"relative_grade_fold{fold}={report.relative_grade!r}")
-        lines.append(f"relative_mean={result.relative_mean!r}")
-        lines.append(f"relative_std={result.relative_std!r}")
-        (out / f"{target}.cv.aggregate.txt").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
-        )
+            (out / f"{target}.cv.fold{fold}.scores.txt").write_text(render_delimited(report),
+                                                                     encoding="utf-8")
+        (out / f"{target}.cv.aggregate.txt").write_text(render_cv_aggregate(target, result),
+                                                         encoding="utf-8")
         click.echo(
             f"command=cv target={target} folds={cfg.cv.folds} "
             f"relative_mean={result.relative_mean!r} relative_std={result.relative_std!r}"

@@ -26,6 +26,7 @@ from .pipeline import (
     PipelineSpec,
     SIMILARITY,
 )
+from .text import is_token
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    name: str
     pipeline: str
     training: TrainingConfig
     hidden_dim: int = 100
@@ -111,21 +111,16 @@ def _section(node, path: str, keys: tuple[str, ...] | None = None) -> dict:
     return node
 
 
-def _check_name(name: str, path: str) -> None:
-    """Entry names and MICC themes become parts of file names and of
-    keyword-file headers, which split on whitespace."""
-    if name in (".", "..") or any(c in "/\\\0" or c.isspace() for c in name):
-        raise _fail(path, f"name {name!r} cannot be part of a file name: "
-                          "no /, \\, whitespace or NUL, and not . or ..")
-
-
 def _entries(raw: dict, section: str, keys: tuple[str, ...] | None = None):
     """(name, path, node) of each named entry of a section such as models."""
     for name, node in _section(raw.get(section), section).items():
         path = f"{section}.{name}"
         if not _KINDS[str][0](name):  # YAML reads `7:` as an int, which --models cannot name
             raise _fail(path, f"entry name {name!r}: {_KINDS[str][1]}")
-        _check_name(name, path)
+        # a name is part of file names and of keyword-file headers, which split on whitespace
+        if name in (".", "..") or any(c in "/\\\0" or c.isspace() for c in name):
+            raise _fail(path, f"name {name!r} cannot be part of a file name: "
+                              "no /, \\, whitespace or NUL, and not . or ..")
         yield name, path, _section(node, path, keys)
 
 
@@ -190,8 +185,10 @@ def _parse_keyword_spec(name: str, node: dict, path: str) -> KeywordSpec:
     for key, values in (("terms", terms), ("themes", themes)):
         if len(set(values)) != len(values):
             raise _fail(f"{path}.{key}", "entries must be distinct")
-    for i, theme in enumerate(themes):
-        _check_name(theme, f"{path}.themes[{i}]")
+        for i, value in enumerate(values):  # a token is also fit to be part of a file name
+            if not is_token(value):
+                raise _fail(f"{path}.{key}[{i}]",
+                            f"{value!r} is not a token: lowercase letters and digits only")
     names = _field(node, "positive", path, tuple, ("disagree",))
     try:
         positive = tuple(map(Stance.parse, names))
@@ -296,7 +293,6 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         if pipeline not in pipelines:
             raise _fail(f"{path}.pipeline", f"undefined pipeline {pipeline!r}")
         models[name] = ModelConfig(
-            name=name,
             pipeline=pipeline,
             hidden_dim=_field(node, "hidden_dim", path, int, 100, minimum=1),
             training=_parse_training(node.get("training"), f"{path}.training"),

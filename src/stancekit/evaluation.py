@@ -7,7 +7,8 @@ the same label set, so systems are comparable across splits.
 
 score_predictions is the one scorer: evaluate, cv and train's validation
 read its report, whose grade and max_grade come from the confusion matrix
-it also reports.
+it also reports. Every report and score format the commands write is
+rendered here; the CLI only names and writes the files.
 """
 
 from __future__ import annotations
@@ -204,6 +205,17 @@ def render_heatmap_data(confusion_matrix: np.ndarray) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+def render_heatmap_script(target: str) -> str:
+    """gnuplot script drawing target's heat-map data, a tic per stance."""
+    tics = ", ".join(f'"{s.value}" {i}' for i, s in enumerate(STANCES))
+    top = len(STANCES) - 0.5
+    return (f"# render with: gnuplot -p {target}.heatmap.gp\n"
+            'set title "stance confusion counts (rows=true, cols=predicted)"\n'
+            f"set palette gray negative\nset xrange [-0.5:{top}]\nset yrange [{top}:-0.5]\n"
+            f"set xtics ({tics})\nset ytics ({tics})\n"
+            f'plot "{target}.heatmap.dat" using 2:1:3 with image notitle\n')
+
+
 @dataclass(frozen=True)
 class CrossValidationResult:
     reports: tuple[ScoreReport, ...]
@@ -218,8 +230,8 @@ def cross_validate(
 
     run_fold must fit everything (vocabulary, IDF, keywords, models) from
     the train corpus it is handed; the held-out corpus is only for
-    prediction. Folds run concurrently when jobs > 1; reports keep fold
-    order either way.
+    prediction. Folds run in a pool of `jobs` threads; reports keep fold
+    order.
     """
     return cross_validate_targets(corpus, plan, lambda *split: {"": run_fold(*split)}, jobs)[""]
 
@@ -248,11 +260,8 @@ def cross_validate_targets(
             reports[target] = score_predictions(pairs)
         return reports
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            folds = list(pool.map(run, range(plan.k)))
-    else:
-        folds = [run(fold) for fold in range(plan.k)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        folds = list(pool.map(run, range(plan.k)))
     results = {}
     for target in folds[0]:
         reports = tuple(f[target] for f in folds)
@@ -260,3 +269,13 @@ def cross_validate_targets(
         std = float(grades.std(ddof=1)) if len(grades) > 1 else 0.0
         results[target] = CrossValidationResult(reports, float(grades.mean()), std)
     return results
+
+
+def render_cv_aggregate(target: str, result: CrossValidationResult) -> str:
+    """cv's key=value summary of a target: fold grades, their mean and std."""
+    grades = [f"relative_grade_fold{i}={_fmt(r.relative_grade)}"
+              for i, r in enumerate(result.reports)]
+    lines = [f"target={target}", f"folds={len(grades)}", *grades,
+             f"relative_mean={_fmt(result.relative_mean)}",
+             f"relative_std={_fmt(result.relative_std)}"]
+    return "\n".join(lines) + "\n"

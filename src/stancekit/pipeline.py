@@ -14,7 +14,9 @@ the pair columns have a row per instance: the TF-IDF cosine, computed for
 all instances at once from the IDF-weighted count rows, and the embedding
 similarities, all scored by one embeddings.similarities() call that takes
 each distinct headline/body pair once. assemble() lays a pipeline's blocks
-side by side.
+side by side. Column names come from the spec alone (an indicator block's
+are kw_<the config's keyword-set name>, never a saved file's header), so
+the distinct blocks of a PipelineSpec always have distinct names.
 Pipelines trained on one corpus can thus share one fit of the union of their
 blocks and one set of block matrices: each is then dataclasses.replace(
 shared, spec=...), and featurizes and saves exactly as a fit of its own spec.
@@ -185,15 +187,13 @@ class FittedPipeline:
                 columns += [("tf_headline", len(self.headline_vocab)),
                             ("tf_body", len(self.body_vocab)), ("tfidf_cos", 1)]
             elif block.kind == INDICATOR:
-                ks = self.keyword_sets[block.keywords]
-                columns.append((f"kw_{ks.name}", 2 * len(ks.terms)))
+                columns.append((f"kw_{block.keywords}",
+                                2 * len(self.keyword_sets[block.keywords].terms)))
             elif self.embeddings is None:
                 raise ConfigError(f"pipeline {self.spec.name!r} has a similarity block but no "
                                   "embedding table")
             else:
                 columns.append(("emb_" + block.mode.replace("-", "_"), 1))
-        if len({name for name, _ in columns}) != len(columns):
-            raise ConfigError(f"pipeline {self.spec.name!r} has duplicate block names")
         starts = accumulate((length for _, length in columns), initial=0)
         self.layout = tuple(BlockSlice(n, s, length) for (n, length), s in zip(columns, starts))
 

@@ -42,6 +42,15 @@ def tokenize(text: str) -> TokenList:
     return _TOKEN_RE.findall(text.lower())
 
 
+def is_token(term: str) -> bool:
+    """Whether tokenize can yield term: lowercase and one match of its pattern.
+
+    >>> [is_token(t) for t in ("fake", "42", "Fake", "fraud word", "can't", "a_b")]
+    [True, True, False, False, False, False]
+    """
+    return term == term.lower() and _TOKEN_RE.fullmatch(term) is not None
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Ordered list of distinct terms with a positional index."""

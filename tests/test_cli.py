@@ -757,6 +757,19 @@ class TestSavedArtifacts:
         assert result.exit_code == 2
         assert "saved pipeline 'plain' differs" in result.stderr
 
+    def test_keyword_file_header_name_is_not_read(self, trained, tmp_path):
+        # an indicator block's columns are named after the config's keyword
+        # set, so the saved file's header name changes no layout or decision
+        out, config = copied_workspace(trained, tmp_path)
+        run("evaluate", "--config", str(config))
+        scores = {p.name: p.read_bytes() for p in out.glob("*.scores.txt")}
+        keyword_file = out / "with_manual.kw.manual.txt"
+        header = keyword_file.read_text(encoding="utf-8").splitlines()[0]
+        assert header.startswith("# manual ")
+        set_line(0, "# renamed " + header[len("# manual "):])(keyword_file)
+        run("evaluate", "--config", str(config))
+        assert {p.name: p.read_bytes() for p in out.glob("*.scores.txt")} == scores
+
 
 # what one fuzz edit may insert into a saved file
 FUZZ_TOKENS = (b"nan", b"1e400", b'"', b"\xff", b"\n")
@@ -1256,17 +1269,41 @@ def test_name_that_is_no_file_name_exit_2(tmp_path, section, old, new, command):
     raw = yaml.safe_load(config.read_text(encoding="utf-8"))
     if section == "themes":  # a theme word is also a manual term here
         raw["keywords"]["themed"]["themes"][0] = new
-        where = "keywords.themed.themes[0]"
+        message = f"keywords.themed.themes[0]: {new!r} is not a token"
     else:
         raw = renamed(raw, old, new)
-        where = f"{section}.{new}"
+        message = f"{section}.{new}: name {new!r} cannot be part of a file name"
     config.write_text(yaml.safe_dump(raw), encoding="utf-8")
     out = tmp_path / "run" / "out"
     result = RUNNER.invoke(main, [command, "--config", str(config), "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert f"config error: {where}: name {new!r} cannot be part of a file name" in result.stderr
+    assert f"config error: {message}" in result.stderr
     # an escaped write would land beside these, or under run/
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "exp.yaml"]
+
+
+#: (keyword set, key, an entry that tokenize never yields, command)
+NON_TOKENS = {
+    "term-capital": ("manual", "terms", "Fake", "train"),
+    "term-space": ("manual", "terms", "fraud word", "train"),
+    "term-apostrophe": ("manual", "terms", "can't", "keywords"),
+    "term-underscore": ("manual", "terms", "a_b", "cv"),
+    "theme-capital": ("themed", "themes", "Hoax", "keywords"),
+}
+
+
+@pytest.mark.parametrize("keyword_set,key,entry,command", NON_TOKENS.values(), ids=NON_TOKENS)
+def test_keyword_that_is_no_token_exit_2(tmp_path, keyword_set, key, entry, command):
+    # such a keyword would match no text, and its indicator columns stay zero
+    config = base_config(tmp_path)
+    raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+    raw["keywords"][keyword_set][key][1:1] = [entry]
+    config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    result = RUNNER.invoke(main, [command, "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert (f"config error: keywords.{keyword_set}.{key}[1]: {entry!r} is not a token"
+            in result.stderr)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

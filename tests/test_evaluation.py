@@ -21,8 +21,10 @@ from stancekit.evaluation import (
     cross_validate,
     metrics,
     parse_delimited,
+    render_cv_aggregate,
     render_delimited,
     render_heatmap_data,
+    render_heatmap_script,
     render_report,
     score_predictions,
 )
@@ -311,6 +313,26 @@ class TestScoreReport:
         for i, j, value in triples:
             assert report.confusion[int(i), int(j)] == int(value)
 
+    def test_heatmap_script_golden(self):
+        assert render_heatmap_script("t") == (
+            "# render with: gnuplot -p t.heatmap.gp\n"
+            'set title "stance confusion counts (rows=true, cols=predicted)"\n'
+            "set palette gray negative\n"
+            "set xrange [-0.5:3.5]\n"
+            "set yrange [3.5:-0.5]\n"
+            'set xtics ("agree" 0, "disagree" 1, "discuss" 2, "unrelated" 3)\n'
+            'set ytics ("agree" 0, "disagree" 1, "discuss" 2, "unrelated" 3)\n'
+            'plot "t.heatmap.dat" using 2:1:3 with image notitle\n'
+        )
+
+    def test_heatmap_script_tics_follow_stances(self):
+        lines = render_heatmap_script("t").splitlines()
+        for axis in "xy":
+            (tics,) = [line for line in lines if line.startswith(f"set {axis}tics ")]
+            assert re.findall(r'"(\w+)" (\d+)', tics) == [
+                (stance.value, str(i)) for i, stance in enumerate(STANCES)
+            ]
+
     def test_random_predictor_near_expectation(self):
         """Uniform guessing lands near its closed-form expected grade."""
         rng = random.Random(7)
@@ -376,6 +398,24 @@ class TestCrossValidate:
         assert result.relative_mean == pytest.approx(float(np.mean(rels)), abs=1e-12)
         assert result.relative_std == pytest.approx(float(np.std(rels, ddof=1)), abs=1e-12)
         assert min(rels) <= result.relative_mean <= max(rels)
+
+    def test_aggregate_golden(self):
+        reports = tuple(score_predictions(pairs) for pairs in (
+            [(Stance.AGREE, Stance.AGREE), (Stance.UNRELATED, Stance.UNRELATED)],
+            [(Stance.AGREE, Stance.DISCUSS), (Stance.UNRELATED, Stance.UNRELATED)],
+            [(Stance.DISAGREE, Stance.UNRELATED), (Stance.DISCUSS, Stance.DISCUSS),
+             (Stance.UNRELATED, Stance.AGREE)],
+        ))
+        result = CrossValidationResult(reports, 61.48148148148149, 33.43195287821261)
+        assert render_cv_aggregate("t", result) == (
+            "target=t\n"
+            "folds=3\n"
+            "relative_grade_fold0=100.0\n"
+            "relative_grade_fold1=40.0\n"
+            "relative_grade_fold2=44.44444444444444\n"
+            "relative_mean=61.48148148148149\n"
+            "relative_std=33.43195287821261\n"
+        )
 
     def test_wrong_pair_count_rejected(self, toy_corpus):
         plan = plan_folds(toy_corpus, k=2, seed=0)

@@ -275,7 +275,7 @@ def indicator_row(headline: str, body: str, terms) -> list[float]:
         keyword_sets={"m": KeywordSet(name="manual", terms=tuple(terms))},
         embeddings=None,
     )
-    assert fitted.layout[0].name == "kw_manual"
+    assert fitted.layout[0].name == "kw_m"
     return list(fitted.matrix(corpus).matrix.toarray()[0])
 
 

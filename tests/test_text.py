@@ -7,8 +7,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from stancekit.corpus import Instance, make_corpus
-from stancekit.errors import ConfigError
-from stancekit.keywords import KeywordSet
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
 from stancekit.text import (
     IdfTable,
@@ -18,6 +16,7 @@ from stancekit.text import (
     count_matrix,
     dump_vocabulary,
     load_vocabulary,
+    is_token,
     tfidf_cosines,
     tokenize,
 )
@@ -37,6 +36,12 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert tokenize("foo_bar") == ["foo", "bar"]
+
+    @given(st.text(max_size=30))
+    def test_is_token_is_what_tokenize_yields(self, text):
+        assert all(is_token(t) for t in tokenize(text))
+        if is_token(text):
+            assert tokenize(text) == [text]
 
     @given(st.text(max_size=80))
     def test_tokens_lowercase_no_punctuation(self, text):
@@ -212,24 +217,6 @@ class TestPinnedCosines:
             "0x1.e2d24a85ff93cp-1",
             "0x0.0p+0",
         ]
-
-
-class TestBlocks:
-    def test_duplicate_block_name_rejected(self):
-        # two keyword sets may carry the same name under different references
-        spec = PipelineSpec(
-            name="dup",
-            blocks=(
-                BlockSpec(kind="indicator", keywords="a"),
-                BlockSpec(kind="indicator", keywords="b"),
-            ),
-        )
-        keyword_sets = {ref: KeywordSet(name="dup", terms=("x",)) for ref in ("a", "b")}
-        with pytest.raises(ConfigError, match="duplicate block names"):
-            FittedPipeline(
-                spec=spec, headline_vocab=None, body_vocab=None, idf=None,
-                keyword_sets=keyword_sets, embeddings=None,
-            )
 
 
 BASELINE_ONLY = PipelineSpec(name="plain", blocks=(BlockSpec(kind="baseline"),))
