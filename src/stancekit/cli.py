@@ -494,6 +494,13 @@ def _fold_runner(cfg: ExperimentConfig, targets: Sequence[str], embeddings):
     return run
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on where the platform says, else the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @main.command()
 @_common
 @click.option("--jobs", type=click.IntRange(min=1), default=None,
@@ -509,7 +516,7 @@ def cv(config_path, out_dir, models_csv, jobs):
     folds = plan_folds(corpus, cfg.cv.folds, cfg.cv.seed)
     embeddings = _maybe_embeddings(cfg, _plan(cfg, targets), corpus, "cv")
     results = cross_validate_targets(corpus, folds, _fold_runner(cfg, targets, embeddings),
-                                     jobs=jobs or os.cpu_count() or 1)
+                                     jobs=jobs or _usable_cores())
     out = _out_dir(cfg)
     for target, result in results.items():
         for fold, report in enumerate(result.reports):

@@ -3,12 +3,12 @@ seeded mini-batch SGD with inverted dropout on mean cross-entropy plus
 l2_lambda times the squared weights (w1, w2). A step with rate r is
 w <- (1 - 2*r*l2_lambda) * w - r * grad(cross-entropy): l2 as weight decay.
 w2 decays in place; w1 is held as scale * w during training, so its decay
-multiplies the scale, and a step changes only the rows its batch touches
-(built on those rows alone when they are fewer than half of w1's). The
-objective's ||w1||^2 is carried from step to step, not read from all of w1.
-There is one forward pass, gradient and step, the ones train runs: a
-trained model predicts through the same forward pass at scale 1, and the
-gradient checks in tests differentiate train's scaled, compressed step.
+multiplies the scale, and a step adds straight into the rows its batch
+touches. The objective's ||w1||^2 is summed from row norms carried from step
+to step, each step reading only the rows it touched. There is one forward
+pass, gradient and step, the ones train runs: a trained model predicts
+through the same forward pass at scale 1, and the gradient checks in tests
+differentiate train's scaled step.
 
 Training and prediction take a FeatureMatrix, which holds a row per
 distinct headline and body, so each mini-batch projects a document its
@@ -162,14 +162,20 @@ class _Batch(NamedTuple):
     uses: _Csr
 
 
-def _sparse_product(a: _Csr | sp.csr_matrix, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+def _sparse_product(a: _Csr | sp.csr_matrix, b: np.ndarray, transpose: bool = False,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """a @ b, or with transpose a.T @ b (the CSC matrix of a's arrays), for
-    a 2-d float64 b: the kernel scipy's @ runs, on a's arrays, into a
-    zero-filled float64 array, so the product has @'s bits and no scipy
-    matrix is built. scipy.sparse._sparsetools is private, so a test pins
-    this against @; there is no fallback path."""
+    a 2-d float64 b: the kernel scipy's @ runs, on a's arrays, so the
+    product has @'s bits and no scipy matrix is built. The kernel adds each
+    term into its output in turn: out, a C-contiguous float64 array of the
+    product's shape, or a zero-filled one. scipy.sparse._sparsetools is
+    private, so a test pins this against @; there is no fallback path."""
     rows, cols = a.shape[::-1] if transpose else a.shape
-    out = np.zeros((rows, b.shape[1]))
+    if out is None:
+        out = np.zeros((rows, b.shape[1]))
+    elif (out.shape != (rows, b.shape[1]) or out.dtype != np.float64
+          or not out.flags.c_contiguous):  # ravel would copy it and drop the sum
+        raise ValueError("out must be a C-contiguous float64 array of the product's shape")
     kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
     kernel(rows, cols, b.shape[1], a.indptr, a.indices, a.data, b.ravel(), out.ravel())
     return out
@@ -228,17 +234,17 @@ def predict_batch(model: MlpModel, features) -> tuple[list[Stance], np.ndarray]:
 
 def _batch_forward(model: MlpModel, x: FeatureMatrix | _Batch, mask: np.ndarray | None = None,
                    keep: float = 1.0, w1_scale: float = 1.0):
-    """(hidden_pre, hidden, probs, logits, lse, xw) of the rows x under the
+    """(hidden_pre, hidden, probs, logits, lse) of the rows x under the
     weights w1_scale * model.w1 (train's _ScaledW1; 1.0 for a trained
-    model): xw is x @ model.w1 itself, which hidden_pre scales."""
+    model)."""
     # overflow here surfaces as a non-finite objective, which train() turns
     # into TrainingDivergedError; the interim warnings are just noise
     with np.errstate(over="ignore", invalid="ignore"):
         projected = _sparse_product(x.docs, model.w1)  # each document once
-        xw = projected[x.head_row]
-        xw += projected[x.body_row]
-        xw += x.pairs @ model.w1[x.pair_columns]
-        hidden_pre = w1_scale * xw
+        hidden_pre = projected[x.head_row]
+        hidden_pre += projected[x.body_row]
+        hidden_pre += x.pairs @ model.w1[x.pair_columns]
+        hidden_pre *= w1_scale
         hidden_pre += model.b1
         hidden = np.maximum(0.0, hidden_pre)
         if mask is not None:
@@ -247,31 +253,28 @@ def _batch_forward(model: MlpModel, x: FeatureMatrix | _Batch, mask: np.ndarray 
         top = logits.max(axis=1, keepdims=True)
         e = np.exp(logits - top)  # one exp for the softmax and the log-sum-exp
         total = e.sum(axis=1, keepdims=True)
-        return hidden_pre, hidden, e / total, logits, np.log(total[:, 0]) + top[:, 0], xw
+        return hidden_pre, hidden, e / total, logits, np.log(total[:, 0]) + top[:, 0]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of a * b in one read pass; einsum's loop, unlike BLAS dot, adds
-    in an order that does not depend on the thread count."""
-    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
-
-
-def _sq_norm(a: np.ndarray) -> float:
-    """Sum of squares of a, as _dot adds it."""
-    return _dot(a, a)
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares of the 2-d a, in one read pass; einsum's
+    loop, unlike BLAS dot, adds in an order that does not depend on the
+    thread count."""
+    return np.einsum("ij,ij->i", a, a)
 
 
 class _ScaledW1:
     """model.w1 during train, held as scale * w: the sparse-update trick of
     Bottou 2012 ("Stochastic Gradient Descent Tricks", section 5.1). The l2
     decay multiplies scale alone, so a step changes only the rows of w its
-    batch touches. sq_norm carries ||w||^2 from step to step; all of w is
-    read for it only here and after a fold, which multiplies scale into w
-    once |scale| falls below _SCALE_FLOOR (and when the decay is exactly 0)."""
+    batch touches. row_sq carries each row's ||w_r||^2 from step to step, and
+    a step reads only the rows it touched; all of w is read for it only here
+    and after a fold, which multiplies scale into w once |scale| falls below
+    _SCALE_FLOOR (and when the decay is exactly 0)."""
 
     def __init__(self, w: np.ndarray, decay: float):
         self.w, self.decay, self.scale = w, decay, 1.0
-        self.sq_norm = _sq_norm(w)
+        self.row_sq = _sq_norms(w)
 
     def _next_scale(self) -> tuple[float, bool]:
         scale = self.scale * self.decay
@@ -283,22 +286,26 @@ class _ScaledW1:
         scale, folds = self._next_scale()
         return 1.0 if folds else scale
 
-    def take(self, rows: np.ndarray | None, values: np.ndarray, dot_w: float) -> None:
-        """Decays, then subtracts values, a step taken at step_scale, from
-        w[rows] (rows None: from all of w); dot_w is <w, step>."""
+    def take(self, x: _Batch, g_pre: np.ndarray) -> None:
+        """Decays, then subtracts x.T @ g_pre, a step taken at step_scale,
+        from w: the CSC kernel adds the per-document sums -(x.uses @ g_pre)
+        into the rows of the batch's document columns, and x.pairs.T @ g_pre
+        comes off the pair columns' rows. Only those rows' norms are read
+        again."""
         scale, folds = self._next_scale()
         if folds:
             self.w *= scale
             scale = 1.0
         self.scale = scale
-        if rows is None:
-            self.w -= values
-        else:
-            self.w[rows] -= values
+        touched = np.zeros(len(self.w), dtype=bool)
+        touched[x.docs.indices] = True
+        touched[x.pair_columns] = True
+        _sparse_product(x.docs, -_sparse_product(x.uses, g_pre), transpose=True, out=self.w)
+        self.w[x.pair_columns] -= x.pairs.T @ g_pre  # rows no document column touches
         if folds:
-            self.sq_norm = _sq_norm(self.w)
-        else:  # ||w - d||^2 = ||w||^2 - 2<w, d> + ||d||^2
-            self.sq_norm += _sq_norm(values) - 2.0 * dot_w
+            self.row_sq = _sq_norms(self.w)
+        else:
+            self.row_sq[touched] = _sq_norms(self.w.compress(touched, axis=0))
 
     def fold(self) -> None:
         """Multiplies scale into w, which then holds the weights themselves."""
@@ -346,44 +353,19 @@ def _batches(features: FeatureMatrix, order: np.ndarray,
             _Csr(ones[: b - a], use_row[a:b] - start, runs[lo : hi + 1] - a, (hi - lo, len(rows))))
 
 
-def _w1_step(x: _Batch, g_pre: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """(rows, x.T @ g_pre on them): the rows the batch's documents and pair
-    columns touch, through the batch's CSR with compressed column ids, when
-    they are fewer than half of w1's; otherwise (None, the whole zero-filled
-    product). The rows hold the same bits either way. g_pre is summed per
-    document (x.uses @ g_pre) before one product with the transpose of the
-    batch's documents."""
-    docs = x.docs
-    rows, cols, pair_rows, width = None, docs.indices, x.pair_columns, docs.shape[1]
-    touched = np.zeros(width, dtype=bool)
-    touched[cols] = True
-    touched[pair_rows] = True
-    if 2 * np.count_nonzero(touched) < width:
-        rows = np.flatnonzero(touched)
-        at = np.cumsum(touched, dtype=cols.dtype) - 1  # a touched row's place in rows
-        cols, pair_rows, width = at[cols], at[pair_rows], len(rows)
-    # the batch's documents with their columns compressed or not
-    compressed = docs._replace(indices=cols, shape=(docs.shape[0], width))
-    step = _sparse_product(compressed, _sparse_product(x.uses, g_pre), transpose=True)
-    step[pair_rows] += x.pairs.T @ g_pre  # rows no document column touches
-    return rows, step
-
-
 def _batch_gradients(model, w1: _ScaledW1, x, y, l2_lambda, mask=None, keep=1.0, rate=1.0):
     """(objective, steps) for one mini-batch x, as _batches makes it, under
     the weights w1.scale * w1.w (w1.w is model.w1): mean cross-entropy,
     computed from logits, plus the l2 penalty, which reads w1's carried
-    norm; rate times the cross-entropy gradients (not the l2 one, which
+    row norms; rate times the cross-entropy gradients (not the l2 one, which
     train applies as decay), keyed like the fields. rate rides on the
-    (batch, 4) error and 1 / w1.step_scale on the (batch, hidden) g_pre,
-    so steps["w1"] is w1.take's arguments: the step x.T @ g_pre, on the
-    rows _w1_step picks, and <w, step> = <x @ w, g_pre>, read off the
-    forward pass's projections.
+    (batch, 4) error and 1 / w1.step_scale on the (batch, hidden)
+    steps["w1"], the g_pre whose step x.T @ g_pre w1.take subtracts.
     """
     n = len(y)
     if n == 0:
         raise ValueError("empty batch")
-    hidden_pre, hidden, probs, logits, lse, xw = _batch_forward(model, x, mask, keep, w1.scale)
+    hidden_pre, hidden, probs, logits, lse = _batch_forward(model, x, mask, keep, w1.scale)
     ce = float(np.mean(lse - logits[np.arange(n), y]))
 
     g_logits = probs  # probs is not read again
@@ -395,12 +377,9 @@ def _batch_gradients(model, w1: _ScaledW1, x, y, l2_lambda, mask=None, keep=1.0,
         g_hidden = g_hidden * mask / keep
     g_pre = g_hidden * (hidden_pre > 0.0)
     steps = {"b1": g_pre.sum(axis=0), "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0)}
-    g_pre /= w1.step_scale
-    dot_w = _dot(xw, g_pre)
-    del xw  # freed before the w1 step is allocated
-    steps["w1"] = (*_w1_step(x, g_pre), dot_w)
-    w1_sq_norm = w1.scale * w1.scale * w1.sq_norm
-    return ce + l2_lambda * (w1_sq_norm + _sq_norm(model.w2)), steps
+    steps["w1"] = g_pre / w1.step_scale
+    l2 = w1.scale * w1.scale * float(w1.row_sq.sum()) + float(_sq_norms(model.w2).sum())
+    return ce + l2_lambda * l2, steps
 
 
 def train(
@@ -447,8 +426,7 @@ def train(
                                                 keep, rate)
             if not np.isfinite(objective):
                 raise TrainingDivergedError(epoch)
-            # frees the w1 step before the next batch allocates its own
-            w1.take(*steps.pop("w1"))
+            w1.take(x, steps.pop("w1"))
             model.w2 *= decay
             for name, step in steps.items():
                 param = getattr(model, name)

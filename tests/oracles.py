@@ -6,13 +6,14 @@ and selects keywords from one document-by-term presence matrix. The
 functions here compute the same values one instance, row, document or
 candidate at a time, straight from their definitions, so tests can pin the
 batched paths to them exactly. gradient_check compares backprop, through
-train's scaled and row-compressed step, with central finite differences. pair_train is SGD over one example row per
-instance, as train ran before it projected each document once per batch;
-eager_train is plain SGD with the l2 gradient added to the cross-entropy
-gradient, which train applies as weight decay. ssp_transport solves the
-integer transport problem by successive shortest paths, independently of
-the package's transportation simplex. wmd is the one door through which
-tests reach the package's own WMD kernels.
+the step train takes on its scaled w1, with central finite differences.
+pair_train is SGD over one example row per instance, as train ran before
+it projected each document once per batch; eager_train is plain SGD with
+the l2 gradient added to the cross-entropy gradient, which train applies
+as weight decay. ssp_transport solves the integer transport problem by
+successive shortest paths, independently of the package's transportation
+simplex. wmd is the one door through which tests reach the package's own
+WMD kernels.
 """
 
 import math
@@ -334,9 +335,10 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5, 
     Both sides come from mlp._batch_gradients, the code train runs, given
     a fresh mlp._ScaledW1 of model.w1 at scale for each evaluation: the
     objective it returns, and its cross-entropy gradients plus the l2
-    gradient. Its w1 step, (rows, values) scattered into a dense array, is
-    taken at scale, so d objective / d model.w1 = scale**2 * (values + 2 *
-    l2_lambda * model.w1). Dropout must be disabled (keep = 1); the sampled
+    gradient. Its w1 step is read as _ScaledW1.take, which train runs,
+    subtracts it from zeros (0 - step is exact). It is taken at scale, so
+    d objective / d model.w1 = scale**2 * (step + 2 * l2_lambda *
+    model.w1). Dropout must be disabled (keep = 1); the sampled
     parameter set always covers at least min(sample_size, #params) distinct
     coordinates.
     """
@@ -351,9 +353,9 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5, 
         return mlp._batch_gradients(model, w1, x, y, config.l2_lambda)
 
     steps = batch_gradients()[1]
-    rows, values, _ = steps["w1"]
-    steps["w1"] = np.zeros_like(model.w1)
-    steps["w1"][slice(None) if rows is None else rows] = values
+    taken = mlp._ScaledW1(np.zeros_like(model.w1), 1.0)
+    taken.take(x, steps["w1"])
+    steps["w1"] = -taken.w
     grads = _with_l2(steps, model, config.l2_lambda)
     grads["w1"] *= scale * scale
     params = [(model.w1, grads["w1"]), (model.b1, grads["b1"]),
@@ -435,7 +437,7 @@ def pair_train(features, labels, config, hidden_dim=100):
             if mask is not None:
                 g_hidden = g_hidden * mask / keep
             g_pre = g_hidden * (hidden_pre > 0.0)
-            l2 = config.l2_lambda * (mlp._sq_norm(model.w1) + mlp._sq_norm(model.w2))
+            l2 = config.l2_lambda * (float(np.sum(model.w1**2)) + float(np.sum(model.w2**2)))
             model.w1 *= decay
             model.w2 *= decay
             model.w1 -= np.asarray(xb.T @ g_pre)

@@ -1148,6 +1148,21 @@ class TestCv:
         run("cv", "--config", str(config), "--models", "base", "--jobs", "3")
         assert (tmp_path / "out" / "base.cv.aggregate.txt").read_bytes() == serial
 
+    def test_jobs_default_is_the_cores_this_process_may_use(self, tmp_path, monkeypatch):
+        import stancekit.cli as cli
+
+        seen, real = [], cli.cross_validate_targets
+
+        def recording(*args, jobs):
+            seen.append(jobs)
+            return real(*args, jobs=jobs)
+
+        monkeypatch.setattr(cli, "cross_validate_targets", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the host's CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        run("cv", "--config", str(base_config(tmp_path)), "--models", "base")
+        assert seen == [1]
+
     def test_unreferenced_bodies_stay_in_training(self, tmp_path):
         # with seed 3, dealing every body would leave fold 8 no stance rows
         config = base_config(tmp_path, cv={"folds": 10, "seed": 3})

@@ -421,7 +421,7 @@ def document_toy(seed: int, n: int = 60, pair_cols: int = 2, heads: int = 12, bo
 def wide_toy():
     """document_toy over 150 headline and 250 body columns, a few of them
     non-zero in each document: a batch of 4 examples touches about a
-    tenth of w1's rows, so train takes its compressed step."""
+    tenth of w1's rows."""
     return document_toy(seed=8, head_cols=150, body_cols=250, density=0.02)
 
 
@@ -481,62 +481,67 @@ class TestDocumentSide:
         assert predict_batch(model, feats)[0] == predict_batch(want, feats.matrix)[0]
 
 
-#: toy -> (features and labels, the batch size its pins train with, the
-#: form of every w1 step train takes on it)
-STEP_FORMS = {
-    "sparse": (sparse_toy, 16, "dense"),
-    "dense": (dense_toy, 16, "dense"),
-    "documents": (lambda: document_toy(seed=4), 16, "dense"),
-    "wide": (wide_toy, 4, "compressed"),
+#: toy -> (features and labels, the batch size its pins train with)
+TOYS = {
+    "sparse": (sparse_toy, 16),
+    "dense": (dense_toy, 16),
+    "documents": (lambda: document_toy(seed=4), 16),
+    "wide": (wide_toy, 4),
 }
 
 
+def touched_rows(x) -> np.ndarray:
+    """The rows of w1 a batch's step touches: its document columns and its
+    pair columns."""
+    return np.union1d(x.docs.indices, x.pair_columns)
+
+
 class TestStepForms:
-    """train takes w1's step only on the rows a batch touches when they are
-    fewer than half of w1's rows, through the batch's CSR with compressed
-    column ids, and as one dense product otherwise. Both forms subtract
-    the same bits from the rows they touch; the decay multiplies a scale."""
+    """train takes w1's step in one form: it adds the step straight into the
+    rows of w1 the batch touches, and carries each row's squared norm,
+    reading only those rows again; the decay multiplies a scale."""
 
-    @pytest.mark.parametrize("toy", sorted(STEP_FORMS))
-    def test_each_toy_takes_one_form(self, monkeypatch, toy):
-        make, batch_size, form = STEP_FORMS[toy]
-        forms, real = [], mlp._w1_step
-
-        def recording(x, g_pre):
-            rows, step = real(x, g_pre)
-            forms.append("dense" if rows is None else "compressed")
-            return rows, step
-
-        monkeypatch.setattr(mlp, "_w1_step", recording)
-        feats, labels = make()
-        cfg = TrainingConfig(learning_rate=0.05, batch_size=batch_size, epochs=3, seed=5)
-        train(feats, labels, cfg, hidden_dim=7)
-        assert len(forms) == 3 * -(-feats.shape[0] // batch_size)
-        assert set(forms) == {form}
-
-    def test_compressed_rows_hold_the_dense_bits(self):
+    def test_untouched_rows_keep_their_bytes(self):
         feats, _ = wide_toy()
-        g = np.random.default_rng(1).normal(size=(feats.shape[0], 7))
-        for rows, x in mlp._batches(feats, np.arange(feats.shape[0]), 4):
-            touched, step = mlp._w1_step(x, g[rows])
-            # the dense form: the product over all of w1's rows
-            dense = mlp._sparse_product(x.docs, mlp._sparse_product(x.uses, g[rows]), True)
-            dense[x.pair_columns] += x.pairs.T @ g[rows]
+        rng = np.random.default_rng(1)
+        for rows, x in mlp._batches(feats, rng.permutation(feats.shape[0]), 4):
+            w1 = mlp._ScaledW1(rng.normal(size=(feats.shape[1], 7)), 0.9)
+            before = w1.w.copy()
+            w1.take(x, rng.normal(size=(len(rows), 7)))
+            touched = touched_rows(x)
             assert 2 * len(touched) < feats.shape[1]
-            assert step.tobytes() == dense[touched].tobytes()
-            assert not np.delete(dense, touched, axis=0).any()
+            assert w1.scale == 0.9
+            assert np.delete(w1.w, touched, axis=0).tobytes() == \
+                np.delete(before, touched, axis=0).tobytes()
+            assert not np.array_equal(w1.w[touched], before[touched])
+
+    @pytest.mark.parametrize("toy", sorted(TOYS))
+    def test_carried_norms_track_fresh_ones(self, toy):
+        make, batch_size = TOYS[toy]
+        feats, _ = make()
+        rng = np.random.default_rng(2)
+        w1 = mlp._ScaledW1(init_model(feats.shape[1], 7, feats.layout, seed=3).w1, 0.99)
+        steps = 0
+        for rows, x in mlp._batches(feats, rng.permutation(feats.shape[0]), batch_size):
+            w1.take(x, rng.normal(scale=0.1, size=(len(rows), 7)))
+            # a touched row's norm is read again from the same bytes
+            assert w1.row_sq.tobytes() == mlp._sq_norms(w1.w).tobytes()
+            fresh = float(np.sum(w1.w * w1.w))
+            assert abs(w1.row_sq.sum() - fresh) <= 1e-12 * fresh
+            steps += 1
+        assert steps == -(-feats.shape[0] // batch_size)
 
     @pytest.mark.parametrize("scale", [0.37, -1.7])
     def test_gradient_check_at_a_scale(self, scale):
         """The finite differences see the weights scale * w1; the step is
-        taken at that scale, on the rows one batch of 4 touches."""
+        taken at that scale, on the rows one batch of 4 touches, fewer than
+        half of w1's."""
         feats, labels = wide_toy()
         feats = replace(feats, pairs=feats.pairs[:4], head_row=feats.head_row[:4],
                         body_row=feats.body_row[:4])
         model = init_model(feats.shape[1], 4, feats.layout, seed=2)
         model.b1[:] = [0.3, -0.2, 0.4, 0.1]
-        rows, _ = mlp._w1_step(one_batch(feats), np.ones((4, 4)))
-        assert rows is not None
+        assert 2 * len(touched_rows(one_batch(feats))) < feats.shape[1]
         # on the rows no batch touches the gradient is l2's alone; at 1e-3
         # it falls to 1e-7 on the smallest weights, where the differences'
         # rounding is a relative 1e-5
@@ -580,13 +585,13 @@ class TestStepForms:
     @pytest.mark.parametrize("rate,lam,folds", [(0.05, 1e-4, 0), (0.05, 15.0, 1),
                                                 (0.5, 1.0, 48)])
     def test_whole_w1_norm_read_at_start_and_per_fold(self, monkeypatch, rate, lam, folds):
-        reads, real = [], mlp._sq_norm
+        reads, real = [], mlp._sq_norms
 
         def recording(a):
             reads.append(a)
             return real(a)
 
-        monkeypatch.setattr(mlp, "_sq_norm", recording)
+        monkeypatch.setattr(mlp, "_sq_norms", recording)
         feats, labels = sparse_toy()
         cfg = TrainingConfig(learning_rate=rate, batch_size=16, epochs=12,
                              dropout_keep=1.0, l2_lambda=lam, seed=5)
@@ -624,6 +629,38 @@ class TestSparseProduct:
         want = scipy_a @ b
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("shape", [(9, 13), (13, 9)])
+    def test_adds_into_out_term_by_term(self, transpose, shape):
+        """train adds its w1 step straight into w1: each term of the
+        product is added into out in turn, in the order of a's entries."""
+        a = random_csr(sum(shape), shape, np.int32)
+        rng = np.random.default_rng(5)
+        rows, cols = shape[::-1] if transpose else shape
+        b = rng.normal(size=(cols, 3))
+        out = rng.normal(size=(rows, 3))
+        want = out.tolist()
+        for i in range(a.shape[0]):
+            for k in range(a.indptr[i], a.indptr[i + 1]):
+                j = int(a.indices[k])
+                dst, src = (j, i) if transpose else (i, j)
+                for v in range(b.shape[1]):
+                    want[dst][v] = want[dst][v] + float(a.data[k]) * float(b[src, v])
+        assert mlp._sparse_product(a, b, transpose, out=out) is out
+        assert out.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_out_must_take_the_sum_in_place(self, transpose):
+        a = random_csr(3, (9, 13), np.int32)
+        rows, cols = (13, 9) if transpose else (9, 13)
+        b = np.ones((cols, 3))
+        for out in (np.ones((rows, 3), order="F"), np.ones((rows, 6))[:, ::2],
+                    np.ones((rows, 4)), np.ones((rows, 3), dtype=np.float32)):
+            kept = out.copy()
+            with pytest.raises(ValueError, match="C-contiguous"):
+                mlp._sparse_product(a, b, transpose, out=out)
+            assert np.array_equal(out, kept)
 
     def test_train_builds_no_sparse_matrix_per_batch(self, monkeypatch):
         built = []
