@@ -170,7 +170,7 @@ def _parse_training(node, path: str) -> TrainingConfig:
             epochs=_field(node, "epochs", path, int, defaults.epochs, minimum=0),
             dropout_keep=_field(node, "dropout_keep", path, float, defaults.dropout_keep),
             l2_lambda=_field(node, "l2_lambda", path, float, defaults.l2_lambda),
-            seed=_field(node, "seed", path, int),
+            seed=_field(node, "seed", path, int, minimum=0),  # numpy refuses a negative seed
         )
     except ValueError as exc:
         raise _fail(path, str(exc)) from None
@@ -304,6 +304,9 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
         fraction = _field(node, "fraction", "validation", float, 0.1)
         if not 0.0 < fraction < 1.0:
             raise _fail("validation.fraction", "must be in (0, 1)")
+        if fraction > 0.5:
+            raise _fail("validation.fraction", "must be <= 0.5: at most half the bodies "
+                        "can be held out")
         validation = ValidationConfig(fraction=fraction,
                                       seed=_field(node, "seed", "validation", int))
 
@@ -322,7 +325,7 @@ def parse_config(raw: dict, base_dir: Path) -> ExperimentConfig:
                 raise _fail(f"{path}.members", f"undefined model {member!r}")
         if name in models:
             raise _fail(path, "ensemble name collides with a model name")
-        combiner_seed = _field(node, "combiner_seed", path, int, None)
+        combiner_seed = _field(node, "combiner_seed", path, int, None, minimum=0)
         if concat:
             if combiner_seed is None:
                 raise _fail(f"{path}.combiner_seed", "required for the concatenation rule")

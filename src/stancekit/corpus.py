@@ -163,10 +163,10 @@ _FIELD_SIZE_LIMIT = 2**31 - 1
 @contextmanager
 def _reader(path: Path, required: Iterable[str]) -> Iterator[csv.DictReader]:
     """A reader of the CSV at path, closed on exit, that has every required
-    column. Bytes that are not UTF-8, read in the block too, raise
-    DataFormatError."""
+    column; a UTF-8 byte-order mark is skipped. Bytes that are not UTF-8,
+    read in the block too, raise DataFormatError."""
     csv.field_size_limit(_FIELD_SIZE_LIMIT)
-    with (path.open("r", encoding="utf-8", newline="") as handle,
+    with (path.open("r", encoding="utf-8-sig", newline="") as handle,
           undecodable_as(DataFormatError, path)):
         reader = csv.DictReader(handle)
         have = set(reader.fieldnames or ())
@@ -261,6 +261,9 @@ def validation_split(corpus: Corpus, fraction: float, seed: int) -> tuple[Corpus
     """Hold out one of round(1/fraction) body folds as a validation sub-corpus."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"validation fraction must be in (0,1), got {fraction}")
+    if fraction > 0.5:
+        raise ValueError(f"validation fraction must be <= 0.5 (at most half the bodies "
+                         f"can be held out), got {fraction}")
     k = max(2, round(1.0 / fraction))
     dealt = len({i.body_id for i in corpus.instances})
     if dealt < k:

@@ -14,10 +14,10 @@ Training and prediction take a FeatureMatrix, which holds a row per
 distinct headline and body, so each mini-batch projects a document its
 examples share through w1 once and sums their w1 gradients per document
 before one sparse product; a plain dense or CSR example matrix is a
-FeatureMatrix without document rows. A mini-batch holds its documents and
-their uses as bare CSR arrays, and its sparse products run scipy's CSR/CSC
-kernels on them (_sparse_product): the SGD loop builds no scipy matrix
-unless the pair columns are one (a plain CSR example matrix).
+FeatureMatrix without document rows. A mini-batch is a FeatureMatrix of its
+own rows whose documents are bare CSR arrays, and its sparse products run
+scipy's CSR/CSC kernels on them (_sparse_product): the SGD loop builds no
+scipy matrix unless the pair columns are one (a plain CSR example matrix).
 Labels are read, and decisions made, through corpus.stance_indices and
 corpus.decisions. Prediction is batched only: predict_batch maps whole
 example matrices to probability rows and their argmax stances. A trained
@@ -108,10 +108,12 @@ class FeatureMatrix:
     pair_columns: docs has a CSR row per distinct headline and body, holding
     that side's columns (TF, keyword bits), and pairs the pair's (TF-IDF
     cosine, embedding similarity), dense or CSR. As x @ w1 is linear in x, a
-    document is projected once however many examples share it."""
+    document is projected once however many examples share it. In a
+    mini-batch (_batches) docs is a _Csr of the batch's documents alone,
+    and matrix cannot be read."""
 
     pairs: np.ndarray | sp.csr_matrix
-    docs: sp.csr_matrix
+    docs: sp.csr_matrix | _Csr
     head_row: np.ndarray
     body_row: np.ndarray
     pair_columns: np.ndarray
@@ -147,19 +149,6 @@ class _Csr(NamedTuple):
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple[int, int]
-
-
-class _Batch(NamedTuple):
-    """One mini-batch of a FeatureMatrix, read as one: docs holds the
-    distinct documents its rows use, which head_row and body_row index, and
-    uses is the 0/1 (documents, rows) matrix of those uses."""
-
-    pairs: np.ndarray | sp.csr_matrix
-    docs: _Csr
-    head_row: np.ndarray
-    body_row: np.ndarray
-    pair_columns: np.ndarray
-    uses: _Csr
 
 
 def _sparse_product(a: _Csr | sp.csr_matrix, b: np.ndarray, transpose: bool = False,
@@ -232,7 +221,7 @@ def predict_batch(model: MlpModel, features) -> tuple[list[Stance], np.ndarray]:
     return decisions(probs), probs
 
 
-def _batch_forward(model: MlpModel, x: FeatureMatrix | _Batch, mask: np.ndarray | None = None,
+def _batch_forward(model: MlpModel, x: FeatureMatrix, mask: np.ndarray | None = None,
                    keep: float = 1.0, w1_scale: float = 1.0):
     """(hidden_pre, hidden, probs, logits, lse) of the rows x under the
     weights w1_scale * model.w1 (train's _ScaledW1; 1.0 for a trained
@@ -276,32 +265,30 @@ class _ScaledW1:
         self.w, self.decay, self.scale = w, decay, 1.0
         self.row_sq = _sq_norms(w)
 
-    def _next_scale(self) -> tuple[float, bool]:
+    def take(self, x: FeatureMatrix, g_pre: np.ndarray) -> None:
+        """Decays, then subtracts x.T @ g_pre / scale, the step at the new
+        scale, from w. The CSC kernel sums g_pre / scale per document over
+        the 0/1 (rows, documents) matrix of x's uses, row j its headline
+        then its body, so each document adds its rows in row order; it then
+        adds the negated sums into the rows of the batch's document columns,
+        and x.pairs.T @ (g_pre / scale) comes off the pair columns' rows.
+        Only those rows' norms are read again."""
         scale = self.scale * self.decay
-        return scale, abs(scale) < _SCALE_FLOOR
-
-    @property
-    def step_scale(self) -> float:
-        """The scale after this batch's decay, which its step is taken at."""
-        scale, folds = self._next_scale()
-        return 1.0 if folds else scale
-
-    def take(self, x: _Batch, g_pre: np.ndarray) -> None:
-        """Decays, then subtracts x.T @ g_pre, a step taken at step_scale,
-        from w: the CSC kernel adds the per-document sums -(x.uses @ g_pre)
-        into the rows of the batch's document columns, and x.pairs.T @ g_pre
-        comes off the pair columns' rows. Only those rows' norms are read
-        again."""
-        scale, folds = self._next_scale()
+        folds = abs(scale) < _SCALE_FLOOR
         if folds:
             self.w *= scale
             scale = 1.0
         self.scale = scale
+        g = g_pre / scale
+        n = len(g)
+        uses = _Csr(np.ones(2 * n), np.column_stack((x.head_row, x.body_row)).ravel(),
+                    np.arange(0, 2 * n + 1, 2), (n, x.docs.shape[0]))
         touched = np.zeros(len(self.w), dtype=bool)
         touched[x.docs.indices] = True
         touched[x.pair_columns] = True
-        _sparse_product(x.docs, -_sparse_product(x.uses, g_pre), transpose=True, out=self.w)
-        self.w[x.pair_columns] -= x.pairs.T @ g_pre  # rows no document column touches
+        _sparse_product(x.docs, -_sparse_product(uses, g, transpose=True), transpose=True,
+                        out=self.w)
+        self.w[x.pair_columns] -= x.pairs.T @ g  # rows no document column touches
         if folds:
             self.row_sq = _sq_norms(self.w)
         else:
@@ -315,42 +302,25 @@ class _ScaledW1:
 
 
 def _batches(features: FeatureMatrix, order: np.ndarray,
-             size: int) -> Iterator[tuple[np.ndarray, _Batch]]:
+             size: int) -> Iterator[tuple[np.ndarray, FeatureMatrix]]:
     """(rows, batch) of each mini-batch, size rows of order in turn. The
-    batch's docs are the distinct documents the rows use, and its uses the
-    0/1 (documents, rows) matrix of those uses, which sums row gradients
-    per document (np.add.reduceat takes six times as long for a batch of
-    500 rows at FNC scale). One sort per call finds every batch's
-    documents; a batch copies their entries straight into its CSR arrays."""
-    starts = range(0, len(order), size)
+    batch is a FeatureMatrix of those rows whose docs, a _Csr, holds only
+    the distinct documents they use, in ascending document order, its
+    entries copied straight from features.docs."""
     docs = features.docs
-    # use 2j is row j's headline, 2j + 1 its body; the keys sort batch-major
-    keys = np.repeat(np.arange(len(order)) // size * docs.shape[0], 2)
-    keys[0::2] += features.head_row[order]
-    keys[1::2] += features.body_row[order]
-    sorter = np.argsort(keys, kind="stable")
-    is_first = np.diff(keys[sorter], prepend=-1) != 0
-    # sorted position where each (batch, document) starts, then the end
-    runs = np.flatnonzero(np.append(is_first, True))
-    run_of = np.empty_like(sorter)
-    run_of[sorter] = np.cumsum(is_first) - 1
-    run_docs, use_row = keys[sorter[runs[:-1]]] % docs.shape[0], sorter // 2
-    ones = np.ones(2 * min(size, len(order)))
     lengths = np.diff(docs.indptr)
-    bounds = np.searchsorted(runs, [2 * s for s in starts] + [2 * len(order)])
-    for k, start in enumerate(starts):
-        a, b = 2 * start, 2 * min(start + size, len(order))
-        lo, hi = bounds[k : k + 2]
-        first, length = docs.indptr[run_docs[lo:hi]], lengths[run_docs[lo:hi]]
-        indptr = np.zeros(hi - lo + 1, dtype=docs.indptr.dtype)
+    for start in range(0, len(order), size):
+        rows = order[start : start + size]
+        used, local = np.unique(np.concatenate((features.head_row[rows], features.body_row[rows])),
+                                return_inverse=True)
+        first, length = docs.indptr[used], lengths[used]
+        indptr = np.zeros(len(used) + 1, dtype=docs.indptr.dtype)
         np.cumsum(length, out=indptr[1:])
         entries = np.repeat(first - indptr[:-1], length) + np.arange(indptr[-1])
-        rows = order[a // 2 : b // 2]
-        yield rows, _Batch(
+        yield rows, FeatureMatrix(
             features.pairs[rows],
-            _Csr(docs.data[entries], docs.indices[entries], indptr, (hi - lo, docs.shape[1])),
-            run_of[a:b:2] - lo, run_of[a + 1 : b : 2] - lo, features.pair_columns,
-            _Csr(ones[: b - a], use_row[a:b] - start, runs[lo : hi + 1] - a, (hi - lo, len(rows))))
+            _Csr(docs.data[entries], docs.indices[entries], indptr, (len(used), docs.shape[1])),
+            local[: len(rows)], local[len(rows) :], features.pair_columns)
 
 
 def _batch_gradients(model, w1: _ScaledW1, x, y, l2_lambda, mask=None, keep=1.0, rate=1.0):
@@ -359,8 +329,8 @@ def _batch_gradients(model, w1: _ScaledW1, x, y, l2_lambda, mask=None, keep=1.0,
     computed from logits, plus the l2 penalty, which reads w1's carried
     row norms; rate times the cross-entropy gradients (not the l2 one, which
     train applies as decay), keyed like the fields. rate rides on the
-    (batch, 4) error and 1 / w1.step_scale on the (batch, hidden)
-    steps["w1"], the g_pre whose step x.T @ g_pre w1.take subtracts.
+    (batch, 4) error; steps["w1"] is the (batch, hidden) g_pre, whose step
+    at the new scale w1.take subtracts.
     """
     n = len(y)
     if n == 0:
@@ -377,7 +347,7 @@ def _batch_gradients(model, w1: _ScaledW1, x, y, l2_lambda, mask=None, keep=1.0,
         g_hidden = g_hidden * mask / keep
     g_pre = g_hidden * (hidden_pre > 0.0)
     steps = {"b1": g_pre.sum(axis=0), "w2": g_logits.T @ hidden, "b2": g_logits.sum(axis=0)}
-    steps["w1"] = g_pre / w1.step_scale
+    steps["w1"] = g_pre
     l2 = w1.scale * w1.scale * float(w1.row_sq.sum()) + float(_sq_norms(model.w2).sum())
     return ce + l2_lambda * l2, steps
 

@@ -320,7 +320,8 @@ def _with_l2(steps, model, l2_lambda):
 
 def one_batch(x):
     """x, dense rows or a FeatureMatrix, as the one mini-batch of all its
-    rows that train would make of it (x itself when it has no rows)."""
+    rows that train would make of it: a FeatureMatrix of those rows whose
+    docs hold only the documents they use (x itself when it has no rows)."""
     if not isinstance(x, mlp.FeatureMatrix):
         x = mlp.FeatureMatrix.of(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
@@ -336,9 +337,9 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5, 
     a fresh mlp._ScaledW1 of model.w1 at scale for each evaluation: the
     objective it returns, and its cross-entropy gradients plus the l2
     gradient. Its w1 step is read as _ScaledW1.take, which train runs,
-    subtracts it from zeros (0 - step is exact). It is taken at scale, so
-    d objective / d model.w1 = scale**2 * (step + 2 * l2_lambda *
-    model.w1). Dropout must be disabled (keep = 1); the sampled
+    subtracts it from zeros held at scale (0 - step is exact), so the step
+    is g_pre's divided by scale and d objective / d model.w1 = scale**2 *
+    (step + 2 * l2_lambda * model.w1). Dropout must be disabled (keep = 1); the sampled
     parameter set always covers at least min(sample_size, #params) distinct
     coordinates.
     """
@@ -354,6 +355,7 @@ def gradient_check(model, x, labels, config, sample_size=60, seed=0, step=1e-5, 
 
     steps = batch_gradients()[1]
     taken = mlp._ScaledW1(np.zeros_like(model.w1), 1.0)
+    taken.scale = scale
     taken.take(x, steps["w1"])
     steps["w1"] = -taken.w
     grads = _with_l2(steps, model, config.l2_lambda)

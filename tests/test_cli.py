@@ -429,6 +429,23 @@ class TestTrain:
         assert f"{key} must be" in result.stderr and "finite" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("entry", ["models.base.training.seed",
+                                       "ensembles.trio_concat.combiner_seed"])
+    def test_negative_seed_exit_2(self, tmp_path, entry):
+        """numpy refuses a negative seed: the config does, before any SGD."""
+        config = base_config(tmp_path)
+        raw = yaml.safe_load(config.read_text(encoding="utf-8"))
+        *parents, key = entry.split(".")
+        node = raw
+        for part in parents:
+            node = node[part]
+        node[key] = -1
+        config.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        result = RUNNER.invoke(main, ["train", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"{entry}: must be >= 0" in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_jobs_flag_is_cv_only_exit_2(self, tmp_path):
         config = base_config(tmp_path)
         result = RUNNER.invoke(main, ["train", "--config", str(config), "--jobs", "2"])

@@ -120,6 +120,14 @@ CONFIG_ERRORS = {
                                 "unknown stance 'maybe'"),
     "fraction_one": ("validation.fraction", 1.0, "validation.fraction", "must be in (0, 1)"),
     "fraction_zero": ("validation.fraction", 0, "validation.fraction", "must be in (0, 1)"),
+    # validation_split holds out one of max(2, round(1 / fraction)) body folds
+    "fraction_above_half": ("validation.fraction", 0.6, "validation.fraction",
+                            "at most half the bodies"),
+    "fraction_near_one": ("validation.fraction", 0.9, "validation.fraction",
+                          "at most half the bodies"),
+    # numpy's default_rng refuses a negative seed
+    "training_seed_minimum": ("models.base.training.seed", -1, "models.base.training.seed",
+                              "must be >= 0"),
     "empty_ensemble": ("ensembles.duo.members", [], "ensembles.duo.members",
                        "expected at least one model"),
     # a key its block kind, keyword selector or fusion rule does not read
@@ -328,6 +336,17 @@ class TestErrors:
         raw["ensembles"]["duo"]["rule"] = "concatenation"
         with pytest.raises(ConfigError, match="combiner_seed"):
             load_raw(tmp_path, raw)
+
+    def test_negative_combiner_seed(self, tmp_path):
+        raw = base_raw()
+        raw["ensembles"]["duo"].update(rule="concatenation", combiner_seed=-3)
+        with pytest.raises(ConfigError, match=r"^ensembles\.duo\.combiner_seed: must be >= 0"):
+            load_raw(tmp_path, raw)
+
+    def test_half_can_be_held_out(self, tmp_path):
+        raw = base_raw()
+        raw["validation"]["fraction"] = 0.5
+        assert load_raw(tmp_path, raw).validation.fraction == 0.5
 
     def test_concatenation_needs_validation_section(self, tmp_path):
         raw = base_raw()

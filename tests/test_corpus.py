@@ -28,6 +28,7 @@ from conftest import (
     requires_fnc,
     synthetic_corpus,
     write_bodies,
+    write_corpus_files,
     write_stances,
 )
 
@@ -151,6 +152,21 @@ class TestLoaders:
         path.write_bytes(b"\xff" + raw if where == "header" else raw)
         with pytest.raises(DataFormatError, match=r"data\.csv: not UTF-8 text \(byte 0x(ff|e9)"):
             loader(path)
+
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path):
+        """A spreadsheet that saves "UTF-8 with BOM" puts EF BB BF before
+        the header; the first column keeps its name."""
+        plain = synthetic_corpus(n_instances=12, n_bodies=4, seed=3)
+        loaded = {}
+        for kind in ("plain", "bom"):
+            stances, bodies = tmp_path / f"{kind}_s.csv", tmp_path / f"{kind}_b.csv"
+            write_corpus_files(plain, stances, bodies)
+            if kind == "bom":
+                for path in (stances, bodies):
+                    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            loaded[kind] = load_corpus(stances, bodies)
+        assert loaded["bom"].instances == loaded["plain"].instances == plain.instances
+        assert loaded["bom"].bodies == loaded["plain"].bodies == plain.bodies
 
     def test_make_corpus_integrity(self):
         good = make_corpus([Instance("h", 7, None)], {7: "t"})
@@ -306,6 +322,13 @@ class TestValidationSplit:
             validation_split(toy_corpus, fraction=0.0, seed=0)
         with pytest.raises(ValueError):
             validation_split(toy_corpus, fraction=1.0, seed=0)
+        for fraction in (0.6, 0.9):  # each would hold out half the bodies
+            with pytest.raises(ValueError, match="at most half"):
+                validation_split(toy_corpus, fraction=fraction, seed=0)
+
+    def test_half_held_out(self, toy_corpus):
+        train, val = validation_split(toy_corpus, fraction=0.5, seed=2)
+        assert len(val.bodies) == pytest.approx(len(toy_corpus.bodies) / 2, abs=1)
 
 
 @requires_fnc

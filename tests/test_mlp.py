@@ -445,15 +445,49 @@ class TestDocumentSide:
         side = x.copy()
         side[:, feats.pair_columns] = 0.0
         for rows, batch in mlp._batches(feats, np.random.default_rng(seed).permutation(n), size):
-            docs, uses = csr(batch.docs), csr(batch.uses)
-            examples = FeatureMatrix(batch.pairs, docs, batch.head_row, batch.body_row,
-                                     batch.pair_columns)
+            # the batch's documents are the distinct ones its rows use, ascending
+            used = np.unique(np.concatenate((feats.head_row[rows], feats.body_row[rows])))
+            docs = csr(batch.docs)
+            assert docs.shape[0] == len(used)
+            assert np.array_equal(docs.toarray(), feats.docs[used].toarray())
+            assert np.array_equal(used[batch.head_row], feats.head_row[rows])
+            assert np.array_equal(used[batch.body_row], feats.body_row[rows])
+            examples = replace(batch, docs=docs)
             assert np.array_equal(examples.matrix.toarray(), x[rows])
-            # each row uses its headline and its body once
-            assert np.array_equal(uses.toarray().sum(axis=0), np.full(len(rows), 2.0))
-            step = docs.T @ (uses @ g[rows])
+            # the per-document step, as take subtracts it from zeros at scale 1
+            taken = mlp._ScaledW1(np.zeros((feats.shape[1], 5)), 1.0)
+            taken.take(batch, g[rows])
+            step = -taken.w
+            step[feats.pair_columns] = 0.0
             want = side[rows].T @ g[rows]
             assert np.all(np.abs(step - want) <= 1e-12 * (np.abs(side[rows].T) @ np.abs(g[rows])))
+
+    def test_step_sums_each_document_in_row_order(self):
+        """take's bits: g_pre / scale summed over each document's rows in
+        row order, then the negated sums added into w entry by entry, in
+        document order."""
+        feats, _ = document_toy(seed=6, n=12, pair_cols=0, heads=3, bodies=2)
+        rows = np.random.default_rng(6).permutation(12)[:9]
+        batch = next(mlp._batches(feats, rows, 9))[1]
+        rng = np.random.default_rng(7)
+        w1 = mlp._ScaledW1(rng.normal(size=(feats.shape[1], 3)), 0.7)
+        g_pre = rng.normal(size=(9, 3))
+        want = w1.w.tolist()
+        docs = feats.docs
+        for d in sorted({int(i) for i in np.concatenate((feats.head_row[rows],
+                                                          feats.body_row[rows]))}):
+            total = [0.0] * 3
+            for j, r in enumerate(rows):
+                for doc in (feats.head_row[r], feats.body_row[r]):
+                    if doc == d:
+                        total = [t + float(v) / 0.7 for t, v in zip(total, g_pre[j])]
+            for k in range(docs.indptr[d], docs.indptr[d + 1]):
+                dst = want[int(docs.indices[k])]
+                for v in range(3):
+                    dst[v] = dst[v] + float(docs.data[k]) * -total[v]
+        w1.take(batch, g_pre)
+        assert w1.scale == 0.7
+        assert w1.w.tobytes() == np.array(want).tobytes()
 
     def test_gradient_check(self):
         feats, labels = document_toy(seed=2, n=20)
