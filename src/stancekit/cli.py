@@ -344,19 +344,6 @@ def train(config_path, out_dir, models_csv):
         click.echo(f"command=train ensemble={ens} file={ens}.combiner.json")
 
 
-def _saved_combiner(cfg: ExperimentConfig, target: str) -> LinearCombiner | None:
-    """The combiner train wrote for a concatenation ensemble, else None."""
-    if target in cfg.models or cfg.ensembles[target].rule != CONCATENATION:
-        return None
-    path = cfg.output_dir / f"{target}.combiner.json"
-    if not path.is_file():
-        raise ConfigError(f"no fitted combiner for {target!r}; run the train command")
-    combiner = load_combiner(path)
-    if combiner.n_inputs != 4 * len(cfg.ensembles[target].members):
-        raise DataFormatError(f"{path}: combiner does not fit the members of {target!r}")
-    return combiner
-
-
 def _predict_target(
     cfg: ExperimentConfig,
     target: str,
@@ -389,11 +376,19 @@ def _saved_decisions(cfg: ExperimentConfig, plan: _Plan, corpus: Corpus,
         models[pid][name] = load_model(path)
         if models[pid][name].feature_layout != fits[pid].layout:
             raise DataFormatError(f"{path}: feature layout does not match pipeline {pid!r}")
-    combiners = {target: _saved_combiner(cfg, target) for target in plan.targets}
+    combiners = {}
+    for target in plan.targets:
+        if target in cfg.ensembles and cfg.ensembles[target].rule == CONCATENATION:
+            path = out / f"{target}.combiner.json"
+            if not path.is_file():
+                raise ConfigError(f"no fitted combiner for {target!r}; run the train command")
+            combiners[target] = load_combiner(path)
+            if combiners[target].n_inputs != 4 * len(cfg.ensembles[target].members):
+                raise DataFormatError(f"{path}: combiner does not fit the members of {target!r}")
     probs = {}
     for pid, fit in fits.items():
         probs.update(_probabilities(cfg, fit, models[pid], corpus))
-    return {t: _predict_target(cfg, t, probs, combiners[t]) for t in plan.targets}
+    return {t: _predict_target(cfg, t, probs, combiners.get(t)) for t in plan.targets}
 
 
 @main.command()

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import STANCES, Stance, stance_indices
-from .errors import DataFormatError, undecodable_as
+from .errors import DataFormatError, read_envelope
 from .mlp import softmax
 
 SUMMATION = "summation"
@@ -154,19 +154,15 @@ def save_combiner(combiner: LinearCombiner, path: str | Path) -> None:
 
 
 def load_combiner(path: str | Path) -> LinearCombiner:
+    payload = read_envelope(path, "stancekit-combiner")
     try:
-        with undecodable_as(DataFormatError, path):
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not a combiner file ({exc})") from None
-    if (not isinstance(payload, dict) or payload.get("format") != "stancekit-combiner"
-            or payload.get("version") != 1):
-        raise DataFormatError(f"{path}: unsupported combiner file")
-    try:
+        warnings = payload.get("warnings", [])
+        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+            raise TypeError("warnings is not a list of strings")
         combiner = LinearCombiner(
             weights=np.array(payload["weights"], dtype=np.float64),
             bias=np.array(payload["bias"], dtype=np.float64),
-            fit_warnings=tuple(payload.get("warnings", ())),
+            fit_warnings=tuple(warnings),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed combiner file ({exc!r})") from None

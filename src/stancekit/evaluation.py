@@ -7,8 +7,8 @@ the same label set, so systems are comparable across splits.
 
 score_predictions is the one scorer: evaluate, cv and train's validation
 read its report, whose grade and max_grade come from the confusion matrix
-it also reports. Every report and score format the commands write is
-rendered here; the CLI only names and writes the files.
+it also reports. Score, report, heatmap and cv aggregate files are rendered
+here; the CLI writes them, and renders train.log and predictions.csv itself.
 """
 
 from __future__ import annotations

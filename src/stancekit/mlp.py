@@ -368,8 +368,8 @@ def train(
     multiplied into w1 before train returns, so the model holds the
     weights themselves.
 
-    Deterministic given (data order, config.seed): weight init, epoch
-    shuffles, and dropout masks all come from one RNG stream. Raises
+    Deterministic given (data order, config.seed): init_model draws the weights, and train
+    the shuffles and dropout masks, each from its own default_rng(config.seed). Raises
     TrainingDivergedError naming the epoch if the objective goes non-finite.
     """
     y = stance_indices(labels)

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from .corpus import Corpus, Stance, decisions, stance_indices
 from .embeddings import EmbeddingTable, SIMILARITY_MODES, similarities
 from .ensemble import EnsembleSpec, fuse
-from .errors import ConfigError, DataFormatError, undecodable_as
+from .errors import ConfigError, DataFormatError, read_envelope
 from .keywords import (
     KeywordSet,
     read_keyword_set,
@@ -56,7 +56,9 @@ from .text import (
     build_idf,
     build_vocabulary,
     count_matrix,
+    dump_idf,
     dump_vocabulary,
+    load_idf,
     load_vocabulary,
     presence,
     tfidf_cosines,
@@ -355,29 +357,35 @@ def ensemble_predictions(
     return decisions(fused), fused
 
 
+#: A baseline block's manifest keys: its three vocabularies, then its IDF.
+BASELINE_FILES = ("headline_vocab", "body_vocab", "shared_vocab", "idf")
+
+
+def pipeline_files(name: str, blocks: Sequence[BlockSpec]) -> dict[str, str]:
+    """The sidecar files of a saved pipeline, by manifest key: the
+    BASELINE_FILES for a baseline block, one keyword file per indicator block."""
+    files = {}
+    if any(b.kind == BASELINE for b in blocks):
+        files = {key: f"{name}.{key}.txt" for key in BASELINE_FILES}
+    files.update({f"keywords:{b.keywords}": f"{name}.kw.{b.keywords}.txt"
+                  for b in blocks if b.kind == INDICATOR})
+    return files
+
+
 def save_pipeline(fitted: FittedPipeline, out_dir: str | Path, name: str) -> list[str]:
-    """Write the fitted state the spec uses plus a JSON manifest: the
-    vocabularies and IDF only for a baseline block, and the keyword sets of
-    the spec's own indicator blocks. Returns the names of the files written,
-    the manifest first."""
+    """Write the pipeline_files of the spec plus a JSON manifest listing
+    them. Returns the names of the files written, the manifest first."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
-    if any(b.kind == BASELINE for b in fitted.spec.blocks):
-        for tag in ("headline_vocab", "body_vocab", "shared_vocab"):
-            fname = f"{name}.{tag}.txt"
-            dump_vocabulary(getattr(fitted, tag), out / fname)
-            files[tag] = fname
-        fname = f"{name}.idf.txt"
-        lines = [f"document_count={fitted.idf.document_count}"]
-        lines.extend(repr(float(v)) for v in fitted.idf.values)
-        (out / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        files["idf"] = fname
-    for block in fitted.spec.blocks:
-        if block.kind == INDICATOR:
-            fname = f"{name}.kw.{block.keywords}.txt"
-            write_keyword_set(fitted.keyword_sets[block.keywords], out / fname)
-            files[f"keywords:{block.keywords}"] = fname
+    files = pipeline_files(name, fitted.spec.blocks)
+    for key, fname in files.items():
+        kind, _, keywords = key.partition(":")
+        if keywords:
+            write_keyword_set(fitted.keyword_sets[keywords], out / fname)
+        elif kind == "idf":
+            dump_idf(fitted.idf, out / fname)
+        else:
+            dump_vocabulary(getattr(fitted, kind), out / fname)
     manifest = {
         "format": "stancekit-pipeline",
         "version": 1,
@@ -401,71 +409,38 @@ def save_pipeline(fitted: FittedPipeline, out_dir: str | Path, name: str) -> lis
 def load_pipeline(
     out_dir: str | Path, name: str, embeddings: EmbeddingTable | None = None
 ) -> FittedPipeline:
-    """Rebuild a FittedPipeline from save_pipeline artifacts; a malformed
-    or incomplete artifact raises DataFormatError naming its file."""
+    """Rebuild a FittedPipeline from save_pipeline artifacts; a malformed,
+    incomplete or misnamed artifact raises DataFormatError naming its file."""
     out = Path(out_dir)
     manifest_path = out / f"{name}.pipeline.json"
     try:
-        with undecodable_as(DataFormatError, manifest_path):
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = read_envelope(manifest_path, "stancekit-pipeline")
     except FileNotFoundError:
         raise ConfigError(f"no fitted pipeline {name!r} under {out}") from None
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{manifest_path}: {exc}") from None
-    if (not isinstance(manifest, dict) or manifest.get("format") != "stancekit-pipeline"
-            or manifest.get("version") != 1):
-        raise DataFormatError(f"{manifest_path}: unsupported pipeline manifest")
     try:
-        files = dict(manifest["files"])
+        listed = dict(manifest["files"])
         blocks = tuple(
             BlockSpec(kind=b["kind"], keywords=b.get("keywords"), mode=b.get("mode"))
             for b in manifest["blocks"]
         )
         spec = PipelineSpec(name=manifest["name"], blocks=blocks)
+        tf_log1p = manifest.get("tf_log1p", False)
+        if not (isinstance(spec.name, str) and isinstance(tf_log1p, bool)):
+            raise TypeError("name is not a string or tf_log1p not a boolean")
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise DataFormatError(f"{manifest_path}: malformed pipeline manifest ({exc!r})") from None
-    needed = {f"keywords:{b.keywords}" for b in blocks if b.kind == INDICATOR}
-    if any(b.kind == BASELINE for b in blocks):
-        needed |= {"headline_vocab", "body_vocab", "shared_vocab", "idf"}
-    unlisted = sorted(needed - files.keys())
-    if unlisted:
-        raise DataFormatError(f"{manifest_path}: lists no file for {unlisted}")
-    missing = [f for f in files.values() if not isinstance(f, str) or not (out / f).is_file()]
-    if missing:
-        raise DataFormatError(f"{manifest_path}: missing pipeline files {missing}")
-
-    def vocab_of(tag: str) -> Vocabulary | None:
-        return load_vocabulary(out / files[tag]) if tag in files else None
-
-    headline_vocab = vocab_of("headline_vocab")
-    body_vocab = vocab_of("body_vocab")
-    shared_vocab = vocab_of("shared_vocab")
-    idf = None
-    if "idf" in files:
-        idf_path = out / files["idf"]
-        with undecodable_as(DataFormatError, idf_path):
-            lines = idf_path.read_text(encoding="utf-8").splitlines()
-        if not lines or not lines[0].startswith("document_count="):
-            raise DataFormatError(f"{idf_path}: missing document_count header")
-        try:
-            idf = IdfTable(
-                vocab=shared_vocab,
-                values=np.array([float(v) for v in lines[1:]], dtype=np.float64),
-                document_count=int(lines[0].partition("=")[2]),
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"{idf_path}: {exc}") from None
-    keyword_sets = {
-        key.partition(":")[2]: read_keyword_set(out / fname)
-        for key, fname in files.items()
-        if key.startswith("keywords:")
-    }
+    files = pipeline_files(name, blocks)
+    bad = [f for key, f in files.items() if listed.get(key) != f or not (out / f).is_file()]
+    if bad:
+        raise DataFormatError(f"{manifest_path}: pipeline files {bad} are unlisted or missing")
+    vocabs = {key: load_vocabulary(out / files[key]) for key in BASELINE_FILES[:3] if key in files}
     return FittedPipeline(
         spec=spec,
-        headline_vocab=headline_vocab,
-        body_vocab=body_vocab,
-        idf=idf,
-        keyword_sets=keyword_sets,
+        headline_vocab=vocabs.get("headline_vocab"),
+        body_vocab=vocabs.get("body_vocab"),
+        idf=load_idf(out / files["idf"], vocabs["shared_vocab"]) if "idf" in files else None,
+        keyword_sets={b.keywords: read_keyword_set(out / files[f"keywords:{b.keywords}"])
+                      for b in blocks if b.kind == INDICATOR},
         embeddings=embeddings,
-        tf_log1p=bool(manifest.get("tf_log1p", False)),
+        tf_log1p=tf_log1p,
     )

@@ -9,9 +9,9 @@ document frequencies (IDF, keyword selection) and keyword indicator bits
 come from. tfidf_cosines weights the count rows of the distinct headlines
 and bodies by IDF once and scores every instance from them. The pipeline
 module places these per-document rows into feature matrices, whose columns
-it names with BlockSlice. All functions are pure and deterministic;
-vocabularies and IDF tables are immutable after construction and safe to
-share between workers.
+it names with BlockSlice. dump_/load_vocabulary and dump_/load_idf own the
+sidecar file formats; all else is pure and deterministic. Vocabularies and
+IDF tables are immutable once built and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -159,6 +159,25 @@ def build_idf(documents: Iterable[TokenList], vocab: Vocabulary) -> IdfTable:
         raise ValueError("idf requires at least one document")
     values = np.maximum(0.0, np.log(n_docs / (1.0 + df)))
     return IdfTable(vocab=vocab, values=values, document_count=n_docs)
+
+
+def dump_idf(idf: IdfTable, path: str | Path) -> None:
+    """A document_count=N header, then one value per vocabulary term, in order."""
+    lines = [f"document_count={idf.document_count}", *(repr(float(v)) for v in idf.values)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def load_idf(path: str | Path, vocab: Vocabulary) -> IdfTable:
+    """The IdfTable of vocab that dump_idf wrote to path."""
+    with undecodable_as(DataFormatError, path):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith("document_count="):
+        raise DataFormatError(f"{path}: missing document_count header")
+    try:
+        return IdfTable(vocab=vocab, values=np.array([float(v) for v in lines[1:]]),
+                        document_count=int(lines[0].partition("=")[2]))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _row_sums(mat: sp.csr_matrix, values: np.ndarray) -> np.ndarray:

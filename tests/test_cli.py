@@ -674,6 +674,15 @@ CORRUPTIONS = {
     "manifest_file_not_a_name": (
         "plain.pipeline.json", edit_json(lambda m: m["files"].update(idf=5))
     ),
+    # another pipeline's IDF, byte-identical to this one's: a file the table does not name
+    "manifest_lists_another_idf": (
+        "plain.pipeline.json", edit_json(lambda m: m["files"].update(idf="with_manual.idf.txt"))
+    ),
+    # a JSON string is not the boolean save wrote, though it is truthy
+    "manifest_tf_log1p_a_string": (
+        "plain.pipeline.json", edit_json(lambda m: m.update(tf_log1p="false"))
+    ),
+    "manifest_name_not_a_string": ("plain.pipeline.json", edit_json(lambda m: m.update(name=5))),
     "pipeline_file_missing": ("plain.body_vocab.txt", Path.unlink),
     "idf_count_not_a_number": ("plain.idf.txt", set_line(0, "document_count=many")),
     "idf_value_not_a_number": ("plain.idf.txt", set_line(1, "many")),
@@ -705,6 +714,9 @@ CORRUPTIONS = {
     "combiner_without_bias": ("trio_concat.combiner.json", edit_json(lambda c: c.pop("bias"))),
     "combiner_not_an_object": ("trio_concat.combiner.json", lambda p: p.write_text("[]")),
     "combiner_not_utf8": ("trio_concat.combiner.json", not_utf8),
+    "combiner_warnings_not_a_list": (
+        "trio_concat.combiner.json", edit_json(lambda c: c.update(warnings="abc"))
+    ),
     # Python's json reads and writes the NaN literal
     "combiner_weight_nan": (
         "trio_concat.combiner.json", edit_json(lambda c: c["weights"][0].__setitem__(0, math.nan))

@@ -525,20 +525,28 @@ class TestDocumentRows:
 
 
 class TestPersistence:
-    def test_roundtrip_identical_features(self, tmp_path):
+    @pytest.mark.parametrize("tf_log1p", [False, True])
+    def test_roundtrip_identical_features(self, tmp_path, tf_log1p):
         corpus = small_corpus()
         spec = PipelineSpec(
             name="kw",
             blocks=(BlockSpec(kind="baseline"), BlockSpec(kind="indicator", keywords="refute")),
         )
         kw = {"refute": KeywordSpec(name="refute", selector="manual", terms=("fake", "hoax"))}
-        fitted = fit_pipeline(spec, corpus, keyword_specs=kw, vocab_capacity=20)
-        save_pipeline(fitted, tmp_path, "kw")
-        back = load_pipeline(tmp_path, "kw")
+        fitted = fit_pipeline(spec, corpus, keyword_specs=kw, vocab_capacity=20,
+                              tf_log1p=tf_log1p)
+        written = save_pipeline(fitted, tmp_path / "first", "kw")
+        back = load_pipeline(tmp_path / "first", "kw")
+        assert back.tf_log1p is tf_log1p
         assert [b.name for b in back.layout] == [b.name for b in fitted.layout]
         a = fitted.matrix(corpus).matrix.toarray()
         b = back.matrix(corpus).matrix.toarray()
         assert np.array_equal(a, b)
+        # saving what was loaded writes the same files, byte for byte
+        assert save_pipeline(back, tmp_path / "again", "kw") == written
+        for fname in written:
+            assert (tmp_path / "again" / fname).read_bytes() == \
+                (tmp_path / "first" / fname).read_bytes()
 
     def test_table_attached_at_fit_does_not_poison_manifest(self, tmp_path, vectors_file):
         """A run-wide embedding table may be handed to every pipeline; one
