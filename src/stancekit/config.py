@@ -16,7 +16,7 @@ import yaml
 
 from .corpus import Stance
 from .ensemble import CONCATENATION, RULES, SUMMATION
-from .errors import ConfigError, undecodable_as
+from .errors import ConfigError, reading
 from .mlp import TrainingConfig
 from .pipeline import (
     BlockSpec,
@@ -224,7 +224,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and fully validate a YAML experiment config."""
     path = Path(path)
     try:
-        with undecodable_as(ConfigError, path):
+        with reading(path, ConfigError):
             raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file") from None

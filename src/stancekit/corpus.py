@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, IntegrityError, undecodable_as
+from .errors import ConfigError, DataFormatError, IntegrityError, reading
 from .text import TokenList, tokenize
 
 
@@ -163,16 +163,15 @@ _FIELD_SIZE_LIMIT = 2**31 - 1
 @contextmanager
 def _reader(path: Path, required: Iterable[str]) -> Iterator[csv.DictReader]:
     """A reader of the CSV at path, closed on exit, that has every required
-    column; a UTF-8 byte-order mark is skipped. Bytes that are not UTF-8,
-    read in the block too, raise DataFormatError."""
+    column; a UTF-8 byte-order mark is skipped. The block runs inside
+    errors.reading, so bytes that are not UTF-8 raise DataFormatError."""
     csv.field_size_limit(_FIELD_SIZE_LIMIT)
-    with (path.open("r", encoding="utf-8-sig", newline="") as handle,
-          undecodable_as(DataFormatError, path)):
+    with path.open("r", encoding="utf-8-sig", newline="") as handle, reading(path):
         reader = csv.DictReader(handle)
         have = set(reader.fieldnames or ())
         for col in required:
             if col not in have:
-                raise DataFormatError(f"{path}: missing required column {col!r}")
+                raise ValueError(f"missing required column {col!r}")
         yield reader
 
 

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, SolverBudgetError, undecodable_as
+from .errors import DataFormatError, SolverBudgetError, reading
 
 #: Integer mass assigned to each distribution before transport. Weights are
 #: apportioned to parts of 1e9 so the rounding error per term stays below
@@ -80,7 +80,7 @@ def load_embeddings(
     seen: set[str] = set()
     duplicates = 0
     dim: int | None = None
-    with open(path, encoding="utf-8") as handle, undecodable_as(DataFormatError, path):
+    with open(path, encoding="utf-8") as handle, reading(path):
         for lineno, raw in enumerate(handle, start=1):
             parts = raw.rstrip("\n").split()
             if not parts:

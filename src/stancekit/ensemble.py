@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import STANCES, Stance, stance_indices
-from .errors import DataFormatError, read_envelope
+from .errors import read_envelope, reading
 from .mlp import softmax
 
 SUMMATION = "summation"
@@ -155,24 +155,16 @@ def save_combiner(combiner: LinearCombiner, path: str | Path) -> None:
 
 def load_combiner(path: str | Path) -> LinearCombiner:
     payload = read_envelope(path, "stancekit-combiner")
-    try:
+    with reading(path):
         warnings = payload.get("warnings", [])
         if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
             raise TypeError("warnings is not a list of strings")
-        combiner = LinearCombiner(
-            weights=np.array(payload["weights"], dtype=np.float64),
-            bias=np.array(payload["bias"], dtype=np.float64),
-            fit_warnings=tuple(warnings),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: malformed combiner file ({exc!r})") from None
-    weights, bias = combiner.weights, combiner.bias
-    # a (1,) bias would broadcast silently in logits()
-    if weights.ndim != 2 or weights.shape[0] != 4 or weights.shape[1] % 4 or bias.shape != (4,):
-        raise DataFormatError(
-            f"{path}: combiner weights {weights.shape} and bias {bias.shape} "
-            "are not (4, 4N) and (4,)"
-        )
-    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-        raise DataFormatError(f"{path}: a combiner weight is not finite")
-    return combiner
+        weights = np.array(payload["weights"], dtype=np.float64)
+        bias = np.array(payload["bias"], dtype=np.float64)
+        # a (1,) bias would broadcast silently in logits()
+        if weights.ndim != 2 or len(weights) != 4 or weights.shape[1] % 4 or bias.shape != (4,):
+            raise ValueError(f"combiner weights {weights.shape} and bias {bias.shape} "
+                             "are not (4, 4N) and (4,)")
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ValueError("a combiner weight is not finite")
+    return LinearCombiner(weights=weights, bias=bias, fit_warnings=tuple(warnings))

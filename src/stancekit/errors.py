@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: config problems exit 2, data
-format/integrity problems exit 3, runtime/training failures exit 4.
+format/integrity problems exit 3, runtime/training failures exit 4. Every
+reader of a file parses inside reading(path), which turns bytes that are not
+UTF-8, and content the parse refuses, into the error of that file's kind
+(DataFormatError, or ConfigError for a config) naming the file.
 """
 
 import json
@@ -38,24 +41,28 @@ class TrainingDivergedError(StancekitError):
 
 
 @contextmanager
-def undecodable_as(error: type[StancekitError], path) -> Iterator[None]:
-    """Turns a UnicodeDecodeError raised in the block into error, naming the
-    file at path: a text input that is not UTF-8 is bad input, not a fault."""
+def reading(path, error: type[StancekitError] = DataFormatError) -> Iterator[None]:
+    """Parse what is read from the file at path in the block: bytes that are
+    not UTF-8, or content its parse refuses (a ValueError, KeyError,
+    TypeError or AttributeError, or a spec's ConfigError), raise error naming
+    the file. Bad input is not a fault; other StancekitErrors pass unchanged."""
     try:
         yield
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text "
                     f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    except KeyError as exc:
+        raise error(f"{path}: missing {exc}") from None
+    except (ValueError, TypeError, AttributeError, ConfigError) as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def read_envelope(path, fmt: str) -> dict:
     """The JSON object in the UTF-8 file at path whose "format" is fmt at
-    "version" 1; anything else raises DataFormatError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as handle, undecodable_as(DataFormatError, path):
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not JSON ({exc})") from None
-    if not isinstance(data, dict) or data.get("format") != fmt or data.get("version") != 1:
+    "version" 1, an integer; anything else raises DataFormatError naming the file."""
+    with open(path, encoding="utf-8") as handle, reading(path):
+        data = json.load(handle)
+    if not (isinstance(data, dict) and data.get("format") == fmt
+            and type(data.get("version")) is int and data["version"] == 1):
         raise DataFormatError(f"{path}: not a {fmt} file at version 1")
     return data

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, FoldPlan, STANCES, Stance, stance_indices
-from .errors import DataFormatError, undecodable_as
+from .errors import DataFormatError, reading
 
 #: (true, predicted) pair
 Pair = tuple[Stance, Stance]
@@ -90,10 +90,12 @@ class ScoreReport:
     confusion: np.ndarray
 
     def __post_init__(self):
+        if not (np.isfinite(self.max_grade) and self.max_grade > 0.0):
+            raise ValueError("max_grade must be finite and positive")
         if not 0.0 <= self.grade <= self.max_grade:
             raise ValueError("grade must lie in [0, max_grade]")
         expected = 100.0 * self.grade / self.max_grade
-        if abs(self.relative_grade - expected) > 1e-9:
+        if not abs(self.relative_grade - expected) <= 1e-9:  # a NaN fails too
             raise ValueError("relative_grade inconsistent with grade/max_grade")
 
 
@@ -156,29 +158,35 @@ def render_delimited(report: ScoreReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_delimited(text: str) -> ScoreReport:
-    """Inverse of render_delimited; malformed text raises DataFormatError."""
+def _parsed(text: str) -> ScoreReport:
+    """Inverse of render_delimited; raises KeyError for a missing metric and
+    ValueError for any other malformed text."""
     head, _, tail = text.partition("\n\n")
     values: dict[str, float] = {}
+    for line in head.splitlines():
+        key, _, value = line.partition("=")
+        if not _ or not key:
+            raise ValueError(f"bad metric line {line!r}")
+        values[key] = float(value)
+    rows = [line.split(",") for line in tail.splitlines() if line]
+    if len(rows) != 4 or any(len(r) != 4 for r in rows):
+        raise ValueError("confusion block must be 4x4 CSV")
+    counts = np.array([[int(c) for c in row] for row in rows], dtype=np.int64)
+    per_class = tuple(values[f"accuracy_{s.value}"] for s in STANCES)
+    return ScoreReport(
+        grade=values["grade"],
+        max_grade=values["max_grade"],
+        relative_grade=values["relative_grade"],
+        per_class_accuracy=per_class,
+        f1_macro=values["f1_macro"],
+        confusion=counts,
+    )
+
+
+def parse_delimited(text: str) -> ScoreReport:
+    """Inverse of render_delimited; malformed text raises DataFormatError."""
     try:
-        for line in head.splitlines():
-            key, _, value = line.partition("=")
-            if not _ or not key:
-                raise DataFormatError(f"bad metric line {line!r}")
-            values[key] = float(value)
-        rows = [line.split(",") for line in tail.splitlines() if line]
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise DataFormatError("confusion block must be 4x4 CSV")
-        counts = np.array([[int(c) for c in row] for row in rows], dtype=np.int64)
-        per_class = tuple(values[f"accuracy_{s.value}"] for s in STANCES)
-        return ScoreReport(
-            grade=values["grade"],
-            max_grade=values["max_grade"],
-            relative_grade=values["relative_grade"],
-            per_class_accuracy=per_class,
-            f1_macro=values["f1_macro"],
-            confusion=counts,
-        )
+        return _parsed(text)
     except KeyError as exc:
         raise DataFormatError(f"missing metric {exc}") from None
     except ValueError as exc:  # not a number, or a grade out of range
@@ -188,12 +196,8 @@ def parse_delimited(text: str) -> ScoreReport:
 def read_delimited(path: str | Path) -> ScoreReport:
     """parse_delimited of a score file; a malformed one raises
     DataFormatError naming it."""
-    with undecodable_as(DataFormatError, path):
-        text = Path(path).read_text(encoding="utf-8")
-    try:
-        return parse_delimited(text)
-    except DataFormatError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    with reading(path):
+        return _parsed(Path(path).read_text(encoding="utf-8"))
 
 
 def render_heatmap_data(confusion_matrix: np.ndarray) -> str:

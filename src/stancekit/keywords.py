@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
-from .errors import DataFormatError, undecodable_as
+from .errors import reading
 from .text import presence
 
 
@@ -159,17 +159,13 @@ def write_keyword_set(ks: KeywordSet, path: str | Path) -> None:
 
 
 def read_keyword_set(path: str | Path) -> KeywordSet:
-    with undecodable_as(DataFormatError, path):
+    with reading(path):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise DataFormatError(f"{path}: missing keyword-set header line")
-    fields = lines[0][2:].split()
-    if len(fields) < 2:
-        raise DataFormatError(f"{path}: malformed keyword-set header")
-    name, provenance = fields[0], fields[1]
-    params = tuple(tuple(p.split("=", 1)) for p in fields[2:] if "=" in p)
-    terms = tuple(t for t in lines[1:] if t)
-    try:
-        return KeywordSet(name=name, terms=terms, provenance=provenance, params=params)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+        if not lines or not lines[0].startswith("# "):
+            raise ValueError("missing keyword-set header line")
+        fields = lines[0][2:].split()
+        if len(fields) < 2:
+            raise ValueError("malformed keyword-set header")
+        params = tuple(tuple(p.split("=", 1)) for p in fields[2:] if "=" in p)
+        return KeywordSet(name=fields[0], terms=tuple(t for t in lines[1:] if t),
+                          provenance=fields[1], params=params)

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .corpus import STANCES, Stance, decisions, stance_indices
-from .errors import DataFormatError, TrainingDivergedError
+from .errors import DataFormatError, TrainingDivergedError, reading
 from .text import BlockSlice
 
 _MAGIC = b"SKITMLP0"
@@ -451,7 +451,8 @@ def load_model(path: str | Path) -> MlpModel:
     layout = []
     for _ in range(n_blocks):
         (name_len,) = struct.unpack("<I", take(4))
-        name = bytes(take(name_len)).decode("utf-8")
+        with reading(path):
+            name = bytes(take(name_len)).decode("utf-8")
         offset, length = struct.unpack("<II", take(8))
         layout.append(BlockSlice(name, offset, length))
     if [b.offset for b in layout] + [input_dim] != [0] + [b.offset + b.length for b in layout]:

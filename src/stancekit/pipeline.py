@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from .corpus import Corpus, Stance, decisions, stance_indices
 from .embeddings import EmbeddingTable, SIMILARITY_MODES, similarities
 from .ensemble import EnsembleSpec, fuse
-from .errors import ConfigError, DataFormatError, read_envelope
+from .errors import ConfigError, DataFormatError, read_envelope, reading
 from .keywords import (
     KeywordSet,
     read_keyword_set,
@@ -417,7 +417,7 @@ def load_pipeline(
         manifest = read_envelope(manifest_path, "stancekit-pipeline")
     except FileNotFoundError:
         raise ConfigError(f"no fitted pipeline {name!r} under {out}") from None
-    try:
+    with reading(manifest_path):
         listed = dict(manifest["files"])
         blocks = tuple(
             BlockSpec(kind=b["kind"], keywords=b.get("keywords"), mode=b.get("mode"))
@@ -427,8 +427,6 @@ def load_pipeline(
         tf_log1p = manifest.get("tf_log1p", False)
         if not (isinstance(spec.name, str) and isinstance(tf_log1p, bool)):
             raise TypeError("name is not a string or tf_log1p not a boolean")
-    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
-        raise DataFormatError(f"{manifest_path}: malformed pipeline manifest ({exc!r})") from None
     files = pipeline_files(name, blocks)
     bad = [f for key, f in files.items() if listed.get(key) != f or not (out / f).is_file()]
     if bad:

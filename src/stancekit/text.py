@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataFormatError, undecodable_as
+from .errors import reading
 
 #: Lowercase word tokens, in text order.
 TokenList = list[str]
@@ -91,12 +91,9 @@ def dump_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    with undecodable_as(DataFormatError, path):
+    with reading(path):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    try:
         return Vocabulary(terms=tuple(t for t in lines if t))
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def count_matrix(token_lists: Iterable[TokenList], vocab: Vocabulary) -> sp.csr_matrix:
@@ -169,15 +166,12 @@ def dump_idf(idf: IdfTable, path: str | Path) -> None:
 
 def load_idf(path: str | Path, vocab: Vocabulary) -> IdfTable:
     """The IdfTable of vocab that dump_idf wrote to path."""
-    with undecodable_as(DataFormatError, path):
+    with reading(path):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("document_count="):
-        raise DataFormatError(f"{path}: missing document_count header")
-    try:
+        if not lines or not lines[0].startswith("document_count="):
+            raise ValueError("missing document_count header")
         return IdfTable(vocab=vocab, values=np.array([float(v) for v in lines[1:]]),
                         document_count=int(lines[0].partition("=")[2]))
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def _row_sums(mat: sp.csr_matrix, values: np.ndarray) -> np.ndarray:

@@ -657,6 +657,12 @@ def not_utf8(path: Path) -> None:
     path.write_bytes(b"\xff" + path.read_bytes())
 
 
+def first_block_name_not_utf8(path: Path) -> None:
+    """A corruption of a model file: the first byte of its first block name becomes 0xff."""
+    name = load_model(path).feature_layout[0].name.encode("utf-8")
+    path.write_bytes(path.read_bytes().replace(name, b"\xff" + name[1:], 1))
+
+
 # case -> (saved file, corruption of that file); the error must name the file
 CORRUPTIONS = {
     "manifest_without_files": ("plain.pipeline.json", edit_json(lambda m: m.pop("files"))),
@@ -667,6 +673,8 @@ CORRUPTIONS = {
     ),
     "manifest_not_an_object": ("plain.pipeline.json", lambda p: p.write_text("[]")),
     "manifest_not_utf8": ("plain.pipeline.json", not_utf8),
+    # Python compares true and 1.0 equal to 1; the format's version is the integer
+    "manifest_version_true": ("plain.pipeline.json", edit_json(lambda m: m.update(version=True))),
     # a block key its kind does not read, as a config could once leave there
     "manifest_block_with_stray_key": (
         "plain.pipeline.json", edit_json(lambda m: m["blocks"][0].update(keywords="manual"))
@@ -714,6 +722,9 @@ CORRUPTIONS = {
     "combiner_without_bias": ("trio_concat.combiner.json", edit_json(lambda c: c.pop("bias"))),
     "combiner_not_an_object": ("trio_concat.combiner.json", lambda p: p.write_text("[]")),
     "combiner_not_utf8": ("trio_concat.combiner.json", not_utf8),
+    "combiner_version_float": (
+        "trio_concat.combiner.json", edit_json(lambda c: c.update(version=1.0))
+    ),
     "combiner_warnings_not_a_list": (
         "trio_concat.combiner.json", edit_json(lambda c: c.update(warnings="abc"))
     ),
@@ -739,6 +750,7 @@ CORRUPTIONS = {
         "base.model.bin",
         lambda p: save_model(replace(m := load_model(p), w1=m.w1[:-1]), p),
     ),
+    "model_block_name_not_utf8": ("base.model.bin", first_block_name_not_utf8),
     "model_weight_not_finite": (
         "base.model.bin", lambda p: save_model(replace(m := load_model(p), b2=m.b2 + math.inf), p)
     ),
@@ -1228,14 +1240,22 @@ class TestReport:
         run("report", "--config", str(config), "--models", "base")
         assert report_file.read_text(encoding="utf-8") == original
 
-    @pytest.mark.parametrize("grade", ["abc", "999.0"])
-    def test_corrupt_scores_exit_3(self, trained, tmp_path, grade):
+    @pytest.mark.parametrize("grades", [
+        pytest.param({"grade": "abc"}, id="abc"),
+        pytest.param({"grade": "999.0"}, id="999.0"),
+        pytest.param({"grade": "0.0", "max_grade": "0.0"}, id="max_grade_zero"),
+        pytest.param({"grade": "inf", "max_grade": "inf"}, id="grades_inf"),
+    ])
+    def test_corrupt_scores_exit_3(self, trained, tmp_path, grades):
         out, config = copied_workspace(trained, tmp_path)
         run("evaluate", "--config", str(config), "--models", "base")
         scores = out / "base.scores.txt"
         lines = scores.read_text(encoding="utf-8").splitlines(True)
-        scores.write_text("".join(f"grade={grade}\n" if line.startswith("grade=") else line
-                                  for line in lines), encoding="utf-8")
+        for i, line in enumerate(lines):
+            key = line.partition("=")[0]
+            if key in grades:
+                lines[i] = f"{key}={grades[key]}\n"
+        scores.write_text("".join(lines), encoding="utf-8")
         result = RUNNER.invoke(main, ["report", "--config", str(config), "--models", "base"])
         assert result.exit_code == 3, result.output
         assert "base.scores.txt" in result.stderr

@@ -1,5 +1,6 @@
 """Declarative experiment config: parsing, validation, seed overrides."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,22 @@ class TestErrors:
         result = CliRunner().invoke(main, ["train", "--config", str(tmp_path / "exp.yaml")])
         assert result.exit_code == 2
         assert f"config error: {message}" in result.stderr
+
+    @pytest.mark.parametrize("line, bad", [
+        ("seed: 17", "seed: 2001-13-01"),  # YAML reads a date, whose month is out of range
+        ("folds: 3", "folds: !!int abc"),
+        ("seed: 7", "seed: !!timestamp x"),
+    ], ids=["date_out_of_range", "int_tag_on_text", "timestamp_tag_on_text"])
+    def test_value_yaml_cannot_construct_exit_2(self, tmp_path, line, bad):
+        path = write_config(tmp_path, base_raw())
+        text = path.read_text(encoding="utf-8")
+        assert text.count(line + "\n") == 1
+        path.write_text(text.replace(line + "\n", bad + "\n"), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            load_config(path)
+        result = CliRunner().invoke(main, ["train", "--config", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {path}: " in result.stderr
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config file"):

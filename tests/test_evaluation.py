@@ -295,8 +295,12 @@ class TestScoreReport:
             (r"^grade=.*$", "grade=abc"),
             (r"^grade=.*$", "grade=999.0"),  # above max_grade
             (r"\d+\n\Z", "x\n"),  # the last confusion count
+            (r"^grade=.*\nmax_grade=.*$", "grade=0.0\nmax_grade=0.0"),
+            (r"^grade=.*\nmax_grade=.*$", "grade=inf\nmax_grade=inf"),
+            (r"^relative_grade=.*$", "relative_grade=nan"),
         ],
-        ids=["grade_not_a_number", "grade_above_max", "count_not_a_number"],
+        ids=["grade_not_a_number", "grade_above_max", "count_not_a_number", "max_grade_zero",
+             "grades_inf", "relative_grade_nan"],
     )
     def test_parse_rejects_bad_values(self, pattern, bad):
         text = render_delimited(score_predictions(self._pairs()))
