@@ -190,7 +190,7 @@ def _maybe_embeddings(cfg: ExperimentConfig, plan: _Plan, corpus: Corpus,
         raise DataFormatError(f"no such embedding file: {cfg.embeddings.path}")
     restrict = None
     if cfg.embeddings.restrict_to_corpus:
-        restrict = set().union(*corpus.headline_tokens.values(), *corpus.body_tokens.values())
+        restrict = set(corpus.terms[0])
     table = load_embeddings(cfg.embeddings.path, restrict_to=restrict)
     if table.skipped_duplicates:
         warning = (f"{table.skipped_duplicates} duplicate terms skipped; "
@@ -444,14 +444,14 @@ def keywords(config_path, out_dir, models_csv):
     # mi selection ranks terms against stance classes, so it needs labels
     needs_labels = any(cfg.keyword_specs[n].selector == "mi" for n in names)
     corpus = _read_corpus(cfg.data.train_stances, cfg.data.train_bodies, needs_labels)
-    candidates = body_vocabulary(corpus.body_tokens.values(), cfg.features.vocab_capacity).terms
+    candidates = body_vocabulary(corpus, cfg.features.vocab_capacity).terms
     selected = []  # (file name, log fields, keyword set): all selected before any is written
     for name in names:
         spec = cfg.keyword_specs[name]
         if spec.selector == "micc":
             with selecting(spec):
                 groups = select_keywords_micc(
-                    corpus.body_tokens, spec.themes, candidates, spec.k, name_prefix=spec.name
+                    corpus.body_counts, spec.themes, candidates, spec.k, name_prefix=spec.name
                 )
             selected += [(f"{name}.{theme}.keywords.txt", f"set={name} theme={theme}", group)
                          for theme, group in groups.items()]

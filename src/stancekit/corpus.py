@@ -4,9 +4,10 @@ stance_indices and decisions are the only stance <-> class index mappings.
 
 Input files are UTF-8 CSV per RFC 4180 (quoted fields may embed commas and
 newlines, which the bodies file uses). A Corpus tokenizes each distinct
-headline and body once, on first read; every later step reads those
-lists, as do its folds and validation splits. Fold planning splits by body
-id so that no article body ever lands on both sides of a train/test boundary.
+headline and body once, on first read, and interns each side into one
+document-by-term count matrix over the side's sorted term ids; its folds
+and validation splits select rows of it. Fold planning splits by body id
+so that no article body ever lands on both sides of a train/test boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import operator
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -25,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, IntegrityError, reading
-from .text import TokenList, tokenize
+from .text import TermCounts, TokenList, intern, tokenize
 
 
 class Stance(enum.Enum):
@@ -91,28 +92,78 @@ class Instance:
 
 def _token_lists(texts: Mapping) -> dict:
     """The token list of each text, keyed as texts is, sharing one interned string per term."""
-    return {key: [sys.intern(t) for t in tokenize(text)] for key, text in texts.items()}
+    return {key: list(map(sys.intern, tokenize(text))) for key, text in texts.items()}
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """Instances plus the body store they reference. The token lists of each
-    distinct headline (keyed by its text, in first-occurrence order) and of
-    each body (keyed by body id) are made on first read."""
+    """Instances plus the body store they reference. Each side, the distinct
+    headlines (in first-occurrence order) and the bodies (in bodies order),
+    is tokenized on first read into token lists, which similarity blocks
+    read, and text.TermCounts, which every other fit and block reads. A
+    part that restrict takes reads its source's lists, and its counts are
+    rows of its source's, over the same term tables."""
 
     instances: tuple[Instance, ...]
     bodies: Mapping[int, str]
+    source: Corpus | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def headlines(self) -> dict[str, int]:
+        """Each distinct headline's row in headline_tokens and headline_counts."""
+        return {h: r for r, h in enumerate(dict.fromkeys(i.headline for i in self.instances))}
+
+    @cached_property
+    def headline_rows(self) -> np.ndarray:
+        """The headline_counts row of each instance's headline."""
+        return np.array([self.headlines[i.headline] for i in self.instances], dtype=np.intp)
 
     @cached_property
     def headline_tokens(self) -> dict[str, TokenList]:
-        return _token_lists({i.headline: i.headline for i in self.instances})
+        if self.source is None:
+            return _token_lists({h: h for h in self.headlines})
+        return {h: self.source.headline_tokens[h] for h in self.headlines}
 
     @cached_property
     def body_tokens(self) -> dict[int, TokenList]:
-        return _token_lists(self.bodies)
+        if self.source is None:
+            return _token_lists(self.bodies)
+        return {b: self.source.body_tokens[b] for b in self.bodies}
+
+    @cached_property
+    def headline_counts(self) -> TermCounts:
+        if self.source is None:
+            return intern(self.headline_tokens.values())
+        rows = [self.source.headlines[h] for h in self.headlines]
+        return self.source.headline_counts.rows(rows)
+
+    @cached_property
+    def body_counts(self) -> TermCounts:
+        if self.source is None:
+            return intern(self.body_tokens.values())
+        return self.source.body_counts.rows(self.source.body_rows(self.bodies))
+
+    @cached_property
+    def terms(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """The corpus's term table, both sides' terms sorted, and the ids in
+        it of headline_counts' and body_counts' terms."""
+        if self.source is not None:
+            return self.source.terms
+        sides = (self.headline_counts.terms, self.body_counts.terms)
+        table = tuple(sorted(set().union(*sides)))
+        index = dict(zip(table, range(len(table))))
+        return table, *(np.fromiter(map(index.__getitem__, s), np.intp, len(s)) for s in sides)
 
     def __len__(self) -> int:
         return len(self.instances)
+
+    def body_rows(self, body_ids: Iterable[int]) -> list[int]:
+        """The body_counts row of each body id, in order."""
+        rows = {b: r for r, b in enumerate(self.bodies)}
+        try:
+            return [rows[b] for b in body_ids]
+        except KeyError as exc:
+            raise IntegrityError(f"body id {exc.args[0]} not in corpus") from None
 
     def tokens_of_body(self, body_id: int) -> TokenList:
         """The token list of one body.
@@ -126,15 +177,12 @@ class Corpus:
             raise IntegrityError(f"body id {body_id} not in corpus") from None
 
     def restrict(self, body_ids: Iterable[int]) -> "Corpus":
-        """Sub-corpus of the given bodies and their instances, with the parent's token lists."""
+        """Sub-corpus of the given bodies and their instances, whose source is
+        this corpus's source, or this corpus if it has none."""
         keep = set(body_ids)
-        part = Corpus(tuple(i for i in self.instances if i.body_id in keep),
-                      {b: t for b, t in self.bodies.items() if b in keep})
-        part.__dict__.update(  # the caches cached_property reads
-            headline_tokens={i.headline: self.headline_tokens[i.headline] for i in part.instances},
-            body_tokens={b: t for b, t in self.body_tokens.items() if b in keep},
-        )
-        return part
+        return Corpus(tuple(i for i in self.instances if i.body_id in keep),
+                      {b: t for b, t in self.bodies.items() if b in keep},
+                      source=self if self.source is None else self.source)
 
 
 @dataclass(frozen=True)

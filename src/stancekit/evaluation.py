@@ -6,9 +6,12 @@ class. The relative grade normalizes by the maximum achievable grade on
 the same label set, so systems are comparable across splits.
 
 score_predictions is the one scorer: evaluate, cv and train's validation
-read its report, whose grade and max_grade come from the confusion matrix
-it also reports. Score, report, heatmap and cv aggregate files are rendered
-here; the CLI writes them, and renders train.log and predictions.csv itself.
+read its report, every metric of which derives from the confusion matrix it
+also reports. A saved score file is read back through the same code: its
+report is that of its confusion counts, and a metric line that differs from
+the derived value refuses the file. Score, report, heatmap and cv aggregate
+files are rendered here; the CLI writes them, and renders train.log and
+predictions.csv itself.
 """
 
 from __future__ import annotations
@@ -89,20 +92,11 @@ class ScoreReport:
     f1_macro: float
     confusion: np.ndarray
 
-    def __post_init__(self):
-        if not (np.isfinite(self.max_grade) and self.max_grade > 0.0):
-            raise ValueError("max_grade must be finite and positive")
-        if not 0.0 <= self.grade <= self.max_grade:
-            raise ValueError("grade must lie in [0, max_grade]")
-        expected = 100.0 * self.grade / self.max_grade
-        if not abs(self.relative_grade - expected) <= 1e-9:  # a NaN fails too
-            raise ValueError("relative_grade inconsistent with grade/max_grade")
 
-
-def score_predictions(pairs: Sequence[Pair]) -> ScoreReport:
-    counts = confusion(pairs)
-    grade, max_grade = _grades(counts)
+def _report(counts: np.ndarray) -> ScoreReport:
+    """The report of a confusion matrix: every metric derives from its counts."""
     per_class, f1_macro = metrics(counts)
+    grade, max_grade = _grades(counts)
     return ScoreReport(
         grade=grade,
         max_grade=max_grade,
@@ -111,6 +105,10 @@ def score_predictions(pairs: Sequence[Pair]) -> ScoreReport:
         f1_macro=f1_macro,
         confusion=counts,
     )
+
+
+def score_predictions(pairs: Sequence[Pair]) -> ScoreReport:
+    return _report(confusion(pairs))
 
 
 def _fmt(value: float) -> str:
@@ -159,37 +157,29 @@ def render_delimited(report: ScoreReport) -> str:
 
 
 def _parsed(text: str) -> ScoreReport:
-    """Inverse of render_delimited; raises KeyError for a missing metric and
-    ValueError for any other malformed text."""
+    """Inverse of render_delimited: the report of the text's confusion
+    counts. Counts that are not integers, negative or all zero, or metric
+    lines other than those the counts render to, raise ValueError."""
     head, _, tail = text.partition("\n\n")
-    values: dict[str, float] = {}
-    for line in head.splitlines():
-        key, _, value = line.partition("=")
-        if not _ or not key:
-            raise ValueError(f"bad metric line {line!r}")
-        values[key] = float(value)
     rows = [line.split(",") for line in tail.splitlines() if line]
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ValueError("confusion block must be 4x4 CSV")
     counts = np.array([[int(c) for c in row] for row in rows], dtype=np.int64)
-    per_class = tuple(values[f"accuracy_{s.value}"] for s in STANCES)
-    return ScoreReport(
-        grade=values["grade"],
-        max_grade=values["max_grade"],
-        relative_grade=values["relative_grade"],
-        per_class_accuracy=per_class,
-        f1_macro=values["f1_macro"],
-        confusion=counts,
-    )
+    if (counts < 0).any():
+        raise ValueError("confusion counts must be non-negative")
+    report = _report(counts)  # metrics refuses an all-zero block
+    lines, derived = head.splitlines(), _metric_lines(report)
+    if lines != derived:
+        raise ValueError(f"metric lines {sorted(set(lines) ^ set(derived))} do not match "
+                         "the confusion counts")
+    return report
 
 
 def parse_delimited(text: str) -> ScoreReport:
     """Inverse of render_delimited; malformed text raises DataFormatError."""
     try:
         return _parsed(text)
-    except KeyError as exc:
-        raise DataFormatError(f"missing metric {exc}") from None
-    except ValueError as exc:  # not a number, or a grade out of range
+    except ValueError as exc:
         raise DataFormatError(str(exc)) from None
 
 

@@ -3,31 +3,30 @@
 information (MI), and the customized-class (MICC) selector that ranks
 keywords per theme.
 
-Documents here are bags of tokens keyed by a document id: the corpus's body
-token lists (Corpus.body_tokens, made when the corpus was built), one per
-article body, headlines excluded. Both selectors read one document-by-term
-presence matrix (text.presence). A term's 2x2 table against a document
-class comes from column counts over the class's rows and the other rows,
-and MI is computed once per distinct table. MICC puts each document in the
-class of the first theme word it contains, then ranks the same candidate
-matrix against each theme's class. The keyword indicator features
-themselves are built by the pipeline module from the same presence matrix,
-one bit per keyword and side.
+The documents are the corpus's body counts (Corpus.body_counts), one row
+per article body, headlines excluded. Both selectors read the presence
+columns of the candidates (text.presence). A term's 2x2 table against a
+document class comes from column counts over the class's rows and the
+other rows, and MI is computed once per distinct table. MICC puts each
+document in the class of the first theme word it contains, then ranks the
+same candidate columns against each theme's class. The pipeline module
+builds the keyword indicator bits from the same presence columns.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
 from .errors import reading
-from .text import presence
+from .text import TermCounts, presence
 
 
 @dataclass(frozen=True)
@@ -84,26 +83,25 @@ def _top_k(present: sp.csr_matrix, positive: np.ndarray, terms: Sequence[str], k
     n10 = np.bincount(present.indices, minlength=len(terms)) - n11
     tables = list(zip(n11.tolist(), n10.tolist()))
     info = {t: mutual_information(t[0], t[1], n_pos - t[0], n_neg - t[1]) for t in set(tables)}
-    scores = {term: info[t] for term, t in zip(terms, tables) if term != skip}
-    return tuple(sorted(scores, key=lambda t: (-scores[t], t))[:k])
+    scored = ((-info[t], term) for term, t in zip(terms, tables) if term != skip)
+    return tuple(term for _, term in heapq.nsmallest(k, scored))
 
 
 def select_keywords_mi(
-    documents: Mapping[object, Collection[str]],
-    positive_ids: Collection[object],
+    documents: TermCounts,
+    positive: np.ndarray,
     candidates: Collection[str],
     k: int,
 ) -> KeywordSet:
-    """Top-k candidates by mutual information, ties lexicographic."""
+    """Top-k candidates by mutual information against the boolean document
+    class `positive` (one value per row), ties lexicographic."""
     terms = tuple(dict.fromkeys(candidates))
-    positive = set(positive_ids)
-    rows = np.array([doc_id in positive for doc_id in documents], dtype=bool)
-    top = _top_k(presence(documents.values(), terms), rows, terms, k)
+    top = _top_k(presence(documents, terms), np.asarray(positive, dtype=bool), terms, k)
     return KeywordSet(name="mi", terms=top, provenance="mi")
 
 
 def select_keywords_micc(
-    documents: Mapping[object, Collection[str]],
+    documents: TermCounts,
     theme_terms: Sequence[str],
     candidates: Collection[str],
     k: int,
@@ -120,7 +118,7 @@ def select_keywords_micc(
         raise ValueError("theme_terms must be non-empty")
     if len(set(theme_terms)) != len(theme_terms):
         raise ValueError("theme_terms must be distinct")
-    themed = presence(documents.values(), theme_terms)
+    themed = presence(documents, theme_terms)
     if not themed.nnz:
         raise ValueError("no document matched any theme")
     # indices are sorted, so a row's first stored column is its first theme
@@ -128,7 +126,7 @@ def select_keywords_micc(
     hit = np.diff(themed.indptr) > 0
     theme_of[hit] = themed.indices[themed.indptr[:-1][hit]]
     terms = tuple(dict.fromkeys(candidates))
-    present = presence(documents.values(), terms)
+    present = presence(documents, terms)
     groups: dict[str, KeywordSet] = {}
     for j, theme in enumerate(theme_terms):
         members = theme_of == j

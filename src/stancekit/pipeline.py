@@ -6,17 +6,19 @@ an embedding table). Fitting derives every data-dependent part (vocabularies,
 IDF weights, keyword selections) from the training corpus alone, so
 cross-validation folds rebuilt through fit_pipeline stay leakage-free.
 
-Each block owns its columns: block_matrices() reads the token lists the
-corpus made when it was built and keeps a block's headline and body columns
-(TF, keyword bits) as one row per distinct document, which no instance
-copies; the model projects such a row once (see mlp.FeatureMatrix). Only
-the pair columns have a row per instance: the TF-IDF cosine, computed for
-all instances at once from the IDF-weighted count rows, and the embedding
-similarities, all scored by one embeddings.similarities() call that takes
-each distinct headline/body pair once. assemble() lays a pipeline's blocks
-side by side. Column names come from the spec alone (an indicator block's
-are kw_<the config's keyword-set name>, never a saved file's header), so
-the distinct blocks of a PipelineSpec always have distinct names.
+Fits and blocks read the corpus's count matrices (Corpus.headline_counts,
+Corpus.body_counts): a vocabulary ranks column sums, IDF counts column
+entries, and TF and keyword bits are column selections. Only similarity
+blocks read token lists. Each block owns its columns and keeps a block's
+headline and body columns as one row per distinct document, which no
+instance copies; the model projects such a row once (see mlp.FeatureMatrix).
+Only the pair columns have a row per instance: the TF-IDF cosine, and the
+embedding similarities, all scored by one embeddings.similarities() call
+that takes each distinct headline/body pair once. assemble() lays a
+pipeline's blocks side by side. Column names come from the spec alone (an
+indicator block's are kw_<the config's keyword-set name>, never a saved
+file's header), so the distinct blocks of a PipelineSpec always have
+distinct names.
 Pipelines trained on one corpus can thus share one fit of the union of their
 blocks and one set of block matrices: each is then dataclasses.replace(
 shared, spec=...), and featurizes and saves exactly as a fit of its own spec.
@@ -29,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +53,6 @@ from .stopwords import ENGLISH_STOPWORDS
 from .text import (
     BlockSlice,
     IdfTable,
-    TokenList,
     Vocabulary,
     build_idf,
     build_vocabulary,
@@ -129,9 +130,11 @@ class PipelineSpec:
             raise ConfigError(f"pipeline {self.name!r} repeats a feature block")
 
 
-def body_vocabulary(body_tokens: Iterable[TokenList], capacity: int) -> Vocabulary:
+def body_vocabulary(corpus: Corpus, capacity: int) -> Vocabulary:
     """TF vocabulary of the body side, also the keyword candidate terms."""
-    return build_vocabulary(body_tokens, capacity, ENGLISH_STOPWORDS)
+    bodies = corpus.body_counts
+    totals = np.ones(bodies.matrix.shape[0]) @ bodies.matrix
+    return build_vocabulary(bodies.terms, totals, capacity, ENGLISH_STOPWORDS)
 
 
 @contextmanager
@@ -146,7 +149,7 @@ def selecting(spec: KeywordSpec):
 
 def fit_keyword_set(spec: KeywordSpec, corpus: Corpus, candidates: Sequence[str]) -> KeywordSet:
     """Select one keyword set. The selectors read one document per article
-    body (headlines excluded): the corpus's body token lists."""
+    body (headlines excluded): the corpus's body counts."""
     if spec.selector == "manual":
         return KeywordSet(
             name=spec.name, terms=spec.terms, provenance="manual", params=()
@@ -154,12 +157,13 @@ def fit_keyword_set(spec: KeywordSpec, corpus: Corpus, candidates: Sequence[str]
     with selecting(spec):
         if spec.selector == "mi":
             positive = stance_positive_bodies(corpus, spec.positive)
-            ks = select_keywords_mi(corpus.body_tokens, positive, candidates, spec.k)
+            rows = np.array([b in positive for b in corpus.bodies], dtype=bool)
+            ks = select_keywords_mi(corpus.body_counts, rows, candidates, spec.k)
             classes = "+".join(s.value for s in spec.positive)
             params = (("positive", classes), ("k", str(spec.k)))
             return KeywordSet(name=spec.name, terms=ks.terms, provenance="mi", params=params)
         groups = select_keywords_micc(
-            corpus.body_tokens, spec.themes, candidates, spec.k, name_prefix=spec.name
+            corpus.body_counts, spec.themes, candidates, spec.k, name_prefix=spec.name
         )
     # theme groups flatten to one ordered, deduplicated indicator list
     terms = dict.fromkeys(t for theme in spec.themes for t in groups[theme].terms)
@@ -211,36 +215,36 @@ class FittedPipeline:
         baseline has headline TF and body TF on them and the TF-IDF cosine
         as its pair column; indicator has keyword i's headline bit at 2i
         and its body bit at 2i + 1 on them; similarity is one pair column."""
-        heads: dict[str, int] = {}
-        bodies: dict[int, int] = {}
-        head_row = [heads.setdefault(i.headline, len(heads)) for i in corpus.instances]
-        body_row = [bodies.setdefault(i.body_id, len(bodies)) for i in corpus.instances]
-        head_tokens = [corpus.headline_tokens[h] for h in heads]
-        body_tokens = [corpus.tokens_of_body(b) for b in bodies]
-        rows = (np.array(head_row, dtype=np.intp), len(heads) + np.array(body_row, dtype=np.intp))
+        used: dict[int, int] = {}
+        body_row = np.array([used.setdefault(i.body_id, len(used)) for i in corpus.instances],
+                            dtype=np.intp)
+        heads, bodies = corpus.headline_counts, corpus.body_counts.rows(corpus.body_rows(used))
+        head_row, n_heads = corpus.headline_rows, len(corpus.headlines)
+        rows = (head_row, n_heads + body_row)
         modes = [b.mode for b in self.spec.blocks if b.kind == SIMILARITY]
         if modes:
-            sims = similarities(head_tokens, body_tokens, head_row, body_row, self.embeddings,
-                                modes)
+            sims = similarities(list(corpus.headline_tokens.values()),
+                                [corpus.tokens_of_body(b) for b in used], head_row, body_row,
+                                self.embeddings, modes)
         blocks: dict[BlockSpec, FeatureMatrix] = {}
         for block in self.spec.blocks:
             if block.kind == BASELINE:
-                sides = [count_matrix(head_tokens, self.headline_vocab),
-                         count_matrix(body_tokens, self.body_vocab)]
+                sides = [count_matrix(heads, self.headline_vocab),
+                         count_matrix(bodies, self.body_vocab)]
                 if self.tf_log1p:
                     for tf in sides:
                         tf.data = np.log1p(tf.data)
                 width = len(self.headline_vocab) + len(self.body_vocab)
                 docs = _document_rows(sides, (0, len(self.headline_vocab)), 1, width + 1)
-                pairs = tfidf_cosines(head_tokens, body_tokens, head_row, body_row, self.idf)
+                pairs = tfidf_cosines(heads, bodies, head_row, body_row, self.idf)
                 pairs, at = pairs[:, None], [width]
             elif block.kind == INDICATOR:
                 terms = self.keyword_sets[block.keywords].terms
-                sides = [presence(docs, terms) for docs in (head_tokens, body_tokens)]
+                sides = [presence(docs, terms) for docs in (heads, bodies)]
                 docs = _document_rows(sides, (0, 1), 2, 2 * len(terms))
                 pairs, at = np.empty((len(head_row), 0)), []
             else:
-                docs = sp.csr_matrix((len(heads) + len(bodies), 1))
+                docs = sp.csr_matrix((n_heads + len(used), 1))
                 pairs, at = sims[:, [modes.index(block.mode)]], [0]
             blocks[block] = FeatureMatrix(pairs, docs, *rows, np.array(at, dtype=np.intp))
         return blocks
@@ -281,16 +285,22 @@ def fit_pipeline(
     """Fit all data-dependent state of a pipeline from the training corpus.
     Vocabulary and IDF counts take one headline per instance and every body."""
     keyword_specs = keyword_specs or {}
-    head_tokens = [corpus.headline_tokens[i.headline] for i in corpus.instances]
-    body_tokens = corpus.body_tokens.values()
-
     headline_vocab = body_vocab = idf = None
     if any(b.kind == BASELINE for b in spec.blocks):
-        headline_vocab = build_vocabulary(head_tokens, vocab_capacity, ENGLISH_STOPWORDS)
-        body_vocab = body_vocabulary(body_tokens, vocab_capacity)
-        all_docs = head_tokens + list(body_tokens)
-        shared_vocab = build_vocabulary(all_docs, vocab_capacity, ENGLISH_STOPWORDS)
-        idf = build_idf(all_docs, shared_vocab)
+        heads, bodies = corpus.headline_counts, corpus.body_counts
+        # a distinct headline counts once per instance, a body once
+        sides = [(heads, np.bincount(corpus.headline_rows, minlength=heads.matrix.shape[0])),
+                 (bodies, np.ones(bodies.matrix.shape[0], dtype=np.int64))]
+        totals = [weights @ docs.matrix for docs, weights in sides]
+        headline_vocab = build_vocabulary(heads.terms, totals[0], vocab_capacity,
+                                          ENGLISH_STOPWORDS)
+        body_vocab = body_vocabulary(corpus, vocab_capacity)
+        # the shared vocabulary ranks both sides' totals on the corpus's term table
+        terms, *side_ids = corpus.terms
+        shared = np.zeros(len(terms))
+        for ids, t in zip(side_ids, totals):
+            shared[ids] += t
+        idf = build_idf(sides, build_vocabulary(terms, shared, vocab_capacity, ENGLISH_STOPWORDS))
 
     candidates: tuple[str, ...] | None = None
     keyword_sets: dict[str, KeywordSet] = {}
@@ -303,7 +313,7 @@ def fit_pipeline(
                 )
             kw_spec = keyword_specs[block.keywords]
             if kw_spec.selector != "manual" and candidates is None:
-                vocab = body_vocab or body_vocabulary(body_tokens, vocab_capacity)
+                vocab = body_vocab or body_vocabulary(corpus, vocab_capacity)
                 candidates = vocab.terms
             keyword_sets[block.keywords] = fit_keyword_set(kw_spec, corpus, candidates or ())
 

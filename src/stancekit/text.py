@@ -2,12 +2,14 @@
 TF-IDF cosines, and the named column blocks of a feature layout.
 
 The corpus module alone calls tokenize, once per distinct headline and
-body when a Corpus is built; every function here takes those token lists.
-count_matrix stacks the counts of many documents into one CSR row each.
-presence reduces that matrix to "document contains term": the one place
-document frequencies (IDF, keyword selection) and keyword indicator bits
-come from. tfidf_cosines weights the count rows of the distinct headlines
-and bodies by IDF once and scores every instance from them. The pipeline
+body, and interns each side's token lists into TermCounts: a CSR count
+matrix over the side's sorted terms, so id order is term order. Every other
+function here is column arithmetic on it. build_vocabulary ranks column
+sums; count_matrix selects and renumbers a vocabulary's columns; presence
+reduces those to "document contains term": the one place document
+frequencies (IDF, keyword selection) and keyword indicator bits come from.
+tfidf_cosines weights the count rows of the distinct headlines and bodies
+by IDF once and scores every instance from them. The pipeline
 module places these per-document rows into feature matrices, whose columns
 it names with BlockSlice. dump_/load_vocabulary and dump_/load_idf own the
 sidecar file formats; all else is pure and deterministic. Vocabularies and
@@ -17,10 +19,10 @@ IDF tables are immutable once built and safe to share between workers.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,7 +60,7 @@ class Vocabulary:
     terms: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.terms)})
+        object.__setattr__(self, "index", dict(zip(self.terms, range(len(self.terms)))))
         if len(self.index) != len(self.terms):
             repeated = next(t for i, t in enumerate(self.terms) if self.index[t] != i)
             raise ValueError(f"vocabulary repeats the term {repeated!r}")
@@ -67,22 +69,48 @@ class Vocabulary:
         return len(self.terms)
 
 
-def build_vocabulary(
-    token_lists: Iterable[TokenList],
-    capacity: int,
-    stopwords: frozenset[str] | set[str] = frozenset(),
-) -> Vocabulary:
-    """The `capacity` most frequent non-stopword terms, ties lexicographic."""
+class TermCounts(NamedTuple):
+    """A document-by-term count matrix: CSR row i counts the tokens of
+    document i, column j is the term terms[j]. The terms are sorted, so id
+    order is term order."""
+
+    terms: tuple[str, ...]
+    matrix: sp.csr_matrix
+
+    def rows(self, rows: Sequence[int]) -> "TermCounts":
+        """These counts' rows, in the given order, over the same term table."""
+        return TermCounts(self.terms, self.matrix[np.asarray(rows, dtype=np.intp)])
+
+
+def intern(token_lists: Collection[TokenList]) -> TermCounts:
+    """The counts of the documents over their distinct terms, sorted.
+
+    >>> docs = intern([["b", "x", "b"], [], ["a"]])
+    >>> docs.terms, docs.matrix.toarray().tolist()
+    (('a', 'b', 'x'), [[0.0, 2.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    """
+    terms = tuple(sorted(set().union(*token_lists)))
+    index = dict(zip(terms, range(len(terms))))
+    lengths = [len(tokens) for tokens in token_lists]
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(token_lists)), dtype=np.intp,
+                      count=sum(lengths))
+    mat = sp.csr_matrix((np.ones(len(ids)), ids, np.cumsum([0] + lengths)),
+                        shape=(len(lengths), len(terms)))
+    mat.sum_duplicates()  # one entry per (document, term), indices sorted
+    return TermCounts(terms, mat)
+
+
+def build_vocabulary(terms: Sequence[str], totals: np.ndarray, capacity: int,
+                     stopwords: frozenset[str] | set[str] = frozenset()) -> Vocabulary:
+    """The `capacity` non-stopword terms of a sorted term table with the
+    highest totals (one per term, say a column sum of counts), ties in
+    table order, so lexicographic; a term with total 0 is left out."""
     if capacity < 1:
         raise ValueError(f"vocabulary capacity must be >= 1, got {capacity}")
-    counts = Counter()
-    for tokens in token_lists:
-        counts.update(tokens)
-    ranked = sorted(
-        (t for t in counts if t not in stopwords),
-        key=lambda t: (-counts[t], t),
-    )
-    return Vocabulary(terms=tuple(ranked[:capacity]))
+    stop = np.fromiter(map(stopwords.__contains__, terms), dtype=bool, count=len(terms))
+    ids = np.flatnonzero((totals > 0) & ~stop)
+    ranked = ids[np.argsort(-totals[ids], kind="stable")[:capacity]]
+    return Vocabulary(terms=tuple(map(terms.__getitem__, ranked.tolist())))
 
 
 def dump_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
@@ -96,34 +124,36 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         return Vocabulary(terms=tuple(t for t in lines if t))
 
 
-def count_matrix(token_lists: Iterable[TokenList], vocab: Vocabulary) -> sp.csr_matrix:
-    """One CSR row of raw in-vocabulary term counts per document, indices
-    sorted; out-of-vocabulary tokens are ignored.
+def count_matrix(docs: TermCounts, vocab: Vocabulary) -> sp.csr_matrix:
+    """The columns of docs' terms that vocab lists, renumbered to vocabulary
+    order: one CSR row of raw in-vocabulary term counts per document,
+    indices sorted. A vocabulary term that no document holds gives an empty
+    column.
 
-    >>> count_matrix([["b", "x", "b", "a"], []], Vocabulary(("a", "b"))).toarray()
-    array([[1., 2.],
-           [0., 0.]])
+    >>> count_matrix(intern([["b", "x", "b", "a"], []]), Vocabulary(("a", "b", "c"))).toarray()
+    array([[1., 2., 0.],
+           [0., 0., 0.]])
     """
-    index = vocab.index
-    indptr, indices = [0], []
-    for tokens in token_lists:
-        indices += [i for i in map(index.get, tokens) if i is not None]
-        indptr.append(len(indices))
-    ones = np.ones(len(indices))
-    mat = sp.csr_matrix((ones, indices, indptr), shape=(len(indptr) - 1, len(vocab)))
-    mat.sum_duplicates()  # one entry per (document, term), indices sorted
-    return mat.copy()  # sum_duplicates may leave views of the longer buffers
+    # each term's vocabulary column, -1 where the vocabulary lacks it
+    column = np.fromiter(map(vocab.index.get, docs.terms, repeat(-1)), np.intp, len(docs.terms))
+    mat = docs.matrix
+    at = column[mat.indices]
+    kept = at >= 0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[mat.indptr]
+    out = sp.csr_matrix((mat.data[kept], at[kept], indptr), shape=(mat.shape[0], len(vocab)))
+    out.sort_indices()
+    return out
 
 
-def presence(token_lists: Iterable[TokenList], terms: Sequence[str]) -> sp.csr_matrix:
+def presence(docs: TermCounts, terms: Sequence[str]) -> sp.csr_matrix:
     """count_matrix over the distinct terms with every stored value 1.0:
     which document contains which term.
 
-    >>> presence([["b", "x", "b"], ["a", "b"]], ("a", "b", "c")).toarray()
+    >>> presence(intern([["b", "x", "b"], ["a", "b"]]), ("a", "b", "c")).toarray()
     array([[0., 1., 0.],
            [1., 1., 0.]])
     """
-    mat = count_matrix(token_lists, Vocabulary(tuple(terms)))
+    mat = count_matrix(docs, Vocabulary(tuple(terms)))
     mat.data[:] = 1.0
     return mat
 
@@ -147,11 +177,13 @@ class IdfTable:
             raise ValueError("an IDF value is not finite and >= 0")
 
 
-def build_idf(documents: Iterable[TokenList], vocab: Vocabulary) -> IdfTable:
-    """IDF from the document frequencies (presence column counts) of `documents`."""
-    present = presence(documents, vocab.terms)
-    n_docs = present.shape[0]
-    df = np.bincount(present.indices, minlength=len(vocab))
+def build_idf(sides: Iterable[tuple[TermCounts, np.ndarray]], vocab: Vocabulary) -> IdfTable:
+    """IDF from the document frequencies of vocab's terms over the rows of
+    each (docs, weights) side, row i standing for weights[i] documents."""
+    df, n_docs = np.zeros(len(vocab)), 0
+    for docs, weights in sides:
+        df += weights @ presence(docs, vocab.terms)
+        n_docs += int(weights.sum())
     if n_docs < 1:
         raise ValueError("idf requires at least one document")
     values = np.maximum(0.0, np.log(n_docs / (1.0 + df)))
@@ -180,14 +212,14 @@ def _row_sums(mat: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
     return np.bincount(rows, weights=values, minlength=mat.shape[0])
 
 
-def tfidf_cosines(head_tokens: Sequence[TokenList], body_tokens: Sequence[TokenList],
-                  head_row: Sequence[int], body_row: Sequence[int], idf: IdfTable) -> np.ndarray:
+def tfidf_cosines(head_docs: TermCounts, body_docs: TermCounts, head_row: Sequence[int],
+                  body_row: Sequence[int], idf: IdfTable) -> np.ndarray:
     """Cosine of the TF-IDF vectors of headline head_row[k] and body
     body_row[k] for each k, or 0.0 where either side has zero norm. A TF-IDF
     vector is a count_matrix row over idf.vocab times the IDF values. Its
     squares, and a pair's products, are summed one after another in
     ascending vocabulary order, which fixes every value's bits."""
-    heads, bodies = (count_matrix(docs, idf.vocab) for docs in (head_tokens, body_tokens))
+    heads, bodies = (count_matrix(docs, idf.vocab) for docs in (head_docs, body_docs))
     for mat in (heads, bodies):
         mat.data *= idf.values[mat.indices]
     head_norm, body_norm = (np.sqrt(_row_sums(m, m.data * m.data)) for m in (heads, bodies))

@@ -2,10 +2,12 @@
 
 The package featurizes whole corpora at once (one row per distinct
 headline and body, then a gather), fuses whole probability stacks at once,
-and selects keywords from one document-by-term presence matrix. The
-functions here compute the same values one instance, row, document or
-candidate at a time, straight from their definitions, so tests can pin the
-batched paths to them exactly. gradient_check compares backprop, through
+and fits vocabularies, IDF and keywords by column arithmetic on one
+interned document-by-term count matrix per corpus side. The functions here
+compute the same values one instance, row, document, token or candidate at
+a time, straight from their definitions, so tests can pin the batched paths
+to them exactly: vocabulary, count_matrix, presence and idf_values read
+token lists one token at a time. gradient_check compares backprop, through
 the step train takes on its scaled w1, with central finite differences.
 pair_train is SGD over one example row per instance, as train ran before
 it projected each document once per batch; eager_train is plain SGD with
@@ -20,6 +22,7 @@ import math
 from collections import Counter
 
 import numpy as np
+import scipy.sparse as sp
 
 import stancekit.mlp as mlp
 from stancekit.corpus import STANCES, stance_indices
@@ -37,7 +40,45 @@ from stancekit.embeddings import (
 from stancekit.keywords import mutual_information
 from stancekit.mlp import softmax
 from stancekit.pipeline import BASELINE, INDICATOR
-from stancekit.text import tokenize
+from stancekit.text import Vocabulary, tokenize
+
+
+def vocabulary(token_lists, capacity, stopwords=frozenset()):
+    """The `capacity` most frequent non-stopword tokens, ties lexicographic,
+    counted one document at a time."""
+    counts = Counter()
+    for tokens in token_lists:
+        counts.update(tokens)
+    ranked = sorted((t for t in counts if t not in stopwords), key=lambda t: (-counts[t], t))
+    return Vocabulary(terms=tuple(ranked[:capacity]))
+
+
+def count_matrix(token_lists, vocab):
+    """One CSR row of raw in-vocabulary token counts per document, built
+    token by token, indices sorted."""
+    index = vocab.index
+    indptr, indices = [0], []
+    for tokens in token_lists:
+        indices += [i for i in map(index.get, tokens) if i is not None]
+        indptr.append(len(indices))
+    mat = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                        shape=(len(indptr) - 1, len(vocab)))
+    mat.sum_duplicates()
+    return mat
+
+
+def presence(token_lists, terms):
+    """count_matrix over the distinct terms with every stored value 1.0."""
+    mat = count_matrix(token_lists, Vocabulary(tuple(terms)))
+    mat.data[:] = 1.0
+    return mat
+
+
+def idf_values(documents, vocab):
+    """(IDF values, document count) of vocab's terms over the token lists,
+    one document frequency per term from its presence column."""
+    df = np.bincount(presence(documents, vocab.terms).indices, minlength=len(vocab))
+    return np.maximum(0.0, np.log(len(documents) / (1.0 + df))), len(documents)
 
 
 def tf_counts(tokens, vocab):

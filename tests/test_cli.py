@@ -1245,6 +1245,8 @@ class TestReport:
         pytest.param({"grade": "999.0"}, id="999.0"),
         pytest.param({"grade": "0.0", "max_grade": "0.0"}, id="max_grade_zero"),
         pytest.param({"grade": "inf", "max_grade": "inf"}, id="grades_inf"),
+        pytest.param({"f1_macro": "nan"}, id="f1_macro_nan"),
+        pytest.param({"accuracy_agree": "7.5"}, id="accuracy_above_one"),
     ])
     def test_corrupt_scores_exit_3(self, trained, tmp_path, grades):
         out, config = copied_workspace(trained, tmp_path)

@@ -193,10 +193,33 @@ class TestTokenLists:
         assert list(corpus.headline_tokens.items()) == [("Cat?", ["cat"]), ("Dog", ["dog"])]
 
     def test_token_strings_interned(self):
+        """The token lists share one string per term, and so does each
+        side's term table."""
         corpus = Corpus(instances=(Instance("cat nap", 1, None),), bodies={1: "cat", 2: "the cat"})
         cat = corpus.headline_tokens["cat nap"][0]
         assert corpus.tokens_of_body(1)[0] is cat
         assert corpus.tokens_of_body(2)[1] is cat
+        for counts in (corpus.headline_counts, corpus.body_counts):
+            assert counts.terms[0] is cat
+        table, *side_ids = corpus.terms
+        assert table == ("cat", "nap", "the")
+        assert [ids.tolist() for ids in side_ids] == [[0, 1], [0, 2]]
+
+    def test_counts_rows_follow_token_lists(self):
+        corpus = make_corpus(
+            [Instance("Cat?", 1, None), Instance("Dog", 2, None), Instance("Cat?", 2, None)],
+            {1: "The cat, the CAT!", 2: "dog", 3: ""},
+        )
+        assert corpus.headlines == {"Cat?": 0, "Dog": 1}
+        assert corpus.headline_rows.tolist() == [0, 1, 0]
+        heads, bodies = corpus.headline_counts, corpus.body_counts
+        assert heads.terms == ("cat", "dog")
+        assert heads.matrix.toarray().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert bodies.terms == ("cat", "dog", "the")
+        assert bodies.matrix.toarray().tolist() == [[2.0, 0.0, 2.0], [0.0, 1.0, 0.0], [0.0] * 3]
+        assert corpus.body_rows([3, 1]) == [2, 0]
+        with pytest.raises(IntegrityError, match="body id 4 not in corpus"):
+            corpus.body_rows([1, 4])
 
     def test_tokens_of_body_unknown_id(self, toy_corpus):
         with pytest.raises(IntegrityError, match="10000"):
@@ -215,14 +238,70 @@ class TestRestrict:
 
     @pytest.mark.parametrize("fold", [0, 1, 2])
     def test_fold_holds_only_its_own_token_lists(self, fold):
+        """A part's token lists are its source's, and its counts are its
+        source's rows over the same term tables: what interning the part
+        afresh would count."""
         corpus = synthetic_corpus(n_instances=96, n_bodies=24, seed=5)
         for part in plan_folds(corpus, k=3, seed=4).split(corpus, fold):
+            assert part.source is corpus
             assert list(part.body_tokens) == list(part.bodies)
-            heads = dict.fromkeys(i.headline for i in part.instances)
-            assert list(part.headline_tokens) == list(heads)
-            # the parent's lists, not fresh tokenizations
+            assert list(part.headline_tokens) == list(part.headlines)
             assert all(part.body_tokens[b] is corpus.body_tokens[b] for b in part.bodies)
             assert all(t is corpus.headline_tokens[h] for h, t in part.headline_tokens.items())
+            fresh = make_corpus(part.instances, part.bodies)
+            for side in ("headline_counts", "body_counts"):
+                got, own = getattr(part, side), getattr(fresh, side)
+                assert got.terms is getattr(corpus, side).terms
+                columns = [got.terms.index(t) for t in own.terms]
+                assert np.array_equal(got.matrix[:, columns].toarray(), own.matrix.toarray())
+                assert got.matrix.nnz == own.matrix.nnz
+            assert part.terms is corpus.terms
+
+    def test_part_of_a_part_reads_the_first_source(self, toy_corpus):
+        train, held = validation_split(toy_corpus.restrict(list(toy_corpus.bodies)[:12]), 0.5, 3)
+        assert train.source is held.source is toy_corpus
+
+
+def count_tokenize(monkeypatch) -> list[str]:
+    """The text of every tokenize call the corpus module makes from now on."""
+    import stancekit.corpus
+
+    texts, real = [], stancekit.corpus.tokenize
+    monkeypatch.setattr(stancekit.corpus, "tokenize", lambda text: texts.append(text) or real(text))
+    return texts
+
+
+class TestLaziness:
+    """Loading tokenizes nothing; a corpus tokenizes each distinct text once
+    on first read, and the parts restrict takes re-tokenize nothing."""
+
+    def test_load_corpus_tokenizes_nothing(self, tmp_path, monkeypatch):
+        stances, bodies = tmp_path / "s.csv", tmp_path / "b.csv"
+        write_corpus_files(synthetic_corpus(n_instances=12, n_bodies=4, seed=3), stances, bodies)
+        texts = count_tokenize(monkeypatch)
+        corpus = load_corpus(stances, bodies)
+        make_corpus(corpus.instances, corpus.bodies)
+        assert texts == []
+
+    @pytest.mark.parametrize("parent_read_first", [False, True])
+    def test_parts_retokenize_nothing(self, monkeypatch, parent_read_first):
+        corpus = synthetic_corpus(n_instances=96, n_bodies=24, seed=5)
+        texts = count_tokenize(monkeypatch)
+        if parent_read_first:
+            corpus.headline_counts, corpus.body_counts
+        parts = [*plan_folds(corpus, k=3, seed=4).split(corpus, 1),
+                 *validation_split(corpus, 0.25, seed=2)]
+        for part in parts:
+            part.headline_counts, part.body_counts, part.headline_tokens, part.body_tokens
+            assert part.headline_counts.terms is corpus.headline_counts.terms
+            assert part.body_counts.terms is corpus.body_counts.terms
+        assert sorted(texts) == sorted([*corpus.headlines, *corpus.bodies.values()])
+
+    def test_body_side_tokenizes_no_headline(self, toy_corpus, monkeypatch):
+        corpus = make_corpus(toy_corpus.instances, toy_corpus.bodies)
+        texts = count_tokenize(monkeypatch)
+        corpus.restrict(list(corpus.bodies)[:5]).body_counts
+        assert sorted(texts) == sorted(corpus.bodies.values())
 
 
 class TestFoldPlanning:

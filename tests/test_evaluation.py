@@ -21,6 +21,7 @@ from stancekit.evaluation import (
     cross_validate,
     metrics,
     parse_delimited,
+    read_delimited,
     render_cv_aggregate,
     render_delimited,
     render_heatmap_data,
@@ -290,24 +291,43 @@ class TestScoreReport:
             parse_delimited("just some text\n")
 
     @pytest.mark.parametrize(
-        "pattern, bad",
+        "pattern, bad, reason",
         [
-            (r"^grade=.*$", "grade=abc"),
-            (r"^grade=.*$", "grade=999.0"),  # above max_grade
-            (r"\d+\n\Z", "x\n"),  # the last confusion count
-            (r"^grade=.*\nmax_grade=.*$", "grade=0.0\nmax_grade=0.0"),
-            (r"^grade=.*\nmax_grade=.*$", "grade=inf\nmax_grade=inf"),
-            (r"^relative_grade=.*$", "relative_grade=nan"),
+            (r"^grade=.*$", "grade=abc", "'grade=abc'"),
+            (r"^grade=.*$", "grade=999.0", "'grade=999.0'"),  # above max_grade
+            (r"\d+\n\Z", "x\n", "invalid literal"),  # the last confusion count
+            (r"^grade=.*\nmax_grade=.*$", "grade=0.0\nmax_grade=0.0", "'max_grade=0.0'"),
+            (r"^grade=.*\nmax_grade=.*$", "grade=inf\nmax_grade=inf", "'max_grade=inf'"),
+            (r"^relative_grade=.*$", "relative_grade=nan", "'relative_grade=nan'"),
+            (r"^f1_macro=.*$", "f1_macro=nan", "'f1_macro=nan'"),
+            (r"^accuracy_agree=.*$", "accuracy_agree=7.5", "'accuracy_agree=7.5'"),
+            # equal as a float, but not its repr
+            (r"^grade=(.*)$", r"grade=\g<1>0", r"'grade=\d+\.\d+0'"),
+            (r"^max_grade=.*\n", "", r"\['max_grade=\d+\.\d+'\] do not match"),
+            (r"\n\n", "\nrecall_agree=1.0\n\n", "'recall_agree=1.0'"),
+            (r"\n\n", "\nno equals sign\n\n", "'no equals sign'"),
+            (r"^\d+", "-5", "non-negative"),  # the first confusion count
+            (r"\n\n[\s\S]*\Z", "\n\n" + "0,0,0,0\n" * 4, "at least one count"),
+            (r"\d+\n\Z", "1.5\n", "invalid literal"),
         ],
         ids=["grade_not_a_number", "grade_above_max", "count_not_a_number", "max_grade_zero",
-             "grades_inf", "relative_grade_nan"],
+             "grades_inf", "relative_grade_nan", "f1_macro_nan", "accuracy_above_one",
+             "grade_not_repr", "metric_missing", "metric_unknown", "line_without_equals",
+             "count_negative", "counts_all_zero", "count_not_an_integer"],
     )
-    def test_parse_rejects_bad_values(self, pattern, bad):
+    def test_parse_rejects_bad_values(self, pattern, bad, reason, tmp_path):
+        """Every metric of a score file derives from its confusion counts, so
+        a line that the counts contradict, or counts no scoring gives, are
+        refused; read_delimited names the file."""
         text = render_delimited(score_predictions(self._pairs()))
         corrupt = re.sub(pattern, bad, text, count=1, flags=re.M)
         assert corrupt != text
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=reason):
             parse_delimited(corrupt)
+        path = tmp_path / "t.scores.txt"
+        path.write_text(corrupt, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"t\.scores\.txt: "):
+            read_delimited(path)
 
     def test_heatmap_triples(self):
         report = score_predictions(self._pairs())

@@ -9,6 +9,7 @@ selection in oracles.py.
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -16,6 +17,7 @@ from stancekit.config import load_config
 from stancekit.corpus import Instance, Stance, make_corpus
 from stancekit.errors import DataFormatError
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
+from stancekit.text import intern
 from stancekit.keywords import (
     KeywordSet,
     mutual_information,
@@ -28,6 +30,17 @@ from stancekit.keywords import (
 
 from conftest import HEADLINE_CONFIG
 from oracles import select_mi, select_micc
+
+
+def mi(docs, positive_ids, candidates, k):
+    """select_keywords_mi over the interned documents of a {id: tokens} map."""
+    rows = np.array([doc_id in positive_ids for doc_id in docs], dtype=bool)
+    return select_keywords_mi(intern(list(docs.values())), rows, candidates, k)
+
+
+def micc(docs, theme_terms, candidates, k):
+    """select_keywords_micc over the interned documents of a {id: tokens} map."""
+    return select_keywords_micc(intern(list(docs.values())), theme_terms, candidates, k)
 
 
 def entropy_identity_mi(n11: int, n10: int, n01: int, n00: int) -> float:
@@ -107,20 +120,20 @@ POSITIVE_6 = {1, 2, 3}
 
 class TestSelection:
     def test_perfect_predictor_dominates(self):
-        ks = select_keywords_mi(DOCS_6, POSITIVE_6, {"confirm", "noise"}, k=1)
+        ks = mi(DOCS_6, POSITIVE_6, {"confirm", "noise"}, k=1)
         assert ks.terms == ("confirm",)
 
     def test_k_above_candidate_count(self):
-        ks = select_keywords_mi(DOCS_6, POSITIVE_6, {"alpha", "beta"}, k=10)
+        ks = mi(DOCS_6, POSITIVE_6, {"alpha", "beta"}, k=10)
         assert set(ks.terms) == {"alpha", "beta"}
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            select_keywords_mi(DOCS_6, POSITIVE_6, {"alpha"}, k=-1)
+            mi(DOCS_6, POSITIVE_6, {"alpha"}, k=-1)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            select_keywords_mi(DOCS_6, set(DOCS_6), {"alpha"}, k=1)
+            mi(DOCS_6, set(DOCS_6), {"alpha"}, k=1)
 
     def test_top2_matches_brute_force_ranking(self):
         candidates = ["confirm", "deny", "alpha", "beta", "noise"]
@@ -132,12 +145,12 @@ class TestSelection:
             n00 = len(DOCS_6) - len(POSITIVE_6) - n10
             brute[term] = entropy_identity_mi(n11, n10, n01, n00)
         expected = sorted(candidates, key=lambda t: (-brute[t], t))[:2]
-        ks = select_keywords_mi(DOCS_6, POSITIVE_6, candidates, k=2)
+        ks = mi(DOCS_6, POSITIVE_6, candidates, k=2)
         assert list(ks.terms) == expected
 
     def test_perfect_predictors_tie_at_one_bit(self):
         assert mutual_information(3, 0, 0, 3) == pytest.approx(1.0, abs=1e-12)
-        ks = select_keywords_mi(DOCS_6, POSITIVE_6, ["noise", "deny", "alpha", "confirm"], k=2)
+        ks = mi(DOCS_6, POSITIVE_6, ["noise", "deny", "alpha", "confirm"], k=2)
         assert ks.terms == ("confirm", "deny")
 
 
@@ -146,27 +159,27 @@ class TestThemePartition:
 
     def test_single_theme(self):
         docs = {1: {"a", "hoax"}, 2: {"plain"}, 3: {"plain", "a"}}
-        groups = select_keywords_micc(docs, ["hoax"], ["a", "plain"], k=1)
+        groups = micc(docs, ["hoax"], ["a", "plain"], k=1)
         # class {1} against residual {2, 3}: "plain" separates them exactly
         assert groups["hoax"].terms == ("plain",)
 
     def test_first_match_wins(self):
         docs = {1: {"a", "b"}, 2: {"c"}}
-        groups = select_keywords_micc(docs, ["a", "b"], ["c"], k=1)
+        groups = micc(docs, ["a", "b"], ["c"], k=1)
         assert groups["a"].terms == ("c",)
         assert groups["b"].terms == ()  # doc 1 went to "a", so class "b" is empty
 
     def test_all_residual(self):
         with pytest.raises(ValueError, match="no document matched any theme"):
-            select_keywords_micc({1: {"x"}, 2: {"y"}}, ["theme"], ["x"], k=1)
+            micc({1: {"x"}, 2: {"y"}}, ["theme"], ["x"], k=1)
 
     def test_duplicate_themes_rejected(self):
         with pytest.raises(ValueError):
-            select_keywords_micc({1: {"a"}}, ["a", "a"], ["a"], k=1)
+            micc({1: {"a"}}, ["a", "a"], ["a"], k=1)
 
     def test_empty_themes_rejected(self):
         with pytest.raises(ValueError):
-            select_keywords_micc({1: {"a"}}, [], ["a"], k=1)
+            micc({1: {"a"}}, [], ["a"], k=1)
 
 
 WORDS = ("a", "b", "c", "d", "e")
@@ -194,7 +207,7 @@ class TestAgainstOracle:
     @example(docs={1: ["a"], 2: ["b"]}, positive={1}, candidates=[], k=2)
     @example(docs={1: ["a"], 2: ["b"]}, positive={1}, candidates=["a", "b"], k=0)
     def test_mi_equals_oracle(self, docs, positive, candidates, k):
-        got = outcome(lambda: select_keywords_mi(docs, positive, candidates, k).terms)
+        got = outcome(lambda: mi(docs, positive, candidates, k).terms)
         assert got == outcome(lambda: select_mi(docs, positive, candidates, k))
 
     @given(
@@ -207,7 +220,7 @@ class TestAgainstOracle:
     @example(docs={1: ["a", "c"], 2: ["b"]}, themes=["a"], candidates=["a", "c"], k=0)
     def test_micc_equals_oracle(self, docs, themes, candidates, k):
         def selected():
-            groups = select_keywords_micc(docs, themes, candidates, k)
+            groups = micc(docs, themes, candidates, k)
             return {theme: ks.terms for theme, ks in groups.items()}
 
         assert outcome(selected) == outcome(lambda: select_micc(docs, themes, candidates, k))
@@ -227,7 +240,7 @@ class TestMicc:
 
     def test_signature_terms_rank_first(self):
         candidates = ["wind", "rain", "x", "y", "goal", "team", "storm"]
-        groups = select_keywords_micc(self.DOCS, ["storm"], candidates, k=2)
+        groups = micc(self.DOCS, ["storm"], candidates, k=2)
         assert set(groups["storm"].terms) == {"rain", "wind"}
 
     def test_matches_brute_force(self):
@@ -239,28 +252,28 @@ class TestMicc:
             n10 = sum(1 for d in self.DOCS if d not in members and term in self.DOCS[d])
             brute[term] = entropy_identity_mi(n11, n10, len(members) - n11, 3 - n10)
         expected = tuple(sorted(candidates, key=lambda t: (-brute[t], t))[:3])
-        groups = select_keywords_micc(self.DOCS, ["storm"], candidates, k=3)
+        groups = micc(self.DOCS, ["storm"], candidates, k=3)
         assert groups["storm"].terms == expected
 
     def test_k_zero_empty_groups(self):
-        groups = select_keywords_micc(self.DOCS, ["storm", "goal"], ["wind", "team"], k=0)
+        groups = micc(self.DOCS, ["storm", "goal"], ["wind", "team"], k=0)
         assert groups["storm"].terms == ()
         assert groups["goal"].terms == ()
 
     def test_theme_word_excluded_from_own_group(self):
-        groups = select_keywords_micc(self.DOCS, ["storm"], ["storm", "wind"], k=5)
+        groups = micc(self.DOCS, ["storm"], ["storm", "wind"], k=5)
         assert "storm" not in groups["storm"].terms
 
     def test_unmatched_theme_gets_empty_group(self):
-        groups = select_keywords_micc(self.DOCS, ["storm", "nothere"], ["wind"], k=2)
+        groups = micc(self.DOCS, ["storm", "nothere"], ["wind"], k=2)
         assert groups["nothere"].terms == ()
 
     def test_no_theme_matching_any_doc(self):
         with pytest.raises(ValueError):
-            select_keywords_micc(self.DOCS, ["absent"], ["wind"], k=1)
+            micc(self.DOCS, ["absent"], ["wind"], k=1)
 
     def test_group_metadata(self):
-        groups = select_keywords_micc(self.DOCS, ["storm"], ["wind"], k=1)
+        groups = micc(self.DOCS, ["storm"], ["wind"], k=1)
         ks = groups["storm"]
         assert ks.provenance == "micc"
         assert dict(ks.params) == {"theme": "storm", "k": "1"}

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stancekit.corpus import Instance, make_corpus
-from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
+import oracles
+from stancekit.corpus import Instance, make_corpus, plan_folds, validation_split
+from stancekit.keywords import select_keywords_mi, select_keywords_micc
+from stancekit.pipeline import BlockSpec, FittedPipeline, KeywordSpec, PipelineSpec, fit_pipeline
+from stancekit.stopwords import ENGLISH_STOPWORDS
 from stancekit.text import (
     IdfTable,
     Vocabulary,
@@ -15,13 +18,27 @@ from stancekit.text import (
     build_vocabulary,
     count_matrix,
     dump_vocabulary,
+    intern,
     load_vocabulary,
     is_token,
+    presence,
     tfidf_cosines,
     tokenize,
 )
 
 from oracles import tfidf_cosine as oracle_tfidf_cosine
+
+
+def vocabulary_of(token_lists, capacity, stopwords=frozenset()):
+    """build_vocabulary over the column sums of the interned token lists."""
+    docs = intern(token_lists)
+    return build_vocabulary(docs.terms, np.ones(len(token_lists)) @ docs.matrix, capacity,
+                            stopwords)
+
+
+def idf_of(token_lists, vocab):
+    """build_idf over the interned token lists, each one document."""
+    return build_idf([(intern(token_lists), np.ones(len(token_lists), dtype=np.int64))], vocab)
 
 
 class TestTokenize:
@@ -53,25 +70,27 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_tie_break_lexicographic(self):
-        vocab = build_vocabulary([["a", "b", "a"], ["b", "c"]], capacity=2)
+        vocab = vocabulary_of([["a", "b", "a"], ["b", "c"]], capacity=2)
         assert vocab.terms == ("a", "b")
 
     def test_capacity_above_distinct_count(self):
-        vocab = build_vocabulary([["x", "y", "z"]], capacity=10)
+        vocab = vocabulary_of([["x", "y", "z"]], capacity=10)
         assert len(vocab) == 3
 
     def test_stopwords_removed_regardless_of_frequency(self):
-        vocab = build_vocabulary(
-            [["a"] * 50 + ["b"]], capacity=5, stopwords=frozenset({"a"})
-        )
+        vocab = vocabulary_of([["a"] * 50 + ["b"]], capacity=5, stopwords=frozenset({"a"}))
         assert vocab.terms == ("b",)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            build_vocabulary([["a"]], capacity=0)
+            build_vocabulary(("a",), np.ones(1), capacity=0)
+
+    def test_zero_total_left_out(self):
+        # "b" is in the term table but no counted document holds it
+        assert build_vocabulary(("a", "b"), np.array([2.0, 0.0]), 5).terms == ("a",)
 
     def test_dump_load_roundtrip(self, tmp_path):
-        vocab = build_vocabulary([["b", "a", "b", "c"]], capacity=3)
+        vocab = vocabulary_of([["b", "a", "b", "c"]], capacity=3)
         path = tmp_path / "vocab.txt"
         dump_vocabulary(vocab, path)
         back = load_vocabulary(path)
@@ -84,21 +103,21 @@ class TestVocabulary:
         )
     )
     def test_doc_order_irrelevant(self, docs):
-        forward = build_vocabulary(docs, capacity=4)
-        assert build_vocabulary(list(reversed(docs)), capacity=4).terms == forward.terms
+        forward = vocabulary_of(docs, capacity=4)
+        assert vocabulary_of(list(reversed(docs)), capacity=4).terms == forward.terms
 
 
 class TestTf:
     def test_counts(self):
         vocab = Vocabulary(("a", "b", "c"))
-        mat = count_matrix([["a", "a", "b"], ["c", "a"]], vocab)
+        mat = count_matrix(intern([["a", "a", "b"], ["c", "a"]]), vocab)
         assert mat.indptr.tolist() == [0, 2, 4]
         assert mat.indices.tolist() == [0, 1, 0, 2]
         assert mat.data.tolist() == [2.0, 1.0, 1.0, 1.0]
 
     def test_empty_and_oov(self):
         vocab = Vocabulary(("a", "b"))
-        mat = count_matrix([[], ["zz", "qq"]], vocab)
+        mat = count_matrix(intern([[], ["zz", "qq"]]), vocab)
         assert mat.shape == (2, 2)
         assert mat.nnz == 0
 
@@ -106,23 +125,23 @@ class TestTf:
 class TestIdf:
     def test_absent_term(self):
         vocab = Vocabulary(("t",))
-        table = build_idf([["x"]] * 10, vocab)
+        table = idf_of([["x"]] * 10, vocab)
         assert table.values[0] == pytest.approx(math.log(10.0), abs=1e-12)
 
     def test_df_one_of_four(self):
         vocab = Vocabulary(("t",))
-        table = build_idf([["t"], ["x"], ["x"], ["x"]], vocab)
+        table = idf_of([["t"], ["x"], ["x"], ["x"]], vocab)
         assert table.values[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_ubiquitous_term_clamped_to_zero(self):
         vocab = Vocabulary(("t",))
-        table = build_idf([["t"]] * 7, vocab)
+        table = idf_of([["t"]] * 7, vocab)
         assert table.values[0] == 0.0
 
     def test_out_of_vocabulary_term(self):
         # "x" counts as a document's token but gets no value of its own
         vocab = Vocabulary(("t",))
-        table = build_idf([["t"], ["x"]], vocab)
+        table = idf_of([["t"], ["x"]], vocab)
         assert table.values.tolist() == [0.0]
 
     def test_requires_documents(self):
@@ -135,7 +154,7 @@ def uniform_idf(vocab: Vocabulary) -> IdfTable:
 
 
 def cosine(head, body, idf):
-    return tfidf_cosines([head], [body], [0], [0], idf)[0]
+    return tfidf_cosines(intern([head]), intern([body]), [0], [0], idf)[0]
 
 
 class TestTfidfCosine:
@@ -209,7 +228,7 @@ class TestPinnedCosines:
         bodies = [list("bcd"), list("aabbbe"), list("abcde") * 3]
         # instance 0 is test_equals_per_pair_oracle's example; the last
         # headline has zero norm
-        got = tfidf_cosines(heads, bodies, [0, 1, 2, 0, 3], [0, 1, 2, 2, 0], idf)
+        got = tfidf_cosines(intern(heads), intern(bodies), [0, 1, 2, 0, 3], [0, 1, 2, 2, 0], idf)
         assert [float(v).hex() for v in got] == [
             "0x1.cfc1a010de409p-1",
             "0x1.309966cd8f410p-1",
@@ -275,3 +294,97 @@ class TestBaselineFeatures:
         # shared-vocab tfidf: head [1,1,0,0], body [2,1,0,0] -> 3/(sqrt2*sqrt5)
         expected = 3.0 / (math.sqrt(2.0) * math.sqrt(5.0))
         assert block(row, layout, "tfidf_cos")[0] == pytest.approx(expected, abs=1e-12)
+
+
+# content words, a stopword pair, and words only the featurized corpus holds
+CONTENT = ("alpha", "beta", "gamma", "delta", "omega", "sigma")
+STOP = ("the", "of")
+UNSEEN = ("novel", "unseen")
+#: manual keyword terms and MICC themes: one from CONTENT, one no corpus holds
+MANUAL = ("beta", "absent")
+SPEC = PipelineSpec(name="p", blocks=(BlockSpec(kind="baseline"),
+                                      BlockSpec(kind="indicator", keywords="m")))
+
+
+def texts(words, min_size=0):
+    return st.lists(st.sampled_from(words), min_size=min_size, max_size=7).map(" ".join)
+
+
+@st.composite
+def corpora(draw, words=CONTENT + STOP):
+    """A corpus with repeated headlines, empty and all-stopword texts, and
+    bodies that no stance row references, in a drawn instance order."""
+    bodies = draw(st.lists(texts(words), min_size=2, max_size=6))
+    referenced = draw(st.integers(2, len(bodies)))
+    heads = draw(st.lists(texts(words, min_size=1), min_size=1, max_size=4))
+    pairs = [(draw(st.sampled_from(heads)), b) for b in range(referenced)]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(heads), st.integers(0, referenced - 1)),
+                           max_size=8))
+    pairs = draw(st.permutations(pairs))
+    return make_corpus([Instance(h, b, None) for h, b in pairs], dict(enumerate(bodies)))
+
+
+def outcome(select):
+    """The selection, or the message of the ValueError it raises."""
+    try:
+        return select()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def same_csr(got, want) -> bool:
+    return all(np.array_equal(getattr(got, a), getattr(want, a))
+               and getattr(got, a).dtype == getattr(want, a).dtype
+               for a in ("indptr", "indices", "data"))
+
+
+class TestInternedAgainstOracle:
+    """Fits and featurizations read interned count matrices; the oracles
+    count token lists one token at a time. Both give the same bits."""
+
+    @staticmethod
+    def token_lists(corpus):
+        """Fresh tokenizations: each distinct headline, each body."""
+        heads = [tokenize(h) for h in dict.fromkeys(i.headline for i in corpus.instances)]
+        return heads, [tokenize(text) for text in corpus.bodies.values()]
+
+    @settings(derandomize=True, max_examples=150)
+    @given(corpus=corpora(), unseen=corpora(CONTENT[:2] + STOP + UNSEEN),
+           capacity=st.integers(1, 10), seed=st.integers(0, 50),
+           positive=st.sets(st.integers(0, 5)))
+    @example(corpus=make_corpus([Instance("the of", 0, None), Instance("the of", 1, None)],
+                                {0: "", 1: "of the", 2: "alpha"}),
+             unseen=make_corpus([Instance("novel", 0, None)], {0: "unseen beta"}),
+             capacity=10, seed=0, positive={1})
+    def test_fit_and_featurize_equal_oracle(self, corpus, unseen, capacity, seed, positive):
+        kw = {"m": KeywordSpec(name="m", selector="manual", terms=MANUAL)}
+        parts = [corpus, *plan_folds(corpus, 2, seed).split(corpus, 0),
+                 *validation_split(corpus, 0.5, seed)]
+        for part in parts:
+            fit = fit_pipeline(SPEC, part, keyword_specs=kw, vocab_capacity=capacity)
+            per_instance = [tokenize(i.headline) for i in part.instances]
+            bodies = [tokenize(text) for text in part.bodies.values()]
+            stop = ENGLISH_STOPWORDS
+            assert fit.headline_vocab == oracles.vocabulary(per_instance, capacity, stop)
+            assert fit.body_vocab == oracles.vocabulary(bodies, capacity, stop)
+            shared = oracles.vocabulary(per_instance + bodies, capacity, stop)
+            assert fit.shared_vocab == shared
+            values, n_docs = oracles.idf_values(per_instance + bodies, shared)
+            assert fit.idf.values.tobytes() == values.tobytes()
+            assert fit.idf.document_count == n_docs
+            documents, candidates = dict(zip(part.bodies, bodies)), fit.body_vocab.terms
+            rows = np.array([b in positive for b in part.bodies], dtype=bool)
+            mi = outcome(lambda: select_keywords_mi(part.body_counts, rows, candidates, 3).terms)
+            assert mi == outcome(lambda: oracles.select_mi(documents, positive, candidates, 3))
+            groups = outcome(lambda: {theme: ks.terms for theme, ks in select_keywords_micc(
+                part.body_counts, MANUAL, candidates, 3).items()})
+            assert groups == outcome(lambda: oracles.select_micc(documents, MANUAL, candidates, 3))
+            for docs in (part, unseen):
+                heads, bodies = self.token_lists(docs)
+                for counts, lists, vocab in ((docs.headline_counts, heads, fit.headline_vocab),
+                                             (docs.headline_counts, heads, fit.shared_vocab),
+                                             (docs.body_counts, bodies, fit.body_vocab),
+                                             (docs.body_counts, bodies, fit.shared_vocab)):
+                    assert same_csr(count_matrix(counts, vocab),
+                                    oracles.count_matrix(lists, vocab))
+                    assert same_csr(presence(counts, MANUAL), oracles.presence(lists, MANUAL))
