@@ -64,6 +64,7 @@ from .pipeline import (
     FittedPipeline,
     PipelineSpec,
     SIMILARITY,
+    body_documents,
     body_vocabulary,
     fit_keyword_set,
     fit_pipeline,
@@ -451,7 +452,7 @@ def keywords(config_path, out_dir, models_csv):
         if spec.selector == "micc":
             with selecting(spec):
                 groups = select_keywords_micc(
-                    corpus.body_counts, spec.themes, candidates, spec.k, name_prefix=spec.name
+                    body_documents(corpus), spec.themes, candidates, spec.k, name_prefix=spec.name
                 )
             selected += [(f"{name}.{theme}.keywords.txt", f"set={name} theme={theme}", group)
                          for theme, group in groups.items()]

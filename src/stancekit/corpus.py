@@ -6,8 +6,9 @@ Input files are UTF-8 CSV per RFC 4180 (quoted fields may embed commas and
 newlines, which the bodies file uses). A Corpus tokenizes each distinct
 headline and body once, on first read, and interns each side into one
 document-by-term count matrix over the side's sorted term ids; its folds
-and validation splits select rows of it. Fold planning splits by body id
-so that no article body ever lands on both sides of a train/test boundary.
+and validation splits read the same matrices, weighing their own rows.
+Fold planning splits by body id so that no article body ever lands on
+both sides of a train/test boundary.
 """
 
 from __future__ import annotations
@@ -95,73 +96,83 @@ def _token_lists(texts: Mapping) -> dict:
     return {key: list(map(sys.intern, tokenize(text))) for key, text in texts.items()}
 
 
+def _shared(build):
+    """A cached property that a corpus builds from its own instances and
+    bodies, and that a part restrict took reads from its source instead."""
+
+    def read(corpus):
+        return build(corpus) if corpus.source is None else getattr(corpus.source, build.__name__)
+
+    read.__doc__ = build.__doc__
+    return cached_property(read)
+
+
 @dataclass(frozen=True)
 class Corpus:
     """Instances plus the body store they reference. Each side, the distinct
     headlines (in first-occurrence order) and the bodies (in bodies order),
     is tokenized on first read into token lists, which similarity blocks
     read, and text.TermCounts, which every other fit and block reads. A
-    part that restrict takes reads its source's lists, and its counts are
-    rows of its source's, over the same term tables."""
+    part that restrict takes has a source, the first corpus of the chain it
+    was taken from: it reads the source's lists, counts and term tables,
+    and its weights say which of their rows are its own."""
 
     instances: tuple[Instance, ...]
     bodies: Mapping[int, str]
     source: Corpus | None = field(default=None, repr=False, compare=False)
 
-    @cached_property
+    @_shared
     def headlines(self) -> dict[str, int]:
         """Each distinct headline's row in headline_tokens and headline_counts."""
         return {h: r for r, h in enumerate(dict.fromkeys(i.headline for i in self.instances))}
 
-    @cached_property
-    def headline_rows(self) -> np.ndarray:
-        """The headline_counts row of each instance's headline."""
-        return np.array([self.headlines[i.headline] for i in self.instances], dtype=np.intp)
-
-    @cached_property
+    @_shared
     def headline_tokens(self) -> dict[str, TokenList]:
-        if self.source is None:
-            return _token_lists({h: h for h in self.headlines})
-        return {h: self.source.headline_tokens[h] for h in self.headlines}
+        return _token_lists({h: h for h in self.headlines})
 
-    @cached_property
+    @_shared
     def body_tokens(self) -> dict[int, TokenList]:
-        if self.source is None:
-            return _token_lists(self.bodies)
-        return {b: self.source.body_tokens[b] for b in self.bodies}
+        return _token_lists(self.bodies)
 
-    @cached_property
+    @_shared
     def headline_counts(self) -> TermCounts:
-        if self.source is None:
-            return intern(self.headline_tokens.values())
-        rows = [self.source.headlines[h] for h in self.headlines]
-        return self.source.headline_counts.rows(rows)
+        return intern(self.headline_tokens.values())
 
-    @cached_property
+    @_shared
     def body_counts(self) -> TermCounts:
-        if self.source is None:
-            return intern(self.body_tokens.values())
-        return self.source.body_counts.rows(self.source.body_rows(self.bodies))
+        return intern(self.body_tokens.values())
 
-    @cached_property
+    @_shared
     def terms(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """The corpus's term table, both sides' terms sorted, and the ids in
         it of headline_counts' and body_counts' terms."""
-        if self.source is not None:
-            return self.source.terms
         sides = (self.headline_counts.terms, self.body_counts.terms)
         table = tuple(sorted(set().union(*sides)))
         index = dict(zip(table, range(len(table))))
         return table, *(np.fromiter(map(index.__getitem__, s), np.intp, len(s)) for s in sides)
+
+    @_shared
+    def _body_index(self) -> dict[int, int]:
+        return {b: r for r, b in enumerate(self.bodies)}
+
+    @cached_property
+    def headline_weights(self) -> np.ndarray:
+        """How many of this corpus's instances each headline_counts row stands for."""
+        return np.bincount([self.headlines[i.headline] for i in self.instances],
+                           minlength=len(self.headlines))
+
+    @cached_property
+    def body_weights(self) -> np.ndarray:
+        """1 for each body_counts row that is a body of this corpus, else 0."""
+        return np.bincount(self.body_rows(self.bodies), minlength=len(self._body_index))
 
     def __len__(self) -> int:
         return len(self.instances)
 
     def body_rows(self, body_ids: Iterable[int]) -> list[int]:
         """The body_counts row of each body id, in order."""
-        rows = {b: r for r, b in enumerate(self.bodies)}
         try:
-            return [rows[b] for b in body_ids]
+            return [self._body_index[b] for b in body_ids]
         except KeyError as exc:
             raise IntegrityError(f"body id {exc.args[0]} not in corpus") from None
 

@@ -7,9 +7,10 @@ IDF weights, keyword selections) from the training corpus alone, so
 cross-validation folds rebuilt through fit_pipeline stay leakage-free.
 
 Fits and blocks read the corpus's count matrices (Corpus.headline_counts,
-Corpus.body_counts): a vocabulary ranks column sums, IDF counts column
-entries, and TF and keyword bits are column selections. Only similarity
-blocks read token lists. Each block owns its columns and keeps a block's
+Corpus.body_counts): a vocabulary ranks column sums weighted by the
+corpus's own rows, IDF counts column entries the same way, and TF and
+keyword bits are column selections of its rows. Only similarity blocks
+read token lists. Each block owns its columns and keeps a block's
 headline and body columns as one row per distinct document, which no
 instance copies; the model projects such a row once (see mlp.FeatureMatrix).
 Only the pair columns have a row per instance: the TF-IDF cosine, and the
@@ -53,6 +54,7 @@ from .stopwords import ENGLISH_STOPWORDS
 from .text import (
     BlockSlice,
     IdfTable,
+    TermCounts,
     Vocabulary,
     build_idf,
     build_vocabulary,
@@ -132,9 +134,14 @@ class PipelineSpec:
 
 def body_vocabulary(corpus: Corpus, capacity: int) -> Vocabulary:
     """TF vocabulary of the body side, also the keyword candidate terms."""
-    bodies = corpus.body_counts
-    totals = np.ones(bodies.matrix.shape[0]) @ bodies.matrix
-    return build_vocabulary(bodies.terms, totals, capacity, ENGLISH_STOPWORDS)
+    totals = corpus.body_weights @ corpus.body_counts.matrix
+    return build_vocabulary(corpus.body_counts.terms, totals, capacity, ENGLISH_STOPWORDS)
+
+
+def body_documents(corpus: Corpus) -> TermCounts:
+    """The counts of the corpus's bodies, in bodies order: the documents
+    keyword selection reads, one per article body (headlines excluded)."""
+    return corpus.body_counts.rows(corpus.body_rows(corpus.bodies))
 
 
 @contextmanager
@@ -148,8 +155,7 @@ def selecting(spec: KeywordSpec):
 
 
 def fit_keyword_set(spec: KeywordSpec, corpus: Corpus, candidates: Sequence[str]) -> KeywordSet:
-    """Select one keyword set. The selectors read one document per article
-    body (headlines excluded): the corpus's body counts."""
+    """Select one keyword set from the corpus's body_documents."""
     if spec.selector == "manual":
         return KeywordSet(
             name=spec.name, terms=spec.terms, provenance="manual", params=()
@@ -158,12 +164,12 @@ def fit_keyword_set(spec: KeywordSpec, corpus: Corpus, candidates: Sequence[str]
         if spec.selector == "mi":
             positive = stance_positive_bodies(corpus, spec.positive)
             rows = np.array([b in positive for b in corpus.bodies], dtype=bool)
-            ks = select_keywords_mi(corpus.body_counts, rows, candidates, spec.k)
+            ks = select_keywords_mi(body_documents(corpus), rows, candidates, spec.k)
             classes = "+".join(s.value for s in spec.positive)
             params = (("positive", classes), ("k", str(spec.k)))
             return KeywordSet(name=spec.name, terms=ks.terms, provenance="mi", params=params)
         groups = select_keywords_micc(
-            corpus.body_counts, spec.themes, candidates, spec.k, name_prefix=spec.name
+            body_documents(corpus), spec.themes, candidates, spec.k, name_prefix=spec.name
         )
     # theme groups flatten to one ordered, deduplicated indicator list
     terms = dict.fromkeys(t for theme in spec.themes for t in groups[theme].terms)
@@ -215,15 +221,18 @@ class FittedPipeline:
         baseline has headline TF and body TF on them and the TF-IDF cosine
         as its pair column; indicator has keyword i's headline bit at 2i
         and its body bit at 2i + 1 on them; similarity is one pair column."""
+        used_heads: dict[str, int] = {}
         used: dict[int, int] = {}
+        head_row = np.array([used_heads.setdefault(i.headline, len(used_heads))
+                             for i in corpus.instances], dtype=np.intp)
         body_row = np.array([used.setdefault(i.body_id, len(used)) for i in corpus.instances],
                             dtype=np.intp)
-        heads, bodies = corpus.headline_counts, corpus.body_counts.rows(corpus.body_rows(used))
-        head_row, n_heads = corpus.headline_rows, len(corpus.headlines)
-        rows = (head_row, n_heads + body_row)
+        heads = corpus.headline_counts.rows([corpus.headlines[h] for h in used_heads])
+        bodies = corpus.body_counts.rows(corpus.body_rows(used))
+        rows = (head_row, len(used_heads) + body_row)
         modes = [b.mode for b in self.spec.blocks if b.kind == SIMILARITY]
         if modes:
-            sims = similarities(list(corpus.headline_tokens.values()),
+            sims = similarities([corpus.headline_tokens[h] for h in used_heads],
                                 [corpus.tokens_of_body(b) for b in used], head_row, body_row,
                                 self.embeddings, modes)
         blocks: dict[BlockSpec, FeatureMatrix] = {}
@@ -244,7 +253,7 @@ class FittedPipeline:
                 docs = _document_rows(sides, (0, 1), 2, 2 * len(terms))
                 pairs, at = np.empty((len(head_row), 0)), []
             else:
-                docs = sp.csr_matrix((n_heads + len(used), 1))
+                docs = sp.csr_matrix((len(used_heads) + len(used), 1))
                 pairs, at = sims[:, [modes.index(block.mode)]], [0]
             blocks[block] = FeatureMatrix(pairs, docs, *rows, np.array(at, dtype=np.intp))
         return blocks
@@ -287,12 +296,10 @@ def fit_pipeline(
     keyword_specs = keyword_specs or {}
     headline_vocab = body_vocab = idf = None
     if any(b.kind == BASELINE for b in spec.blocks):
-        heads, bodies = corpus.headline_counts, corpus.body_counts
-        # a distinct headline counts once per instance, a body once
-        sides = [(heads, np.bincount(corpus.headline_rows, minlength=heads.matrix.shape[0])),
-                 (bodies, np.ones(bodies.matrix.shape[0], dtype=np.int64))]
+        sides = [(corpus.headline_counts, corpus.headline_weights),
+                 (corpus.body_counts, corpus.body_weights)]
         totals = [weights @ docs.matrix for docs, weights in sides]
-        headline_vocab = build_vocabulary(heads.terms, totals[0], vocab_capacity,
+        headline_vocab = build_vocabulary(corpus.headline_counts.terms, totals[0], vocab_capacity,
                                           ENGLISH_STOPWORDS)
         body_vocab = body_vocabulary(corpus, vocab_capacity)
         # the shared vocabulary ranks both sides' totals on the corpus's term table

@@ -211,7 +211,8 @@ class TestTokenLists:
             {1: "The cat, the CAT!", 2: "dog", 3: ""},
         )
         assert corpus.headlines == {"Cat?": 0, "Dog": 1}
-        assert corpus.headline_rows.tolist() == [0, 1, 0]
+        assert corpus.headline_weights.tolist() == [2, 1]
+        assert corpus.body_weights.tolist() == [1, 1, 1]
         heads, bodies = corpus.headline_counts, corpus.body_counts
         assert heads.terms == ("cat", "dog")
         assert heads.matrix.toarray().tolist() == [[1.0, 0.0], [0.0, 1.0]]
@@ -238,24 +239,26 @@ class TestRestrict:
 
     @pytest.mark.parametrize("fold", [0, 1, 2])
     def test_fold_holds_only_its_own_token_lists(self, fold):
-        """A part's token lists are its source's, and its counts are its
-        source's rows over the same term tables: what interning the part
-        afresh would count."""
+        """A part holds no token lists or counts of its own: it reads its
+        source's, and its weights pick out its own rows of them. Those rows
+        count what interning the part afresh counts."""
         corpus = synthetic_corpus(n_instances=96, n_bodies=24, seed=5)
         for part in plan_folds(corpus, k=3, seed=4).split(corpus, fold):
             assert part.source is corpus
-            assert list(part.body_tokens) == list(part.bodies)
-            assert list(part.headline_tokens) == list(part.headlines)
-            assert all(part.body_tokens[b] is corpus.body_tokens[b] for b in part.bodies)
-            assert all(t is corpus.headline_tokens[h] for h, t in part.headline_tokens.items())
+            for shared in ("headline_tokens", "body_tokens", "headline_counts", "body_counts",
+                           "terms", "headlines"):
+                assert getattr(part, shared) is getattr(corpus, shared)
             fresh = make_corpus(part.instances, part.bodies)
-            for side in ("headline_counts", "body_counts"):
-                got, own = getattr(part, side), getattr(fresh, side)
-                assert got.terms is getattr(corpus, side).terms
-                columns = [got.terms.index(t) for t in own.terms]
-                assert np.array_equal(got.matrix[:, columns].toarray(), own.matrix.toarray())
-                assert got.matrix.nnz == own.matrix.nnz
-            assert part.terms is corpus.terms
+            own = {"headline": [corpus.headlines[h] for h in fresh.headlines],
+                   "body": corpus.body_rows(part.bodies)}
+            for side, rows in own.items():
+                got, want = getattr(part, f"{side}_counts"), getattr(fresh, f"{side}_counts")
+                assert np.flatnonzero(getattr(part, f"{side}_weights")).tolist() == sorted(rows)
+                kept = got.matrix[rows]
+                assert kept.nnz == want.matrix.nnz
+                columns = [got.terms.index(t) for t in want.terms]
+                assert np.array_equal(kept[:, columns].toarray(), want.matrix.toarray())
+            assert part.headline_weights.sum() == len(part.instances)
 
     def test_part_of_a_part_reads_the_first_source(self, toy_corpus):
         train, held = validation_split(toy_corpus.restrict(list(toy_corpus.bodies)[:12]), 0.5, 3)

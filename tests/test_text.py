@@ -9,7 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from stancekit.corpus import Instance, make_corpus, plan_folds, validation_split
 from stancekit.keywords import select_keywords_mi, select_keywords_micc
-from stancekit.pipeline import BlockSpec, FittedPipeline, KeywordSpec, PipelineSpec, fit_pipeline
+from stancekit.pipeline import (
+    BlockSpec,
+    FittedPipeline,
+    KeywordSpec,
+    PipelineSpec,
+    body_documents,
+    fit_pipeline,
+)
 from stancekit.stopwords import ENGLISH_STOPWORDS
 from stancekit.text import (
     IdfTable,
@@ -343,10 +350,14 @@ class TestInternedAgainstOracle:
     count token lists one token at a time. Both give the same bits."""
 
     @staticmethod
-    def token_lists(corpus):
-        """Fresh tokenizations: each distinct headline, each body."""
-        heads = [tokenize(h) for h in dict.fromkeys(i.headline for i in corpus.instances)]
-        return heads, [tokenize(text) for text in corpus.bodies.values()]
+    def own_rows(corpus):
+        """The counts of the corpus's own distinct headlines and bodies, and
+        fresh tokenizations of the same documents."""
+        heads = dict.fromkeys(i.headline for i in corpus.instances)
+        counts = (corpus.headline_counts.rows([corpus.headlines[h] for h in heads]),
+                  corpus.body_counts.rows(corpus.body_rows(corpus.bodies)))
+        return counts, ([tokenize(h) for h in heads],
+                        [tokenize(text) for text in corpus.bodies.values()])
 
     @settings(derandomize=True, max_examples=150)
     @given(corpus=corpora(), unseen=corpora(CONTENT[:2] + STOP + UNSEEN),
@@ -374,17 +385,18 @@ class TestInternedAgainstOracle:
             assert fit.idf.document_count == n_docs
             documents, candidates = dict(zip(part.bodies, bodies)), fit.body_vocab.terms
             rows = np.array([b in positive for b in part.bodies], dtype=bool)
-            mi = outcome(lambda: select_keywords_mi(part.body_counts, rows, candidates, 3).terms)
+            own = body_documents(part)
+            mi = outcome(lambda: select_keywords_mi(own, rows, candidates, 3).terms)
             assert mi == outcome(lambda: oracles.select_mi(documents, positive, candidates, 3))
             groups = outcome(lambda: {theme: ks.terms for theme, ks in select_keywords_micc(
-                part.body_counts, MANUAL, candidates, 3).items()})
+                own, MANUAL, candidates, 3).items()})
             assert groups == outcome(lambda: oracles.select_micc(documents, MANUAL, candidates, 3))
             for docs in (part, unseen):
-                heads, bodies = self.token_lists(docs)
-                for counts, lists, vocab in ((docs.headline_counts, heads, fit.headline_vocab),
-                                             (docs.headline_counts, heads, fit.shared_vocab),
-                                             (docs.body_counts, bodies, fit.body_vocab),
-                                             (docs.body_counts, bodies, fit.shared_vocab)):
+                (heads, bodies), (head_lists, body_lists) = self.own_rows(docs)
+                for counts, lists, vocab in ((heads, head_lists, fit.headline_vocab),
+                                             (heads, head_lists, fit.shared_vocab),
+                                             (bodies, body_lists, fit.body_vocab),
+                                             (bodies, body_lists, fit.shared_vocab)):
                     assert same_csr(count_matrix(counts, vocab),
                                     oracles.count_matrix(lists, vocab))
                     assert same_csr(presence(counts, MANUAL), oracles.presence(lists, MANUAL))
