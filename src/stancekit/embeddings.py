@@ -80,7 +80,7 @@ def load_embeddings(
     seen: set[str] = set()
     duplicates = 0
     dim: int | None = None
-    with open(path, encoding="utf-8") as handle, reading(path):
+    with open(path, encoding="utf-8-sig") as handle, reading(path):  # drops a BOM
         for lineno, raw in enumerate(handle, start=1):
             parts = raw.rstrip("\n").split()
             if not parts:

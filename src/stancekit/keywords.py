@@ -22,11 +22,10 @@ from pathlib import Path
 from typing import Collection, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus
 from .errors import reading
-from .text import TermCounts, presence
+from .text import Csr, TermCounts, presence, take_rows
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def mutual_information(n11: int, n10: int, n01: int, n00: int) -> float:
     return max(info, 0.0)
 
 
-def _top_k(present: sp.csr_matrix, positive: np.ndarray, terms: Sequence[str], k: int,
+def _top_k(present: Csr, positive: np.ndarray, terms: Sequence[str], k: int,
            skip: str | None = None) -> tuple[str, ...]:
     """The k terms (columns of the document-by-term presence matrix) of
     highest MI against the boolean row class `positive`, ties lexicographic;
@@ -79,7 +78,8 @@ def _top_k(present: sp.csr_matrix, positive: np.ndarray, terms: Sequence[str], k
     n_neg = len(positive) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both document classes must be non-empty")
-    n11 = np.bincount(present[positive].indices, minlength=len(terms))
+    n11 = np.bincount(take_rows(present, np.flatnonzero(positive)).indices,
+                      minlength=len(terms))
     n10 = np.bincount(present.indices, minlength=len(terms)) - n11
     tables = list(zip(n11.tolist(), n10.tolist()))
     info = {t: mutual_information(t[0], t[1], n_pos - t[0], n_neg - t[1]) for t in set(tables)}
@@ -119,7 +119,7 @@ def select_keywords_micc(
     if len(set(theme_terms)) != len(theme_terms):
         raise ValueError("theme_terms must be distinct")
     themed = presence(documents, theme_terms)
-    if not themed.nnz:
+    if not len(themed.data):
         raise ValueError("no document matched any theme")
     # indices are sorted, so a row's first stored column is its first theme
     theme_of = np.full(themed.shape[0], -1)

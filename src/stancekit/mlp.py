@@ -14,10 +14,12 @@ Training and prediction take a FeatureMatrix, which holds a row per
 distinct headline and body, so each mini-batch projects a document its
 examples share through w1 once and sums their w1 gradients per document
 before one sparse product; a plain dense or CSR example matrix is a
-FeatureMatrix without document rows. A mini-batch is a FeatureMatrix of its
-own rows whose documents are bare CSR arrays, and its sparse products run
-scipy's CSR/CSC kernels on them (_sparse_product): the SGD loop builds no
-scipy matrix unless the pair columns are one (a plain CSR example matrix).
+FeatureMatrix without document rows. Document rows are text.Csr arrays,
+and a mini-batch is a FeatureMatrix of its own rows and documents. Sparse
+products run scipy's compiled CSR/CSC kernels on those arrays
+(_sparse_product), loaded from their extension file without importing
+scipy.sparse: the SGD loop builds no scipy matrix unless the pair columns
+are one (a plain CSR example matrix).
 Labels are read, and decisions made, through corpus.stance_indices and
 corpus.decisions. Prediction is batched only: predict_batch maps whole
 example matrices to probability rows and their argmax stances. A trained
@@ -26,19 +28,19 @@ model is immutable in practice and safe for concurrent prediction.
 
 from __future__ import annotations
 
+import importlib.util
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .corpus import STANCES, Stance, decisions, stance_indices
 from .errors import DataFormatError, TrainingDivergedError, reading
-from .text import BlockSlice
+from .text import BlockSlice, Csr, empty_csr, take_rows
 
 _MAGIC = b"SKITMLP0"
 _VERSION = 1
@@ -50,6 +52,26 @@ _CHUNK_WEIGHTS = 1 << 18
 
 #: train multiplies w1's scale into its weights once |scale| falls below this
 _SCALE_FLOOR = 1e-9
+
+
+def _load_sparsetools():
+    """scipy's compiled sparsetools module, loaded from its extension file
+    in scipy's installed sparse directory. Importing scipy.sparse for it
+    would start every command about 0.1 s later."""
+    scipy = importlib.util.find_spec("scipy")  # finds the package without running it
+    if scipy is None:
+        raise ImportError("stancekit needs scipy, which is not installed")
+    where = Path(scipy.origin).parent / "sparse"
+    spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        "scipy.sparse._sparsetools")
+    if spec is None:
+        raise ImportError(f"no scipy sparsetools extension in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 
 @dataclass(frozen=True)
@@ -107,13 +129,12 @@ class FeatureMatrix:
     docs[head_row[i]] + docs[body_row[i]] plus pairs[i] at the input columns
     pair_columns: docs has a CSR row per distinct headline and body, holding
     that side's columns (TF, keyword bits), and pairs the pair's (TF-IDF
-    cosine, embedding similarity), dense or CSR. As x @ w1 is linear in x, a
-    document is projected once however many examples share it. In a
-    mini-batch (_batches) docs is a _Csr of the batch's documents alone,
-    and matrix cannot be read."""
+    cosine, embedding similarity), dense or scipy CSR. As x @ w1 is linear
+    in x, a document is projected once however many examples share it. In
+    a mini-batch (_batches) docs holds the batch's documents alone."""
 
-    pairs: np.ndarray | sp.csr_matrix
-    docs: sp.csr_matrix | _Csr
+    pairs: np.ndarray  # or a scipy CSR matrix
+    docs: Csr
     head_row: np.ndarray
     body_row: np.ndarray
     pair_columns: np.ndarray
@@ -124,41 +145,35 @@ class FeatureMatrix:
         """A plain dense or CSR example matrix: every column a pair column,
         both documents of every example one empty row."""
         unused = np.zeros(x.shape[0], dtype=np.intp)
-        return cls(x, sp.csr_matrix((1, x.shape[1])), unused, unused, np.arange(x.shape[1]),
-                   layout)
+        return cls(x, empty_csr((1, x.shape[1])), unused, unused, np.arange(x.shape[1]), layout)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.pairs.shape[0], self.docs.shape[1]
 
     @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The (examples, inputs) CSR matrix, built on first read; training
-        and prediction never read it."""
+    def matrix(self):
+        """The (examples, inputs) scipy CSR matrix, built on first read;
+        training and prediction never read it, and only it imports
+        scipy.sparse."""
+        import scipy.sparse as sp
+
+        docs = sp.csr_matrix((self.docs.data, self.docs.indices, self.docs.indptr),
+                             shape=self.docs.shape)
         pairs = sp.csr_matrix(self.pairs)
         placed = sp.csr_matrix((pairs.data, self.pair_columns[pairs.indices], pairs.indptr),
                                shape=self.shape)
-        return self.docs[self.head_row] + self.docs[self.body_row] + placed
+        return docs[self.head_row] + docs[self.body_row] + placed
 
 
-class _Csr(NamedTuple):
-    """The arrays of a CSR matrix, indptr and indices of one index dtype,
-    as a scipy CSR matrix holds them."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-
-
-def _sparse_product(a: _Csr | sp.csr_matrix, b: np.ndarray, transpose: bool = False,
+def _sparse_product(a: Csr, b: np.ndarray, transpose: bool = False,
                     out: np.ndarray | None = None) -> np.ndarray:
     """a @ b, or with transpose a.T @ b (the CSC matrix of a's arrays), for
     a 2-d float64 b: the kernel scipy's @ runs, on a's arrays, so the
     product has @'s bits and no scipy matrix is built. The kernel adds each
     term into its output in turn: out, a C-contiguous float64 array of the
-    product's shape, or a zero-filled one. scipy.sparse._sparsetools is
-    private, so a test pins this against @; there is no fallback path."""
+    product's shape, or a zero-filled one. scipy's sparsetools is private,
+    so a test pins this against @; there is no fallback path."""
     rows, cols = a.shape[::-1] if transpose else a.shape
     if out is None:
         out = np.zeros((rows, b.shape[1]))
@@ -281,7 +296,7 @@ class _ScaledW1:
         self.scale = scale
         g = g_pre / scale
         n = len(g)
-        uses = _Csr(np.ones(2 * n), np.column_stack((x.head_row, x.body_row)).ravel(),
+        uses = Csr(np.ones(2 * n), np.column_stack((x.head_row, x.body_row)).ravel(),
                     np.arange(0, 2 * n + 1, 2), (n, x.docs.shape[0]))
         touched = np.zeros(len(self.w), dtype=bool)
         touched[x.docs.indices] = True
@@ -304,23 +319,15 @@ class _ScaledW1:
 def _batches(features: FeatureMatrix, order: np.ndarray,
              size: int) -> Iterator[tuple[np.ndarray, FeatureMatrix]]:
     """(rows, batch) of each mini-batch, size rows of order in turn. The
-    batch is a FeatureMatrix of those rows whose docs, a _Csr, holds only
-    the distinct documents they use, in ascending document order, its
+    batch is a FeatureMatrix of those rows whose docs holds only the
+    distinct documents they use, in ascending document order, their
     entries copied straight from features.docs."""
-    docs = features.docs
-    lengths = np.diff(docs.indptr)
     for start in range(0, len(order), size):
         rows = order[start : start + size]
         used, local = np.unique(np.concatenate((features.head_row[rows], features.body_row[rows])),
                                 return_inverse=True)
-        first, length = docs.indptr[used], lengths[used]
-        indptr = np.zeros(len(used) + 1, dtype=docs.indptr.dtype)
-        np.cumsum(length, out=indptr[1:])
-        entries = np.repeat(first - indptr[:-1], length) + np.arange(indptr[-1])
-        yield rows, FeatureMatrix(
-            features.pairs[rows],
-            _Csr(docs.data[entries], docs.indices[entries], indptr, (len(used), docs.shape[1])),
-            local[: len(rows)], local[len(rows) :], features.pair_columns)
+        yield rows, FeatureMatrix(features.pairs[rows], take_rows(features.docs, used),
+                                  local[: len(rows)], local[len(rows) :], features.pair_columns)
 
 
 def _batch_gradients(model, w1: _ScaledW1, x, y, l2_lambda, mask=None, keep=1.0, rate=1.0):

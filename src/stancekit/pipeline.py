@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus, Stance, decisions, stance_indices
 from .embeddings import EmbeddingTable, SIMILARITY_MODES, similarities
@@ -53,16 +52,20 @@ from .mlp import FeatureMatrix, MlpModel, predict_batch
 from .stopwords import ENGLISH_STOPWORDS
 from .text import (
     BlockSlice,
+    Csr,
     IdfTable,
     TermCounts,
     Vocabulary,
     build_idf,
     build_vocabulary,
+    column_sums,
     count_matrix,
     dump_idf,
     dump_vocabulary,
     load_idf,
     load_vocabulary,
+    empty_csr,
+    entry_rows,
     presence,
     tfidf_cosines,
 )
@@ -134,7 +137,7 @@ class PipelineSpec:
 
 def body_vocabulary(corpus: Corpus, capacity: int) -> Vocabulary:
     """TF vocabulary of the body side, also the keyword candidate terms."""
-    totals = corpus.body_weights @ corpus.body_counts.matrix
+    totals = column_sums(corpus.body_counts.matrix, corpus.body_weights)
     return build_vocabulary(corpus.body_counts.terms, totals, capacity, ENGLISH_STOPWORDS)
 
 
@@ -241,8 +244,7 @@ class FittedPipeline:
                 sides = [count_matrix(heads, self.headline_vocab),
                          count_matrix(bodies, self.body_vocab)]
                 if self.tf_log1p:
-                    for tf in sides:
-                        tf.data = np.log1p(tf.data)
+                    sides = [tf._replace(data=np.log1p(tf.data)) for tf in sides]
                 width = len(self.headline_vocab) + len(self.body_vocab)
                 docs = _document_rows(sides, (0, len(self.headline_vocab)), 1, width + 1)
                 pairs = tfidf_cosines(heads, bodies, head_row, body_row, self.idf)
@@ -253,7 +255,7 @@ class FittedPipeline:
                 docs = _document_rows(sides, (0, 1), 2, 2 * len(terms))
                 pairs, at = np.empty((len(head_row), 0)), []
             else:
-                docs = sp.csr_matrix((len(used_heads) + len(used), 1))
+                docs = empty_csr((len(used_heads) + len(used), 1))
                 pairs, at = sims[:, [modes.index(block.mode)]], [0]
             blocks[block] = FeatureMatrix(pairs, docs, *rows, np.array(at, dtype=np.intp))
         return blocks
@@ -265,7 +267,7 @@ class FittedPipeline:
         offsets = list(accumulate((p.shape[1] for p in parts), initial=0))
         return FeatureMatrix(
             np.concatenate([p.pairs for p in parts], axis=1),
-            sp.hstack([p.docs for p in parts], format="csr"),
+            _hstack([p.docs for p in parts]),
             parts[0].head_row, parts[0].body_row,
             np.concatenate([p.pair_columns + at for p, at in zip(parts, offsets)]), self.layout)
 
@@ -274,13 +276,26 @@ class FittedPipeline:
         return self.assemble(self.block_matrices(corpus))
 
 
-def _document_rows(sides: Sequence[sp.csr_matrix], offsets: Sequence[int], stride: int,
-                   width: int) -> sp.csr_matrix:
+def _document_rows(sides: Sequence[Csr], offsets: Sequence[int], stride: int,
+                   width: int) -> Csr:
     """The headline rows, then the body rows, of a block width columns wide:
     column j of side s goes to block column stride * j + offsets[s]."""
-    return sp.vstack([sp.csr_matrix((s.data, stride * s.indices + at, s.indptr),
-                                    shape=(s.shape[0], width)) for s, at in zip(sides, offsets)],
-                     format="csr")
+    heads, bodies = sides
+    return Csr(np.concatenate([s.data for s in sides]),
+               np.concatenate([stride * s.indices + at for s, at in zip(sides, offsets)]),
+               np.concatenate((heads.indptr, heads.indptr[-1] + bodies.indptr[1:])),
+               (heads.shape[0] + bodies.shape[0], width))
+
+
+def _hstack(parts: Sequence[Csr]) -> Csr:
+    """The parts' columns side by side, as scipy's hstack lays them: row i
+    holds the first part's entries of row i, then the next part's, each
+    part's columns shifted by the widths of the parts before it."""
+    offsets = list(accumulate((p.shape[1] for p in parts), initial=0))
+    order = np.argsort(np.concatenate([entry_rows(p) for p in parts]), kind="stable")
+    return Csr(np.concatenate([p.data for p in parts])[order],
+               np.concatenate([p.indices + at for p, at in zip(parts, offsets)])[order],
+               sum(p.indptr for p in parts), (parts[0].shape[0], offsets[-1]))
 
 
 def fit_pipeline(
@@ -298,7 +313,7 @@ def fit_pipeline(
     if any(b.kind == BASELINE for b in spec.blocks):
         sides = [(corpus.headline_counts, corpus.headline_weights),
                  (corpus.body_counts, corpus.body_weights)]
-        totals = [weights @ docs.matrix for docs, weights in sides]
+        totals = [column_sums(docs.matrix, weights) for docs, weights in sides]
         headline_vocab = build_vocabulary(corpus.headline_counts.terms, totals[0], vocab_capacity,
                                           ENGLISH_STOPWORDS)
         body_vocab = body_vocabulary(corpus, vocab_capacity)

@@ -9,11 +9,15 @@ sums; count_matrix selects and renumbers a vocabulary's columns; presence
 reduces those to "document contains term": the one place document
 frequencies (IDF, keyword selection) and keyword indicator bits come from.
 tfidf_cosines weights the count rows of the distinct headlines and bodies
-by IDF once and scores every instance from them. The pipeline
-module places these per-document rows into feature matrices, whose columns
-it names with BlockSlice. dump_/load_vocabulary and dump_/load_idf own the
-sidecar file formats; all else is pure and deterministic. Vocabularies and
-IDF tables are immutable once built and safe to share between workers.
+by IDF once and scores every instance from them. A CSR matrix is a Csr,
+its bare arrays as scipy holds them. The functions that gather, sort or
+sum its entries are numpy index arithmetic that copies or adds whole
+values, so each result has the bits scipy's would; no scipy matrix is
+built. The pipeline module places these per-document rows into feature
+matrices, whose columns it names with BlockSlice. dump_/load_vocabulary and
+dump_/load_idf own the sidecar file formats; all else is pure and
+deterministic. Vocabularies and IDF tables are immutable once built and
+safe to share between workers.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from pathlib import Path
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import reading
 
@@ -69,35 +72,91 @@ class Vocabulary:
         return len(self.terms)
 
 
+class Csr(NamedTuple):
+    """The arrays of a CSR matrix as a scipy CSR matrix holds them: row i
+    stores data[indptr[i]:indptr[i + 1]] at the columns indices[...], in
+    ascending order unless a function says otherwise; indptr and indices
+    share one index dtype."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def _index_dtype(*sizes: int) -> type:
+    """The index dtype scipy gives a CSR matrix whose indices and entry
+    count are below these sizes: int32 while they fit it."""
+    return np.int32 if max(sizes, default=0) <= np.iinfo(np.int32).max else np.int64
+
+
+def empty_csr(shape: tuple[int, int]) -> Csr:
+    """A CSR matrix of the shape with no entries."""
+    return Csr(np.zeros(0), np.zeros(0, np.int32), np.zeros(shape[0] + 1, np.int32), shape)
+
+
+def entry_rows(mat: Csr) -> np.ndarray:
+    """The row of each of mat's entries, in storage order."""
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+
+
+def take_rows(mat: Csr, rows: Sequence[int] | np.ndarray) -> Csr:
+    """mat[rows] for integer rows (repeats allowed): the rows in the given
+    order, each row's entries copied in storage order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    first = mat.indptr[rows]
+    length = mat.indptr[rows + 1] - first
+    indptr = np.zeros(len(rows) + 1, dtype=mat.indptr.dtype)
+    np.cumsum(length, out=indptr[1:])
+    entries = np.repeat(first - indptr[:-1], length) + np.arange(indptr[-1])
+    return Csr(mat.data[entries], mat.indices[entries], indptr, (len(rows), mat.shape[1]))
+
+
+def column_sums(mat: Csr, weights: np.ndarray) -> np.ndarray:
+    """weights @ mat: each column's entries times their rows' weights, added
+    in storage order, the order scipy's CSC kernel adds them in."""
+    sums = np.bincount(mat.indices, weights=mat.data * weights[entry_rows(mat)],
+                       minlength=mat.shape[1])
+    return sums.astype(np.float64, copy=False)  # bincount of no entries counts in int64
+
+
 class TermCounts(NamedTuple):
     """A document-by-term count matrix: CSR row i counts the tokens of
     document i, column j is the term terms[j]. The terms are sorted, so id
     order is term order."""
 
     terms: tuple[str, ...]
-    matrix: sp.csr_matrix
+    matrix: Csr
 
     def rows(self, rows: Sequence[int]) -> "TermCounts":
         """These counts' rows, in the given order, over the same term table."""
-        return TermCounts(self.terms, self.matrix[np.asarray(rows, dtype=np.intp)])
+        return TermCounts(self.terms, take_rows(self.matrix, rows))
 
 
 def intern(token_lists: Collection[TokenList]) -> TermCounts:
-    """The counts of the documents over their distinct terms, sorted.
+    """The counts of the documents over their distinct terms, sorted: one
+    entry per (document, term), as scipy's sum_duplicates leaves them.
 
     >>> docs = intern([["b", "x", "b"], [], ["a"]])
-    >>> docs.terms, docs.matrix.toarray().tolist()
-    (('a', 'b', 'x'), [[0.0, 2.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    >>> docs.terms, docs.matrix.data.tolist(), docs.matrix.indices.tolist()
+    (('a', 'b', 'x'), [2.0, 1.0, 1.0], [1, 2, 0])
+    >>> docs.matrix.indptr.tolist(), docs.matrix.shape
+    ([0, 2, 2, 3], (3, 3))
     """
     terms = tuple(sorted(set().union(*token_lists)))
     index = dict(zip(terms, range(len(terms))))
     lengths = [len(tokens) for tokens in token_lists]
     ids = np.fromiter(map(index.__getitem__, chain.from_iterable(token_lists)), dtype=np.intp,
                       count=sum(lengths))
-    mat = sp.csr_matrix((np.ones(len(ids)), ids, np.cumsum([0] + lengths)),
-                        shape=(len(lengths), len(terms)))
-    mat.sum_duplicates()  # one entry per (document, term), indices sorted
-    return TermCounts(terms, mat)
+    width = len(terms)
+    keys, counts = np.unique(np.repeat(np.arange(len(lengths)), lengths) * width + ids,
+                             return_counts=True)
+    rows, columns = np.divmod(keys, max(width, 1))
+    dtype = _index_dtype(len(keys), len(lengths), width)
+    indptr = np.zeros(len(lengths) + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=len(lengths)), out=indptr[1:])
+    return TermCounts(terms, Csr(counts.astype(np.float64), columns.astype(dtype), indptr,
+                                 (len(lengths), width)))
 
 
 def build_vocabulary(terms: Sequence[str], totals: np.ndarray, capacity: int,
@@ -124,38 +183,41 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         return Vocabulary(terms=tuple(t for t in lines if t))
 
 
-def count_matrix(docs: TermCounts, vocab: Vocabulary) -> sp.csr_matrix:
+def count_matrix(docs: TermCounts, vocab: Vocabulary) -> Csr:
     """The columns of docs' terms that vocab lists, renumbered to vocabulary
     order: one CSR row of raw in-vocabulary term counts per document,
     indices sorted. A vocabulary term that no document holds gives an empty
     column.
 
-    >>> count_matrix(intern([["b", "x", "b", "a"], []]), Vocabulary(("a", "b", "c"))).toarray()
-    array([[1., 2., 0.],
-           [0., 0., 0.]])
+    >>> mat = count_matrix(intern([["b", "x", "b", "a"], []]), Vocabulary(("a", "b", "c")))
+    >>> mat.data.tolist(), mat.indices.tolist(), mat.indptr.tolist(), mat.shape
+    ([1.0, 2.0], [0, 1], [0, 2, 2], (2, 3))
     """
     # each term's vocabulary column, -1 where the vocabulary lacks it
     column = np.fromiter(map(vocab.index.get, docs.terms, repeat(-1)), np.intp, len(docs.terms))
     mat = docs.matrix
     at = column[mat.indices]
     kept = at >= 0
-    indptr = np.concatenate(([0], np.cumsum(kept)))[mat.indptr]
-    out = sp.csr_matrix((mat.data[kept], at[kept], indptr), shape=(mat.shape[0], len(vocab)))
-    out.sort_indices()
-    return out
+    at = at[kept]
+    # by row, then by column: the row-major keys are distinct, so any sort
+    # gives this one order
+    order = np.argsort(entry_rows(mat)[kept] * len(vocab) + at)
+    dtype = _index_dtype(len(at), mat.shape[0], len(vocab))
+    indptr = np.concatenate(([0], np.cumsum(kept)))[mat.indptr].astype(dtype)
+    return Csr(mat.data[kept][order], at[order].astype(dtype), indptr,
+               (mat.shape[0], len(vocab)))
 
 
-def presence(docs: TermCounts, terms: Sequence[str]) -> sp.csr_matrix:
+def presence(docs: TermCounts, terms: Sequence[str]) -> Csr:
     """count_matrix over the distinct terms with every stored value 1.0:
     which document contains which term.
 
-    >>> presence(intern([["b", "x", "b"], ["a", "b"]]), ("a", "b", "c")).toarray()
-    array([[0., 1., 0.],
-           [1., 1., 0.]])
+    >>> mat = presence(intern([["b", "x", "b"], ["a", "b"]]), ("a", "b", "c"))
+    >>> mat.data.tolist(), mat.indices.tolist(), mat.indptr.tolist()
+    ([1.0, 1.0, 1.0], [1, 0, 1], [0, 1, 3])
     """
     mat = count_matrix(docs, Vocabulary(tuple(terms)))
-    mat.data[:] = 1.0
-    return mat
+    return mat._replace(data=np.ones(len(mat.data)))
 
 
 @dataclass(frozen=True)
@@ -182,7 +244,7 @@ def build_idf(sides: Iterable[tuple[TermCounts, np.ndarray]], vocab: Vocabulary)
     each (docs, weights) side, row i standing for weights[i] documents."""
     df, n_docs = np.zeros(len(vocab)), 0
     for docs, weights in sides:
-        df += weights @ presence(docs, vocab.terms)
+        df += column_sums(presence(docs, vocab.terms), weights)
         n_docs += int(weights.sum())
     if n_docs < 1:
         raise ValueError("idf requires at least one document")
@@ -206,10 +268,9 @@ def load_idf(path: str | Path, vocab: Vocabulary) -> IdfTable:
                         document_count=int(lines[0].partition("=")[2]))
 
 
-def _row_sums(mat: sp.csr_matrix, values: np.ndarray) -> np.ndarray:
+def _row_sums(mat: Csr, values: np.ndarray) -> np.ndarray:
     """Per-row sums of values aligned with mat.data, added one by one in storage order."""
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    return np.bincount(rows, weights=values, minlength=mat.shape[0])
+    return np.bincount(entry_rows(mat), weights=values, minlength=mat.shape[0])
 
 
 def tfidf_cosines(head_docs: TermCounts, body_docs: TermCounts, head_row: Sequence[int],
@@ -219,15 +280,20 @@ def tfidf_cosines(head_docs: TermCounts, body_docs: TermCounts, head_row: Sequen
     vector is a count_matrix row over idf.vocab times the IDF values. Its
     squares, and a pair's products, are summed one after another in
     ascending vocabulary order, which fixes every value's bits."""
-    heads, bodies = (count_matrix(docs, idf.vocab) for docs in (head_docs, body_docs))
-    for mat in (heads, bodies):
-        mat.data *= idf.values[mat.indices]
+    heads, bodies = (m._replace(data=m.data * idf.values[m.indices])
+                     for m in (count_matrix(docs, idf.vocab) for docs in (head_docs, body_docs)))
     head_norm, body_norm = (np.sqrt(_row_sums(m, m.data * m.data)) for m in (heads, bodies))
     # one headline row per instance; its entries are looked up in the body
-    # rows, which are not gathered per instance: that would cost memory
-    at = heads[head_row]
-    body_of_entry = np.repeat(np.asarray(body_row, dtype=np.intp), np.diff(at.indptr))
-    dot = _row_sums(at, at.data * np.asarray(bodies[body_of_entry, at.indices]).ravel())
+    # rows, which are not gathered per instance: that would cost memory.
+    # Row-major keys ascend over the body entries, so a lookup is a search.
+    at = take_rows(heads, head_row)
+    width = bodies.shape[1]
+    keys = entry_rows(bodies) * width + bodies.indices
+    wanted = np.repeat(np.asarray(body_row, dtype=np.intp), np.diff(at.indptr)) * width
+    wanted += at.indices
+    found = np.searchsorted(keys, wanted)
+    held = np.append(keys, -1)[found] == wanted
+    dot = _row_sums(at, at.data * np.where(held, np.append(bodies.data, 0.0)[found], 0.0))
     norms = head_norm[head_row] * body_norm[body_row]
     return np.divide(dot, norms, out=np.zeros(len(norms)), where=norms != 0.0)
 

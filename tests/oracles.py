@@ -53,6 +53,13 @@ def vocabulary(token_lists, capacity, stopwords=frozenset()):
     return Vocabulary(terms=tuple(ranked[:capacity]))
 
 
+def scipy_csr(mat) -> sp.csr_matrix:
+    """The scipy CSR matrix of a text.Csr's arrays, as they are: no entry
+    is sorted, summed or dropped, so scipy's methods read what the package
+    built."""
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+
+
 def count_matrix(token_lists, vocab):
     """One CSR row of raw in-vocabulary token counts per document, built
     token by token, indices sorted."""

@@ -1388,8 +1388,7 @@ def test_commands_build_no_example_rows(tmp_path, monkeypatch):
     """train, evaluate and cv keep headline and body columns per document:
     none lays sparse blocks side by side with a row per example or builds a
     FeatureMatrix's example-by-input matrix."""
-    import scipy.sparse
-
+    import stancekit.pipeline as pipeline
     from stancekit.mlp import FeatureMatrix
     from stancekit.pipeline import FittedPipeline
 
@@ -1397,7 +1396,7 @@ def test_commands_build_no_example_rows(tmp_path, monkeypatch):
     builds = []  # the document rows of every block build, kept alive
     examples = {}  # id of a build's document rows -> examples of its corpus
     stacked = set()  # ids of the first document rows of every stack
-    real_blocks, real_hstack = FittedPipeline.block_matrices, scipy.sparse.hstack
+    real_blocks, real_hstack = FittedPipeline.block_matrices, pipeline._hstack
 
     def block_matrices(self, corpus):
         blocks = real_blocks(self, corpus)
@@ -1405,8 +1404,8 @@ def test_commands_build_no_example_rows(tmp_path, monkeypatch):
         examples.update({id(b.docs): len(corpus.instances) for b in blocks.values()})
         return blocks
 
-    def hstack(blocks, *args, **kwargs):
-        matrix = real_hstack(blocks, *args, **kwargs)
+    def hstack(blocks):
+        matrix = real_hstack(blocks)
         first = id(blocks[0])
         if first not in examples or matrix.shape[0] == examples[first]:
             raise AssertionError("an example-by-input matrix was built")
@@ -1417,7 +1416,7 @@ def test_commands_build_no_example_rows(tmp_path, monkeypatch):
         raise AssertionError("an example-by-input matrix was built")
 
     monkeypatch.setattr(FittedPipeline, "block_matrices", block_matrices)
-    monkeypatch.setattr(scipy.sparse, "hstack", hstack)
+    monkeypatch.setattr(pipeline, "_hstack", hstack)
     monkeypatch.setattr(FeatureMatrix, "matrix", property(refuse))
     run("train", "--config", str(config))
     for command in ("evaluate", "cv"):

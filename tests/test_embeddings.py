@@ -202,6 +202,20 @@ class TestLoader:
         assert list(table.matrix[table.index["a"]]) == [1.0, 0.0]
         assert table.skipped_duplicates == 1
 
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("\ufeff2 3\nfoo 1 2 3\nbar 0 1 0\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert table.terms == ("foo", "bar")
+        assert list(table.matrix[table.index["foo"]]) == [1.0, 2.0, 3.0]
+
+    def test_byte_order_mark_before_first_term(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("\ufefffoo 1 2 3\nbar 0 1 0\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert table.terms == ("foo", "bar")
+        assert list(table.matrix[table.index["foo"]]) == [1.0, 2.0, 3.0]
+
     def test_nothing_loaded(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("", encoding="utf-8")

@@ -6,7 +6,9 @@ through predict_batch and the batch objective as one-row matrices.
 """
 
 import math
+import re
 from dataclasses import replace
+from importlib.machinery import ModuleSpec
 
 import numpy as np
 import pytest
@@ -28,9 +30,10 @@ from stancekit.mlp import (
     train,
 )
 from stancekit.pipeline import stance_labels
-from stancekit.text import BlockSlice
+from stancekit.text import BlockSlice, Csr
 
 from oracles import PAIR_ATOL, eager_train, gradient_check, one_batch, pair_train
+from oracles import scipy_csr as csr
 
 LAYOUT_2 = (BlockSlice("in", 0, 2),)
 
@@ -46,11 +49,6 @@ def objective(model, batch, l2_lambda):
     y = np.array([label.index for _, label in batch], dtype=np.int64)
     x = one_batch(x.reshape(len(batch), model.input_dim))
     return mlp._batch_gradients(model, mlp._ScaledW1(model.w1, 1.0), x, y, l2_lambda)[0]
-
-
-def csr(a) -> sp.csr_matrix:
-    """The scipy matrix of a batch's CSR arrays (an mlp._Csr)."""
-    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def zero_model(input_dim: int = 2, hidden_dim: int = 2) -> MlpModel:
@@ -635,13 +633,13 @@ class TestStepForms:
         assert sum(a is model.w1 for a in reads) == 1 + folds
 
 
-def random_csr(seed: int, shape: tuple[int, int], index_dtype) -> mlp._Csr:
+def random_csr(seed: int, shape: tuple[int, int], index_dtype) -> Csr:
     """The arrays of a random CSR matrix, every third row empty."""
     rng = np.random.default_rng(seed)
     dense = rng.normal(size=shape) * (rng.random(shape) < 0.5)
     dense[::3] = 0.0
     m = sp.csr_matrix(dense)
-    return mlp._Csr(m.data, m.indices.astype(index_dtype), m.indptr.astype(index_dtype), m.shape)
+    return Csr(m.data, m.indices.astype(index_dtype), m.indptr.astype(index_dtype), m.shape)
 
 
 class TestSparseProduct:
@@ -712,6 +710,17 @@ class TestSparseProduct:
                   hidden_dim=7)
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+
+def test_kernel_loader_names_a_missing_extension(tmp_path, monkeypatch):
+    """No scipy sparsetools file where scipy's package says: an ImportError
+    naming the directory searched, not a fallback."""
+    (tmp_path / "scipy" / "sparse").mkdir(parents=True)
+    origin = tmp_path / "scipy" / "__init__.py"
+    monkeypatch.setattr(mlp.importlib.util, "find_spec",
+                        lambda name: ModuleSpec(name, None, origin=str(origin)))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "scipy" / "sparse"))):
+        mlp._load_sparsetools()
 
 
 def random_check_setup(seed: int, input_dim: int = 5, hidden_dim: int = 4, n: int = 6):

@@ -1,6 +1,9 @@
 """Files shipped with the package: example configs and version metadata."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,17 @@ def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
     assert match
     assert stancekit.__version__ == match.group(1)
+
+
+def test_cli_imports_no_scipy_sparse():
+    """A command starts without importing scipy.sparse, about 0.1 s of every
+    process: mlp loads scipy's compiled CSR kernels from their file alone."""
+    code = ("import stancekit.cli, sys; "
+            "print([m for m in ('scipy.sparse', 'scipy._lib') if m in sys.modules])")
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_readme_library_snippet_runs(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
@@ -14,21 +15,26 @@ from stancekit.pipeline import (
     FittedPipeline,
     KeywordSpec,
     PipelineSpec,
+    _document_rows,
+    _hstack,
     body_documents,
     fit_pipeline,
 )
 from stancekit.stopwords import ENGLISH_STOPWORDS
 from stancekit.text import (
+    Csr,
     IdfTable,
     Vocabulary,
     build_idf,
     build_vocabulary,
+    column_sums,
     count_matrix,
     dump_vocabulary,
     intern,
     load_vocabulary,
     is_token,
     presence,
+    take_rows,
     tfidf_cosines,
     tokenize,
 )
@@ -39,8 +45,8 @@ from oracles import tfidf_cosine as oracle_tfidf_cosine
 def vocabulary_of(token_lists, capacity, stopwords=frozenset()):
     """build_vocabulary over the column sums of the interned token lists."""
     docs = intern(token_lists)
-    return build_vocabulary(docs.terms, np.ones(len(token_lists)) @ docs.matrix, capacity,
-                            stopwords)
+    totals = np.ones(len(token_lists)) @ oracles.scipy_csr(docs.matrix)
+    return build_vocabulary(docs.terms, totals, capacity, stopwords)
 
 
 def idf_of(token_lists, vocab):
@@ -126,7 +132,7 @@ class TestTf:
         vocab = Vocabulary(("a", "b"))
         mat = count_matrix(intern([[], ["zz", "qq"]]), vocab)
         assert mat.shape == (2, 2)
-        assert mat.nnz == 0
+        assert oracles.scipy_csr(mat).nnz == 0
 
 
 class TestIdf:
@@ -400,3 +406,126 @@ class TestInternedAgainstOracle:
                     assert same_csr(count_matrix(counts, vocab),
                                     oracles.count_matrix(lists, vocab))
                     assert same_csr(presence(counts, MANUAL), oracles.presence(lists, MANUAL))
+
+
+def random_csr(seed: int, shape: tuple[int, int]) -> sp.csr_matrix:
+    """A random count-like scipy CSR matrix, a third of its rows empty."""
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(1, 5, size=shape) * (rng.random(shape) < 0.4)
+    dense[rng.random(shape[0]) < 1 / 3] = 0
+    return sp.csr_matrix(dense.astype(np.float64))
+
+
+def arrays_of(mat: sp.csr_matrix) -> Csr:
+    return Csr(mat.data, mat.indices, mat.indptr, mat.shape)
+
+
+def same_as_scipy(got: Csr, want: sp.csr_matrix) -> bool:
+    """Equal data, indices and indptr, dtypes included, and shapes."""
+    return same_csr(got, want) and got.shape == want.shape
+
+
+#: zero rows, zero columns, one entry, and larger
+SHAPES = [(0, 4), (5, 0), (1, 1), (7, 9), (40, 23)]
+
+
+class TestCsrAgainstScipy:
+    """The CSR operations are numpy index arithmetic; scipy's results are
+    their oracle, array for array."""
+
+    @given(lists=st.lists(st.lists(st.sampled_from(CONTENT + STOP), max_size=8), max_size=8))
+    def test_intern_sums_duplicates(self, lists):
+        docs = intern(lists)
+        index = {t: i for i, t in enumerate(docs.terms)}
+        ids = [index[t] for tokens in lists for t in tokens]
+        indptr = np.cumsum([0] + [len(tokens) for tokens in lists])
+        want = sp.csr_matrix((np.ones(len(ids)), np.array(ids, dtype=np.intp), indptr),
+                             shape=(len(lists), len(docs.terms)))
+        want.sum_duplicates()
+        assert same_as_scipy(docs.matrix, want)
+
+    @given(lists=st.lists(st.lists(st.sampled_from(CONTENT), max_size=8), max_size=8),
+           seed=st.integers(0, 50))
+    def test_count_matrix_sorts_indices(self, lists, seed):
+        """Selected columns renumbered to a shuffled vocabulary with a term no
+        document holds, then sorted as scipy's sort_indices sorts them."""
+        docs = intern(lists)
+        terms = [(*CONTENT[:5], "absent")[i] for i in np.random.default_rng(seed).permutation(6)]
+        vocab = Vocabulary(tuple(terms))
+        column = np.array([vocab.index.get(t, -1) for t in docs.terms], dtype=np.intp)
+        mat = oracles.scipy_csr(docs.matrix)
+        at = column[mat.indices]
+        kept = at >= 0
+        indptr = np.concatenate(([0], np.cumsum(kept)))[mat.indptr]
+        want = sp.csr_matrix((mat.data[kept], at[kept], indptr), shape=(len(lists), len(vocab)))
+        want.sort_indices()
+        assert same_as_scipy(count_matrix(docs, vocab), want)
+        want.data[:] = 1.0
+        assert same_as_scipy(presence(docs, terms), want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_take_rows(self, shape):
+        mat = random_csr(sum(shape), shape)
+        rng = np.random.default_rng(shape[0])
+        for rows in ([], rng.integers(0, shape[0], size=3 * shape[0]),
+                     rng.permutation(shape[0])):
+            rows = np.asarray(rows, dtype=np.intp)
+            assert same_as_scipy(take_rows(arrays_of(mat), rows), mat[rows])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_column_sums(self, shape):
+        mat = random_csr(sum(shape) + 1, shape)
+        weights = np.random.default_rng(2).integers(0, 4, size=shape[0])
+        got, want = column_sums(arrays_of(mat), weights), weights @ mat
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_document_rows_stack_sides(self, shape):
+        heads, bodies = random_csr(3, shape), random_csr(4, (shape[0] + 2, shape[1]))
+        for offsets, stride in (((0, shape[1]), 1), ((0, 1), 2)):
+            width = stride * shape[1] + offsets[1] + 1
+            want = sp.vstack([sp.csr_matrix((s.data, stride * s.indices + at, s.indptr),
+                                            shape=(s.shape[0], width))
+                              for s, at in zip((heads, bodies), offsets)], format="csr")
+            got = _document_rows([arrays_of(heads), arrays_of(bodies)], offsets, stride, width)
+            assert same_as_scipy(got, want)
+
+    @pytest.mark.parametrize("rows", [0, 1, 13])
+    def test_hstack_merges_rows(self, rows):
+        """Blocks side by side, a zero-width and an entry-less one among them."""
+        parts = [random_csr(5, (rows, 6)), random_csr(6, (rows, 0)), random_csr(7, (rows, 4)),
+                 sp.csr_matrix((rows, 1)), random_csr(8, (rows, 9))]
+        got = _hstack([arrays_of(p) for p in parts])
+        assert same_as_scipy(got, sp.hstack(parts, format="csr"))
+
+    @given(corpus=corpora(), unseen=corpora(CONTENT[:2] + STOP + UNSEEN))
+    def test_tfidf_cosines_look_up_body_entries(self, corpus, unseen):
+        """tfidf_cosines finds a headline entry's body value by a search over
+        row-major keys; scipy's element lookup gives the same cosines' bits."""
+        fit = fit_pipeline(PipelineSpec(name="p", blocks=(BlockSpec(kind="baseline"),)), corpus,
+                           vocab_capacity=6)
+        for docs in (corpus, unseen):
+            heads = docs.headline_counts
+            bodies = docs.body_counts.rows(docs.body_rows(docs.bodies))
+            head_row = [docs.headlines[i.headline] for i in docs.instances]
+            body_row = docs.body_rows(i.body_id for i in docs.instances)
+            got = tfidf_cosines(heads, bodies, head_row, body_row, fit.idf)
+            assert got.tobytes() == scipy_tfidf_cosines(heads, bodies, head_row, body_row,
+                                                        fit.idf).tobytes()
+
+
+def scipy_tfidf_cosines(head_docs, body_docs, head_row, body_row, idf):
+    """tfidf_cosines through scipy's row gather and element lookup."""
+    heads, bodies = (oracles.scipy_csr(count_matrix(d, idf.vocab)) for d in (head_docs, body_docs))
+    norms = []
+    for mat in (heads, bodies):
+        mat.data *= idf.values[mat.indices]
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        norms.append(np.sqrt(np.bincount(rows, weights=mat.data * mat.data,
+                                         minlength=mat.shape[0])))
+    at = heads[np.asarray(head_row, dtype=np.intp)]
+    rows = np.repeat(np.arange(at.shape[0]), np.diff(at.indptr))
+    values = np.asarray(bodies[np.asarray(body_row, dtype=np.intp)[rows], at.indices]).ravel()
+    dot = np.bincount(rows, weights=at.data * values, minlength=at.shape[0])
+    products = norms[0][head_row] * norms[1][body_row]
+    return np.divide(dot, products, out=np.zeros(len(products)), where=products != 0.0)
