@@ -4,11 +4,11 @@ stance_indices and decisions are the only stance <-> class index mappings.
 
 Input files are UTF-8 CSV per RFC 4180 (quoted fields may embed commas and
 newlines, which the bodies file uses). A Corpus tokenizes each distinct
-headline and body once, on first read, and interns each side into one
-document-by-term count matrix over the side's sorted term ids; its folds
-and validation splits read the same matrices, weighing their own rows.
-Fold planning splits by body id so that no article body ever lands on
-both sides of a train/test boundary.
+headline and body once, on first read, and keeps each side only as one
+document-by-term count matrix over the side's sorted term ids; its folds and
+validation splits read the same matrices, weighing their own rows. Fold
+planning splits by body id so that no article body ever lands on both sides
+of a train/test boundary.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 import enum
 import operator
 import random
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +26,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, IntegrityError, reading
-from .text import TermCounts, TokenList, intern, tokenize
+from .text import TermCounts, intern, tokenize
 
 
 class Stance(enum.Enum):
@@ -91,11 +90,6 @@ class Instance:
     stance: Stance | None = None
 
 
-def _token_lists(texts: Mapping) -> dict:
-    """The token list of each text, keyed as texts is, sharing one interned string per term."""
-    return {key: list(map(sys.intern, tokenize(text))) for key, text in texts.items()}
-
-
 def _shared(build):
     """A cached property that a corpus builds from its own instances and
     bodies, and that a part restrict took reads from its source instead."""
@@ -111,11 +105,11 @@ def _shared(build):
 class Corpus:
     """Instances plus the body store they reference. Each side, the distinct
     headlines (in first-occurrence order) and the bodies (in bodies order),
-    is tokenized on first read into token lists, which similarity blocks
-    read, and text.TermCounts, which every other fit and block reads. A
+    is tokenized on first read into one text.TermCounts, which every fit
+    and block reads; the token lists live only while it is interned. A
     part that restrict takes has a source, the first corpus of the chain it
-    was taken from: it reads the source's lists, counts and term tables,
-    and its weights say which of their rows are its own."""
+    was taken from: it reads the source's counts and term tables, and its
+    weights say which of their rows are its own."""
 
     instances: tuple[Instance, ...]
     bodies: Mapping[int, str]
@@ -123,24 +117,16 @@ class Corpus:
 
     @_shared
     def headlines(self) -> dict[str, int]:
-        """Each distinct headline's row in headline_tokens and headline_counts."""
+        """Each distinct headline's row in headline_counts."""
         return {h: r for r, h in enumerate(dict.fromkeys(i.headline for i in self.instances))}
 
     @_shared
-    def headline_tokens(self) -> dict[str, TokenList]:
-        return _token_lists({h: h for h in self.headlines})
-
-    @_shared
-    def body_tokens(self) -> dict[int, TokenList]:
-        return _token_lists(self.bodies)
-
-    @_shared
     def headline_counts(self) -> TermCounts:
-        return intern(self.headline_tokens.values())
+        return intern(tokenize(h) for h in self.headlines)
 
     @_shared
     def body_counts(self) -> TermCounts:
-        return intern(self.body_tokens.values())
+        return intern(tokenize(text) for text in self.bodies.values())
 
     @_shared
     def terms(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -175,17 +161,6 @@ class Corpus:
             return [self._body_index[b] for b in body_ids]
         except KeyError as exc:
             raise IntegrityError(f"body id {exc.args[0]} not in corpus") from None
-
-    def tokens_of_body(self, body_id: int) -> TokenList:
-        """The token list of one body.
-
-        >>> Corpus((Instance("Fake?", 7),), {7: "It's a-b FAKE."}).tokens_of_body(7)
-        ['it', 's', 'a', 'b', 'fake']
-        """
-        try:
-            return self.body_tokens[body_id]
-        except KeyError:
-            raise IntegrityError(f"body id {body_id} not in corpus") from None
 
     def restrict(self, body_ids: Iterable[int]) -> "Corpus":
         """Sub-corpus of the given bodies and their instances, whose source is

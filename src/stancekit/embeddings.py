@@ -3,12 +3,13 @@
 Embeddings load from the whitespace-separated text format (one term plus
 its vector per line, optional "count dim" header).
 
-embed_doc turns one document into an EmbeddedDoc once: the centroid of
-its per-occurrence vectors and its norm, plus, for the WMD modes, its nBOW
-side: the vectors of its most frequent embedded terms and their normalized
-counts apportioned to integer masses. The pair kernels read two such
-states and never the table: centroid_cosine, and _wmd_exact and
-_wmd_relaxed, which also read the pair's _cost_matrix.
+A document is a row of a text.TermCounts: the counts of its terms, in
+term order. embed_doc turns the embedded ones into an EmbeddedDoc once:
+the centroid of its per-occurrence vectors and its norm, plus, for the WMD
+modes, its nBOW side: the vectors of its most frequent embedded terms and
+their normalized counts apportioned to integer masses. The pair kernels
+read two such states and never the table: centroid_cosine, and _wmd_exact
+and _wmd_relaxed, which also read the pair's _cost_matrix.
 
 similarities() scores the similarity columns of a featurization from such
 states, embedded once per document, and one cost matrix per distinct pair.
@@ -20,14 +21,15 @@ solves it exactly on the integer masses, so reruns are bit-stable.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, SolverBudgetError, reading
+from .text import TermCounts
 
 #: Integer mass assigned to each distribution before transport. Weights are
 #: apportioned to parts of 1e9 so the rounding error per term stays below
@@ -132,30 +134,40 @@ class EmbeddedDoc(NamedTuple):
     masses: np.ndarray | None  # (m,) int64 nBOW masses of those terms, summing to MASS_SCALE
 
 
-def embed_doc(
-    tokens: Sequence[str], table: EmbeddingTable, nbow: bool = True
-) -> EmbeddedDoc | None:
-    """Embedding state of a token list; None when no token has a vector.
+def embed_doc(rows: np.ndarray, counts: np.ndarray, table: EmbeddingTable,
+              nbow: bool = True) -> EmbeddedDoc | None:
+    """Embedding state of a document whose embedded terms, in term order,
+    have the table rows `rows` and occur `counts` times; None when it has
+    none.
 
-    The centroid averages one vector per embedded occurrence. The nBOW
-    side (vectors and masses None unless nbow) keeps the WMD_TERM_CAP most
-    frequent embedded terms (ties lexicographic) and apportions their
-    normalized counts to integer masses.
+    The centroid averages one vector per embedded occurrence, in term
+    order. The nBOW side (vectors and masses None unless nbow) keeps the
+    WMD_TERM_CAP most frequent terms (ties in term order) and apportions
+    their normalized counts to integer masses.
     """
-    index = table.index
-    embedded = [t for t in tokens if t in index]
-    if not embedded:
+    if not len(rows):
         return None
-    centroid = np.mean(table.matrix[[index[t] for t in embedded]], axis=0)
+    centroid = np.mean(table.matrix[np.repeat(rows, counts.astype(np.intp))], axis=0)
     doc = EmbeddedDoc(centroid, float(np.linalg.norm(centroid)), None, None)
     if not nbow:
         return doc
-    top = sorted(Counter(embedded).items(), key=lambda kv: (-kv[1], kv[0]))[:WMD_TERM_CAP]
-    counts = np.array([count for _, count in top], dtype=np.float64)
-    return doc._replace(
-        vectors=table.matrix[[index[t] for t, _ in top]],
-        masses=_apportion(counts / counts.sum()),
-    )
+    top = np.argsort(-counts, kind="stable")[:WMD_TERM_CAP]
+    top_counts = counts[top]
+    return doc._replace(vectors=table.matrix[rows[top]],
+                        masses=_apportion(top_counts / top_counts.sum()))
+
+
+def _embedder(docs: TermCounts, table: EmbeddingTable, nbow: bool):
+    """embed_doc of row r of docs, as a function of r: the table rows and
+    counts of the row's terms that have a vector."""
+    mat = docs.matrix
+    term_row = np.fromiter(map(table.index.get, docs.terms, repeat(-1)), np.intp, len(docs.terms))
+    rows = term_row[mat.indices]
+    kept = rows >= 0
+    start = np.concatenate(([0], np.cumsum(kept)))[mat.indptr]  # each row's first kept entry
+    rows, counts = rows[kept], mat.data[kept]
+    return lambda r: embed_doc(rows[start[r]:start[r + 1]], counts[start[r]:start[r + 1]],
+                               table, nbow)
 
 
 def centroid_cosine(a: EmbeddedDoc, b: EmbeddedDoc) -> float:
@@ -287,25 +299,27 @@ def _wmd_relaxed(a: EmbeddedDoc, b: EmbeddedDoc, cost: np.ndarray) -> float:
 _WMD = {WMD_EXACT: _wmd_exact, WMD_RELAXED: _wmd_relaxed}
 
 
-def similarities(head_tokens: Sequence[Sequence[str]], body_tokens: Sequence[Sequence[str]],
-                 head_row: Sequence[int], body_row: Sequence[int], table: EmbeddingTable,
+def similarities(head_docs: TermCounts, body_docs: TermCounts, head_row: Sequence[int],
+                 body_row: Sequence[int], table: EmbeddingTable,
                  modes: Sequence[str]) -> np.ndarray:
-    """Column j of row k is the modes[j] similarity of headline head_row[k]
-    and body body_row[k]: the centroid cosine, or 1/(1 + d) for a WMD mode's
-    distance d, so larger always means more similar; 0.0 where a side has
-    no embedded token. Each distinct pair is scored once, and its WMD modes
-    read one cost matrix. A body's state lives only while its pairs are."""
+    """Column j of row k is the modes[j] similarity of headline row
+    head_row[k] of head_docs and body row body_row[k] of body_docs: the
+    centroid cosine, or 1/(1 + d) for a WMD mode's distance d, so larger
+    always means more similar; 0.0 where a side has no embedded term. Each
+    distinct pair is scored once, and its WMD modes read one cost matrix. A
+    body's state lives only while its pairs are."""
     for mode in modes:
         if mode not in SIMILARITY_MODES:
             raise ValueError(f"unknown similarity mode {mode!r}")
     nbow = any(mode in _WMD for mode in modes)  # only WMD modes read the nBOW half
     pairs = sorted(set(zip(body_row, head_row)))  # distinct, grouped by body
-    heads = [embed_doc(tokens, table, nbow) for tokens in head_tokens]
+    heads = list(map(_embedder(head_docs, table, nbow), range(head_docs.matrix.shape[0])))
+    embed_body = _embedder(body_docs, table, nbow)
     values = np.zeros((len(pairs), len(modes)))
     last = None
     for k, (b, h) in enumerate(pairs):
         if b != last:
-            last, body = b, embed_doc(body_tokens[b], table, nbow)
+            last, body = b, embed_body(b)
         head = heads[h]
         if head is not None and body is not None:
             cost = _cost_matrix(head, body) if nbow else None

@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import reading
-from .text import Csr, TermCounts, presence, take_rows
+from .text import Csr, TermCounts, presence, take_rows, token_lines
 
 
 @dataclass(frozen=True)
@@ -165,5 +165,5 @@ def read_keyword_set(path: str | Path) -> KeywordSet:
         if len(fields) < 2:
             raise ValueError("malformed keyword-set header")
         params = tuple(tuple(p.split("=", 1)) for p in fields[2:] if "=" in p)
-        return KeywordSet(name=fields[0], terms=tuple(t for t in lines[1:] if t),
+        return KeywordSet(name=fields[0], terms=token_lines(lines[1:]),
                           provenance=fields[1], params=params)

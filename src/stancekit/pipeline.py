@@ -8,9 +8,9 @@ cross-validation folds rebuilt through fit_pipeline stay leakage-free.
 
 Fits and blocks read the corpus's count matrices (Corpus.headline_counts,
 Corpus.body_counts): a vocabulary ranks column sums weighted by the
-corpus's own rows, IDF counts column entries the same way, and TF and
-keyword bits are column selections of its rows. Only similarity blocks
-read token lists. Each block owns its columns and keeps a block's
+corpus's own rows, IDF counts column entries the same way, TF and keyword
+bits are column selections of its rows, and similarity blocks embed the
+same gathered rows. Each block owns its columns and keeps a block's
 headline and body columns as one row per distinct document, which no
 instance copies; the model projects such a row once (see mlp.FeatureMatrix).
 Only the pair columns have a row per instance: the TF-IDF cosine, and the
@@ -235,9 +235,7 @@ class FittedPipeline:
         rows = (head_row, len(used_heads) + body_row)
         modes = [b.mode for b in self.spec.blocks if b.kind == SIMILARITY]
         if modes:
-            sims = similarities([corpus.headline_tokens[h] for h in used_heads],
-                                [corpus.tokens_of_body(b) for b in used], head_row, body_row,
-                                self.embeddings, modes)
+            sims = similarities(heads, bodies, head_row, body_row, self.embeddings, modes)
         blocks: dict[BlockSpec, FeatureMatrix] = {}
         for block in self.spec.blocks:
             if block.kind == BASELINE:

@@ -1,23 +1,23 @@
 """Tokenization, frequency-ranked vocabularies, TF counts, term presence,
 TF-IDF cosines, and the named column blocks of a feature layout.
 
-The corpus module alone calls tokenize, once per distinct headline and
-body, and interns each side's token lists into TermCounts: a CSR count
-matrix over the side's sorted terms, so id order is term order. Every other
-function here is column arithmetic on it. build_vocabulary ranks column
-sums; count_matrix selects and renumbers a vocabulary's columns; presence
-reduces those to "document contains term": the one place document
-frequencies (IDF, keyword selection) and keyword indicator bits come from.
-tfidf_cosines weights the count rows of the distinct headlines and bodies
-by IDF once and scores every instance from them. A CSR matrix is a Csr,
-its bare arrays as scipy holds them. The functions that gather, sort or
-sum its entries are numpy index arithmetic that copies or adds whole
-values, so each result has the bits scipy's would; no scipy matrix is
-built. The pipeline module places these per-document rows into feature
-matrices, whose columns it names with BlockSlice. dump_/load_vocabulary and
-dump_/load_idf own the sidecar file formats; all else is pure and
-deterministic. Vocabularies and IDF tables are immutable once built and
-safe to share between workers.
+The corpus module alone calls tokenize, once per distinct headline and body,
+and interns each side's token lists into TermCounts, the only form of a
+document that is kept: a CSR count matrix over the side's sorted terms, so
+id order is term order. Every other function here is column arithmetic on
+it. build_vocabulary ranks column sums; count_matrix selects and renumbers a
+vocabulary's columns; presence reduces those to "document contains term":
+the one place document frequencies (IDF, keyword selection) and keyword
+indicator bits come from. tfidf_cosines weights the count rows of the
+distinct headlines and bodies by IDF once and scores every instance from
+them. A CSR matrix is a Csr, its bare arrays as scipy holds them. The
+functions that gather, sort or sum its entries are numpy index arithmetic
+that copies or adds whole values, so each result has the bits scipy's would;
+no scipy matrix is built. The pipeline module places these per-document rows
+into feature matrices, whose columns it names with BlockSlice.
+dump_/load_vocabulary and dump_/load_idf own the sidecar file formats; all
+else is pure and deterministic. Vocabularies and IDF tables are immutable
+once built and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +54,16 @@ def is_token(term: str) -> bool:
     [True, True, False, False, False, False]
     """
     return term == term.lower() and _TOKEN_RE.fullmatch(term) is not None
+
+
+def token_lines(lines: Iterable[str]) -> tuple[str, ...]:
+    """The non-empty lines of a saved term list; ValueError on one that
+    tokenize cannot yield, whose feature would match no column and read 0."""
+    terms = tuple(t for t in lines if t)
+    for term in terms:
+        if not is_token(term):
+            raise ValueError(f"{term!r} is not a token")
+    return terms
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,7 @@ class TermCounts(NamedTuple):
         return TermCounts(self.terms, take_rows(self.matrix, rows))
 
 
-def intern(token_lists: Collection[TokenList]) -> TermCounts:
+def intern(token_lists: Iterable[TokenList]) -> TermCounts:
     """The counts of the documents over their distinct terms, sorted: one
     entry per (document, term), as scipy's sum_duplicates leaves them.
 
@@ -143,7 +153,9 @@ def intern(token_lists: Collection[TokenList]) -> TermCounts:
     >>> docs.matrix.indptr.tolist(), docs.matrix.shape
     ([0, 2, 2, 3], (3, 3))
     """
-    terms = tuple(sorted(set().union(*token_lists)))
+    shared: dict[str, str] = {}  # one string per term: a list costs one pointer per token
+    token_lists = [list(map(shared.setdefault, tokens, tokens)) for tokens in token_lists]
+    terms = tuple(sorted(shared))
     index = dict(zip(terms, range(len(terms))))
     lengths = [len(tokens) for tokens in token_lists]
     ids = np.fromiter(map(index.__getitem__, chain.from_iterable(token_lists)), dtype=np.intp,
@@ -180,7 +192,7 @@ def dump_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 def load_vocabulary(path: str | Path) -> Vocabulary:
     with reading(path):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return Vocabulary(terms=tuple(t for t in lines if t))
+        return Vocabulary(terms=token_lines(lines))
 
 
 def count_matrix(docs: TermCounts, vocab: Vocabulary) -> Csr:
@@ -237,6 +249,8 @@ class IdfTable:
             raise ValueError(f"{len(self.values)} values for {len(self.vocab)} terms")
         if not (np.isfinite(self.values) & (self.values >= 0.0)).all():
             raise ValueError("an IDF value is not finite and >= 0")
+        if self.document_count < 1:
+            raise ValueError("idf requires at least one document")
 
 
 def build_idf(sides: Iterable[tuple[TermCounts, np.ndarray]], vocab: Vocabulary) -> IdfTable:
@@ -246,9 +260,7 @@ def build_idf(sides: Iterable[tuple[TermCounts, np.ndarray]], vocab: Vocabulary)
     for docs, weights in sides:
         df += column_sums(presence(docs, vocab.terms), weights)
         n_docs += int(weights.sum())
-    if n_docs < 1:
-        raise ValueError("idf requires at least one document")
-    values = np.maximum(0.0, np.log(n_docs / (1.0 + df)))
+    values = np.log(np.maximum(1.0, n_docs / (1.0 + df)))  # no log(0) when n_docs is 0
     return IdfTable(vocab=vocab, values=values, document_count=n_docs)
 
 

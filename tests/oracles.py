@@ -14,8 +14,9 @@ it projected each document once per batch; eager_train is plain SGD with
 the l2 gradient added to the cross-entropy gradient, which train applies
 as weight decay. ssp_transport solves the integer transport problem by
 successive shortest paths, independently of the package's transportation
-simplex. wmd is the one door through which tests reach the package's own
-WMD kernels.
+simplex. embedded is the one door through which tests embed a token list:
+the row of its interned counts, as similarities reads a document. wmd is
+the one door through which tests reach the package's own WMD kernels.
 """
 
 import math
@@ -35,12 +36,13 @@ from stancekit.embeddings import (
     _WMD,
     _apportion,
     _cost_matrix,
+    _embedder,
     _transport_min_cost,
 )
 from stancekit.keywords import mutual_information
 from stancekit.mlp import softmax
 from stancekit.pipeline import BASELINE, INDICATOR
-from stancekit.text import Vocabulary, tokenize
+from stancekit.text import Vocabulary, intern, tokenize
 
 
 def vocabulary(token_lists, capacity, stopwords=frozenset()):
@@ -144,10 +146,12 @@ def nbow(tokens, table, max_terms=None):
     return tuple(term for term, _ in items), raw / raw.sum()
 
 
-def centroid_cosine(tokens_a, tokens_b, table):
-    """Cosine between per-occurrence mean vectors; 0.0 when degenerate."""
-    vecs_a = [table.matrix[table.index[t]] for t in tokens_a if t in table.index]
-    vecs_b = [table.matrix[table.index[t]] for t in tokens_b if t in table.index]
+def centroid_cosine(tokens_a, tokens_b, table, order=sorted):
+    """Cosine between per-occurrence mean vectors, the occurrences averaged
+    in term order; 0.0 when degenerate. order=list averages them in text
+    order, as the package did while it read token lists."""
+    vecs_a = [table.matrix[table.index[t]] for t in order(tokens_a) if t in table.index]
+    vecs_b = [table.matrix[table.index[t]] for t in order(tokens_b) if t in table.index]
     if not vecs_a or not vecs_b:
         return 0.0
     ca = np.mean(vecs_a, axis=0)
@@ -183,6 +187,11 @@ def similarity_block(head_tokens, body_tokens, table, mode):
         backward = float(demand / MASS_SCALE @ cost.min(axis=0))
         distance = max(forward, backward)
     return 1.0 / (1.0 + distance)
+
+
+def embedded(tokens, table, nbow=True):
+    """The EmbeddedDoc that similarities builds for a document holding the tokens."""
+    return _embedder(intern([tokens]), table, nbow)(0)
 
 
 def wmd(a, b, mode=WMD_EXACT):

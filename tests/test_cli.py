@@ -696,6 +696,7 @@ CORRUPTIONS = {
     "idf_value_not_a_number": ("plain.idf.txt", set_line(1, "many")),
     "idf_value_nan": ("plain.idf.txt", set_line(1, "nan")),
     "idf_value_negative": ("plain.idf.txt", set_line(1, "-0.5")),
+    "idf_count_negative": ("plain.idf.txt", set_line(0, "document_count=-3")),
     "idf_not_utf8": ("plain.idf.txt", not_utf8),
     "idf_without_header": (
         "plain.idf.txt",
@@ -710,12 +711,15 @@ CORRUPTIONS = {
     ),
     "keyword_set_duplicate_term": ("with_manual.kw.manual.txt", set_line(2, "fake")),
     "keyword_set_not_utf8": ("with_manual.kw.manual.txt", not_utf8),
+    # a term tokenize never yields matches no column: its bits always read 0
+    "keyword_set_term_not_a_token": ("with_manual.kw.manual.txt", set_line(1, "fraud word")),
     # the second term overwritten with the first: same length, one column dead
     "vocabulary_repeats_a_term": (
         "plain.headline_vocab.txt",
         lambda p: set_line(1, p.read_text(encoding="utf-8").splitlines()[0])(p),
     ),
     "vocabulary_not_utf8": ("plain.body_vocab.txt", not_utf8),
+    "vocabulary_term_not_a_token": ("plain.body_vocab.txt", set_line(0, "Fake")),
     "combiner_without_weights": (
         "trio_concat.combiner.json", edit_json(lambda c: c.pop("weights"))
     ),

@@ -1,6 +1,7 @@
 """Corpus loading, integrity checks, and body-level fold planning."""
 
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from stancekit.corpus import (
     stance_indices,
     validation_split,
 )
+from stancekit.embeddings import CENTROID, WMD_EXACT, load_embeddings
 from stancekit.errors import ConfigError, DataFormatError, IntegrityError
+from stancekit.pipeline import BlockSpec, PipelineSpec, fit_pipeline
+from stancekit.text import tokenize
 
 from conftest import (
     TRICKY_BODY,
@@ -30,6 +34,7 @@ from conftest import (
     write_bodies,
     write_corpus_files,
     write_stances,
+    write_vectors,
 )
 from oracles import scipy_csr
 
@@ -185,26 +190,15 @@ class TestLoaders:
 
 
 class TestTokenLists:
-    def test_body_and_headline_token_lists(self):
-        corpus = make_corpus(
-            [Instance("Cat?", 1, None), Instance("Dog", 2, None), Instance("Cat?", 2, None)],
-            {1: "The cat, the CAT!", 2: "dog", 3: ""},
-        )
-        assert corpus.body_tokens == {1: ["the", "cat", "the", "cat"], 2: ["dog"], 3: []}
-        assert list(corpus.headline_tokens.items()) == [("Cat?", ["cat"]), ("Dog", ["dog"])]
-
-    def test_token_strings_interned(self):
-        """The token lists share one string per term, and so does each
-        side's term table."""
-        corpus = Corpus(instances=(Instance("cat nap", 1, None),), bodies={1: "cat", 2: "the cat"})
-        cat = corpus.headline_tokens["cat nap"][0]
-        assert corpus.tokens_of_body(1)[0] is cat
-        assert corpus.tokens_of_body(2)[1] is cat
-        for counts in (corpus.headline_counts, corpus.body_counts):
-            assert counts.terms[0] is cat
-        table, *side_ids = corpus.terms
-        assert table == ("cat", "nap", "the")
-        assert [ids.tolist() for ids in side_ids] == [[0, 1], [0, 2]]
+    def test_body_and_headline_token_lists(self, toy_corpus):
+        """Each row of a side's counts counts the tokens of its text."""
+        corpus = make_corpus(toy_corpus.instances, toy_corpus.bodies)
+        for counts, texts in ((corpus.headline_counts, corpus.headlines),
+                              (corpus.body_counts, corpus.bodies.values())):
+            rows = scipy_csr(counts.matrix)
+            for row, text in zip(rows, texts, strict=True):
+                got = {counts.terms[j]: c for j, c in zip(row.indices, row.data)}
+                assert got == Counter(tokenize(text))
 
     def test_counts_rows_follow_token_lists(self):
         corpus = make_corpus(
@@ -218,15 +212,14 @@ class TestTokenLists:
         assert heads.terms == ("cat", "dog")
         assert scipy_csr(heads.matrix).toarray().tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert bodies.terms == ("cat", "dog", "the")
+        table, *side_ids = corpus.terms
+        assert table == ("cat", "dog", "the")
+        assert [ids.tolist() for ids in side_ids] == [[0, 1], [0, 1, 2]]
         assert (scipy_csr(bodies.matrix).toarray().tolist()
                 == [[2.0, 0.0, 2.0], [0.0, 1.0, 0.0], [0.0] * 3])
         assert corpus.body_rows([3, 1]) == [2, 0]
         with pytest.raises(IntegrityError, match="body id 4 not in corpus"):
             corpus.body_rows([1, 4])
-
-    def test_tokens_of_body_unknown_id(self, toy_corpus):
-        with pytest.raises(IntegrityError, match="10000"):
-            toy_corpus.tokens_of_body(10_000)
 
 
 class TestRestrict:
@@ -241,14 +234,13 @@ class TestRestrict:
 
     @pytest.mark.parametrize("fold", [0, 1, 2])
     def test_fold_holds_only_its_own_token_lists(self, fold):
-        """A part holds no token lists or counts of its own: it reads its
-        source's, and its weights pick out its own rows of them. Those rows
-        count what interning the part afresh counts."""
+        """A part holds no counts of its own: it reads its source's, and its
+        weights pick out its own rows of them. Those rows count what
+        interning the part afresh counts."""
         corpus = synthetic_corpus(n_instances=96, n_bodies=24, seed=5)
         for part in plan_folds(corpus, k=3, seed=4).split(corpus, fold):
             assert part.source is corpus
-            for shared in ("headline_tokens", "body_tokens", "headline_counts", "body_counts",
-                           "terms", "headlines"):
+            for shared in ("headline_counts", "body_counts", "terms", "headlines"):
                 assert getattr(part, shared) is getattr(corpus, shared)
             fresh = make_corpus(part.instances, part.bodies)
             own = {"headline": [corpus.headlines[h] for h in fresh.headlines],
@@ -297,9 +289,24 @@ class TestLaziness:
         parts = [*plan_folds(corpus, k=3, seed=4).split(corpus, 1),
                  *validation_split(corpus, 0.25, seed=2)]
         for part in parts:
-            part.headline_counts, part.body_counts, part.headline_tokens, part.body_tokens
+            part.headline_counts, part.body_counts
             assert part.headline_counts.terms is corpus.headline_counts.terms
             assert part.body_counts.terms is corpus.body_counts.terms
+        assert sorted(texts) == sorted([*corpus.headlines, *corpus.bodies.values()])
+
+    def test_similarity_fits_and_blocks_tokenize_each_text_once(self, monkeypatch, tmp_path):
+        # the similarity blocks embed count rows: no block tokenizes again
+        corpus = synthetic_corpus(n_instances=96, n_bodies=24, seed=5)
+        write_vectors(tmp_path / "vec.txt")
+        table = load_embeddings(tmp_path / "vec.txt")
+        spec = PipelineSpec(name="emb", blocks=(BlockSpec(kind="similarity", mode=CENTROID),
+                                                BlockSpec(kind="similarity", mode=WMD_EXACT)))
+        texts = count_tokenize(monkeypatch)
+        train, held = plan_folds(corpus, k=3, seed=4).split(corpus, 0)
+        for part in (corpus, train):
+            fitted = fit_pipeline(spec, part, embeddings=table)
+            for scored in (part, held):
+                fitted.block_matrices(scored)
         assert sorted(texts) == sorted([*corpus.headlines, *corpus.bodies.values()])
 
     def test_body_side_tokenizes_no_headline(self, toy_corpus, monkeypatch):

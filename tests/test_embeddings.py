@@ -37,8 +37,9 @@ from stancekit.embeddings import (
 )
 from stancekit.errors import DataFormatError, SolverBudgetError
 from stancekit.pipeline import BlockSpec, FittedPipeline, PipelineSpec
+from stancekit.text import intern
 
-from oracles import ssp_transport, wmd
+from oracles import embedded, ssp_transport, wmd
 
 
 def table_from(mapping: dict[str, list[float]]) -> EmbeddingTable:
@@ -229,31 +230,42 @@ class TestNbow:
     TABLE = table_from({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
 
     def test_two_to_one(self):
-        doc = embed_doc(["a", "a", "b"], self.TABLE)
+        doc = embedded(["a", "a", "b"], self.TABLE)
         assert doc.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert list(weights_of(doc)) == pytest.approx([2 / 3, 1 / 3], abs=1e-9)
         assert np.array_equal(doc.masses, _apportion(np.array([2.0, 1.0]) / 3.0))
 
     def test_single_token(self):
-        doc = embed_doc(["a"], self.TABLE)
+        doc = embedded(["a"], self.TABLE)
         assert list(doc.masses) == [MASS_SCALE]
 
     def test_all_out_of_table(self):
-        assert embed_doc(["zz", "qq"], self.TABLE) is None
-        assert embed_doc([], self.TABLE) is None
+        assert embedded(["zz", "qq"], self.TABLE) is None
+        assert embedded([], self.TABLE) is None
 
     def test_max_terms_keeps_most_frequent(self, monkeypatch):
         monkeypatch.setattr(embeddings, "WMD_TERM_CAP", 2)
-        doc = embed_doc(["c", "b", "b", "a", "a"], self.TABLE)
+        doc = embedded(["c", "b", "b", "a", "a"], self.TABLE)
         # counts a:2 b:2 c:1; tie a<b lexicographic
         assert doc.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert int(doc.masses.sum()) == MASS_SCALE
         # the centroid still averages every embedded occurrence, c included
         assert doc.centroid.tolist() == pytest.approx([0.6, 0.6], abs=1e-12)
 
+    def test_rows_in_term_order_not_table_order(self, monkeypatch):
+        # a document's rows follow its sorted terms: "a" is table row 1 here,
+        # yet it comes first, and wins the tie for the one nBOW slot
+        monkeypatch.setattr(embeddings, "WMD_TERM_CAP", 1)
+        table = table_from({"b": [0.0, 1.0], "a": [1.0, 0.0]})
+        doc = embed_doc(np.array([1, 0]), np.array([2.0, 2.0]), table)
+        assert doc.vectors.tolist() == [[1.0, 0.0]]
+        assert doc.centroid.tolist() == [0.5, 0.5]
+        assert embedded(["b", "a", "b", "a"], table).vectors.tolist() == [[1.0, 0.0]]
+        assert embed_doc(np.array([], dtype=np.intp), np.array([]), table) is None
+
     @given(st.lists(st.sampled_from(["a", "b", "c", "zz"]), min_size=1, max_size=30))
     def test_weights_validation(self, tokens):
-        doc = embed_doc(tokens, self.TABLE)
+        doc = embedded(tokens, self.TABLE)
         if doc is None:
             assert set(tokens) == {"zz"}
             return
@@ -267,7 +279,7 @@ class TestCentroid:
     TABLE = table_from({"x": [1.0, 0.0], "y": [0.0, 1.0], "o": [0.0, 0.0]})
 
     def cos(self, tokens_a, tokens_b):
-        return centroid_cosine(embed_doc(tokens_a, self.TABLE), embed_doc(tokens_b, self.TABLE))
+        return centroid_cosine(embedded(tokens_a, self.TABLE), embedded(tokens_b, self.TABLE))
 
     def test_same_single_token(self):
         assert self.cos(["x"], ["x"]) == pytest.approx(1.0, abs=1e-12)
@@ -280,7 +292,8 @@ class TestCentroid:
         assert self.cos(["x"], ["x", "y"]) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_degenerate_sides(self):
-        values = similarities([[], ["unseen"]], [["x"]], [0, 1], [0, 0], self.TABLE, [CENTROID])
+        values = similarities(intern([[], ["unseen"]]), intern([["x"]]), [0, 1], [0, 0],
+                              self.TABLE, [CENTROID])
         assert values.tolist() == [[0.0], [0.0]]
         assert self.cos(["o"], ["x"]) == 0.0  # zero-vector centroid
 
@@ -330,12 +343,12 @@ class TestWmdExact:
 
     def test_identity_zero(self):
         table = table_from({"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        doc = embed_doc(["a", "b", "b"], table)
+        doc = embedded(["a", "b", "b"], table)
         assert wmd(doc, doc) == 0.0
 
     def test_single_vs_single_euclidean(self):
         table = table_from({"a": [0.0, 0.0], "b": [1.0, 2.0]})
-        da, db = embed_doc(["a"], table), embed_doc(["b"], table)
+        da, db = embedded(["a"], table), embedded(["b"], table)
         assert wmd(da, db) == pytest.approx(math.sqrt(5.0), abs=1e-9)
 
     def test_three_by_three_toy_matches_enumeration(self):
@@ -481,12 +494,12 @@ class TestWmdExact:
 class TestWmdRelaxed:
     def test_identity_zero(self):
         table = table_from({"a": [1.0, 0.0], "b": [0.0, 1.0]})
-        doc = embed_doc(["a", "b"], table)
+        doc = embedded(["a", "b"], table)
         assert wmd(doc, doc, WMD_RELAXED) == 0.0
 
     def test_single_vs_single_equals_exact(self):
         table = table_from({"a": [0.0, 1.0], "b": [1.0, 1.0]})
-        da, db = embed_doc(["a"], table), embed_doc(["b"], table)
+        da, db = embedded(["a"], table), embedded(["b"], table)
         assert wmd(da, db, WMD_RELAXED) == pytest.approx(wmd(da, db), abs=1e-12)
 
     def test_lower_bound_on_100_seeded(self):
@@ -500,7 +513,7 @@ class TestSimilarityBlock:
     TABLE = table_from({"near": [0.0, 0.0], "far": [1.0, 0.0], "other": [0.0, 3.0]})
 
     def value(self, head, body, mode):
-        return similarities([head], [body], [0], [0], self.TABLE, [mode])[0, 0]
+        return similarities(intern([head]), intern([body]), [0], [0], self.TABLE, [mode])[0, 0]
 
     def test_centroid_identical(self):
         value = self.value(["near", "far"], ["near", "far"], CENTROID)
@@ -521,7 +534,8 @@ class TestSimilarityBlock:
     def test_columns_follow_modes_and_instances(self):
         heads, bodies = [["near"], ["zz"]], [["far"], ["near", "far"]]
         head_row, body_row = [0, 1, 0, 0], [0, 0, 1, 0]
-        values = similarities(heads, bodies, head_row, body_row, self.TABLE, SIMILARITY_MODES)
+        values = similarities(intern(heads), intern(bodies), head_row, body_row, self.TABLE,
+                              SIMILARITY_MODES)
         assert values.shape == (4, len(SIMILARITY_MODES))
         for k, (h, b) in enumerate(zip(head_row, body_row)):
             for j, mode in enumerate(SIMILARITY_MODES):
@@ -537,8 +551,8 @@ class TestSimilarityBlock:
         modes = (WMD_EXACT, WMD_RELAXED)
         for _ in range(4):
             table, head, body = random_token_instance(rng)
-            values = similarities([head], [body], [0], [0], table, modes)
-            da, db = embed_doc(head, table), embed_doc(body, table)
+            values = similarities(intern([head]), intern([body]), [0], [0], table, modes)
+            da, db = embedded(head, table), embedded(body, table)
             for j, mode in enumerate(modes):
                 assert values[0, j].hex() == (1.0 / (1.0 + wmd(da, db, mode))).hex()
 

@@ -35,6 +35,12 @@ READERS = {
     "idf": (lambda p: load_idf(p, Vocabulary(("fake",))), "i.txt", b"document_count=x\n0.5\n",
             DataFormatError),
     "keyword_set": (read_keyword_set, "k.txt", b"fake\n", DataFormatError),
+    # a term tokenize never yields matches no column: its feature always reads 0
+    "keyword_set_term_not_a_token": (read_keyword_set, "k.txt",
+                                     b"# kw manual\nfake\nfraud word\n", DataFormatError),
+    "vocabulary_term_not_a_token": (load_vocabulary, "v.txt", b"fake\nFake\n", DataFormatError),
+    "idf_count_below_one": (lambda p: load_idf(p, Vocabulary(("fake",))), "i.txt",
+                            b"document_count=-3\n0.5\n", DataFormatError),
     "scores": (read_delimited, "s.txt", b"grade=abc\n", DataFormatError),
     "envelope": (lambda p: read_envelope(p, "x"), "e.json", b"{", DataFormatError),
     "manifest": (lambda p: load_pipeline(p.parent, "p"), "p.pipeline.json",

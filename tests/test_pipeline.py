@@ -5,10 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import stancekit.embeddings as embeddings
 from stancekit.corpus import Corpus, Instance, Stance, make_corpus, plan_folds
-from stancekit.embeddings import CENTROID, WMD_EXACT, WMD_RELAXED, load_embeddings
+from stancekit.embeddings import (
+    CENTROID,
+    WMD_EXACT,
+    WMD_RELAXED,
+    EmbeddingTable,
+    load_embeddings,
+    similarities,
+)
 from stancekit.ensemble import SUMMATION, EnsembleMember, EnsembleSpec
 from stancekit.errors import ConfigError, IntegrityError
 from stancekit.mlp import TrainingConfig, predict_batch, train
@@ -24,9 +32,10 @@ from stancekit.pipeline import (
     save_pipeline,
     stance_labels,
 )
+from stancekit.text import intern, tokenize
 
-from conftest import synthetic_corpus, write_vectors
-from oracles import PAIR_ATOL, feature_row, fuse_summation_row, pair_train
+from conftest import all_theme_words, synthetic_corpus, write_vectors
+from oracles import PAIR_ATOL, centroid_cosine, feature_row, fuse_summation_row, pair_train
 
 BASELINE_SPEC = PipelineSpec(name="plain", blocks=(BlockSpec(kind="baseline"),))
 
@@ -295,6 +304,66 @@ class TestOracleParity:
             fitted.matrix(broken)
 
 
+#: float64's unit roundoff
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def reorder_drift(vectors: np.ndarray) -> float:
+    """Bound on the distance between the sums of the rows of vectors taken
+    in two orders, relative to the sum's norm: in any order, a sum of n
+    vectors is within (n - 1)u * sum_i |x_i| of the exact one, componentwise."""
+    spread = np.linalg.norm(np.abs(vectors).sum(axis=0)) / np.linalg.norm(vectors.sum(axis=0))
+    return 2 * (len(vectors) - 1) * UNIT_ROUNDOFF * spread
+
+
+def centroid_reorder_bound(head, body, table) -> float:
+    """How far a centroid cosine may move when each side's occurrences are
+    averaged in another order: a vector moved by a fraction e of its norm
+    turns by at most asin(e) < 2e, the cosine of two unit vectors moves by
+    at most the angles they turn, and 64u covers the rounding of the mean,
+    the norms, the dot product and the quotient."""
+    sides = [[table.index[t] for t in side if t in table.index] for side in (head, body)]
+    if not all(sides):
+        return 0.0  # both orders read 0.0
+    return 2 * sum(reorder_drift(table.matrix[rows]) for rows in sides) + 64 * UNIT_ROUNDOFF
+
+
+class TestCentroidTermOrder:
+    """The centroid averages a document's occurrences in term order, the
+    order of its count row; while the package read token lists it averaged
+    them in text order. The two differ by rounding only."""
+
+    @staticmethod
+    def assert_within_bound(table, heads, bodies, head_row, body_row):
+        got = similarities(intern([tokenize(h) for h in heads]),
+                           intern([tokenize(b) for b in bodies]),
+                           head_row, body_row, table, [CENTROID])[:, 0]
+        for value, h, b in zip(got, head_row, body_row):
+            head, body = tokenize(heads[h]), tokenize(bodies[b])
+            assert value == centroid_cosine(head, body, table)
+            before = centroid_cosine(head, body, table, order=list)
+            assert abs(value - before) <= centroid_reorder_bound(head, body, table)
+
+    def test_parity_corpora(self, vectors_file):
+        table = load_embeddings(vectors_file)
+        for part in (shared_headline_corpus(), synthetic_corpus(n_instances=20, n_bodies=5, seed=9)):
+            heads, bodies = list(part.headlines), list(part.bodies.values())
+            rows = [(part.headlines[i.headline], part.body_rows([i.body_id])[0])
+                    for i in part.instances]
+            self.assert_within_bound(table, heads, bodies, *zip(*rows))
+
+    TABLE = EmbeddingTable(tuple(all_theme_words()),
+                           np.random.default_rng(3).normal(size=(len(all_theme_words()), 8)))
+    LONG_DOCUMENT = st.lists(st.sampled_from([*all_theme_words(), "unseen"]), min_size=1,
+                             max_size=400).map(" ".join)
+
+    @given(st.lists(LONG_DOCUMENT, min_size=1, max_size=3),
+           st.lists(LONG_DOCUMENT, min_size=1, max_size=3))
+    def test_long_repeating_documents(self, heads, bodies):
+        pairs = [(h, b) for h in range(len(heads)) for b in range(len(bodies))]
+        self.assert_within_bound(self.TABLE, heads, bodies, *zip(*pairs))
+
+
 # one spec per kind of pipeline a shared fit must reproduce on its own
 DERIVED_PIPELINES = {
     "baseline": (BlockSpec(kind="baseline"),),
@@ -391,10 +460,12 @@ class TestSharedFit:
         monkeypatch.setattr(embeddings, "_cost_matrix",
                             lambda a, b: built.append(1) or cost_matrix(a, b))
         fitted.block_matrices(corpus)
+        head = embeddings._embedder(corpus.headline_counts, table, nbow=True)
+        body = embeddings._embedder(corpus.body_counts, table, nbow=True)
         scored = {
             (i.headline, i.body_id) for i in corpus.instances
-            if embeddings.embed_doc(corpus.headline_tokens[i.headline], table) is not None
-            and embeddings.embed_doc(corpus.tokens_of_body(i.body_id), table) is not None
+            if head(corpus.headlines[i.headline]) is not None
+            and body(*corpus.body_rows([i.body_id])) is not None
         }
         assert 0 < len(scored) < len(corpus)
         assert len(built) == len(scored)

@@ -158,8 +158,14 @@ class TestIdf:
         assert table.values.tolist() == [0.0]
 
     def test_requires_documents(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one document"):
             build_idf([], Vocabulary(("t",)))
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_table_requires_documents(self, count):
+        # the check build_idf and load_idf share
+        with pytest.raises(ValueError, match="at least one document"):
+            IdfTable(vocab=Vocabulary(("t",)), values=np.ones(1), document_count=count)
 
 
 def uniform_idf(vocab: Vocabulary) -> IdfTable:
